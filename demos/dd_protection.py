@@ -10,7 +10,7 @@ ensembles and prints the tripartite-negativity ratio cycle by cycle.
 sigma below was calibrated with `triq calibrate` so the unprotected
 single-qubit coherence 1/e time reproduces T2 of qubit 1 (0.53 s).
 
-Run:  python3 demos/dd_protection.py   (~10 s)
+Run:  python3 demos/dd_protection.py   (~2 s)
 """
 
 import math
@@ -21,6 +21,7 @@ from triq import (
     build_xy16s,
     cycle_duration,
     evolve_correlated,
+    grid_step,
     min_interpulse_delay,
     prepare_ghz,
     run_protected,
@@ -45,7 +46,7 @@ def main():
 
     # shared step size: both arms see identical noise tracks, and the
     # pulse offsets (j + 1/2) tau land exactly on step boundaries
-    base = min(min(spins.t2_s) / 2000.0, min_interpulse_delay(schedule) / 50.0)
+    base = grid_step(spins, min_interpulse_delay(schedule))
     spc = max(1, int(math.ceil(cyc / base - 1e-12)))
     dt = cyc / spc
 

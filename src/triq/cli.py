@@ -27,6 +27,7 @@ digits. Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -34,10 +35,10 @@ import sys
 import numpy as np
 
 from .analytic import RateSet, ghz_analytic, w_analytic, wwbar_analytic
-from .core import PhysicalityError, save_matrix
+from .core import save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, min_interpulse_delay, run_protected, schedule_table
 from .measures import curve_from_states
-from .noise import NoiseModel, SpinSystem, evolve_correlated, evolve_markovian
+from .noise import NoiseModel, SpinSystem, evolve_correlated, evolve_markovian, grid_step
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import fidelity_report, mle_reconstruct, read_records, tomograph, write_records
 
@@ -370,7 +371,7 @@ def cmd_decay(cfg):
         for p in (csv_path, ref_path, svg_path):
             _emit(p)
         return 0
-    base = min(spins.t2_s) / 2000.0
+    base = grid_step(spins)
     per_sample = max(1, int(math.ceil(step / base)))
     curve = evolve_markovian(rho0, spins, noise, t_final,
                              dt=step / per_sample, sample_every=per_sample)
@@ -408,7 +409,7 @@ def cmd_protect(cfg):
     cyc = cycle_duration(schedule)
     total = cfg["dd.cycles"] * cyc
     # one shared step size so both arms see identical noise tracks
-    base = min(min(spins.t2_s) / 2000.0, min_interpulse_delay(schedule) / 50.0)
+    base = grid_step(spins, min_interpulse_delay(schedule))
     spc = max(1, int(math.ceil(cyc / base - 1e-12)))
     dt = cyc / spc
     protected = run_protected(rho0, spins, noise, schedule, total, dt=dt)
@@ -580,7 +581,10 @@ _COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    # built once: parsing leaves the parser unchanged, and repeated
+    # in-process calls of main need not rebuild five subparsers
     parser = argparse.ArgumentParser(
         prog="triq",
         description="three-qubit decay, decoupling, and tomography runner")
@@ -590,16 +594,23 @@ def main(argv=None):
         p.add_argument("--config", default=None, metavar="PATH")
         p.add_argument("--out", default=None, metavar="DIR")
         p.add_argument("--seed", default=None, metavar="U64")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(path=args.config, seed=args.seed, out_dir=args.out)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as err:
-        print("config error: %s" % err, file=sys.stderr)
-        return 2
-    except (PhysicalityError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as err:
+    # core.NumericalError (unphysical or non-Hermitian matrices) is an
+    # ArithmeticError; LinAlgError is a ValueError, so it goes first
+    except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as err:
         print("numerical failure: %s" % err, file=sys.stderr)
         return 3
+    except ValueError as err:
+        # a ConfigError, or a library routine rejecting a config value
+        print("config error: %s" % err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ realization; higher modules attach physics to these arrays.
 """
 
 import json
+import math
 
 import numpy as np
 
 __all__ = [
+    "NumericalError",
     "NonHermitianError",
     "PhysicalityError",
     "kron",
@@ -40,7 +42,15 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-class NonHermitianError(ValueError):
+class NumericalError(ArithmeticError):
+    """Base of the failures of a computation, as opposed to bad input.
+
+    Deliberately not a ValueError, so callers can tell an unphysical
+    result from a rejected argument.
+    """
+
+
+class NonHermitianError(NumericalError):
     """Raised when a matrix that must be Hermitian is not.
 
     Carries the largest elementwise asymmetry |m - m^dag| in
@@ -54,7 +64,7 @@ class NonHermitianError(ValueError):
         )
 
 
-class PhysicalityError(ValueError):
+class PhysicalityError(NumericalError):
     """Raised when an array fails a density-matrix check."""
 
 
@@ -218,18 +228,28 @@ def load_matrix(path):
     return flat.reshape(dim, dim)
 
 
+_NON_FINITE = "non-finite entries (NaN or inf)"
+
+
 def check_density(rho, trace_atol=1e-8, herm_atol=HERM_ATOL, eig_floor=-1e-6):
     """Validate a density matrix; raise PhysicalityError on failure.
 
-    Checks trace within ``trace_atol`` of 1, Hermiticity within
-    ``herm_atol``, and smallest eigenvalue above ``eig_floor``.
-    Returns the matrix unchanged on success.
+    Checks that every entry is finite, trace within ``trace_atol`` of
+    1, Hermiticity within ``herm_atol``, and smallest eigenvalue above
+    ``eig_floor``. Returns the matrix unchanged on success.
     """
     rho = np.asarray(rho, dtype=complex)
+    # NaN passes every comparison below, so non-finite entries are
+    # rejected first: any of them leaves the trace or the asymmetry
+    # non-finite
     tr = np.trace(rho)
+    if not (math.isfinite(tr.real) and math.isfinite(tr.imag)):
+        raise PhysicalityError(_NON_FINITE)
     if abs(tr - 1.0) > trace_atol:
         raise PhysicalityError("trace %r deviates from 1 by %.3e" % (tr, abs(tr - 1)))
     asym = np.max(np.abs(rho - rho.conj().T))
+    if not math.isfinite(asym):
+        raise PhysicalityError(_NON_FINITE)
     if asym > herm_atol:
         raise PhysicalityError("Hermiticity violated, max asymmetry %.3e" % asym)
     vals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))

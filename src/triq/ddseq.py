@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import measures, noise, states
+from . import noise, states
 
 __all__ = [
     "Pulse",
@@ -188,14 +188,15 @@ def schedule_table(schedule):
     return "\n".join(lines) + "\n"
 
 
-def run_protected(rho0, spins, noise_model, schedule, total_time,
-                  dt=None, with_hamiltonian=False):
+def run_protected(rho0, spins, noise_model, schedule, total_time, dt=None):
     """Repeat the DD cycle until total_time, sampling after each cycle.
 
     total_time must be an integer number of cycle durations. Free
     evolution between pulses follows the noise model's bath mode;
     pulses are applied as instantaneous collective unitaries with
-    their flip errors.
+    their flip errors. dt defaults to noise.grid_step and is shrunk so
+    a whole number of steps fills one cycle; every pulse must then
+    fall on a step.
     """
     cyc = cycle_duration(schedule)
     if total_time < cyc - 1e-12:
@@ -209,20 +210,10 @@ def run_protected(rho0, spins, noise_model, schedule, total_time,
         )
     full = replace(schedule, cycles=n_cycles)
     if dt is None:
-        dt = noise._default_dt(spins, min_interpulse_delay(schedule))
+        dt = noise.grid_step(spins, min_interpulse_delay(schedule))
     # land cycle boundaries exactly on steps
     steps_per_cycle = max(1, int(math.ceil(cyc / dt - 1e-12)))
     dt = cyc / steps_per_cycle
-    marks = [c * steps_per_cycle for c in range(n_cycles + 1)]
-
-    if noise_model.bath_mode == "correlated":
-        return noise.evolve_correlated(
-            rho0, spins, noise_model, full, n_cycles * cyc, dt=dt,
-            sample_every=steps_per_cycle, with_hamiltonian=with_hamiltonian,
-        )
-    times, sampled = noise._run_pulsed_markovian(
-        rho0, spins, noise_model, n_cycles * cyc, dt,
-        expand_schedule(full), sample_steps_hint=marks,
-        with_hamiltonian=with_hamiltonian,
-    )
-    return measures.curve_from_states(times, sampled, rho0)
+    n = n_cycles * steps_per_cycle
+    return noise.propagate(rho0, noise_model, n, dt, expand_schedule(full),
+                           range(0, n + 1, steps_per_cycle))

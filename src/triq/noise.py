@@ -1,21 +1,28 @@
 """Evolution of the three-qubit register under damping and dephasing.
 
-Two modes share one fixed-step RK4 engine. Markovian mode integrates the
-Lindblad master equation with per-qubit sigma_x damping (rate kappa_x =
-1/T1) and sigma_z dephasing (kappa_z = 1/T2). Correlated mode replaces
-the dephasing dissipator with per-qubit classical Ornstein-Uhlenbeck
-frequency tracks b_i(t) applied through sigma_z/2, averaged over an
-ensemble of trajectories; amplitude damping stays Lindbladian. The
-system Hamiltonian defaults to zero (on-resonance rotating frame) and
-can be switched on for coupled-evolution studies.
+Markovian mode is the Lindblad master equation with per-qubit sigma_x
+damping (rate kappa_x = 1/T1) and sigma_z dephasing (kappa_z = 1/T2).
+Correlated mode replaces the dephasing dissipator with per-qubit
+classical Ornstein-Uhlenbeck frequency tracks b_i(t) applied through
+sigma_z/2, averaged over an ensemble of trajectories; amplitude damping
+stays Lindbladian.
 
-The generator is diagonal-plus-permutation in the product basis, so the
-right-hand side is evaluated elementwise: a single mask multiply plus
-one index gather per damped qubit. The public lindblad_rhs builds the
-same derivative from explicit Lindblad operator matrices; tests pin the
-two routes against each other.
+Pulsed and correlated-bath runs go through one segment propagator,
+``propagate``, that steps from event to event (a pulse or a sample).
+Both dissipators are Pauli channels, which commute and are applied in
+closed form, so without OU noise every segment is exact at any length.
+The OU term is diagonal and enters as an exact elementwise phase summed
+over the segment's steps of the OU grid; it does not commute with the
+bit flips, so a segment is Strang-split around it and capped at
+_MAX_SEGMENT_STEPS grid steps.
+
+evolve_markovian alone integrates the master equation with fixed-step
+RK4, and is the only route that can switch on the (diagonal) system
+Hamiltonian. Its right-hand side is evaluated elementwise: a single
+mask multiply plus one index gather per damped qubit. The public
+lindblad_rhs builds the same derivative from explicit Lindblad operator
+matrices; tests pin the two routes against each other.
 """
-
 import math
 from dataclasses import dataclass
 
@@ -31,6 +38,8 @@ __all__ = [
     "lindblad_rhs",
     "evolve_markovian",
     "sample_ou_path",
+    "grid_step",
+    "propagate",
     "evolve_correlated",
 ]
 
@@ -167,11 +176,11 @@ def lindblad_rhs(rho, spins, noise, with_hamiltonian=False):
 
 
 #
-# Fast elementwise generator. For this model the derivative decomposes as
+# Fast elementwise generator for evolve_markovian's RK4. For this model
+# the derivative decomposes as
 #   drho = E * rho + sum_i (kappa_x_i / 2) * rho[flip_i rows, flip_i cols]
 # with E collecting the -i[H, .] phase (H is diagonal), the dephasing
-# mask, and the damping decay constant. The OU bath adds a per-step,
-# per-trajectory imaginary phase to E through the same mask arrays.
+# mask, and the damping decay constant.
 #
 
 _FLIP = [np.arange(8) ^ (1 << (3 - i)) for i in (1, 2, 3)]
@@ -185,20 +194,20 @@ _ZDIFF = np.stack(
         for i in (1, 2, 3)
     ]
 )
+# 1 where qubit i's bit differs between row and column: the elements
+# that sigma_z dephasing of qubit i damps
+_ZMASK = (_ZDIFF != 0.0).astype(float)
 
 
-def _base_elementwise(spins, noise, with_hamiltonian, drop_kz):
+def _base_elementwise(spins, noise, with_hamiltonian):
     e = np.zeros((8, 8), dtype=complex)
     if with_hamiltonian:
         h = np.diag(hamiltonian(spins)).real
         e += -1j * (h[:, None] - h[None, :])
-    if not drop_kz:
-        for i in (1, 2, 3):
-            kz = noise.kappa_z[i - 1]
-            zd = _ZDIFF[i - 1]
-            # (sigma_z rho sigma_z - rho) elementwise: -2 where the bit
-            # differs between row and column, 0 where it matches
-            e += (kz / 2.0) * (np.where(zd != 0.0, -2.0, 0.0))
+    for i in (1, 2, 3):
+        # (kappa_z/2)(sigma_z rho sigma_z - rho) elementwise: -kappa_z
+        # where the bit differs between row and column, 0 where it matches
+        e -= noise.kappa_z[i - 1] * _ZMASK[i - 1]
     e -= 0.5 * sum(noise.kappa_x)
     return e
 
@@ -219,12 +228,19 @@ def _rk4_step(rho, dt, e, kappa_x):
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _default_dt(spins, min_delay=None):
+def grid_step(spins, min_delay=None):
+    """Default step of the fixed time grid, in seconds.
+
+    min(T2)/2000 without pulses. When pulses are min_delay apart it is
+    min_delay/50, divided further by the smallest whole m that brings
+    it down to min(T2)/2000, so the pulses stay on the grid. In
+    correlated mode this is also the step of the OU tracks, so changing
+    it changes every random draw.
+    """
     dt = min(spins.t2_s) / 2000.0
-    if min_delay is not None:
-        # pulses must be resolved well below the inter-pulse delay
-        dt = min(dt, min_delay / 50.0)
-    return dt
+    if min_delay is None:
+        return dt
+    return min_delay / (50.0 * max(1, math.ceil(min_delay / 50.0 / dt)))
 
 
 def _plan_steps(t_final, dt):
@@ -254,8 +270,8 @@ def evolve_markovian(rho0, spins, noise, t_final, dt=None,
     Samples every ``sample_every`` steps (plus t = 0 and t_final).
     Every sampled matrix is re-validated as physical; a violation
     raises PhysicalityError naming the first offending time. dt
-    defaults to min(T2)/2000 and is rounded so an integer number of
-    steps lands exactly on t_final.
+    defaults to grid_step(spins) and is rounded so an integer number
+    of steps lands exactly on t_final.
 
     Returns
     -------
@@ -265,11 +281,11 @@ def evolve_markovian(rho0, spins, noise, t_final, dt=None,
     """
     rho0 = check_density(rho0)
     if dt is None:
-        dt = _default_dt(spins)
+        dt = grid_step(spins)
     if dt <= 0:
         raise ValueError("dt must be positive")
     n, dt = _plan_steps(t_final, dt)
-    e = _base_elementwise(spins, noise, with_hamiltonian, drop_kz=False)
+    e = _base_elementwise(spins, noise, with_hamiltonian)
     kx = noise.kappa_x
     times, states = [0.0], [rho0.copy()]
     rho = rho0.astype(complex)
@@ -299,6 +315,12 @@ def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
     # blockwise scan; the closed form within a block uses growing powers
     # of 1/d, so block length is capped to keep them finite
     max_block = max(1, int(500.0 / max(dt / tau_c, 1e-12)))
+    if max_block == 1:
+        # dt > 250 tau_c: 1/d may overflow, and the plain recurrence
+        # costs the same as one-step blocks
+        for k in range(1, n_steps):
+            out[k] = d * out[k - 1] + sn * eps[k]
+        return out
     k = 1
     while k < n_steps:
         stop = min(n_steps, k + max_block)
@@ -323,31 +345,154 @@ def sample_ou_path(tau_c, sigma, dt, n_steps, seed):
     return _ou_paths(rng, tau_c, sigma, dt, n_steps, 1)[:, 0]
 
 
+# pulse times may miss the grid by this many steps (rounding of the
+# summed delays) before they count as off the grid
+_GRID_TOL = 1e-6
+
+
 def _expand_pulse_steps(pulses, dt, n):
-    """Snap (time, unitary) pulse events to step boundaries."""
+    """Map (time, unitary) pulse events to the grid steps they fall on."""
     by_step = {}
     for t, u in pulses:
         k = int(round(t / dt))
         if k < 0 or k > n:
             raise ValueError("pulse at t = %g s falls outside the run" % t)
+        if abs(t / dt - k) > _GRID_TOL:
+            raise ValueError(
+                "pulse at t = %.12g s is off the time grid of dt = %.12g s"
+                % (t, dt))
         by_step.setdefault(k, []).append(u)
     return by_step
 
 
-def evolve_correlated(rho0, spins, noise, schedule, t_final, dt=None,
-                      sample_every=None, with_hamiltonian=False):
-    """Ensemble-averaged evolution under the correlated dephasing bath.
+# Longest free segment, in OU grid steps, when bit flips and the OU
+# phase are both on. The Strang splitting error grows as
+# kappa_x b^2 Delta^2: on the 240 ms acceptance run (5 us steps) a cap
+# of 50 leaves 5.2e-8 against fine-step RK4, inside its 1e-7 budget; a
+# cap of 25 leaves 1.4e-8 but costs a third more run time.
+_MAX_SEGMENT_STEPS = 50
 
-    Each trajectory evolves under the spin Hamiltonian (optional) plus
-    per-qubit OU frequency tracks b_i(t) sigma_z^(i)/2, with amplitude
-    damping still applied as a Lindblad dissipator. The kappa_z
-    dissipators are off in this mode; the OU bath is the dephasing.
-    Pulses from ``schedule`` (a ddseq.DDSchedule, or None) are applied
-    as instantaneous unitaries snapped to step boundaries. Trajectory
-    j draws from a stream seeded by (noise.seed, j), so the ensemble
-    mean does not depend on execution order.
+
+def _segment_edges(events, cap):
+    """Grid steps that bound the free segments: every event, plus even
+    splits of any gap longer than ``cap`` steps."""
+    edges = [events[0]]
+    for stop in events[1:]:
+        start = edges[-1]
+        parts = -(-(stop - start) // cap)
+        edges.extend(start + (stop - start) * j // parts
+                     for j in range(1, parts + 1))
+    return edges
+
+
+def _half_flips(states, kappa_x, delta):
+    """Bit-flip channels of all three qubits over delta / 2."""
+    for (pi, pj), kx in zip(_PERM, kappa_x):
+        if kx != 0.0:
+            p = 0.5 * (1.0 - math.exp(-0.5 * kx * delta))
+            states = (1.0 - p) * states + p * states[..., pi, pj]
+    return states
+
+
+def _ou_track(noise, j, dt, n):
+    """OU frequencies (n, 3) of trajectory j, from its own seed stream."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=(int(noise.seed), int(j))))
+    return _ou_paths(rng, noise.ou_tau_c, noise.ou_sigma, dt, n, 3)
+
+
+def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
+    """Ensemble-mean evolution on a grid of n_steps steps of dt seconds.
+
+    Events are the pulses, (time_s, unitary) pairs that must fall on
+    the grid, and the samples at the step indices ``sample_steps``
+    (default: every step). Between events the bath acts in closed form:
+    bit flips at kappa_x, and either Lindblad dephasing at kappa_z
+    (markovian) or, per trajectory, the exact OU phase summed over the
+    segment's grid steps (correlated). Trajectory j draws its OU track
+    from a stream seeded by (noise.seed, j), so the ensemble mean does
+    not depend on execution order. Pulses at a step act after the free
+    evolution up to it and before its sample; every sampled mean is
+    validated as physical.
+
+    Returns
+    -------
+    measures.DecayCurve
+        Metrics of the sampled means against rho0.
     """
     rho0 = check_density(rho0)
+    if n_steps < 0 or dt <= 0:
+        raise ValueError("n_steps must be non-negative and dt positive")
+    marks = sorted(set(range(n_steps + 1) if sample_steps is None
+                       else (int(k) for k in sample_steps)))
+    if not marks or marks[0] < 0 or marks[-1] > n_steps:
+        raise ValueError("sample steps must lie in [0, %d]" % n_steps)
+    pulses_by_step = _expand_pulse_steps(pulses, dt, n_steps)
+
+    correlated = noise.bath_mode == "correlated"
+    with_ou = correlated and noise.ou_sigma != 0.0 and n_steps > 0
+    cap = n_steps or 1
+    if with_ou and any(noise.kappa_x):
+        cap = _MAX_SEGMENT_STEPS
+    edges = _segment_edges(sorted(set(marks) | set(pulses_by_step)
+                                  | {0, n_steps}), cap)
+    deltas = dt * np.diff(edges)
+    # Lindblad dephasing of every segment; in correlated mode the OU
+    # bath replaces it
+    rates = np.zeros((8, 8))
+    if not correlated:
+        rates = np.tensordot(noise.kappa_z, _ZMASK, 1)
+    decay = np.exp(-np.multiply.outer(deltas, rates))
+
+    n_traj = noise.trajectories if with_ou else 1
+    acc = {k: np.zeros((8, 8), dtype=complex) for k in marks}
+    for start in range(0, n_traj, _CHUNK):
+        width = min(_CHUNK, n_traj - start)
+        if with_ou:
+            # per-segment OU phases, reduced per track to keep memory low
+            phi = dt * np.stack([
+                np.add.reduceat(_ou_track(noise, j, dt, n_steps), edges[:-1])
+                for j in range(start, start + width)])  # (width, segs, 3)
+        states = np.broadcast_to(rho0, (width, 8, 8)).astype(complex)
+        for u in pulses_by_step.get(0, []):
+            states = _apply_unitary(states, u)
+        if 0 in acc:
+            acc[0] += states.sum(axis=0)
+        for s, k in enumerate(edges[1:]):
+            factor = decay[s]
+            if with_ou:
+                factor = factor * np.exp(
+                    -1j * np.einsum("ci,iab->cab", phi[:, s], _ZDIFF))
+            states = _half_flips(states, noise.kappa_x, deltas[s])
+            states = _half_flips(factor * states, noise.kappa_x, deltas[s])
+            for u in pulses_by_step.get(k, []):
+                states = _apply_unitary(states, u)
+            if k in acc:
+                acc[k] += states.sum(axis=0)
+
+    times = [k * dt for k in marks]
+    means = []
+    for k, t in zip(marks, times):
+        rho = acc[k] / n_traj
+        _validate_sample(rho, t)
+        means.append(rho)
+    return measures.curve_from_states(times, means, rho0)
+
+
+def evolve_correlated(rho0, spins, noise, schedule, t_final, dt=None,
+                      sample_every=None):
+    """Ensemble-averaged evolution under the correlated dephasing bath.
+
+    Each trajectory dephases under per-qubit OU frequency tracks
+    b_i(t) sigma_z^(i)/2, with amplitude damping still applied as a
+    Lindblad dissipator. The kappa_z dissipators are off in this mode;
+    the OU bath is the dephasing. Pulses from ``schedule`` (a
+    ddseq.DDSchedule, or None) are applied as instantaneous unitaries
+    and must fall on the step grid. dt defaults to grid_step and is
+    rounded so an integer number of steps lands on t_final; samples
+    fall every ``sample_every`` steps (default: about 200 samples) and
+    at t_final. The work is done by ``propagate``.
+    """
     if noise.bath_mode != "correlated":
         raise ValueError("evolve_correlated requires bath_mode = correlated")
     pulses = []
@@ -364,93 +509,9 @@ def evolve_correlated(rho0, spins, noise, schedule, t_final, dt=None,
         pulses = expand_schedule(schedule)
         min_delay = min_interpulse_delay(schedule)
     if dt is None:
-        dt = _default_dt(spins, min_delay)
+        dt = grid_step(spins, min_delay)
     n, dt = _plan_steps(t_final, dt)
     if sample_every is None:
         sample_every = max(1, n // 200) if n else 1
-    sample_steps = sorted(set([0] + list(range(sample_every, n + 1, sample_every)) + [n]))
-    pulses_by_step = _expand_pulse_steps(pulses, dt, n)
-
-    e = _base_elementwise(spins, noise, with_hamiltonian, drop_kz=True)
-    kx = noise.kappa_x
-    tau_c, sigma = noise.ou_tau_c, noise.ou_sigma
-    n_traj = noise.trajectories
-    acc = {k: np.zeros((8, 8), dtype=complex) for k in sample_steps}
-
-    for start in range(0, n_traj, _CHUNK):
-        idx = range(start, min(start + _CHUNK, n_traj))
-        tracks = []
-        for j in idx:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=(int(noise.seed), int(j)))
-            )
-            tracks.append(_ou_paths(rng, tau_c, sigma, dt, max(n, 1), 3))
-        b = np.stack(tracks)  # (chunk, n, 3)
-        states = np.broadcast_to(rho0, (len(tracks), 8, 8)).astype(complex).copy()
-        for u in pulses_by_step.get(0, []):
-            states = _apply_unitary(states, u)
-        if 0 in acc:
-            acc[0] += states.sum(axis=0)
-        for k in range(1, n + 1):
-            phase = -1j * np.einsum("ci,iab->cab", b[:, k - 1, :], _ZDIFF)
-            states = _rk4_step(states, dt, e + phase, kx)
-            for u in pulses_by_step.get(k, []):
-                states = _apply_unitary(states, u)
-            if k in acc:
-                acc[k] += states.sum(axis=0)
-
-    times = [k * dt for k in sample_steps]
-    means = []
-    for k, t in zip(sample_steps, times):
-        rho = acc[k] / n_traj
-        _validate_sample(rho, t)
-        means.append(rho)
-    return measures.curve_from_states(times, means, rho0)
-
-
-def _run_pulsed_markovian(rho0, spins, noise, t_final, dt, pulses,
-                          sample_steps_hint=None, with_hamiltonian=False):
-    """Markovian integration with instantaneous pulses; used by ddseq.
-
-    pulses: list of (time_s, unitary). Samples at sample_steps_hint
-    (step indices) when given, else every step. Returns (times, states).
-    """
-    rho0 = check_density(rho0)
-    n, dt = _plan_steps(t_final, dt)
-    e = _base_elementwise(spins, noise, with_hamiltonian, drop_kz=False)
-    kx = noise.kappa_x
-    pulses_by_step = _expand_pulse_steps(pulses, dt, n)
-    marks = set(sample_steps_hint) if sample_steps_hint is not None else set(range(n + 1))
-    trivial = (
-        not with_hamiltonian
-        and all(k == 0.0 for k in noise.kappa_x)
-        and all(k == 0.0 for k in noise.kappa_z)
-    )
-    rho = rho0.astype(complex)
-    times, states = [], []
-    for u in pulses_by_step.get(0, []):
-        rho = _apply_unitary(rho, u)
-    if 0 in marks:
-        times.append(0.0)
-        states.append(rho.copy())
-    if trivial:
-        # zero generator: free segments are identities, only pulses act
-        for k in sorted(set(pulses_by_step) | marks):
-            if k == 0:
-                continue
-            for u in pulses_by_step.get(k, []):
-                rho = _apply_unitary(rho, u)
-            if k in marks:
-                times.append(k * dt)
-                states.append(rho.copy())
-        return times, states
-    for k in range(1, n + 1):
-        rho = _rk4_step(rho, dt, e, kx)
-        for u in pulses_by_step.get(k, []):
-            rho = _apply_unitary(rho, u)
-        if k in marks:
-            t = k * dt
-            _validate_sample(rho, t)
-            times.append(t)
-            states.append(rho.copy())
-    return times, states
+    sample_steps = [0] + list(range(sample_every, n + 1, sample_every)) + [n]
+    return propagate(rho0, noise, n, dt, pulses, sample_steps)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from triq import build_xy16s, load_matrix, schedule_table
+from triq import (NonHermitianError, PhysicalityError, build_xy16s, load_matrix,
+                  schedule_table)
 from triq.cli import ConfigError, load_config, main, parse_config
 
 
@@ -161,6 +162,17 @@ def test_protect_config_errors(tmp_path):
     assert run(tmp_path, no_seed, command="protect", out="o3")[0] == 2
 
 
+def test_protect_long_tau_keeps_pulses_on_the_grid(tmp_path):
+    # at tau = 20 ms, tau/50 is above min(T2)/2000, and the step must
+    # still divide the pulse spacing
+    cfg = PROTECT_CFG.replace("dd.tau_s = 0.001\n", "dd.tau_s = 0.02\n")
+    cfg = cfg.replace("bath.trajectories = 4\n", "bath.trajectories = 2\n")
+    rc, out = run(tmp_path, cfg, command="protect")
+    assert rc == 0
+    rows = (out / "protected.csv").read_text().splitlines()
+    assert rows[-1].startswith("0.32,")
+
+
 # -- calibrate --------------------------------------------------------------
 
 def test_calibrate_no_bracket_is_numerical_failure(tmp_path):
@@ -287,3 +299,46 @@ def test_out_dir_nested_creation(tmp_path):
     rc, out = run(tmp_path, DECAY_CFG, out="deep/nested/dir")
     assert rc == 0
     assert (out / "decay.csv").exists()
+
+
+# -- exit codes -------------------------------------------------------------
+
+def test_library_value_error_is_config_error(tmp_path, capsys):
+    # NoiseModel rejects tau_c = 0 with a plain ValueError: the value came
+    # from the config, so the run exits 2
+    rc, _ = run(tmp_path, PROTECT_CFG + "bath.tau_c_s = 0\n", command="protect")
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unphysical_state_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    import triq.cli
+
+    def nan_state():
+        rho = np.eye(8, dtype=complex) / 8.0
+        rho[0, 0] = np.nan
+        return rho
+
+    monkeypatch.setitem(triq.cli._PREPARE, "ghz", nan_state)
+    rc, _ = run(tmp_path, DECAY_CFG)
+    assert rc == 3
+    assert "numerical failure: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ConfigError("bad key"), 2),
+    (ValueError("bad value"), 2),
+    (PhysicalityError("negative eigenvalue"), 3),
+    (NonHermitianError(1e-3), 3),
+    (RuntimeError("no bracket"), 3),
+    (np.linalg.LinAlgError("eigh did not converge"), 3),
+])
+def test_exit_code_per_failure_kind(tmp_path, monkeypatch, exc, code):
+    import triq.cli
+
+    def fail(cfg):
+        """Stand-in command that raises."""
+        raise exc
+
+    monkeypatch.setitem(triq.cli._COMMANDS, "decay", fail)
+    assert run(tmp_path, DECAY_CFG)[0] == code

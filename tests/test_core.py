@@ -9,6 +9,7 @@ from triq import (
     SY,
     SZ,
     NonHermitianError,
+    NumericalError,
     PhysicalityError,
     check_density,
     hermitian_eigs,
@@ -153,6 +154,25 @@ def test_check_density_rejects_each_defect():
     neg = np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0]).astype(complex)
     with pytest.raises(PhysicalityError, match="eigenvalue"):
         check_density(neg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_check_density_rejects_non_finite_entries(bad):
+    # NaN fails every comparison and eigvalsh returns NaN without raising,
+    # so only an explicit finiteness check catches it
+    rho = np.eye(8, dtype=complex) / 8.0
+    rho[3, 3] = bad
+    with pytest.raises(PhysicalityError, match="non-finite"):
+        check_density(rho)
+
+
+def test_numerical_errors_are_not_value_errors():
+    # the CLI maps ValueError to a config error and these to a
+    # numerical failure, so the two bases must stay disjoint
+    for err in (PhysicalityError, NonHermitianError):
+        assert issubclass(err, NumericalError)
+        assert issubclass(err, ArithmeticError)
+        assert not issubclass(err, ValueError)
 
 
 def test_check_density_floor_is_configurable():

@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 from triq import (
+    DDSchedule,
     NoiseModel,
     PhysicalityError,
+    Pulse,
     SpinSystem,
+    build_cpmg,
+    build_kddxy,
     build_xy16s,
     disentanglement_time,
     evolve_correlated,
     evolve_markovian,
+    expand_schedule,
+    grid_step,
     hamiltonian,
     kron,
     lindblad_rhs,
+    min_interpulse_delay,
     prepare_ghz,
     run_protected,
     sample_ou_path,
@@ -294,11 +301,46 @@ def test_evolve_correlated_rejects_pulse_beyond_run(spins):
         evolve_correlated(prepare_ghz(), spins, nm, schedule, 0.016, dt=1e-4)
 
 
+def test_off_grid_pulse_is_rejected(spins):
+    # a pulse 0.3 ms in on a 0.25 ms grid used to be moved silently to
+    # the nearest step
+    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+                               ou_tau_c=0.01, trajectories=1, seed=0)
+    schedule = DDSchedule(events=((0.3e-3, Pulse()), (0.7e-3, None)))
+    with pytest.raises(ValueError, match=r"t = 0.0003 s .*dt = 0.00025 s"):
+        evolve_correlated(prepare_ghz(), spins, nm, schedule, 1e-3, dt=0.25e-3)
+    with pytest.raises(ValueError, match="off the time grid"):
+        run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
+                      schedule, 1e-3, dt=0.25e-3)
+    # on the grid it runs
+    on_grid = DDSchedule(events=((0.25e-3, Pulse()), (0.75e-3, None)))
+    curve = run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
+                          on_grid, 1e-3, dt=0.25e-3)
+    assert len(curve.times) == 2
+
+
 @pytest.fixture(scope="module")
 def ghz_markovian_curve():
     s = SpinSystem()
     return evolve_markovian(prepare_ghz(), s, NoiseModel.from_spins(s), 0.7,
                             dt=5e-4, sample_every=10)
+
+
+@pytest.mark.parametrize("build", [build_xy16s, build_kddxy, build_cpmg])
+@pytest.mark.parametrize("tau", [0.25e-3, 13e-3, 0.02, 0.1])
+def test_grid_step_keeps_pulses_on_the_grid(build, tau):
+    # above tau = 13 ms the T2 bound is the smaller one; the step then
+    # divides the pulse spacing instead of taking the bound as it is
+    for spins in (SpinSystem(), SpinSystem(t2_s=(0.05, 0.05, 0.05))):
+        schedule = build(tau)
+        min_delay = min_interpulse_delay(schedule)
+        dt = grid_step(spins, min_delay)
+        assert dt <= min(spins.t2_s) / 2000.0 or dt == min_delay / 50.0
+        assert dt > 0.5 * min(min(spins.t2_s) / 2000.0, min_delay / 50.0)
+        for t, _ in expand_schedule(schedule):
+            assert abs(t / dt - round(t / dt)) < 1e-6
+    assert grid_step(SpinSystem(), 0.25e-3) == 0.25e-3 / 50.0
+    assert grid_step(SpinSystem()) == 0.52 / 2000.0
 
 
 def test_evolve_markovian_ghz_decay_curve(ghz_markovian_curve):

@@ -1,0 +1,195 @@
+"""Property tests of the segment propagator and the OU track scan."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+import triq.noise
+from triq import (NoiseModel, Pulse, SpinSystem, build_xy16s, evolve_correlated,
+                  prepare_ghz, propagate, pulse_unitary, run_protected)
+from triq.core import ID2, SX, SZ, kron
+from triq.noise import _MAX_SEGMENT_STEPS, _ZDIFF, _ou_paths
+from conftest import random_density
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+rates = st.tuples(*[st.floats(0.0, 50.0)] * 3)
+
+
+@st.composite
+def runs(draw):
+    """A noise model, a grid, pulses on the grid and an initial state."""
+    dt = draw(st.floats(1e-6, 1e-3))
+    n = draw(st.integers(1, 60))
+    correlated = draw(st.booleans())
+    sigma = draw(st.one_of(st.just(0.0), st.floats(0.1, 300.0)))
+    noise = NoiseModel(
+        kappa_x=draw(rates), kappa_z=draw(rates),
+        bath_mode="correlated" if correlated else "markovian",
+        ou_sigma=sigma if correlated else 0.0,
+        ou_tau_c=dt * 10 ** draw(st.floats(-1.0, 4.0)),
+        trajectories=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)))
+    pulses = [
+        (k * dt, pulse_unitary(Pulse(angle=angle, phase=phase)))
+        for k, angle, phase in draw(st.lists(st.tuples(
+            st.integers(0, n), st.floats(0.1, 2.0 * math.pi),
+            st.floats(0.0, 2.0 * math.pi)), max_size=6))
+    ]
+    rho0 = random_density(np.random.default_rng(draw(st.integers(0, 2**32))))
+    return noise, n, dt, pulses, rho0
+
+
+def _basis_state(a, b, kind):
+    """Density matrices whose combinations give every |a><b|."""
+    ket = np.zeros(8, dtype=complex)
+    ket[a] = 1.0
+    if kind:
+        ket[b] = 1j if kind == 2 else 1.0
+        ket /= math.sqrt(2.0)
+    return np.outer(ket, ket.conj())
+
+
+@PROPERTY
+@given(runs())
+def test_engine_is_cptp(run):
+    noise, n, dt, pulses, rho0 = run
+    for rho in propagate(rho0, noise, n, dt, pulses).states:
+        assert abs(np.trace(rho) - 1.0) < 1e-10
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(rho)[0] > -1e-12
+
+    # complete positivity: the Choi matrix of the whole run is PSD. The
+    # map is linear, so its action on |a><b| follows from three
+    # density-matrix inputs per pair.
+    def final(rho):
+        return propagate(rho, noise, n, dt, pulses, [n]).states[-1]
+
+    diag = [final(_basis_state(a, a, 0)) for a in range(8)]
+    choi = np.zeros((64, 64), dtype=complex)
+    for a in range(8):
+        for b in range(8):
+            if a == b:
+                out = diag[a]
+            elif a < b:
+                re = final(_basis_state(a, b, 1))
+                im = final(_basis_state(a, b, 2))
+                # |a><b| = re + i im - (1 + i)/2 (|a><a| + |b><b|) images
+                out = re + 1j * im - 0.5 * (1.0 + 1j) * (diag[a] + diag[b])
+            else:
+                out = choi[8 * b:8 * b + 8, 8 * a:8 * a + 8].conj().T
+            choi[8 * a:8 * a + 8, 8 * b:8 * b + 8] = out
+    assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] > -1e-10
+
+
+@PROPERTY
+@given(runs(), st.sets(st.integers(0, 60), max_size=10))
+def test_extra_samples_move_states_within_split_bound(run, extra):
+    noise, n, dt, pulses, rho0 = run
+    coarse = propagate(rho0, noise, n, dt, pulses, [0, n])
+    fine = propagate(rho0, noise, n, dt, pulses,
+                     [0, n] + [k for k in extra if k <= n])
+    diff = np.max(np.abs(coarse.states[-1] - fine.states[-1]))
+    # Without the OU phase every factor of a segment commutes and extra
+    # events change nothing. With it, a segment of length D mis-times the
+    # bit flips against a phase of order sigma D, plus the phase's drift
+    # sqrt(D / tau_c) across the segment, at rate kappa_x for time T.
+    bound = 1e-12
+    if noise.bath_mode == "correlated":
+        d = min(n, _MAX_SEGMENT_STEPS) * dt
+        sd = noise.ou_sigma * d
+        bound += max(noise.kappa_x) * n * dt * sd * (
+            sd + math.sqrt(d / noise.ou_tau_c))
+    assert diff <= bound
+
+
+def _closed_form(rho, kx, kz, t):
+    """Per-qubit bit-flip and dephasing channels from explicit Kraus pairs."""
+    for q in range(3):
+        for op, k in ((SX, kx[q]), (SZ, kz[q])):
+            factors = [ID2, ID2, ID2]
+            factors[q] = op
+            p = kron(kron(factors[0], factors[1]), factors[2])
+            w = 0.5 * (1.0 - math.exp(-k * t))
+            rho = (1.0 - w) * rho + w * (p @ rho @ p)
+    return rho
+
+
+@PROPERTY
+@given(runs())
+def test_noise_free_bath_matches_closed_form(run):
+    noise, n, dt, _, rho0 = run
+    if noise.bath_mode == "correlated":
+        noise = NoiseModel(kappa_x=noise.kappa_x, kappa_z=noise.kappa_z,
+                           bath_mode="correlated", ou_sigma=0.0,
+                           ou_tau_c=noise.ou_tau_c, trajectories=3, seed=1)
+        kz = (0.0, 0.0, 0.0)  # the OU bath replaces the dephasing
+    else:
+        kz = noise.kappa_z
+    curve = propagate(rho0, noise, n, dt)
+    for t, rho in zip(curve.times, curve.states):
+        assert np.max(np.abs(rho - _closed_form(rho0, noise.kappa_x, kz, t))) < 1e-12
+
+
+def test_pure_ou_dephasing_is_the_exact_track_phase(rng):
+    # without bit flips a trajectory only picks up the phase of its own
+    # OU track, exp(-i dt sum_k b_i[k] ZDIFF_i), at any segment length
+    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                       bath_mode="correlated", ou_sigma=40.0, ou_tau_c=1e-3,
+                       trajectories=2, seed=31)
+    n, dt = 300, 1e-5
+    rho0 = random_density(rng)
+    want = np.zeros((8, 8), dtype=complex)
+    for j in range(2):
+        stream = np.random.default_rng(np.random.SeedSequence(entropy=(31, j)))
+        phi = dt * _ou_paths(stream, 1e-3, 40.0, dt, n, 3).sum(axis=0)
+        want += np.exp(-1j * np.einsum("i,iab->ab", phi, _ZDIFF)) * rho0 / 2.0
+    got = propagate(rho0, noise, n, dt, sample_steps=[0, 7, n]).states[-1]
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_segment_cap_keeps_protected_run_near_one_step_split(monkeypatch):
+    # XY-16(s) under the acceptance bath, 10 cycles, 16 trajectories: the
+    # capped segments stay as close to splitting at every 5 us step as
+    # the 60-cycle acceptance run's 1e-7 budget allows over 10 cycles
+    # (measured 2.3e-9 at a cap of 25, 8.9e-9 at 50)
+    spins = SpinSystem()
+    noise = NoiseModel.from_spins(
+        spins, bath_mode="correlated", ou_sigma=13.7117919922, ou_tau_c=0.01,
+        trajectories=16, seed=2026)
+    schedule = build_xy16s(0.25e-3, cycles=10)
+
+    def both_arms():
+        prot = run_protected(prepare_ghz(), spins, noise, schedule, 0.04)
+        free = evolve_correlated(prepare_ghz(), spins, noise, None, 0.04,
+                                 dt=5e-6, sample_every=800)
+        return np.array(prot.states), np.array(free.states)
+
+    capped = both_arms()
+    monkeypatch.setattr(triq.noise, "_MAX_SEGMENT_STEPS", 1)
+    fine = both_arms()
+    for a, b in zip(capped, fine):
+        assert np.max(np.abs(a - b)) < 1e-7 * 10 / 60
+
+
+@PROPERTY
+@given(st.floats(-9.0, 4.0), st.floats(0.01, 100.0), st.integers(1, 400),
+       st.integers(1, 3), st.integers(0, 2**32))
+@example(-9.0, 1.0, 400, 3, 0)
+@example(2.6, 1.0, 50, 3, 0)     # 1/d just finite
+@example(2.86, 1.0, 50, 3, 0)    # 1/d overflows
+@example(4.0, 1.0, 50, 3, 0)     # d underflows to 0
+def test_ou_scan_matches_plain_recurrence(log_ratio, sigma, n, width, seed):
+    # dt / tau_c from 1e-9 to 1e4: from a frozen track to white noise,
+    # past the point where 1/d overflows
+    tau_c, dt = 1.0, 10.0 ** log_ratio
+    got = _ou_paths(np.random.default_rng(seed), tau_c, sigma, dt, n, width)
+    eps = np.random.default_rng(seed).standard_normal((n, width))
+    d = math.exp(-dt / tau_c)
+    sn = sigma * math.sqrt(1.0 - d * d)
+    want = np.empty((n, width))
+    want[0] = sigma * eps[0]
+    for k in range(1, n):
+        want[k] = d * want[k - 1] + sn * eps[k]
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * sigma)
