@@ -13,6 +13,10 @@ they are exact for arbitrary non-negative rates, not just the bundled
 relaxation parameters. Three matrix-element placements here differ from
 a published tabulation of the same solution; see CONFORMANCE.md at the
 repo root.
+
+Each function takes one time, returning an 8x8 matrix, or an array of
+n times, returning an (n, 8, 8) stack whose entries equal the
+one-time results bit for bit.
 """
 
 from dataclasses import dataclass
@@ -54,6 +58,14 @@ def _sign(a, *qubits):
     return -1.0 if sum(_bit(a, i) for i in qubits) % 2 else 1.0
 
 
+def _times(t):
+    """Times as a 1-d array, and whether a single time was given."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be non-negative")
+    return np.atleast_1d(t), t.ndim == 0
+
+
 def _amplitude_factors(t, rates):
     x1, x2, x3 = rates.kx
     g1, g2, g3 = np.exp(-x1 * t), np.exp(-x2 * t), np.exp(-x3 * t)
@@ -69,14 +81,13 @@ def ghz_analytic(t, rates, sign=-1):
     the preparation circuit builds, +1 the opposite convention. All
     decay metrics are sign-invariant.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    t, single = _times(t)
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     g1, g2, g3 = _amplitude_factors(t, rates)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
     ez = np.exp(-sum(rates.kz) * t)
-    rho = np.zeros((8, 8), dtype=complex)
+    rho = np.zeros((len(t), 8, 8), dtype=complex)
     for a in range(8):
         bracket = (
             1.0
@@ -84,22 +95,21 @@ def ghz_analytic(t, rates, sign=-1):
             + _sign(a, 1, 3) * g13
             + _sign(a, 2, 3) * g23
         )
-        rho[a, a] = bracket / 8.0
-        rho[a, a ^ 7] = sign * ez * bracket / 8.0
-    return rho
+        rho[:, a, a] = bracket / 8.0
+        rho[:, a, a ^ 7] = sign * ez * bracket / 8.0
+    return rho[0] if single else rho
 
 
 def w_analytic(t, rates):
     """W state after time t under the damping model."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    t, single = _times(t)
     z1, z2, z3 = rates.kz
     g1, g2, g3 = _amplitude_factors(t, rates)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
     g123 = g12 * g3
-    rho = np.zeros((8, 8), dtype=complex)
+    rho = np.zeros((len(t), 8, 8), dtype=complex)
     for a in range(8):
-        rho[a, a] = (
+        rho[:, a, a] = (
             0.125
             + (_sign(a, 1) * g1 + _sign(a, 2) * g2 + _sign(a, 3) * g3) / 24.0
             - (_sign(a, 1, 2) * g12 + _sign(a, 1, 3) * g13 + _sign(a, 2, 3) * g23)
@@ -108,57 +118,56 @@ def w_analytic(t, rates):
         )
         # single-quantum sectors are empty for W; the three double-flip
         # sectors carry the initial |100>,|010>,|001> coherences
-        rho[a, a ^ 3] = (
+        rho[:, a, a ^ 3] = (
             np.exp(-(z2 + z3) * t)
             * (1.0 + _sign(a, 1) * g1)
             * (1.0 - _sign(a, 2, 3) * g23)
             / 12.0
         )
-        rho[a, a ^ 5] = (
+        rho[:, a, a ^ 5] = (
             np.exp(-(z1 + z3) * t)
             * (1.0 + _sign(a, 2) * g2)
             * (1.0 - _sign(a, 1, 3) * g13)
             / 12.0
         )
-        rho[a, a ^ 6] = (
+        rho[:, a, a ^ 6] = (
             np.exp(-(z1 + z2) * t)
             * (1.0 - _sign(a, 1, 2) * g12)
             * (1.0 + _sign(a, 3) * g3)
             / 12.0
         )
-    return rho
+    return rho[0] if single else rho
 
 
 def wwbar_analytic(t, rates):
     """WWbar state (equal superposition of the six middle basis states)
     after time t under the damping model."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    t, single = _times(t)
     z1, z2, z3 = rates.kz
     g1, g2, g3 = _amplitude_factors(t, rates)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
-    rho = np.zeros((8, 8), dtype=complex)
+    rho = np.zeros((len(t), 8, 8), dtype=complex)
     for a in range(8):
         bracket = (
             0.125
             - (_sign(a, 1, 2) * g12 + _sign(a, 1, 3) * g13 + _sign(a, 2, 3) * g23)
             / 24.0
         )
-        rho[a, a] = bracket
-        rho[a, a ^ 1] = np.exp(-z3 * t) * (1.0 - _sign(a, 1, 2) * g12) / 12.0
-        rho[a, a ^ 2] = np.exp(-z2 * t) * (1.0 - _sign(a, 1, 3) * g13) / 12.0
-        rho[a, a ^ 4] = np.exp(-z1 * t) * (1.0 - _sign(a, 2, 3) * g23) / 12.0
-        rho[a, a ^ 3] = (
+        rho[:, a, a] = bracket
+        rho[:, a, a ^ 1] = np.exp(-z3 * t) * (1.0 - _sign(a, 1, 2) * g12) / 12.0
+        rho[:, a, a ^ 2] = np.exp(-z2 * t) * (1.0 - _sign(a, 1, 3) * g13) / 12.0
+        rho[:, a, a ^ 4] = np.exp(-z1 * t) * (1.0 - _sign(a, 2, 3) * g23) / 12.0
+        rho[:, a, a ^ 3] = (
             np.exp(-(z2 + z3) * t) * (1.0 - _sign(a, 2, 3) * g23) / 12.0
         )
-        rho[a, a ^ 5] = (
+        rho[:, a, a ^ 5] = (
             np.exp(-(z1 + z3) * t) * (1.0 - _sign(a, 1, 3) * g13) / 12.0
         )
-        rho[a, a ^ 6] = (
+        rho[:, a, a ^ 6] = (
             np.exp(-(z1 + z2) * t) * (1.0 - _sign(a, 1, 2) * g12) / 12.0
         )
-        rho[a, a ^ 7] = np.exp(-(z1 + z2 + z3) * t) * bracket
-    return rho
+        rho[:, a, a ^ 7] = np.exp(-(z1 + z2 + z3) * t) * bracket
+    return rho[0] if single else rho
 
 
 _FAMILIES = {"ghz": ghz_analytic, "w": w_analytic, "wwbar": wwbar_analytic}

@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from .analytic import RateSet, ghz_analytic, w_analytic, wwbar_analytic
-from .core import save_matrix
+from .core import P0, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, min_interpulse_delay, run_protected, schedule_table
 from .measures import curve_from_states
 from .noise import NoiseModel, SpinSystem, evolve_correlated, evolve_markovian, grid_step
@@ -222,32 +222,35 @@ _BUILDERS = {"xy16s": build_xy16s, "kddxy": build_kddxy}
 _CSV_HEADER = "time_s,N1,N2,N3,N3_tri,fidelity,purity"
 
 
-def _check_ranges(curve):
+def _check_ranges(metrics):
+    """Reject a non-finite or out-of-range column of the (n, 6) metric
+    table N1, N2, N3, N3_tri, fidelity, purity."""
+    if not len(metrics):
+        return
     eps = 1e-9
-    cols = (("N1", curve.n1), ("N2", curve.n2), ("N3", curve.n3),
-            ("N3_tri", curve.n3_tri), ("fidelity", curve.fidelity),
-            ("purity", curve.purity))
-    for name, arr in cols:
-        a = np.asarray(arr, dtype=float)
-        if a.size and not np.all(np.isfinite(a)):
+    finite = np.isfinite(metrics).all(axis=0)
+    lo, hi = metrics.min(axis=0), metrics.max(axis=0)
+    for name, ok, a, b in zip(_CSV_HEADER.split(",")[1:], finite, lo, hi):
+        if not ok:
             raise RuntimeError("non-finite %s value in output" % name)
-        if a.size and (a.min() < -eps or a.max() > 1.0 + eps):
-            raise RuntimeError("%s outside [0, 1]: [%g, %g]" % (name, a.min(), a.max()))
-    p = np.asarray(curve.purity, dtype=float)
-    if p.size and p.min() < 0.125 - eps:
-        raise RuntimeError("purity below 1/8: %g" % p.min())
+        if a < -eps or b > 1.0 + eps:
+            raise RuntimeError("%s outside [0, 1]: [%g, %g]" % (name, a, b))
+    if lo[5] < 0.125 - eps:
+        raise RuntimeError("purity below 1/8: %g" % lo[5])
 
 
 def _write_curve_csv(path, curve, protection=None):
-    _check_ranges(curve)
-    header = _CSV_HEADER + (",protection_factor" if protection is not None else "")
-    lines = [header]
-    for k in range(len(curve.times)):
-        row = [curve.times[k], curve.n1[k], curve.n2[k], curve.n3[k],
-               curve.n3_tri[k], curve.fidelity[k], curve.purity[k]]
-        if protection is not None:
-            row.append(protection[k])
-        lines.append(",".join("%.12g" % v for v in row))
+    header = _CSV_HEADER
+    cols = [curve.times, curve.n1, curve.n2, curve.n3, curve.n3_tri,
+            curve.fidelity, curve.purity]
+    if protection is not None:
+        header += ",protection_factor"
+        cols.append(protection)
+    table = np.column_stack(cols)
+    _check_ranges(table[:, 1:7])
+    # rows of Python floats, formatted a whole row at a time
+    row = ",".join(["%.12g"] * len(cols))
+    lines = [header] + [row % tuple(r) for r in table.tolist()]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -377,8 +380,7 @@ def cmd_decay(cfg):
                              dt=step / per_sample, sample_every=per_sample)
     rates = RateSet.from_spins(spins)
     family = _ANALYTIC[cfg["state"]]
-    oracle = curve_from_states(curve.times,
-                               [family(t, rates) for t in curve.times], rho0)
+    oracle = curve_from_states(curve.times, family(curve.times, rates), rho0)
     _write_curve_csv(csv_path, curve)
     _write_curve_csv(ref_path, oracle)
     times = [float(t) for t in curve.times]
@@ -439,12 +441,11 @@ def cmd_protect(cfg):
 
 
 _PLUS = np.full((2, 2), 0.5, dtype=complex)
-_GROUND = np.diag([1.0, 0.0]).astype(complex)
 
 
 def _coherence_time(sigma, tau_c, trajectories, seed, target):
     """1/e time of the qubit-1 coherence under the OU bath alone."""
-    rho0 = np.kron(_PLUS, np.kron(_GROUND, _GROUND))
+    rho0 = np.kron(_PLUS, np.kron(P0, P0))
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                        bath_mode="correlated", ou_sigma=sigma, ou_tau_c=tau_c,
                        trajectories=trajectories, seed=seed)

@@ -17,6 +17,7 @@ __all__ = [
     "NonHermitianError",
     "PhysicalityError",
     "kron",
+    "embed1",
     "hermitian_eigs",
     "partial_transpose",
     "partial_trace",
@@ -28,6 +29,8 @@ __all__ = [
     "SX",
     "SY",
     "SZ",
+    "P0",
+    "P1",
 ]
 
 HERM_ATOL = 1e-9
@@ -40,6 +43,9 @@ ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+# projectors onto |0> and |1>
+P0 = np.array([[1, 0], [0, 0]], dtype=complex)
+P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 class NumericalError(ArithmeticError):
@@ -65,7 +71,17 @@ class NonHermitianError(NumericalError):
 
 
 class PhysicalityError(NumericalError):
-    """Raised when an array fails a density-matrix check."""
+    """Raised when an array fails a density-matrix check.
+
+    When a stack of matrices was checked, ``sample`` is the index of the
+    failing one and the message starts with it; ``reason`` is the
+    message without that index.
+    """
+
+    def __init__(self, reason, sample=None):
+        self.reason = reason
+        self.sample = sample
+        super().__init__(reason if sample is None else "sample %d: %s" % (sample, reason))
 
 
 def kron(a, b):
@@ -83,6 +99,15 @@ def kron(a, b):
         left (more significant) factor.
     """
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def embed1(op, qubit):
+    """Single-qubit operator ``op`` acting on ``qubit`` (1..3) of the register."""
+    if qubit not in (1, 2, 3):
+        raise ValueError("qubit must be 1, 2 or 3, got %r" % (qubit,))
+    factors = [ID2, ID2, ID2]
+    factors[qubit - 1] = op
+    return kron(kron(factors[0], factors[1]), factors[2])
 
 
 def hermitian_eigs(m, atol=HERM_ATOL):
@@ -236,9 +261,15 @@ def check_density(rho, trace_atol=1e-8, herm_atol=HERM_ATOL, eig_floor=-1e-6):
 
     Checks that every entry is finite, trace within ``trace_atol`` of
     1, Hermiticity within ``herm_atol``, and smallest eigenvalue above
-    ``eig_floor``. Returns the matrix unchanged on success.
+    ``eig_floor``. An (n, d, d) stack is checked sample by sample: the
+    error names the first failing sample and carries the message a
+    check of that sample alone gives. Returns the matrix unchanged on
+    success.
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 3:
+        _check_stack(rho, trace_atol, herm_atol, eig_floor)
+        return rho
     # NaN passes every comparison below, so non-finite entries are
     # rejected first: any of them leaves the trace or the asymmetry
     # non-finite
@@ -256,3 +287,21 @@ def check_density(rho, trace_atol=1e-8, herm_atol=HERM_ATOL, eig_floor=-1e-6):
     if vals[0] < eig_floor:
         raise PhysicalityError("negative eigenvalue %.3e" % vals[0])
     return rho
+
+
+def _check_stack(stack, trace_atol, herm_atol, eig_floor):
+    adj = stack.conj().transpose(0, 2, 1)
+    tr = np.trace(stack, axis1=1, axis2=2)
+    asym = np.max(np.abs(stack - adj), axis=(1, 2))
+    # a non-finite entry leaves the trace or the asymmetry non-finite,
+    # and NaN fails every <=, so such samples are flagged here too
+    bad = ~((np.abs(tr - 1.0) <= trace_atol) & (asym <= herm_atol))
+    herm = 0.5 * (stack + adj)
+    herm[bad] = np.eye(stack.shape[1])  # keep flagged samples away from LAPACK
+    bad |= np.linalg.eigvalsh(herm)[:, 0] < eig_floor
+    for k in np.flatnonzero(bad):
+        # the single-matrix check words the error
+        try:
+            check_density(stack[k], trace_atol, herm_atol, eig_floor)
+        except PhysicalityError as err:
+            raise PhysicalityError(err.reason, sample=int(k)) from None

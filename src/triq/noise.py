@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalityError, check_density, kron, ID2, SX, SZ
+from .core import PhysicalityError, check_density, embed1, SX, SZ
 from . import measures
 
 __all__ = [
@@ -143,12 +143,6 @@ def hamiltonian(spins, rf_hz=0.0):
     return np.diag(diag).astype(complex)
 
 
-def _embed1(op, qubit):
-    factors = [ID2, ID2, ID2]
-    factors[qubit - 1] = op
-    return kron(kron(factors[0], factors[1]), factors[2])
-
-
 def lindblad_rhs(rho, spins, noise, with_hamiltonian=False):
     """Right-hand side of the master equation, built from explicit operators.
 
@@ -169,7 +163,7 @@ def lindblad_rhs(rho, spins, noise, with_hamiltonian=False):
         for op, rate in ((SX, noise.kappa_x[i - 1]), (SZ, noise.kappa_z[i - 1])):
             if rate == 0.0:
                 continue
-            l = math.sqrt(rate / 2.0) * _embed1(op, i)
+            l = math.sqrt(rate / 2.0) * embed1(op, i)
             ll = l.conj().T @ l
             out += l @ rho @ l.conj().T - 0.5 * (ll @ rho + rho @ ll)
     return out

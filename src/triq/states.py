@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ID2, SX, SY, check_density, kron, matrix_exp_hermitian
+from .core import ID2, P0, P1, SX, SY, SZ, check_density, embed1, matrix_exp_hermitian
 from .noise import hamiltonian
 
 __all__ = [
@@ -49,9 +49,6 @@ __all__ = [
 THETA_W = 2.0 * math.acos(math.sqrt(2.0 / 3.0))
 THETA_WWBAR = 2.0 * math.acos(1.0 / math.sqrt(3.0))
 
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -73,14 +70,6 @@ class PseudopureParams:
             raise ValueError("epsilon must lie in (0, 1], got %g" % self.epsilon)
 
 
-def _embed1(op, qubit):
-    if qubit not in (1, 2, 3):
-        raise ValueError("qubit must be 1, 2 or 3, got %r" % (qubit,))
-    factors = [ID2, ID2, ID2]
-    factors[qubit - 1] = op
-    return kron(kron(factors[0], factors[1]), factors[2])
-
-
 def _axis(phase):
     return math.cos(phase) * SX + math.sin(phase) * SY
 
@@ -92,7 +81,7 @@ def _rot2(angle, phase):
 
 def rotation(qubit, angle, phase):
     """Single-qubit rotation exp(-i angle (cos phase X + sin phase Y)/2)."""
-    u = _embed1(_rot2(angle, phase), qubit)
+    u = embed1(_rot2(angle, phase), qubit)
     return Gate(label="R%d(%.6g)_%.6g" % (qubit, angle, phase), unitary=u,
                 targets=(qubit,))
 
@@ -101,7 +90,7 @@ def cnot(control, target):
     """Flip ``target`` iff ``control`` is |1>."""
     if control == target:
         raise ValueError("control and target must differ")
-    u = _embed1(_P0, control) + _embed1(SX, target) @ _embed1(_P1, control)
+    u = embed1(P0, control) + embed1(SX, target) @ embed1(P1, control)
     return Gate(label="CNOT%d%d" % (control, target), unitary=u,
                 targets=(control, target))
 
@@ -110,8 +99,8 @@ def controlled_rotation(control, target, angle, phase):
     """Apply rotation(target, angle, phase) iff ``control`` is |1>."""
     if control == target:
         raise ValueError("control and target must differ")
-    u = _embed1(_P0, control) + _embed1(_rot2(angle, phase), target) @ _embed1(
-        _P1, control
+    u = embed1(P0, control) + embed1(_rot2(angle, phase), target) @ embed1(
+        P1, control
     )
     return Gate(label="CR%d%d(%.6g)_%.6g" % (control, target, angle, phase),
                 unitary=u, targets=(control, target))
@@ -184,14 +173,14 @@ def crusher(rho):
 
 def thermal_state(epsilon):
     """High-temperature equilibrium: I/8 + (epsilon/8) sum_i sigma_z^(i)."""
-    dev = sum(_embed1(np.diag([1.0, -1.0]).astype(complex), q) for q in (1, 2, 3))
+    dev = sum(embed1(SZ, q) for q in (1, 2, 3))
     return np.eye(8, dtype=complex) / 8.0 + (epsilon / 8.0) * dev
 
 
 def _pi_pulse(*qubits):
     u = np.eye(8, dtype=complex)
     for q in qubits:
-        u = _embed1(_rot2(math.pi, 0.0), q) @ u
+        u = embed1(_rot2(math.pi, 0.0), q) @ u
     return u
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SX, SY, check_density, kron
+from .core import P0, P1, SX, SY, check_density, kron
 from . import measures
 from .states import rotation
 
@@ -98,9 +98,6 @@ def make_setting(label):
     return ReadoutSetting(label=label, unitary=u)
 
 
-_P = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-
-
 def observable_list():
     """The fixed 24 detection operators, in observable-index order."""
     ops = []
@@ -111,8 +108,8 @@ def observable_list():
                 for sig in (SX, SY):
                     f = [None, None, None]
                     f[i - 1] = sig
-                    f[j - 1] = _P[bj]
-                    f[k - 1] = _P[bk]
+                    f[j - 1] = (P0, P1)[bj]
+                    f[k - 1] = (P0, P1)[bk]
                     ops.append(kron(kron(f[0], f[1]), f[2]))
     return ops
 

@@ -1,0 +1,139 @@
+"""The batched metric kernel behind curve_from_states and the closed forms
+evaluated on arrays of times."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
+
+from triq import (PhysicalityError, check_density, curve_from_states, fidelity,
+                  ghz_analytic, negativity, purity, tripartite_negativity, w_analytic,
+                  wwbar_analytic)
+from conftest import random_density, random_local_unitary, random_pure
+
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
+FAMILIES = (ghz_analytic, w_analytic, wwbar_analytic)
+
+# sizes around the kernel's block of 64 samples
+sizes = st.sampled_from([1, 63, 64, 65, 130])
+seeds = st.integers(0, 2**32)
+
+
+def _states(rng, n):
+    return [random_density(rng, rank=int(rng.integers(1, 9))) for _ in range(n)]
+
+
+def _uhlmann_scipy(a, b):
+    ra = scipy.linalg.sqrtm(a)
+    return float(np.trace(scipy.linalg.sqrtm(ra @ b @ ra)).real ** 2)
+
+
+@PROPERTY
+@given(sizes, seeds, st.booleans())
+def test_curve_columns_equal_the_scalar_functions(n, seed, pure_reference):
+    rng = np.random.default_rng(seed)
+    states = _states(rng, n)
+    reference = random_pure(rng) if pure_reference else random_density(rng)
+    curve = curve_from_states(np.arange(n, dtype=float), states, reference)
+    for k, rho in enumerate(states):
+        assert curve.n1[k] == negativity(rho, 1)
+        assert curve.n2[k] == negativity(rho, 2)
+        assert curve.n3[k] == negativity(rho, 3)
+        assert curve.n3_tri[k] == tripartite_negativity(rho)
+        assert curve.fidelity[k] == fidelity(reference, rho)
+        assert curve.purity[k] == purity(rho)
+
+
+@PROPERTY
+@given(sizes, seeds)
+def test_mixed_reference_matches_the_scipy_route(n, seed):
+    # full-rank inputs keep both matrix square roots well conditioned
+    rng = np.random.default_rng(seed)
+    states = [random_density(rng) for _ in range(n)]
+    reference = random_density(rng)
+    curve = curve_from_states(np.arange(n, dtype=float), states, reference)
+    expected = [_uhlmann_scipy(reference, rho) for rho in states]
+    assert curve.fidelity == pytest.approx(expected, rel=1e-8)
+
+
+@PROPERTY
+@given(seeds)
+def test_pure_reference_fidelity_is_the_overlap(seed):
+    rng = np.random.default_rng(seed)
+    ket = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    ket /= np.linalg.norm(ket)
+    reference = np.outer(ket, ket.conj())
+    states = _states(rng, 65)
+    curve = curve_from_states(np.arange(65, dtype=float), states, reference)
+    for k, rho in enumerate(states):
+        overlap = float((ket.conj() @ rho @ ket).real)
+        assert abs(curve.fidelity[k] - overlap) <= 1e-14
+        assert abs(fidelity(reference, rho) - overlap) <= 1e-14
+
+
+@PROPERTY
+@given(seeds)
+def test_negativity_is_invariant_under_local_unitaries(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, rank=int(rng.integers(1, 9)))
+    u = random_local_unitary(rng)
+    moved = u @ rho @ u.conj().T
+    for q in (1, 2, 3):
+        assert negativity(moved, q) == pytest.approx(negativity(rho, q), abs=1e-12)
+    assert tripartite_negativity(moved) == pytest.approx(
+        tripartite_negativity(rho), abs=1e-12)
+
+
+def _unphysical():
+    nan = np.eye(8, dtype=complex) / 8.0
+    nan[2, 5] = np.nan
+    negative = np.diag([0.52, 0.5, -0.02, 0, 0, 0, 0, 0]).astype(complex)
+    return {"non-finite": nan, "negative eigenvalue": negative}
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "negative eigenvalue"])
+@pytest.mark.parametrize("k", [70, 100])
+def test_unphysical_sample_in_a_block_is_named(kind, k):
+    bad = _unphysical()[kind]
+    states = _states(np.random.default_rng(k), 130)
+    states[k] = bad
+    with pytest.raises(PhysicalityError) as single:
+        check_density(bad)
+    with pytest.raises(PhysicalityError, match="^sample %d: %s" % (k, kind)) as err:
+        curve_from_states(np.arange(130, dtype=float), states, states[0])
+    assert err.value.sample == k
+    assert str(err.value) == "sample %d: %s" % (k, single.value)
+
+
+def test_stack_check_reports_the_first_failing_sample():
+    stack = np.stack(_states(np.random.default_rng(3), 12))
+    bad = _unphysical()
+    stack[9] = bad["non-finite"]
+    stack[4] = bad["negative eigenvalue"]
+    with pytest.raises(PhysicalityError, match="^sample 4: negative eigenvalue"):
+        check_density(stack)
+    stack[4] *= 2.0
+    with pytest.raises(PhysicalityError, match="^sample 4: trace"):
+        check_density(stack)
+    stack[4] = stack[0]
+    with pytest.raises(PhysicalityError, match="^sample 9: non-finite"):
+        check_density(stack)
+    stack[9] = stack[0]
+    assert check_density(stack) is not None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_forms_on_time_arrays_equal_the_per_time_calls(family, rates):
+    ts = np.concatenate([np.arange(0.0, 1.0005, 0.0005),
+                         np.random.default_rng(11).uniform(0.0, 3.0, 200)])
+    stack = family(ts, rates)
+    assert stack.shape == (len(ts), 8, 8)
+    for k, t in enumerate(ts):
+        assert np.array_equal(stack[k], family(float(t), rates))
+    assert family(0.25, rates).shape == (8, 8)
+    if family is ghz_analytic:
+        plus = family(ts, rates, sign=+1)
+        assert all(np.array_equal(plus[k], family(float(t), rates, sign=+1))
+                   for k, t in enumerate(ts))
+    with pytest.raises(ValueError, match="non-negative"):
+        family(np.array([0.0, 0.1, -0.01]), rates)
