@@ -4,8 +4,9 @@ Evolves the GHZ, W, and WWbar states under the bundled fluorine
 relaxation times (phase + amplitude damping, no coherent term) and
 reports when each state's tripartite negativity dies, plus the
 exponential rate fitted to the early part of the curve. The numerical
-integrator is cross-checked against the closed-form solution on the
-same grid.
+propagator, exact between samples (it splits into one-step Strang steps
+only with the Hamiltonian and bit flips both on), is cross-checked
+against the closed-form solution on the same grid.
 
 Run:  python3 demos/entanglement_sudden_death.py   (<1 s)
 """
@@ -28,7 +29,7 @@ from triq import (
 )
 
 T_FINAL = 0.8        # s; all three states are dead well before this
-DT = 5e-4            # integrator step
+DT = 5e-4            # grid step
 SAMPLE_EVERY = 10    # -> 5 ms sample grid, matches the rate-fit convention
 
 STATES = [

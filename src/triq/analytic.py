@@ -8,9 +8,11 @@ single-qubit amplitude factors g_i = exp(-kx_i t), dressed by an overall
 dephasing factor exp(-sum of kz over the qubits flipped in d). The
 functions below write out that solution for the three prepared states.
 
-These expressions double as the oracle for the numerical integrator:
-they are exact for arbitrary non-negative rates, not just the bundled
-relaxation parameters. Three matrix-element placements here differ from
+These expressions double as the oracle for the numerical propagator,
+which is exact between events (split into one-grid-step Strang steps
+only with the Hamiltonian and bit flips both on): they are exact for
+arbitrary non-negative rates, not just the bundled relaxation
+parameters. Three matrix-element placements here differ from
 a published tabulation of the same solution; see CONFORMANCE.md at the
 repo root.
 

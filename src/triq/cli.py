@@ -37,10 +37,10 @@ import numpy as np
 from .analytic import RateSet, ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, min_interpulse_delay, run_protected, schedule_table
-from .measures import curve_from_states
+from .measures import curve_from_states, fidelity
 from .noise import NoiseModel, SpinSystem, evolve_correlated, evolve_markovian, grid_step
 from .states import prepare_ghz, prepare_w, prepare_wwbar
-from .tomo import fidelity_report, mle_reconstruct, read_records, tomograph, write_records
+from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
 __all__ = ["ConfigError", "load_config", "main"]
 
@@ -542,7 +542,7 @@ def cmd_tomo(cfg):
         write_records(records, rec_out)
         _emit(rec_out)
     est = mle_reconstruct(records)
-    fid = fidelity_report(est, rho_ref)
+    fid = fidelity(rho_ref, est)  # the pure prepared state is the reference
     true_path = _out_path(cfg, "tomo_true.json")
     est_path = _out_path(cfg, "tomo_reconstructed.json")
     report_path = _out_path(cfg, "tomo_report.txt")

@@ -7,21 +7,18 @@ classical Ornstein-Uhlenbeck frequency tracks b_i(t) applied through
 sigma_z/2, averaged over an ensemble of trajectories; amplitude damping
 stays Lindbladian.
 
-Pulsed and correlated-bath runs go through one segment propagator,
-``propagate``, that steps from event to event (a pulse or a sample).
-Both dissipators are Pauli channels, which commute and are applied in
-closed form, so without OU noise every segment is exact at any length.
-The OU term is diagonal and enters as an exact elementwise phase summed
-over the segment's steps of the OU grid; it does not commute with the
-bit flips, so a segment is Strang-split around it and capped at
-_MAX_SEGMENT_STEPS grid steps.
-
-evolve_markovian alone integrates the master equation with fixed-step
-RK4, and is the only route that can switch on the (diagonal) system
-Hamiltonian. Its right-hand side is evaluated elementwise: a single
-mask multiply plus one index gather per damped qubit. The public
-lindblad_rhs builds the same derivative from explicit Lindblad operator
-matrices; tests pin the two routes against each other.
+Every run goes through one segment propagator, ``propagate``, that
+steps from event to event (a pulse or a sample); evolve_markovian and
+evolve_correlated are front ends to it. Both dissipators are Pauli
+channels, which commute and are applied in closed form, so a Markovian
+run is exact between events at any step length. Two diagonal terms do
+not commute with the bit flips, and a segment is Strang-split around
+them: the OU phase, summed over the segment's steps of the OU grid, with
+segments capped at _MAX_SEGMENT_STEPS grid steps; and the (diagonal)
+system Hamiltonian, which evolve_markovian can switch on, with segments
+of one grid step when kappa_x is on. The public lindblad_rhs builds the
+generator from explicit Lindblad operator matrices; tests pin the
+propagator against it.
 """
 import math
 from dataclasses import dataclass
@@ -169,14 +166,7 @@ def lindblad_rhs(rho, spins, noise, with_hamiltonian=False):
     return out
 
 
-#
-# Fast elementwise generator for evolve_markovian's RK4. For this model
-# the derivative decomposes as
-#   drho = E * rho + sum_i (kappa_x_i / 2) * rho[flip_i rows, flip_i cols]
-# with E collecting the -i[H, .] phase (H is diagonal), the dephasing
-# mask, and the damping decay constant.
-#
-
+# index gathers of the bit flip of each qubit
 _FLIP = [np.arange(8) ^ (1 << (3 - i)) for i in (1, 2, 3)]
 _PERM = [(p[:, None], p[None, :]) for p in _FLIP]
 # (m_i^a - m_i^b) per qubit, entries in {-1, 0, +1}
@@ -191,35 +181,6 @@ _ZDIFF = np.stack(
 # 1 where qubit i's bit differs between row and column: the elements
 # that sigma_z dephasing of qubit i damps
 _ZMASK = (_ZDIFF != 0.0).astype(float)
-
-
-def _base_elementwise(spins, noise, with_hamiltonian):
-    e = np.zeros((8, 8), dtype=complex)
-    if with_hamiltonian:
-        h = np.diag(hamiltonian(spins)).real
-        e += -1j * (h[:, None] - h[None, :])
-    for i in (1, 2, 3):
-        # (kappa_z/2)(sigma_z rho sigma_z - rho) elementwise: -kappa_z
-        # where the bit differs between row and column, 0 where it matches
-        e -= noise.kappa_z[i - 1] * _ZMASK[i - 1]
-    e -= 0.5 * sum(noise.kappa_x)
-    return e
-
-
-def _rhs_fast(rho, e, kappa_x):
-    out = e * rho
-    for (pi, pj), kx in zip(_PERM, kappa_x):
-        if kx != 0.0:
-            out = out + (0.5 * kx) * rho[..., pi, pj]
-    return out
-
-
-def _rk4_step(rho, dt, e, kappa_x):
-    k1 = _rhs_fast(rho, e, kappa_x)
-    k2 = _rhs_fast(rho + (0.5 * dt) * k1, e, kappa_x)
-    k3 = _rhs_fast(rho + (0.5 * dt) * k2, e, kappa_x)
-    k4 = _rhs_fast(rho + dt * k3, e, kappa_x)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def grid_step(spins, min_delay=None):
@@ -250,22 +211,19 @@ def _apply_unitary(states, u):
     return np.matmul(u, np.matmul(states, u.conj().T))
 
 
-def _validate_sample(rho, t):
-    try:
-        check_density(rho)
-    except PhysicalityError as err:
-        raise PhysicalityError("at t = %.9g s: %s" % (t, err)) from err
-
-
 def evolve_markovian(rho0, spins, noise, t_final, dt=None,
                      sample_every=1, with_hamiltonian=False):
-    """Integrate the Lindblad master equation with fixed-step RK4.
+    """Solve the Lindblad master equation, sampled on a fixed grid.
 
-    Samples every ``sample_every`` steps (plus t = 0 and t_final).
-    Every sampled matrix is re-validated as physical; a violation
-    raises PhysicalityError naming the first offending time. dt
+    Samples every ``sample_every`` steps (plus t = 0 and t_final). dt
     defaults to grid_step(spins) and is rounded so an integer number
-    of steps lands exactly on t_final.
+    of steps lands exactly on t_final. The work is done by
+    ``propagate``, which applies the damping channels in closed form,
+    so the samples are exact at any dt; with_hamiltonian=True adds the
+    (diagonal) spin Hamiltonian, whose phase does not commute with the
+    bit flips, so with kappa_x on each step of dt is Strang-split.
+    Every sample is validated as physical; a violation raises
+    PhysicalityError naming the first offending time.
 
     Returns
     -------
@@ -273,24 +231,16 @@ def evolve_markovian(rho0, spins, noise, t_final, dt=None,
         Metrics against rho0 as the fidelity reference, with the
         sampled density matrices attached.
     """
-    rho0 = check_density(rho0)
+    if noise.bath_mode != "markovian":
+        raise ValueError("evolve_markovian requires bath_mode = markovian")
     if dt is None:
         dt = grid_step(spins)
     if dt <= 0:
         raise ValueError("dt must be positive")
     n, dt = _plan_steps(t_final, dt)
-    e = _base_elementwise(spins, noise, with_hamiltonian)
-    kx = noise.kappa_x
-    times, states = [0.0], [rho0.copy()]
-    rho = rho0.astype(complex)
-    for k in range(1, n + 1):
-        rho = _rk4_step(rho, dt, e, kx)
-        if k % sample_every == 0 or k == n:
-            t = k * dt
-            _validate_sample(rho, t)
-            times.append(t)
-            states.append(rho.copy())
-    return measures.curve_from_states(times, states, rho0)
+    h_diag = np.diag(hamiltonian(spins)).real if with_hamiltonian else None
+    sample_steps = list(range(0, n + 1, sample_every)) + [n]
+    return propagate(rho0, noise, n, dt, sample_steps=sample_steps, h_diag=h_diag)
 
 
 def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
@@ -379,11 +329,11 @@ def _segment_edges(events, cap):
     return edges
 
 
-def _half_flips(states, kappa_x, delta):
-    """Bit-flip channels of all three qubits over delta / 2."""
+def _flips(states, kappa_x, t):
+    """Bit-flip channels of all three qubits over t seconds."""
     for (pi, pj), kx in zip(_PERM, kappa_x):
         if kx != 0.0:
-            p = 0.5 * (1.0 - math.exp(-0.5 * kx * delta))
+            p = 0.5 * (1.0 - math.exp(-kx * t))
             states = (1.0 - p) * states + p * states[..., pi, pj]
     return states
 
@@ -395,7 +345,8 @@ def _ou_track(noise, j, dt, n):
     return _ou_paths(rng, noise.ou_tau_c, noise.ou_sigma, dt, n, 3)
 
 
-def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
+def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None,
+              h_diag=None):
     """Ensemble-mean evolution on a grid of n_steps steps of dt seconds.
 
     Events are the pulses, (time_s, unitary) pairs that must fall on
@@ -403,11 +354,13 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
     (default: every step). Between events the bath acts in closed form:
     bit flips at kappa_x, and either Lindblad dephasing at kappa_z
     (markovian) or, per trajectory, the exact OU phase summed over the
-    segment's grid steps (correlated). Trajectory j draws its OU track
-    from a stream seeded by (noise.seed, j), so the ensemble mean does
-    not depend on execution order. Pulses at a step act after the free
-    evolution up to it and before its sample; every sampled mean is
-    validated as physical.
+    segment's grid steps (correlated). ``h_diag``, the diagonal of a
+    diagonal Hamiltonian in rad/s, adds its phase
+    exp(-i (h_a - h_b) Delta) to each segment. Trajectory j draws its OU
+    track from a stream seeded by (noise.seed, j), so the ensemble mean
+    does not depend on execution order. Pulses at a step act after the
+    free evolution up to it and before its sample; every sampled mean
+    is validated as physical.
 
     Returns
     -------
@@ -425,21 +378,30 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
 
     correlated = noise.bath_mode == "correlated"
     with_ou = correlated and noise.ou_sigma != 0.0 and n_steps > 0
+    # the OU and Hamiltonian phases do not commute with the bit flips:
+    # such segments are Strang-split around the phase and kept short
+    split = with_ou or h_diag is not None
     cap = n_steps or 1
-    if with_ou and any(noise.kappa_x):
-        cap = _MAX_SEGMENT_STEPS
+    if split and any(noise.kappa_x):
+        cap = 1 if h_diag is not None else _MAX_SEGMENT_STEPS
     edges = _segment_edges(sorted(set(marks) | set(pulses_by_step)
                                   | {0, n_steps}), cap)
-    deltas = dt * np.diff(edges)
-    # Lindblad dephasing of every segment; in correlated mode the OU
-    # bath replaces it
-    rates = np.zeros((8, 8))
+    # elementwise generator of the Lindblad dephasing (in correlated
+    # mode the OU bath replaces it) and the Hamiltonian phase, applied
+    # once per distinct segment length
+    gen = np.zeros((8, 8))
     if not correlated:
-        rates = np.tensordot(noise.kappa_z, _ZMASK, 1)
-    decay = np.exp(-np.multiply.outer(deltas, rates))
+        gen = -np.tensordot(noise.kappa_z, _ZMASK, 1)
+    if h_diag is not None:
+        h = np.asarray(h_diag, dtype=float)
+        gen = gen - 1j * (h[:, None] - h[None, :])
+    lengths, length_of = np.unique(np.diff(edges), return_inverse=True)
+    deltas = dt * lengths
+    factors = np.exp(np.multiply.outer(deltas, gen))
 
     n_traj = noise.trajectories if with_ou else 1
-    acc = {k: np.zeros((8, 8), dtype=complex) for k in marks}
+    row = {k: r for r, k in enumerate(marks)}
+    acc = np.zeros((len(marks), 8, 8), dtype=complex)
     for start in range(0, n_traj, _CHUNK):
         width = min(_CHUNK, n_traj - start)
         if with_ou:
@@ -450,27 +412,30 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
         states = np.broadcast_to(rho0, (width, 8, 8)).astype(complex)
         for u in pulses_by_step.get(0, []):
             states = _apply_unitary(states, u)
-        if 0 in acc:
-            acc[0] += states.sum(axis=0)
+        if 0 in row:
+            acc[row[0]] += states.sum(axis=0)
         for s, k in enumerate(edges[1:]):
-            factor = decay[s]
+            delta, factor = deltas[length_of[s]], factors[length_of[s]]
             if with_ou:
                 factor = factor * np.exp(
                     -1j * np.einsum("ci,iab->cab", phi[:, s], _ZDIFF))
-            states = _half_flips(states, noise.kappa_x, deltas[s])
-            states = _half_flips(factor * states, noise.kappa_x, deltas[s])
+            if split:
+                states = _flips(states, noise.kappa_x, 0.5 * delta)
+                states = _flips(factor * states, noise.kappa_x, 0.5 * delta)
+            else:
+                states = _flips(factor * states, noise.kappa_x, delta)
             for u in pulses_by_step.get(k, []):
                 states = _apply_unitary(states, u)
-            if k in acc:
-                acc[k] += states.sum(axis=0)
+            if k in row:
+                acc[row[k]] += states.sum(axis=0)
+    acc /= n_traj
 
     times = [k * dt for k in marks]
-    means = []
-    for k, t in zip(marks, times):
-        rho = acc[k] / n_traj
-        _validate_sample(rho, t)
-        means.append(rho)
-    return measures.curve_from_states(times, means, rho0)
+    try:
+        return measures.curve_from_states(times, acc, rho0)
+    except PhysicalityError as err:
+        raise PhysicalityError(
+            "at t = %.9g s: %s" % (times[err.sample], err.reason)) from err
 
 
 def evolve_correlated(rho0, spins, noise, schedule, t_final, dt=None,

@@ -229,6 +229,9 @@ def test_tomo_smoke_and_exact_replay(tmp_path):
     true = load_matrix(out / "tomo_true.json")
     est = load_matrix(out / "tomo_reconstructed.json")
     assert true.shape == est.shape == (8, 8)
+    # the prepared state is pure: the report is the overlap <psi|est|psi>
+    psi = np.linalg.eigh(true)[1][:, -1]
+    assert abs(fid - (psi.conj() @ est @ psi).real) < 1e-11
     # replaying the written records reproduces the report byte for byte
     replay = TOMO_CFG + "tomo.records = %s\n" % (out / "tomo_records.txt")
     rc2, out2 = run(tmp_path, replay, command="tomo", out="replay")

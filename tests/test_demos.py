@@ -1,0 +1,21 @@
+"""Smoke tests: each demo script runs to completion."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("script", ["entanglement_sudden_death.py",
+                                    "dd_protection.py"])
+def test_demo_runs(script):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
+                          env=env, cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr

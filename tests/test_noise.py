@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from triq import (
     DDSchedule,
     NoiseModel,
     PhysicalityError,
     Pulse,
+    RateSet,
     SpinSystem,
     build_cpmg,
     build_kddxy,
@@ -16,12 +18,16 @@ from triq import (
     evolve_correlated,
     evolve_markovian,
     expand_schedule,
+    ghz_analytic,
     grid_step,
     hamiltonian,
     kron,
     lindblad_rhs,
     min_interpulse_delay,
     prepare_ghz,
+    prepare_w,
+    prepare_wwbar,
+    propagate,
     run_protected,
     sample_ou_path,
     tripartite_negativity,
@@ -197,10 +203,58 @@ def test_evolve_markovian_with_hamiltonian_phase():
     assert abs(curve.states[-1][0, 4]) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_evolve_markovian_flags_unphysical_step(spins):
+def test_evolve_markovian_exact_at_long_steps(spins):
+    # the damping channels are applied in closed form, so a step of
+    # 2 s (almost four times T2) is as exact as a fine one
     noise = NoiseModel.from_spins(spins)
-    with pytest.raises(PhysicalityError, match="at t = "):
-        evolve_markovian(prepare_ghz(), spins, noise, 40.0, dt=2.0)
+    curve = evolve_markovian(prepare_ghz(), spins, noise, 40.0, dt=2.0)
+    rates = RateSet.from_spins(spins)
+    assert len(curve.times) == 21
+    for t, rho in zip(curve.times, curve.states):
+        assert np.max(np.abs(rho - ghz_analytic(float(t), rates))) < 1e-12
+
+
+def test_evolve_markovian_rejects_correlated_bath(spins):
+    # the engine would run the OU bath; the Lindblad front end refuses
+    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+                               ou_tau_c=0.01)
+    with pytest.raises(ValueError, match="bath_mode = markovian"):
+        evolve_markovian(prepare_ghz(), spins, nm, 0.01)
+
+
+def test_propagate_labels_unphysical_sample_with_time(spins):
+    # a non-unitary "pulse" breaks the trace at 4 ms; the error names
+    # the sample by its time
+    noise = NoiseModel.from_spins(spins)
+    with pytest.raises(PhysicalityError, match=r"^at t = 0.004 s: trace"):
+        propagate(prepare_ghz(), noise, 10, 1e-3,
+                  pulses=[(0.004, 1.5 * np.eye(8, dtype=complex))])
+
+
+@pytest.mark.parametrize("prepare", [prepare_w, prepare_wwbar])
+def test_evolve_markovian_hamiltonian_with_flips_matches_liouvillian(prepare):
+    # with the Hamiltonian on, its phase does not commute with the bit
+    # flips, so each grid step is Strang-split. Every sample must track
+    # exp(L t) of the full generator, built column by column from
+    # lindblad_rhs; the splitting leaves at most 4.7e-7 (W) and 3.0e-7
+    # (WWbar) at any step
+    s = SpinSystem(offsets_hz=(40.0, -25.0, 13.0))
+    noise = NoiseModel.from_spins(s)
+    basis = np.eye(64, dtype=complex).reshape(64, 8, 8)
+    liouvillian = np.stack([
+        lindblad_rhs(e, s, noise, with_hamiltonian=True).ravel() for e in basis
+    ], axis=1)
+    rho0 = prepare()
+    curve = evolve_markovian(rho0, s, noise, 0.5, sample_every=50,
+                             with_hamiltonian=True)
+    assert len(curve.times) == 40
+    dt = curve.times[1] / 50
+    step = scipy.linalg.expm(liouvillian * dt)
+    exact, k = rho0.ravel().astype(complex), 0
+    for t, rho in zip(curve.times, curve.states):
+        while k < round(t / dt):
+            exact, k = step @ exact, k + 1
+        assert np.max(np.abs(rho - exact.reshape(8, 8))) < 1e-6
 
 
 def test_sample_ou_path_basics():
