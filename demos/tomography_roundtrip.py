@@ -7,7 +7,7 @@ maximum-likelihood reconstructor and compares the estimate with the
 true state. Repeats with increasing Gaussian readout noise to show the
 graceful degradation.
 
-Run:  python3 demos/tomography_roundtrip.py   (~2 s)
+Run:  python3 demos/tomography_roundtrip.py   (under 1 s)
 """
 
 from triq import fidelity, mle_reconstruct, prepare_w, tomograph

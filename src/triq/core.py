@@ -19,8 +19,6 @@ __all__ = [
     "kron",
     "embed1",
     "hermitian_eigs",
-    "partial_transpose",
-    "partial_trace",
     "matrix_exp_hermitian",
     "save_matrix",
     "load_matrix",
@@ -138,60 +136,6 @@ def hermitian_eigs(m, atol=HERM_ATOL):
         raise NonHermitianError(asym)
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs
-
-
-def partial_transpose(rho, qubit):
-    """Transpose one qubit's indices of a three-qubit density matrix.
-
-    Parameters
-    ----------
-    rho : ndarray
-        8x8 density matrix.
-    qubit : int
-        1, 2 or 3; qubit 1 is the leftmost tensor factor.
-
-    Returns
-    -------
-    ndarray
-        8x8 partial transpose. Hermitian and unit trace whenever the input
-        is, but not necessarily positive.
-    """
-    if qubit not in (1, 2, 3):
-        raise ValueError("qubit must be 1, 2 or 3, got %r" % (qubit,))
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2, 2, 2)
-    # axes: (a1, a2, a3, b1, b2, b3); swap the row/column index of one qubit
-    k = qubit - 1
-    r = np.swapaxes(r, k, k + 3)
-    return r.reshape(8, 8)
-
-
-def partial_trace(rho, keep):
-    """Trace out all qubits not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : ndarray
-        8x8 density matrix.
-    keep : sequence of int
-        Qubit labels (1..3) to retain, e.g. (1, 3). Order in the result
-        follows the label order, ascending.
-
-    Returns
-    -------
-    ndarray
-        Reduced density matrix of dimension 2**len(keep).
-    """
-    keep = sorted(set(int(q) for q in keep))
-    if not keep or any(q not in (1, 2, 3) for q in keep):
-        raise ValueError("keep must be a non-empty subset of {1, 2, 3}")
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2, 2, 2)
-    labels = [1, 2, 3]
-    for q in [q for q in (3, 2, 1) if q not in keep]:
-        k = labels.index(q)
-        r = np.trace(r, axis1=k, axis2=k + len(labels))
-        labels.remove(q)
-    dim = 2 ** len(labels)
-    return r.reshape(dim, dim)
 
 
 def matrix_exp_hermitian(h, scale=1.0):

@@ -22,7 +22,7 @@ from triq import (
     decay_times,
     evolve_correlated,
     evolve_markovian,
-    fidelity_report,
+    fidelity,
     fit_decay_rate,
     ghz_analytic,
     min_interpulse_delay,
@@ -169,7 +169,7 @@ def test_c7_tomography_round_trip():
     for prep, _ in FAMILIES.values():
         rho = prep()
         est = mle_reconstruct(tomograph(rho))
-        assert fidelity_report(est, rho) > 0.999
+        assert fidelity(rho, est) > 0.999
 
 
 def test_c8_physicality_and_integrator_order(spins, markovian_curves,

@@ -16,8 +16,6 @@ from triq import (
     kron,
     load_matrix,
     matrix_exp_hermitian,
-    partial_trace,
-    partial_transpose,
     save_matrix,
 )
 from conftest import random_density, random_pure
@@ -53,61 +51,6 @@ def test_hermitian_eigs_rejects_asymmetry():
         hermitian_eigs(m)
     assert err.value.max_asymmetry == pytest.approx(1e-6)
     hermitian_eigs(m, atol=1e-5)
-
-
-def test_partial_transpose_is_involution(rng):
-    for q in (1, 2, 3):
-        rho = random_density(rng)
-        pt = partial_transpose(rho, q)
-        assert np.allclose(partial_transpose(pt, q), rho)
-        assert np.allclose(pt, pt.conj().T)
-        assert np.trace(pt) == pytest.approx(1.0)
-
-
-def test_partial_transpose_full_composition(rng):
-    rho = random_density(rng)
-    full = partial_transpose(partial_transpose(partial_transpose(rho, 1), 2), 3)
-    assert np.allclose(full, rho.T)
-
-
-def test_partial_transpose_moves_the_right_index():
-    # |000><100| has a1 != b1 only; transposing qubit 1 maps it to |100><000|
-    e = np.zeros((8, 8), dtype=complex)
-    e[0, 4] = 1.0
-    assert partial_transpose(e, 1)[4, 0] == 1.0
-    assert np.count_nonzero(partial_transpose(e, 1)) == 1
-    assert np.allclose(partial_transpose(e, 2), e)
-    assert np.allclose(partial_transpose(e, 3), e)
-
-
-def test_partial_transpose_rejects_bad_qubit():
-    with pytest.raises(ValueError):
-        partial_transpose(np.eye(8) / 8.0, 0)
-
-
-def test_partial_trace_product_state(rng):
-    a, b, c = (random_density(rng)[:2, :2] for _ in range(3))
-    for m in (a, b, c):
-        m /= np.trace(m)
-    rho = kron(kron(a, b), c)
-    assert np.allclose(partial_trace(rho, (1,)), a, atol=1e-12)
-    assert np.allclose(partial_trace(rho, (2,)), b, atol=1e-12)
-    assert np.allclose(partial_trace(rho, (3,)), c, atol=1e-12)
-    assert np.allclose(partial_trace(rho, (1, 3)), kron(a, c), atol=1e-12)
-    assert np.allclose(partial_trace(rho, (1, 2, 3)), rho, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace(rng):
-    rho = random_density(rng)
-    for keep in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 3)):
-        red = partial_trace(rho, keep)
-        assert np.trace(red).real == pytest.approx(1.0)
-        assert red.shape == (2 ** len(keep),) * 2
-
-
-def test_partial_trace_rejects_empty():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(8) / 8.0, ())
 
 
 def test_matrix_exp_matches_scipy(rng):

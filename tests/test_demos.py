@@ -10,7 +10,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script", ["entanglement_sudden_death.py",
-                                    "dd_protection.py"])
+                                    "dd_protection.py",
+                                    "tomography_roundtrip.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")

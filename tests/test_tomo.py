@@ -6,7 +6,6 @@ from triq import (
     ReadoutSetting,
     TomoRecord,
     fidelity,
-    fidelity_report,
     kron,
     make_setting,
     mle_reconstruct,
@@ -19,6 +18,8 @@ from triq import (
     tomograph,
     write_records,
 )
+from triq import tomo
+from triq.cli import main
 from triq.core import SX, SY
 from conftest import random_density
 
@@ -113,10 +114,10 @@ def test_tomo_record_validation():
 def test_mle_round_trip_noise_free(rng):
     for rho in (prepare_ghz(), prepare_w(), prepare_wwbar()):
         est = mle_reconstruct(tomograph(rho))
-        assert fidelity_report(est, rho) > 0.99999
+        assert fidelity(rho, est) > 0.99999
     rho = random_density(rng)
     est = mle_reconstruct(tomograph(rho))
-    assert fidelity_report(est, rho) > 0.99999
+    assert fidelity(rho, est) > 0.99999
 
 
 def test_mle_output_is_physical():
@@ -128,13 +129,44 @@ def test_mle_output_is_physical():
 
 def test_mle_noise_degrades_monotonically():
     rho = prepare_ghz()
-    fids = [fidelity_report(mle_reconstruct(tomograph(rho, noise_sigma=s,
-                                                      seed=7)), rho)
+    fids = [fidelity(rho, mle_reconstruct(tomograph(rho, noise_sigma=s,
+                                                    seed=7)))
             for s in (0.01, 0.05, 0.1)]
     assert fids[0] == pytest.approx(0.989936, abs=1e-3)
     assert fids[1] == pytest.approx(0.949080, abs=1e-3)
     assert fids[2] == pytest.approx(0.897327, abs=1e-3)
     assert fids[0] > fids[1] > fids[2]
+
+
+def duality_gap(rho, records):
+    # Tr(rho G) - lambda_min(G) for the cost gradient G, rebuilt from the
+    # public settings and observables
+    g = np.zeros((8, 8), dtype=complex)
+    for rec in records:
+        u = make_setting(rec.setting).unitary
+        for o, value in zip(observable_list(), rec.values):
+            a = u.conj().T @ o @ u
+            g += 2.0 * (np.trace(rho @ a).real - value) * a
+    return np.trace(rho @ g).real - np.linalg.eigvalsh(g)[0]
+
+
+@pytest.mark.parametrize("prepare, sigma, seed", [
+    (prepare_w, 0.02, 7),
+    (prepare_ghz, 0.05, 2026),
+    (prepare_wwbar, 0.1, 7),
+])
+def test_mle_certifies_optimum(prepare, sigma, seed):
+    # the gap bounds the cost above its minimum; a search that stalls on
+    # a rank-deficient state leaves it large
+    records = tomograph(prepare(), noise_sigma=sigma, seed=seed)
+    assert duality_gap(mle_reconstruct(records), records) <= 1e-9
+
+
+def test_mle_iteration_cap_raises_with_gap(monkeypatch, tmp_path):
+    monkeypatch.setattr(tomo, "_MAX_ITERS", 1)
+    with pytest.raises(RuntimeError, match=r"duality gap \d\.\d+e[-+]\d+"):
+        mle_reconstruct(tomograph(prepare_w(), noise_sigma=0.02, seed=7))
+    assert main(["tomo", "--out", str(tmp_path)]) == 3
 
 
 def test_mle_requires_all_settings():
@@ -167,8 +199,3 @@ def test_read_records_diagnostics(tmp_path):
     check("III,24,1.0\n", "out of range")
     check("III,3,1.0\nIII,3,2.0\n", "duplicate")
     check("III,3,1.0\n", "has 1 of 24")
-
-
-def test_fidelity_report_is_fidelity(rng):
-    a, b = random_density(rng), random_density(rng)
-    assert fidelity_report(a, b) == fidelity(a, b)
