@@ -9,46 +9,24 @@ dephasing factor exp(-sum of kz over the qubits flipped in d). The
 functions below write out that solution for the three prepared states.
 
 These expressions double as the oracle for the numerical propagator,
-which is exact between events (split into one-grid-step Strang steps
-only with the Hamiltonian and bit flips both on): they are exact for
-arbitrary non-negative rates, not just the bundled relaxation
-parameters. Three matrix-element placements here differ from
-a published tabulation of the same solution; see CONFORMANCE.md at the
-repo root.
+which applies the same channels in closed form and is exact between
+events at any step length: they are exact for arbitrary non-negative
+rates, not just the bundled relaxation parameters. Three matrix-element
+placements here differ from a published tabulation of the same
+solution; see CONFORMANCE.md at the repo root.
 
-Each function takes one time, returning an 8x8 matrix, or an array of
-n times, returning an (n, 8, 8) stack whose entries equal the
-one-time results bit for bit.
+Every function takes the rates as a Markovian noise.NoiseModel
+(kx_i = kappa_x[i], kz_i = kappa_z[i]) and rejects a correlated one,
+whose OU dephasing has no closed form here. Each takes one time,
+returning an 8x8 matrix, or an array of n times, returning an
+(n, 8, 8) stack whose entries equal the one-time results bit for bit.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures
 
-__all__ = ["RateSet", "ghz_analytic", "w_analytic", "wwbar_analytic", "decay_times"]
-
-
-@dataclass(frozen=True)
-class RateSet:
-    """Per-qubit damping rates, 1/s. kx = amplitude (1/T1), kz = dephasing (1/T2)."""
-
-    kx: tuple
-    kz: tuple
-
-    def __post_init__(self):
-        if len(self.kx) != 3 or len(self.kz) != 3:
-            raise ValueError("kx and kz must each have three entries")
-        if any(r < 0 for r in self.kx) or any(r < 0 for r in self.kz):
-            raise ValueError("rates must be non-negative")
-
-    @classmethod
-    def from_spins(cls, spins):
-        return cls(
-            kx=tuple(1.0 / t for t in spins.t1_s),
-            kz=tuple(1.0 / t for t in spins.t2_s),
-        )
+__all__ = ["ghz_analytic", "w_analytic", "wwbar_analytic", "decay_times"]
 
 
 def _bit(a, i):
@@ -68,13 +46,16 @@ def _times(t):
     return np.atleast_1d(t), t.ndim == 0
 
 
-def _amplitude_factors(t, rates):
-    x1, x2, x3 = rates.kx
+def _amplitude_factors(t, noise):
+    if noise.bath_mode != "markovian":
+        raise ValueError("the closed forms require bath_mode = markovian, got %r"
+                         % noise.bath_mode)
+    x1, x2, x3 = noise.kappa_x
     g1, g2, g3 = np.exp(-x1 * t), np.exp(-x2 * t), np.exp(-x3 * t)
     return g1, g2, g3
 
 
-def ghz_analytic(t, rates, sign=-1):
+def ghz_analytic(t, noise, sign=-1):
     """GHZ-class state after time t under the damping model.
 
     Populations sit on the diagonal; the only coherences are on the
@@ -86,9 +67,9 @@ def ghz_analytic(t, rates, sign=-1):
     t, single = _times(t)
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
-    g1, g2, g3 = _amplitude_factors(t, rates)
+    g1, g2, g3 = _amplitude_factors(t, noise)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
-    ez = np.exp(-sum(rates.kz) * t)
+    ez = np.exp(-sum(noise.kappa_z) * t)
     rho = np.zeros((len(t), 8, 8), dtype=complex)
     for a in range(8):
         bracket = (
@@ -102,11 +83,11 @@ def ghz_analytic(t, rates, sign=-1):
     return rho[0] if single else rho
 
 
-def w_analytic(t, rates):
+def w_analytic(t, noise):
     """W state after time t under the damping model."""
     t, single = _times(t)
-    z1, z2, z3 = rates.kz
-    g1, g2, g3 = _amplitude_factors(t, rates)
+    z1, z2, z3 = noise.kappa_z
+    g1, g2, g3 = _amplitude_factors(t, noise)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
     g123 = g12 * g3
     rho = np.zeros((len(t), 8, 8), dtype=complex)
@@ -141,12 +122,12 @@ def w_analytic(t, rates):
     return rho[0] if single else rho
 
 
-def wwbar_analytic(t, rates):
+def wwbar_analytic(t, noise):
     """WWbar state (equal superposition of the six middle basis states)
     after time t under the damping model."""
     t, single = _times(t)
-    z1, z2, z3 = rates.kz
-    g1, g2, g3 = _amplitude_factors(t, rates)
+    z1, z2, z3 = noise.kappa_z
+    g1, g2, g3 = _amplitude_factors(t, noise)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
     rho = np.zeros((len(t), 8, 8), dtype=complex)
     for a in range(8):
@@ -175,11 +156,12 @@ def wwbar_analytic(t, rates):
 _FAMILIES = {"ghz": ghz_analytic, "w": w_analytic, "wwbar": wwbar_analytic}
 
 
-def decay_times(rates, resolution=1e-3, t_max=2.0):
+def decay_times(noise, resolution=1e-3, t_max=2.0):
     """Disentanglement time of each analytic family.
 
     Bisects the first zero of the tripartite negativity to the given
-    resolution (default 1 ms).
+    resolution (default 1 ms) under the Markovian ``noise``; a
+    correlated model raises ValueError.
 
     Returns
     -------
@@ -189,7 +171,7 @@ def decay_times(rates, resolution=1e-3, t_max=2.0):
     out = {}
     for name, family in _FAMILIES.items():
         def alive(t, family=family):
-            return measures.tripartite_negativity(family(t, rates)) > 0.0
+            return measures.tripartite_negativity(family(t, noise)) > 0.0
 
         if not alive(0.0):
             raise ValueError("%s negativity never positive" % name)

@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .analytic import RateSet, ghz_analytic, w_analytic, wwbar_analytic
+from .analytic import ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, min_interpulse_delay, run_protected, schedule_table
 from .measures import curve_from_states, fidelity
@@ -107,19 +107,15 @@ def _identity(v):
 # key -> (value parser, constraint, default); seed has no default on purpose
 _SCHEMA = {
     "state": (_enum("ghz", "w", "wwbar"), _identity, "ghz"),
-    "spins.offsets_hz": (_parse_triple, _identity, (0.0, 0.0, 0.0)),
-    "spins.j12_hz": (_parse_float, _identity, 69.65),
-    "spins.j13_hz": (_parse_float, _identity, -128.32),
-    "spins.j23_hz": (_parse_float, _identity, 47.67),
     "spins.t1_s": (_parse_triple, _identity, (5.42, 5.65, 4.36)),
     "spins.t2_s": (_parse_triple, _identity, (0.53, 0.55, 0.52)),
     "bath.mode": (_enum("markovian", "correlated"), _identity, "markovian"),
     "bath.sigma_rad_s": (_parse_float, _non_negative, 0.0),
     "bath.tau_c_s": (_parse_float, _non_negative, 0.01),
-    "bath.trajectories": (_parse_int, lambda v: _positive(v) and v, 256),
+    "bath.trajectories": (_parse_int, _positive, 256),
     "dd.sequence": (_enum("none", "xy16s", "kddxy"), _identity, "none"),
     "dd.tau_s": (_parse_float, _positive, 0.25e-3),
-    "dd.cycles": (_parse_int, lambda v: _positive(v) and v, 1),
+    "dd.cycles": (_parse_int, _positive, 1),
     "dd.flip_error": (_parse_float, _identity, 0.0),
     "grid.t_final_s": (_parse_float, _non_negative, 1.0),
     "grid.step_s": (_parse_float, _positive, 0.005),
@@ -203,14 +199,7 @@ def _require_seed(cfg, why):
 
 def _spins(cfg):
     try:
-        return SpinSystem(
-            offsets_hz=cfg["spins.offsets_hz"],
-            j12_hz=cfg["spins.j12_hz"],
-            j13_hz=cfg["spins.j13_hz"],
-            j23_hz=cfg["spins.j23_hz"],
-            t1_s=cfg["spins.t1_s"],
-            t2_s=cfg["spins.t2_s"],
-        )
+        return SpinSystem(t1_s=cfg["spins.t1_s"], t2_s=cfg["spins.t2_s"])
     except ValueError as err:
         raise ConfigError("spins: %s" % err)
 
@@ -378,9 +367,8 @@ def cmd_decay(cfg):
     per_sample = max(1, int(math.ceil(step / base)))
     curve = evolve_markovian(rho0, spins, noise, t_final,
                              dt=step / per_sample, sample_every=per_sample)
-    rates = RateSet.from_spins(spins)
     family = _ANALYTIC[cfg["state"]]
-    oracle = curve_from_states(curve.times, family(curve.times, rates), rho0)
+    oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
     _write_curve_csv(csv_path, curve)
     _write_curve_csv(ref_path, oracle)
     times = [float(t) for t in curve.times]

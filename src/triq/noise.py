@@ -7,18 +7,17 @@ classical Ornstein-Uhlenbeck frequency tracks b_i(t) applied through
 sigma_z/2, averaged over an ensemble of trajectories; amplitude damping
 stays Lindbladian.
 
-Every run goes through one segment propagator, ``propagate``, that
-steps from event to event (a pulse or a sample); evolve_markovian and
-evolve_correlated are front ends to it. Both dissipators are Pauli
-channels, which commute and are applied in closed form, so a Markovian
-run is exact between events at any step length. Two diagonal terms do
-not commute with the bit flips, and a segment is Strang-split around
-them: the OU phase, summed over the segment's steps of the OU grid, with
-segments capped at _MAX_SEGMENT_STEPS grid steps; and the (diagonal)
-system Hamiltonian, which evolve_markovian can switch on, with segments
-of one grid step when kappa_x is on. The public lindblad_rhs builds the
-generator from explicit Lindblad operator matrices; tests pin the
-propagator against it.
+No system Hamiltonian acts: as in the paper's fits, the register
+evolves under the damping and the bath alone. Every run goes through
+one segment propagator, ``propagate``, that steps from event to event
+(a pulse or a sample); evolve_markovian and evolve_correlated are front
+ends to it. Both dissipators are Pauli channels, which commute and are
+applied in closed form, so a Markovian run is exact between events at
+any step length. The OU phase does not commute with the bit flips: a
+segment is Strang-split around it, the phase summed over the segment's
+steps of the OU grid, and segments are capped at _MAX_SEGMENT_STEPS
+grid steps. The public lindblad_rhs builds the generator from explicit
+Lindblad operator matrices; tests pin the propagator against it.
 """
 import math
 from dataclasses import dataclass
@@ -47,9 +46,10 @@ _CHUNK = 32  # trajectories integrated per batch; fixed so sums are reproducible
 class SpinSystem:
     """Chemical shifts, scalar couplings, and relaxation times.
 
-    offsets_hz are rotating-frame offsets nu_i - nu_rf. Couplings and
-    offsets only matter when the coherent Hamiltonian is switched on;
-    decay physics depends on t1_s/t2_s alone.
+    offsets_hz are rotating-frame offsets nu_i - nu_rf. Offsets and
+    couplings enter only ``hamiltonian``, which the pseudopure
+    preparation in ``states`` refocuses; decay, bath and DD physics
+    depends on t1_s/t2_s alone.
     """
 
     offsets_hz: tuple = (0.0, 0.0, 0.0)
@@ -140,22 +140,17 @@ def hamiltonian(spins, rf_hz=0.0):
     return np.diag(diag).astype(complex)
 
 
-def lindblad_rhs(rho, spins, noise, with_hamiltonian=False):
+def lindblad_rhs(rho, noise):
     """Right-hand side of the master equation, built from explicit operators.
 
-    d rho/dt = -i[H, rho] + sum_i sum_{a in {x,z}} (L rho L^dag
-    - (1/2){L^dag L, rho}) with L_{i,x} = sqrt(kappa_x/2) sigma_x^(i)
-    and L_{i,z} = sqrt(kappa_z/2) sigma_z^(i). Traceless and Hermitian
-    output. H defaults to zero; pass with_hamiltonian=True to include
-    the spin Hamiltonian.
+    d rho/dt = sum_i sum_{a in {x,z}} (L rho L^dag - (1/2){L^dag L, rho})
+    with L_{i,x} = sqrt(kappa_x/2) sigma_x^(i) and L_{i,z} =
+    sqrt(kappa_z/2) sigma_z^(i). Traceless and Hermitian output.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
         raise ValueError("expected an 8x8 density matrix, got %r" % (rho.shape,))
     out = np.zeros((8, 8), dtype=complex)
-    if with_hamiltonian:
-        h = hamiltonian(spins)
-        out += -1j * (h @ rho - rho @ h)
     for i in (1, 2, 3):
         for op, rate in ((SX, noise.kappa_x[i - 1]), (SZ, noise.kappa_z[i - 1])):
             if rate == 0.0:
@@ -211,19 +206,24 @@ def _apply_unitary(states, u):
     return np.matmul(u, np.matmul(states, u.conj().T))
 
 
-def evolve_markovian(rho0, spins, noise, t_final, dt=None,
-                     sample_every=1, with_hamiltonian=False):
+def _sample_steps(n, sample_every):
+    """Step indices 0, k, 2k, ... up to n, and n itself, for k = sample_every."""
+    if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
+        raise ValueError("sample_every must be a positive integer, got %r"
+                         % (sample_every,))
+    return list(range(0, n + 1, sample_every)) + [n]
+
+
+def evolve_markovian(rho0, spins, noise, t_final, dt=None, sample_every=1):
     """Solve the Lindblad master equation, sampled on a fixed grid.
 
     Samples every ``sample_every`` steps (plus t = 0 and t_final). dt
     defaults to grid_step(spins) and is rounded so an integer number
     of steps lands exactly on t_final. The work is done by
     ``propagate``, which applies the damping channels in closed form,
-    so the samples are exact at any dt; with_hamiltonian=True adds the
-    (diagonal) spin Hamiltonian, whose phase does not commute with the
-    bit flips, so with kappa_x on each step of dt is Strang-split.
-    Every sample is validated as physical; a violation raises
-    PhysicalityError naming the first offending time.
+    so the samples are exact at any dt. Every sample is validated as
+    physical; a violation raises PhysicalityError naming the first
+    offending time.
 
     Returns
     -------
@@ -238,9 +238,8 @@ def evolve_markovian(rho0, spins, noise, t_final, dt=None,
     if dt <= 0:
         raise ValueError("dt must be positive")
     n, dt = _plan_steps(t_final, dt)
-    h_diag = np.diag(hamiltonian(spins)).real if with_hamiltonian else None
-    sample_steps = list(range(0, n + 1, sample_every)) + [n]
-    return propagate(rho0, noise, n, dt, sample_steps=sample_steps, h_diag=h_diag)
+    return propagate(rho0, noise, n, dt,
+                     sample_steps=_sample_steps(n, sample_every))
 
 
 def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
@@ -345,8 +344,7 @@ def _ou_track(noise, j, dt, n):
     return _ou_paths(rng, noise.ou_tau_c, noise.ou_sigma, dt, n, 3)
 
 
-def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None,
-              h_diag=None):
+def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
     """Ensemble-mean evolution on a grid of n_steps steps of dt seconds.
 
     Events are the pulses, (time_s, unitary) pairs that must fall on
@@ -354,9 +352,7 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None,
     (default: every step). Between events the bath acts in closed form:
     bit flips at kappa_x, and either Lindblad dephasing at kappa_z
     (markovian) or, per trajectory, the exact OU phase summed over the
-    segment's grid steps (correlated). ``h_diag``, the diagonal of a
-    diagonal Hamiltonian in rad/s, adds its phase
-    exp(-i (h_a - h_b) Delta) to each segment. Trajectory j draws its OU
+    segment's grid steps (correlated). Trajectory j draws its OU
     track from a stream seeded by (noise.seed, j), so the ensemble mean
     does not depend on execution order. Pulses at a step act after the
     free evolution up to it and before its sample; every sampled mean
@@ -378,23 +374,19 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None,
 
     correlated = noise.bath_mode == "correlated"
     with_ou = correlated and noise.ou_sigma != 0.0 and n_steps > 0
-    # the OU and Hamiltonian phases do not commute with the bit flips:
-    # such segments are Strang-split around the phase and kept short
-    split = with_ou or h_diag is not None
+    # the OU phase does not commute with the bit flips: such segments
+    # are Strang-split around the phase and kept short
     cap = n_steps or 1
-    if split and any(noise.kappa_x):
-        cap = 1 if h_diag is not None else _MAX_SEGMENT_STEPS
+    if with_ou and any(noise.kappa_x):
+        cap = _MAX_SEGMENT_STEPS
     edges = _segment_edges(sorted(set(marks) | set(pulses_by_step)
                                   | {0, n_steps}), cap)
     # elementwise generator of the Lindblad dephasing (in correlated
-    # mode the OU bath replaces it) and the Hamiltonian phase, applied
-    # once per distinct segment length
+    # mode the OU bath replaces it), applied once per distinct segment
+    # length
     gen = np.zeros((8, 8))
     if not correlated:
         gen = -np.tensordot(noise.kappa_z, _ZMASK, 1)
-    if h_diag is not None:
-        h = np.asarray(h_diag, dtype=float)
-        gen = gen - 1j * (h[:, None] - h[None, :])
     lengths, length_of = np.unique(np.diff(edges), return_inverse=True)
     deltas = dt * lengths
     factors = np.exp(np.multiply.outer(deltas, gen))
@@ -419,7 +411,6 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None,
             if with_ou:
                 factor = factor * np.exp(
                     -1j * np.einsum("ci,iab->cab", phi[:, s], _ZDIFF))
-            if split:
                 states = _flips(states, noise.kappa_x, 0.5 * delta)
                 states = _flips(factor * states, noise.kappa_x, 0.5 * delta)
             else:
@@ -472,5 +463,4 @@ def evolve_correlated(rho0, spins, noise, schedule, t_final, dt=None,
     n, dt = _plan_steps(t_final, dt)
     if sample_every is None:
         sample_every = max(1, n // 200) if n else 1
-    sample_steps = [0] + list(range(sample_every, n + 1, sample_every)) + [n]
-    return propagate(rho0, noise, n, dt, pulses, sample_steps)
+    return propagate(rho0, noise, n, dt, pulses, _sample_steps(n, sample_every))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triq import RateSet, SpinSystem
+from triq import NoiseModel, SpinSystem
 
 # relaxation parameters of the bundled three-spin register
 T1 = (5.42, 5.65, 4.36)
@@ -15,7 +15,8 @@ def spins():
 
 @pytest.fixture
 def rates():
-    return RateSet(kx=tuple(1.0 / t for t in T1), kz=tuple(1.0 / t for t in T2))
+    return NoiseModel(kappa_x=tuple(1.0 / t for t in T1),
+                      kappa_z=tuple(1.0 / t for t in T2))
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ import pytest
 
 from triq import (
     NoiseModel,
-    RateSet,
     SpinSystem,
     build_cpmg,
     build_kddxy,
@@ -58,7 +57,7 @@ def spins():
 
 @pytest.fixture(scope="module")
 def rates():
-    return RateSet.from_spins(SpinSystem())
+    return NoiseModel.from_spins(SpinSystem())
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,6 @@ import pytest
 
 from triq import (
     NoiseModel,
-    RateSet,
-    SpinSystem,
     check_density,
     decay_times,
     evolve_markovian,
@@ -18,20 +16,9 @@ from triq import (
     w_analytic,
     wwbar_analytic,
 )
-from conftest import T1, T2
 
 FAMILIES = {"ghz": ghz_analytic, "w": w_analytic, "wwbar": wwbar_analytic}
 PREPARED = {"ghz": prepare_ghz, "w": prepare_w, "wwbar": prepare_wwbar}
-
-
-def test_rateset_validation():
-    with pytest.raises(ValueError, match="three entries"):
-        RateSet(kx=(1.0, 1.0), kz=(1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="non-negative"):
-        RateSet(kx=(1.0, -0.1, 1.0), kz=(1.0, 1.0, 1.0))
-    r = RateSet.from_spins(SpinSystem())
-    assert r.kx == tuple(1.0 / t for t in T1)
-    assert r.kz == tuple(1.0 / t for t in T2)
 
 
 def test_families_start_at_prepared_states(rates):
@@ -47,8 +34,8 @@ def test_families_reject_negative_time(rates):
 
 def test_trace_and_hermiticity_random_rates(rng):
     for _ in range(20):
-        r = RateSet(kx=tuple(rng.uniform(0.05, 3.0, 3)),
-                    kz=tuple(rng.uniform(0.05, 3.0, 3)))
+        r = NoiseModel(kappa_x=tuple(rng.uniform(0.05, 3.0, 3)),
+                       kappa_z=tuple(rng.uniform(0.05, 3.0, 3)))
         t = float(rng.uniform(0.0, 1.5))
         for family in FAMILIES.values():
             rho = family(t, r)
@@ -81,14 +68,13 @@ def test_sector_structure(rates):
 
 def test_oracle_matches_integrator_random_rates(spins, rng):
     for _ in range(5):
-        r = RateSet(kx=tuple(rng.uniform(0.1, 2.5, 3)),
-                    kz=tuple(rng.uniform(0.1, 2.5, 3)))
-        noise = NoiseModel(kappa_x=r.kx, kappa_z=r.kz)
+        noise = NoiseModel(kappa_x=tuple(rng.uniform(0.1, 2.5, 3)),
+                           kappa_z=tuple(rng.uniform(0.1, 2.5, 3)))
         for name, family in FAMILIES.items():
             curve = evolve_markovian(PREPARED[name](), spins, noise, 0.4,
                                      dt=1e-4, sample_every=400)
             worst = max(
-                np.max(np.abs(family(float(t), r) - s))
+                np.max(np.abs(family(float(t), noise) - s))
                 for t, s in zip(curve.times, curve.states)
             )
             assert worst < 1e-9, (name, worst)
@@ -98,8 +84,8 @@ def test_corrected_offdiagonal_placements(rates):
     # the three placements that differ from the published tabulation
     # (see CONFORMANCE.md), written out with explicit exponentials
     t = 0.3
-    z1, z2, z3 = rates.kz
-    g1, g2, g3 = (math.exp(-k * t) for k in rates.kx)
+    z1, z2, z3 = rates.kappa_z
+    g1, g2, g3 = (math.exp(-k * t) for k in rates.kappa_x)
     w = w_analytic(t, rates)
     assert w[0, 6] == pytest.approx(
         math.exp(-(z1 + z2) * t) * (1 - g1 * g2) * (1 + g3) / 12.0, rel=1e-12)
@@ -153,6 +139,20 @@ def test_decay_times_resolution(rates):
 
 
 def test_decay_times_raises_when_state_never_dies():
-    quiet = RateSet(kx=(0.0, 0.0, 0.0), kz=(0.0, 0.0, 0.0))
+    quiet = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="still positive"):
         decay_times(quiet, t_max=0.5)
+
+
+def test_closed_forms_reject_correlated_bath(spins):
+    # the OU dephasing has no closed form here; the rates alone would
+    # silently describe the Markovian model instead
+    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+                               ou_tau_c=0.01)
+    for family in FAMILIES.values():
+        with pytest.raises(ValueError, match="bath_mode = markovian"):
+            family(0.1, nm)
+        with pytest.raises(ValueError, match="bath_mode = markovian"):
+            family(np.array([0.0, 0.1]), nm)
+    with pytest.raises(ValueError, match="bath_mode = markovian"):
+        decay_times(nm)

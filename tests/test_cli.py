@@ -44,6 +44,9 @@ def test_parse_config_diagnostics_carry_line_numbers():
         parse_config("state = ghz\n\nstate = w\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("stat = ghz\n")
+    # no command reads offsets or couplings, so setting one is an error
+    with pytest.raises(ConfigError, match="<config>:2: unknown key 'spins.j12_hz'"):
+        parse_config("state = w\nspins.j12_hz = 70\n")
     with pytest.raises(ConfigError, match="one of"):
         parse_config("state = bell\n")
     with pytest.raises(ConfigError, match="three"):

@@ -22,7 +22,7 @@ from triq import (
     w_analytic,
     wwbar_analytic,
 )
-from triq import RateSet
+from triq import NoiseModel
 from conftest import T1, T2, random_density
 
 MIXED = np.eye(8, dtype=complex) / 8.0
@@ -31,7 +31,8 @@ MIXED = np.eye(8, dtype=complex) / 8.0
 @pytest.fixture(scope="module")
 def analytic_curves():
     # 5 ms sampling over [0, 0.8]; shared by the fit and threshold tests
-    rates = RateSet(kx=tuple(1.0 / t for t in T1), kz=tuple(1.0 / t for t in T2))
+    rates = NoiseModel(kappa_x=tuple(1.0 / t for t in T1),
+                       kappa_z=tuple(1.0 / t for t in T2))
     ts = np.arange(0.0, 0.8001, 0.005)
     out = {}
     for name, family in (("ghz", ghz_analytic), ("w", w_analytic),

@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from triq import (
     DDSchedule,
     NoiseModel,
     PhysicalityError,
     Pulse,
-    RateSet,
     SpinSystem,
     build_cpmg,
     build_kddxy,
@@ -25,8 +23,6 @@ from triq import (
     lindblad_rhs,
     min_interpulse_delay,
     prepare_ghz,
-    prepare_w,
-    prepare_wwbar,
     propagate,
     run_protected,
     sample_ou_path,
@@ -64,8 +60,14 @@ def test_noise_model_validation(spins):
     nm = NoiseModel.from_spins(spins)
     assert nm.kappa_x == tuple(1.0 / t for t in T1)
     assert nm.kappa_z == tuple(1.0 / t for t in T2)
+    with pytest.raises(ValueError, match="three entries"):
+        NoiseModel(kappa_x=(1.0, 1.0), kappa_z=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="three entries"):
+        NoiseModel(kappa_x=(1.0, 1.0, 1.0), kappa_z=(1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="non-negative"):
         NoiseModel(kappa_x=(-1.0, 0, 0), kappa_z=(0, 0, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        NoiseModel(kappa_x=(1.0, 1.0, 1.0), kappa_z=(1.0, -0.1, 1.0))
     with pytest.raises(ValueError, match="bath_mode"):
         NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), bath_mode="pink")
     with pytest.raises(ValueError, match="ou_tau_c"):
@@ -90,10 +92,10 @@ def test_hamiltonian_diagonal_and_values():
 def test_lindblad_rhs_fixed_points_and_trace(spins, rng):
     noise = NoiseModel.from_spins(spins)
     # maximally mixed state is a fixed point of the unital channel
-    assert np.allclose(lindblad_rhs(np.eye(8) / 8.0, spins, noise), 0.0, atol=1e-15)
+    assert np.allclose(lindblad_rhs(np.eye(8) / 8.0, noise), 0.0, atol=1e-15)
     for _ in range(100):
         rho = random_density(rng)
-        d = lindblad_rhs(rho, spins, noise)
+        d = lindblad_rhs(rho, noise)
         assert abs(np.trace(d)) < 1e-12
         assert np.max(np.abs(d - d.conj().T)) < 1e-12
 
@@ -110,14 +112,14 @@ def test_lindblad_rhs_matches_textbook_operators(spins, rng):
             l = math.sqrt(rate / 2.0) * kron(kron(factors[0], factors[1]), factors[2])
             expected += l @ rho @ l.conj().T - 0.5 * (
                 l.conj().T @ l @ rho + rho @ l.conj().T @ l)
-    assert np.allclose(lindblad_rhs(rho, spins, noise), expected, atol=1e-13)
+    assert np.allclose(lindblad_rhs(rho, noise), expected, atol=1e-13)
 
 
 def test_lindblad_rhs_ghz_corner_derivative(spins):
     # closed form: corner element (1/8) e^{-sum kz t} (1 + g12 + g13 + g23)
     # has derivative -(sum kz)/2 - (sum kx)/4 at t = 0 times the corner sign
     noise = NoiseModel.from_spins(spins)
-    d = lindblad_rhs(prepare_ghz(), spins, noise)
+    d = lindblad_rhs(prepare_ghz(), noise)
     kz = sum(1.0 / t for t in T2)
     kx = sum(1.0 / t for t in T1)
     assert d[0, 7].real == pytest.approx(kz / 2.0 + kx / 4.0, rel=1e-12)
@@ -127,7 +129,7 @@ def test_lindblad_rhs_ghz_corner_derivative(spins):
 def test_lindblad_rhs_rejects_wrong_shape(spins):
     noise = NoiseModel.from_spins(spins)
     with pytest.raises(ValueError, match="8x8"):
-        lindblad_rhs(np.eye(4) / 4.0, spins, noise)
+        lindblad_rhs(np.eye(4) / 4.0, noise)
 
 
 def test_evolve_markovian_finite_difference_consistency(spins, rng):
@@ -136,7 +138,7 @@ def test_evolve_markovian_finite_difference_consistency(spins, rng):
     h = 1e-6
     curve = evolve_markovian(rho, spins, noise, h, dt=h)
     fd = (curve.states[-1] - rho) / h
-    assert np.allclose(fd, lindblad_rhs(rho, spins, noise), atol=1e-5)
+    assert np.allclose(fd, lindblad_rhs(rho, noise), atol=1e-5)
 
 
 def test_evolve_markovian_zero_duration(spins):
@@ -181,6 +183,21 @@ def test_evolve_markovian_dt_halving(spins):
     assert np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-8
 
 
+@pytest.mark.parametrize("every", [0, -3, 2.5])
+def test_front_ends_reject_bad_sample_every(spins, every):
+    # a stride below 1 would silently drop samples from range(), or fail
+    # inside it at 0; both front ends share one check
+    noise = NoiseModel.from_spins(spins)
+    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+                               ou_tau_c=0.01, trajectories=2, seed=1)
+    with pytest.raises(ValueError, match="sample_every must be a positive integer"):
+        evolve_markovian(prepare_ghz(), spins, noise, 0.01, dt=1e-3,
+                         sample_every=every)
+    with pytest.raises(ValueError, match="sample_every must be a positive integer"):
+        evolve_correlated(prepare_ghz(), spins, nm, None, 0.01, dt=1e-3,
+                          sample_every=every)
+
+
 def test_evolve_markovian_pure_dephasing_keeps_diagonal(spins):
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=tuple(1.0 / t for t in T2))
     rho = prepare_ghz()
@@ -189,29 +206,14 @@ def test_evolve_markovian_pure_dephasing_keeps_diagonal(spins):
         assert np.array_equal(np.diag(s), np.diag(rho))
 
 
-def test_evolve_markovian_with_hamiltonian_phase():
-    nu = 40.0
-    s = SpinSystem(offsets_hz=(nu, 0.0, 0.0), j12_hz=0.0, j13_hz=0.0, j23_hz=0.0)
-    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
-    t = 0.011
-    curve = evolve_markovian(plus_ground_ground(), s, noise, t, dt=1e-5,
-                             sample_every=10**9, with_hamiltonian=True)
-    # -2 pi nu I_z convention: the <0|rho|1> element rotates at +2 pi nu
-    phase = np.angle(curve.states[-1][0, 4])
-    assert phase == pytest.approx(math.remainder(2.0 * math.pi * nu * t,
-                                                 2.0 * math.pi), abs=1e-6)
-    assert abs(curve.states[-1][0, 4]) == pytest.approx(0.5, abs=1e-9)
-
-
 def test_evolve_markovian_exact_at_long_steps(spins):
     # the damping channels are applied in closed form, so a step of
     # 2 s (almost four times T2) is as exact as a fine one
     noise = NoiseModel.from_spins(spins)
     curve = evolve_markovian(prepare_ghz(), spins, noise, 40.0, dt=2.0)
-    rates = RateSet.from_spins(spins)
     assert len(curve.times) == 21
     for t, rho in zip(curve.times, curve.states):
-        assert np.max(np.abs(rho - ghz_analytic(float(t), rates))) < 1e-12
+        assert np.max(np.abs(rho - ghz_analytic(float(t), noise))) < 1e-12
 
 
 def test_evolve_markovian_rejects_correlated_bath(spins):
@@ -229,32 +231,6 @@ def test_propagate_labels_unphysical_sample_with_time(spins):
     with pytest.raises(PhysicalityError, match=r"^at t = 0.004 s: trace"):
         propagate(prepare_ghz(), noise, 10, 1e-3,
                   pulses=[(0.004, 1.5 * np.eye(8, dtype=complex))])
-
-
-@pytest.mark.parametrize("prepare", [prepare_w, prepare_wwbar])
-def test_evolve_markovian_hamiltonian_with_flips_matches_liouvillian(prepare):
-    # with the Hamiltonian on, its phase does not commute with the bit
-    # flips, so each grid step is Strang-split. Every sample must track
-    # exp(L t) of the full generator, built column by column from
-    # lindblad_rhs; the splitting leaves at most 4.7e-7 (W) and 3.0e-7
-    # (WWbar) at any step
-    s = SpinSystem(offsets_hz=(40.0, -25.0, 13.0))
-    noise = NoiseModel.from_spins(s)
-    basis = np.eye(64, dtype=complex).reshape(64, 8, 8)
-    liouvillian = np.stack([
-        lindblad_rhs(e, s, noise, with_hamiltonian=True).ravel() for e in basis
-    ], axis=1)
-    rho0 = prepare()
-    curve = evolve_markovian(rho0, s, noise, 0.5, sample_every=50,
-                             with_hamiltonian=True)
-    assert len(curve.times) == 40
-    dt = curve.times[1] / 50
-    step = scipy.linalg.expm(liouvillian * dt)
-    exact, k = rho0.ravel().astype(complex), 0
-    for t, rho in zip(curve.times, curve.states):
-        while k < round(t / dt):
-            exact, k = step @ exact, k + 1
-        assert np.max(np.abs(rho - exact.reshape(8, 8))) < 1e-6
 
 
 def test_sample_ou_path_basics():

@@ -103,6 +103,19 @@ def test_extra_samples_move_states_within_split_bound(run, extra):
     assert diff <= bound
 
 
+@PROPERTY
+@given(rates, rates, st.integers(0, 40), st.integers(0, 40),
+       st.floats(1e-5, 1e-2), st.integers(0, 2**32))
+def test_markovian_propagator_is_a_semigroup(kx, kz, n1, n2, dt, seed):
+    # n1 + n2 steps in one run equal n1 steps, then n2 from the mid state
+    noise = NoiseModel(kappa_x=kx, kappa_z=kz)
+    rho0 = random_density(np.random.default_rng(seed))
+    whole = propagate(rho0, noise, n1 + n2, dt, sample_steps=[n1 + n2])
+    mid = propagate(rho0, noise, n1, dt, sample_steps=[n1]).states[-1]
+    halves = propagate(mid, noise, n2, dt, sample_steps=[n2])
+    assert np.max(np.abs(whole.states[-1] - halves.states[-1])) < 1e-14
+
+
 def _closed_form(rho, kx, kz, t):
     """Per-qubit bit-flip and dephasing channels from explicit Kraus pairs."""
     for q in range(3):
