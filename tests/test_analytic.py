@@ -5,6 +5,7 @@ import pytest
 
 from triq import (
     NoiseModel,
+    SpinSystem,
     check_density,
     decay_times,
     evolve_markovian,
@@ -16,9 +17,21 @@ from triq import (
     w_analytic,
     wwbar_analytic,
 )
+from conftest import T1, T2
 
 FAMILIES = {"ghz": ghz_analytic, "w": w_analytic, "wwbar": wwbar_analytic}
 PREPARED = {"ghz": prepare_ghz, "w": prepare_w, "wwbar": prepare_wwbar}
+
+
+def test_rateset_validation():
+    # the closed forms read their rates from a Markovian NoiseModel
+    with pytest.raises(ValueError, match="three entries"):
+        NoiseModel(kappa_x=(1.0, 1.0), kappa_z=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="non-negative"):
+        NoiseModel(kappa_x=(1.0, -0.1, 1.0), kappa_z=(1.0, 1.0, 1.0))
+    r = NoiseModel.from_spins(SpinSystem())
+    assert r.kappa_x == tuple(1.0 / t for t in T1)
+    assert r.kappa_z == tuple(1.0 / t for t in T2)
 
 
 def test_families_start_at_prepared_states(rates):
