@@ -27,7 +27,7 @@ from triq import (
     run_protected,
 )
 
-SIGMA = 13.7117919922   # rad/s, calibrated at tau_c = 10 ms
+SIGMA = 13.7117919922   # rad/s, calibrated at tau_c = 10 ms (seed 11, 512 traj.)
 TAU_C = 0.01
 TAU = 0.25e-3           # inter-pulse delay; cycle = 16 tau = 4 ms
 CYCLES = 60             # -> 240 ms total

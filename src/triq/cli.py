@@ -7,7 +7,9 @@ decay          Markovian decay sweep of one state; CSV + SVG + the
 protect        Paired protected/unprotected runs under the correlated
                bath; protected CSV carries a protection_factor column.
 calibrate      Bisect the OU sigma so the unprotected single-qubit
-               coherence 1/e time matches the configured T2.
+               coherence 1/e time matches the configured T2: on
+               unit-sigma phases drawn once and rescaled per step,
+               then one confirming engine run at the chosen sigma.
 tomo           Seven-setting readout simulation (or records-file
                replay) plus maximum-likelihood reconstruction.
 schedule-dump  Pulse table of the configured DD sequence.
@@ -27,6 +29,7 @@ digits. Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -35,10 +38,11 @@ import sys
 import numpy as np
 
 from .analytic import ghz_analytic, w_analytic, wwbar_analytic
-from .core import P0, save_matrix
+from .core import P0, NumericalError, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, min_interpulse_delay, run_protected, schedule_table
 from .measures import curve_from_states, fidelity
-from .noise import NoiseModel, SpinSystem, evolve_correlated, evolve_markovian, grid_step
+from .noise import (NoiseModel, SpinSystem, evolve_correlated, evolve_markovian, grid_step,
+                    ou_unit_phases)
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
@@ -429,33 +433,74 @@ def cmd_protect(cfg):
 
 
 _PLUS = np.full((2, 2), 0.5, dtype=complex)
+_ONE_OVER_E = math.exp(-1.0)
 
 
-def _coherence_time(sigma, tau_c, trajectories, seed, target):
-    """1/e time of the qubit-1 coherence under the OU bath alone."""
-    rho0 = np.kron(_PLUS, np.kron(P0, P0))
-    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
-                       bath_mode="correlated", ou_sigma=sigma, ou_tau_c=tau_c,
-                       trajectories=trajectories, seed=seed)
-    spins = SpinSystem()
-    t_final = 2.5 * target
-    dt = min(tau_c / 20.0, target / 1000.0)
-    n = max(1, int(round(t_final / dt)))
-    curve = evolve_correlated(rho0, spins, noise, None, t_final, dt=dt,
-                              sample_every=max(1, n // 500))
-    coh = np.array([2.0 * abs(s[0, 4]) for s in curve.states])
-    target_level = math.exp(-1.0)
-    below = np.nonzero(coh < target_level)[0]
+def _one_over_e_time(times, coh):
+    """First time the coherence falls below 1/e, interpolated linearly
+    from the sample before; inf if it never does."""
+    below = np.nonzero(coh < _ONE_OVER_E)[0]
     if len(below) == 0:
         return float("inf")
     k = int(below[0])
-    t0, t1 = curve.times[k - 1], curve.times[k]
+    t0, t1 = times[k - 1], times[k]
     c0, c1 = coh[k - 1], coh[k]
-    return float(t0 + (c0 - target_level) * (t1 - t0) / (c0 - c1))
+    return float(t0 + (c0 - _ONE_OVER_E) * (t1 - t0) / (c0 - c1))
+
+
+def _closed_form_time(sigma, phases, times):
+    """1/e time of |mean_j exp(-i sigma Phi_j)| from unit-sigma phases
+    of shape (trajectories, samples)."""
+    x = sigma * phases
+    re = np.cos(x).mean(axis=0)
+    # sin in place: two (trajectories, samples) arrays live at a time
+    return _one_over_e_time(times, np.hypot(re, np.sin(x, out=x).mean(axis=0)))
+
+
+def _bisect(phases, times, lo, hi, target):
+    """Bisect sigma on the closed-form 1/e time.
+
+    Stops when the time is within 0.5% of target, or when the bracket
+    is 1e-3 wide. Returns (sigma, its 1/e time, iterations, final
+    bracket (lo, T(lo), hi, T(hi))).
+    """
+    t_lo = _closed_form_time(lo, phases, times)
+    t_hi = _closed_form_time(hi, phases, times)
+    # more noise decays faster: t(lo) must sit above the target, t(hi) below
+    if not (t_lo > target > t_hi):
+        raise RuntimeError(
+            "no bracket: 1/e times [%.4g, %.4g] s do not straddle %.4g s"
+            % (t_hi, t_lo, target))
+    sigma, achieved, iterations = lo, t_lo, 0
+    for _ in range(60):
+        iterations += 1
+        sigma = 0.5 * (lo + hi)
+        achieved = _closed_form_time(sigma, phases, times)
+        if abs(achieved - target) <= 0.005 * target:
+            break
+        if achieved > target:
+            lo, t_lo = sigma, achieved
+        else:
+            hi, t_hi = sigma, achieved
+        # T(sigma) falls with sigma but need not be continuous: the mean
+        # coherence can dip, recover and cross 1/e again later, so the
+        # first crossing may jump across the target inside any bracket
+        if hi - lo <= 1e-3 * hi:
+            break
+    return sigma, achieved, iterations, (lo, t_lo, hi, t_hi)
 
 
 def cmd_calibrate(cfg):
-    """Bisect ou_sigma to the configured qubit-1 T2."""
+    """Bisect ou_sigma to the configured qubit-1 T2.
+
+    The qubit-1 coherence 2|rho_04| of |+>|00> under the OU bath alone
+    is |mean_j exp(-i sigma Phi_j)|, with Phi_j trajectory j's phase at
+    unit sigma. The phases are drawn once (noise.ou_unit_phases) and
+    every bisection step rescales them. The sigma it settles on is then
+    run once through the engine (evolve_correlated), whose 1/e time is
+    reported and judged; it must agree with the closed form's to
+    1e-9 T2, or the run is a numerical failure.
+    """
     if cfg["bath.mode"] != "correlated":
         raise ConfigError("calibrate requires bath.mode = correlated")
     seed = _require_seed(cfg, "the correlated bath")
@@ -469,31 +514,40 @@ def cmd_calibrate(cfg):
     hi = cfg["calibrate.sigma_hi_rad_s"]
     if hi <= lo:
         raise ConfigError("calibrate.sigma_hi_rad_s must exceed sigma_lo_rad_s")
-    t_lo = _coherence_time(lo, tau_c, traj, seed, target)
-    t_hi = _coherence_time(hi, tau_c, traj, seed, target)
-    # more noise decays faster: t(lo) must sit above the target, t(hi) below
-    if not (t_lo > target > t_hi):
-        raise RuntimeError(
-            "no bracket: 1/e times [%.4g, %.4g] s do not straddle %.4g s"
-            % (t_hi, t_lo, target))
-    sigma, achieved, iterations = lo, t_lo, 0
-    for _ in range(60):
-        iterations += 1
-        sigma = 0.5 * (lo + hi)
-        achieved = _coherence_time(sigma, tau_c, traj, seed, target)
-        if abs(achieved - target) <= 0.005 * target:
-            break
-        if achieved > target:
-            lo = sigma
-        else:
-            hi = sigma
-        # the ensemble mean floors how closely the target can be hit
-        if hi - lo <= 1e-3 * hi:
-            break
+    # the coherence grid: 2.5 T2 in steps of at most tau_c/20 and T2/1000,
+    # sampled about 500 times, as evolve_correlated lays it out
+    t_final = 2.5 * target
+    n = max(1, int(round(t_final / min(tau_c / 20.0, target / 1000.0))))
+    dt = t_final / n
+    every = max(1, n // 500)
+    steps = sorted(set(range(0, n + 1, every)) | {n})
+    times = np.array([k * dt for k in steps])
+    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                       bath_mode="correlated", ou_sigma=1.0, ou_tau_c=tau_c,
+                       trajectories=traj, seed=seed)
+    # qubit 1's unit-sigma phases, copied out of all three qubits' so
+    # that they alone live, and only as long as the bisection
+    sigma, predicted, iterations, (lo, t_lo, hi, t_hi) = _bisect(
+        np.ascontiguousarray(ou_unit_phases(noise, n, dt, steps)[:, :, 0]),
+        times, lo, hi, target)
+
+    curve = evolve_correlated(
+        np.kron(_PLUS, np.kron(P0, P0)), SpinSystem(),
+        dataclasses.replace(noise, ou_sigma=sigma), None, t_final, dt=dt,
+        sample_every=every)
+    achieved = _one_over_e_time(
+        curve.times, np.array([2.0 * abs(s[0, 4]) for s in curve.states]))
+    if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * target):
+        raise NumericalError(
+            "at sigma = %.12g rad/s the engine's 1/e time %.12g s differs "
+            "from the closed form's %.12g s" % (sigma, achieved, predicted))
     if abs(achieved - target) > 0.02 * target:
         raise RuntimeError(
-            "calibration stalled %.2f%% from the target 1/e time; "
-            "raise bath.trajectories" % (100.0 * abs(achieved - target) / target))
+            "calibration stalled %.2f%% from the target 1/e time %.4g s: the "
+            "first 1/e crossing jumps across it, from %.4g s at sigma = %.10g "
+            "rad/s to %.4g s at sigma = %.10g rad/s"
+            % (100.0 * abs(achieved - target) / target, target,
+               t_lo, lo, t_hi, hi))
     path = _out_path(cfg, "calibration.txt")
     with open(path, "w") as f:
         f.write("# calibrated correlated-bath fragment; paste into a config\n")

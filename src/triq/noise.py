@@ -16,11 +16,15 @@ applied in closed form, so a Markovian run is exact between events at
 any step length. The OU phase does not commute with the bit flips: a
 segment is Strang-split around it, the phase summed over the segment's
 steps of the OU grid, and segments are capped at _MAX_SEGMENT_STEPS
-grid steps. The public lindblad_rhs builds the generator from explicit
+grid steps. The OU recurrence is linear in sigma for fixed draws, so
+a track at sigma is sigma times the track at 1: ``ou_unit_phases``
+draws the unit-sigma tracks once, and a caller that varies sigma alone
+(calibration) rescales their phases instead of propagating again. The
+public lindblad_rhs builds the generator from explicit
 Lindblad operator matrices; tests pin the propagator against it.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +41,7 @@ __all__ = [
     "grid_step",
     "propagate",
     "evolve_correlated",
+    "ou_unit_phases",
 ]
 
 _CHUNK = 32  # trajectories integrated per batch; fixed so sums are reproducible
@@ -464,3 +469,34 @@ def evolve_correlated(rho0, spins, noise, schedule, t_final, dt=None,
     if sample_every is None:
         sample_every = max(1, n // 200) if n else 1
     return propagate(rho0, noise, n, dt, pulses, _sample_steps(n, sample_every))
+
+
+def ou_unit_phases(noise, n_steps, dt, sample_steps):
+    """Accumulated OU phases of every trajectory at unit sigma.
+
+    Trajectory j's track is drawn as ``propagate`` draws it, from the
+    stream seeded by (noise.seed, j) on the grid of n_steps steps of dt
+    seconds, but with ou_sigma = 1. The recurrence is linear in sigma
+    for fixed draws, so sigma times the result is the phase at sigma
+    (the Gaussian-phase picture of Cywinski et al., PRB 77, 174509
+    (2008)): without bit flips the coherence of qubit i's off-diagonal
+    elements is the trajectory mean of exp(-i sigma Phi_i).
+
+    Returns
+    -------
+    numpy.ndarray
+        dt * sum_{m < k} b_i(m) for each k in sample_steps, shape
+        (trajectories, len(sample_steps), 3).
+    """
+    if noise.bath_mode != "correlated":
+        raise ValueError("ou_unit_phases requires bath_mode = correlated")
+    steps = np.asarray(sample_steps, dtype=int)
+    if n_steps < 0 or dt <= 0 or np.any((steps < 0) | (steps > n_steps)):
+        raise ValueError("sample steps must lie in [0, n_steps] and dt be positive")
+    unit = replace(noise, ou_sigma=1.0)
+    out = np.empty((noise.trajectories, len(steps), 3))
+    cum = np.zeros((n_steps + 1, 3))
+    for j in range(noise.trajectories):
+        np.cumsum(_ou_track(unit, j, dt, n_steps), axis=0, out=cum[1:])
+        out[j] = dt * cum[steps]
+    return out

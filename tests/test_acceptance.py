@@ -44,8 +44,9 @@ FAMILIES = {
 }
 
 # OU bath width calibrated with the calibrate subcommand at 512
-# trajectories (seed 11, tau_c = 10 ms) so the unprotected qubit-1
-# coherence 1/e time matches T2_1 = 0.53 s.
+# trajectories (seed 11, tau_c = 10 ms, the default bracket [1, 60]
+# rad/s; pinned by test_calibrate_reproduces_sigma_star) so the
+# unprotected qubit-1 coherence 1/e time matches T2_1 = 0.53 s.
 SIGMA_STAR = 13.7117919922
 TAU_C = 0.01
 

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+
+import triq.cli
 
 from triq import (NonHermitianError, PhysicalityError, build_xy16s, load_matrix,
                   schedule_table)
@@ -216,6 +220,53 @@ def test_calibrate_doubling_trajectories_is_stable(tmp_path):
     assert abs(results[256] - results[128]) / results[128] < 0.03
 
 
+CALIBRATE_128 = (
+    "bath.mode = correlated\n"
+    "bath.trajectories = 128\n"
+    "calibrate.sigma_lo_rad_s = 12\n"
+    "calibrate.sigma_hi_rad_s = 16\n"
+)
+
+
+@pytest.mark.parametrize("seed", [11, 2026])
+def test_calibrate_stall_names_the_jump(tmp_path, capsys, seed):
+    # at these seeds the first 1/e crossing jumps across T2 between two
+    # sigmas the bisection cannot split further; the error names both
+    rc, _ = run(tmp_path, CALIBRATE_128, command="calibrate", seed=seed)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: calibration stalled" in err
+    t_lo, s_lo, t_hi, s_hi = map(float, re.search(
+        r"from (\S+) s at sigma = (\S+) rad/s to (\S+) s at sigma = (\S+) rad/s",
+        err).groups())
+    assert s_lo < s_hi
+    assert t_lo > 0.53 > t_hi
+
+
+def test_calibrate_engine_cross_checks_closed_form(tmp_path, monkeypatch, capsys):
+    # phases 1% off make the bisection settle where the engine's 1/e time
+    # disagrees with the closed form's
+    unit_phases = triq.cli.ou_unit_phases
+    monkeypatch.setattr(triq.cli, "ou_unit_phases",
+                        lambda *args: 1.01 * unit_phases(*args))
+    rc, _ = run(tmp_path, CALIBRATE_128, command="calibrate", seed=2)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: at sigma" in err
+    assert "differs from the closed form" in err
+
+
+def test_calibrate_reproduces_sigma_star(tmp_path):
+    # SIGMA_STAR in test_acceptance.py and SIGMA in demos/dd_protection.py
+    # come from this run: seed 11, 512 trajectories, the default bracket
+    cfg = "bath.mode = correlated\nbath.trajectories = 512\nseed = 11\n"
+    rc, out = run(tmp_path, cfg, command="calibrate")
+    assert rc == 0
+    lines = (out / "calibration.txt").read_text().splitlines()
+    assert "bath.sigma_rad_s = 13.7117919922" in lines
+    assert "# bisection_iterations = 13" in lines
+
+
 # -- tomo -------------------------------------------------------------------
 
 TOMO_CFG = "state = w\ntomo.noise_sigma = 0.05\nseed = 11\n"
@@ -318,8 +369,6 @@ def test_library_value_error_is_config_error(tmp_path, capsys):
 
 
 def test_unphysical_state_is_numerical_failure(tmp_path, monkeypatch, capsys):
-    import triq.cli
-
     def nan_state():
         rho = np.eye(8, dtype=complex) / 8.0
         rho[0, 0] = np.nan
@@ -340,8 +389,6 @@ def test_unphysical_state_is_numerical_failure(tmp_path, monkeypatch, capsys):
     (np.linalg.LinAlgError("eigh did not converge"), 3),
 ])
 def test_exit_code_per_failure_kind(tmp_path, monkeypatch, exc, code):
-    import triq.cli
-
     def fail(cfg):
         """Stand-in command that raises."""
         raise exc

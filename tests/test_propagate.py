@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import triq.noise
 from triq import (NoiseModel, Pulse, SpinSystem, build_xy16s, evolve_correlated,
-                  prepare_ghz, propagate, pulse_unitary, run_protected)
+                  ou_unit_phases, prepare_ghz, propagate, pulse_unitary,
+                  run_protected)
 from triq.core import ID2, SX, SZ, kron
 from triq.noise import _MAX_SEGMENT_STEPS, _ZDIFF, _ou_paths
 from conftest import random_density
@@ -206,3 +207,45 @@ def test_ou_scan_matches_plain_recurrence(log_ratio, sigma, n, width, seed):
         want[k] = d * want[k - 1] + sn * eps[k]
     assert np.all(np.isfinite(got))
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * sigma)
+
+
+# dt / tau_c from 1e-3 to 1e3: past 250 the scan of _ou_paths falls back
+# to the plain recurrence
+log_step_ratios = st.floats(-3.0, 3.0)
+
+
+@PROPERTY
+@given(st.floats(0.1, 50.0), st.integers(2, 8), log_step_ratios,
+       st.floats(1e-5, 1e-3), st.integers(1, 300), st.integers(0, 2**32))
+@example(50.0, 8, 3.0, 1e-3, 300, 0)     # plain recurrence
+@example(50.0, 8, -3.0, 1e-3, 300, 0)    # a slow track
+def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
+                                           n, seed):
+    # without bit flips, element (0, b) of |+++><+++| with only qubit i's
+    # bit set in b is the trajectory mean of exp(-i sigma Phi_i) / 8, Phi_i
+    # the unit-sigma phase: calibration's closed form for 2|rho_04|
+    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                       bath_mode="correlated", ou_sigma=sigma,
+                       ou_tau_c=dt / 10.0 ** log_ratio,
+                       trajectories=trajectories, seed=seed)
+    plus = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
+    states = np.array(propagate(np.outer(plus, plus), noise, n, dt).states)
+    phases = sigma * ou_unit_phases(noise, n, dt, range(n + 1))
+    for i, b in enumerate((4, 2, 1)):
+        want = np.exp(-1j * phases[:, :, i]).mean(axis=0)
+        assert np.max(np.abs(8.0 * states[:, 0, b] - want)) < 1e-12
+
+
+@PROPERTY
+@given(st.floats(0.1, 50.0), log_step_ratios, st.integers(1, 400),
+       st.integers(1, 3), st.integers(0, 2**32))
+@example(50.0, 3.0, 400, 3, 0)           # plain recurrence
+def test_ou_track_is_linear_in_sigma(sigma, log_ratio, n, width, seed):
+    # relative to the track's largest value: near a zero crossing the
+    # block scan's cancellation leaves single values off by up to ~1e-12
+    # of themselves
+    dt = 10.0 ** log_ratio
+    at_sigma = _ou_paths(np.random.default_rng(seed), 1.0, sigma, dt, n, width)
+    at_one = _ou_paths(np.random.default_rng(seed), 1.0, 1.0, dt, n, width)
+    assert (np.max(np.abs(at_sigma - sigma * at_one))
+            <= 1e-14 * sigma * np.max(np.abs(at_one)))
