@@ -535,8 +535,7 @@ def cmd_calibrate(cfg):
         np.kron(_PLUS, np.kron(P0, P0)), SpinSystem(),
         dataclasses.replace(noise, ou_sigma=sigma), None, t_final, dt=dt,
         sample_every=every)
-    achieved = _one_over_e_time(
-        curve.times, np.array([2.0 * abs(s[0, 4]) for s in curve.states]))
+    achieved = _one_over_e_time(curve.times, 2.0 * np.abs(curve.states[:, 0, 4]))
     if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * target):
         raise NumericalError(
             "at sigma = %.12g rad/s the engine's 1/e time %.12g s differs "
@@ -645,8 +644,8 @@ def main(argv=None):
     try:
         cfg = load_config(path=args.config, seed=args.seed, out_dir=args.out)
         return _COMMANDS[args.command](cfg)
-    # core.NumericalError (unphysical or non-Hermitian matrices) is an
-    # ArithmeticError; LinAlgError is a ValueError, so it goes first
+    # core.NumericalError (an unphysical state, or a failed cross-check)
+    # is an ArithmeticError; LinAlgError is a ValueError, so it goes first
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as err:
         print("numerical failure: %s" % err, file=sys.stderr)
         return 3

@@ -14,12 +14,9 @@ import numpy as np
 
 __all__ = [
     "NumericalError",
-    "NonHermitianError",
     "PhysicalityError",
     "kron",
     "embed1",
-    "hermitian_eigs",
-    "matrix_exp_hermitian",
     "save_matrix",
     "load_matrix",
     "check_density",
@@ -52,20 +49,6 @@ class NumericalError(ArithmeticError):
     Deliberately not a ValueError, so callers can tell an unphysical
     result from a rejected argument.
     """
-
-
-class NonHermitianError(NumericalError):
-    """Raised when a matrix that must be Hermitian is not.
-
-    Carries the largest elementwise asymmetry |m - m^dag| in
-    ``max_asymmetry``.
-    """
-
-    def __init__(self, max_asymmetry):
-        self.max_asymmetry = float(max_asymmetry)
-        super().__init__(
-            "matrix is not Hermitian, max |m - m^dag| = %.3e" % self.max_asymmetry
-        )
 
 
 class PhysicalityError(NumericalError):
@@ -106,57 +89,6 @@ def embed1(op, qubit):
     factors = [ID2, ID2, ID2]
     factors[qubit - 1] = op
     return kron(kron(factors[0], factors[1]), factors[2])
-
-
-def hermitian_eigs(m, atol=HERM_ATOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    m : ndarray
-        Hermitian matrix.
-    atol : float
-        Largest tolerated elementwise asymmetry before the input is
-        rejected.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        Eigenvalues in ascending order, and the matrix whose columns are
-        the matching orthonormal eigenvectors.
-
-    Raises
-    ------
-    NonHermitianError
-        If max |m - m^dag| exceeds ``atol``.
-    """
-    m = np.asarray(m, dtype=complex)
-    asym = np.max(np.abs(m - m.conj().T))
-    if asym > atol:
-        raise NonHermitianError(asym)
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
-
-
-def matrix_exp_hermitian(h, scale=1.0):
-    """exp(1j * scale * h) for Hermitian ``h`` via eigendecomposition.
-
-    Parameters
-    ----------
-    h : ndarray
-        Hermitian matrix.
-    scale : float
-        Real prefactor inside the exponent. Propagators use
-        ``scale = -t`` for evolution exp(-i h t).
-
-    Returns
-    -------
-    ndarray
-        Unitary matrix V diag(exp(1j*scale*lam)) V^dag.
-    """
-    vals, vecs = hermitian_eigs(h)
-    phases = np.exp(1j * float(scale) * vals)
-    return (vecs * phases) @ vecs.conj().T
 
 
 #

@@ -59,8 +59,8 @@ class DecayCurve:
     times are seconds, strictly increasing. n1, n2, n3 are the per-cut
     negativities, n3_tri their geometric mean, fidelity is against the
     curve's reference state (the initial state unless stated otherwise),
-    purity is Tr(rho^2). states holds the sampled density matrices in
-    the same order.
+    purity is Tr(rho^2). states is the (n, 8, 8) stack of the sampled
+    density matrices in the same order.
     """
 
     times: np.ndarray
@@ -70,7 +70,8 @@ class DecayCurve:
     n3_tri: np.ndarray
     fidelity: np.ndarray
     purity: np.ndarray
-    states: list = field(default_factory=list, repr=False)
+    states: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 8, 8), dtype=complex), repr=False)
 
     def __post_init__(self):
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
@@ -235,6 +236,7 @@ def curve_from_states(times, states, reference):
     so the metric definitions live in one module.
     """
     times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=complex)
     ref = _reference(reference)
     n = len(states)
     cuts = np.empty((3, n))
@@ -243,7 +245,7 @@ def curve_from_states(times, states, reference):
     pur = np.empty(n)
     for start in range(0, n, _BLOCK):
         stop = min(n, start + _BLOCK)
-        block = np.asarray(states[start:stop], dtype=complex)
+        block = states[start:stop]
         try:
             check_density(block)
         except PhysicalityError as err:
@@ -253,5 +255,5 @@ def curve_from_states(times, states, reference):
         cuts[:, start:stop] = c.T
     return DecayCurve(
         times=times, n1=cuts[0], n2=cuts[1], n3=cuts[2], n3_tri=ntri,
-        fidelity=fid, purity=pur, states=list(states),
+        fidelity=fid, purity=pur, states=states,
     )

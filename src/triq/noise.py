@@ -19,25 +19,22 @@ steps of the OU grid, and segments are capped at _MAX_SEGMENT_STEPS
 grid steps. The OU recurrence is linear in sigma for fixed draws, so
 a track at sigma is sigma times the track at 1: ``ou_unit_phases``
 draws the unit-sigma tracks once, and a caller that varies sigma alone
-(calibration) rescales their phases instead of propagating again. The
-public lindblad_rhs builds the generator from explicit
-Lindblad operator matrices; tests pin the propagator against it.
+(calibration) rescales their phases instead of propagating again.
+The tests pin the propagator against a generator built from explicit
+Lindblad operator matrices.
 """
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhysicalityError, check_density, embed1, SX, SZ
+from .core import PhysicalityError, check_density
 from . import measures
 
 __all__ = [
     "SpinSystem",
     "NoiseModel",
-    "hamiltonian",
-    "lindblad_rhs",
     "evolve_markovian",
-    "sample_ou_path",
     "grid_step",
     "propagate",
     "evolve_correlated",
@@ -49,33 +46,23 @@ _CHUNK = 32  # trajectories integrated per batch; fixed so sums are reproducible
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Chemical shifts, scalar couplings, and relaxation times.
+    """Per-qubit relaxation times T1 and T2, in seconds.
 
-    offsets_hz are rotating-frame offsets nu_i - nu_rf. Offsets and
-    couplings enter only ``hamiltonian``, which the pseudopure
-    preparation in ``states`` refocuses; decay, bath and DD physics
-    depends on t1_s/t2_s alone.
+    They set the Markovian rates (NoiseModel.from_spins) and the
+    default time grid (grid_step).
     """
 
-    offsets_hz: tuple = (0.0, 0.0, 0.0)
-    j12_hz: float = 69.65
-    j13_hz: float = -128.32
-    j23_hz: float = 47.67
     t1_s: tuple = (5.42, 5.65, 4.36)
     t2_s: tuple = (0.53, 0.55, 0.52)
 
     def __post_init__(self):
-        if len(self.offsets_hz) != 3 or len(self.t1_s) != 3 or len(self.t2_s) != 3:
-            raise ValueError("offsets_hz, t1_s, t2_s must each have three entries")
+        if len(self.t1_s) != 3 or len(self.t2_s) != 3:
+            raise ValueError("t1_s and t2_s must each have three entries")
         for t1, t2 in zip(self.t1_s, self.t2_s):
             if t1 <= 0:
                 raise ValueError("T1 must be positive, got %g" % t1)
             if not 0 < t2 <= 2 * t1:
                 raise ValueError("T2 must satisfy 0 < T2 <= 2 T1, got %g" % t2)
-
-    def coupling_hz(self, i, j):
-        pair = (min(i, j), max(i, j))
-        return {(1, 2): self.j12_hz, (1, 3): self.j13_hz, (2, 3): self.j23_hz}[pair]
 
 
 @dataclass(frozen=True)
@@ -121,49 +108,6 @@ class NoiseModel:
 def _half_spin(a, i):
     # I_iz eigenvalue of basis state a: +1/2 for bit 0, -1/2 for bit 1
     return 0.5 if ((a >> (3 - i)) & 1) == 0 else -0.5
-
-
-def hamiltonian(spins, rf_hz=0.0):
-    """Rotating-frame Hamiltonian in rad/s (diagonal 8x8 matrix).
-
-    Zeeman offsets enter as -2*pi*(nu_i - rf) I_iz, couplings as weak
-    coupling terms 2*pi*J_ij I_iz I_jz.
-    """
-    diag = np.zeros(8)
-    pairs = [(1, 2), (1, 3), (2, 3)]
-    for a in range(8):
-        m = [_half_spin(a, i) for i in (1, 2, 3)]
-        val = -sum(
-            2.0 * math.pi * (spins.offsets_hz[i - 1] - rf_hz) * m[i - 1]
-            for i in (1, 2, 3)
-        )
-        val += sum(
-            2.0 * math.pi * spins.coupling_hz(i, j) * m[i - 1] * m[j - 1]
-            for i, j in pairs
-        )
-        diag[a] = val
-    return np.diag(diag).astype(complex)
-
-
-def lindblad_rhs(rho, noise):
-    """Right-hand side of the master equation, built from explicit operators.
-
-    d rho/dt = sum_i sum_{a in {x,z}} (L rho L^dag - (1/2){L^dag L, rho})
-    with L_{i,x} = sqrt(kappa_x/2) sigma_x^(i) and L_{i,z} =
-    sqrt(kappa_z/2) sigma_z^(i). Traceless and Hermitian output.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
-        raise ValueError("expected an 8x8 density matrix, got %r" % (rho.shape,))
-    out = np.zeros((8, 8), dtype=complex)
-    for i in (1, 2, 3):
-        for op, rate in ((SX, noise.kappa_x[i - 1]), (SZ, noise.kappa_z[i - 1])):
-            if rate == 0.0:
-                continue
-            l = math.sqrt(rate / 2.0) * embed1(op, i)
-            ll = l.conj().T @ l
-            out += l @ rho @ l.conj().T - 0.5 * (ll @ rho + rho @ ll)
-    return out
 
 
 # index gathers of the bit flip of each qubit
@@ -279,18 +223,6 @@ def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
         out[k:stop] = powers[:, None] * (out[k - 1] + sn * acc)
         k = stop
     return out
-
-
-def sample_ou_path(tau_c, sigma, dt, n_steps, seed):
-    """One stationary Ornstein-Uhlenbeck track of length n_steps.
-
-    Mean 0, variance sigma^2, autocorrelation exp(-lag/tau_c);
-    deterministic per seed.
-    """
-    if tau_c <= 0 or dt <= 0 or n_steps < 1 or sigma < 0:
-        raise ValueError("tau_c, dt, n_steps must be positive and sigma >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    return _ou_paths(rng, tau_c, sigma, dt, n_steps, 1)[:, 0]
 
 
 # pulse times may miss the grid by this many steps (rounding of the

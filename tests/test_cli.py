@@ -5,7 +5,7 @@ import pytest
 
 import triq.cli
 
-from triq import (NonHermitianError, PhysicalityError, build_xy16s, load_matrix,
+from triq import (NumericalError, PhysicalityError, build_xy16s, load_matrix,
                   schedule_table)
 from triq.cli import ConfigError, load_config, main, parse_config
 
@@ -384,7 +384,7 @@ def test_unphysical_state_is_numerical_failure(tmp_path, monkeypatch, capsys):
     (ConfigError("bad key"), 2),
     (ValueError("bad value"), 2),
     (PhysicalityError("negative eigenvalue"), 3),
-    (NonHermitianError(1e-3), 3),
+    (NumericalError("engine and closed form disagree"), 3),
     (RuntimeError("no bracket"), 3),
     (np.linalg.LinAlgError("eigh did not converge"), 3),
 ])

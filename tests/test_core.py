@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from triq import (
     HERM_ATOL,
@@ -8,17 +7,14 @@ from triq import (
     SX,
     SY,
     SZ,
-    NonHermitianError,
     NumericalError,
     PhysicalityError,
     check_density,
-    hermitian_eigs,
     kron,
     load_matrix,
-    matrix_exp_hermitian,
     save_matrix,
 )
-from conftest import random_density, random_pure
+from conftest import random_density
 
 
 def test_pauli_algebra():
@@ -34,31 +30,6 @@ def test_kron_ordering():
     assert np.allclose(np.diag(z1), [1, 1, 1, 1, -1, -1, -1, -1])
     z3 = kron(kron(ID2, ID2), SZ)
     assert np.allclose(np.diag(z3), [1, -1, 1, -1, 1, -1, 1, -1])
-
-
-def test_hermitian_eigs_sorted_and_orthonormal(rng):
-    rho = random_density(rng)
-    vals, vecs = hermitian_eigs(rho)
-    assert np.all(np.diff(vals) >= 0)
-    assert np.allclose(vecs.conj().T @ vecs, np.eye(8), atol=1e-12)
-    assert np.allclose((vecs * vals) @ vecs.conj().T, rho, atol=1e-12)
-
-
-def test_hermitian_eigs_rejects_asymmetry():
-    m = np.eye(8, dtype=complex)
-    m[0, 1] = 1e-6
-    with pytest.raises(NonHermitianError) as err:
-        hermitian_eigs(m)
-    assert err.value.max_asymmetry == pytest.approx(1e-6)
-    hermitian_eigs(m, atol=1e-5)
-
-
-def test_matrix_exp_matches_scipy(rng):
-    h = random_density(rng) * 8.0
-    t = 0.37
-    u = matrix_exp_hermitian(h, scale=-t)
-    assert np.allclose(u, scipy.linalg.expm(-1j * t * h), atol=1e-12)
-    assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
 
 
 def test_save_load_round_trip_is_exact(tmp_path, rng):
@@ -112,7 +83,7 @@ def test_check_density_rejects_non_finite_entries(bad):
 def test_numerical_errors_are_not_value_errors():
     # the CLI maps ValueError to a config error and these to a
     # numerical failure, so the two bases must stay disjoint
-    for err in (PhysicalityError, NonHermitianError):
+    for err in (NumericalError, PhysicalityError):
         assert issubclass(err, NumericalError)
         assert issubclass(err, ArithmeticError)
         assert not issubclass(err, ValueError)
@@ -127,14 +98,3 @@ def test_check_density_floor_is_configurable():
 
 def test_herm_atol_constant():
     assert HERM_ATOL == 1e-9
-
-
-def test_eigenvalues_invariant_under_unitary(rng):
-    from conftest import random_local_unitary
-
-    for _ in range(200):
-        rho = random_pure(rng) if rng.uniform() < 0.5 else random_density(rng)
-        u = random_local_unitary(rng)
-        before, _ = hermitian_eigs(rho)
-        after, _ = hermitian_eigs(u @ rho @ u.conj().T)
-        assert np.max(np.abs(before - after)) < 1e-9

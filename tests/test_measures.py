@@ -213,7 +213,7 @@ def test_wwbar_floor_crossing_inside_quoted_window(analytic_curves):
 def test_curve_from_states_scores_each_sample(rates):
     states = [prepare_w(), w_analytic(0.2, rates), MIXED]
     curve = curve_from_states([0.0, 0.2, 0.4], states, states[0])
-    assert curve.states == states
+    assert np.array_equal(curve.states, states)
     for k, rho in enumerate(states):
         assert curve.n1[k] == negativity(rho, 1)
         assert curve.n3_tri[k] == tripartite_negativity(rho)

@@ -7,21 +7,12 @@ from triq import (
     THETA_W,
     THETA_WWBAR,
     Gate,
-    PseudopureParams,
-    apply_circuit,
     cnot,
     controlled_rotation,
-    crusher,
-    parse_circuit,
     prepare_ghz,
-    prepare_pseudopure_sequence,
     prepare_w,
     prepare_wwbar,
-    pseudopure,
-    pseudopure_delays,
-    read_circuit,
     rotation,
-    thermal_state,
 )
 
 
@@ -110,100 +101,3 @@ def test_preparation_angles():
     assert THETA_W == pytest.approx(2.0 * math.acos(math.sqrt(2.0 / 3.0)))
     assert THETA_W / math.pi == pytest.approx(0.39, abs=0.005)
     assert THETA_WWBAR / math.pi == pytest.approx(0.61, abs=0.005)
-
-
-def test_pseudopure_mixture():
-    rho = pseudopure(prepare_ghz(), PseudopureParams(epsilon=0.2))
-    assert np.trace(rho).real == pytest.approx(1.0)
-    assert np.allclose(rho, 0.1 * np.eye(8) + 0.2 * prepare_ghz(), atol=1e-12)
-    with pytest.raises(ValueError):
-        PseudopureParams(epsilon=0.0)
-    with pytest.raises(ValueError):
-        PseudopureParams(epsilon=1.5)
-
-
-def test_crusher_kills_nonzero_quantum():
-    rho = prepare_ghz()  # the corner coherences are triple quantum
-    crushed = crusher(rho)
-    assert np.allclose(crushed, np.diag(np.diag(rho)))
-    # zero-quantum coherence survives: |001><010|
-    zq = np.zeros((8, 8), dtype=complex)
-    zq[1, 2] = 0.5
-    assert np.allclose(crusher(zq), zq)
-    assert np.allclose(crusher(crusher(rho)), crushed)
-
-
-def test_thermal_state_structure():
-    eps = 1e-3
-    rho = thermal_state(eps)
-    assert np.trace(rho).real == pytest.approx(1.0)
-    assert np.allclose(rho, np.diag(np.diag(rho)))
-    # population of |000> exceeds |111> by 6 eps / 8
-    assert (rho[0, 0] - rho[7, 7]).real == pytest.approx(6.0 * eps / 8.0)
-
-
-def test_pseudopure_sequence_population_pattern(spins):
-    eps = 1e-3
-    rho = prepare_pseudopure_sequence(spins, epsilon=eps)
-    pops = np.diag(rho).real
-    # |000> stands out; the other seven populations are equal
-    rest = pops[1:]
-    assert np.max(rest) - np.min(rest) < 1e-12 * max(1.0, np.max(np.abs(pops)))
-    assert pops[0] > rest[0]
-    dev = rho - np.eye(8) / 8.0
-    target = np.zeros((8, 8), dtype=complex)
-    target[0, 0] = 1.0
-    target -= np.eye(8) / 8.0
-    overlap = np.sum(dev.conj() * target).real
-    assert overlap / (np.linalg.norm(dev) * np.linalg.norm(target)) > 1.0 - 1e-9
-
-
-def test_pseudopure_delays_are_half_integer_multiples(spins):
-    delays = pseudopure_delays(spins)
-    for pair, tau in delays.items():
-        j = abs(spins.coupling_hz(*pair))
-        mult = tau * 2.0 * j
-        assert mult == pytest.approx(round(mult))
-        assert round(mult) % 2 == 1
-    with pytest.raises(ValueError):
-        prepare_pseudopure_sequence(spins, {(1, 2): 0.01})
-
-
-def test_circuit_round_trip(tmp_path):
-    text = """
-# GHZ preparation
-rotation q=1 angle=%.17g phase=%.17g
-cnot control=1 target=2
-cnot control=1 target=3
-""" % (math.pi / 2.0, 3.0 * math.pi / 2.0)
-    gates = parse_circuit(text)
-    assert [g.label[:4] for g in gates] == ["R1(1", "CNOT", "CNOT"]
-    assert np.allclose(apply_circuit(gates), prepare_ghz(), atol=1e-12)
-    path = tmp_path / "ghz.circ"
-    path.write_text(text)
-    assert np.allclose(apply_circuit(read_circuit(path)), prepare_ghz(), atol=1e-12)
-
-
-def test_circuit_crot_parses():
-    gates = parse_circuit("crot control=1 target=3 angle=1.5707963267948966 phase=1.5707963267948966")
-    assert len(gates) == 1
-    assert np.allclose(
-        gates[0].unitary,
-        controlled_rotation(1, 3, math.pi / 2.0, math.pi / 2.0).unitary,
-    )
-
-
-def test_circuit_parse_errors():
-    with pytest.raises(ValueError, match="line 1"):
-        parse_circuit("hadamard q=1")
-    with pytest.raises(ValueError, match="bad field"):
-        parse_circuit("rotation q=1 angle=x phase=0")
-    with pytest.raises(ValueError, match="needs fields"):
-        parse_circuit("rotation q=1 angle=0.5")
-
-
-def test_apply_circuit_from_custom_start():
-    rho = apply_circuit([cnot(1, 2)], prepare_ghz())
-    # CNOT12 maps (|000> - |111>)/sqrt(2) to (|000> - |101>)/sqrt(2)
-    assert rho[5, 5].real == pytest.approx(0.5)
-    assert rho[0, 5].real == pytest.approx(-0.5)
