@@ -13,16 +13,11 @@ single-qubit coherence 1/e time reproduces T2 of qubit 1 (0.53 s).
 Run:  python3 demos/dd_protection.py   (~2 s)
 """
 
-import math
-
 from triq import (
     NoiseModel,
     SpinSystem,
     build_xy16s,
     cycle_duration,
-    evolve_correlated,
-    grid_step,
-    min_interpulse_delay,
     prepare_ghz,
     run_protected,
 )
@@ -41,21 +36,13 @@ def main():
         spins, bath_mode="correlated", ou_sigma=SIGMA, ou_tau_c=TAU_C,
         trajectories=TRAJECTORIES, seed=SEED)
     schedule = build_xy16s(TAU, cycles=CYCLES)
-    cyc = cycle_duration(schedule)
-    total = CYCLES * cyc
-
-    # shared step size: both arms see identical noise tracks, and the
-    # pulse offsets (j + 1/2) tau land exactly on step boundaries
-    base = grid_step(spins, min_interpulse_delay(schedule))
-    spc = max(1, int(math.ceil(cyc / base - 1e-12)))
-    dt = cyc / spc
+    total = CYCLES * cycle_duration(schedule)
 
     print("XY-16(s), tau = %g ms, %d cycles = %g ms, %d trajectories"
           % (TAU * 1e3, CYCLES, total * 1e3, TRAJECTORIES))
-    rho0 = prepare_ghz()
-    protected = run_protected(rho0, spins, noise, schedule, total, dt=dt)
-    free = evolve_correlated(rho0, spins, noise, None, total,
-                             dt=dt, sample_every=spc)
+    # both arms run on one time grid, so they see identical noise
+    # tracks, and the pulse offsets (j + 1/2) tau land on step boundaries
+    protected, free = run_protected(prepare_ghz(), spins, noise, schedule, total)
 
     print()
     print("  time      N3_tri prot.   N3_tri free    ratio")

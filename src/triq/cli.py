@@ -39,7 +39,7 @@ import numpy as np
 
 from .analytic import ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, NumericalError, save_matrix
-from .ddseq import build_kddxy, build_xy16s, cycle_duration, min_interpulse_delay, run_protected, schedule_table
+from .ddseq import build_kddxy, build_xy16s, cycle_duration, run_protected, schedule_table
 from .measures import curve_from_states, fidelity
 from .noise import (NoiseModel, SpinSystem, evolve_correlated, evolve_markovian, grid_step,
                     ou_unit_phases)
@@ -400,15 +400,8 @@ def cmd_protect(cfg):
         spins, bath_mode="correlated", ou_sigma=cfg["bath.sigma_rad_s"],
         ou_tau_c=cfg["bath.tau_c_s"], trajectories=cfg["bath.trajectories"],
         seed=seed)
-    cyc = cycle_duration(schedule)
-    total = cfg["dd.cycles"] * cyc
-    # one shared step size so both arms see identical noise tracks
-    base = grid_step(spins, min_interpulse_delay(schedule))
-    spc = max(1, int(math.ceil(cyc / base - 1e-12)))
-    dt = cyc / spc
-    protected = run_protected(rho0, spins, noise, schedule, total, dt=dt)
-    unprotected = evolve_correlated(rho0, spins, noise, None, total,
-                                    dt=dt, sample_every=spc)
+    protected, unprotected = run_protected(
+        rho0, spins, noise, schedule, cfg["dd.cycles"] * cycle_duration(schedule))
     ratio = []
     for p, u in zip(protected.n3_tri, unprotected.n3_tri):
         if u > 0.0:
@@ -515,7 +508,8 @@ def cmd_calibrate(cfg):
     if hi <= lo:
         raise ConfigError("calibrate.sigma_hi_rad_s must exceed sigma_lo_rad_s")
     # the coherence grid: 2.5 T2 in steps of at most tau_c/20 and T2/1000,
-    # sampled about 500 times, as evolve_correlated lays it out
+    # sampled about 500 times; the engine check below runs
+    # evolve_correlated on this same (t_final, dt, every) layout
     t_final = 2.5 * target
     n = max(1, int(round(t_final / min(tau_c / 20.0, target / 1000.0))))
     dt = t_final / n
@@ -533,7 +527,7 @@ def cmd_calibrate(cfg):
 
     curve = evolve_correlated(
         np.kron(_PLUS, np.kron(P0, P0)), SpinSystem(),
-        dataclasses.replace(noise, ou_sigma=sigma), None, t_final, dt=dt,
+        dataclasses.replace(noise, ou_sigma=sigma), t_final=t_final, dt=dt,
         sample_every=every)
     achieved = _one_over_e_time(curve.times, 2.0 * np.abs(curve.states[:, 0, 4]))
     if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * target):

@@ -18,6 +18,9 @@ phi = pi/2 and repeated twice, twenty pulses at uniform spacing.
 A single-axis CPMG-style control with the XY-16 timing is included as
 the robustness baseline: it cancels nothing when every pulse carries
 the same systematic flip error.
+
+run_protected is the one way to run a schedule: it returns the
+protected arm and the free arm, propagated on one shared time grid.
 """
 
 import math
@@ -189,14 +192,20 @@ def schedule_table(schedule):
 
 
 def run_protected(rho0, spins, noise_model, schedule, total_time, dt=None):
-    """Repeat the DD cycle until total_time, sampling after each cycle.
+    """Repeat the DD cycle until total_time, next to a pulse-free run.
 
     total_time must be an integer number of cycle durations. Free
-    evolution between pulses follows the noise model's bath mode;
-    pulses are applied as instantaneous collective unitaries with
-    their flip errors. dt defaults to noise.grid_step and is shrunk so
-    a whole number of steps fills one cycle; every pulse must then
-    fall on a step.
+    evolution follows the noise model's bath mode; pulses are applied
+    as instantaneous collective unitaries with their flip errors. dt
+    defaults to noise.grid_step and is shrunk so a whole number of
+    steps fills one cycle; every pulse must then fall on a step. Both
+    arms run on that one grid and are sampled after each cycle, so in
+    the correlated mode they see the same OU tracks.
+
+    Returns
+    -------
+    (measures.DecayCurve, measures.DecayCurve)
+        The protected arm and the free arm.
     """
     cyc = cycle_duration(schedule)
     if total_time < cyc - 1e-12:
@@ -211,9 +220,13 @@ def run_protected(rho0, spins, noise_model, schedule, total_time, dt=None):
     full = replace(schedule, cycles=n_cycles)
     if dt is None:
         dt = noise.grid_step(spins, min_interpulse_delay(schedule))
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     # land cycle boundaries exactly on steps
     steps_per_cycle = max(1, int(math.ceil(cyc / dt - 1e-12)))
     dt = cyc / steps_per_cycle
     n = n_cycles * steps_per_cycle
-    return noise.propagate(rho0, noise_model, n, dt, expand_schedule(full),
-                           range(0, n + 1, steps_per_cycle))
+    samples = range(0, n + 1, steps_per_cycle)
+    return (noise.propagate(rho0, noise_model, n, dt, expand_schedule(full),
+                            samples),
+            noise.propagate(rho0, noise_model, n, dt, sample_steps=samples))

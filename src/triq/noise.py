@@ -145,6 +145,8 @@ def grid_step(spins, min_delay=None):
 def _plan_steps(t_final, dt):
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     if t_final == 0.0:
         return 0, dt
     n = max(1, int(round(t_final / dt)))
@@ -161,6 +163,16 @@ def _sample_steps(n, sample_every):
         raise ValueError("sample_every must be a positive integer, got %r"
                          % (sample_every,))
     return list(range(0, n + 1, sample_every)) + [n]
+
+
+def _free_run(rho0, spins, noise, t_final, dt, sample_every):
+    """Pulse-free ``propagate`` over t_final: the one grid and sampling
+    rule of both front ends."""
+    if dt is None:
+        dt = grid_step(spins)
+    n, dt = _plan_steps(t_final, dt)
+    return propagate(rho0, noise, n, dt,
+                     sample_steps=_sample_steps(n, sample_every))
 
 
 def evolve_markovian(rho0, spins, noise, t_final, dt=None, sample_every=1):
@@ -182,13 +194,7 @@ def evolve_markovian(rho0, spins, noise, t_final, dt=None, sample_every=1):
     """
     if noise.bath_mode != "markovian":
         raise ValueError("evolve_markovian requires bath_mode = markovian")
-    if dt is None:
-        dt = grid_step(spins)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n, dt = _plan_steps(t_final, dt)
-    return propagate(rho0, noise, n, dt,
-                     sample_steps=_sample_steps(n, sample_every))
+    return _free_run(rho0, spins, noise, t_final, dt, sample_every)
 
 
 def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
@@ -366,41 +372,21 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
             "at t = %.9g s: %s" % (times[err.sample], err.reason)) from err
 
 
-def evolve_correlated(rho0, spins, noise, schedule, t_final, dt=None,
-                      sample_every=None):
-    """Ensemble-averaged evolution under the correlated dephasing bath.
+def evolve_correlated(rho0, spins, noise, t_final, dt=None, sample_every=1):
+    """Ensemble-averaged free evolution under the correlated dephasing bath.
 
     Each trajectory dephases under per-qubit OU frequency tracks
     b_i(t) sigma_z^(i)/2, with amplitude damping still applied as a
     Lindblad dissipator. The kappa_z dissipators are off in this mode;
-    the OU bath is the dephasing. Pulses from ``schedule`` (a
-    ddseq.DDSchedule, or None) are applied as instantaneous unitaries
-    and must fall on the step grid. dt defaults to grid_step and is
-    rounded so an integer number of steps lands on t_final; samples
-    fall every ``sample_every`` steps (default: about 200 samples) and
-    at t_final. The work is done by ``propagate``.
+    the OU bath is the dephasing. The grid and the sampling are those
+    of evolve_markovian: dt defaults to grid_step(spins) and is rounded
+    so an integer number of steps lands on t_final, and samples fall
+    every ``sample_every`` steps (plus t = 0 and t_final). The work is
+    done by ``propagate``, which is also where pulses enter a run.
     """
     if noise.bath_mode != "correlated":
         raise ValueError("evolve_correlated requires bath_mode = correlated")
-    pulses = []
-    min_delay = None
-    if schedule is not None:
-        # deferred import: ddseq imports this module at load time
-        from .ddseq import expand_schedule, cycle_duration, min_interpulse_delay
-
-        total = schedule.cycles * cycle_duration(schedule)
-        if total > t_final * (1 + 1e-9) + 1e-15:
-            raise ValueError(
-                "schedule spans %g s, beyond t_final = %g s" % (total, t_final)
-            )
-        pulses = expand_schedule(schedule)
-        min_delay = min_interpulse_delay(schedule)
-    if dt is None:
-        dt = grid_step(spins, min_delay)
-    n, dt = _plan_steps(t_final, dt)
-    if sample_every is None:
-        sample_every = max(1, n // 200) if n else 1
-    return propagate(rho0, noise, n, dt, pulses, _sample_steps(n, sample_every))
+    return _free_run(rho0, spins, noise, t_final, dt, sample_every)
 
 
 def ou_unit_phases(noise, n_steps, dt, sample_steps):

@@ -5,8 +5,6 @@ verbose pytest run shows one pass/fail line per criterion. Module-scoped
 fixtures share the expensive ensemble runs between criteria.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -19,12 +17,10 @@ from triq import (
     curve_from_states,
     cycle_duration,
     decay_times,
-    evolve_correlated,
     evolve_markovian,
     fidelity,
     fit_decay_rate,
     ghz_analytic,
-    min_interpulse_delay,
     mle_reconstruct,
     prepare_ghz,
     prepare_w,
@@ -81,14 +77,8 @@ def protection_runs(spins):
                                ou_sigma=SIGMA_STAR, ou_tau_c=TAU_C,
                                trajectories=64, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=60)
-    cyc = cycle_duration(schedule)
-    base = min(min(spins.t2_s) / 2000.0, min_interpulse_delay(schedule) / 50.0)
-    spc = max(1, int(math.ceil(cyc / base - 1e-12)))
-    dt = cyc / spc
-    prot = run_protected(prepare_ghz(), spins, nm, schedule, 60 * cyc, dt=dt)
-    free = evolve_correlated(prepare_ghz(), spins, nm, None, 60 * cyc, dt=dt,
-                             sample_every=spc)
-    return prot, free
+    return run_protected(prepare_ghz(), spins, nm, schedule,
+                         60 * cycle_duration(schedule))
 
 
 def test_c1_oracle_equivalence(spins, rates, markovian_curves):
@@ -138,14 +128,14 @@ def test_c5_dd_protection(spins, protection_runs):
     quiet = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
     for build in (build_xy16s, build_kddxy):
         sch = build(0.25e-3, cycles=3)
-        curve = run_protected(prepare_ghz(), spins, quiet, sch,
-                              3 * cycle_duration(sch), dt=0.125e-3)
+        curve, _ = run_protected(prepare_ghz(), spins, quiet, sch,
+                                 3 * cycle_duration(sch), dt=0.125e-3)
         assert float(np.min(curve.fidelity)) >= 1.0 - 1e-9
     # purely Markovian noise: decoupling changes nothing within 2%
     nm = NoiseModel.from_spins(spins)
     sch = build_xy16s(0.25e-3, cycles=12)
     total = 12 * cycle_duration(sch)
-    protected = run_protected(prepare_ghz(), spins, nm, sch, total)
+    protected, _ = run_protected(prepare_ghz(), spins, nm, sch, total)
     unprotected = evolve_markovian(prepare_ghz(), spins, nm, total, dt=2.4e-5,
                                    sample_every=10**9)
     assert protected.n3_tri[-1] == pytest.approx(unprotected.n3_tri[-1],
@@ -159,8 +149,8 @@ def test_c6_pulse_robustness_ordering(spins):
     for name, build in (("cpmg", build_cpmg), ("xy16s", build_xy16s),
                         ("kddxy", build_kddxy)):
         sch = build(tau, cycles=100, flip_error=0.01)
-        curve = run_protected(prepare_ghz(), spins, quiet, sch,
-                              100 * cycle_duration(sch), dt=tau / 2.0)
+        curve, _ = run_protected(prepare_ghz(), spins, quiet, sch,
+                                 100 * cycle_duration(sch), dt=tau / 2.0)
         mins[name] = float(np.min(curve.fidelity))
     assert mins["kddxy"] >= mins["xy16s"] >= mins["cpmg"]
 

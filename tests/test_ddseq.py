@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from triq import (
     expand_schedule,
     min_interpulse_delay,
     prepare_ghz,
+    prepare_w,
+    prepare_wwbar,
+    propagate,
     pulse_unitary,
     run_protected,
     schedule_table,
+    tripartite_negativity,
 )
 from triq.core import SX
 
@@ -138,8 +143,8 @@ def test_cycles_compose_to_identity_without_noise(spins):
     rho = prepare_ghz()
     for build in (build_xy16s, build_kddxy, build_cpmg):
         sch = build(TAU, cycles=3)
-        curve = run_protected(rho, spins, QUIET, sch,
-                              3 * cycle_duration(sch), dt=TAU / 2.0)
+        curve, _ = run_protected(rho, spins, QUIET, sch,
+                                 3 * cycle_duration(sch), dt=TAU / 2.0)
         assert float(np.min(curve.fidelity)) > 1.0 - 1e-9
 
 
@@ -153,8 +158,8 @@ def test_flip_error_robustness_ordering(spins):
     for name, build in (("cpmg", build_cpmg), ("xy16s", build_xy16s),
                         ("kddxy", build_kddxy)):
         sch = build(TAU, cycles=100, flip_error=0.01)
-        curve = run_protected(rho, spins, QUIET, sch,
-                              100 * cycle_duration(sch), dt=TAU / 2.0)
+        curve, _ = run_protected(rho, spins, QUIET, sch,
+                                 100 * cycle_duration(sch), dt=TAU / 2.0)
         mins[name] = float(np.min(curve.fidelity))
         argmins[name] = int(np.argmin(curve.fidelity))
     assert mins["kddxy"] >= mins["xy16s"] >= mins["cpmg"]
@@ -172,7 +177,7 @@ def test_markovian_noise_is_transparent_to_decoupling(spins):
     nm = NoiseModel.from_spins(spins)
     sch = build_xy16s(TAU, cycles=25)
     total = 25 * cycle_duration(sch)
-    prot = run_protected(prepare_ghz(), spins, nm, sch, total)
+    prot, _ = run_protected(prepare_ghz(), spins, nm, sch, total)
     free = evolve_markovian(prepare_ghz(), spins, nm, total, dt=2.5e-5,
                             sample_every=10**9)
     assert prot.times[-1] == pytest.approx(free.times[-1], rel=1e-12)
@@ -182,8 +187,8 @@ def test_markovian_noise_is_transparent_to_decoupling(spins):
 
 def test_run_protected_sampling_grid(spins):
     sch = build_xy16s(1e-3, cycles=1)
-    curve = run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
-                          sch, 0.048, dt=5e-4)
+    curve, _ = run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
+                             sch, 0.048, dt=5e-4)
     assert np.allclose(curve.times, [0.0, 0.016, 0.032, 0.048], atol=1e-12)
 
 
@@ -194,3 +199,29 @@ def test_run_protected_validates_total_time(spins):
         run_protected(prepare_ghz(), spins, nm, sch, 0.008)
     with pytest.raises(ValueError, match="integer number"):
         run_protected(prepare_ghz(), spins, nm, sch, 0.024)
+
+
+@pytest.mark.parametrize("prepare", [prepare_ghz, prepare_w, prepare_wwbar])
+def test_both_arms_see_the_same_tracks(spins, prepare):
+    # XY-16(s) timing with 2 pi pulses: each pulse is -I, so the two
+    # arms differ only by rounding if they share the grid and the tracks
+    nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                    bath_mode="correlated", ou_sigma=13.7117919922,
+                    ou_tau_c=0.01, trajectories=16, seed=2026)
+    xy16 = build_xy16s(TAU, cycles=10)
+    events = tuple((d, p and replace(p, angle=2.0 * math.pi))
+                   for d, p in xy16.events)
+    schedule = replace(xy16, events=events)
+    assert np.allclose(pulse_unitary(schedule.pulses[0]), -np.eye(8))
+    rho0 = prepare()
+    prot, free = run_protected(rho0, spins, nm, schedule,
+                               10 * cycle_duration(schedule))
+    assert np.array_equal(prot.times, free.times)
+    assert np.max(np.abs(prot.states - free.states)) < 1e-12
+    assert tripartite_negativity(free.states[-1]) < 0.9
+    # the free arm is propagate without pulses, at the default 5 us grid
+    steps = 800
+    ref = propagate(rho0, nm, 10 * steps, cycle_duration(schedule) / steps,
+                    sample_steps=range(0, 10 * steps + 1, steps))
+    assert np.array_equal(free.times, ref.times)
+    assert np.array_equal(free.states, ref.states)

@@ -204,8 +204,28 @@ def test_front_ends_reject_bad_sample_every(spins, every):
         evolve_markovian(prepare_ghz(), spins, noise, 0.01, dt=1e-3,
                          sample_every=every)
     with pytest.raises(ValueError, match="sample_every must be a positive integer"):
-        evolve_correlated(prepare_ghz(), spins, nm, None, 0.01, dt=1e-3,
+        evolve_correlated(prepare_ghz(), spins, nm, 0.01, dt=1e-3,
                           sample_every=every)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+@pytest.mark.parametrize("run", [
+    lambda spins, dt: evolve_markovian(
+        prepare_ghz(), spins, NoiseModel.from_spins(spins), 0.01, dt=dt),
+    lambda spins, dt: evolve_correlated(
+        prepare_ghz(), spins,
+        NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+                              ou_tau_c=0.01, trajectories=2, seed=1),
+        0.01, dt=dt),
+    lambda spins, dt: run_protected(
+        prepare_ghz(), spins, NoiseModel.from_spins(spins), build_xy16s(1e-3),
+        0.016, dt=dt),
+], ids=["evolve_markovian", "evolve_correlated", "run_protected"])
+def test_non_positive_dt_is_rejected(spins, run, dt):
+    # rejected before any runner rounds it to a whole number of steps
+    # of t_final or of one cycle
+    with pytest.raises(ValueError, match="dt must be positive"):
+        run(spins, dt)
 
 
 def test_evolve_markovian_pure_dephasing_keeps_diagonal(spins):
@@ -267,7 +287,7 @@ def test_evolve_correlated_noise_off_matches_markovian(spins):
     ref_noise = NoiseModel(kappa_x=tuple(1.0 / t for t in T1),
                            kappa_z=(0.0, 0.0, 0.0))
     rho = prepare_ghz()
-    a = evolve_correlated(rho, spins, nm, None, 0.05, dt=1e-4, sample_every=100)
+    a = evolve_correlated(rho, spins, nm, 0.05, dt=1e-4, sample_every=100)
     b = evolve_markovian(rho, spins, ref_noise, 0.05, dt=1e-4, sample_every=100)
     assert np.allclose(a.times, b.times)
     for sa, sb in zip(a.states, b.states):
@@ -278,8 +298,8 @@ def test_evolve_correlated_is_deterministic(spins):
     nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=14.0,
                                ou_tau_c=0.01, trajectories=33, seed=17)
     rho = prepare_ghz()
-    a = evolve_correlated(rho, spins, nm, None, 0.02, dt=1e-4, sample_every=50)
-    b = evolve_correlated(rho, spins, nm, None, 0.02, dt=1e-4, sample_every=50)
+    a = evolve_correlated(rho, spins, nm, 0.02, dt=1e-4, sample_every=50)
+    b = evolve_correlated(rho, spins, nm, 0.02, dt=1e-4, sample_every=50)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa, sb)
 
@@ -290,7 +310,7 @@ def test_evolve_correlated_coherence_matches_gaussian_form(spins):
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                     bath_mode="correlated", ou_sigma=sigma, ou_tau_c=tau_c,
                     trajectories=1024, seed=9)
-    curve = evolve_correlated(plus_ground_ground(), spins, nm, None, 0.4,
+    curve = evolve_correlated(plus_ground_ground(), spins, nm, 0.4,
                               dt=5e-4, sample_every=80)
     worst = 0.0
     for t, s in zip(curve.times, curve.states):
@@ -308,7 +328,7 @@ def test_evolve_correlated_markovian_limit(spins):
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                     bath_mode="correlated", ou_sigma=math.sqrt(kz / tau_c),
                     ou_tau_c=tau_c, trajectories=256, seed=9)
-    got = evolve_correlated(plus_ground_ground(), spins, nm, None, 0.6,
+    got = evolve_correlated(plus_ground_ground(), spins, nm, 0.6,
                             dt=dt, sample_every=240)
     ref_noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(kz, 0.0, 0.0))
     ref = evolve_markovian(plus_ground_ground(), spins, ref_noise, 0.6,
@@ -323,36 +343,22 @@ def test_evolve_correlated_protection_direction(spins):
     nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=13.7,
                                ou_tau_c=0.01, trajectories=16, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=10)
-    prot = run_protected(prepare_ghz(), spins, nm, schedule, 0.04)
-    unprot = evolve_correlated(prepare_ghz(), spins, nm, None, 0.04,
-                               dt=8e-5, sample_every=500)
+    prot, unprot = run_protected(prepare_ghz(), spins, nm, schedule, 0.04)
     assert tripartite_negativity(prot.states[-1]) > tripartite_negativity(
         unprot.states[-1])
-
-
-def test_evolve_correlated_rejects_pulse_beyond_run(spins):
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
-                               ou_tau_c=0.01, trajectories=1, seed=0)
-    schedule = build_xy16s(1e-3, cycles=2)  # 32 ms of schedule
-    with pytest.raises(ValueError, match="beyond t_final"):
-        evolve_correlated(prepare_ghz(), spins, nm, schedule, 0.016, dt=1e-4)
 
 
 def test_off_grid_pulse_is_rejected(spins):
     # a pulse 0.3 ms in on a 0.25 ms grid used to be moved silently to
     # the nearest step
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
-                               ou_tau_c=0.01, trajectories=1, seed=0)
     schedule = DDSchedule(events=((0.3e-3, Pulse()), (0.7e-3, None)))
     with pytest.raises(ValueError, match=r"t = 0.0003 s .*dt = 0.00025 s"):
-        evolve_correlated(prepare_ghz(), spins, nm, schedule, 1e-3, dt=0.25e-3)
-    with pytest.raises(ValueError, match="off the time grid"):
         run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
                       schedule, 1e-3, dt=0.25e-3)
     # on the grid it runs
     on_grid = DDSchedule(events=((0.25e-3, Pulse()), (0.75e-3, None)))
-    curve = run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
-                          on_grid, 1e-3, dt=0.25e-3)
+    curve, _ = run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
+                             on_grid, 1e-3, dt=0.25e-3)
     assert len(curve.times) == 2
 
 

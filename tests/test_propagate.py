@@ -6,9 +6,8 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import triq.noise
-from triq import (NoiseModel, Pulse, SpinSystem, build_xy16s, evolve_correlated,
-                  ou_unit_phases, prepare_ghz, propagate, pulse_unitary,
-                  run_protected)
+from triq import (NoiseModel, Pulse, SpinSystem, build_xy16s, ou_unit_phases,
+                  prepare_ghz, propagate, pulse_unitary, run_protected)
 from triq.core import ID2, SX, SZ, kron
 from triq.noise import _MAX_SEGMENT_STEPS, _ZDIFF, _ou_paths
 from conftest import random_density
@@ -174,10 +173,8 @@ def test_segment_cap_keeps_protected_run_near_one_step_split(monkeypatch):
     schedule = build_xy16s(0.25e-3, cycles=10)
 
     def both_arms():
-        prot = run_protected(prepare_ghz(), spins, noise, schedule, 0.04)
-        free = evolve_correlated(prepare_ghz(), spins, noise, None, 0.04,
-                                 dt=5e-6, sample_every=800)
-        return np.array(prot.states), np.array(free.states)
+        return [c.states for c in
+                run_protected(prepare_ghz(), spins, noise, schedule, 0.04)]
 
     capped = both_arms()
     monkeypatch.setattr(triq.noise, "_MAX_SEGMENT_STEPS", 1)
