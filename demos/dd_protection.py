@@ -36,13 +36,13 @@ def main():
         spins, bath_mode="correlated", ou_sigma=SIGMA, ou_tau_c=TAU_C,
         trajectories=TRAJECTORIES, seed=SEED)
     schedule = build_xy16s(TAU, cycles=CYCLES)
-    total = CYCLES * cycle_duration(schedule)
+    total = schedule.cycles * cycle_duration(schedule)
 
     print("XY-16(s), tau = %g ms, %d cycles = %g ms, %d trajectories"
-          % (TAU * 1e3, CYCLES, total * 1e3, TRAJECTORIES))
+          % (TAU * 1e3, schedule.cycles, total * 1e3, TRAJECTORIES))
     # both arms run on one time grid, so they see identical noise
     # tracks, and the pulse offsets (j + 1/2) tau land on step boundaries
-    protected, free = run_protected(prepare_ghz(), spins, noise, schedule, total)
+    protected, free = run_protected(prepare_ghz(), spins, noise, schedule)
 
     print()
     print("  time      N3_tri prot.   N3_tri free    ratio")

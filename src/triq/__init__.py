@@ -6,143 +6,16 @@ times are seconds, rates are rad/s. Density matrices are 8x8 complex
 numpy arrays with unit trace.
 """
 
-from .core import (
-    HERM_ATOL,
-    ID2,
-    SX,
-    SY,
-    SZ,
-    NumericalError,
-    PhysicalityError,
-    check_density,
-    kron,
-    load_matrix,
-    save_matrix,
-)
-from .states import (
-    Gate,
-    THETA_W,
-    THETA_WWBAR,
-    cnot,
-    controlled_rotation,
-    prepare_ghz,
-    prepare_w,
-    prepare_wwbar,
-    rotation,
-)
-from .noise import (
-    NoiseModel,
-    SpinSystem,
-    evolve_correlated,
-    evolve_markovian,
-    grid_step,
-    ou_unit_phases,
-    propagate,
-)
-from .analytic import (
-    decay_times,
-    ghz_analytic,
-    w_analytic,
-    wwbar_analytic,
-)
-from .measures import (
-    DecayCurve,
-    curve_from_states,
-    disentanglement_time,
-    fidelity,
-    fit_decay_rate,
-    negativity,
-    purity,
-    tripartite_negativity,
-)
-from .ddseq import (
-    DDSchedule,
-    Pulse,
-    build_cpmg,
-    build_kddxy,
-    build_xy16s,
-    cycle_duration,
-    expand_schedule,
-    min_interpulse_delay,
-    pulse_unitary,
-    run_protected,
-    schedule_table,
-)
-from .tomo import (
-    SETTING_LABELS,
-    ReadoutSetting,
-    TomoRecord,
-    make_setting,
-    mle_reconstruct,
-    observable_list,
-    read_records,
-    simulate_readout,
-    tomograph,
-    write_records,
-)
+from . import analytic, core, ddseq, measures, noise, states, tomo
+from .core import *
+from .states import *
+from .noise import *
+from .analytic import *
+from .measures import *
+from .ddseq import *
+from .tomo import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HERM_ATOL",
-    "ID2",
-    "SX",
-    "SY",
-    "SZ",
-    "NumericalError",
-    "PhysicalityError",
-    "check_density",
-    "kron",
-    "load_matrix",
-    "save_matrix",
-    "Gate",
-    "THETA_W",
-    "THETA_WWBAR",
-    "cnot",
-    "controlled_rotation",
-    "prepare_ghz",
-    "prepare_w",
-    "prepare_wwbar",
-    "rotation",
-    "NoiseModel",
-    "SpinSystem",
-    "evolve_correlated",
-    "evolve_markovian",
-    "grid_step",
-    "ou_unit_phases",
-    "propagate",
-    "decay_times",
-    "ghz_analytic",
-    "w_analytic",
-    "wwbar_analytic",
-    "DecayCurve",
-    "curve_from_states",
-    "disentanglement_time",
-    "fidelity",
-    "fit_decay_rate",
-    "negativity",
-    "purity",
-    "tripartite_negativity",
-    "DDSchedule",
-    "Pulse",
-    "build_cpmg",
-    "build_kddxy",
-    "build_xy16s",
-    "cycle_duration",
-    "expand_schedule",
-    "min_interpulse_delay",
-    "pulse_unitary",
-    "run_protected",
-    "schedule_table",
-    "SETTING_LABELS",
-    "ReadoutSetting",
-    "TomoRecord",
-    "make_setting",
-    "mle_reconstruct",
-    "observable_list",
-    "read_records",
-    "simulate_readout",
-    "tomograph",
-    "write_records",
-    "__version__",
-]
+__all__ = [name for mod in (core, states, noise, analytic, measures, ddseq, tomo)
+           for name in mod.__all__] + ["__version__"]

@@ -212,6 +212,15 @@ _PREPARE = {"ghz": prepare_ghz, "w": prepare_w, "wwbar": prepare_wwbar}
 _ANALYTIC = {"ghz": ghz_analytic, "w": w_analytic, "wwbar": wwbar_analytic}
 _BUILDERS = {"xy16s": build_xy16s, "kddxy": build_kddxy}
 
+
+def _schedule(cfg):
+    """The configured DD schedule, with its cycle count."""
+    if cfg["dd.sequence"] == "none":
+        raise ConfigError("dd.sequence must be xy16s or kddxy, got none")
+    return _BUILDERS[cfg["dd.sequence"]](
+        cfg["dd.tau_s"], cycles=cfg["dd.cycles"], flip_error=cfg["dd.flip_error"])
+
+
 _CSV_HEADER = "time_s,N1,N2,N3,N3_tri,fidelity,purity"
 
 
@@ -387,21 +396,17 @@ def cmd_decay(cfg):
 
 def cmd_protect(cfg):
     """Paired protected/unprotected correlated-bath runs."""
-    if cfg["dd.sequence"] == "none":
-        raise ConfigError("protect requires dd.sequence = xy16s or kddxy")
+    schedule = _schedule(cfg)
     if cfg["bath.mode"] != "correlated":
         raise ConfigError("protect requires bath.mode = correlated")
     seed = _require_seed(cfg, "the correlated bath")
     spins = _spins(cfg)
     rho0 = _PREPARE[cfg["state"]]()
-    schedule = _BUILDERS[cfg["dd.sequence"]](
-        cfg["dd.tau_s"], cycles=cfg["dd.cycles"], flip_error=cfg["dd.flip_error"])
     noise = NoiseModel.from_spins(
         spins, bath_mode="correlated", ou_sigma=cfg["bath.sigma_rad_s"],
         ou_tau_c=cfg["bath.tau_c_s"], trajectories=cfg["bath.trajectories"],
         seed=seed)
-    protected, unprotected = run_protected(
-        rho0, spins, noise, schedule, cfg["dd.cycles"] * cycle_duration(schedule))
+    protected, unprotected = run_protected(rho0, spins, noise, schedule)
     ratio = []
     for p, u in zip(protected.n3_tri, unprotected.n3_tri):
         if u > 0.0:
@@ -595,10 +600,7 @@ def cmd_tomo(cfg):
 
 def cmd_schedule_dump(cfg):
     """Write the pulse table of the configured sequence."""
-    if cfg["dd.sequence"] == "none":
-        raise ConfigError("schedule-dump requires dd.sequence = xy16s or kddxy")
-    schedule = _BUILDERS[cfg["dd.sequence"]](
-        cfg["dd.tau_s"], cycles=cfg["dd.cycles"], flip_error=cfg["dd.flip_error"])
+    schedule = _schedule(cfg)
     path = _out_path(cfg, "schedule.csv")
     with open(path, "w") as f:
         f.write(schedule_table(schedule))

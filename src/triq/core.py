@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "HERM_ATOL",
     "NumericalError",
     "PhysicalityError",
     "kron",

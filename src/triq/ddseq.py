@@ -1,10 +1,10 @@
 """Dynamical-decoupling schedules and their execution.
 
-A schedule is one cycle of (delay, pulse) events repeated N times.
-Pulses are instantaneous pi rotations applied simultaneously on all
-three qubits; a trailing event may carry no pulse so the cycle can end
-on a half delay. Both bundled sequences compose to the identity on a
-closed system:
+A schedule is one cycle of (delay, pulse) events plus the number of
+cycles to run. Pulses are instantaneous pi rotations applied
+simultaneously on all three qubits; a trailing event may carry no pulse
+so the cycle can end on a half delay. Both bundled sequences compose to
+the identity on a closed system:
 
 XY-16(s): base block x y x y, its time-reversed extension, then the
 axis-swapped copy of those eight; delays are tau/2 at the cycle edges
@@ -19,12 +19,13 @@ A single-axis CPMG-style control with the XY-16 timing is included as
 the robustness baseline: it cancels nothing when every pulse carries
 the same systematic flip error.
 
-run_protected is the one way to run a schedule: it returns the
-protected arm and the free arm, propagated on one shared time grid.
+A schedule states its own cycle count, and run_protected, the one way
+to run it, runs exactly that many cycles: it returns the protected arm
+and the free arm, propagated on one shared time grid.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Pulse:
-    """One instantaneous collective rotation.
+    """One instantaneous rotation of all three qubits.
 
     flip_error is the fractional over-rotation: the applied angle is
     angle * (1 + flip_error).
@@ -55,7 +56,6 @@ class Pulse:
 
     angle: float = math.pi
     phase: float = 0.0
-    targets: tuple = (1, 2, 3)
     flip_error: float = 0.0
 
     def __post_init__(self):
@@ -155,21 +155,26 @@ def pulse_unitary(pulse):
     """8x8 unitary of one collective pulse, flip error included."""
     angle = pulse.angle * (1.0 + pulse.flip_error)
     u = np.eye(8, dtype=complex)
-    for q in pulse.targets:
-        u = states.rotation(q, angle, pulse.phase).unitary @ u
+    for q in (1, 2, 3):
+        u = states.rotation(q, angle, pulse.phase) @ u
     return u
 
 
 def expand_schedule(schedule):
-    """Absolute (time_s, unitary) pairs across all cycles."""
+    """Absolute (time_s, unitary) pairs across all cycles.
+
+    One cycle's unitaries are built once and shared by every cycle.
+    """
     cyc = cycle_duration(schedule)
+    cycle = [(delay, None if pulse is None else pulse_unitary(pulse))
+             for delay, pulse in schedule.events]
     out = []
     for c in range(schedule.cycles):
         t = c * cyc
-        for delay, pulse in schedule.events:
+        for delay, u in cycle:
             t += delay
-            if pulse is not None:
-                out.append((t, pulse_unitary(pulse)))
+            if u is not None:
+                out.append((t, u))
     return out
 
 
@@ -191,16 +196,16 @@ def schedule_table(schedule):
     return "\n".join(lines) + "\n"
 
 
-def run_protected(rho0, spins, noise_model, schedule, total_time, dt=None):
-    """Repeat the DD cycle until total_time, next to a pulse-free run.
+def run_protected(rho0, spins, noise_model, schedule, *, dt=None):
+    """Run ``schedule.cycles`` DD cycles next to a pulse-free run.
 
-    total_time must be an integer number of cycle durations. Free
-    evolution follows the noise model's bath mode; pulses are applied
-    as instantaneous collective unitaries with their flip errors. dt
-    defaults to noise.grid_step and is shrunk so a whole number of
-    steps fills one cycle; every pulse must then fall on a step. Both
-    arms run on that one grid and are sampled after each cycle, so in
-    the correlated mode they see the same OU tracks.
+    Free evolution follows the noise model's bath mode; pulses are
+    applied as instantaneous collective unitaries with their flip
+    errors. dt defaults to noise.grid_step and is shrunk so a whole
+    number of steps fills one cycle; every pulse must then fall on a
+    step. Both arms run on that one grid and are sampled at the start
+    and after each cycle, cycles + 1 samples, so in the correlated
+    mode they see the same OU tracks.
 
     Returns
     -------
@@ -208,25 +213,17 @@ def run_protected(rho0, spins, noise_model, schedule, total_time, dt=None):
         The protected arm and the free arm.
     """
     cyc = cycle_duration(schedule)
-    if total_time < cyc - 1e-12:
-        raise ValueError("total_time %g s is shorter than one cycle %g s"
-                         % (total_time, cyc))
-    n_cycles = int(round(total_time / cyc))
-    if abs(n_cycles * cyc - total_time) > 1e-9 * max(1.0, total_time):
-        raise ValueError(
-            "total_time %g s is not an integer number of %g s cycles"
-            % (total_time, cyc)
-        )
-    full = replace(schedule, cycles=n_cycles)
     if dt is None:
         dt = noise.grid_step(spins, min_interpulse_delay(schedule))
     if dt <= 0:
         raise ValueError("dt must be positive")
-    # land cycle boundaries exactly on steps
-    steps_per_cycle = max(1, int(math.ceil(cyc / dt - 1e-12)))
+    # land cycle boundaries exactly on steps; the guard is relative, since
+    # cyc and the pulse offsets are sums of delays that may leave cyc / dt
+    # a few ulps above a whole number
+    steps_per_cycle = max(1, int(math.ceil(cyc / dt * (1.0 - 1e-9))))
     dt = cyc / steps_per_cycle
-    n = n_cycles * steps_per_cycle
+    n = schedule.cycles * steps_per_cycle
     samples = range(0, n + 1, steps_per_cycle)
-    return (noise.propagate(rho0, noise_model, n, dt, expand_schedule(full),
+    return (noise.propagate(rho0, noise_model, n, dt, expand_schedule(schedule),
                             samples),
             noise.propagate(rho0, noise_model, n, dt, sample_steps=samples))

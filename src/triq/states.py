@@ -1,5 +1,6 @@
-"""Gate-level preparation of the GHZ, W, and WWbar states.
+"""Circuit preparation of the GHZ, W, and WWbar states.
 
+A gate is its 8x8 unitary on the full register, a plain ndarray.
 Rotation convention: R(theta)_phi = exp(-i theta (cos phi sigma_x +
 sin phi sigma_y)/2), so phase 0 is the x axis, pi/2 the y axis, and a
 "-y" pulse is phase 3 pi/2. Preparation circuits use the exact angles
@@ -11,14 +12,12 @@ state at NMR polarizations has no negativity to score.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ID2, P0, P1, SX, SY, embed1
 
 __all__ = [
-    "Gate",
     "rotation",
     "cnot",
     "controlled_rotation",
@@ -34,15 +33,6 @@ THETA_W = 2.0 * math.acos(math.sqrt(2.0 / 3.0))
 THETA_WWBAR = 2.0 * math.acos(1.0 / math.sqrt(3.0))
 
 
-@dataclass(frozen=True)
-class Gate:
-    """A unitary on the full register plus bookkeeping metadata."""
-
-    label: str
-    unitary: np.ndarray
-    targets: tuple
-
-
 def _axis(phase):
     return math.cos(phase) * SX + math.sin(phase) * SY
 
@@ -53,37 +43,31 @@ def _rot2(angle, phase):
 
 
 def rotation(qubit, angle, phase):
-    """Single-qubit rotation exp(-i angle (cos phase X + sin phase Y)/2)."""
-    u = embed1(_rot2(angle, phase), qubit)
-    return Gate(label="R%d(%.6g)_%.6g" % (qubit, angle, phase), unitary=u,
-                targets=(qubit,))
+    """8x8 unitary of exp(-i angle (cos phase X + sin phase Y)/2) on ``qubit``."""
+    return embed1(_rot2(angle, phase), qubit)
 
 
 def cnot(control, target):
-    """Flip ``target`` iff ``control`` is |1>."""
+    """8x8 unitary that flips ``target`` iff ``control`` is |1>."""
     if control == target:
         raise ValueError("control and target must differ")
-    u = embed1(P0, control) + embed1(SX, target) @ embed1(P1, control)
-    return Gate(label="CNOT%d%d" % (control, target), unitary=u,
-                targets=(control, target))
+    return embed1(P0, control) + embed1(SX, target) @ embed1(P1, control)
 
 
 def controlled_rotation(control, target, angle, phase):
     """Apply rotation(target, angle, phase) iff ``control`` is |1>."""
     if control == target:
         raise ValueError("control and target must differ")
-    u = embed1(P0, control) + embed1(_rot2(angle, phase), target) @ embed1(
+    return embed1(P0, control) + embed1(_rot2(angle, phase), target) @ embed1(
         P1, control
     )
-    return Gate(label="CR%d%d(%.6g)_%.6g" % (control, target, angle, phase),
-                unitary=u, targets=(control, target))
 
 
 def _run_circuit(gates):
     ket = np.zeros(8, dtype=complex)
     ket[0] = 1.0
-    for g in gates:
-        ket = g.unitary @ ket
+    for u in gates:
+        ket = u @ ket
     return np.outer(ket, ket.conj())
 
 

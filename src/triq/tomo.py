@@ -4,7 +4,8 @@ A readout setting is a product of spin-selective pi/2 pulses named by a
 three-letter label, one letter per qubit in index order: I leaves the
 qubit alone, X rotates it by pi/2 about x, Y by pi/2 about y. The seven
 settings {III, IIY, IYY, YII, XYX, XXY, XXX} together make the detected
-amplitudes informationally complete.
+amplitudes informationally complete. A setting is passed by its label;
+its 8x8 unitary is built once, at import.
 
 Detection is line-resolved transverse magnetization: for each qubit i
 and each z-configuration (bj, bk) of the other two qubits j < k, the
@@ -30,9 +31,7 @@ from .states import rotation
 
 __all__ = [
     "SETTING_LABELS",
-    "ReadoutSetting",
     "TomoRecord",
-    "make_setting",
     "observable_list",
     "simulate_readout",
     "tomograph",
@@ -44,20 +43,6 @@ __all__ = [
 SETTING_LABELS = ("III", "IIY", "IYY", "YII", "XYX", "XXY", "XXX")
 
 _PULSE_PHASE = {"X": 0.0, "Y": math.pi / 2.0}
-
-
-@dataclass(frozen=True)
-class ReadoutSetting:
-    """One tomography pulse setting: label plus its 8x8 unitary."""
-
-    label: str
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        if self.label not in SETTING_LABELS:
-            raise ValueError(
-                "unknown setting %r; expected one of %s" % (self.label, (SETTING_LABELS,))
-            )
 
 
 @dataclass(frozen=True)
@@ -83,20 +68,6 @@ class TomoRecord:
             raise ValueError("noise_sigma must be finite and non-negative")
 
 
-def make_setting(label):
-    """Build the ReadoutSetting for a three-letter label."""
-    if label not in SETTING_LABELS:
-        raise ValueError(
-            "unknown setting %r; expected one of %s" % (label, (SETTING_LABELS,))
-        )
-    u = np.eye(8, dtype=complex)
-    for pos, letter in enumerate(label):
-        if letter == "I":
-            continue
-        u = rotation(pos + 1, math.pi / 2.0, _PULSE_PHASE[letter]).unitary @ u
-    return ReadoutSetting(label=label, unitary=u)
-
-
 def observable_list():
     """The fixed 24 detection operators, in observable-index order."""
     ops = []
@@ -113,8 +84,17 @@ def observable_list():
     return ops
 
 
+def _setting_unitary(label):
+    u = np.eye(8, dtype=complex)
+    for pos, letter in enumerate(label):
+        if letter == "I":
+            continue
+        u = rotation(pos + 1, math.pi / 2.0, _PULSE_PHASE[letter]) @ u
+    return u
+
+
 _OBSERVABLES = observable_list()
-_SETTINGS = {label: make_setting(label) for label in SETTING_LABELS}
+_SETTINGS = {label: _setting_unitary(label) for label in SETTING_LABELS}
 
 
 def _design_rows(u):
@@ -124,7 +104,7 @@ def _design_rows(u):
     return np.hstack([a.real, a.imag])
 
 
-_DESIGN_ROWS = {label: _design_rows(setting.unitary) for label, setting in _SETTINGS.items()}
+_DESIGN_ROWS = {label: _design_rows(u) for label, u in _SETTINGS.items()}
 
 # mle_reconstruct stops at this duality gap and gives up after this many
 # iterations; at readout noise up to 5 it needs at most about 165
@@ -133,29 +113,31 @@ _MAX_ITERS = 2000
 
 
 def simulate_readout(rho, setting, noise_sigma=0.0, seed=0):
-    """Detected amplitudes of ``rho`` under one setting.
+    """Detected amplitudes of ``rho`` under the setting labelled ``setting``.
 
     Applies the setting pulse, evaluates the 24 detection operators,
     and adds independent Gaussian noise of width noise_sigma. The noise
     stream is seeded by (seed, setting index), so a full seven-setting
     scan with one seed draws independent noise per setting and is
-    reproducible.
+    reproducible. Raises ValueError for anything but one of the seven
+    labels.
     """
     rho = check_density(rho)
-    if isinstance(setting, str):
-        # make_setting rejects an unknown label
-        setting = _SETTINGS[setting] if setting in _SETTINGS else make_setting(setting)
-    u = setting.unitary
+    if not isinstance(setting, str) or setting not in _SETTINGS:
+        raise ValueError(
+            "unknown setting %r; expected one of %s" % (setting, (SETTING_LABELS,))
+        )
+    u = _SETTINGS[setting]
     rot = u @ rho @ u.conj().T
     vals = np.array([np.trace(rot @ o).real for o in _OBSERVABLES])
     if noise_sigma > 0.0:
         rng = np.random.default_rng(
             np.random.SeedSequence(
-                entropy=(int(seed), SETTING_LABELS.index(setting.label))
+                entropy=(int(seed), SETTING_LABELS.index(setting))
             )
         )
         vals = vals + noise_sigma * rng.standard_normal(24)
-    return TomoRecord(setting=setting.label, values=tuple(float(v) for v in vals),
+    return TomoRecord(setting=setting, values=tuple(float(v) for v in vals),
                       noise_sigma=float(noise_sigma))
 
 

@@ -77,8 +77,7 @@ def protection_runs(spins):
                                ou_sigma=SIGMA_STAR, ou_tau_c=TAU_C,
                                trajectories=64, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=60)
-    return run_protected(prepare_ghz(), spins, nm, schedule,
-                         60 * cycle_duration(schedule))
+    return run_protected(prepare_ghz(), spins, nm, schedule)
 
 
 def test_c1_oracle_equivalence(spins, rates, markovian_curves):
@@ -128,14 +127,13 @@ def test_c5_dd_protection(spins, protection_runs):
     quiet = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
     for build in (build_xy16s, build_kddxy):
         sch = build(0.25e-3, cycles=3)
-        curve, _ = run_protected(prepare_ghz(), spins, quiet, sch,
-                                 3 * cycle_duration(sch), dt=0.125e-3)
+        curve, _ = run_protected(prepare_ghz(), spins, quiet, sch, dt=0.125e-3)
         assert float(np.min(curve.fidelity)) >= 1.0 - 1e-9
     # purely Markovian noise: decoupling changes nothing within 2%
     nm = NoiseModel.from_spins(spins)
     sch = build_xy16s(0.25e-3, cycles=12)
     total = 12 * cycle_duration(sch)
-    protected, _ = run_protected(prepare_ghz(), spins, nm, sch, total)
+    protected, _ = run_protected(prepare_ghz(), spins, nm, sch)
     unprotected = evolve_markovian(prepare_ghz(), spins, nm, total, dt=2.4e-5,
                                    sample_every=10**9)
     assert protected.n3_tri[-1] == pytest.approx(unprotected.n3_tri[-1],
@@ -149,8 +147,7 @@ def test_c6_pulse_robustness_ordering(spins):
     for name, build in (("cpmg", build_cpmg), ("xy16s", build_xy16s),
                         ("kddxy", build_kddxy)):
         sch = build(tau, cycles=100, flip_error=0.01)
-        curve, _ = run_protected(prepare_ghz(), spins, quiet, sch,
-                                 100 * cycle_duration(sch), dt=tau / 2.0)
+        curve, _ = run_protected(prepare_ghz(), spins, quiet, sch, dt=tau / 2.0)
         mins[name] = float(np.min(curve.fidelity))
     assert mins["kddxy"] >= mins["xy16s"] >= mins["cpmg"]
 

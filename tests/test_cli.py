@@ -180,6 +180,20 @@ def test_protect_long_tau_keeps_pulses_on_the_grid(tmp_path):
     assert rows[-1].startswith("0.32,")
 
 
+@pytest.mark.parametrize("tau", ["0.0002", "0.0001"])
+def test_protect_kddxy_short_tau_keeps_pulses_on_the_grid(tmp_path, tau):
+    # one KDD cycle is 20 tau; summing its delays leaves cycle / dt a few
+    # ulps above the whole number 1000, which must not add a step per cycle
+    cfg = PROTECT_CFG.replace("dd.sequence = xy16s\n", "dd.sequence = kddxy\n")
+    cfg = cfg.replace("dd.tau_s = 0.001\n", "dd.tau_s = %s\n" % tau)
+    cfg = cfg.replace("bath.trajectories = 4\n", "bath.trajectories = 2\n")
+    rc, out = run(tmp_path, cfg, command="protect")
+    assert rc == 0
+    rows = (out / "protected.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[-1].startswith("%.12g," % (20 * float(tau)))
+
+
 # -- calibrate --------------------------------------------------------------
 
 def test_calibrate_no_bracket_is_numerical_failure(tmp_path):

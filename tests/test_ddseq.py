@@ -24,6 +24,7 @@ from triq import (
     schedule_table,
     tripartite_negativity,
 )
+from triq import ddseq
 from triq.core import SX
 
 TAU = 0.25e-3
@@ -32,7 +33,7 @@ QUIET = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
 
 def test_pulse_validation():
     p = Pulse()
-    assert p.angle == math.pi and p.phase == 0.0 and p.targets == (1, 2, 3)
+    assert p.angle == math.pi and p.phase == 0.0 and p.flip_error == 0.0
     with pytest.raises(ValueError, match="angle"):
         Pulse(angle=0.0)
     with pytest.raises(ValueError, match="angle"):
@@ -97,10 +98,7 @@ def test_pulse_unitary_collective_x():
     assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
 
 
-def test_pulse_unitary_targets_and_flip_error():
-    u = pulse_unitary(Pulse(targets=(2,)))
-    assert np.allclose(u, np.kron(np.kron(np.eye(2), -1j * SX), np.eye(2)),
-                       atol=1e-14)
+def test_pulse_unitary_flip_error():
     over = pulse_unitary(Pulse(flip_error=0.01))
     assert not np.allclose(over, pulse_unitary(Pulse()), atol=1e-4)
     assert np.allclose(over @ over.conj().T, np.eye(8), atol=1e-13)
@@ -113,6 +111,23 @@ def test_expand_schedule_absolute_times():
     assert events[0][0] == pytest.approx(TAU / 2.0, rel=1e-15)
     assert events[16][0] == pytest.approx(16 * TAU + TAU / 2.0, rel=1e-15)
     assert events[-1][0] == pytest.approx(32 * TAU - TAU / 2.0, rel=1e-15)
+
+
+def test_expand_schedule_builds_one_cycle_of_unitaries(monkeypatch):
+    calls = []
+    real = ddseq.pulse_unitary
+
+    def counting(pulse):
+        calls.append(pulse)
+        return real(pulse)
+
+    monkeypatch.setattr(ddseq, "pulse_unitary", counting)
+    events = expand_schedule(build_xy16s(TAU, cycles=10))
+    assert len(events) == 160
+    assert len(calls) == 16
+    # every cycle applies the same unitaries in the same order
+    for c in range(1, 10):
+        assert all(a is b for (_, a), (_, b) in zip(events[:16], events[16 * c:16 * (c + 1)]))
 
 
 def test_min_interpulse_delay_wraps_across_cycles():
@@ -143,8 +158,7 @@ def test_cycles_compose_to_identity_without_noise(spins):
     rho = prepare_ghz()
     for build in (build_xy16s, build_kddxy, build_cpmg):
         sch = build(TAU, cycles=3)
-        curve, _ = run_protected(rho, spins, QUIET, sch,
-                                 3 * cycle_duration(sch), dt=TAU / 2.0)
+        curve, _ = run_protected(rho, spins, QUIET, sch, dt=TAU / 2.0)
         assert float(np.min(curve.fidelity)) > 1.0 - 1e-9
 
 
@@ -158,8 +172,7 @@ def test_flip_error_robustness_ordering(spins):
     for name, build in (("cpmg", build_cpmg), ("xy16s", build_xy16s),
                         ("kddxy", build_kddxy)):
         sch = build(TAU, cycles=100, flip_error=0.01)
-        curve, _ = run_protected(rho, spins, QUIET, sch,
-                                 100 * cycle_duration(sch), dt=TAU / 2.0)
+        curve, _ = run_protected(rho, spins, QUIET, sch, dt=TAU / 2.0)
         mins[name] = float(np.min(curve.fidelity))
         argmins[name] = int(np.argmin(curve.fidelity))
     assert mins["kddxy"] >= mins["xy16s"] >= mins["cpmg"]
@@ -177,7 +190,7 @@ def test_markovian_noise_is_transparent_to_decoupling(spins):
     nm = NoiseModel.from_spins(spins)
     sch = build_xy16s(TAU, cycles=25)
     total = 25 * cycle_duration(sch)
-    prot, _ = run_protected(prepare_ghz(), spins, nm, sch, total)
+    prot, _ = run_protected(prepare_ghz(), spins, nm, sch)
     free = evolve_markovian(prepare_ghz(), spins, nm, total, dt=2.5e-5,
                             sample_every=10**9)
     assert prot.times[-1] == pytest.approx(free.times[-1], rel=1e-12)
@@ -186,19 +199,26 @@ def test_markovian_noise_is_transparent_to_decoupling(spins):
 
 
 def test_run_protected_sampling_grid(spins):
-    sch = build_xy16s(1e-3, cycles=1)
+    sch = build_xy16s(1e-3, cycles=3)
     curve, _ = run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
-                             sch, 0.048, dt=5e-4)
+                             sch, dt=5e-4)
     assert np.allclose(curve.times, [0.0, 0.016, 0.032, 0.048], atol=1e-12)
 
 
-def test_run_protected_validates_total_time(spins):
-    sch = build_xy16s(1e-3)
+@pytest.mark.parametrize("cycles", [1, 4])
+def test_run_protected_runs_the_schedule_cycles(spins, cycles):
     nm = NoiseModel.from_spins(spins)
-    with pytest.raises(ValueError, match="shorter than one cycle"):
-        run_protected(prepare_ghz(), spins, nm, sch, 0.008)
-    with pytest.raises(ValueError, match="integer number"):
-        run_protected(prepare_ghz(), spins, nm, sch, 0.024)
+    prot, free = run_protected(prepare_ghz(), spins, nm,
+                               build_kddxy(TAU, cycles=cycles))
+    assert len(prot.times) == len(free.times) == cycles + 1
+    assert prot.times[-1] == pytest.approx(cycles * 20 * TAU, rel=1e-12)
+
+
+def test_run_protected_step_is_keyword_only(spins):
+    # a total time passed where it used to go is not read as a step
+    sch = build_xy16s(1e-3, cycles=3)
+    with pytest.raises(TypeError):
+        run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins), sch, 0.048)
 
 
 @pytest.mark.parametrize("prepare", [prepare_ghz, prepare_w, prepare_wwbar])
@@ -214,8 +234,7 @@ def test_both_arms_see_the_same_tracks(spins, prepare):
     schedule = replace(xy16, events=events)
     assert np.allclose(pulse_unitary(schedule.pulses[0]), -np.eye(8))
     rho0 = prepare()
-    prot, free = run_protected(rho0, spins, nm, schedule,
-                               10 * cycle_duration(schedule))
+    prot, free = run_protected(rho0, spins, nm, schedule)
     assert np.array_equal(prot.times, free.times)
     assert np.max(np.abs(prot.states - free.states)) < 1e-12
     assert tripartite_negativity(free.states[-1]) < 0.9

@@ -219,7 +219,7 @@ def test_front_ends_reject_bad_sample_every(spins, every):
         0.01, dt=dt),
     lambda spins, dt: run_protected(
         prepare_ghz(), spins, NoiseModel.from_spins(spins), build_xy16s(1e-3),
-        0.016, dt=dt),
+        dt=dt),
 ], ids=["evolve_markovian", "evolve_correlated", "run_protected"])
 def test_non_positive_dt_is_rejected(spins, run, dt):
     # rejected before any runner rounds it to a whole number of steps
@@ -343,7 +343,7 @@ def test_evolve_correlated_protection_direction(spins):
     nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=13.7,
                                ou_tau_c=0.01, trajectories=16, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=10)
-    prot, unprot = run_protected(prepare_ghz(), spins, nm, schedule, 0.04)
+    prot, unprot = run_protected(prepare_ghz(), spins, nm, schedule)
     assert tripartite_negativity(prot.states[-1]) > tripartite_negativity(
         unprot.states[-1])
 
@@ -354,11 +354,11 @@ def test_off_grid_pulse_is_rejected(spins):
     schedule = DDSchedule(events=((0.3e-3, Pulse()), (0.7e-3, None)))
     with pytest.raises(ValueError, match=r"t = 0.0003 s .*dt = 0.00025 s"):
         run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
-                      schedule, 1e-3, dt=0.25e-3)
+                      schedule, dt=0.25e-3)
     # on the grid it runs
     on_grid = DDSchedule(events=((0.25e-3, Pulse()), (0.75e-3, None)))
     curve, _ = run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
-                             on_grid, 1e-3, dt=0.25e-3)
+                             on_grid, dt=0.25e-3)
     assert len(curve.times) == 2
 
 

@@ -174,7 +174,7 @@ def test_segment_cap_keeps_protected_run_near_one_step_split(monkeypatch):
 
     def both_arms():
         return [c.states for c in
-                run_protected(prepare_ghz(), spins, noise, schedule, 0.04)]
+                run_protected(prepare_ghz(), spins, noise, schedule)]
 
     capped = both_arms()
     monkeypatch.setattr(triq.noise, "_MAX_SEGMENT_STEPS", 1)

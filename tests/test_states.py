@@ -6,7 +6,6 @@ import pytest
 from triq import (
     THETA_W,
     THETA_WWBAR,
-    Gate,
     cnot,
     controlled_rotation,
     prepare_ghz,
@@ -25,13 +24,11 @@ def ket_density(amplitudes):
 
 
 def test_rotation_is_unitary_and_correct():
-    g = rotation(2, math.pi / 2.0, 0.0)
-    u = g.unitary
-    assert isinstance(g, Gate)
-    assert g.targets == (2,)
+    u = rotation(2, math.pi / 2.0, 0.0)
+    assert isinstance(u, np.ndarray) and u.shape == (8, 8)
     assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
     # a pi pulse about x on qubit 2 maps |000> to -i|010>
-    full = rotation(2, math.pi, 0.0).unitary
+    full = rotation(2, math.pi, 0.0)
     ket = np.zeros(8, dtype=complex)
     ket[0] = 1.0
     out = full @ ket
@@ -40,7 +37,7 @@ def test_rotation_is_unitary_and_correct():
 
 def test_rotation_phase_picks_the_axis():
     # phase pi/2 is the y axis: exp(-i theta Y/2) is real
-    u = rotation(1, 1.1, math.pi / 2.0).unitary
+    u = rotation(1, 1.1, math.pi / 2.0)
     assert np.max(np.abs(u.imag)) < 1e-14
 
 
@@ -50,7 +47,7 @@ def test_rotation_rejects_bad_qubit():
 
 
 def test_cnot_truth_table():
-    u = cnot(1, 3).unitary
+    u = cnot(1, 3)
     # |100> -> |101>, |101> -> |100>, |000> untouched
     assert abs(u[5, 4]) == pytest.approx(1.0)
     assert abs(u[4, 5]) == pytest.approx(1.0)
@@ -66,13 +63,12 @@ def test_cnot_rejects_equal_lines():
 
 
 def test_controlled_rotation_blocks():
-    g = controlled_rotation(1, 2, 0.8, 0.3)
-    u = g.unitary
+    u = controlled_rotation(1, 2, 0.8, 0.3)
     # control |0> block is the identity
     assert np.allclose(u[:4, :4], np.eye(4), atol=1e-14)
     assert np.allclose(u[:4, 4:], 0.0)
     # control |1> block is the single-qubit rotation on qubit 2
-    r = rotation(2, 0.8, 0.3).unitary
+    r = rotation(2, 0.8, 0.3)
     assert np.allclose(u[4:, 4:], r[:4, :4], atol=1e-14)
     assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
 

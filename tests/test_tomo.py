@@ -1,19 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from triq import (
     SETTING_LABELS,
-    ReadoutSetting,
     TomoRecord,
     fidelity,
     kron,
-    make_setting,
     mle_reconstruct,
     observable_list,
     prepare_ghz,
     prepare_w,
     prepare_wwbar,
     read_records,
+    rotation,
     simulate_readout,
     tomograph,
     write_records,
@@ -31,15 +32,29 @@ def test_setting_labels_fixed():
     assert SETTING_LABELS == ("III", "IIY", "IYY", "YII", "XYX", "XXY", "XXX")
 
 
-def test_make_setting_unitaries():
-    assert np.array_equal(make_setting("III").unitary, np.eye(8))
+def setting_unitary(label):
+    # the readout pulses rebuilt from the public rotation: per qubit, I
+    # idles, X and Y are pi/2 pulses about x and y
+    u = np.eye(8, dtype=complex)
+    for qubit, letter in enumerate(label, start=1):
+        if letter != "I":
+            u = rotation(qubit, math.pi / 2.0, {"X": 0.0, "Y": math.pi / 2.0}[letter]) @ u
+    return u
+
+
+def test_simulate_readout_rejects_unknown_setting():
+    rho = prepare_ghz()
+    for bad in ("XXZ", "ZZZ", "iii", np.eye(8)):
+        with pytest.raises(ValueError, match="unknown setting"):
+            simulate_readout(rho, bad)
+
+
+def test_simulate_readout_matches_rotated_observables(rng):
+    rho = random_density(rng)
     for label in SETTING_LABELS:
-        u = make_setting(label).unitary
-        assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-13)
-    with pytest.raises(ValueError, match="unknown setting"):
-        make_setting("XXZ")
-    with pytest.raises(ValueError, match="unknown setting"):
-        ReadoutSetting(label="ZZZ", unitary=np.eye(8))
+        u = setting_unitary(label)
+        expected = [np.trace(u @ rho @ u.conj().T @ o).real for o in observable_list()]
+        assert np.allclose(simulate_readout(rho, label).values, expected, atol=1e-14)
 
 
 def test_observable_index_formula():
@@ -61,7 +76,7 @@ def test_seven_settings_are_informationally_complete():
     # space; one fewer setting cannot
     rows = []
     for label in SETTING_LABELS:
-        u = make_setting(label).unitary
+        u = setting_unitary(label)
         for o in observable_list():
             a = u.conj().T @ o @ u
             rows.append(np.concatenate([a.real.ravel(), a.imag.ravel()]))
@@ -140,10 +155,10 @@ def test_mle_noise_degrades_monotonically():
 
 def duality_gap(rho, records):
     # Tr(rho G) - lambda_min(G) for the cost gradient G, rebuilt from the
-    # public settings and observables
+    # public rotations and observables
     g = np.zeros((8, 8), dtype=complex)
     for rec in records:
-        u = make_setting(rec.setting).unitary
+        u = setting_unitary(rec.setting)
         for o, value in zip(observable_list(), rec.values):
             a = u.conj().T @ o @ u
             g += 2.0 * (np.trace(rho @ a).real - value) * a
