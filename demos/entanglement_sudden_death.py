@@ -17,7 +17,7 @@ from triq import (
     NoiseModel,
     SpinSystem,
     decay_times,
-    evolve_markovian,
+    evolve,
     fit_decay_rate,
     ghz_analytic,
     prepare_ghz,
@@ -47,8 +47,8 @@ def main():
     print()
     print("state    N3_tri(0)   dies at      fitted rate   oracle dev")
     for name, prepare, oracle in STATES:
-        curve = evolve_markovian(prepare(), spins, noise, T_FINAL,
-                                 dt=DT, sample_every=SAMPLE_EVERY)
+        curve = evolve(prepare(), spins, noise, T_FINAL,
+                       dt=DT, sample_every=SAMPLE_EVERY)
         gamma, _rms = fit_decay_rate(curve)
         dev = max(np.max(np.abs(rho - oracle(t, noise)))
                   for t, rho in zip(curve.times, curve.states))

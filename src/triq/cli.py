@@ -3,13 +3,16 @@
 Subcommands
 -----------
 decay          Markovian decay sweep of one state; CSV + SVG + the
-               closed-form overlay curve on the same grid.
+               closed-form overlay curve on the same grid, sampled
+               every grid.step_s up to grid.t_final_s, which must be a
+               whole number of steps.
 protect        Paired protected/unprotected runs under the correlated
                bath; protected CSV carries a protection_factor column.
 calibrate      Bisect the OU sigma so the unprotected single-qubit
                coherence 1/e time matches the configured T2: on
                unit-sigma phases drawn once and rescaled per step,
-               then one confirming engine run at the chosen sigma.
+               then one confirming engine run (noise.propagate) at the
+               chosen sigma on the same grid.
 tomo           Seven-setting readout simulation (or records-file
                replay) plus maximum-likelihood reconstruction.
 schedule-dump  Pulse table of the configured DD sequence.
@@ -41,8 +44,7 @@ from .analytic import ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, NumericalError, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, run_protected, schedule_table
 from .measures import curve_from_states, fidelity
-from .noise import (NoiseModel, SpinSystem, evolve_correlated, evolve_markovian, grid_step,
-                    ou_unit_phases)
+from .noise import NoiseModel, SpinSystem, evolve, grid_step, ou_unit_phases, propagate
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
@@ -365,6 +367,11 @@ def cmd_decay(cfg):
     noise = NoiseModel.from_spins(spins)
     t_final = cfg["grid.t_final_s"]
     step = cfg["grid.step_s"]
+    # a rounded step count would silently stretch the sample spacing
+    if not math.isclose(round(t_final / step) * step, t_final, rel_tol=1e-9):
+        raise ConfigError(
+            "grid.t_final_s = %.12g s is not a whole number of grid.step_s = %.12g s"
+            % (t_final, step))
     csv_path = _out_path(cfg, "decay.csv")
     ref_path = _out_path(cfg, "decay_analytic.csv")
     svg_path = _out_path(cfg, "decay.svg")
@@ -378,8 +385,8 @@ def cmd_decay(cfg):
         return 0
     base = grid_step(spins)
     per_sample = max(1, int(math.ceil(step / base)))
-    curve = evolve_markovian(rho0, spins, noise, t_final,
-                             dt=step / per_sample, sample_every=per_sample)
+    curve = evolve(rho0, spins, noise, t_final,
+                   dt=step / per_sample, sample_every=per_sample)
     family = _ANALYTIC[cfg["state"]]
     oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
     _write_curve_csv(csv_path, curve)
@@ -495,9 +502,9 @@ def cmd_calibrate(cfg):
     is |mean_j exp(-i sigma Phi_j)|, with Phi_j trajectory j's phase at
     unit sigma. The phases are drawn once (noise.ou_unit_phases) and
     every bisection step rescales them. The sigma it settles on is then
-    run once through the engine (evolve_correlated), whose 1/e time is
-    reported and judged; it must agree with the closed form's to
-    1e-9 T2, or the run is a numerical failure.
+    run once through the engine (propagate, on the bisection's own
+    grid), whose 1/e time is reported and judged; it must agree with
+    the closed form's to 1e-9 T2, or the run is a numerical failure.
     """
     if cfg["bath.mode"] != "correlated":
         raise ConfigError("calibrate requires bath.mode = correlated")
@@ -513,8 +520,8 @@ def cmd_calibrate(cfg):
     if hi <= lo:
         raise ConfigError("calibrate.sigma_hi_rad_s must exceed sigma_lo_rad_s")
     # the coherence grid: 2.5 T2 in steps of at most tau_c/20 and T2/1000,
-    # sampled about 500 times; the engine check below runs
-    # evolve_correlated on this same (t_final, dt, every) layout
+    # sampled about 500 times; the engine check below propagates on
+    # this same grid
     t_final = 2.5 * target
     n = max(1, int(round(t_final / min(tau_c / 20.0, target / 1000.0))))
     dt = t_final / n
@@ -530,10 +537,9 @@ def cmd_calibrate(cfg):
         np.ascontiguousarray(ou_unit_phases(noise, n, dt, steps)[:, :, 0]),
         times, lo, hi, target)
 
-    curve = evolve_correlated(
-        np.kron(_PLUS, np.kron(P0, P0)), SpinSystem(),
-        dataclasses.replace(noise, ou_sigma=sigma), t_final=t_final, dt=dt,
-        sample_every=every)
+    curve = propagate(np.kron(_PLUS, np.kron(P0, P0)),
+                      dataclasses.replace(noise, ou_sigma=sigma), n, dt,
+                      sample_steps=steps)
     achieved = _one_over_e_time(curve.times, 2.0 * np.abs(curve.states[:, 0, 4]))
     if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * target):
         raise NumericalError(

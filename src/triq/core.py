@@ -8,7 +8,6 @@ realization; higher modules attach physics to these arrays.
 """
 
 import json
-import math
 
 import numpy as np
 
@@ -138,47 +137,35 @@ def check_density(rho, trace_atol=1e-8, herm_atol=HERM_ATOL, eig_floor=-1e-6):
 
     Checks that every entry is finite, trace within ``trace_atol`` of
     1, Hermiticity within ``herm_atol``, and smallest eigenvalue above
-    ``eig_floor``. An (n, d, d) stack is checked sample by sample: the
-    error names the first failing sample and carries the message a
-    check of that sample alone gives. Returns the matrix unchanged on
-    success.
+    ``eig_floor``. A single matrix is checked as a stack of one. An
+    (n, d, d) stack is checked sample by sample, and the error names
+    the first failing sample. Returns the matrix unchanged on success.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 3:
-        _check_stack(rho, trace_atol, herm_atol, eig_floor)
-        return rho
-    # NaN passes every comparison below, so non-finite entries are
-    # rejected first: any of them leaves the trace or the asymmetry
-    # non-finite
-    tr = np.trace(rho)
-    if not (math.isfinite(tr.real) and math.isfinite(tr.imag)):
-        raise PhysicalityError(_NON_FINITE)
-    if abs(tr - 1.0) > trace_atol:
-        raise PhysicalityError("trace %r deviates from 1 by %.3e" % (tr, abs(tr - 1)))
-    asym = np.max(np.abs(rho - rho.conj().T))
-    if not math.isfinite(asym):
-        raise PhysicalityError(_NON_FINITE)
-    if asym > herm_atol:
-        raise PhysicalityError("Hermiticity violated, max asymmetry %.3e" % asym)
-    vals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if vals[0] < eig_floor:
-        raise PhysicalityError("negative eigenvalue %.3e" % vals[0])
-    return rho
-
-
-def _check_stack(stack, trace_atol, herm_atol, eig_floor):
+    stack = rho if rho.ndim == 3 else rho[None]
     adj = stack.conj().transpose(0, 2, 1)
     tr = np.trace(stack, axis1=1, axis2=2)
-    asym = np.max(np.abs(stack - adj), axis=(1, 2))
-    # a non-finite entry leaves the trace or the asymmetry non-finite,
-    # and NaN fails every <=, so such samples are flagged here too
+    # a non-finite entry leaves the trace or the asymmetry non-finite
+    # (inf - inf is NaN, quietly), and NaN fails every <=, so such
+    # samples are flagged here too
+    with np.errstate(invalid="ignore"):
+        asym = np.max(np.abs(stack - adj), axis=(1, 2))
+        herm = 0.5 * (stack + adj)
     bad = ~((np.abs(tr - 1.0) <= trace_atol) & (asym <= herm_atol))
-    herm = 0.5 * (stack + adj)
     herm[bad] = np.eye(stack.shape[1])  # keep flagged samples away from LAPACK
-    bad |= np.linalg.eigvalsh(herm)[:, 0] < eig_floor
-    for k in np.flatnonzero(bad):
-        # the single-matrix check words the error
-        try:
-            check_density(stack[k], trace_atol, herm_atol, eig_floor)
-        except PhysicalityError as err:
-            raise PhysicalityError(err.reason, sample=int(k)) from None
+    low = np.linalg.eigvalsh(herm)[:, 0]
+    bad |= low < eig_floor
+    if not bad.any():
+        return rho
+    k = int(np.argmax(bad))
+    if not np.isfinite(tr[k]):
+        reason = _NON_FINITE
+    elif abs(tr[k] - 1.0) > trace_atol:
+        reason = "trace %r deviates from 1 by %.3e" % (tr[k], abs(tr[k] - 1))
+    elif not np.isfinite(asym[k]):
+        reason = _NON_FINITE
+    elif asym[k] > herm_atol:
+        reason = "Hermiticity violated, max asymmetry %.3e" % asym[k]
+    else:
+        reason = "negative eigenvalue %.3e" % low[k]
+    raise PhysicalityError(reason, sample=k if rho.ndim == 3 else None)

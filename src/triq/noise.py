@@ -10,16 +10,17 @@ stays Lindbladian.
 No system Hamiltonian acts: as in the paper's fits, the register
 evolves under the damping and the bath alone. Every run goes through
 one segment propagator, ``propagate``, that steps from event to event
-(a pulse or a sample); evolve_markovian and evolve_correlated are front
-ends to it. Both dissipators are Pauli channels, which commute and are
-applied in closed form, so a Markovian run is exact between events at
-any step length. The OU phase does not commute with the bit flips: a
-segment is Strang-split around it, the phase summed over the segment's
-steps of the OU grid, and segments are capped at _MAX_SEGMENT_STEPS
-grid steps. The OU recurrence is linear in sigma for fixed draws, so
-a track at sigma is sigma times the track at 1: ``ou_unit_phases``
-draws the unit-sigma tracks once, and a caller that varies sigma alone
-(calibration) rescales their phases instead of propagating again.
+(a pulse or a sample) under the bath the NoiseModel names; ``evolve``
+is its one pulse-free front end. Both dissipators are Pauli channels,
+which commute and are applied in closed form, so a Markovian run is
+exact between events at any step length. The OU phase does not
+commute with the bit flips: a segment is Strang-split around it, the
+phase summed over the segment's steps of the OU grid, and segments are
+capped at _MAX_SEGMENT_STEPS grid steps. The OU recurrence is linear
+in sigma for fixed draws, so a track at sigma is sigma times the track
+at 1: ``ou_unit_phases`` draws the unit-sigma tracks once, and a caller
+that varies sigma alone (calibration) rescales their phases instead of
+propagating again.
 The tests pin the propagator against a generator built from explicit
 Lindblad operator matrices.
 """
@@ -34,10 +35,9 @@ from . import measures
 __all__ = [
     "SpinSystem",
     "NoiseModel",
-    "evolve_markovian",
+    "evolve",
     "grid_step",
     "propagate",
-    "evolve_correlated",
     "ou_unit_phases",
 ]
 
@@ -87,13 +87,16 @@ class NoiseModel:
     def __post_init__(self):
         if len(self.kappa_x) != 3 or len(self.kappa_z) != 3:
             raise ValueError("kappa_x and kappa_z must each have three entries")
-        if any(k < 0 for k in self.kappa_x) or any(k < 0 for k in self.kappa_z):
-            raise ValueError("rates must be non-negative")
+        # NaN fails every comparison, so each bound is stated as what
+        # must hold; an infinite ou_tau_c is the quasi-static bath
+        if not all(math.isfinite(k) and k >= 0
+                   for k in (*self.kappa_x, *self.kappa_z, self.ou_sigma)):
+            raise ValueError("rates and ou_sigma must be finite and non-negative")
         if self.bath_mode not in ("markovian", "correlated"):
             raise ValueError("bath_mode must be markovian or correlated")
         if self.trajectories < 1:
             raise ValueError("trajectories must be >= 1")
-        if self.bath_mode == "correlated" and self.ou_tau_c <= 0:
+        if self.bath_mode == "correlated" and not self.ou_tau_c > 0:
             raise ValueError("ou_tau_c must be positive in correlated mode")
 
     @classmethod
@@ -165,26 +168,17 @@ def _sample_steps(n, sample_every):
     return list(range(0, n + 1, sample_every)) + [n]
 
 
-def _free_run(rho0, spins, noise, t_final, dt, sample_every):
-    """Pulse-free ``propagate`` over t_final: the one grid and sampling
-    rule of both front ends."""
-    if dt is None:
-        dt = grid_step(spins)
-    n, dt = _plan_steps(t_final, dt)
-    return propagate(rho0, noise, n, dt,
-                     sample_steps=_sample_steps(n, sample_every))
-
-
-def evolve_markovian(rho0, spins, noise, t_final, dt=None, sample_every=1):
-    """Solve the Lindblad master equation, sampled on a fixed grid.
+def evolve(rho0, spins, noise, t_final, dt=None, sample_every=1):
+    """Free evolution under the bath ``noise`` names, sampled on a fixed grid.
 
     Samples every ``sample_every`` steps (plus t = 0 and t_final). dt
     defaults to grid_step(spins) and is rounded so an integer number
     of steps lands exactly on t_final. The work is done by
-    ``propagate``, which applies the damping channels in closed form,
-    so the samples are exact at any dt. Every sample is validated as
-    physical; a violation raises PhysicalityError naming the first
-    offending time.
+    ``propagate``: in markovian mode the damping channels act in closed
+    form, so the samples are exact at any dt; in correlated mode the
+    mean runs over noise.trajectories OU tracks drawn on this grid.
+    Every sample is validated as physical; a violation raises
+    PhysicalityError naming the first offending time.
 
     Returns
     -------
@@ -192,9 +186,11 @@ def evolve_markovian(rho0, spins, noise, t_final, dt=None, sample_every=1):
         Metrics against rho0 as the fidelity reference, with the
         sampled density matrices attached.
     """
-    if noise.bath_mode != "markovian":
-        raise ValueError("evolve_markovian requires bath_mode = markovian")
-    return _free_run(rho0, spins, noise, t_final, dt, sample_every)
+    if dt is None:
+        dt = grid_step(spins)
+    n, dt = _plan_steps(t_final, dt)
+    return propagate(rho0, noise, n, dt,
+                     sample_steps=_sample_steps(n, sample_every))
 
 
 def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
@@ -370,23 +366,6 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
     except PhysicalityError as err:
         raise PhysicalityError(
             "at t = %.9g s: %s" % (times[err.sample], err.reason)) from err
-
-
-def evolve_correlated(rho0, spins, noise, t_final, dt=None, sample_every=1):
-    """Ensemble-averaged free evolution under the correlated dephasing bath.
-
-    Each trajectory dephases under per-qubit OU frequency tracks
-    b_i(t) sigma_z^(i)/2, with amplitude damping still applied as a
-    Lindblad dissipator. The kappa_z dissipators are off in this mode;
-    the OU bath is the dephasing. The grid and the sampling are those
-    of evolve_markovian: dt defaults to grid_step(spins) and is rounded
-    so an integer number of steps lands on t_final, and samples fall
-    every ``sample_every`` steps (plus t = 0 and t_final). The work is
-    done by ``propagate``, which is also where pulses enter a run.
-    """
-    if noise.bath_mode != "correlated":
-        raise ValueError("evolve_correlated requires bath_mode = correlated")
-    return _free_run(rho0, spins, noise, t_final, dt, sample_every)
 
 
 def ou_unit_phases(noise, n_steps, dt, sample_steps):

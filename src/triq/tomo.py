@@ -4,8 +4,10 @@ A readout setting is a product of spin-selective pi/2 pulses named by a
 three-letter label, one letter per qubit in index order: I leaves the
 qubit alone, X rotates it by pi/2 about x, Y by pi/2 about y. The seven
 settings {III, IIY, IYY, YII, XYX, XXY, XXX} together make the detected
-amplitudes informationally complete. A setting is passed by its label;
-its 8x8 unitary is built once, at import.
+amplitudes informationally complete. A setting is passed by its label.
+Its 24 detected values are linear in rho: the rows that map rho to
+them are built once, at import, and both readout simulation and
+reconstruction use them.
 
 Detection is line-resolved transverse magnetization: for each qubit i
 and each z-configuration (bj, bk) of the other two qubits j < k, the
@@ -93,18 +95,25 @@ def _setting_unitary(label):
     return u
 
 
-_OBSERVABLES = observable_list()
-_SETTINGS = {label: _setting_unitary(label) for label in SETTING_LABELS}
+_OBSERVABLES = np.stack(observable_list())
 
 
-def _design_rows(u):
+def _design_rows(label):
     # Tr(U rho U^dag O) = Tr(rho A) with A = U^dag O U; for Hermitian rho
     # and A that is the dot product of (Re A, Im A) with (Re rho, Im rho)
-    a = (u.conj().T @ np.stack(_OBSERVABLES) @ u).reshape(24, 64)
+    u = _setting_unitary(label)
+    a = (u.conj().T @ _OBSERVABLES @ u).reshape(24, 64)
     return np.hstack([a.real, a.imag])
 
 
-_DESIGN_ROWS = {label: _design_rows(u) for label, u in _SETTINGS.items()}
+# the one forward model: readout simulates it, reconstruction fits it
+_DESIGN_ROWS = {label: _design_rows(label) for label in SETTING_LABELS}
+
+
+def _real_parts(rho):
+    """(Re rho, Im rho), raveled: the vector the design rows act on."""
+    return np.concatenate([rho.real.ravel(), rho.imag.ravel()])
+
 
 # mle_reconstruct stops at this duality gap and gives up after this many
 # iterations; at readout noise up to 5 it needs at most about 165
@@ -115,21 +124,19 @@ _MAX_ITERS = 2000
 def simulate_readout(rho, setting, noise_sigma=0.0, seed=0):
     """Detected amplitudes of ``rho`` under the setting labelled ``setting``.
 
-    Applies the setting pulse, evaluates the 24 detection operators,
-    and adds independent Gaussian noise of width noise_sigma. The noise
-    stream is seeded by (seed, setting index), so a full seven-setting
-    scan with one seed draws independent noise per setting and is
-    reproducible. Raises ValueError for anything but one of the seven
-    labels.
+    Evaluates the 24 detection operators after the setting pulse, as
+    the design rows that mle_reconstruct fits, and adds independent
+    Gaussian noise of width noise_sigma. The noise stream is seeded by
+    (seed, setting index), so a full seven-setting scan with one seed
+    draws independent noise per setting and is reproducible. Raises
+    ValueError for anything but one of the seven labels.
     """
     rho = check_density(rho)
-    if not isinstance(setting, str) or setting not in _SETTINGS:
+    if not isinstance(setting, str) or setting not in _DESIGN_ROWS:
         raise ValueError(
             "unknown setting %r; expected one of %s" % (setting, (SETTING_LABELS,))
         )
-    u = _SETTINGS[setting]
-    rot = u @ rho @ u.conj().T
-    vals = np.array([np.trace(rot @ o).real for o in _OBSERVABLES])
+    vals = _DESIGN_ROWS[setting] @ _real_parts(rho)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(
             np.random.SeedSequence(
@@ -192,7 +199,7 @@ def mle_reconstruct(records):
     step = 0.5 / np.linalg.eigvalsh(d.T @ d)[-1]  # 1/L, ||D||_2^2 = lambda_max(D^T D)
 
     def gradient(rho):
-        r = d @ np.concatenate([rho.real.ravel(), rho.imag.ravel()]) - y
+        r = d @ _real_parts(rho) - y
         g = 2.0 * (d.T @ r)
         return (g[:64] + 1j * g[64:]).reshape(8, 8)
 

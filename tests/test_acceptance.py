@@ -17,7 +17,7 @@ from triq import (
     curve_from_states,
     cycle_duration,
     decay_times,
-    evolve_markovian,
+    evolve,
     fidelity,
     fit_decay_rate,
     ghz_analytic,
@@ -64,8 +64,7 @@ def markovian_curves(spins):
     dt = (1.0 / 49.0) / 40.0
     out = {}
     for name, (prep, _) in FAMILIES.items():
-        out[name] = evolve_markovian(prep(), spins, noise, 1.0, dt=dt,
-                                     sample_every=40)
+        out[name] = evolve(prep(), spins, noise, 1.0, dt=dt, sample_every=40)
     return out
 
 
@@ -134,8 +133,7 @@ def test_c5_dd_protection(spins, protection_runs):
     sch = build_xy16s(0.25e-3, cycles=12)
     total = 12 * cycle_duration(sch)
     protected, _ = run_protected(prepare_ghz(), spins, nm, sch)
-    unprotected = evolve_markovian(prepare_ghz(), spins, nm, total, dt=2.4e-5,
-                                   sample_every=10**9)
+    unprotected = evolve(prepare_ghz(), spins, nm, total, dt=2.4e-5, sample_every=10**9)
     assert protected.n3_tri[-1] == pytest.approx(unprotected.n3_tri[-1],
                                                  rel=0.02)
 
@@ -171,10 +169,8 @@ def test_c8_physicality_and_integrator_order(spins, markovian_curves,
         assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-9
         assert float(np.linalg.eigvalsh(rho).min()) >= -1e-6
     noise = NoiseModel.from_spins(spins)
-    a = evolve_markovian(prepare_ghz(), spins, noise, 0.5, dt=5e-4,
-                         sample_every=10**9)
-    b = evolve_markovian(prepare_ghz(), spins, noise, 0.5, dt=2.5e-4,
-                         sample_every=10**9)
+    a = evolve(prepare_ghz(), spins, noise, 0.5, dt=5e-4, sample_every=10**9)
+    b = evolve(prepare_ghz(), spins, noise, 0.5, dt=2.5e-4, sample_every=10**9)
     assert float(np.max(np.abs(a.states[-1] - b.states[-1]))) < 1e-8
 
 

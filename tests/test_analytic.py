@@ -8,7 +8,7 @@ from triq import (
     SpinSystem,
     check_density,
     decay_times,
-    evolve_markovian,
+    evolve,
     ghz_analytic,
     prepare_ghz,
     prepare_w,
@@ -84,8 +84,8 @@ def test_oracle_matches_integrator_random_rates(spins, rng):
         noise = NoiseModel(kappa_x=tuple(rng.uniform(0.1, 2.5, 3)),
                            kappa_z=tuple(rng.uniform(0.1, 2.5, 3)))
         for name, family in FAMILIES.items():
-            curve = evolve_markovian(PREPARED[name](), spins, noise, 0.4,
-                                     dt=1e-4, sample_every=400)
+            curve = evolve(PREPARED[name](), spins, noise, 0.4,
+                           dt=1e-4, sample_every=400)
             worst = max(
                 np.max(np.abs(family(float(t), noise) - s))
                 for t, s in zip(curve.times, curve.states)

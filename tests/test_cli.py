@@ -128,6 +128,16 @@ def test_decay_zero_duration_writes_headers_only(tmp_path):
     assert (out / "decay_analytic.csv").read_text().startswith("time_s,")
 
 
+def test_decay_rejects_duration_off_the_sample_grid(tmp_path, capsys):
+    # 12.3 ms is 2.46 steps of 5 ms; rounding the count to 2 used to
+    # stretch the sample spacing to 5.0204 ms without a word
+    rc, out = run(tmp_path, "grid.t_final_s = 0.0123\ngrid.step_s = 0.005\n")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "grid.t_final_s" in err and "grid.step_s" in err
+    assert not (out / "decay.csv").exists()
+
+
 def test_decay_rejects_correlated_mode(tmp_path):
     rc, _ = run(tmp_path, "bath.mode = correlated\nseed = 1\n")
     assert rc == 2

@@ -12,7 +12,7 @@ from triq import (
     build_kddxy,
     build_xy16s,
     cycle_duration,
-    evolve_markovian,
+    evolve,
     expand_schedule,
     min_interpulse_delay,
     prepare_ghz,
@@ -191,8 +191,7 @@ def test_markovian_noise_is_transparent_to_decoupling(spins):
     sch = build_xy16s(TAU, cycles=25)
     total = 25 * cycle_duration(sch)
     prot, _ = run_protected(prepare_ghz(), spins, nm, sch)
-    free = evolve_markovian(prepare_ghz(), spins, nm, total, dt=2.5e-5,
-                            sample_every=10**9)
+    free = evolve(prepare_ghz(), spins, nm, total, dt=2.5e-5, sample_every=10**9)
     assert prot.times[-1] == pytest.approx(free.times[-1], rel=1e-12)
     assert prot.n3_tri[-1] == pytest.approx(free.n3_tri[-1], rel=1e-6)
     assert prot.fidelity[-1] == pytest.approx(free.fidelity[-1], rel=1e-6)

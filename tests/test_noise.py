@@ -13,8 +13,7 @@ from triq import (
     build_kddxy,
     build_xy16s,
     disentanglement_time,
-    evolve_correlated,
-    evolve_markovian,
+    evolve,
     expand_schedule,
     ghz_analytic,
     grid_step,
@@ -91,10 +90,24 @@ def test_noise_model_validation(spins):
         NoiseModel(kappa_x=(-1.0, 0, 0), kappa_z=(0, 0, 0))
     with pytest.raises(ValueError, match="non-negative"):
         NoiseModel(kappa_x=(1.0, 1.0, 1.0), kappa_z=(1.0, -0.1, 1.0))
+    # NaN passes a bare `< 0` test; rates and sigma must also be finite
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        NoiseModel(kappa_x=(math.nan, 0, 0), kappa_z=(0, 0, 0))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, math.inf, 0))
+    for sigma in (-3.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="ou_sigma"):
+            NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), bath_mode="correlated",
+                       ou_sigma=sigma, ou_tau_c=0.01)
     with pytest.raises(ValueError, match="bath_mode"):
         NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), bath_mode="pink")
-    with pytest.raises(ValueError, match="ou_tau_c"):
-        NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), bath_mode="correlated")
+    for tau_c in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="ou_tau_c"):
+            NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), bath_mode="correlated",
+                       ou_tau_c=tau_c)
+    # an infinite correlation time is the quasi-static bath, and allowed
+    NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), bath_mode="correlated",
+               ou_sigma=10.0, ou_tau_c=math.inf)
     with pytest.raises(ValueError, match="trajectories"):
         NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), trajectories=0)
 
@@ -146,7 +159,7 @@ def test_evolve_markovian_finite_difference_consistency(spins, rng):
     noise = NoiseModel.from_spins(spins)
     rho = random_density(rng)
     h = 1e-6
-    curve = evolve_markovian(rho, spins, noise, h, dt=h)
+    curve = evolve(rho, spins, noise, h, dt=h)
     fd = (curve.states[-1] - rho) / h
     assert np.allclose(fd, lindblad_rhs(rho, noise), atol=1e-5)
 
@@ -154,7 +167,7 @@ def test_evolve_markovian_finite_difference_consistency(spins, rng):
 def test_evolve_markovian_zero_duration(spins):
     noise = NoiseModel.from_spins(spins)
     rho = prepare_ghz()
-    curve = evolve_markovian(rho, spins, noise, 0.0)
+    curve = evolve(rho, spins, noise, 0.0)
     assert list(curve.times) == [0.0]
     assert np.array_equal(curve.states[0], rho)
 
@@ -165,7 +178,7 @@ def test_evolve_markovian_single_qubit_closed_forms(spins):
     # the (000|rho|100) element carries qubit-1 dephasing at 1/T2_1 plus a
     # spectator-population factor (1 + exp(-t/T1_i))/2 per idle qubit; the
     # qubit-1 flip channel leaves the real part of the coherence alone
-    curve = evolve_markovian(plus_ground_ground(), spins, noise, t, sample_every=10**9)
+    curve = evolve(plus_ground_ground(), spins, noise, t, sample_every=10**9)
     rho_t = curve.states[-1]
     expected = math.exp(-t / T2[0])
     for i in (1, 2):
@@ -173,54 +186,42 @@ def test_evolve_markovian_single_qubit_closed_forms(spins):
     assert 2.0 * abs(rho_t[0, 4]) == pytest.approx(expected, rel=1e-9)
     # qubit-1 polarization decays as exp(-t/T1_1)
     z0 = kron(kron(GROUND, ID2 / 2.0), ID2 / 2.0)
-    curve = evolve_markovian(z0, spins, noise, t, sample_every=10**9)
+    curve = evolve(z0, spins, noise, t, sample_every=10**9)
     pop = np.sum(np.diag(curve.states[-1]).real[:4])  # P(qubit1 = 0)
     assert 2.0 * pop - 1.0 == pytest.approx(math.exp(-t / T1[0]), rel=1e-9)
 
 
 def test_evolve_markovian_sampling_grid(spins):
     noise = NoiseModel.from_spins(spins)
-    curve = evolve_markovian(prepare_ghz(), spins, noise, 0.01, dt=0.001,
-                             sample_every=3)
+    curve = evolve(prepare_ghz(), spins, noise, 0.01, dt=0.001, sample_every=3)
     assert np.allclose(curve.times, [0.0, 0.003, 0.006, 0.009, 0.01])
 
 
 def test_evolve_markovian_dt_halving(spins):
     noise = NoiseModel.from_spins(spins)
     rho = prepare_ghz()
-    a = evolve_markovian(rho, spins, noise, 0.5, dt=5e-4, sample_every=10**9)
-    b = evolve_markovian(rho, spins, noise, 0.5, dt=2.5e-4, sample_every=10**9)
+    a = evolve(rho, spins, noise, 0.5, dt=5e-4, sample_every=10**9)
+    b = evolve(rho, spins, noise, 0.5, dt=2.5e-4, sample_every=10**9)
     assert np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-8
 
 
 @pytest.mark.parametrize("every", [0, -3, 2.5])
 def test_front_ends_reject_bad_sample_every(spins, every):
     # a stride below 1 would silently drop samples from range(), or fail
-    # inside it at 0; both front ends share one check
-    noise = NoiseModel.from_spins(spins)
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
-                               ou_tau_c=0.01, trajectories=2, seed=1)
+    # inside it at 0
     with pytest.raises(ValueError, match="sample_every must be a positive integer"):
-        evolve_markovian(prepare_ghz(), spins, noise, 0.01, dt=1e-3,
-                         sample_every=every)
-    with pytest.raises(ValueError, match="sample_every must be a positive integer"):
-        evolve_correlated(prepare_ghz(), spins, nm, 0.01, dt=1e-3,
-                          sample_every=every)
+        evolve(prepare_ghz(), spins, NoiseModel.from_spins(spins), 0.01,
+               dt=1e-3, sample_every=every)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3])
 @pytest.mark.parametrize("run", [
-    lambda spins, dt: evolve_markovian(
+    lambda spins, dt: evolve(
         prepare_ghz(), spins, NoiseModel.from_spins(spins), 0.01, dt=dt),
-    lambda spins, dt: evolve_correlated(
-        prepare_ghz(), spins,
-        NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
-                              ou_tau_c=0.01, trajectories=2, seed=1),
-        0.01, dt=dt),
     lambda spins, dt: run_protected(
         prepare_ghz(), spins, NoiseModel.from_spins(spins), build_xy16s(1e-3),
         dt=dt),
-], ids=["evolve_markovian", "evolve_correlated", "run_protected"])
+], ids=["evolve", "run_protected"])
 def test_non_positive_dt_is_rejected(spins, run, dt):
     # rejected before any runner rounds it to a whole number of steps
     # of t_final or of one cycle
@@ -231,7 +232,7 @@ def test_non_positive_dt_is_rejected(spins, run, dt):
 def test_evolve_markovian_pure_dephasing_keeps_diagonal(spins):
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=tuple(1.0 / t for t in T2))
     rho = prepare_ghz()
-    curve = evolve_markovian(rho, spins, noise, 0.2, dt=1e-3, sample_every=50)
+    curve = evolve(rho, spins, noise, 0.2, dt=1e-3, sample_every=50)
     for s in curve.states:
         assert np.array_equal(np.diag(s), np.diag(rho))
 
@@ -240,18 +241,10 @@ def test_evolve_markovian_exact_at_long_steps(spins):
     # the damping channels are applied in closed form, so a step of
     # 2 s (almost four times T2) is as exact as a fine one
     noise = NoiseModel.from_spins(spins)
-    curve = evolve_markovian(prepare_ghz(), spins, noise, 40.0, dt=2.0)
+    curve = evolve(prepare_ghz(), spins, noise, 40.0, dt=2.0)
     assert len(curve.times) == 21
     for t, rho in zip(curve.times, curve.states):
         assert np.max(np.abs(rho - ghz_analytic(float(t), noise))) < 1e-12
-
-
-def test_evolve_markovian_rejects_correlated_bath(spins):
-    # the engine would run the OU bath; the Lindblad front end refuses
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
-                               ou_tau_c=0.01)
-    with pytest.raises(ValueError, match="bath_mode = markovian"):
-        evolve_markovian(prepare_ghz(), spins, nm, 0.01)
 
 
 def test_propagate_labels_unphysical_sample_with_time(spins):
@@ -287,8 +280,8 @@ def test_evolve_correlated_noise_off_matches_markovian(spins):
     ref_noise = NoiseModel(kappa_x=tuple(1.0 / t for t in T1),
                            kappa_z=(0.0, 0.0, 0.0))
     rho = prepare_ghz()
-    a = evolve_correlated(rho, spins, nm, 0.05, dt=1e-4, sample_every=100)
-    b = evolve_markovian(rho, spins, ref_noise, 0.05, dt=1e-4, sample_every=100)
+    a = evolve(rho, spins, nm, 0.05, dt=1e-4, sample_every=100)
+    b = evolve(rho, spins, ref_noise, 0.05, dt=1e-4, sample_every=100)
     assert np.allclose(a.times, b.times)
     for sa, sb in zip(a.states, b.states):
         assert np.allclose(sa, sb, atol=1e-12)
@@ -298,8 +291,8 @@ def test_evolve_correlated_is_deterministic(spins):
     nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=14.0,
                                ou_tau_c=0.01, trajectories=33, seed=17)
     rho = prepare_ghz()
-    a = evolve_correlated(rho, spins, nm, 0.02, dt=1e-4, sample_every=50)
-    b = evolve_correlated(rho, spins, nm, 0.02, dt=1e-4, sample_every=50)
+    a = evolve(rho, spins, nm, 0.02, dt=1e-4, sample_every=50)
+    b = evolve(rho, spins, nm, 0.02, dt=1e-4, sample_every=50)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa, sb)
 
@@ -310,8 +303,7 @@ def test_evolve_correlated_coherence_matches_gaussian_form(spins):
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                     bath_mode="correlated", ou_sigma=sigma, ou_tau_c=tau_c,
                     trajectories=1024, seed=9)
-    curve = evolve_correlated(plus_ground_ground(), spins, nm, 0.4,
-                              dt=5e-4, sample_every=80)
+    curve = evolve(plus_ground_ground(), spins, nm, 0.4, dt=5e-4, sample_every=80)
     worst = 0.0
     for t, s in zip(curve.times, curve.states):
         chi = sigma**2 * tau_c**2 * (t / tau_c - 1.0 + math.exp(-t / tau_c))
@@ -328,11 +320,9 @@ def test_evolve_correlated_markovian_limit(spins):
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                     bath_mode="correlated", ou_sigma=math.sqrt(kz / tau_c),
                     ou_tau_c=tau_c, trajectories=256, seed=9)
-    got = evolve_correlated(plus_ground_ground(), spins, nm, 0.6,
-                            dt=dt, sample_every=240)
+    got = evolve(plus_ground_ground(), spins, nm, 0.6, dt=dt, sample_every=240)
     ref_noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(kz, 0.0, 0.0))
-    ref = evolve_markovian(plus_ground_ground(), spins, ref_noise, 0.6,
-                           dt=dt, sample_every=240)
+    ref = evolve(plus_ground_ground(), spins, ref_noise, 0.6, dt=dt, sample_every=240)
     for sg, sr in zip(got.states, ref.states):
         a, b = 2.0 * abs(sg[0, 4]), 2.0 * abs(sr[0, 4])
         assert abs(a - b) / max(b, 1e-3) < 0.10
@@ -365,8 +355,8 @@ def test_off_grid_pulse_is_rejected(spins):
 @pytest.fixture(scope="module")
 def ghz_markovian_curve():
     s = SpinSystem()
-    return evolve_markovian(prepare_ghz(), s, NoiseModel.from_spins(s), 0.7,
-                            dt=5e-4, sample_every=10)
+    return evolve(prepare_ghz(), s, NoiseModel.from_spins(s), 0.7,
+                  dt=5e-4, sample_every=10)
 
 
 @pytest.mark.parametrize("build", [build_xy16s, build_kddxy, build_cpmg])
