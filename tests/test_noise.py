@@ -218,10 +218,15 @@ def test_front_ends_reject_bad_sample_every(spins, every):
 @pytest.mark.parametrize("run", [
     lambda spins, dt: evolve(
         prepare_ghz(), spins, NoiseModel.from_spins(spins), 0.01, dt=dt),
+    lambda spins, dt: evolve(
+        prepare_ghz(), spins,
+        NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+                              ou_tau_c=0.01, trajectories=2, seed=1),
+        0.01, dt=dt),
     lambda spins, dt: run_protected(
         prepare_ghz(), spins, NoiseModel.from_spins(spins), build_xy16s(1e-3),
         dt=dt),
-], ids=["evolve", "run_protected"])
+], ids=["evolve_markovian", "evolve_correlated", "run_protected"])
 def test_non_positive_dt_is_rejected(spins, run, dt):
     # rejected before any runner rounds it to a whole number of steps
     # of t_final or of one cycle
