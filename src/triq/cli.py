@@ -3,16 +3,16 @@
 Subcommands
 -----------
 decay          Markovian decay sweep of one state; CSV + SVG + the
-               closed-form overlay curve on the same grid, sampled
-               every grid.step_s up to grid.t_final_s, which must be a
-               whole number of steps.
+               closed-form overlay curve on the same grid, stepped and
+               sampled every grid.step_s up to grid.t_final_s, which
+               must be a whole number of steps.
 protect        Paired protected/unprotected runs under the correlated
                bath; protected CSV carries a protection_factor column.
 calibrate      Bisect the OU sigma so the unprotected single-qubit
                coherence 1/e time matches the configured T2: on
                unit-sigma phases drawn once and rescaled per step,
                then one confirming engine run (noise.propagate) at the
-               chosen sigma on the same grid.
+               chosen sigma on the same grid, cut by noise.fit_grid.
 tomo           Seven-setting readout simulation (or records-file
                replay) plus maximum-likelihood reconstruction.
 schedule-dump  Pulse table of the configured DD sequence.
@@ -44,7 +44,7 @@ from .analytic import ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, NumericalError, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, run_protected, schedule_table
 from .measures import curve_from_states, fidelity
-from .noise import NoiseModel, SpinSystem, evolve, grid_step, ou_unit_phases, propagate
+from .noise import NoiseModel, SpinSystem, evolve, fit_grid, ou_unit_phases, propagate
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
@@ -367,8 +367,8 @@ def cmd_decay(cfg):
     noise = NoiseModel.from_spins(spins)
     t_final = cfg["grid.t_final_s"]
     step = cfg["grid.step_s"]
-    # a rounded step count would silently stretch the sample spacing
-    if not math.isclose(round(t_final / step) * step, t_final, rel_tol=1e-9):
+    # a grid shrunk to fit t_final would silently change the sample spacing
+    if not math.isclose(fit_grid(t_final, step)[0] * step, t_final, rel_tol=1e-9):
         raise ConfigError(
             "grid.t_final_s = %.12g s is not a whole number of grid.step_s = %.12g s"
             % (t_final, step))
@@ -383,10 +383,8 @@ def cmd_decay(cfg):
         for p in (csv_path, ref_path, svg_path):
             _emit(p)
         return 0
-    base = grid_step(spins)
-    per_sample = max(1, int(math.ceil(step / base)))
-    curve = evolve(rho0, spins, noise, t_final,
-                   dt=step / per_sample, sample_every=per_sample)
+    # the damping acts in closed form, so one step per sample is exact
+    curve = evolve(rho0, spins, noise, t_final, dt=step)
     family = _ANALYTIC[cfg["state"]]
     oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
     _write_curve_csv(csv_path, curve)
@@ -523,8 +521,7 @@ def cmd_calibrate(cfg):
     # sampled about 500 times; the engine check below propagates on
     # this same grid
     t_final = 2.5 * target
-    n = max(1, int(round(t_final / min(tau_c / 20.0, target / 1000.0))))
-    dt = t_final / n
+    n, dt = fit_grid(t_final, min(tau_c / 20.0, target / 1000.0))
     every = max(1, n // 500)
     steps = sorted(set(range(0, n + 1, every)) | {n})
     times = np.array([k * dt for k in steps])

@@ -201,27 +201,20 @@ def run_protected(rho0, spins, noise_model, schedule, *, dt=None):
 
     Free evolution follows the noise model's bath mode; pulses are
     applied as instantaneous collective unitaries with their flip
-    errors. dt defaults to noise.grid_step and is shrunk so a whole
-    number of steps fills one cycle; every pulse must then fall on a
-    step. Both arms run on that one grid and are sampled at the start
-    and after each cycle, cycles + 1 samples, so in the correlated
-    mode they see the same OU tracks.
+    errors. dt is the longest step, noise.grid_step by default, shrunk
+    so that a whole number of steps fills one cycle (noise.fit_grid);
+    every pulse must then fall on a step. Both arms run on that one
+    grid and are sampled at the start and after each cycle, cycles + 1
+    samples, so in the correlated mode they see the same OU tracks.
 
     Returns
     -------
     (measures.DecayCurve, measures.DecayCurve)
         The protected arm and the free arm.
     """
-    cyc = cycle_duration(schedule)
     if dt is None:
         dt = noise.grid_step(spins, min_interpulse_delay(schedule))
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    # land cycle boundaries exactly on steps; the guard is relative, since
-    # cyc and the pulse offsets are sums of delays that may leave cyc / dt
-    # a few ulps above a whole number
-    steps_per_cycle = max(1, int(math.ceil(cyc / dt * (1.0 - 1e-9))))
-    dt = cyc / steps_per_cycle
+    steps_per_cycle, dt = noise.fit_grid(cycle_duration(schedule), dt)
     n = schedule.cycles * steps_per_cycle
     samples = range(0, n + 1, steps_per_cycle)
     return (noise.propagate(rho0, noise_model, n, dt, expand_schedule(schedule),

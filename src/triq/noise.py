@@ -36,6 +36,7 @@ __all__ = [
     "SpinSystem",
     "NoiseModel",
     "evolve",
+    "fit_grid",
     "grid_step",
     "propagate",
     "ou_unit_phases",
@@ -130,50 +131,60 @@ _ZDIFF = np.stack(
 _ZMASK = (_ZDIFF != 0.0).astype(float)
 
 
+def fit_grid(span, max_dt):
+    """Cut span into the fewest whole steps no longer than max_dt.
+
+    Returns (n, span / n), or (0, max_dt) for a zero span. n is rounded
+    up with a relative 1e-9 guard, since a span summed from delays may
+    sit a few ulps above a whole number of steps. Every grid is cut so.
+    """
+    if not span >= 0:
+        raise ValueError("t_final must be non-negative")
+    # NaN fails the comparison, and an infinite step would fill no span
+    if not 0.0 < max_dt < math.inf:
+        raise ValueError("dt must be positive")
+    if span == 0.0:
+        return 0, max_dt
+    n = max(1, math.ceil(span / max_dt * (1.0 - 1e-9)))
+    return n, span / n
+
+
 def grid_step(spins, min_delay=None):
-    """Default step of the fixed time grid, in seconds.
+    """Default longest step of the time grid, in seconds.
 
     min(T2)/2000 without pulses. When pulses are min_delay apart it is
-    min_delay/50, divided further by the smallest whole m that brings
-    it down to min(T2)/2000, so the pulses stay on the grid. In
+    min_delay/50 cut into the fewest whole parts no longer than
+    min(T2)/2000 (fit_grid), so the pulses stay on the grid. In
     correlated mode this is also the step of the OU tracks, so changing
     it changes every random draw.
     """
     dt = min(spins.t2_s) / 2000.0
-    if min_delay is None:
-        return dt
-    return min_delay / (50.0 * max(1, math.ceil(min_delay / 50.0 / dt)))
-
-
-def _plan_steps(t_final, dt):
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_final == 0.0:
-        return 0, dt
-    n = max(1, int(round(t_final / dt)))
-    return n, t_final / n
+    return dt if min_delay is None else fit_grid(min_delay / 50.0, dt)[1]
 
 
 def _apply_unitary(states, u):
     return np.matmul(u, np.matmul(states, u.conj().T))
 
 
-def _sample_steps(n, sample_every):
-    """Step indices 0, k, 2k, ... up to n, and n itself, for k = sample_every."""
-    if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
-        raise ValueError("sample_every must be a positive integer, got %r"
-                         % (sample_every,))
-    return list(range(0, n + 1, sample_every)) + [n]
+def _check_steps(steps, n, dt):
+    """``steps`` as a list of sample steps on a grid of n steps of dt."""
+    if n < 0 or dt <= 0:
+        raise ValueError("n_steps must be non-negative and dt positive")
+    steps = list(steps)
+    bad = [k for k in steps if not isinstance(k, (int, np.integer))]
+    if bad:  # int() would truncate it onto another sample's step
+        raise ValueError("sample steps must be integers, got %r" % (bad[0],))
+    if not steps or min(steps) < 0 or max(steps) > n:
+        raise ValueError("sample steps must lie in [0, %d]" % n)
+    return steps
 
 
 def evolve(rho0, spins, noise, t_final, dt=None, sample_every=1):
     """Free evolution under the bath ``noise`` names, sampled on a fixed grid.
 
     Samples every ``sample_every`` steps (plus t = 0 and t_final). dt
-    defaults to grid_step(spins) and is rounded so an integer number
-    of steps lands exactly on t_final. The work is done by
+    is the longest step, grid_step(spins) by default, shrunk so that a
+    whole number of steps fills t_final (fit_grid). The work is done by
     ``propagate``: in markovian mode the damping channels act in closed
     form, so the samples are exact at any dt; in correlated mode the
     mean runs over noise.trajectories OU tracks drawn on this grid.
@@ -186,11 +197,12 @@ def evolve(rho0, spins, noise, t_final, dt=None, sample_every=1):
         Metrics against rho0 as the fidelity reference, with the
         sampled density matrices attached.
     """
-    if dt is None:
-        dt = grid_step(spins)
-    n, dt = _plan_steps(t_final, dt)
+    n, dt = fit_grid(t_final, grid_step(spins) if dt is None else dt)
+    if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
+        raise ValueError("sample_every must be a positive integer, got %r"
+                         % (sample_every,))
     return propagate(rho0, noise, n, dt,
-                     sample_steps=_sample_steps(n, sample_every))
+                     sample_steps=[*range(0, n + 1, sample_every), n])
 
 
 def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
@@ -303,12 +315,9 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
         Metrics of the sampled means against rho0.
     """
     rho0 = check_density(rho0)
-    if n_steps < 0 or dt <= 0:
-        raise ValueError("n_steps must be non-negative and dt positive")
-    marks = sorted(set(range(n_steps + 1) if sample_steps is None
-                       else (int(k) for k in sample_steps)))
-    if not marks or marks[0] < 0 or marks[-1] > n_steps:
-        raise ValueError("sample steps must lie in [0, %d]" % n_steps)
+    marks = sorted(set(_check_steps(
+        range(n_steps + 1) if sample_steps is None else sample_steps,
+        n_steps, dt)))
     pulses_by_step = _expand_pulse_steps(pulses, dt, n_steps)
 
     correlated = noise.bath_mode == "correlated"
@@ -387,9 +396,7 @@ def ou_unit_phases(noise, n_steps, dt, sample_steps):
     """
     if noise.bath_mode != "correlated":
         raise ValueError("ou_unit_phases requires bath_mode = correlated")
-    steps = np.asarray(sample_steps, dtype=int)
-    if n_steps < 0 or dt <= 0 or np.any((steps < 0) | (steps > n_steps)):
-        raise ValueError("sample steps must lie in [0, n_steps] and dt be positive")
+    steps = _check_steps(sample_steps, n_steps, dt)
     unit = replace(noise, ou_sigma=1.0)
     out = np.empty((noise.trajectories, len(steps), 3))
     cum = np.zeros((n_steps + 1, 3))

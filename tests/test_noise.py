@@ -19,6 +19,7 @@ from triq import (
     grid_step,
     kron,
     min_interpulse_delay,
+    ou_unit_phases,
     prepare_ghz,
     propagate,
     run_protected,
@@ -234,6 +235,16 @@ def test_non_positive_dt_is_rejected(spins, run, dt):
         run(spins, dt)
 
 
+def test_evolve_correlated_takes_no_step_longer_than_dt(spins):
+    # 1.4 ms is not a whole number of 1 ms steps: the grid takes two
+    # 0.7 ms steps rather than one 1.4 ms step, so the OU tracks are
+    # drawn no coarser than asked
+    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+                               ou_tau_c=0.01, trajectories=2, seed=1)
+    curve = evolve(prepare_ghz(), spins, nm, 0.0014, dt=1e-3)
+    assert np.diff(curve.times).max() <= 1e-3
+
+
 def test_evolve_markovian_pure_dephasing_keeps_diagonal(spins):
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=tuple(1.0 / t for t in T2))
     rho = prepare_ghz()
@@ -259,6 +270,19 @@ def test_propagate_labels_unphysical_sample_with_time(spins):
     with pytest.raises(PhysicalityError, match=r"^at t = 0.004 s: trace"):
         propagate(prepare_ghz(), noise, 10, 1e-3,
                   pulses=[(0.004, 1.5 * np.eye(8, dtype=complex))])
+
+
+@pytest.mark.parametrize("run", [
+    lambda noise, steps: propagate(prepare_ghz(), noise, 10, 1e-3,
+                                   sample_steps=steps),
+    lambda noise, steps: ou_unit_phases(noise, 10, 1e-3, steps),
+], ids=["propagate", "ou_unit_phases"])
+def test_fractional_sample_steps_are_rejected(spins, run):
+    # int() would truncate 2.5 onto step 2 and label the sample 0.002 s
+    noise = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+                                  ou_tau_c=0.01, trajectories=2, seed=1)
+    with pytest.raises(ValueError, match="sample steps must be integers, got 2.5"):
+        run(noise, [0, 2.5, 9.99])
 
 
 def test_sample_ou_path_basics():

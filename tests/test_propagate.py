@@ -1,13 +1,17 @@
-"""Property tests of the segment propagator and the OU track scan."""
+"""Property tests of the segment propagator, the OU track scan and the
+step-count rule."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import triq.noise
-from triq import (NoiseModel, Pulse, SpinSystem, build_xy16s, ou_unit_phases,
-                  prepare_ghz, propagate, pulse_unitary, run_protected)
+from triq import (NoiseModel, Pulse, SpinSystem, build_kddxy, build_xy16s,
+                  cycle_duration, fit_grid, grid_step, min_interpulse_delay,
+                  ou_unit_phases, prepare_ghz, propagate, pulse_unitary,
+                  run_protected)
 from triq.core import ID2, SX, SZ, kron
 from triq.noise import _MAX_SEGMENT_STEPS, _ZDIFF, _ou_paths
 from conftest import random_density
@@ -246,3 +250,30 @@ def test_ou_track_is_linear_in_sigma(sigma, log_ratio, n, width, seed):
     at_one = _ou_paths(np.random.default_rng(seed), 1.0, 1.0, dt, n, width)
     assert (np.max(np.abs(at_sigma - sigma * at_one))
             <= 1e-14 * sigma * np.max(np.abs(at_one)))
+
+
+@PROPERTY
+@given(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3))
+def test_fit_grid_takes_the_fewest_steps_no_longer_than_max_dt(span, max_dt):
+    n, dt = fit_grid(span, max_dt)
+    assert math.isclose(n * dt, span, rel_tol=1e-15)
+    # the relative guard lets a step exceed max_dt by 1e-9 of itself; the
+    # last factor allows for rounding
+    assert dt <= max_dt * (1.0 + 1e-9) * (1.0 + 1e-15)
+    assert (n - 1) * max_dt < span
+
+
+def test_fit_grid_pinned_cases():
+    # KDD at tau = 0.2 ms: the summed delays leave cyc / dt a few ulps
+    # above 1000, which a plain ceil would make 1001 steps
+    kdd = build_kddxy(2e-4)
+    cyc = cycle_duration(kdd)
+    dt = grid_step(SpinSystem(), min_interpulse_delay(kdd))
+    assert cyc / dt > 1000.0
+    assert fit_grid(cyc, dt)[0] == 1000
+    assert fit_grid(0.0, 1e-3)[0] == 0
+    with pytest.raises(ValueError, match="t_final must be non-negative"):
+        fit_grid(-1e-3, 1e-3)
+    for max_dt in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            fit_grid(1.0, max_dt)
