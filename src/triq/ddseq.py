@@ -61,6 +61,10 @@ class Pulse:
     def __post_init__(self):
         if not 0.0 < self.angle <= 2.0 * math.pi:
             raise ValueError("angle must lie in (0, 2 pi], got %g" % self.angle)
+        for name, value in (("phase", self.phase),
+                            ("flip_error", self.flip_error)):
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, got %g" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -204,8 +208,10 @@ def run_protected(rho0, spins, noise_model, schedule, *, dt=None):
     errors. dt is the longest step, noise.grid_step by default, shrunk
     so that a whole number of steps fills one cycle (noise.fit_grid);
     every pulse must then fall on a step. Both arms run on that one
-    grid and are sampled at the start and after each cycle, cycles + 1
-    samples, so in the correlated mode they see the same OU tracks.
+    grid, through one noise.propagate_arms pass, and are sampled at the
+    start and after each cycle, cycles + 1 samples. In the correlated
+    mode they see the same OU tracks, each drawn once for both arms,
+    and each arm equals a lone noise.propagate of its pulses.
 
     Returns
     -------
@@ -217,6 +223,6 @@ def run_protected(rho0, spins, noise_model, schedule, *, dt=None):
     steps_per_cycle, dt = noise.fit_grid(cycle_duration(schedule), dt)
     n = schedule.cycles * steps_per_cycle
     samples = range(0, n + 1, steps_per_cycle)
-    return (noise.propagate(rho0, noise_model, n, dt, expand_schedule(schedule),
-                            samples),
-            noise.propagate(rho0, noise_model, n, dt, sample_steps=samples))
+    protected, free = noise.propagate_arms(
+        rho0, noise_model, n, dt, [expand_schedule(schedule), ()], samples)
+    return protected, free

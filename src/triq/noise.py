@@ -9,14 +9,19 @@ stays Lindbladian.
 
 No system Hamiltonian acts: as in the paper's fits, the register
 evolves under the damping and the bath alone. Every run goes through
-one segment propagator, ``propagate``, that steps from event to event
-(a pulse or a sample) under the bath the NoiseModel names; ``evolve``
-is its one pulse-free front end. Both dissipators are Pauli channels,
-which commute and are applied in closed form, so a Markovian run is
-exact between events at any step length. The OU phase does not
+one segment propagator, ``propagate_arms``, that steps each of several
+pulse trains from event to event (a pulse or a sample) under the bath
+the NoiseModel names; ``propagate`` is its one-train case and
+``evolve`` its one pulse-free front end. Both dissipators are Pauli
+channels, which commute and are applied in closed form, so a Markovian
+run is exact between events at any step length. The OU phase does not
 commute with the bit flips: a segment is Strang-split around it, the
 phase summed over the segment's steps of the OU grid, and segments are
-capped at _MAX_SEGMENT_STEPS grid steps. The OU recurrence is linear
+capped at _MAX_SEGMENT_STEPS grid steps. The arms share one pass per
+chunk of trajectories, in which each OU track is drawn once and
+reduced at every arm's segment edges. Adjacent half flips merge into
+one, F(a) F(b) = F(a + b), where no sample sits between them and any
+pulse there maps each qubit's X to +-X. The OU recurrence is linear
 in sigma for fixed draws, so a track at sigma is sigma times the track
 at 1: ``ou_unit_phases`` draws the unit-sigma tracks once, and a caller
 that varies sigma alone (calibration) rescales their phases instead of
@@ -39,6 +44,7 @@ __all__ = [
     "fit_grid",
     "grid_step",
     "propagate",
+    "propagate_arms",
     "ou_unit_phases",
 ]
 
@@ -307,74 +313,156 @@ def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
     track from a stream seeded by (noise.seed, j), so the ensemble mean
     does not depend on execution order. Pulses at a step act after the
     free evolution up to it and before its sample; every sampled mean
-    is validated as physical.
+    is validated as physical. This is the one-train case of
+    ``propagate_arms``, which states the split and the flip merge.
 
     Returns
     -------
     measures.DecayCurve
         Metrics of the sampled means against rho0.
     """
+    return propagate_arms(rho0, noise, n_steps, dt, [pulses], sample_steps)[0]
+
+
+# u X_i u^dagger must equal +-X_i to this for a pulse to commute with
+# qubit i's bit-flip channel
+_COMMUTE_TOL = 1e-12
+_X = [np.eye(8)[p] for p in _FLIP]
+
+
+def _commutes_with_flips(u):
+    """True if u X_i u^dagger = +-X_i for every qubit i, so that u
+    commutes with each qubit's bit-flip channel."""
+    for x in _X:
+        c = u @ x @ u.conj().T
+        if not (np.max(np.abs(c - x)) <= _COMMUTE_TOL
+                or np.max(np.abs(c + x)) <= _COMMUTE_TOL):
+            return False
+    return True
+
+
+def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
+    """``propagate`` of several pulse trains under one bath.
+
+    Each train is a sequence of (time_s, unitary) pulses on the grid;
+    every arm starts from rho0 and is sampled at ``sample_steps``. In
+    the correlated bath all arms see the same OU tracks: each chunk of
+    trajectories is one pass for all arms, in which trajectory j's
+    track is drawn once and reduced at every arm's segment edges
+    before the next is drawn, so an arm's curve equals a lone
+    ``propagate`` of its train bit for bit.
+
+    With the OU phase and bit flips both on, a segment is Strang-split:
+    F(Delta/2), the phase, F(Delta/2), with F the flips. Since
+    F(a) F(b) = F(a + b), a segment's trailing half flip merges with
+    the next segment's leading one when the edge between them holds no
+    sample, is not the last step, and every pulse on it commutes with
+    each qubit's flip channel (u X_i u^dagger = +-X_i to 1e-12, checked
+    once per distinct unitary). Ideal XY-16 and CPMG pulses merge;
+    KDD's pi/6 phases and y pulses with a flip error keep the plain
+    split.
+
+    Returns
+    -------
+    list of measures.DecayCurve
+        One curve per train, metrics of its sampled means against rho0.
+    """
     rho0 = check_density(rho0)
     marks = sorted(set(_check_steps(
         range(n_steps + 1) if sample_steps is None else sample_steps,
         n_steps, dt)))
-    pulses_by_step = _expand_pulse_steps(pulses, dt, n_steps)
+    row = {k: r for r, k in enumerate(marks)}
 
     correlated = noise.bath_mode == "correlated"
     with_ou = correlated and noise.ou_sigma != 0.0 and n_steps > 0
     # the OU phase does not commute with the bit flips: such segments
     # are Strang-split around the phase and kept short
-    cap = n_steps or 1
-    if with_ou and any(noise.kappa_x):
-        cap = _MAX_SEGMENT_STEPS
-    edges = _segment_edges(sorted(set(marks) | set(pulses_by_step)
-                                  | {0, n_steps}), cap)
+    split = with_ou and any(noise.kappa_x)
+    cap = _MAX_SEGMENT_STEPS if split else (n_steps or 1)
     # elementwise generator of the Lindblad dephasing (in correlated
     # mode the OU bath replaces it), applied once per distinct segment
     # length
     gen = np.zeros((8, 8))
     if not correlated:
         gen = -np.tensordot(noise.kappa_z, _ZMASK, 1)
-    lengths, length_of = np.unique(np.diff(edges), return_inverse=True)
-    deltas = dt * lengths
-    factors = np.exp(np.multiply.outer(deltas, gen))
+    # by id: every train's unitaries stay referenced until the return
+    commutes = {}
 
+    def plan(pulses):
+        by_step = _expand_pulse_steps(pulses, dt, n_steps)
+        edges = _segment_edges(sorted(set(marks) | set(by_step)
+                                      | {0, n_steps}), cap)
+        lengths, length_of = np.unique(np.diff(edges), return_inverse=True)
+        deltas = dt * lengths
+        merge = []
+        for k in edges[1:]:
+            us = by_step.get(k, [])
+            for u in us:
+                if id(u) not in commutes:
+                    commutes[id(u)] = _commutes_with_flips(u)
+            merge.append(split and k not in row and k != n_steps
+                         and all(commutes[id(u)] for u in us))
+        return (by_step, edges, deltas, np.exp(np.multiply.outer(deltas, gen)),
+                length_of, merge)
+
+    arms = [plan(train) for train in trains]
     n_traj = noise.trajectories if with_ou else 1
-    row = {k: r for r, k in enumerate(marks)}
-    acc = np.zeros((len(marks), 8, 8), dtype=complex)
+    accs = [np.zeros((len(marks), 8, 8), dtype=complex) for _ in arms]
     for start in range(0, n_traj, _CHUNK):
         width = min(_CHUNK, n_traj - start)
+        phis = [None] * len(arms)
         if with_ou:
-            # per-segment OU phases, reduced per track to keep memory low
-            phi = dt * np.stack([
-                np.add.reduceat(_ou_track(noise, j, dt, n_steps), edges[:-1])
-                for j in range(start, start + width)])  # (width, segs, 3)
-        states = np.broadcast_to(rho0, (width, 8, 8)).astype(complex)
-        for u in pulses_by_step.get(0, []):
-            states = _apply_unitary(states, u)
-        if 0 in row:
-            acc[row[0]] += states.sum(axis=0)
-        for s, k in enumerate(edges[1:]):
-            delta, factor = deltas[length_of[s]], factors[length_of[s]]
-            if with_ou:
-                factor = factor * np.exp(
-                    -1j * np.einsum("ci,iab->cab", phi[:, s], _ZDIFF))
-                states = _flips(states, noise.kappa_x, 0.5 * delta)
-                states = _flips(factor * states, noise.kappa_x, 0.5 * delta)
-            else:
-                states = _flips(factor * states, noise.kappa_x, delta)
-            for u in pulses_by_step.get(k, []):
-                states = _apply_unitary(states, u)
-            if k in row:
-                acc[row[k]] += states.sum(axis=0)
-    acc /= n_traj
+            # per-segment OU phases of every arm, (width, segs, 3): each
+            # track is drawn once, reduced at all arms' edges, dropped
+            sums = [[] for _ in arms]
+            for j in range(start, start + width):
+                track = _ou_track(noise, j, dt, n_steps)
+                for (_, edges, *_), out in zip(arms, sums):
+                    out.append(np.add.reduceat(track, edges[:-1]))
+            phis = [dt * np.stack(out) for out in sums]
+        for arm, phi, acc in zip(arms, phis, accs):
+            _sweep(rho0, width, arm, phi, noise.kappa_x, row, acc)
 
     times = [k * dt for k in marks]
-    try:
-        return measures.curve_from_states(times, acc, rho0)
-    except PhysicalityError as err:
-        raise PhysicalityError(
-            "at t = %.9g s: %s" % (times[err.sample], err.reason)) from err
+    curves = []
+    for acc in accs:
+        acc /= n_traj
+        try:
+            curves.append(measures.curve_from_states(times, acc, rho0))
+        except PhysicalityError as err:
+            raise PhysicalityError(
+                "at t = %.9g s: %s" % (times[err.sample], err.reason)) from err
+    return curves
+
+
+def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
+    """Run one arm's segments for a chunk of ``width`` trajectories and
+    add the sampled states into acc. phi holds the chunk's per-segment
+    OU phases, or is None without the OU bath."""
+    by_step, edges, deltas, factors, length_of, merge = arm
+    states = np.broadcast_to(rho0, (width, 8, 8)).astype(complex)
+    for u in by_step.get(0, []):
+        states = _apply_unitary(states, u)
+    if 0 in row:
+        acc[row[0]] += states.sum(axis=0)
+    carried = 0.0  # half flip left over from a merged edge, in seconds
+    for s, k in enumerate(edges[1:]):
+        delta, factor = deltas[length_of[s]], factors[length_of[s]]
+        if phi is None:
+            states = _flips(factor * states, kappa_x, delta)
+        else:
+            factor = factor * np.exp(
+                -1j * np.einsum("ci,iab->cab", phi[:, s], _ZDIFF))
+            states = factor * _flips(states, kappa_x, carried + 0.5 * delta)
+            if merge[s]:
+                carried = 0.5 * delta
+            else:
+                states = _flips(states, kappa_x, 0.5 * delta)
+                carried = 0.0
+        for u in by_step.get(k, []):
+            states = _apply_unitary(states, u)
+        if k in row:
+            acc[row[k]] += states.sum(axis=0)
 
 
 def ou_unit_phases(noise, n_steps, dt, sample_steps):

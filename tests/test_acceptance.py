@@ -68,15 +68,26 @@ def markovian_curves(spins):
     return out
 
 
-@pytest.fixture(scope="module")
-def protection_runs(spins):
+def c5_protect(spins, prepare):
     # XY-16(s) at tau = 0.25 ms for 60 cycles = 240 ms under the
     # calibrated bath, against free evolution on the same step grid
     nm = NoiseModel.from_spins(spins, bath_mode="correlated",
                                ou_sigma=SIGMA_STAR, ou_tau_c=TAU_C,
                                trajectories=64, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=60)
-    return run_protected(prepare_ghz(), spins, nm, schedule)
+    return run_protected(prepare(), spins, nm, schedule)
+
+
+@pytest.fixture(scope="module")
+def protection_runs(spins):
+    return c5_protect(spins, prepare_ghz)
+
+
+@pytest.fixture(scope="module")
+def dd_runs(spins, protection_runs):
+    """(protected, free) of every family under c5's bath and schedule."""
+    return {"ghz": protection_runs, "w": c5_protect(spins, prepare_w),
+            "wwbar": c5_protect(spins, prepare_wwbar)}
 
 
 def test_c1_oracle_equivalence(spins, rates, markovian_curves):
@@ -194,3 +205,25 @@ def test_c9_csv_byte_determinism(tmp_path):
         outs.append(out)
     for name in ("protected.csv", "unprotected.csv", "protect.svg"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# -- paper claims (CONFORMANCE.md, "Paper claims") --------------------------
+# Final fidelity, free -> protected, under c5's bath and schedule:
+# GHZ 0.590 -> 0.932, W 0.567 -> 0.933, WWbar 0.540 -> 0.962.
+
+def test_paper_claim_dd_protects_wwbar_significantly(dd_runs):
+    prot, free = dd_runs["wwbar"]
+    assert free.fidelity[-1] == pytest.approx(0.540, abs=1e-3)
+    assert prot.fidelity[-1] == pytest.approx(0.962, abs=1e-3)
+    # protected as GHZ is in c5: tripartite negativity kept 3.2-fold
+    assert prot.n3_tri[-1] / free.n3_tri[-1] >= 3.0
+
+
+@pytest.mark.xfail(reason="W gains as much fidelity as GHZ and WWbar in the "
+                   "OU bath: free -> protected GHZ 0.590 -> 0.932, W 0.567 "
+                   "-> 0.933, WWbar 0.540 -> 0.962", strict=True)
+def test_paper_claim_dd_gain_marginal_for_w(dd_runs):
+    gain = {name: prot.fidelity[-1] - free.fidelity[-1]
+            for name, (prot, free) in dd_runs.items()}
+    # marginal: at most half of the smaller gain of the other two
+    assert gain["w"] <= 0.5 * min(gain["ghz"], gain["wwbar"])

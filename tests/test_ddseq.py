@@ -24,6 +24,7 @@ from triq import (
     schedule_table,
     tripartite_negativity,
 )
+import triq.noise
 from triq import ddseq
 from triq.core import SX
 
@@ -38,6 +39,15 @@ def test_pulse_validation():
         Pulse(angle=0.0)
     with pytest.raises(ValueError, match="angle"):
         Pulse(angle=2.1 * math.pi)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["phase", "flip_error"])
+def test_pulse_rejects_non_finite_fields(field, value):
+    # a NaN flip error used to run a whole propagation and fail as a
+    # numerical error; an infinite one failed with "math domain error"
+    with pytest.raises(ValueError, match=field + " must be finite"):
+        Pulse(**{field: value})
 
 
 def test_schedule_validation():
@@ -243,3 +253,41 @@ def test_both_arms_see_the_same_tracks(spins, prepare):
                     sample_steps=range(0, 10 * steps + 1, steps))
     assert np.array_equal(free.times, ref.times)
     assert np.array_equal(free.states, ref.states)
+
+
+def test_run_protected_draws_each_track_once(spins, monkeypatch):
+    # both arms reduce one draw of each trajectory's OU track
+    calls = []
+    real = triq.noise._ou_track
+
+    def counting(noise, j, dt, n):
+        calls.append(j)
+        return real(noise, j, dt, n)
+
+    monkeypatch.setattr(triq.noise, "_ou_track", counting)
+    nm = NoiseModel.from_spins(spins, bath_mode="correlated",
+                               ou_sigma=13.7117919922, ou_tau_c=0.01,
+                               trajectories=40, seed=2026)
+    run_protected(prepare_ghz(), spins, nm, build_xy16s(TAU, cycles=2))
+    assert sorted(calls) == list(range(nm.trajectories))
+
+
+def test_run_protected_merges_half_flips_at_ideal_pulses(spins, monkeypatch):
+    # XY-16(s) at tau = 0.25 ms on 5 us steps, 2 cycles, one chunk: the
+    # protected arm has 2 x 17 segments and the free arm 2 x 16 (capped
+    # at 50 steps). Every half flip merges into the next segment's
+    # except at the two samples, so each arm takes segments + 2 flip
+    # calls: 36 + 34, where the plain split takes 2 per segment, 132
+    calls = []
+    real = triq.noise._flips
+
+    def counting(states, kappa_x, t):
+        calls.append(t)
+        return real(states, kappa_x, t)
+
+    monkeypatch.setattr(triq.noise, "_flips", counting)
+    nm = NoiseModel.from_spins(spins, bath_mode="correlated",
+                               ou_sigma=13.7117919922, ou_tau_c=0.01,
+                               trajectories=4, seed=2026)
+    run_protected(prepare_ghz(), spins, nm, build_xy16s(TAU, cycles=2))
+    assert len(calls) == 70

@@ -2,6 +2,7 @@
 step-count rule."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import triq.noise
 from triq import (NoiseModel, Pulse, SpinSystem, build_kddxy, build_xy16s,
-                  cycle_duration, fit_grid, grid_step, min_interpulse_delay,
-                  ou_unit_phases, prepare_ghz, propagate, pulse_unitary,
+                  cycle_duration, expand_schedule, fit_grid, grid_step,
+                  min_interpulse_delay, ou_unit_phases, prepare_ghz,
+                  prepare_w, propagate, propagate_arms, pulse_unitary,
                   run_protected)
-from triq.core import ID2, SX, SZ, kron
-from triq.noise import _MAX_SEGMENT_STEPS, _ZDIFF, _ou_paths
+from triq.core import ID2, SX, SZ, embed1, kron
+from triq.noise import (_MAX_SEGMENT_STEPS, _ZDIFF, _ou_paths, _ou_track,
+                        _segment_edges)
 from conftest import random_density
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -277,3 +280,119 @@ def test_fit_grid_pinned_cases():
     for max_dt in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be positive"):
             fit_grid(1.0, max_dt)
+
+
+# the acceptance bath with kappa_x 100 times the bundled 1/T1, so that
+# the bit flips, and any error in merging them, show; pulses 1 ms apart
+# so that the 50-step cap also splits the gaps between them
+FLIPPY = NoiseModel(kappa_x=tuple(100.0 / t for t in SpinSystem().t1_s),
+                    kappa_z=(0.0, 0.0, 0.0), bath_mode="correlated",
+                    ou_sigma=13.7117919922, ou_tau_c=0.01, trajectories=3,
+                    seed=11)
+ARM_SCHEDULES = {
+    "xy16s": build_xy16s(1e-3, cycles=2),
+    "kddxy": build_kddxy(1e-3, cycles=2),
+    "xy16s_flip_error": build_xy16s(1e-3, cycles=2, flip_error=0.02),
+}
+
+
+def _arm_grid(schedule):
+    """Grid of 5 us steps, sampled after each cycle and once inside a gap."""
+    per_cycle, dt = fit_grid(cycle_duration(schedule), 5e-6)
+    n = schedule.cycles * per_cycle
+    return n, dt, sorted({*range(0, n + 1, per_cycle), 130})
+
+
+def _strang_reference(rho0, noise, n, dt, pulses, samples):
+    """The plain Strang split, two half flips per segment, on the
+    engine's segment edges, one trajectory at a time."""
+    by_step = {}
+    for t, u in pulses:
+        by_step.setdefault(round(t / dt), []).append(u)
+    edges = _segment_edges(sorted(set(samples) | set(by_step) | {0, n}),
+                           _MAX_SEGMENT_STEPS)
+    xs = [embed1(SX, q) for q in (1, 2, 3)]
+
+    def half_flips(rho, t):
+        for x, kx in zip(xs, noise.kappa_x):
+            p = 0.5 * (1.0 - math.exp(-kx * t))
+            rho = (1.0 - p) * rho + p * (x @ rho @ x)
+        return rho
+
+    def kick(rho, k):
+        for u in by_step.get(k, []):
+            rho = u @ rho @ u.conj().T
+        return rho
+
+    out = np.zeros((len(samples), 8, 8), dtype=complex)
+    for j in range(noise.trajectories):
+        b = _ou_track(noise, j, dt, n)
+        rho = kick(rho0.astype(complex), 0)
+        got = {0: rho}
+        for a, k in zip(edges, edges[1:]):
+            phase = dt * b[a:k].sum(axis=0)
+            rho = half_flips(rho, 0.5 * (k - a) * dt)
+            rho = np.exp(-1j * np.einsum("i,iab->ab", phase, _ZDIFF)) * rho
+            rho = kick(half_flips(rho, 0.5 * (k - a) * dt), k)
+            got[k] = rho
+        out += np.stack([got[k] for k in samples])
+    return out / noise.trajectories
+
+
+@pytest.mark.parametrize("name", sorted(ARM_SCHEDULES))
+def test_merged_half_flips_match_the_strang_split(name):
+    schedule = ARM_SCHEDULES[name]
+    n, dt, samples = _arm_grid(schedule)
+    rho0 = prepare_w()
+    trains = [expand_schedule(schedule), ()]
+    curves = propagate_arms(rho0, FLIPPY, n, dt, trains, samples)
+    for train, curve in zip(trains, curves):
+        want = _strang_reference(rho0, FLIPPY, n, dt, train, samples)
+        assert np.max(np.abs(curve.states - want)) < 1e-12
+    # the flips move the states far more than the bound
+    quiet = replace(FLIPPY, kappa_x=(0.0, 0.0, 0.0))
+    unflipped = propagate_arms(rho0, quiet, n, dt, trains, samples)
+    assert np.max(np.abs(unflipped[0].states - curves[0].states)) > 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(ARM_SCHEDULES))
+def test_propagate_arms_equal_lone_propagate(name):
+    schedule = ARM_SCHEDULES[name]
+    n, dt, samples = _arm_grid(schedule)
+    noise = replace(FLIPPY, trajectories=34)  # a full chunk and a part
+    pulses = expand_schedule(schedule)
+    prot, free = propagate_arms(prepare_ghz(), noise, n, dt, [pulses, ()],
+                                samples)
+    lone = propagate(prepare_ghz(), noise, n, dt, pulses, samples)
+    assert np.array_equal(prot.states, lone.states)
+    assert np.array_equal(prot.times, lone.times)
+    lone = propagate(prepare_ghz(), noise, n, dt, sample_steps=samples)
+    assert np.array_equal(free.states, lone.states)
+
+
+@pytest.mark.parametrize("phase, flip_error, merges", [
+    (0.0, 0.0, True),            # x
+    (math.pi / 2.0, 0.0, True),  # y
+    (math.pi, 0.0, True),        # -x
+    (0.0, 0.02, True),           # an over-rotated x still commutes with X
+    (math.pi / 2.0, 0.02, False),
+    (math.pi / 6.0, 0.0, False),  # KDD's outer pulses
+])
+def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
+    # a pulse carries two half flips across it only if it commutes with
+    # every qubit's bit-flip channel
+    n, dt = 100, 1e-5
+    pulses = [(50 * dt, pulse_unitary(Pulse(phase=phase,
+                                            flip_error=flip_error)))]
+    calls = []
+    real = triq.noise._flips
+
+    def counting(states, kappa_x, t):
+        calls.append(t)
+        return real(states, kappa_x, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triq.noise, "_flips", counting)
+        propagate(prepare_ghz(), FLIPPY, n, dt, pulses, [0, n])
+    # segments [0, 50] and [50, 100]: four half flips, or three merged
+    assert len(calls) == (3 if merges else 4)
