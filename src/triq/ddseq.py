@@ -67,6 +67,11 @@ class Pulse:
                 raise ValueError("%s must be finite, got %g" % (name, value))
 
 
+def _check_delay(name, value):
+    if not 0.0 < value < math.inf:  # false for NaN too
+        raise ValueError("%s must be finite and positive, got %g" % (name, value))
+
+
 @dataclass(frozen=True)
 class DDSchedule:
     """One cycle of (delay_s, Pulse-or-None) events, repeated ``cycles`` times."""
@@ -80,8 +85,7 @@ class DDSchedule:
         if not self.events:
             raise ValueError("schedule needs at least one event")
         for delay, _ in self.events:
-            if delay <= 0:
-                raise ValueError("delays must be positive, got %g" % delay)
+            _check_delay("delays", delay)
 
     @property
     def pulses(self):
@@ -105,8 +109,7 @@ def _swap_xy(phases):
 
 def build_xy16s(tau, cycles=1, flip_error=0.0):
     """Symmetric XY-16 cycle: sixteen pi pulses over a 16 tau cycle."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_delay("tau", tau)
     xy8s = _XY4 + tuple(reversed(_XY4))
     phases = xy8s + _swap_xy(xy8s)
     return DDSchedule(events=_edge_delayed(phases, tau, flip_error), cycles=cycles)
@@ -114,8 +117,7 @@ def build_xy16s(tau, cycles=1, flip_error=0.0):
 
 def build_kddxy(tau_k, cycles=1, flip_error=0.0):
     """KDD_xy cycle: twenty pi pulses over a 20 tau_k cycle."""
-    if tau_k <= 0:
-        raise ValueError("tau_k must be positive")
+    _check_delay("tau_k", tau_k)
 
     def kdd(phi):
         return (math.pi / 6.0 + phi, phi, math.pi / 2.0 + phi, phi,
@@ -128,8 +130,7 @@ def build_kddxy(tau_k, cycles=1, flip_error=0.0):
 
 def build_cpmg(tau, cycles=1, flip_error=0.0):
     """Single-axis control: sixteen y pulses with the XY-16 timing."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_delay("tau", tau)
     phases = (math.pi / 2.0,) * 16
     return DDSchedule(events=_edge_delayed(phases, tau, flip_error), cycles=cycles)
 

@@ -144,9 +144,10 @@ def fit_grid(span, max_dt):
     up with a relative 1e-9 guard, since a span summed from delays may
     sit a few ulps above a whole number of steps. Every grid is cut so.
     """
-    if not span >= 0:
-        raise ValueError("t_final must be non-negative")
-    # NaN fails the comparison, and an infinite step would fill no span
+    # NaN fails the comparisons; an infinite span has no whole number
+    # of steps, and an infinite step would fill no span
+    if not 0.0 <= span < math.inf:
+        raise ValueError("t_final must be non-negative and finite, got %g" % span)
     if not 0.0 < max_dt < math.inf:
         raise ValueError("dt must be positive")
     if span == 0.0:
@@ -174,8 +175,8 @@ def _apply_unitary(states, u):
 
 def _check_steps(steps, n, dt):
     """``steps`` as a list of sample steps on a grid of n steps of dt."""
-    if n < 0 or dt <= 0:
-        raise ValueError("n_steps must be non-negative and dt positive")
+    if n < 0 or not 0.0 < dt < math.inf:  # false for a NaN dt too
+        raise ValueError("n_steps must be non-negative and dt finite and positive")
     steps = list(steps)
     bad = [k for k in steps if not isinstance(k, (int, np.integer))]
     if bad:  # int() would truncate it onto another sample's step
@@ -214,34 +215,25 @@ def evolve(rho0, spins, noise, t_final, dt=None, sample_every=1):
 def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
     """Stationary OU tracks, one column per qubit: (n_steps, width).
 
-    Exact discrete update x' = x e^{-dt/tau_c} + sigma
-    sqrt(1 - e^{-2 dt/tau_c}) xi with a stationary N(0, sigma^2) start.
+    Exact discrete update x' = d x + sigma sqrt(1 - d^2) xi, with
+    d = e^{-dt/tau_c} and a stationary N(0, sigma^2) start, evaluated by
+    a doubling scan (Hillis & Steele, CACM 29, 1170 (1986)): after the
+    pass at stride s, x_k holds the sum of its last 2s innovations, each
+    weighted by d to its age. Only non-negative powers of d appear, so
+    one path covers every dt/tau_c, from a frozen track (d = 1) to white
+    noise (d = 0), and the track stays within a few ulps of the plain
+    recurrence.
     """
     if sigma == 0.0 or n_steps == 0:
         return np.zeros((n_steps, width))
     eps = rng.standard_normal((n_steps, width))
     d = math.exp(-dt / tau_c)
-    sn = sigma * math.sqrt(1.0 - d * d)
-    out = np.empty((n_steps, width))
+    out = sigma * math.sqrt(1.0 - d * d) * eps
     out[0] = sigma * eps[0]
-    # blockwise scan; the closed form within a block uses growing powers
-    # of 1/d, so block length is capped to keep them finite
-    max_block = max(1, int(500.0 / max(dt / tau_c, 1e-12)))
-    if max_block == 1:
-        # dt > 250 tau_c: 1/d may overflow, and the plain recurrence
-        # costs the same as one-step blocks
-        for k in range(1, n_steps):
-            out[k] = d * out[k - 1] + sn * eps[k]
-        return out
-    k = 1
-    while k < n_steps:
-        stop = min(n_steps, k + max_block)
-        m = stop - k
-        powers = d ** np.arange(1, m + 1)          # d^1 .. d^m
-        inv = (1.0 / d) ** np.arange(1, m + 1)      # d^-1 .. d^-m
-        acc = np.cumsum(inv[:, None] * eps[k:stop], axis=0)
-        out[k:stop] = powers[:, None] * (out[k - 1] + sn * acc)
-        k = stop
+    s = 1
+    while s < n_steps:
+        out[s:] += d ** s * out[:-s]  # the right side is read before the add
+        s *= 2
     return out
 
 
@@ -447,12 +439,13 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
         acc[row[0]] += states.sum(axis=0)
     carried = 0.0  # half flip left over from a merged edge, in seconds
     for s, k in enumerate(edges[1:]):
-        delta, factor = deltas[length_of[s]], factors[length_of[s]]
+        delta = deltas[length_of[s]]
         if phi is None:
-            states = _flips(factor * states, kappa_x, delta)
+            states = _flips(factors[length_of[s]] * states, kappa_x, delta)
         else:
-            factor = factor * np.exp(
-                -1j * np.einsum("ci,iab->cab", phi[:, s], _ZDIFF))
+            # the OU bath replaces the Lindblad dephasing, so the phase
+            # factor is the segment's whole elementwise factor
+            factor = np.exp(-1j * np.einsum("ci,iab->cab", phi[:, s], _ZDIFF))
             states = factor * _flips(states, kappa_x, carried + 0.5 * delta)
             if merge[s]:
                 carried = 0.5 * delta

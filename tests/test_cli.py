@@ -218,6 +218,21 @@ def test_calibrate_no_bracket_is_numerical_failure(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ("calibrate.sigma_lo_rad_s = 12\n", "requires bath.mode = correlated"),
+    ("bath.mode = correlated\nbath.tau_c_s = 0\n",
+     "requires bath.tau_c_s > 0"),
+    ("bath.mode = correlated\ncalibrate.sigma_lo_rad_s = 16\n"
+     "calibrate.sigma_hi_rad_s = 16\n", "sigma_hi_rad_s must exceed"),
+], ids=["markovian", "white_noise", "empty_bracket"])
+def test_calibrate_config_errors(tmp_path, capsys, cfg, message):
+    rc, out = run(tmp_path, cfg + "bath.trajectories = 8\nseed = 2\n",
+                  command="calibrate")
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "calibration.txt").exists()
+
+
 def test_calibrate_doubling_trajectories_is_stable(tmp_path):
     # doubling the ensemble moves the calibrated sigma by well under 3%
     results = {}

@@ -100,6 +100,20 @@ def test_builders_reject_bad_tau():
             build(0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("build, field", [
+    (lambda delay: DDSchedule(events=((delay, Pulse()),)), "delays"),
+    (build_xy16s, "tau"),
+    (build_kddxy, "tau_k"),
+    (build_cpmg, "tau"),
+], ids=["DDSchedule", "build_xy16s", "build_kddxy", "build_cpmg"])
+def test_delays_must_be_finite_and_positive(build, field, value):
+    # NaN passes `delay <= 0`, and run_protected would then fail on the
+    # cycle's span with a message that names no delay
+    with pytest.raises(ValueError, match=field + " must be finite and positive"):
+        build(value)
+
+
 def test_pulse_unitary_collective_x():
     u = pulse_unitary(Pulse(phase=0.0))
     xxx = np.kron(np.kron(SX, SX), SX)

@@ -272,17 +272,54 @@ def test_propagate_labels_unphysical_sample_with_time(spins):
                   pulses=[(0.004, 1.5 * np.eye(8, dtype=complex))])
 
 
-@pytest.mark.parametrize("run", [
-    lambda noise, steps: propagate(prepare_ghz(), noise, 10, 1e-3,
-                                   sample_steps=steps),
-    lambda noise, steps: ou_unit_phases(noise, 10, 1e-3, steps),
+# the two entry points that take sample steps, on a grid of n steps of dt
+SAMPLED_RUNS = pytest.mark.parametrize("run", [
+    lambda noise, steps, n=10, dt=1e-3: propagate(prepare_ghz(), noise, n, dt,
+                                                  sample_steps=steps),
+    lambda noise, steps, n=10, dt=1e-3: ou_unit_phases(noise, n, dt, steps),
 ], ids=["propagate", "ou_unit_phases"])
+OU_NOISE = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                      bath_mode="correlated", ou_sigma=10.0, ou_tau_c=0.01,
+                      trajectories=2, seed=1)
+
+
+@SAMPLED_RUNS
 def test_fractional_sample_steps_are_rejected(spins, run):
     # int() would truncate 2.5 onto step 2 and label the sample 0.002 s
     noise = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
                                   ou_tau_c=0.01, trajectories=2, seed=1)
     with pytest.raises(ValueError, match="sample steps must be integers, got 2.5"):
         run(noise, [0, 2.5, 9.99])
+
+
+@SAMPLED_RUNS
+@pytest.mark.parametrize("steps", [[], [0, 11], [-1, 5]],
+                         ids=["none", "past_the_end", "negative"])
+def test_sample_steps_off_the_grid_are_rejected(run, steps):
+    with pytest.raises(ValueError, match=r"sample steps must lie in \[0, 10\]"):
+        run(OU_NOISE, steps)
+
+
+@SAMPLED_RUNS
+@pytest.mark.parametrize("n, dt", [(-1, 1e-3), (10, 0.0), (10, -1e-3),
+                                   (10, math.nan), (10, math.inf)])
+def test_bad_grid_is_rejected_before_sampling(run, n, dt):
+    # NaN passes `dt <= 0`: the check must state what holds
+    with pytest.raises(ValueError,
+                       match="n_steps must be non-negative and dt finite and positive"):
+        run(OU_NOISE, [0], n=n, dt=dt)
+
+
+@pytest.mark.parametrize("t", [-1e-3, 0.011])
+def test_pulse_outside_the_run_is_rejected(t):
+    with pytest.raises(ValueError, match="pulse at t = %g s falls outside the run" % t):
+        propagate(prepare_ghz(), OU_NOISE, 10, 1e-3,
+                  pulses=[(t, np.eye(8, dtype=complex))])
+
+
+def test_unit_phases_require_the_correlated_bath(spins):
+    with pytest.raises(ValueError, match="ou_unit_phases requires bath_mode = correlated"):
+        ou_unit_phases(NoiseModel.from_spins(spins), 10, 1e-3, [0, 10])
 
 
 def test_sample_ou_path_basics():

@@ -190,38 +190,43 @@ def test_segment_cap_keeps_protected_run_near_one_step_split(monkeypatch):
         assert np.max(np.abs(a - b)) < 1e-7 * 10 / 60
 
 
+def _plain_ou_recurrence(seed, tau_c, sigma, dt, n, width):
+    """The OU update of _ou_paths, one step at a time, on the same draws."""
+    eps = np.random.default_rng(seed).standard_normal((n, width))
+    d = math.exp(-dt / tau_c)
+    sn = sigma * math.sqrt(1.0 - d * d)
+    out = np.empty((n, width))
+    out[0] = sigma * eps[0]
+    for k in range(1, n):
+        out[k] = d * out[k - 1] + sn * eps[k]
+    return out
+
+
 @PROPERTY
 @given(st.floats(-9.0, 4.0), st.floats(0.01, 100.0), st.integers(1, 400),
        st.integers(1, 3), st.integers(0, 2**32))
 @example(-9.0, 1.0, 400, 3, 0)
-@example(2.6, 1.0, 50, 3, 0)     # 1/d just finite
-@example(2.86, 1.0, 50, 3, 0)    # 1/d overflows
-@example(4.0, 1.0, 50, 3, 0)     # d underflows to 0
+@example(2.6, 1.0, 50, 3, 0)     # dt = 398 tau_c: d = e^-398, nearly white
+@example(2.86, 1.0, 50, 3, 0)    # dt = 724 tau_c: d is subnormal
+@example(4.0, 1.0, 50, 3, 0)     # dt = 1e4 tau_c: d underflows to 0, white
 def test_ou_scan_matches_plain_recurrence(log_ratio, sigma, n, width, seed):
-    # dt / tau_c from 1e-9 to 1e4: from a frozen track to white noise,
-    # past the point where 1/d overflows
+    # dt / tau_c from 1e-9 to 1e4: from a frozen track to white noise
     tau_c, dt = 1.0, 10.0 ** log_ratio
     got = _ou_paths(np.random.default_rng(seed), tau_c, sigma, dt, n, width)
-    eps = np.random.default_rng(seed).standard_normal((n, width))
-    d = math.exp(-dt / tau_c)
-    sn = sigma * math.sqrt(1.0 - d * d)
-    want = np.empty((n, width))
-    want[0] = sigma * eps[0]
-    for k in range(1, n):
-        want[k] = d * want[k - 1] + sn * eps[k]
+    want = _plain_ou_recurrence(seed, tau_c, sigma, dt, n, width)
     assert np.all(np.isfinite(got))
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * sigma)
 
 
-# dt / tau_c from 1e-3 to 1e3: past 250 the scan of _ou_paths falls back
-# to the plain recurrence
+# dt / tau_c from 1e-3 to 1e3: from a slow track to white noise (at 1e3,
+# d = e^-1000 underflows to 0)
 log_step_ratios = st.floats(-3.0, 3.0)
 
 
 @PROPERTY
 @given(st.floats(0.1, 50.0), st.integers(2, 8), log_step_ratios,
        st.floats(1e-5, 1e-3), st.integers(1, 300), st.integers(0, 2**32))
-@example(50.0, 8, 3.0, 1e-3, 300, 0)     # plain recurrence
+@example(50.0, 8, 3.0, 1e-3, 300, 0)     # dt = 1000 tau_c: white noise
 @example(50.0, 8, -3.0, 1e-3, 300, 0)    # a slow track
 def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
                                            n, seed):
@@ -243,16 +248,27 @@ def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
 @PROPERTY
 @given(st.floats(0.1, 50.0), log_step_ratios, st.integers(1, 400),
        st.integers(1, 3), st.integers(0, 2**32))
-@example(50.0, 3.0, 400, 3, 0)           # plain recurrence
+@example(50.0, 3.0, 400, 3, 0)           # dt = 1000 tau_c: white noise
 def test_ou_track_is_linear_in_sigma(sigma, log_ratio, n, width, seed):
     # relative to the track's largest value: near a zero crossing the
-    # block scan's cancellation leaves single values off by up to ~1e-12
-    # of themselves
+    # rounding of each scan pass leaves single values off by more than
+    # 1e-14 of themselves
     dt = 10.0 ** log_ratio
     at_sigma = _ou_paths(np.random.default_rng(seed), 1.0, sigma, dt, n, width)
     at_one = _ou_paths(np.random.default_rng(seed), 1.0, 1.0, dt, n, width)
     assert (np.max(np.abs(at_sigma - sigma * at_one))
             <= 1e-14 * sigma * np.max(np.abs(at_one)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ou_scan_is_exact_on_the_protect_grid(seed):
+    # the protect grid: tau_c = 10 ms, 8,000 steps of 5 us (dt / tau_c =
+    # 5e-4), long enough that a scan through powers of 1/d would lose
+    # about 3e-13 of the track's largest value to cancellation
+    args = (0.01, 1.0, 5e-6, 8000, 3)
+    got = _ou_paths(np.random.default_rng(seed), *args)
+    want = _plain_ou_recurrence(seed, *args)
+    assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
 
 
 @PROPERTY
@@ -275,8 +291,11 @@ def test_fit_grid_pinned_cases():
     assert cyc / dt > 1000.0
     assert fit_grid(cyc, dt)[0] == 1000
     assert fit_grid(0.0, 1e-3)[0] == 0
-    with pytest.raises(ValueError, match="t_final must be non-negative"):
-        fit_grid(-1e-3, 1e-3)
+    # an infinite span must not reach ceil(), whose OverflowError the CLI
+    # would report as a numerical failure
+    for span in (-1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_final must be non-negative"):
+            fit_grid(span, 1e-3)
     for max_dt in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be positive"):
             fit_grid(1.0, max_dt)
