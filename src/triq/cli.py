@@ -252,11 +252,11 @@ def _write_curve_csv(path, curve, protection=None):
         cols.append(protection)
     table = np.column_stack(cols)
     _check_ranges(table[:, 1:7])
-    # rows of Python floats, formatted a whole row at a time
+    # the whole table in one format call, over Python floats
     row = ",".join(["%.12g"] * len(cols))
-    lines = [header] + [row % tuple(r) for r in table.tolist()]
+    text = "\n".join([header] + [row] * len(table)) % tuple(table.ravel().tolist())
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(text + "\n")
 
 
 def _write_header_only(path, extra=False):
@@ -292,17 +292,18 @@ def _ticks(lo, hi):
 
 
 def _render_svg(path, title, xlabel, ylabel, series):
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    x_lo, x_hi = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
-    y_lo, y_hi = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
+    """Plot each (label, xs, ys) of series, xs and ys float arrays."""
+    xs_all = np.concatenate([np.empty(0), *(xs for _, xs, _ in series)])
+    ys_all = np.concatenate([np.empty(0), *(ys for _, _, ys in series)])
+    x_lo, x_hi = (xs_all.min(), xs_all.max()) if xs_all.size else (0.0, 1.0)
+    y_lo, y_hi = (ys_all.min(), ys_all.max()) if ys_all.size else (0.0, 1.0)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo) or 0.05
     y_lo, y_hi = y_lo - pad, y_hi + pad
     px0, py0, px1, py1 = _PLOT
 
-    def sx(v):
+    def sx(v):  # a float or an array
         return px0 + (v - x_lo) / (x_hi - x_lo) * (px1 - px0)
 
     def sy(v):
@@ -335,8 +336,9 @@ def _render_svg(path, title, xlabel, ylabel, series):
                  % ((py0 + py1) / 2.0, (py0 + py1) / 2.0, ylabel))
     for i, (label, xs, ys) in enumerate(series):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        if xs:
-            pts = " ".join("%.6g,%.6g" % (sx(x), sy(y)) for x, y in zip(xs, ys))
+        if len(xs):
+            pts = " ".join(map("%.6g,%.6g".__mod__,
+                               zip(sx(xs).tolist(), sy(ys).tolist())))
             parts.append('<polyline points="%s" fill="none" stroke="%s" '
                          'stroke-width="1.5"/>' % (pts, color))
         ly = py0 + 16 + 16 * i
@@ -389,11 +391,10 @@ def cmd_decay(cfg):
     oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
     _write_curve_csv(csv_path, curve)
     _write_curve_csv(ref_path, oracle)
-    times = [float(t) for t in curve.times]
     _render_svg(svg_path, "decay: %s" % cfg["state"], "time / s",
                 "tripartite negativity",
-                [("numeric", times, [float(v) for v in curve.n3_tri]),
-                 ("closed form", times, [float(v) for v in oracle.n3_tri])])
+                [("numeric", curve.times, curve.n3_tri),
+                 ("closed form", curve.times, oracle.n3_tri)])
     for p in (csv_path, ref_path, svg_path):
         _emit(p)
     return 0
@@ -423,15 +424,13 @@ def cmd_protect(cfg):
     svg_path = _out_path(cfg, "protect.svg")
     _write_curve_csv(prot_path, protected, protection=ratio)
     _write_curve_csv(unprot_path, unprotected)
-    times = [float(t) for t in protected.times]
     _render_svg(svg_path, "%s under %s" % (cfg["state"], cfg["dd.sequence"]),
                 "time / s", "tripartite negativity",
-                [("protected", times, [float(v) for v in protected.n3_tri]),
-                 ("unprotected", [float(t) for t in unprotected.times],
-                  [float(v) for v in unprotected.n3_tri])])
+                [("protected", protected.times, protected.n3_tri),
+                 ("unprotected", unprotected.times, unprotected.n3_tri)])
     for p in (prot_path, unprot_path, svg_path):
         _emit(p)
-    print("protection factor at %.6g s: %.6g" % (times[-1], ratio[-1]))
+    print("protection factor at %.6g s: %.6g" % (protected.times[-1], ratio[-1]))
     return 0
 
 

@@ -18,10 +18,14 @@ run is exact between events at any step length. The OU phase does not
 commute with the bit flips: a segment is Strang-split around it, the
 phase summed over the segment's steps of the OU grid, and segments are
 capped at _MAX_SEGMENT_STEPS grid steps. The arms share one pass per
-chunk of trajectories, in which each OU track is drawn once and
-reduced at every arm's segment edges. Adjacent half flips merge into
-one, F(a) F(b) = F(a + b), where no sample sits between them and any
-pulse there maps each qubit's X to +-X. The OU recurrence is linear
+batch of up to 64 trajectories, in which each OU track is drawn once
+and reduced at every arm's segment edges. A batch's states stay
+raveled, one row of 64 elements per trajectory, so a bit flip is one
+index gather per qubit and the OU phase factor needs an exp of only
+the 27 distinct columns of the phase pattern; a Markovian run is the
+same sweep at width 1. Adjacent half flips merge into one,
+F(a) F(b) = F(a + b), where no sample sits between them and any pulse
+there maps each qubit's X to +-X. The OU recurrence is linear
 in sigma for fixed draws, so a track at sigma is sigma times the track
 at 1: ``ou_unit_phases`` draws the unit-sigma tracks once, and a caller
 that varies sigma alone (calibration) rescales their phases instead of
@@ -48,7 +52,10 @@ __all__ = [
     "ou_unit_phases",
 ]
 
-_CHUNK = 32  # trajectories integrated per batch; fixed so sums are reproducible
+# trajectories per partial sum of a sampled mean: fixed, so that the
+# sums, and every output, do not depend on the batch width
+_CHUNK = 32
+_BATCH = 64  # trajectories swept at once; a multiple of _CHUNK
 
 
 @dataclass(frozen=True)
@@ -120,9 +127,10 @@ def _half_spin(a, i):
     return 0.5 if ((a >> (3 - i)) & 1) == 0 else -0.5
 
 
-# index gathers of the bit flip of each qubit
+# index gathers of the bit flip of each qubit, and the same on a
+# density matrix raveled to 64 elements: element (a, b) <- (a^m, b^m)
 _FLIP = [np.arange(8) ^ (1 << (3 - i)) for i in (1, 2, 3)]
-_PERM = [(p[:, None], p[None, :]) for p in _FLIP]
+_FLAT = [(8 * p[:, None] + p[None, :]).ravel() for p in _FLIP]
 # (m_i^a - m_i^b) per qubit, entries in {-1, 0, +1}
 _ZDIFF = np.stack(
     [
@@ -135,6 +143,9 @@ _ZDIFF = np.stack(
 # 1 where qubit i's bit differs between row and column: the elements
 # that sigma_z dephasing of qubit i damps
 _ZMASK = (_ZDIFF != 0.0).astype(float)
+# the 27 distinct columns (3,) of _ZDIFF raveled to (3, 64), and the
+# column of each of the 64 elements
+_ZCOLS, _ZCOL_OF = np.unique(_ZDIFF.reshape(3, 64), axis=1, return_inverse=True)
 
 
 def fit_grid(span, max_dt):
@@ -143,6 +154,8 @@ def fit_grid(span, max_dt):
     Returns (n, span / n), or (0, max_dt) for a zero span. n is rounded
     up with a relative 1e-9 guard, since a span summed from delays may
     sit a few ulps above a whole number of steps. Every grid is cut so.
+    A span or step out of range, or a step count past the largest
+    float, raises ValueError.
     """
     # NaN fails the comparisons; an infinite span has no whole number
     # of steps, and an infinite step would fill no span
@@ -152,7 +165,11 @@ def fit_grid(span, max_dt):
         raise ValueError("dt must be positive")
     if span == 0.0:
         return 0, max_dt
-    n = max(1, math.ceil(span / max_dt * (1.0 - 1e-9)))
+    steps = span / max_dt * (1.0 - 1e-9)
+    if steps == math.inf:  # ceil() would raise OverflowError
+        raise ValueError("t_final = %g over dt = %g overflows the step count"
+                         % (span, max_dt))
+    n = max(1, math.ceil(steps))
     return n, span / n
 
 
@@ -170,7 +187,9 @@ def grid_step(spins, min_delay=None):
 
 
 def _apply_unitary(states, u):
-    return np.matmul(u, np.matmul(states, u.conj().T))
+    """u rho u^dagger of each raveled state of ``states`` (width, 64)."""
+    rho = states.reshape(-1, 8, 8)
+    return np.matmul(u, np.matmul(rho, u.conj().T)).reshape(-1, 64)
 
 
 def _check_steps(steps, n, dt):
@@ -278,12 +297,25 @@ def _segment_edges(events, cap):
 
 
 def _flips(states, kappa_x, t):
-    """Bit-flip channels of all three qubits over t seconds."""
-    for (pi, pj), kx in zip(_PERM, kappa_x):
+    """Bit-flip channels of all three qubits over t seconds, on raveled
+    states (..., 64)."""
+    for flat, kx in zip(_FLAT, kappa_x):
         if kx != 0.0:
             p = 0.5 * (1.0 - math.exp(-kx * t))
-            states = (1.0 - p) * states + p * states[..., pi, pj]
+            states = (1.0 - p) * states + p * states[..., flat]
     return states
+
+
+def _phase_factors(phi):
+    """exp(-i sum_i phi_i ZDIFF_i), raveled to (len(phi), 64), for each
+    row of the OU phases phi (len(phi), 3): one exp per distinct column
+    of _ZDIFF, gathered to the 64 elements."""
+    # summed from zero in qubit order, as einsum over _ZDIFF sums it,
+    # so that every factor is bit for bit the same
+    phase = np.zeros((len(phi), _ZCOLS.shape[1]))
+    for i in range(3):
+        phase += phi[:, i, None] * _ZCOLS[i]
+    return np.exp(-1j * phase)[:, _ZCOL_OF]
 
 
 def _ou_track(noise, j, dt, n):
@@ -338,11 +370,13 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
 
     Each train is a sequence of (time_s, unitary) pulses on the grid;
     every arm starts from rho0 and is sampled at ``sample_steps``. In
-    the correlated bath all arms see the same OU tracks: each chunk of
-    trajectories is one pass for all arms, in which trajectory j's
-    track is drawn once and reduced at every arm's segment edges
+    the correlated bath all arms see the same OU tracks: each batch of
+    up to 64 trajectories is one pass for all arms, in which trajectory
+    j's track is drawn once and reduced at every arm's segment edges
     before the next is drawn, so an arm's curve equals a lone
-    ``propagate`` of its train bit for bit.
+    ``propagate`` of its train bit for bit. A sampled mean adds the
+    same partial sums of 32 trajectories in the same order at any batch
+    width, so the batch width does not change any output.
 
     With the OU phase and bit flips both on, a segment is Strang-split:
     F(Delta/2), the phase, F(Delta/2), with F the flips. Since
@@ -374,9 +408,9 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
     # elementwise generator of the Lindblad dephasing (in correlated
     # mode the OU bath replaces it), applied once per distinct segment
     # length
-    gen = np.zeros((8, 8))
+    gen = np.zeros(64)
     if not correlated:
-        gen = -np.tensordot(noise.kappa_z, _ZMASK, 1)
+        gen = -np.tensordot(noise.kappa_z, _ZMASK, 1).ravel()
     # by id: every train's unitaries stay referenced until the return
     commutes = {}
 
@@ -399,9 +433,9 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
 
     arms = [plan(train) for train in trains]
     n_traj = noise.trajectories if with_ou else 1
-    accs = [np.zeros((len(marks), 8, 8), dtype=complex) for _ in arms]
-    for start in range(0, n_traj, _CHUNK):
-        width = min(_CHUNK, n_traj - start)
+    accs = [np.zeros((len(marks), 64), dtype=complex) for _ in arms]
+    for start in range(0, n_traj, _BATCH):
+        width = min(_BATCH, n_traj - start)
         phis = [None] * len(arms)
         if with_ou:
             # per-segment OU phases of every arm, (width, segs, 3): each
@@ -420,23 +454,34 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
     for acc in accs:
         acc /= n_traj
         try:
-            curves.append(measures.curve_from_states(times, acc, rho0))
+            curves.append(measures.curve_from_states(
+                times, acc.reshape(-1, 8, 8), rho0))
         except PhysicalityError as err:
             raise PhysicalityError(
                 "at t = %.9g s: %s" % (times[err.sample], err.reason)) from err
     return curves
 
 
+def _accumulate(acc, states):
+    """Add the trajectory sum of ``states`` into acc, _CHUNK
+    trajectories at a time, so that the sum does not depend on how many
+    trajectories a batch holds."""
+    for g in range(0, len(states), _CHUNK):
+        acc += states[g:g + _CHUNK].sum(axis=0)
+
+
 def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
-    """Run one arm's segments for a chunk of ``width`` trajectories and
-    add the sampled states into acc. phi holds the chunk's per-segment
-    OU phases, or is None without the OU bath."""
+    """Run one arm's segments for a batch of ``width`` trajectories and
+    add the sampled states into the rows of acc (samples, 64). The
+    states stay raveled, (width, 64), and so do the Lindblad factors.
+    phi holds the batch's per-segment OU phases, or is None without the
+    OU bath."""
     by_step, edges, deltas, factors, length_of, merge = arm
-    states = np.broadcast_to(rho0, (width, 8, 8)).astype(complex)
+    states = np.broadcast_to(rho0.reshape(64), (width, 64)).astype(complex)
     for u in by_step.get(0, []):
         states = _apply_unitary(states, u)
     if 0 in row:
-        acc[row[0]] += states.sum(axis=0)
+        _accumulate(acc[row[0]], states)
     carried = 0.0  # half flip left over from a merged edge, in seconds
     for s, k in enumerate(edges[1:]):
         delta = deltas[length_of[s]]
@@ -445,8 +490,8 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
         else:
             # the OU bath replaces the Lindblad dephasing, so the phase
             # factor is the segment's whole elementwise factor
-            factor = np.exp(-1j * np.einsum("ci,iab->cab", phi[:, s], _ZDIFF))
-            states = factor * _flips(states, kappa_x, carried + 0.5 * delta)
+            states = (_phase_factors(phi[:, s])
+                      * _flips(states, kappa_x, carried + 0.5 * delta))
             if merge[s]:
                 carried = 0.5 * delta
             else:
@@ -455,7 +500,7 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
         for u in by_step.get(k, []):
             states = _apply_unitary(states, u)
         if k in row:
-            acc[row[k]] += states.sum(axis=0)
+            _accumulate(acc[row[k]], states)
 
 
 def ou_unit_phases(noise, n_steps, dt, sample_steps):

@@ -138,6 +138,14 @@ def test_decay_rejects_duration_off_the_sample_grid(tmp_path, capsys):
     assert not (out / "decay.csv").exists()
 
 
+def test_decay_rejects_an_overflowing_step_count(tmp_path, capsys):
+    # 1e300 s at 0.1 ns is more steps than a float holds: exit 2, not 3
+    rc, out = run(tmp_path, "grid.t_final_s = 1e300\ngrid.step_s = 1e-10\n")
+    assert rc == 2
+    assert "overflows the step count" in capsys.readouterr().err
+    assert not (out / "decay.csv").exists()
+
+
 def test_decay_rejects_correlated_mode(tmp_path):
     rc, _ = run(tmp_path, "bath.mode = correlated\nseed = 1\n")
     assert rc == 2

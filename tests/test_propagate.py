@@ -15,8 +15,8 @@ from triq import (NoiseModel, Pulse, SpinSystem, build_kddxy, build_xy16s,
                   prepare_w, propagate, propagate_arms, pulse_unitary,
                   run_protected)
 from triq.core import ID2, SX, SZ, embed1, kron
-from triq.noise import (_MAX_SEGMENT_STEPS, _ZDIFF, _ou_paths, _ou_track,
-                        _segment_edges)
+from triq.noise import (_FLIP, _MAX_SEGMENT_STEPS, _ZDIFF, _flips, _ou_paths,
+                        _ou_track, _phase_factors, _segment_edges)
 from conftest import random_density
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -301,6 +301,14 @@ def test_fit_grid_pinned_cases():
             fit_grid(1.0, max_dt)
 
 
+def test_fit_grid_rejects_an_overflowing_step_count():
+    # a finite span over a finite step whose count overflows is a bad
+    # config, not a numerical failure
+    for span, max_dt in ((1e300, 1e-10), (1.7e308, 0.5), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match="overflows the step count"):
+            fit_grid(span, max_dt)
+
+
 # the acceptance bath with kappa_x 100 times the bundled 1/T1, so that
 # the bit flips, and any error in merging them, show; pulses 1 ms apart
 # so that the 50-step cap also splits the gaps between them
@@ -415,3 +423,54 @@ def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
         propagate(prepare_ghz(), FLIPPY, n, dt, pulses, [0, n])
     # segments [0, 50] and [50, 100]: four half flips, or three merged
     assert len(calls) == (3 if merges else 4)
+
+
+@pytest.mark.parametrize("schedule", [
+    build_xy16s(1e-3),                    # merges its half flips
+    build_kddxy(1e-3, flip_error=0.01),   # does not
+], ids=["xy16s", "kddxy_flip_error"])
+def test_batch_width_does_not_change_results(schedule, monkeypatch):
+    # 70 trajectories in batches of 64 or, as the sweep once ran, of 32:
+    # every sampled mean adds the same 32-trajectory partial sums
+    n, dt, samples = _arm_grid(schedule)
+    noise = replace(FLIPPY, trajectories=70)
+    trains = [expand_schedule(schedule), ()]
+    wide = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
+    monkeypatch.setattr(triq.noise, "_BATCH", 32)
+    narrow = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
+    for a, b in zip(wide, narrow):
+        assert np.array_equal(a.states, b.states)
+
+
+phase_rows = st.lists(st.tuples(*[st.floats(-1e4, 1e4)] * 3),
+                      min_size=1, max_size=70)
+
+
+@PROPERTY
+@given(phi=phase_rows)
+def test_phase_factors_equal_the_full_exponential(phi):
+    # one exp per distinct column of _ZDIFF, gathered to the 64 elements,
+    # is bit for bit the exp of every element
+    phi = np.array(phi)
+    want = np.exp(-1j * np.einsum("ci,iab->cab", phi, _ZDIFF))
+    got = _phase_factors(phi)
+    assert got.shape == (len(phi), 64)
+    assert got.tobytes() == want.reshape(len(phi), 64).tobytes()
+
+
+@PROPERTY
+@given(kappa_x=rates, t=st.floats(0.0, 1.0), width=st.integers(1, 70),
+       seed=st.integers(0, 2**32))
+def test_raveled_flips_equal_the_matrix_gathers(kappa_x, t, width, seed):
+    # one gather per qubit on the raveled states is bit for bit the
+    # row-and-column gather on (width, 8, 8)
+    rng = np.random.default_rng(seed)
+    states = (rng.standard_normal((width, 8, 8))
+              + 1j * rng.standard_normal((width, 8, 8)))
+    want = states
+    for flip, kx in zip(_FLIP, kappa_x):
+        if kx != 0.0:
+            p = 0.5 * (1.0 - math.exp(-kx * t))
+            want = (1.0 - p) * want + p * want[..., flip[:, None], flip[None, :]]
+    got = _flips(states.reshape(width, 64), kappa_x, t)
+    assert got.tobytes() == want.reshape(width, 64).tobytes()
