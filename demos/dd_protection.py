@@ -31,9 +31,8 @@ SEED = 2026
 
 
 def main():
-    spins = SpinSystem()
     noise = NoiseModel.from_spins(
-        spins, bath_mode="correlated", ou_sigma=SIGMA, ou_tau_c=TAU_C,
+        SpinSystem(), bath_mode="correlated", ou_sigma=SIGMA, ou_tau_c=TAU_C,
         trajectories=TRAJECTORIES, seed=SEED)
     schedule = build_xy16s(TAU, cycles=CYCLES)
     total = schedule.cycles * cycle_duration(schedule)
@@ -42,7 +41,7 @@ def main():
           % (TAU * 1e3, schedule.cycles, total * 1e3, TRAJECTORIES))
     # both arms run on one time grid, so they see identical noise
     # tracks, and the pulse offsets (j + 1/2) tau land on step boundaries
-    protected, free = run_protected(prepare_ghz(), spins, noise, schedule)
+    protected, free = run_protected(prepare_ghz(), noise, schedule)
 
     print()
     print("  time      N3_tri prot.   N3_tri free    ratio")

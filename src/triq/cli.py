@@ -135,8 +135,7 @@ _SCHEMA = {
 
 
 def _defaults():
-    cfg = {k: d for k, (_, _, d) in _SCHEMA.items() if d is not None}
-    return cfg
+    return {k: d for k, (_, _, d) in _SCHEMA.items() if d is not None}
 
 
 def _set_key(cfg, key, raw, where):
@@ -203,11 +202,14 @@ def _require_seed(cfg, why):
     return cfg["seed"]
 
 
-def _spins(cfg):
+def _noise_model(cfg, **bath):
+    """The configured rates, kappa_x = 1/T1 and kappa_z = 1/T2, under the
+    NoiseModel bath keywords ``bath``."""
     try:
-        return SpinSystem(t1_s=cfg["spins.t1_s"], t2_s=cfg["spins.t2_s"])
+        spins = SpinSystem(t1_s=cfg["spins.t1_s"], t2_s=cfg["spins.t2_s"])
     except ValueError as err:
         raise ConfigError("spins: %s" % err)
+    return NoiseModel.from_spins(spins, **bath)
 
 
 _PREPARE = {"ghz": prepare_ghz, "w": prepare_w, "wwbar": prepare_wwbar}
@@ -356,17 +358,17 @@ def _out_path(cfg, name):
     return os.path.join(out, name)
 
 
-def _emit(path):
-    print("wrote %s" % path)
+def _emit(*paths):
+    for path in paths:
+        print("wrote %s" % path)
 
 
 def cmd_decay(cfg):
     """Markovian decay sweep plus the closed-form overlay."""
     if cfg["bath.mode"] != "markovian":
         raise ConfigError("decay runs the Markovian model; set bath.mode = markovian")
-    spins = _spins(cfg)
+    noise = _noise_model(cfg)
     rho0 = _PREPARE[cfg["state"]]()
-    noise = NoiseModel.from_spins(spins)
     t_final = cfg["grid.t_final_s"]
     step = cfg["grid.step_s"]
     # a grid shrunk to fit t_final would silently change the sample spacing
@@ -382,11 +384,10 @@ def cmd_decay(cfg):
         _write_header_only(ref_path)
         _render_svg(svg_path, "decay: %s" % cfg["state"], "time / s",
                     "tripartite negativity", [])
-        for p in (csv_path, ref_path, svg_path):
-            _emit(p)
+        _emit(csv_path, ref_path, svg_path)
         return 0
     # the damping acts in closed form, so one step per sample is exact
-    curve = evolve(rho0, spins, noise, t_final, dt=step)
+    curve = evolve(rho0, noise, t_final, dt=step)
     family = _ANALYTIC[cfg["state"]]
     oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
     _write_curve_csv(csv_path, curve)
@@ -395,8 +396,7 @@ def cmd_decay(cfg):
                 "tripartite negativity",
                 [("numeric", curve.times, curve.n3_tri),
                  ("closed form", curve.times, oracle.n3_tri)])
-    for p in (csv_path, ref_path, svg_path):
-        _emit(p)
+    _emit(csv_path, ref_path, svg_path)
     return 0
 
 
@@ -406,19 +406,14 @@ def cmd_protect(cfg):
     if cfg["bath.mode"] != "correlated":
         raise ConfigError("protect requires bath.mode = correlated")
     seed = _require_seed(cfg, "the correlated bath")
-    spins = _spins(cfg)
-    rho0 = _PREPARE[cfg["state"]]()
-    noise = NoiseModel.from_spins(
-        spins, bath_mode="correlated", ou_sigma=cfg["bath.sigma_rad_s"],
+    noise = _noise_model(
+        cfg, bath_mode="correlated", ou_sigma=cfg["bath.sigma_rad_s"],
         ou_tau_c=cfg["bath.tau_c_s"], trajectories=cfg["bath.trajectories"],
         seed=seed)
-    protected, unprotected = run_protected(rho0, spins, noise, schedule)
-    ratio = []
-    for p, u in zip(protected.n3_tri, unprotected.n3_tri):
-        if u > 0.0:
-            ratio.append(float(p) / float(u))
-        else:
-            ratio.append(float("inf") if p > 0.0 else float("nan"))
+    protected, unprotected = run_protected(_PREPARE[cfg["state"]](), noise, schedule)
+    # p/0 is inf and 0/0 nan: no entanglement left to protect
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(protected.n3_tri, unprotected.n3_tri)
     prot_path = _out_path(cfg, "protected.csv")
     unprot_path = _out_path(cfg, "unprotected.csv")
     svg_path = _out_path(cfg, "protect.svg")
@@ -428,8 +423,7 @@ def cmd_protect(cfg):
                 "time / s", "tripartite negativity",
                 [("protected", protected.times, protected.n3_tri),
                  ("unprotected", unprotected.times, unprotected.n3_tri)])
-    for p in (prot_path, unprot_path, svg_path):
-        _emit(p)
+    _emit(prot_path, unprot_path, svg_path)
     print("protection factor at %.6g s: %.6g" % (protected.times[-1], ratio[-1]))
     return 0
 
@@ -506,8 +500,8 @@ def cmd_calibrate(cfg):
     if cfg["bath.mode"] != "correlated":
         raise ConfigError("calibrate requires bath.mode = correlated")
     seed = _require_seed(cfg, "the correlated bath")
-    spins = _spins(cfg)
-    target = spins.t2_s[0]
+    rates = _noise_model(cfg)
+    target = cfg["spins.t2_s"][0]
     tau_c = cfg["bath.tau_c_s"]
     if tau_c <= 0:
         raise ConfigError("calibrate requires bath.tau_c_s > 0")
@@ -556,8 +550,8 @@ def cmd_calibrate(cfg):
         f.write("bath.tau_c_s = %.12g\n" % tau_c)
         f.write("bath.trajectories = %d\n" % traj)
         f.write("seed = %d\n" % seed)
-        f.write("# kappa_x = %s\n" % ",".join("%.12g" % (1.0 / t) for t in spins.t1_s))
-        f.write("# kappa_z = %s\n" % ",".join("%.12g" % (1.0 / t) for t in spins.t2_s))
+        f.write("# kappa_x = %s\n" % ",".join("%.12g" % k for k in rates.kappa_x))
+        f.write("# kappa_z = %s\n" % ",".join("%.12g" % k for k in rates.kappa_z))
         f.write("# target_t2_s = %.12g\n" % target)
         f.write("# achieved_one_over_e_s = %.12g\n" % achieved)
         f.write("# bisection_iterations = %d\n" % iterations)
@@ -594,8 +588,7 @@ def cmd_tomo(cfg):
         f.write("state = %s\n" % cfg["state"])
         f.write("settings = %d\n" % len(records))
         f.write("fidelity = %.12g\n" % fid)
-    for p in (true_path, est_path, report_path):
-        _emit(p)
+    _emit(true_path, est_path, report_path)
     print("fidelity = %.12g" % fid)
     return 0
 

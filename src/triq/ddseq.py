@@ -201,18 +201,19 @@ def schedule_table(schedule):
     return "\n".join(lines) + "\n"
 
 
-def run_protected(rho0, spins, noise_model, schedule, *, dt=None):
+def run_protected(rho0, noise_model, schedule, *, dt=None):
     """Run ``schedule.cycles`` DD cycles next to a pulse-free run.
 
     Free evolution follows the noise model's bath mode; pulses are
     applied as instantaneous collective unitaries with their flip
-    errors. dt is the longest step, noise.grid_step by default, shrunk
-    so that a whole number of steps fills one cycle (noise.fit_grid);
-    every pulse must then fall on a step. Both arms run on that one
-    grid, through one noise.propagate_arms pass, and are sampled at the
-    start and after each cycle, cycles + 1 samples. In the correlated
-    mode they see the same OU tracks, each drawn once for both arms,
-    and each arm equals a lone noise.propagate of its pulses.
+    errors. dt is the longest step, by default noise.grid_step of the
+    model at the schedule's shortest pulse spacing, shrunk so that a
+    whole number of steps fills one cycle (noise.fit_grid); every pulse
+    must then fall on a step. Both arms run on that one grid, through
+    one noise.propagate_arms pass, and are sampled at the start and
+    after each cycle, cycles + 1 samples. In the correlated mode they
+    see the same OU tracks, each drawn once for both arms, and each arm
+    equals a lone noise.propagate of its pulses.
 
     Returns
     -------
@@ -220,10 +221,9 @@ def run_protected(rho0, spins, noise_model, schedule, *, dt=None):
         The protected arm and the free arm.
     """
     if dt is None:
-        dt = noise.grid_step(spins, min_interpulse_delay(schedule))
+        dt = noise.grid_step(noise_model, min_interpulse_delay(schedule))
     steps_per_cycle, dt = noise.fit_grid(cycle_duration(schedule), dt)
     n = schedule.cycles * steps_per_cycle
     samples = range(0, n + 1, steps_per_cycle)
-    protected, free = noise.propagate_arms(
-        rho0, noise_model, n, dt, [expand_schedule(schedule), ()], samples)
-    return protected, free
+    return tuple(noise.propagate_arms(
+        rho0, noise_model, n, dt, [expand_schedule(schedule), ()], samples))

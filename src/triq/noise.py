@@ -5,7 +5,9 @@ damping (rate kappa_x = 1/T1) and sigma_z dephasing (kappa_z = 1/T2).
 Correlated mode replaces the dephasing dissipator with per-qubit
 classical Ornstein-Uhlenbeck frequency tracks b_i(t) applied through
 sigma_z/2, averaged over an ensemble of trajectories; amplitude damping
-stays Lindbladian.
+stays Lindbladian. A NoiseModel alone sets the rates and the default
+time grid (grid_step); SpinSystem is the T1/T2 config behind
+NoiseModel.from_spins.
 
 No system Hamiltonian acts: as in the paper's fits, the register
 evolves under the damping and the bath alone. Every run goes through
@@ -17,21 +19,15 @@ channels, which commute and are applied in closed form, so a Markovian
 run is exact between events at any step length. The OU phase does not
 commute with the bit flips: a segment is Strang-split around it, the
 phase summed over the segment's steps of the OU grid, and segments are
-capped at _MAX_SEGMENT_STEPS grid steps. The arms share one pass per
-batch of up to 64 trajectories, in which each OU track is drawn once
-and reduced at every arm's segment edges. A batch's states stay
-raveled, one row of 64 elements per trajectory, so a bit flip is one
-index gather per qubit and the OU phase factor needs an exp of only
-the 27 distinct columns of the phase pattern; a Markovian run is the
-same sweep at width 1. Adjacent half flips merge into one,
-F(a) F(b) = F(a + b), where no sample sits between them and any pulse
-there maps each qubit's X to +-X. The OU recurrence is linear
-in sigma for fixed draws, so a track at sigma is sigma times the track
-at 1: ``ou_unit_phases`` draws the unit-sigma tracks once, and a caller
-that varies sigma alone (calibration) rescales their phases instead of
-propagating again.
-The tests pin the propagator against a generator built from explicit
-Lindblad operator matrices.
+capped at _MAX_SEGMENT_STEPS grid steps; ``propagate_arms`` states
+how the arms share each OU track and where adjacent half flips merge,
+and ``_sweep`` how a batch of trajectories is swept on raveled states,
+a Markovian run being the same sweep at width 1. The OU recurrence is
+linear in sigma for fixed draws, so a track at sigma is sigma times the
+track at 1: ``ou_unit_phases`` draws the unit-sigma tracks once, and a
+caller that varies sigma alone (calibration) rescales their phases
+instead of propagating again. The tests pin the propagator against a
+generator built from explicit Lindblad operator matrices.
 """
 import math
 from dataclasses import dataclass, replace
@@ -62,8 +58,8 @@ _BATCH = 64  # trajectories swept at once; a multiple of _CHUNK
 class SpinSystem:
     """Per-qubit relaxation times T1 and T2, in seconds.
 
-    They set the Markovian rates (NoiseModel.from_spins) and the
-    default time grid (grid_step).
+    A config holder: NoiseModel.from_spins turns them into the rates,
+    and the runners read the rates alone.
     """
 
     t1_s: tuple = (5.42, 5.65, 4.36)
@@ -108,8 +104,12 @@ class NoiseModel:
             raise ValueError("rates and ou_sigma must be finite and non-negative")
         if self.bath_mode not in ("markovian", "correlated"):
             raise ValueError("bath_mode must be markovian or correlated")
-        if self.trajectories < 1:
-            raise ValueError("trajectories must be >= 1")
+        # int() in the seeding would run a float seed as another seed
+        for name, low in (("trajectories", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError("%s must be an integer >= %d, got %r"
+                                 % (name, low, value))
         if self.bath_mode == "correlated" and not self.ou_tau_c > 0:
             raise ValueError("ou_tau_c must be positive in correlated mode")
 
@@ -173,16 +173,22 @@ def fit_grid(span, max_dt):
     return n, span / n
 
 
-def grid_step(spins, min_delay=None):
+def grid_step(noise, min_delay=None):
     """Default longest step of the time grid, in seconds.
 
-    min(T2)/2000 without pulses. When pulses are min_delay apart it is
-    min_delay/50 cut into the fewest whole parts no longer than
-    min(T2)/2000 (fit_grid), so the pulses stay on the grid. In
-    correlated mode this is also the step of the OU tracks, so changing
-    it changes every random draw.
+    T2/2000 without pulses, with T2 = 1/max(kappa_z) the model's
+    shortest dephasing time. When pulses are min_delay apart it is
+    min_delay/50 cut into the fewest whole parts no longer than that
+    bound (fit_grid), so the pulses stay on the grid; a model with no
+    kappa_z takes min_delay/50 as it is, and without pulses has no
+    default grid (ValueError). In correlated mode this is also the step
+    of the OU tracks, so changing it changes every random draw.
     """
-    dt = min(spins.t2_s) / 2000.0
+    kappa_z = max(noise.kappa_z)
+    if not kappa_z and min_delay is None:
+        raise ValueError("a noise model without kappa_z has no default time "
+                         "grid: pass dt")
+    dt = 1.0 / kappa_z / 2000.0 if kappa_z else min_delay / 50.0
     return dt if min_delay is None else fit_grid(min_delay / 50.0, dt)[1]
 
 
@@ -205,11 +211,11 @@ def _check_steps(steps, n, dt):
     return steps
 
 
-def evolve(rho0, spins, noise, t_final, dt=None, sample_every=1):
+def evolve(rho0, noise, t_final, dt=None, sample_every=1):
     """Free evolution under the bath ``noise`` names, sampled on a fixed grid.
 
     Samples every ``sample_every`` steps (plus t = 0 and t_final). dt
-    is the longest step, grid_step(spins) by default, shrunk so that a
+    is the longest step, grid_step(noise) by default, shrunk so that a
     whole number of steps fills t_final (fit_grid). The work is done by
     ``propagate``: in markovian mode the damping channels act in closed
     form, so the samples are exact at any dt; in correlated mode the
@@ -223,7 +229,7 @@ def evolve(rho0, spins, noise, t_final, dt=None, sample_every=1):
         Metrics against rho0 as the fidelity reference, with the
         sampled density matrices attached.
     """
-    n, dt = fit_grid(t_final, grid_step(spins) if dt is None else dt)
+    n, dt = fit_grid(t_final, grid_step(noise) if dt is None else dt)
     if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
         raise ValueError("sample_every must be a positive integer, got %r"
                          % (sample_every,))

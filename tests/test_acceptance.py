@@ -64,7 +64,7 @@ def markovian_curves(spins):
     dt = (1.0 / 49.0) / 40.0
     out = {}
     for name, (prep, _) in FAMILIES.items():
-        out[name] = evolve(prep(), spins, noise, 1.0, dt=dt, sample_every=40)
+        out[name] = evolve(prep(), noise, 1.0, dt=dt, sample_every=40)
     return out
 
 
@@ -75,7 +75,7 @@ def c5_protect(spins, prepare):
                                ou_sigma=SIGMA_STAR, ou_tau_c=TAU_C,
                                trajectories=64, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=60)
-    return run_protected(prepare(), spins, nm, schedule)
+    return run_protected(prepare(), nm, schedule)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ def dd_runs(spins, protection_runs):
             "wwbar": c5_protect(spins, prepare_wwbar)}
 
 
-def test_c1_oracle_equivalence(spins, rates, markovian_curves):
+def test_c1_oracle_equivalence(rates, markovian_curves):
     # numerical integration vs the closed-form matrices, elementwise
     for name, (_, family) in FAMILIES.items():
         curve = markovian_curves[name]
@@ -137,26 +137,26 @@ def test_c5_dd_protection(spins, protection_runs):
     quiet = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
     for build in (build_xy16s, build_kddxy):
         sch = build(0.25e-3, cycles=3)
-        curve, _ = run_protected(prepare_ghz(), spins, quiet, sch, dt=0.125e-3)
+        curve, _ = run_protected(prepare_ghz(), quiet, sch, dt=0.125e-3)
         assert float(np.min(curve.fidelity)) >= 1.0 - 1e-9
     # purely Markovian noise: decoupling changes nothing within 2%
     nm = NoiseModel.from_spins(spins)
     sch = build_xy16s(0.25e-3, cycles=12)
     total = 12 * cycle_duration(sch)
-    protected, _ = run_protected(prepare_ghz(), spins, nm, sch)
-    unprotected = evolve(prepare_ghz(), spins, nm, total, dt=2.4e-5, sample_every=10**9)
+    protected, _ = run_protected(prepare_ghz(), nm, sch)
+    unprotected = evolve(prepare_ghz(), nm, total, dt=2.4e-5, sample_every=10**9)
     assert protected.n3_tri[-1] == pytest.approx(unprotected.n3_tri[-1],
                                                  rel=0.02)
 
 
-def test_c6_pulse_robustness_ordering(spins):
+def test_c6_pulse_robustness_ordering():
     quiet = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
     tau = 0.25e-3
     mins = {}
     for name, build in (("cpmg", build_cpmg), ("xy16s", build_xy16s),
                         ("kddxy", build_kddxy)):
         sch = build(tau, cycles=100, flip_error=0.01)
-        curve, _ = run_protected(prepare_ghz(), spins, quiet, sch, dt=tau / 2.0)
+        curve, _ = run_protected(prepare_ghz(), quiet, sch, dt=tau / 2.0)
         mins[name] = float(np.min(curve.fidelity))
     assert mins["kddxy"] >= mins["xy16s"] >= mins["cpmg"]
 
@@ -180,8 +180,8 @@ def test_c8_physicality_and_integrator_order(spins, markovian_curves,
         assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-9
         assert float(np.linalg.eigvalsh(rho).min()) >= -1e-6
     noise = NoiseModel.from_spins(spins)
-    a = evolve(prepare_ghz(), spins, noise, 0.5, dt=5e-4, sample_every=10**9)
-    b = evolve(prepare_ghz(), spins, noise, 0.5, dt=2.5e-4, sample_every=10**9)
+    a = evolve(prepare_ghz(), noise, 0.5, dt=5e-4, sample_every=10**9)
+    b = evolve(prepare_ghz(), noise, 0.5, dt=2.5e-4, sample_every=10**9)
     assert float(np.max(np.abs(a.states[-1] - b.states[-1]))) < 1e-8
 
 

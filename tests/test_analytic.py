@@ -79,12 +79,12 @@ def test_sector_structure(rates):
                     assert rho[a, b] == 0.0, (name, a, b)
 
 
-def test_oracle_matches_integrator_random_rates(spins, rng):
+def test_oracle_matches_integrator_random_rates(rng):
     for _ in range(5):
         noise = NoiseModel(kappa_x=tuple(rng.uniform(0.1, 2.5, 3)),
                            kappa_z=tuple(rng.uniform(0.1, 2.5, 3)))
         for name, family in FAMILIES.items():
-            curve = evolve(PREPARED[name](), spins, noise, 0.4,
+            curve = evolve(PREPARED[name](), noise, 0.4,
                            dt=1e-4, sample_every=400)
             worst = max(
                 np.max(np.abs(family(float(t), noise) - s))

@@ -176,17 +176,17 @@ def test_schedule_table_frozen_rows():
     assert schedule_table(build_xy16s(TAU)).endswith("\n")
 
 
-def test_cycles_compose_to_identity_without_noise(spins):
+def test_cycles_compose_to_identity_without_noise():
     # ideal pulses, no decoherence: the state returns exactly at every
     # cycle boundary for all three bundled sequences
     rho = prepare_ghz()
     for build in (build_xy16s, build_kddxy, build_cpmg):
         sch = build(TAU, cycles=3)
-        curve, _ = run_protected(rho, spins, QUIET, sch, dt=TAU / 2.0)
+        curve, _ = run_protected(rho, QUIET, sch, dt=TAU / 2.0)
         assert float(np.min(curve.fidelity)) > 1.0 - 1e-9
 
 
-def test_flip_error_robustness_ordering(spins):
+def test_flip_error_robustness_ordering():
     # 1% systematic over-rotation, no decoherence, 100 cycles: the
     # composite-pulse sequence beats XY-16(s), which beats the
     # single-axis control by orders of magnitude
@@ -196,7 +196,7 @@ def test_flip_error_robustness_ordering(spins):
     for name, build in (("cpmg", build_cpmg), ("xy16s", build_xy16s),
                         ("kddxy", build_kddxy)):
         sch = build(TAU, cycles=100, flip_error=0.01)
-        curve, _ = run_protected(rho, spins, QUIET, sch, dt=TAU / 2.0)
+        curve, _ = run_protected(rho, QUIET, sch, dt=TAU / 2.0)
         mins[name] = float(np.min(curve.fidelity))
         argmins[name] = int(np.argmin(curve.fidelity))
     assert mins["kddxy"] >= mins["xy16s"] >= mins["cpmg"]
@@ -214,8 +214,8 @@ def test_markovian_noise_is_transparent_to_decoupling(spins):
     nm = NoiseModel.from_spins(spins)
     sch = build_xy16s(TAU, cycles=25)
     total = 25 * cycle_duration(sch)
-    prot, _ = run_protected(prepare_ghz(), spins, nm, sch)
-    free = evolve(prepare_ghz(), spins, nm, total, dt=2.5e-5, sample_every=10**9)
+    prot, _ = run_protected(prepare_ghz(), nm, sch)
+    free = evolve(prepare_ghz(), nm, total, dt=2.5e-5, sample_every=10**9)
     assert prot.times[-1] == pytest.approx(free.times[-1], rel=1e-12)
     assert prot.n3_tri[-1] == pytest.approx(free.n3_tri[-1], rel=1e-6)
     assert prot.fidelity[-1] == pytest.approx(free.fidelity[-1], rel=1e-6)
@@ -223,7 +223,7 @@ def test_markovian_noise_is_transparent_to_decoupling(spins):
 
 def test_run_protected_sampling_grid(spins):
     sch = build_xy16s(1e-3, cycles=3)
-    curve, _ = run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
+    curve, _ = run_protected(prepare_ghz(), NoiseModel.from_spins(spins),
                              sch, dt=5e-4)
     assert np.allclose(curve.times, [0.0, 0.016, 0.032, 0.048], atol=1e-12)
 
@@ -231,7 +231,7 @@ def test_run_protected_sampling_grid(spins):
 @pytest.mark.parametrize("cycles", [1, 4])
 def test_run_protected_runs_the_schedule_cycles(spins, cycles):
     nm = NoiseModel.from_spins(spins)
-    prot, free = run_protected(prepare_ghz(), spins, nm,
+    prot, free = run_protected(prepare_ghz(), nm,
                                build_kddxy(TAU, cycles=cycles))
     assert len(prot.times) == len(free.times) == cycles + 1
     assert prot.times[-1] == pytest.approx(cycles * 20 * TAU, rel=1e-12)
@@ -241,11 +241,11 @@ def test_run_protected_step_is_keyword_only(spins):
     # a total time passed where it used to go is not read as a step
     sch = build_xy16s(1e-3, cycles=3)
     with pytest.raises(TypeError):
-        run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins), sch, 0.048)
+        run_protected(prepare_ghz(), NoiseModel.from_spins(spins), sch, 0.048)
 
 
 @pytest.mark.parametrize("prepare", [prepare_ghz, prepare_w, prepare_wwbar])
-def test_both_arms_see_the_same_tracks(spins, prepare):
+def test_both_arms_see_the_same_tracks(prepare):
     # XY-16(s) timing with 2 pi pulses: each pulse is -I, so the two
     # arms differ only by rounding if they share the grid and the tracks
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
@@ -257,7 +257,7 @@ def test_both_arms_see_the_same_tracks(spins, prepare):
     schedule = replace(xy16, events=events)
     assert np.allclose(pulse_unitary(schedule.pulses[0]), -np.eye(8))
     rho0 = prepare()
-    prot, free = run_protected(rho0, spins, nm, schedule)
+    prot, free = run_protected(rho0, nm, schedule)
     assert np.array_equal(prot.times, free.times)
     assert np.max(np.abs(prot.states - free.states)) < 1e-12
     assert tripartite_negativity(free.states[-1]) < 0.9
@@ -282,7 +282,7 @@ def test_run_protected_draws_each_track_once(spins, monkeypatch):
     nm = NoiseModel.from_spins(spins, bath_mode="correlated",
                                ou_sigma=13.7117919922, ou_tau_c=0.01,
                                trajectories=40, seed=2026)
-    run_protected(prepare_ghz(), spins, nm, build_xy16s(TAU, cycles=2))
+    run_protected(prepare_ghz(), nm, build_xy16s(TAU, cycles=2))
     assert sorted(calls) == list(range(nm.trajectories))
 
 
@@ -303,5 +303,5 @@ def test_run_protected_merges_half_flips_at_ideal_pulses(spins, monkeypatch):
     nm = NoiseModel.from_spins(spins, bath_mode="correlated",
                                ou_sigma=13.7117919922, ou_tau_c=0.01,
                                trajectories=4, seed=2026)
-    run_protected(prepare_ghz(), spins, nm, build_xy16s(TAU, cycles=2))
+    run_protected(prepare_ghz(), nm, build_xy16s(TAU, cycles=2))
     assert len(calls) == 70

@@ -111,6 +111,15 @@ def test_noise_model_validation(spins):
                ou_sigma=10.0, ou_tau_c=math.inf)
     with pytest.raises(ValueError, match="trajectories"):
         NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), trajectories=0)
+    # int() in the seeding would run seed 1 for either float; a float
+    # trajectory count would fail deep inside a run
+    for seed in (1.5, 1.9, -1, "1"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), seed=seed)
+    with pytest.raises(ValueError, match="trajectories must be an integer"):
+        NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0), trajectories=2.5)
+    NoiseModel(kappa_x=(0, 0, 0), kappa_z=(0, 0, 0),
+               trajectories=np.int64(2), seed=np.uint64(2**64 - 1))
 
 
 def test_lindblad_rhs_fixed_points_and_trace(spins, rng):
@@ -160,7 +169,7 @@ def test_evolve_markovian_finite_difference_consistency(spins, rng):
     noise = NoiseModel.from_spins(spins)
     rho = random_density(rng)
     h = 1e-6
-    curve = evolve(rho, spins, noise, h, dt=h)
+    curve = evolve(rho, noise, h, dt=h)
     fd = (curve.states[-1] - rho) / h
     assert np.allclose(fd, lindblad_rhs(rho, noise), atol=1e-5)
 
@@ -168,7 +177,7 @@ def test_evolve_markovian_finite_difference_consistency(spins, rng):
 def test_evolve_markovian_zero_duration(spins):
     noise = NoiseModel.from_spins(spins)
     rho = prepare_ghz()
-    curve = evolve(rho, spins, noise, 0.0)
+    curve = evolve(rho, noise, 0.0)
     assert list(curve.times) == [0.0]
     assert np.array_equal(curve.states[0], rho)
 
@@ -179,7 +188,7 @@ def test_evolve_markovian_single_qubit_closed_forms(spins):
     # the (000|rho|100) element carries qubit-1 dephasing at 1/T2_1 plus a
     # spectator-population factor (1 + exp(-t/T1_i))/2 per idle qubit; the
     # qubit-1 flip channel leaves the real part of the coherence alone
-    curve = evolve(plus_ground_ground(), spins, noise, t, sample_every=10**9)
+    curve = evolve(plus_ground_ground(), noise, t, sample_every=10**9)
     rho_t = curve.states[-1]
     expected = math.exp(-t / T2[0])
     for i in (1, 2):
@@ -187,22 +196,22 @@ def test_evolve_markovian_single_qubit_closed_forms(spins):
     assert 2.0 * abs(rho_t[0, 4]) == pytest.approx(expected, rel=1e-9)
     # qubit-1 polarization decays as exp(-t/T1_1)
     z0 = kron(kron(GROUND, ID2 / 2.0), ID2 / 2.0)
-    curve = evolve(z0, spins, noise, t, sample_every=10**9)
+    curve = evolve(z0, noise, t, sample_every=10**9)
     pop = np.sum(np.diag(curve.states[-1]).real[:4])  # P(qubit1 = 0)
     assert 2.0 * pop - 1.0 == pytest.approx(math.exp(-t / T1[0]), rel=1e-9)
 
 
 def test_evolve_markovian_sampling_grid(spins):
     noise = NoiseModel.from_spins(spins)
-    curve = evolve(prepare_ghz(), spins, noise, 0.01, dt=0.001, sample_every=3)
+    curve = evolve(prepare_ghz(), noise, 0.01, dt=0.001, sample_every=3)
     assert np.allclose(curve.times, [0.0, 0.003, 0.006, 0.009, 0.01])
 
 
 def test_evolve_markovian_dt_halving(spins):
     noise = NoiseModel.from_spins(spins)
     rho = prepare_ghz()
-    a = evolve(rho, spins, noise, 0.5, dt=5e-4, sample_every=10**9)
-    b = evolve(rho, spins, noise, 0.5, dt=2.5e-4, sample_every=10**9)
+    a = evolve(rho, noise, 0.5, dt=5e-4, sample_every=10**9)
+    b = evolve(rho, noise, 0.5, dt=2.5e-4, sample_every=10**9)
     assert np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-8
 
 
@@ -211,21 +220,21 @@ def test_front_ends_reject_bad_sample_every(spins, every):
     # a stride below 1 would silently drop samples from range(), or fail
     # inside it at 0
     with pytest.raises(ValueError, match="sample_every must be a positive integer"):
-        evolve(prepare_ghz(), spins, NoiseModel.from_spins(spins), 0.01,
+        evolve(prepare_ghz(), NoiseModel.from_spins(spins), 0.01,
                dt=1e-3, sample_every=every)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3])
 @pytest.mark.parametrize("run", [
     lambda spins, dt: evolve(
-        prepare_ghz(), spins, NoiseModel.from_spins(spins), 0.01, dt=dt),
+        prepare_ghz(), NoiseModel.from_spins(spins), 0.01, dt=dt),
     lambda spins, dt: evolve(
-        prepare_ghz(), spins,
+        prepare_ghz(),
         NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
                               ou_tau_c=0.01, trajectories=2, seed=1),
         0.01, dt=dt),
     lambda spins, dt: run_protected(
-        prepare_ghz(), spins, NoiseModel.from_spins(spins), build_xy16s(1e-3),
+        prepare_ghz(), NoiseModel.from_spins(spins), build_xy16s(1e-3),
         dt=dt),
 ], ids=["evolve_markovian", "evolve_correlated", "run_protected"])
 def test_non_positive_dt_is_rejected(spins, run, dt):
@@ -241,14 +250,14 @@ def test_evolve_correlated_takes_no_step_longer_than_dt(spins):
     # drawn no coarser than asked
     nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
                                ou_tau_c=0.01, trajectories=2, seed=1)
-    curve = evolve(prepare_ghz(), spins, nm, 0.0014, dt=1e-3)
+    curve = evolve(prepare_ghz(), nm, 0.0014, dt=1e-3)
     assert np.diff(curve.times).max() <= 1e-3
 
 
-def test_evolve_markovian_pure_dephasing_keeps_diagonal(spins):
+def test_evolve_markovian_pure_dephasing_keeps_diagonal():
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=tuple(1.0 / t for t in T2))
     rho = prepare_ghz()
-    curve = evolve(rho, spins, noise, 0.2, dt=1e-3, sample_every=50)
+    curve = evolve(rho, noise, 0.2, dt=1e-3, sample_every=50)
     for s in curve.states:
         assert np.array_equal(np.diag(s), np.diag(rho))
 
@@ -257,7 +266,7 @@ def test_evolve_markovian_exact_at_long_steps(spins):
     # the damping channels are applied in closed form, so a step of
     # 2 s (almost four times T2) is as exact as a fine one
     noise = NoiseModel.from_spins(spins)
-    curve = evolve(prepare_ghz(), spins, noise, 40.0, dt=2.0)
+    curve = evolve(prepare_ghz(), noise, 40.0, dt=2.0)
     assert len(curve.times) == 21
     for t, rho in zip(curve.times, curve.states):
         assert np.max(np.abs(rho - ghz_analytic(float(t), noise))) < 1e-12
@@ -346,8 +355,8 @@ def test_evolve_correlated_noise_off_matches_markovian(spins):
     ref_noise = NoiseModel(kappa_x=tuple(1.0 / t for t in T1),
                            kappa_z=(0.0, 0.0, 0.0))
     rho = prepare_ghz()
-    a = evolve(rho, spins, nm, 0.05, dt=1e-4, sample_every=100)
-    b = evolve(rho, spins, ref_noise, 0.05, dt=1e-4, sample_every=100)
+    a = evolve(rho, nm, 0.05, dt=1e-4, sample_every=100)
+    b = evolve(rho, ref_noise, 0.05, dt=1e-4, sample_every=100)
     assert np.allclose(a.times, b.times)
     for sa, sb in zip(a.states, b.states):
         assert np.allclose(sa, sb, atol=1e-12)
@@ -357,19 +366,19 @@ def test_evolve_correlated_is_deterministic(spins):
     nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=14.0,
                                ou_tau_c=0.01, trajectories=33, seed=17)
     rho = prepare_ghz()
-    a = evolve(rho, spins, nm, 0.02, dt=1e-4, sample_every=50)
-    b = evolve(rho, spins, nm, 0.02, dt=1e-4, sample_every=50)
+    a = evolve(rho, nm, 0.02, dt=1e-4, sample_every=50)
+    b = evolve(rho, nm, 0.02, dt=1e-4, sample_every=50)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa, sb)
 
 
-def test_evolve_correlated_coherence_matches_gaussian_form(spins):
+def test_evolve_correlated_coherence_matches_gaussian_form():
     # a single dephasing qubit under the OU bath decays as exp(-chi(t))
     tau_c, sigma = 0.01, 15.0
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                     bath_mode="correlated", ou_sigma=sigma, ou_tau_c=tau_c,
                     trajectories=1024, seed=9)
-    curve = evolve(plus_ground_ground(), spins, nm, 0.4, dt=5e-4, sample_every=80)
+    curve = evolve(plus_ground_ground(), nm, 0.4, dt=5e-4, sample_every=80)
     worst = 0.0
     for t, s in zip(curve.times, curve.states):
         chi = sigma**2 * tau_c**2 * (t / tau_c - 1.0 + math.exp(-t / tau_c))
@@ -377,7 +386,7 @@ def test_evolve_correlated_coherence_matches_gaussian_form(spins):
     assert worst < 0.05
 
 
-def test_evolve_correlated_markovian_limit(spins):
+def test_evolve_correlated_markovian_limit():
     # tau_c squeezed to 2 dt with sigma^2 tau_c = kappa_z reproduces the
     # memoryless coherence decay within the statistical tolerance
     dt = 2.5e-4
@@ -386,9 +395,9 @@ def test_evolve_correlated_markovian_limit(spins):
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                     bath_mode="correlated", ou_sigma=math.sqrt(kz / tau_c),
                     ou_tau_c=tau_c, trajectories=256, seed=9)
-    got = evolve(plus_ground_ground(), spins, nm, 0.6, dt=dt, sample_every=240)
+    got = evolve(plus_ground_ground(), nm, 0.6, dt=dt, sample_every=240)
     ref_noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(kz, 0.0, 0.0))
-    ref = evolve(plus_ground_ground(), spins, ref_noise, 0.6, dt=dt, sample_every=240)
+    ref = evolve(plus_ground_ground(), ref_noise, 0.6, dt=dt, sample_every=240)
     for sg, sr in zip(got.states, ref.states):
         a, b = 2.0 * abs(sg[0, 4]), 2.0 * abs(sr[0, 4])
         assert abs(a - b) / max(b, 1e-3) < 0.10
@@ -399,7 +408,7 @@ def test_evolve_correlated_protection_direction(spins):
     nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=13.7,
                                ou_tau_c=0.01, trajectories=16, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=10)
-    prot, unprot = run_protected(prepare_ghz(), spins, nm, schedule)
+    prot, unprot = run_protected(prepare_ghz(), nm, schedule)
     assert tripartite_negativity(prot.states[-1]) > tripartite_negativity(
         unprot.states[-1])
 
@@ -409,19 +418,18 @@ def test_off_grid_pulse_is_rejected(spins):
     # the nearest step
     schedule = DDSchedule(events=((0.3e-3, Pulse()), (0.7e-3, None)))
     with pytest.raises(ValueError, match=r"t = 0.0003 s .*dt = 0.00025 s"):
-        run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
+        run_protected(prepare_ghz(), NoiseModel.from_spins(spins),
                       schedule, dt=0.25e-3)
     # on the grid it runs
     on_grid = DDSchedule(events=((0.25e-3, Pulse()), (0.75e-3, None)))
-    curve, _ = run_protected(prepare_ghz(), spins, NoiseModel.from_spins(spins),
+    curve, _ = run_protected(prepare_ghz(), NoiseModel.from_spins(spins),
                              on_grid, dt=0.25e-3)
     assert len(curve.times) == 2
 
 
 @pytest.fixture(scope="module")
 def ghz_markovian_curve():
-    s = SpinSystem()
-    return evolve(prepare_ghz(), s, NoiseModel.from_spins(s), 0.7,
+    return evolve(prepare_ghz(), NoiseModel.from_spins(SpinSystem()), 0.7,
                   dt=5e-4, sample_every=10)
 
 
@@ -433,13 +441,42 @@ def test_grid_step_keeps_pulses_on_the_grid(build, tau):
     for spins in (SpinSystem(), SpinSystem(t2_s=(0.05, 0.05, 0.05))):
         schedule = build(tau)
         min_delay = min_interpulse_delay(schedule)
-        dt = grid_step(spins, min_delay)
+        dt = grid_step(NoiseModel.from_spins(spins), min_delay)
         assert dt <= min(spins.t2_s) / 2000.0 or dt == min_delay / 50.0
         assert dt > 0.5 * min(min(spins.t2_s) / 2000.0, min_delay / 50.0)
         for t, _ in expand_schedule(schedule):
             assert abs(t / dt - round(t / dt)) < 1e-6
-    assert grid_step(SpinSystem(), 0.25e-3) == 0.25e-3 / 50.0
-    assert grid_step(SpinSystem()) == 0.52 / 2000.0
+    bundled = NoiseModel.from_spins(SpinSystem())
+    assert grid_step(bundled, 0.25e-3) == 0.25e-3 / 50.0
+    assert grid_step(bundled) == 0.52 / 2000.0
+
+
+@pytest.mark.parametrize("tau", [0.25e-3, 13e-3, 0.1])
+def test_grid_step_without_dephasing_rates(tau):
+    # with every kappa_z zero (OU-only or quiet models) the pulse spacing
+    # alone sets the grid; without pulses there is no default grid
+    schedule = build_xy16s(tau)
+    min_delay = min_interpulse_delay(schedule)
+    for bath in ({}, dict(bath_mode="correlated", ou_sigma=10.0, ou_tau_c=0.01)):
+        nm = NoiseModel(kappa_x=(0.2, 0.2, 0.2), kappa_z=(0.0, 0.0, 0.0), **bath)
+        assert grid_step(nm, min_delay) == min_delay / 50.0
+        with pytest.raises(ValueError, match="pass dt"):
+            grid_step(nm)
+        with pytest.raises(ValueError, match="pass dt"):
+            evolve(prepare_ghz(), nm, 0.01)
+        assert len(evolve(prepare_ghz(), nm, 0.01, dt=1e-3).times) == 11
+
+
+def test_default_grid_follows_the_model_rates():
+    # the bundled T1 with kappa_z = 20/s on qubit 2 (T2 = 50 ms, not the
+    # bundled 0.55 s): the default grid is 50 ms / 2000 = 25 us
+    nm = NoiseModel(kappa_x=tuple(1.0 / t for t in T1), kappa_z=(1.0, 20.0, 2.0))
+    assert grid_step(nm) == 25e-6
+    curve = evolve(prepare_ghz(), nm, 1e-3)
+    assert len(curve.times) == 41
+    assert np.diff(curve.times).max() <= 25e-6 * (1.0 + 1e-12)
+    # a pulsed run cuts its spacing/50 to fit under the same bound
+    assert grid_step(nm, 0.02) == 0.02 / 50.0 / 16
 
 
 def test_evolve_markovian_ghz_decay_curve(ghz_markovian_curve):

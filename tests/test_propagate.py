@@ -173,15 +173,14 @@ def test_segment_cap_keeps_protected_run_near_one_step_split(monkeypatch):
     # capped segments stay as close to splitting at every 5 us step as
     # the 60-cycle acceptance run's 1e-7 budget allows over 10 cycles
     # (measured 2.3e-9 at a cap of 25, 8.9e-9 at 50)
-    spins = SpinSystem()
     noise = NoiseModel.from_spins(
-        spins, bath_mode="correlated", ou_sigma=13.7117919922, ou_tau_c=0.01,
+        SpinSystem(), bath_mode="correlated", ou_sigma=13.7117919922, ou_tau_c=0.01,
         trajectories=16, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=10)
 
     def both_arms():
         return [c.states for c in
-                run_protected(prepare_ghz(), spins, noise, schedule)]
+                run_protected(prepare_ghz(), noise, schedule)]
 
     capped = both_arms()
     monkeypatch.setattr(triq.noise, "_MAX_SEGMENT_STEPS", 1)
@@ -287,7 +286,7 @@ def test_fit_grid_pinned_cases():
     # above 1000, which a plain ceil would make 1001 steps
     kdd = build_kddxy(2e-4)
     cyc = cycle_duration(kdd)
-    dt = grid_step(SpinSystem(), min_interpulse_delay(kdd))
+    dt = grid_step(NoiseModel.from_spins(SpinSystem()), min_interpulse_delay(kdd))
     assert cyc / dt > 1000.0
     assert fit_grid(cyc, dt)[0] == 1000
     assert fit_grid(0.0, 1e-3)[0] == 0
