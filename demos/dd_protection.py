@@ -15,7 +15,6 @@ Run:  python3 demos/dd_protection.py   (~2 s)
 
 from triq import (
     NoiseModel,
-    SpinSystem,
     build_xy16s,
     cycle_duration,
     prepare_ghz,
@@ -31,8 +30,8 @@ SEED = 2026
 
 
 def main():
-    noise = NoiseModel.from_spins(
-        SpinSystem(), bath_mode="correlated", ou_sigma=SIGMA, ou_tau_c=TAU_C,
+    noise = NoiseModel.from_times(
+        bath_mode="correlated", ou_sigma=SIGMA, ou_tau_c=TAU_C,
         trajectories=TRAJECTORIES, seed=SEED)
     schedule = build_xy16s(TAU, cycles=CYCLES)
     total = schedule.cycles * cycle_duration(schedule)

@@ -14,8 +14,9 @@ Run:  python3 demos/entanglement_sudden_death.py   (<1 s)
 import numpy as np
 
 from triq import (
+    T1_S,
+    T2_S,
     NoiseModel,
-    SpinSystem,
     decay_times,
     evolve,
     fit_decay_rate,
@@ -39,10 +40,9 @@ STATES = [
 
 
 def main():
-    spins = SpinSystem()
-    noise = NoiseModel.from_spins(spins)
+    noise = NoiseModel.from_times()
 
-    print("relaxation times  T1 = %s s   T2 = %s s" % (spins.t1_s, spins.t2_s))
+    print("relaxation times  T1 = %s s   T2 = %s s" % (T1_S, T2_S))
     deaths = decay_times(noise)
     print()
     print("state    N3_tri(0)   dies at      fitted rate   oracle dev")

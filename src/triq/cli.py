@@ -43,12 +43,12 @@ import numpy as np
 from .analytic import ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, NumericalError, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, run_protected, schedule_table
-from .measures import curve_from_states, fidelity
-from .noise import NoiseModel, SpinSystem, evolve, fit_grid, ou_unit_phases, propagate
+from .measures import curve_from_states, fidelity, first_crossing
+from .noise import T1_S, T2_S, NoiseModel, evolve, fit_grid, ou_unit_phases, propagate
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
-__all__ = ["ConfigError", "load_config", "main"]
+__all__ = ["ConfigError", "load_config", "main", "write_curve_csv", "render_svg"]
 
 
 class ConfigError(ValueError):
@@ -113,8 +113,8 @@ def _identity(v):
 # key -> (value parser, constraint, default); seed has no default on purpose
 _SCHEMA = {
     "state": (_enum("ghz", "w", "wwbar"), _identity, "ghz"),
-    "spins.t1_s": (_parse_triple, _identity, (5.42, 5.65, 4.36)),
-    "spins.t2_s": (_parse_triple, _identity, (0.53, 0.55, 0.52)),
+    "spins.t1_s": (_parse_triple, _identity, T1_S),
+    "spins.t2_s": (_parse_triple, _identity, T2_S),
     "bath.mode": (_enum("markovian", "correlated"), _identity, "markovian"),
     "bath.sigma_rad_s": (_parse_float, _non_negative, 0.0),
     "bath.tau_c_s": (_parse_float, _non_negative, 0.01),
@@ -204,12 +204,12 @@ def _require_seed(cfg, why):
 
 def _noise_model(cfg, **bath):
     """The configured rates, kappa_x = 1/T1 and kappa_z = 1/T2, under the
-    NoiseModel bath keywords ``bath``."""
+    NoiseModel bath keywords ``bath``; only a bad T1/T2 is a spins: error."""
     try:
-        spins = SpinSystem(t1_s=cfg["spins.t1_s"], t2_s=cfg["spins.t2_s"])
+        rates = NoiseModel.from_times(cfg["spins.t1_s"], cfg["spins.t2_s"])
     except ValueError as err:
         raise ConfigError("spins: %s" % err)
-    return NoiseModel.from_spins(spins, **bath)
+    return dataclasses.replace(rates, **bath)
 
 
 _PREPARE = {"ghz": prepare_ghz, "w": prepare_w, "wwbar": prepare_wwbar}
@@ -245,7 +245,8 @@ def _check_ranges(metrics):
         raise RuntimeError("purity below 1/8: %g" % lo[5])
 
 
-def _write_curve_csv(path, curve, protection=None):
+def write_curve_csv(path, curve, protection=None):
+    """Write curve as %.12g CSV, plus an optional protection_factor column."""
     header = _CSV_HEADER
     cols = [curve.times, curve.n1, curve.n2, curve.n3, curve.n3_tri,
             curve.fidelity, curve.purity]
@@ -293,8 +294,8 @@ def _ticks(lo, hi):
     return out
 
 
-def _render_svg(path, title, xlabel, ylabel, series):
-    """Plot each (label, xs, ys) of series, xs and ys float arrays."""
+def render_svg(path, title, xlabel, ylabel, series):
+    """Plot each (label, xs, ys) of series, xs and ys float arrays, as SVG."""
     xs_all = np.concatenate([np.empty(0), *(xs for _, xs, _ in series)])
     ys_all = np.concatenate([np.empty(0), *(ys for _, _, ys in series)])
     x_lo, x_hi = (xs_all.min(), xs_all.max()) if xs_all.size else (0.0, 1.0)
@@ -382,20 +383,20 @@ def cmd_decay(cfg):
     if t_final == 0.0:
         _write_header_only(csv_path)
         _write_header_only(ref_path)
-        _render_svg(svg_path, "decay: %s" % cfg["state"], "time / s",
-                    "tripartite negativity", [])
+        render_svg(svg_path, "decay: %s" % cfg["state"], "time / s",
+                   "tripartite negativity", [])
         _emit(csv_path, ref_path, svg_path)
         return 0
     # the damping acts in closed form, so one step per sample is exact
     curve = evolve(rho0, noise, t_final, dt=step)
     family = _ANALYTIC[cfg["state"]]
     oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
-    _write_curve_csv(csv_path, curve)
-    _write_curve_csv(ref_path, oracle)
-    _render_svg(svg_path, "decay: %s" % cfg["state"], "time / s",
-                "tripartite negativity",
-                [("numeric", curve.times, curve.n3_tri),
-                 ("closed form", curve.times, oracle.n3_tri)])
+    write_curve_csv(csv_path, curve)
+    write_curve_csv(ref_path, oracle)
+    render_svg(svg_path, "decay: %s" % cfg["state"], "time / s",
+               "tripartite negativity",
+               [("numeric", curve.times, curve.n3_tri),
+                ("closed form", curve.times, oracle.n3_tri)])
     _emit(csv_path, ref_path, svg_path)
     return 0
 
@@ -417,12 +418,12 @@ def cmd_protect(cfg):
     prot_path = _out_path(cfg, "protected.csv")
     unprot_path = _out_path(cfg, "unprotected.csv")
     svg_path = _out_path(cfg, "protect.svg")
-    _write_curve_csv(prot_path, protected, protection=ratio)
-    _write_curve_csv(unprot_path, unprotected)
-    _render_svg(svg_path, "%s under %s" % (cfg["state"], cfg["dd.sequence"]),
-                "time / s", "tripartite negativity",
-                [("protected", protected.times, protected.n3_tri),
-                 ("unprotected", unprotected.times, unprotected.n3_tri)])
+    write_curve_csv(prot_path, protected, protection=ratio)
+    write_curve_csv(unprot_path, unprotected)
+    render_svg(svg_path, "%s under %s" % (cfg["state"], cfg["dd.sequence"]),
+               "time / s", "tripartite negativity",
+               [("protected", protected.times, protected.n3_tri),
+                ("unprotected", unprotected.times, unprotected.n3_tri)])
     _emit(prot_path, unprot_path, svg_path)
     print("protection factor at %.6g s: %.6g" % (protected.times[-1], ratio[-1]))
     return 0
@@ -432,25 +433,14 @@ _PLUS = np.full((2, 2), 0.5, dtype=complex)
 _ONE_OVER_E = math.exp(-1.0)
 
 
-def _one_over_e_time(times, coh):
-    """First time the coherence falls below 1/e, interpolated linearly
-    from the sample before; inf if it never does."""
-    below = np.nonzero(coh < _ONE_OVER_E)[0]
-    if len(below) == 0:
-        return float("inf")
-    k = int(below[0])
-    t0, t1 = times[k - 1], times[k]
-    c0, c1 = coh[k - 1], coh[k]
-    return float(t0 + (c0 - _ONE_OVER_E) * (t1 - t0) / (c0 - c1))
-
-
 def _closed_form_time(sigma, phases, times):
     """1/e time of |mean_j exp(-i sigma Phi_j)| from unit-sigma phases
     of shape (trajectories, samples)."""
     x = sigma * phases
     re = np.cos(x).mean(axis=0)
     # sin in place: two (trajectories, samples) arrays live at a time
-    return _one_over_e_time(times, np.hypot(re, np.sin(x, out=x).mean(axis=0)))
+    return first_crossing(times, np.hypot(re, np.sin(x, out=x).mean(axis=0)),
+                          _ONE_OVER_E)
 
 
 def _bisect(phases, times, lo, hi, target):
@@ -530,7 +520,8 @@ def cmd_calibrate(cfg):
     curve = propagate(np.kron(_PLUS, np.kron(P0, P0)),
                       dataclasses.replace(noise, ou_sigma=sigma), n, dt,
                       sample_steps=steps)
-    achieved = _one_over_e_time(curve.times, 2.0 * np.abs(curve.states[:, 0, 4]))
+    achieved = first_crossing(curve.times, 2.0 * np.abs(curve.states[:, 0, 4]),
+                              _ONE_OVER_E)
     if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * target):
         raise NumericalError(
             "at sigma = %.12g rad/s the engine's 1/e time %.12g s differs "

@@ -80,8 +80,10 @@ class DDSchedule:
     cycles: int = 1
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
+        # a float count would fail in range() only once the schedule runs
+        if not isinstance(self.cycles, (int, np.integer)) or self.cycles < 1:
+            raise ValueError("cycles must be an integer >= 1, got %r"
+                             % (self.cycles,))
         if not self.events:
             raise ValueError("schedule needs at least one event")
         for delay, _ in self.events:

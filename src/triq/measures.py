@@ -15,6 +15,7 @@ single-state functions are stacks of one; curve_from_states scores a
 curve in blocks of _BLOCK samples, which keeps memory flat.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "purity",
     "fit_decay_rate",
     "disentanglement_time",
+    "first_crossing",
     "curve_from_states",
 ]
 
@@ -218,13 +220,24 @@ def disentanglement_time(curve, threshold=0.01):
     n = np.asarray(curve.n3_tri, dtype=float)
     if n[0] <= threshold:
         raise ValueError("curve starts at %g, already below %g" % (n[0], threshold))
-    below = np.nonzero(n < threshold)[0]
-    if len(below) == 0:
+    crossing = first_crossing(t, n, threshold)
+    if math.isinf(crossing):
         raise ValueError("no crossing below %g within the curve" % threshold)
+    return crossing
+
+
+def first_crossing(times, values, level):
+    """First time ``values`` falls below ``level``, interpolated linearly
+    from the sample before; times[0] if values[0] is, inf if none is."""
+    below = np.nonzero(values < level)[0]
+    if len(below) == 0:
+        return math.inf
     k = int(below[0])
-    t0, t1 = t[k - 1], t[k]
-    n0, n1 = n[k - 1], n[k]
-    return float(t0 + (n0 - threshold) * (t1 - t0) / (n0 - n1))
+    if k == 0:
+        return float(times[0])
+    t0, t1 = times[k - 1], times[k]
+    v0, v1 = values[k - 1], values[k]
+    return float(t0 + (v0 - level) * (t1 - t0) / (v0 - v1))
 
 
 def curve_from_states(times, states, reference):

@@ -6,8 +6,8 @@ Correlated mode replaces the dephasing dissipator with per-qubit
 classical Ornstein-Uhlenbeck frequency tracks b_i(t) applied through
 sigma_z/2, averaged over an ensemble of trajectories; amplitude damping
 stays Lindbladian. A NoiseModel alone sets the rates and the default
-time grid (grid_step); SpinSystem is the T1/T2 config behind
-NoiseModel.from_spins.
+time grid (grid_step); NoiseModel.from_times is the one way per-qubit
+T1/T2, by default the bundled T1_S and T2_S, become those rates.
 
 No system Hamiltonian acts: as in the paper's fits, the register
 evolves under the damping and the bath alone. Every run goes through
@@ -38,7 +38,8 @@ from .core import PhysicalityError, check_density
 from . import measures
 
 __all__ = [
-    "SpinSystem",
+    "T1_S",
+    "T2_S",
     "NoiseModel",
     "evolve",
     "fit_grid",
@@ -53,37 +54,20 @@ __all__ = [
 _CHUNK = 32
 _BATCH = 64  # trajectories swept at once; a multiple of _CHUNK
 
-
-@dataclass(frozen=True)
-class SpinSystem:
-    """Per-qubit relaxation times T1 and T2, in seconds.
-
-    A config holder: NoiseModel.from_spins turns them into the rates,
-    and the runners read the rates alone.
-    """
-
-    t1_s: tuple = (5.42, 5.65, 4.36)
-    t2_s: tuple = (0.53, 0.55, 0.52)
-
-    def __post_init__(self):
-        if len(self.t1_s) != 3 or len(self.t2_s) != 3:
-            raise ValueError("t1_s and t2_s must each have three entries")
-        for t1, t2 in zip(self.t1_s, self.t2_s):
-            if t1 <= 0:
-                raise ValueError("T1 must be positive, got %g" % t1)
-            if not 0 < t2 <= 2 * t1:
-                raise ValueError("T2 must satisfy 0 < T2 <= 2 T1, got %g" % t2)
+# per-qubit relaxation times of the bundled three-spin register, seconds
+T1_S = (5.42, 5.65, 4.36)
+T2_S = (0.53, 0.55, 0.52)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Damping rates and bath configuration.
 
-    kappa_x / kappa_z are per-qubit rates in 1/s. bath_mode "markovian"
-    uses both as Lindblad dissipators; "correlated" drops the kappa_z
-    dissipators in favor of OU dephasing tracks with standard deviation
-    ou_sigma (rad/s) and correlation time ou_tau_c (s), averaged over
-    `trajectories` runs seeded from `seed`.
+    kappa_x / kappa_z are per-qubit rates in 1/s, 1/T1 and 1/T2 by
+    from_times. bath_mode "markovian" uses both as Lindblad dissipators;
+    "correlated" drops the kappa_z dissipators in favor of OU dephasing
+    tracks with standard deviation ou_sigma (rad/s) and correlation time
+    ou_tau_c (s), averaged over `trajectories` runs seeded from `seed`.
     """
 
     kappa_x: tuple
@@ -114,12 +98,19 @@ class NoiseModel:
             raise ValueError("ou_tau_c must be positive in correlated mode")
 
     @classmethod
-    def from_spins(cls, spins, **kwargs):
-        return cls(
-            kappa_x=tuple(1.0 / t for t in spins.t1_s),
-            kappa_z=tuple(1.0 / t for t in spins.t2_s),
-            **kwargs,
-        )
+    def from_times(cls, t1_s=T1_S, t2_s=T2_S, **bath):
+        """kappa_x = 1/T1 and kappa_z = 1/T2 from three T1 > 0 and three T2
+        in (0, 2 T1], in seconds (else ValueError); ``bath`` takes the
+        other fields (bath_mode, ou_sigma, ...)."""
+        if len(t1_s) != 3 or len(t2_s) != 3:
+            raise ValueError("t1_s and t2_s must each have three entries")
+        for t1, t2 in zip(t1_s, t2_s):
+            if t1 <= 0:
+                raise ValueError("T1 must be positive, got %g" % t1)
+            if not 0 < t2 <= 2 * t1:
+                raise ValueError("T2 must satisfy 0 < T2 <= 2 T1, got %g" % t2)
+        return cls(kappa_x=tuple(1.0 / t for t in t1_s),
+                   kappa_z=tuple(1.0 / t for t in t2_s), **bath)
 
 
 def _half_spin(a, i):

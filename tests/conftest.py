@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from triq import NoiseModel, SpinSystem
+from triq import NoiseModel
 
 # relaxation parameters of the bundled three-spin register
 T1 = (5.42, 5.65, 4.36)
 T2 = (0.53, 0.55, 0.52)
-
-
-@pytest.fixture
-def spins():
-    return SpinSystem()
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ import pytest
 
 from triq import (
     NoiseModel,
-    SpinSystem,
     build_cpmg,
     build_kddxy,
     build_xy16s,
@@ -48,30 +47,24 @@ TAU_C = 0.01
 
 
 @pytest.fixture(scope="module")
-def spins():
-    return SpinSystem()
-
-
-@pytest.fixture(scope="module")
 def rates():
-    return NoiseModel.from_spins(SpinSystem())
+    return NoiseModel.from_times()
 
 
 @pytest.fixture(scope="module")
-def markovian_curves(spins):
+def markovian_curves(rates):
     # 50 evenly spaced samples on [0, 1 s]; dt divides the grid spacing
-    noise = NoiseModel.from_spins(spins)
     dt = (1.0 / 49.0) / 40.0
     out = {}
     for name, (prep, _) in FAMILIES.items():
-        out[name] = evolve(prep(), noise, 1.0, dt=dt, sample_every=40)
+        out[name] = evolve(prep(), rates, 1.0, dt=dt, sample_every=40)
     return out
 
 
-def c5_protect(spins, prepare):
+def c5_protect(prepare):
     # XY-16(s) at tau = 0.25 ms for 60 cycles = 240 ms under the
     # calibrated bath, against free evolution on the same step grid
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated",
+    nm = NoiseModel.from_times(bath_mode="correlated",
                                ou_sigma=SIGMA_STAR, ou_tau_c=TAU_C,
                                trajectories=64, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=60)
@@ -79,15 +72,15 @@ def c5_protect(spins, prepare):
 
 
 @pytest.fixture(scope="module")
-def protection_runs(spins):
-    return c5_protect(spins, prepare_ghz)
+def protection_runs():
+    return c5_protect(prepare_ghz)
 
 
 @pytest.fixture(scope="module")
-def dd_runs(spins, protection_runs):
+def dd_runs(protection_runs):
     """(protected, free) of every family under c5's bath and schedule."""
-    return {"ghz": protection_runs, "w": c5_protect(spins, prepare_w),
-            "wwbar": c5_protect(spins, prepare_wwbar)}
+    return {"ghz": protection_runs, "w": c5_protect(prepare_w),
+            "wwbar": c5_protect(prepare_wwbar)}
 
 
 def test_c1_oracle_equivalence(rates, markovian_curves):
@@ -128,7 +121,7 @@ def test_c4_fitted_decay_rates_and_ordering(rates):
     assert gammas["w"] < gammas["wwbar"] < gammas["ghz"]
 
 
-def test_c5_dd_protection(spins, protection_runs):
+def test_c5_dd_protection(rates, protection_runs):
     prot, free = protection_runs
     assert prot.times[-1] == pytest.approx(0.24, rel=1e-12)
     pf = prot.n3_tri[-1] / free.n3_tri[-1]
@@ -140,11 +133,10 @@ def test_c5_dd_protection(spins, protection_runs):
         curve, _ = run_protected(prepare_ghz(), quiet, sch, dt=0.125e-3)
         assert float(np.min(curve.fidelity)) >= 1.0 - 1e-9
     # purely Markovian noise: decoupling changes nothing within 2%
-    nm = NoiseModel.from_spins(spins)
     sch = build_xy16s(0.25e-3, cycles=12)
     total = 12 * cycle_duration(sch)
-    protected, _ = run_protected(prepare_ghz(), nm, sch)
-    unprotected = evolve(prepare_ghz(), nm, total, dt=2.4e-5, sample_every=10**9)
+    protected, _ = run_protected(prepare_ghz(), rates, sch)
+    unprotected = evolve(prepare_ghz(), rates, total, dt=2.4e-5, sample_every=10**9)
     assert protected.n3_tri[-1] == pytest.approx(unprotected.n3_tri[-1],
                                                  rel=0.02)
 
@@ -168,8 +160,7 @@ def test_c7_tomography_round_trip():
         assert fidelity(rho, est) > 0.999
 
 
-def test_c8_physicality_and_integrator_order(spins, markovian_curves,
-                                             protection_runs):
+def test_c8_physicality_and_integrator_order(rates, markovian_curves, protection_runs):
     everything = []
     for curve in markovian_curves.values():
         everything.extend(curve.states)
@@ -179,9 +170,8 @@ def test_c8_physicality_and_integrator_order(spins, markovian_curves,
         assert abs(np.trace(rho).real - 1.0) <= 1e-8
         assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-9
         assert float(np.linalg.eigvalsh(rho).min()) >= -1e-6
-    noise = NoiseModel.from_spins(spins)
-    a = evolve(prepare_ghz(), noise, 0.5, dt=5e-4, sample_every=10**9)
-    b = evolve(prepare_ghz(), noise, 0.5, dt=2.5e-4, sample_every=10**9)
+    a = evolve(prepare_ghz(), rates, 0.5, dt=5e-4, sample_every=10**9)
+    b = evolve(prepare_ghz(), rates, 0.5, dt=2.5e-4, sample_every=10**9)
     assert float(np.max(np.abs(a.states[-1] - b.states[-1]))) < 1e-8
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from triq import (
     NoiseModel,
-    SpinSystem,
     check_density,
     decay_times,
     evolve,
@@ -29,7 +28,7 @@ def test_rateset_validation():
         NoiseModel(kappa_x=(1.0, 1.0), kappa_z=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="non-negative"):
         NoiseModel(kappa_x=(1.0, -0.1, 1.0), kappa_z=(1.0, 1.0, 1.0))
-    r = NoiseModel.from_spins(SpinSystem())
+    r = NoiseModel.from_times()
     assert r.kappa_x == tuple(1.0 / t for t in T1)
     assert r.kappa_z == tuple(1.0 / t for t in T2)
 
@@ -157,10 +156,10 @@ def test_decay_times_raises_when_state_never_dies():
         decay_times(quiet, t_max=0.5)
 
 
-def test_closed_forms_reject_correlated_bath(spins):
+def test_closed_forms_reject_correlated_bath():
     # the OU dephasing has no closed form here; the rates alone would
     # silently describe the Markovian model instead
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+    nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=10.0,
                                ou_tau_c=0.01)
     for family in FAMILIES.values():
         with pytest.raises(ValueError, match="bath_mode = markovian"):

@@ -412,7 +412,24 @@ def test_library_value_error_is_config_error(tmp_path, capsys):
     # from the config, so the run exits 2
     rc, _ = run(tmp_path, PROTECT_CFG + "bath.tau_c_s = 0\n", command="protect")
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    # the "spins:" prefix marks a bad T1/T2 alone, never a bath error
+    assert err == "config error: ou_tau_c must be positive in correlated mode\n"
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ("grid.step_s = abc\n", "not a number"),
+    ("grid.step_s = 1e400\n", "value must be finite"),
+    ("bath.sigma_rad_s = -1\n", "must be non-negative"),
+    ("spins.t2_s = 0.53, 0.55, 20\n",
+     "config error: spins: T2 must satisfy 0 < T2 <= 2 T1, got 20\n"),
+], ids=["not_a_number", "infinite", "negative", "t2_above_2t1"])
+def test_config_value_errors_exit_2(tmp_path, capsys, cfg, message):
+    rc, out = run(tmp_path, cfg)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "decay.csv").exists()
 
 
 def test_unphysical_state_is_numerical_failure(tmp_path, monkeypatch, capsys):

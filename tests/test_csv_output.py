@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from triq import DecayCurve
-from triq.cli import _write_curve_csv
+from triq.cli import write_curve_csv
 
 
 def _reference_csv(curve, protection):
@@ -34,7 +34,7 @@ def test_csv_rows_match_per_element_formatting(tmp_path, rng, with_protection):
         protection = [float(v) for v in rng.uniform(0.0, 5.0, n)]
         protection[:2] = (float("inf"), float("nan"))
     path = tmp_path / "curve.csv"
-    _write_curve_csv(path, curve, protection=protection)
+    write_curve_csv(path, curve, protection=protection)
     assert path.read_text() == _reference_csv(curve, protection)
 
 
@@ -44,10 +44,10 @@ def test_csv_writer_rejects_out_of_range_columns(tmp_path):
                        n3_tri=ones, fidelity=np.array([1.0, np.nan, 1.0]),
                        purity=np.array([1.0, 0.5, 0.1]))
     with pytest.raises(RuntimeError, match="non-finite fidelity"):
-        _write_curve_csv(tmp_path / "a.csv", curve)
+        write_curve_csv(tmp_path / "a.csv", curve)
     curve.fidelity = np.array([1.0, 1.5, 1.0])
     with pytest.raises(RuntimeError, match=r"fidelity outside \[0, 1\]"):
-        _write_curve_csv(tmp_path / "b.csv", curve)
+        write_curve_csv(tmp_path / "b.csv", curve)
     curve.fidelity = ones
     with pytest.raises(RuntimeError, match="purity below 1/8"):
-        _write_curve_csv(tmp_path / "c.csv", curve)
+        write_curve_csv(tmp_path / "c.csv", curve)

@@ -52,8 +52,10 @@ def test_pulse_rejects_non_finite_fields(field, value):
 
 def test_schedule_validation():
     ev = ((1e-3, Pulse()),)
-    with pytest.raises(ValueError, match="cycles"):
-        DDSchedule(events=ev, cycles=0)
+    # a float count, even a whole one, would fail in range() mid-run
+    for cycles in (0, 2.5, 2.0):
+        with pytest.raises(ValueError, match="cycles"):
+            DDSchedule(events=ev, cycles=cycles)
     with pytest.raises(ValueError, match="at least one event"):
         DDSchedule(events=())
     with pytest.raises(ValueError, match="positive"):
@@ -208,40 +210,38 @@ def test_flip_error_robustness_ordering():
     assert argmins["cpmg"] == 6
 
 
-def test_markovian_noise_is_transparent_to_decoupling(spins):
+def test_markovian_noise_is_transparent_to_decoupling(rates):
     # the damping dissipators are invariant under pi-pulse conjugation,
     # so decoupling neither helps nor hurts a memoryless bath
-    nm = NoiseModel.from_spins(spins)
     sch = build_xy16s(TAU, cycles=25)
     total = 25 * cycle_duration(sch)
-    prot, _ = run_protected(prepare_ghz(), nm, sch)
-    free = evolve(prepare_ghz(), nm, total, dt=2.5e-5, sample_every=10**9)
+    prot, _ = run_protected(prepare_ghz(), rates, sch)
+    free = evolve(prepare_ghz(), rates, total, dt=2.5e-5, sample_every=10**9)
     assert prot.times[-1] == pytest.approx(free.times[-1], rel=1e-12)
     assert prot.n3_tri[-1] == pytest.approx(free.n3_tri[-1], rel=1e-6)
     assert prot.fidelity[-1] == pytest.approx(free.fidelity[-1], rel=1e-6)
 
 
-def test_run_protected_sampling_grid(spins):
+def test_run_protected_sampling_grid(rates):
     sch = build_xy16s(1e-3, cycles=3)
-    curve, _ = run_protected(prepare_ghz(), NoiseModel.from_spins(spins),
+    curve, _ = run_protected(prepare_ghz(), rates,
                              sch, dt=5e-4)
     assert np.allclose(curve.times, [0.0, 0.016, 0.032, 0.048], atol=1e-12)
 
 
 @pytest.mark.parametrize("cycles", [1, 4])
-def test_run_protected_runs_the_schedule_cycles(spins, cycles):
-    nm = NoiseModel.from_spins(spins)
-    prot, free = run_protected(prepare_ghz(), nm,
+def test_run_protected_runs_the_schedule_cycles(rates, cycles):
+    prot, free = run_protected(prepare_ghz(), rates,
                                build_kddxy(TAU, cycles=cycles))
     assert len(prot.times) == len(free.times) == cycles + 1
     assert prot.times[-1] == pytest.approx(cycles * 20 * TAU, rel=1e-12)
 
 
-def test_run_protected_step_is_keyword_only(spins):
+def test_run_protected_step_is_keyword_only(rates):
     # a total time passed where it used to go is not read as a step
     sch = build_xy16s(1e-3, cycles=3)
     with pytest.raises(TypeError):
-        run_protected(prepare_ghz(), NoiseModel.from_spins(spins), sch, 0.048)
+        run_protected(prepare_ghz(), rates, sch, 0.048)
 
 
 @pytest.mark.parametrize("prepare", [prepare_ghz, prepare_w, prepare_wwbar])
@@ -269,7 +269,7 @@ def test_both_arms_see_the_same_tracks(prepare):
     assert np.array_equal(free.states, ref.states)
 
 
-def test_run_protected_draws_each_track_once(spins, monkeypatch):
+def test_run_protected_draws_each_track_once(monkeypatch):
     # both arms reduce one draw of each trajectory's OU track
     calls = []
     real = triq.noise._ou_track
@@ -279,14 +279,14 @@ def test_run_protected_draws_each_track_once(spins, monkeypatch):
         return real(noise, j, dt, n)
 
     monkeypatch.setattr(triq.noise, "_ou_track", counting)
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated",
+    nm = NoiseModel.from_times(bath_mode="correlated",
                                ou_sigma=13.7117919922, ou_tau_c=0.01,
                                trajectories=40, seed=2026)
     run_protected(prepare_ghz(), nm, build_xy16s(TAU, cycles=2))
     assert sorted(calls) == list(range(nm.trajectories))
 
 
-def test_run_protected_merges_half_flips_at_ideal_pulses(spins, monkeypatch):
+def test_run_protected_merges_half_flips_at_ideal_pulses(monkeypatch):
     # XY-16(s) at tau = 0.25 ms on 5 us steps, 2 cycles, one chunk: the
     # protected arm has 2 x 17 segments and the free arm 2 x 16 (capped
     # at 50 steps). Every half flip merges into the next segment's
@@ -300,7 +300,7 @@ def test_run_protected_merges_half_flips_at_ideal_pulses(spins, monkeypatch):
         return real(states, kappa_x, t)
 
     monkeypatch.setattr(triq.noise, "_flips", counting)
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated",
+    nm = NoiseModel.from_times(bath_mode="correlated",
                                ou_sigma=13.7117919922, ou_tau_c=0.01,
                                trajectories=4, seed=2026)
     run_protected(prepare_ghz(), nm, build_xy16s(TAU, cycles=2))

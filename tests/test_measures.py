@@ -10,6 +10,7 @@ from triq import (
     curve_from_states,
     disentanglement_time,
     fidelity,
+    first_crossing,
     fit_decay_rate,
     ghz_analytic,
     kron,
@@ -23,6 +24,7 @@ from triq import (
     wwbar_analytic,
 )
 from triq import NoiseModel
+from triq.measures import FIT_KEEP_FRACTION
 from conftest import T1, T2, random_density
 
 MIXED = np.eye(8, dtype=complex) / 8.0
@@ -54,6 +56,12 @@ def test_negativity_reference_states():
         2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
     assert tripartite_negativity(prepare_wwbar()) == pytest.approx(
         math.sqrt(5.0) / 3.0, abs=1e-12)
+
+
+def test_negativity_rejects_unknown_cut():
+    for qubit in (0, 4):
+        with pytest.raises(ValueError, match="qubit must be 1, 2 or 3"):
+            negativity(prepare_ghz(), qubit)
 
 
 def test_negativity_vanishes_for_separable_states():
@@ -152,6 +160,17 @@ def test_fit_decay_rate_needs_enough_live_samples():
         fit_decay_rate(_curve(ts, np.full_like(ts, 0.001)))
 
 
+def test_fit_decay_rate_falls_back_to_the_floor_window():
+    # 9 samples above N3_tri(0)/6 are too few, so the fit takes all 15
+    # above FIT_FLOOR; the curvature makes the two windows disagree
+    ts = np.linspace(0.0, 1.0, 15)
+    n = 0.9 * np.exp(-2.0 * ts - 1.5 * ts**2)
+    assert np.sum(n > FIT_KEEP_FRACTION * n[0]) == 9
+    gamma, _ = fit_decay_rate(_curve(ts, n))
+    assert gamma == pytest.approx(-np.polyfit(ts, np.log(n), 1)[0], rel=1e-9)
+    assert abs(gamma + np.polyfit(ts[:9], np.log(n[:9]), 1)[0]) > 0.1
+
+
 def test_fit_anchor_rates_inside_quoted_windows(analytic_curves):
     gammas = {}
     for name, curve in analytic_curves.items():
@@ -170,6 +189,14 @@ def test_disentanglement_time_interpolates():
     t = disentanglement_time(_curve([0.0, 1.0, 2.0], [0.5, 0.3, 0.1]),
                              threshold=0.2)
     assert t == pytest.approx(1.5, abs=1e-12)
+
+
+def test_first_crossing():
+    times = np.array([0.0, 1.0, 2.0])
+    assert first_crossing(times, np.array([0.5, 0.3, 0.1]), 0.2) == \
+        pytest.approx(1.5, abs=1e-12)
+    assert first_crossing(times, np.array([0.5, 0.4, 0.3]), 0.2) == math.inf
+    assert first_crossing(times, np.array([0.1, 0.4, 0.3]), 0.2) == 0.0
 
 
 def test_disentanglement_time_errors():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from triq import (
+    T1_S,
+    T2_S,
     DDSchedule,
     NoiseModel,
     PhysicalityError,
     Pulse,
-    SpinSystem,
     build_cpmg,
     build_kddxy,
     build_xy16s,
@@ -65,22 +66,22 @@ def ou_path(tau_c, sigma, dt, n_steps, seed):
     return _ou_paths(rng, tau_c, sigma, dt, n_steps, 1)[:, 0]
 
 
-def test_spin_system_defaults(spins):
-    assert spins.t1_s == T1
-    assert spins.t2_s == T2
+def test_bundled_times():
+    assert T1_S == T1
+    assert T2_S == T2
 
 
-def test_spin_system_validation():
+def test_from_times_validation():
     with pytest.raises(ValueError, match="T2"):
-        SpinSystem(t1_s=(1.0, 1.0, 1.0), t2_s=(2.5, 1.0, 1.0))
+        NoiseModel.from_times(t1_s=(1.0, 1.0, 1.0), t2_s=(2.5, 1.0, 1.0))
     with pytest.raises(ValueError, match="T1"):
-        SpinSystem(t1_s=(0.0, 1.0, 1.0))
+        NoiseModel.from_times(t1_s=(0.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="three"):
-        SpinSystem(t2_s=(0.5, 0.5))
+        NoiseModel.from_times(t2_s=(0.5, 0.5))
 
 
-def test_noise_model_validation(spins):
-    nm = NoiseModel.from_spins(spins)
+def test_noise_model_validation():
+    nm = NoiseModel.from_times()
     assert nm.kappa_x == tuple(1.0 / t for t in T1)
     assert nm.kappa_z == tuple(1.0 / t for t in T2)
     with pytest.raises(ValueError, match="three entries"):
@@ -122,73 +123,66 @@ def test_noise_model_validation(spins):
                trajectories=np.int64(2), seed=np.uint64(2**64 - 1))
 
 
-def test_lindblad_rhs_fixed_points_and_trace(spins, rng):
-    noise = NoiseModel.from_spins(spins)
+def test_lindblad_rhs_fixed_points_and_trace(rates, rng):
     # maximally mixed state is a fixed point of the unital channel
-    assert np.allclose(lindblad_rhs(np.eye(8) / 8.0, noise), 0.0, atol=1e-15)
+    assert np.allclose(lindblad_rhs(np.eye(8) / 8.0, rates), 0.0, atol=1e-15)
     for _ in range(100):
         rho = random_density(rng)
-        d = lindblad_rhs(rho, noise)
+        d = lindblad_rhs(rho, rates)
         assert abs(np.trace(d)) < 1e-12
         assert np.max(np.abs(d - d.conj().T)) < 1e-12
 
 
-def test_lindblad_rhs_matches_textbook_operators(spins, rng):
-    noise = NoiseModel.from_spins(spins)
+def test_lindblad_rhs_matches_textbook_operators(rates, rng):
     rho = random_density(rng)
     expected = np.zeros((8, 8), dtype=complex)
     ops = {1: (SX, SZ), 2: (SX, SZ), 3: (SX, SZ)}
     for q in (1, 2, 3):
         factors = [ID2, ID2, ID2]
-        for op, rate in zip(ops[q], (noise.kappa_x[q - 1], noise.kappa_z[q - 1])):
+        for op, rate in zip(ops[q], (rates.kappa_x[q - 1], rates.kappa_z[q - 1])):
             factors[q - 1] = op
             l = math.sqrt(rate / 2.0) * kron(kron(factors[0], factors[1]), factors[2])
             expected += l @ rho @ l.conj().T - 0.5 * (
                 l.conj().T @ l @ rho + rho @ l.conj().T @ l)
-    assert np.allclose(lindblad_rhs(rho, noise), expected, atol=1e-13)
+    assert np.allclose(lindblad_rhs(rho, rates), expected, atol=1e-13)
 
 
-def test_lindblad_rhs_ghz_corner_derivative(spins):
+def test_lindblad_rhs_ghz_corner_derivative(rates):
     # closed form: corner element (1/8) e^{-sum kz t} (1 + g12 + g13 + g23)
     # has derivative -(sum kz)/2 - (sum kx)/4 at t = 0 times the corner sign
-    noise = NoiseModel.from_spins(spins)
-    d = lindblad_rhs(prepare_ghz(), noise)
+    d = lindblad_rhs(prepare_ghz(), rates)
     kz = sum(1.0 / t for t in T2)
     kx = sum(1.0 / t for t in T1)
     assert d[0, 7].real == pytest.approx(kz / 2.0 + kx / 4.0, rel=1e-12)
     assert d[7, 0].real == pytest.approx(kz / 2.0 + kx / 4.0, rel=1e-12)
 
 
-def test_lindblad_rhs_rejects_wrong_shape(spins):
-    noise = NoiseModel.from_spins(spins)
+def test_lindblad_rhs_rejects_wrong_shape(rates):
     with pytest.raises(ValueError, match="8x8"):
-        lindblad_rhs(np.eye(4) / 4.0, noise)
+        lindblad_rhs(np.eye(4) / 4.0, rates)
 
 
-def test_evolve_markovian_finite_difference_consistency(spins, rng):
-    noise = NoiseModel.from_spins(spins)
+def test_evolve_markovian_finite_difference_consistency(rates, rng):
     rho = random_density(rng)
     h = 1e-6
-    curve = evolve(rho, noise, h, dt=h)
+    curve = evolve(rho, rates, h, dt=h)
     fd = (curve.states[-1] - rho) / h
-    assert np.allclose(fd, lindblad_rhs(rho, noise), atol=1e-5)
+    assert np.allclose(fd, lindblad_rhs(rho, rates), atol=1e-5)
 
 
-def test_evolve_markovian_zero_duration(spins):
-    noise = NoiseModel.from_spins(spins)
+def test_evolve_markovian_zero_duration(rates):
     rho = prepare_ghz()
-    curve = evolve(rho, noise, 0.0)
+    curve = evolve(rho, rates, 0.0)
     assert list(curve.times) == [0.0]
     assert np.array_equal(curve.states[0], rho)
 
 
-def test_evolve_markovian_single_qubit_closed_forms(spins):
-    noise = NoiseModel.from_spins(spins)
+def test_evolve_markovian_single_qubit_closed_forms(rates):
     t = 0.3
     # the (000|rho|100) element carries qubit-1 dephasing at 1/T2_1 plus a
     # spectator-population factor (1 + exp(-t/T1_i))/2 per idle qubit; the
     # qubit-1 flip channel leaves the real part of the coherence alone
-    curve = evolve(plus_ground_ground(), noise, t, sample_every=10**9)
+    curve = evolve(plus_ground_ground(), rates, t, sample_every=10**9)
     rho_t = curve.states[-1]
     expected = math.exp(-t / T2[0])
     for i in (1, 2):
@@ -196,59 +190,56 @@ def test_evolve_markovian_single_qubit_closed_forms(spins):
     assert 2.0 * abs(rho_t[0, 4]) == pytest.approx(expected, rel=1e-9)
     # qubit-1 polarization decays as exp(-t/T1_1)
     z0 = kron(kron(GROUND, ID2 / 2.0), ID2 / 2.0)
-    curve = evolve(z0, noise, t, sample_every=10**9)
+    curve = evolve(z0, rates, t, sample_every=10**9)
     pop = np.sum(np.diag(curve.states[-1]).real[:4])  # P(qubit1 = 0)
     assert 2.0 * pop - 1.0 == pytest.approx(math.exp(-t / T1[0]), rel=1e-9)
 
 
-def test_evolve_markovian_sampling_grid(spins):
-    noise = NoiseModel.from_spins(spins)
-    curve = evolve(prepare_ghz(), noise, 0.01, dt=0.001, sample_every=3)
+def test_evolve_markovian_sampling_grid(rates):
+    curve = evolve(prepare_ghz(), rates, 0.01, dt=0.001, sample_every=3)
     assert np.allclose(curve.times, [0.0, 0.003, 0.006, 0.009, 0.01])
 
 
-def test_evolve_markovian_dt_halving(spins):
-    noise = NoiseModel.from_spins(spins)
+def test_evolve_markovian_dt_halving(rates):
     rho = prepare_ghz()
-    a = evolve(rho, noise, 0.5, dt=5e-4, sample_every=10**9)
-    b = evolve(rho, noise, 0.5, dt=2.5e-4, sample_every=10**9)
+    a = evolve(rho, rates, 0.5, dt=5e-4, sample_every=10**9)
+    b = evolve(rho, rates, 0.5, dt=2.5e-4, sample_every=10**9)
     assert np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-8
 
 
 @pytest.mark.parametrize("every", [0, -3, 2.5])
-def test_front_ends_reject_bad_sample_every(spins, every):
+def test_front_ends_reject_bad_sample_every(rates, every):
     # a stride below 1 would silently drop samples from range(), or fail
     # inside it at 0
     with pytest.raises(ValueError, match="sample_every must be a positive integer"):
-        evolve(prepare_ghz(), NoiseModel.from_spins(spins), 0.01,
+        evolve(prepare_ghz(), rates, 0.01,
                dt=1e-3, sample_every=every)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3])
 @pytest.mark.parametrize("run", [
-    lambda spins, dt: evolve(
-        prepare_ghz(), NoiseModel.from_spins(spins), 0.01, dt=dt),
-    lambda spins, dt: evolve(
+    lambda rates, dt: evolve(
+        prepare_ghz(), rates, 0.01, dt=dt),
+    lambda rates, dt: evolve(
         prepare_ghz(),
-        NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+        NoiseModel.from_times(bath_mode="correlated", ou_sigma=10.0,
                               ou_tau_c=0.01, trajectories=2, seed=1),
         0.01, dt=dt),
-    lambda spins, dt: run_protected(
-        prepare_ghz(), NoiseModel.from_spins(spins), build_xy16s(1e-3),
-        dt=dt),
+    lambda rates, dt: run_protected(
+        prepare_ghz(), rates, build_xy16s(1e-3), dt=dt),
 ], ids=["evolve_markovian", "evolve_correlated", "run_protected"])
-def test_non_positive_dt_is_rejected(spins, run, dt):
+def test_non_positive_dt_is_rejected(rates, run, dt):
     # rejected before any runner rounds it to a whole number of steps
     # of t_final or of one cycle
     with pytest.raises(ValueError, match="dt must be positive"):
-        run(spins, dt)
+        run(rates, dt)
 
 
-def test_evolve_correlated_takes_no_step_longer_than_dt(spins):
+def test_evolve_correlated_takes_no_step_longer_than_dt():
     # 1.4 ms is not a whole number of 1 ms steps: the grid takes two
     # 0.7 ms steps rather than one 1.4 ms step, so the OU tracks are
     # drawn no coarser than asked
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+    nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=10.0,
                                ou_tau_c=0.01, trajectories=2, seed=1)
     curve = evolve(prepare_ghz(), nm, 0.0014, dt=1e-3)
     assert np.diff(curve.times).max() <= 1e-3
@@ -262,22 +253,20 @@ def test_evolve_markovian_pure_dephasing_keeps_diagonal():
         assert np.array_equal(np.diag(s), np.diag(rho))
 
 
-def test_evolve_markovian_exact_at_long_steps(spins):
+def test_evolve_markovian_exact_at_long_steps(rates):
     # the damping channels are applied in closed form, so a step of
     # 2 s (almost four times T2) is as exact as a fine one
-    noise = NoiseModel.from_spins(spins)
-    curve = evolve(prepare_ghz(), noise, 40.0, dt=2.0)
+    curve = evolve(prepare_ghz(), rates, 40.0, dt=2.0)
     assert len(curve.times) == 21
     for t, rho in zip(curve.times, curve.states):
-        assert np.max(np.abs(rho - ghz_analytic(float(t), noise))) < 1e-12
+        assert np.max(np.abs(rho - ghz_analytic(float(t), rates))) < 1e-12
 
 
-def test_propagate_labels_unphysical_sample_with_time(spins):
+def test_propagate_labels_unphysical_sample_with_time(rates):
     # a non-unitary "pulse" breaks the trace at 4 ms; the error names
     # the sample by its time
-    noise = NoiseModel.from_spins(spins)
     with pytest.raises(PhysicalityError, match=r"^at t = 0.004 s: trace"):
-        propagate(prepare_ghz(), noise, 10, 1e-3,
+        propagate(prepare_ghz(), rates, 10, 1e-3,
                   pulses=[(0.004, 1.5 * np.eye(8, dtype=complex))])
 
 
@@ -293,9 +282,9 @@ OU_NOISE = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
 
 
 @SAMPLED_RUNS
-def test_fractional_sample_steps_are_rejected(spins, run):
+def test_fractional_sample_steps_are_rejected(run):
     # int() would truncate 2.5 onto step 2 and label the sample 0.002 s
-    noise = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=10.0,
+    noise = NoiseModel.from_times(bath_mode="correlated", ou_sigma=10.0,
                                   ou_tau_c=0.01, trajectories=2, seed=1)
     with pytest.raises(ValueError, match="sample steps must be integers, got 2.5"):
         run(noise, [0, 2.5, 9.99])
@@ -326,9 +315,9 @@ def test_pulse_outside_the_run_is_rejected(t):
                   pulses=[(t, np.eye(8, dtype=complex))])
 
 
-def test_unit_phases_require_the_correlated_bath(spins):
+def test_unit_phases_require_the_correlated_bath(rates):
     with pytest.raises(ValueError, match="ou_unit_phases requires bath_mode = correlated"):
-        ou_unit_phases(NoiseModel.from_spins(spins), 10, 1e-3, [0, 10])
+        ou_unit_phases(rates, 10, 1e-3, [0, 10])
 
 
 def test_sample_ou_path_basics():
@@ -349,8 +338,8 @@ def test_sample_ou_path_statistics():
         assert c == pytest.approx(math.exp(-k * dt / tau_c), abs=0.05)
 
 
-def test_evolve_correlated_noise_off_matches_markovian(spins):
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=0.0,
+def test_evolve_correlated_noise_off_matches_markovian():
+    nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=0.0,
                                ou_tau_c=0.01, trajectories=1, seed=0)
     ref_noise = NoiseModel(kappa_x=tuple(1.0 / t for t in T1),
                            kappa_z=(0.0, 0.0, 0.0))
@@ -362,8 +351,8 @@ def test_evolve_correlated_noise_off_matches_markovian(spins):
         assert np.allclose(sa, sb, atol=1e-12)
 
 
-def test_evolve_correlated_is_deterministic(spins):
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=14.0,
+def test_evolve_correlated_is_deterministic():
+    nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=14.0,
                                ou_tau_c=0.01, trajectories=33, seed=17)
     rho = prepare_ghz()
     a = evolve(rho, nm, 0.02, dt=1e-4, sample_every=50)
@@ -403,9 +392,9 @@ def test_evolve_correlated_markovian_limit():
         assert abs(a - b) / max(b, 1e-3) < 0.10
 
 
-def test_evolve_correlated_protection_direction(spins):
+def test_evolve_correlated_protection_direction():
     # tau_c = 10 ms >> tau = 0.25 ms: decoupled negativity stays higher
-    nm = NoiseModel.from_spins(spins, bath_mode="correlated", ou_sigma=13.7,
+    nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=13.7,
                                ou_tau_c=0.01, trajectories=16, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=10)
     prot, unprot = run_protected(prepare_ghz(), nm, schedule)
@@ -413,23 +402,23 @@ def test_evolve_correlated_protection_direction(spins):
         unprot.states[-1])
 
 
-def test_off_grid_pulse_is_rejected(spins):
+def test_off_grid_pulse_is_rejected(rates):
     # a pulse 0.3 ms in on a 0.25 ms grid used to be moved silently to
     # the nearest step
     schedule = DDSchedule(events=((0.3e-3, Pulse()), (0.7e-3, None)))
     with pytest.raises(ValueError, match=r"t = 0.0003 s .*dt = 0.00025 s"):
-        run_protected(prepare_ghz(), NoiseModel.from_spins(spins),
+        run_protected(prepare_ghz(), rates,
                       schedule, dt=0.25e-3)
     # on the grid it runs
     on_grid = DDSchedule(events=((0.25e-3, Pulse()), (0.75e-3, None)))
-    curve, _ = run_protected(prepare_ghz(), NoiseModel.from_spins(spins),
+    curve, _ = run_protected(prepare_ghz(), rates,
                              on_grid, dt=0.25e-3)
     assert len(curve.times) == 2
 
 
 @pytest.fixture(scope="module")
 def ghz_markovian_curve():
-    return evolve(prepare_ghz(), NoiseModel.from_spins(SpinSystem()), 0.7,
+    return evolve(prepare_ghz(), NoiseModel.from_times(), 0.7,
                   dt=5e-4, sample_every=10)
 
 
@@ -438,15 +427,15 @@ def ghz_markovian_curve():
 def test_grid_step_keeps_pulses_on_the_grid(build, tau):
     # above tau = 13 ms the T2 bound is the smaller one; the step then
     # divides the pulse spacing instead of taking the bound as it is
-    for spins in (SpinSystem(), SpinSystem(t2_s=(0.05, 0.05, 0.05))):
+    for t2_s in (T2, (0.05, 0.05, 0.05)):
         schedule = build(tau)
         min_delay = min_interpulse_delay(schedule)
-        dt = grid_step(NoiseModel.from_spins(spins), min_delay)
-        assert dt <= min(spins.t2_s) / 2000.0 or dt == min_delay / 50.0
-        assert dt > 0.5 * min(min(spins.t2_s) / 2000.0, min_delay / 50.0)
+        dt = grid_step(NoiseModel.from_times(T1, t2_s), min_delay)
+        assert dt <= min(t2_s) / 2000.0 or dt == min_delay / 50.0
+        assert dt > 0.5 * min(min(t2_s) / 2000.0, min_delay / 50.0)
         for t, _ in expand_schedule(schedule):
             assert abs(t / dt - round(t / dt)) < 1e-6
-    bundled = NoiseModel.from_spins(SpinSystem())
+    bundled = NoiseModel.from_times()
     assert grid_step(bundled, 0.25e-3) == 0.25e-3 / 50.0
     assert grid_step(bundled) == 0.52 / 2000.0
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import triq.noise
-from triq import (NoiseModel, Pulse, SpinSystem, build_kddxy, build_xy16s,
+from triq import (T1_S, NoiseModel, Pulse, build_kddxy, build_xy16s,
                   cycle_duration, expand_schedule, fit_grid, grid_step,
                   min_interpulse_delay, ou_unit_phases, prepare_ghz,
                   prepare_w, propagate, propagate_arms, pulse_unitary,
@@ -173,8 +173,8 @@ def test_segment_cap_keeps_protected_run_near_one_step_split(monkeypatch):
     # capped segments stay as close to splitting at every 5 us step as
     # the 60-cycle acceptance run's 1e-7 budget allows over 10 cycles
     # (measured 2.3e-9 at a cap of 25, 8.9e-9 at 50)
-    noise = NoiseModel.from_spins(
-        SpinSystem(), bath_mode="correlated", ou_sigma=13.7117919922, ou_tau_c=0.01,
+    noise = NoiseModel.from_times(
+        bath_mode="correlated", ou_sigma=13.7117919922, ou_tau_c=0.01,
         trajectories=16, seed=2026)
     schedule = build_xy16s(0.25e-3, cycles=10)
 
@@ -286,7 +286,7 @@ def test_fit_grid_pinned_cases():
     # above 1000, which a plain ceil would make 1001 steps
     kdd = build_kddxy(2e-4)
     cyc = cycle_duration(kdd)
-    dt = grid_step(NoiseModel.from_spins(SpinSystem()), min_interpulse_delay(kdd))
+    dt = grid_step(NoiseModel.from_times(), min_interpulse_delay(kdd))
     assert cyc / dt > 1000.0
     assert fit_grid(cyc, dt)[0] == 1000
     assert fit_grid(0.0, 1e-3)[0] == 0
@@ -311,7 +311,7 @@ def test_fit_grid_rejects_an_overflowing_step_count():
 # the acceptance bath with kappa_x 100 times the bundled 1/T1, so that
 # the bit flips, and any error in merging them, show; pulses 1 ms apart
 # so that the 50-step cap also splits the gaps between them
-FLIPPY = NoiseModel(kappa_x=tuple(100.0 / t for t in SpinSystem().t1_s),
+FLIPPY = NoiseModel(kappa_x=tuple(100.0 / t for t in T1_S),
                     kappa_z=(0.0, 0.0, 0.0), bath_mode="correlated",
                     ou_sigma=13.7117919922, ou_tau_c=0.01, trajectories=3,
                     seed=11)

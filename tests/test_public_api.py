@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -54,3 +57,19 @@ def test_import_hygiene():
                 and name.startswith("_") and not name.startswith("__")]
     assert not local_imports
     assert not private_uses
+
+
+def test_benchmark_tracer_binds_every_public_function():
+    # perfbench/tracer.py wraps each name in a module's __all__ and raises
+    # TraceError if a reference escapes it; run it as the benchmark does
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer, triq.cli; "
+            "tracer.Tracer().install(); "
+            "print(hasattr(triq.cli.write_curve_csv, '__wrapped__'), "
+            "hasattr(triq.cli.render_svg, '__wrapped__'))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert "TraceError" not in proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
