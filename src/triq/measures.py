@@ -10,7 +10,9 @@ geometric mean of the three cuts. Fidelity against a pure reference
 Every metric goes through one kernel that scores a stack of density
 matrices against one reference: the three partial transposes of each
 sample share one batched eigenvalue call, and what fidelity needs of
-the reference (its ket, or its square root) is computed once. The
+the reference (its ket, or its square root) is computed once. A block
+whose partial transposes a Cholesky certificate (core.eigs_above)
+proves positive definite is PPT on every cut and skips that call. The
 single-state functions are stacks of one; curve_from_states scores a
 curve in blocks of _BLOCK samples, which keeps memory flat.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PhysicalityError, check_density
+from .core import PhysicalityError, check_density, eigs_above
 
 __all__ = [
     "DecayCurve",
@@ -48,6 +50,10 @@ FIT_KEEP_FRACTION = 1.0 / 6.0
 # of all samples raised peak memory from 44 to 52 MB, blocks of 256 to
 # 45.5 MB
 _BLOCK = 64
+# a block whose partial transposes all have eigenvalues above this is
+# PPT on every cut, which then reads exactly 0.0; the margin is far above
+# the round-off of either the certificate or the eigenvalues
+_PPT_MARGIN = 1e-12
 # a reference whose second-largest eigenvalue is at most this is pure;
 # taking it as pure moves the fidelity by about sqrt(_PURE_TOL) at most,
 # the order of the round-off the Uhlmann route leaves on rank-1 input
@@ -100,9 +106,12 @@ def _score(stack, ref=None):
     r = stack.reshape(-1, 2, 2, 2, 2, 2, 2)
     # axes (n, a1, a2, a3, b1, b2, b3): the partial transpose on qubit q
     # swaps its row and column index
-    pts = np.stack([np.swapaxes(r, q, q + 3) for q in (1, 2, 3)], axis=1)
-    lam_min = np.linalg.eigvalsh(pts.reshape(-1, 3, 8, 8))[..., 0]
-    cuts = 2.0 * np.maximum(0.0, -lam_min)
+    pts = np.stack([np.swapaxes(r, q, q + 3) for q in (1, 2, 3)],
+                   axis=1).reshape(-1, 3, 8, 8)
+    if eigs_above(pts, _PPT_MARGIN):
+        cuts = np.zeros((len(stack), 3))
+    else:
+        cuts = 2.0 * np.maximum(0.0, -np.linalg.eigvalsh(pts)[..., 0])
     # zero as soon as any single cut is PPT
     n3_tri = np.where(np.min(cuts, axis=1) > 0.0,
                       np.prod(cuts, axis=1) ** (1.0 / 3.0), 0.0)

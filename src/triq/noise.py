@@ -11,23 +11,25 @@ T1/T2, by default the bundled T1_S and T2_S, become those rates.
 
 No system Hamiltonian acts: as in the paper's fits, the register
 evolves under the damping and the bath alone. Every run goes through
-one segment propagator, ``propagate_arms``, that steps each of several
-pulse trains from event to event (a pulse or a sample) under the bath
-the NoiseModel names; ``propagate`` is its one-train case and
-``evolve`` its one pulse-free front end. Both dissipators are Pauli
-channels, which commute and are applied in closed form, so a Markovian
-run is exact between events at any step length. The OU phase does not
-commute with the bit flips: a segment is Strang-split around it, the
-phase summed over the segment's steps of the OU grid, and segments are
-capped at _MAX_SEGMENT_STEPS grid steps; ``propagate_arms`` states
-how the arms share each OU track and where adjacent half flips merge,
-and ``_sweep`` how a batch of trajectories is swept on raveled states,
-a Markovian run being the same sweep at width 1. The OU recurrence is
-linear in sigma for fixed draws, so a track at sigma is sigma times the
-track at 1: ``ou_unit_phases`` draws the unit-sigma tracks once, and a
-caller that varies sigma alone (calibration) rescales their phases
-instead of propagating again. The tests pin the propagator against a
-generator built from explicit Lindblad operator matrices.
+one propagator, ``propagate_arms``, that runs each of several pulse
+trains under the bath the NoiseModel names; ``propagate`` is its
+one-train case and ``evolve`` its one pulse-free front end. Both
+dissipators are Pauli channels, which commute and are applied in
+closed form. A Markovian run is therefore evaluated stretch by
+stretch: between pulse steps every sample is the closed form of the
+stretch's starting state, exact at any step length. The OU phase does
+not commute with the bit flips, so a correlated run is stepped from
+event to event (a pulse or a sample): a segment is Strang-split around
+the phase, the phase summed over the segment's steps of the OU grid,
+and segments are capped at _MAX_SEGMENT_STEPS grid steps;
+``propagate_arms`` states how the arms share each OU track and where
+adjacent half flips merge, and ``_sweep`` how a batch of trajectories
+is swept on raveled states. The OU recurrence is linear in sigma for
+fixed draws, so a track at sigma is sigma times the track at 1:
+``ou_unit_phases`` draws the unit-sigma tracks once, and a caller that
+varies sigma alone (calibration) rescales their phases instead of
+propagating again. The tests pin the propagator against a generator
+built from explicit Lindblad operator matrices.
 """
 import math
 from dataclasses import dataclass, replace
@@ -40,6 +42,7 @@ from . import measures
 __all__ = [
     "T1_S",
     "T2_S",
+    "MAX_STEPS",
     "NoiseModel",
     "evolve",
     "fit_grid",
@@ -53,6 +56,9 @@ __all__ = [
 # sums, and every output, do not depend on the batch width
 _CHUNK = 32
 _BATCH = 64  # trajectories swept at once; a multiple of _CHUNK
+# samples of a Markovian stretch evaluated at once; one stack of a
+# whole 2,001-sample stretch raised peak memory by 14%
+_BLOCK = 64
 
 # per-qubit relaxation times of the bundled three-spin register, seconds
 T1_S = (5.42, 5.65, 4.36)
@@ -100,8 +106,9 @@ class NoiseModel:
     @classmethod
     def from_times(cls, t1_s=T1_S, t2_s=T2_S, **bath):
         """kappa_x = 1/T1 and kappa_z = 1/T2 from three T1 > 0 and three T2
-        in (0, 2 T1], in seconds (else ValueError); ``bath`` takes the
-        other fields (bath_mode, ou_sigma, ...)."""
+        in (0, 2 T1], in seconds, each with a finite reciprocal (else
+        ValueError); ``bath`` takes the other fields (bath_mode,
+        ou_sigma, ...)."""
         if len(t1_s) != 3 or len(t2_s) != 3:
             raise ValueError("t1_s and t2_s must each have three entries")
         for t1, t2 in zip(t1_s, t2_s):
@@ -109,6 +116,11 @@ class NoiseModel:
                 raise ValueError("T1 must be positive, got %g" % t1)
             if not 0 < t2 <= 2 * t1:
                 raise ValueError("T2 must satisfy 0 < T2 <= 2 T1, got %g" % t2)
+            # a subnormal time passes the checks above, but its rate overflows
+            for name, t in (("T1", t1), ("T2", t2)):
+                if 1.0 / t == math.inf:
+                    raise ValueError("%s = %g s is too short: its rate 1/%s "
+                                     "overflows" % (name, t, name))
         return cls(kappa_x=tuple(1.0 / t for t in t1_s),
                    kappa_z=tuple(1.0 / t for t in t2_s), **bath)
 
@@ -139,14 +151,25 @@ _ZMASK = (_ZDIFF != 0.0).astype(float)
 _ZCOLS, _ZCOL_OF = np.unique(_ZDIFF.reshape(3, 64), axis=1, return_inverse=True)
 
 
+# Longest grid fit_grid cuts. A run holds at least 48 B per grid step:
+# a correlated run keeps one trajectory's OU track and its normal draws,
+# three float64 each, and a run sampled at every step 2 KiB (its row of
+# the accumulator and its state in the curve, 64 complex each). So a
+# grid of 2**30 steps needs 48 GiB at the least, and a longer one is a
+# config error rather than a MemoryError deep in a run. The longest
+# grid that a test, demo or benchmark workload runs has 48,000 steps;
+# fit_grid's property test cuts up to 1e9, which it only counts.
+MAX_STEPS = 2**30
+
+
 def fit_grid(span, max_dt):
     """Cut span into the fewest whole steps no longer than max_dt.
 
     Returns (n, span / n), or (0, max_dt) for a zero span. n is rounded
     up with a relative 1e-9 guard, since a span summed from delays may
     sit a few ulps above a whole number of steps. Every grid is cut so.
-    A span or step out of range, or a step count past the largest
-    float, raises ValueError.
+    A span or step out of range, or a step count past MAX_STEPS, raises
+    ValueError.
     """
     # NaN fails the comparisons; an infinite span has no whole number
     # of steps, and an infinite step would fill no span
@@ -161,6 +184,9 @@ def fit_grid(span, max_dt):
         raise ValueError("t_final = %g over dt = %g overflows the step count"
                          % (span, max_dt))
     n = max(1, math.ceil(steps))
+    if n > MAX_STEPS:
+        raise ValueError("t_final = %g over dt = %g is %d steps, more than "
+                         "the %d a grid may have" % (span, max_dt, n, MAX_STEPS))
     return n, span / n
 
 
@@ -295,10 +321,12 @@ def _segment_edges(events, cap):
 
 def _flips(states, kappa_x, t):
     """Bit-flip channels of all three qubits over t seconds, on raveled
-    states (..., 64)."""
+    states (..., 64); t is one time, or an (n, 1) column of times, one
+    per state of an (n, 64) stack."""
+    exp = np.exp if isinstance(t, np.ndarray) else math.exp
     for flat, kx in zip(_FLAT, kappa_x):
         if kx != 0.0:
-            p = 0.5 * (1.0 - math.exp(-kx * t))
+            p = 0.5 * (1.0 - exp(-kx * t))
             states = (1.0 - p) * states + p * states[..., flat]
     return states
 
@@ -366,12 +394,17 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
     """``propagate`` of several pulse trains under one bath.
 
     Each train is a sequence of (time_s, unitary) pulses on the grid;
-    every arm starts from rho0 and is sampled at ``sample_steps``. In
-    the correlated bath all arms see the same OU tracks: each batch of
-    up to 64 trajectories is one pass for all arms, in which trajectory
-    j's track is drawn once and reduced at every arm's segment edges
-    before the next is drawn, so an arm's curve equals a lone
-    ``propagate`` of its train bit for bit. A sampled mean adds the
+    every arm starts from rho0 and is sampled at ``sample_steps``.
+
+    Without the OU bath an arm is cut at its pulse steps into stretches,
+    and every sample of a stretch is the closed form of the stretch's
+    starting state (``_stretches``).
+
+    In the correlated bath all arms see the same OU tracks: each batch
+    of up to 64 trajectories is one pass for all arms, in which
+    trajectory j's track is drawn once and reduced at every arm's
+    segment edges before the next is drawn, so an arm's curve equals a
+    lone ``propagate`` of its train bit for bit. A sampled mean adds the
     same partial sums of 32 trajectories in the same order at any batch
     width, so the batch width does not change any output.
 
@@ -394,57 +427,21 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
     marks = sorted(set(_check_steps(
         range(n_steps + 1) if sample_steps is None else sample_steps,
         n_steps, dt)))
-    row = {k: r for r, k in enumerate(marks)}
+    pulse_steps = [_expand_pulse_steps(train, dt, n_steps) for train in trains]
 
     correlated = noise.bath_mode == "correlated"
-    with_ou = correlated and noise.ou_sigma != 0.0 and n_steps > 0
-    # the OU phase does not commute with the bit flips: such segments
-    # are Strang-split around the phase and kept short
-    split = with_ou and any(noise.kappa_x)
-    cap = _MAX_SEGMENT_STEPS if split else (n_steps or 1)
-    # elementwise generator of the Lindblad dephasing (in correlated
-    # mode the OU bath replaces it), applied once per distinct segment
-    # length
-    gen = np.zeros(64)
-    if not correlated:
-        gen = -np.tensordot(noise.kappa_z, _ZMASK, 1).ravel()
-    # by id: every train's unitaries stay referenced until the return
-    commutes = {}
-
-    def plan(pulses):
-        by_step = _expand_pulse_steps(pulses, dt, n_steps)
-        edges = _segment_edges(sorted(set(marks) | set(by_step)
-                                      | {0, n_steps}), cap)
-        lengths, length_of = np.unique(np.diff(edges), return_inverse=True)
-        deltas = dt * lengths
-        merge = []
-        for k in edges[1:]:
-            us = by_step.get(k, [])
-            for u in us:
-                if id(u) not in commutes:
-                    commutes[id(u)] = _commutes_with_flips(u)
-            merge.append(split and k not in row and k != n_steps
-                         and all(commutes[id(u)] for u in us))
-        return (by_step, edges, deltas, np.exp(np.multiply.outer(deltas, gen)),
-                length_of, merge)
-
-    arms = [plan(train) for train in trains]
-    n_traj = noise.trajectories if with_ou else 1
-    accs = [np.zeros((len(marks), 64), dtype=complex) for _ in arms]
-    for start in range(0, n_traj, _BATCH):
-        width = min(_BATCH, n_traj - start)
-        phis = [None] * len(arms)
-        if with_ou:
-            # per-segment OU phases of every arm, (width, segs, 3): each
-            # track is drawn once, reduced at all arms' edges, dropped
-            sums = [[] for _ in arms]
-            for j in range(start, start + width):
-                track = _ou_track(noise, j, dt, n_steps)
-                for (_, edges, *_), out in zip(arms, sums):
-                    out.append(np.add.reduceat(track, edges[:-1]))
-            phis = [dt * np.stack(out) for out in sums]
-        for arm, phi, acc in zip(arms, phis, accs):
-            _sweep(rho0, width, arm, phi, noise.kappa_x, row, acc)
+    if correlated and noise.ou_sigma != 0.0 and n_steps > 0:
+        n_traj = noise.trajectories
+        accs = _ou_arms(rho0, noise, n_steps, dt, pulse_steps, marks)
+    else:
+        n_traj = 1
+        # elementwise generator of the Lindblad dephasing; a correlated
+        # bath at zero sigma has none
+        gen = np.zeros(64)
+        if not correlated:
+            gen = -np.tensordot(noise.kappa_z, _ZMASK, 1).ravel()
+        accs = [_stretches(rho0, by_step, marks, n_steps, dt, gen,
+                           noise.kappa_x) for by_step in pulse_steps]
 
     times = [k * dt for k in marks]
     curves = []
@@ -459,6 +456,88 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
     return curves
 
 
+def _stretches(rho0, by_step, marks, n_steps, dt, gen, kappa_x):
+    """The states of one pulse train at the sample steps ``marks``, as
+    rows (samples, 64), without the OU bath.
+
+    A stretch runs from the start, or from a pulse step, to the next
+    pulse step or to n_steps. Both dissipators are commuting Pauli
+    channels, so the state tau seconds into a stretch that starts in
+    rho_e is F(tau)(exp(tau gen) o rho_e), F the bit flips and o the
+    elementwise product: one factor and three index gathers per qubit
+    of flips on a stack of samples, evaluated _BLOCK samples at a time.
+    Pulses at a step act before its sample, and the state after them
+    starts the next stretch.
+    """
+    acc = np.zeros((len(marks), 64), dtype=complex)
+    marks = np.asarray(marks)
+
+    def at(rho, taus):
+        return _flips(np.exp(np.multiply.outer(taus, gen)) * rho,
+                      kappa_x, taus[:, None])
+
+    state = rho0.reshape(64).astype(complex)
+    start = 0
+    # rows [first, last) hold the samples strictly inside a stretch
+    first = 0
+    for stop in sorted({0, *by_step, n_steps}):
+        last = np.searchsorted(marks, stop)
+        if stop > start:
+            for lo in range(first, last, _BLOCK):
+                hi = min(last, lo + _BLOCK)
+                acc[lo:hi] += at(state, dt * (marks[lo:hi] - start))
+            state = at(state, np.array([dt * (stop - start)]))[0]
+        for u in by_step.get(stop, []):
+            state = _apply_unitary(state, u)[0]
+        first = last
+        if last < len(marks) and marks[last] == stop:
+            acc[last] += state
+            first += 1
+        start = stop
+    return acc
+
+
+def _ou_arms(rho0, noise, n_steps, dt, pulse_steps, marks):
+    """The trajectory sums of every arm's states at the sample steps
+    ``marks`` under the OU bath, as rows (samples, 64) per arm."""
+    row = {k: r for r, k in enumerate(marks)}
+    # the OU phase does not commute with the bit flips: such segments
+    # are Strang-split around the phase and kept short
+    split = any(noise.kappa_x)
+    cap = _MAX_SEGMENT_STEPS if split else n_steps
+    # by id: every train's unitaries stay referenced until the return
+    commutes = {}
+
+    def plan(by_step):
+        edges = _segment_edges(sorted(set(marks) | set(by_step)
+                                      | {0, n_steps}), cap)
+        merge = []
+        for k in edges[1:]:
+            us = by_step.get(k, [])
+            for u in us:
+                if id(u) not in commutes:
+                    commutes[id(u)] = _commutes_with_flips(u)
+            merge.append(split and k not in row and k != n_steps
+                         and all(commutes[id(u)] for u in us))
+        return by_step, edges, dt * np.diff(edges), merge
+
+    arms = [plan(by_step) for by_step in pulse_steps]
+    accs = [np.zeros((len(marks), 64), dtype=complex) for _ in arms]
+    for start in range(0, noise.trajectories, _BATCH):
+        width = min(_BATCH, noise.trajectories - start)
+        # per-segment OU phases of every arm, (width, segs, 3): each
+        # track is drawn once, reduced at all arms' edges, dropped
+        sums = [[] for _ in arms]
+        for j in range(start, start + width):
+            track = _ou_track(noise, j, dt, n_steps)
+            for (_, edges, *_), out in zip(arms, sums):
+                out.append(np.add.reduceat(track, edges[:-1]))
+        for arm, out, acc in zip(arms, sums, accs):
+            _sweep(rho0, width, arm, dt * np.stack(out), noise.kappa_x,
+                   row, acc)
+    return accs
+
+
 def _accumulate(acc, states):
     """Add the trajectory sum of ``states`` into acc, _CHUNK
     trajectories at a time, so that the sum does not depend on how many
@@ -470,10 +549,9 @@ def _accumulate(acc, states):
 def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
     """Run one arm's segments for a batch of ``width`` trajectories and
     add the sampled states into the rows of acc (samples, 64). The
-    states stay raveled, (width, 64), and so do the Lindblad factors.
-    phi holds the batch's per-segment OU phases, or is None without the
-    OU bath."""
-    by_step, edges, deltas, factors, length_of, merge = arm
+    states stay raveled, (width, 64). phi holds the batch's per-segment
+    OU phases, (width, segments, 3)."""
+    by_step, edges, deltas, merge = arm
     states = np.broadcast_to(rho0.reshape(64), (width, 64)).astype(complex)
     for u in by_step.get(0, []):
         states = _apply_unitary(states, u)
@@ -481,19 +559,16 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
         _accumulate(acc[row[0]], states)
     carried = 0.0  # half flip left over from a merged edge, in seconds
     for s, k in enumerate(edges[1:]):
-        delta = deltas[length_of[s]]
-        if phi is None:
-            states = _flips(factors[length_of[s]] * states, kappa_x, delta)
+        delta = deltas[s]
+        # the OU bath replaces the Lindblad dephasing, so the phase
+        # factor is the segment's whole elementwise factor
+        states = (_phase_factors(phi[:, s])
+                  * _flips(states, kappa_x, carried + 0.5 * delta))
+        if merge[s]:
+            carried = 0.5 * delta
         else:
-            # the OU bath replaces the Lindblad dephasing, so the phase
-            # factor is the segment's whole elementwise factor
-            states = (_phase_factors(phi[:, s])
-                      * _flips(states, kappa_x, carried + 0.5 * delta))
-            if merge[s]:
-                carried = 0.5 * delta
-            else:
-                states = _flips(states, kappa_x, 0.5 * delta)
-                carried = 0.0
+            states = _flips(states, kappa_x, 0.5 * delta)
+            carried = 0.0
         for u in by_step.get(k, []):
             states = _apply_unitary(states, u)
         if k in row:

@@ -92,6 +92,16 @@ def test_oracle_matches_integrator_random_rates(rng):
             assert worst < 1e-9, (name, worst)
 
 
+def test_engine_equals_the_closed_forms_on_the_decay_grid(rates):
+    # the decay command's grid: without pulses every sample is the closed
+    # form of the initial state, not the product of 2,000 steps
+    for name, family in FAMILIES.items():
+        curve = evolve(PREPARED[name](), rates, 1.0, dt=5e-4)
+        assert len(curve.times) == 2001
+        worst = np.max(np.abs(curve.states - family(curve.times, rates)))
+        assert worst <= 1e-15, (name, worst)
+
+
 def test_corrected_offdiagonal_placements(rates):
     # the three placements that differ from the published tabulation
     # (see CONFORMANCE.md), written out with explicit exponentials

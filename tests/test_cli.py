@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import triq.cli
+import triq.noise
 
 from triq import (NumericalError, PhysicalityError, build_xy16s, load_matrix,
                   schedule_table)
@@ -143,6 +144,19 @@ def test_decay_rejects_an_overflowing_step_count(tmp_path, capsys):
     rc, out = run(tmp_path, "grid.t_final_s = 1e300\ngrid.step_s = 1e-10\n")
     assert rc == 2
     assert "overflows the step count" in capsys.readouterr().err
+    assert not (out / "decay.csv").exists()
+
+
+def test_decay_rejects_a_grid_past_the_step_cap(tmp_path, monkeypatch, capsys):
+    # the cap, lowered so that no long grid is built if the check fails:
+    # 100 steps pass, 200 are a config error
+    monkeypatch.setattr(triq.noise, "MAX_STEPS", 100)
+    rc, _ = run(tmp_path, "grid.t_final_s = 0.1\ngrid.step_s = 0.001\n", out="a")
+    assert rc == 0
+    rc, out = run(tmp_path, "grid.t_final_s = 0.2\ngrid.step_s = 0.001\n")
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(
+        "is 200 steps, more than the 100 a grid may have\n")
     assert not (out / "decay.csv").exists()
 
 
@@ -424,7 +438,11 @@ def test_library_value_error_is_config_error(tmp_path, capsys):
     ("bath.sigma_rad_s = -1\n", "must be non-negative"),
     ("spins.t2_s = 0.53, 0.55, 20\n",
      "config error: spins: T2 must satisfy 0 < T2 <= 2 T1, got 20\n"),
-], ids=["not_a_number", "infinite", "negative", "t2_above_2t1"])
+    ("spins.t1_s = 1e-310, 1, 1\nspins.t2_s = 1e-310, 0.5, 0.5\n",
+     "config error: spins: T1 = 1e-310 s is too short: its rate 1/T1 "
+     "overflows\n"),
+], ids=["not_a_number", "infinite", "negative", "t2_above_2t1",
+        "overflowing_rate"])
 def test_config_value_errors_exit_2(tmp_path, capsys, cfg, message):
     rc, out = run(tmp_path, cfg)
     assert rc == 2

@@ -80,6 +80,17 @@ def test_from_times_validation():
         NoiseModel.from_times(t2_s=(0.5, 0.5))
 
 
+def test_from_times_rejects_an_overflowing_rate():
+    # a subnormal time is positive, but its rate 1/T is inf: the error
+    # names the time, not ou_sigma
+    with pytest.raises(ValueError, match=r"T1 = 1e-310 s is too short"):
+        NoiseModel.from_times((1e-310, 1, 1), (1e-310, 0.5, 0.5))
+    with pytest.raises(ValueError, match=r"T2 = 1e-310 s is too short"):
+        NoiseModel.from_times((1, 1, 1), (0.5, 1e-310, 0.5))
+    tiny = NoiseModel.from_times((1e-300, 1, 1), (1e-300, 0.5, 0.5))
+    assert tiny.kappa_x[0] == 1.0 / 1e-300 < math.inf
+
+
 def test_noise_model_validation():
     nm = NoiseModel.from_times()
     assert nm.kappa_x == tuple(1.0 / t for t in T1)

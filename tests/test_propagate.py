@@ -135,6 +135,69 @@ def _closed_form(rho, kx, kz, t):
     return rho
 
 
+@st.composite
+def markovian_pulsed_runs(draw):
+    """A Markovian model, a grid of up to 200 steps, pulses on the grid
+    (several may share a step) and sample steps (None: every step)."""
+    dt = draw(st.floats(1e-5, 1e-2))
+    n = draw(st.integers(1, 200))
+    noise = NoiseModel(kappa_x=draw(rates), kappa_z=draw(rates))
+    pulses = draw(st.lists(st.tuples(
+        st.integers(0, n), st.floats(0.1, 2.0 * math.pi),
+        st.floats(0.0, 2.0 * math.pi)), max_size=5))
+    samples = draw(st.one_of(st.none(), st.sets(st.integers(0, n), min_size=1)))
+    seed = draw(st.integers(0, 2**32))
+    return noise, n, dt, pulses, samples, seed
+
+
+def _stepped_reference(rho0, noise, n, dt, pulses, samples):
+    """The closed form composed one grid step at a time, each step's
+    pulses applied in train order before its sample."""
+    by_step = {}
+    for k, u in pulses:
+        by_step.setdefault(k, []).append(u)
+
+    def kick(rho, k):
+        for u in by_step.get(k, []):
+            rho = u @ rho @ u.conj().T
+        return rho
+
+    rho = kick(rho0, 0)
+    out = {0: rho}
+    for k in range(1, n + 1):
+        rho = kick(_closed_form(rho, noise.kappa_x, noise.kappa_z, dt), k)
+        out[k] = rho
+    return np.stack([out[k] for k in samples])
+
+
+_FLIP_PI = (math.pi, 0.0)  # an x pulse
+_Y_HALF = (math.pi / 2.0, math.pi / 2.0)
+
+
+@PROPERTY
+@given(markovian_pulsed_runs())
+@example((NoiseModel(kappa_x=(3.0, 0.0, 40.0), kappa_z=(20.0, 5.0, 0.0)), 150,
+          1e-3, [(0, *_FLIP_PI), (150, *_Y_HALF)], None, 1))  # stretch of 150
+@example((NoiseModel(kappa_x=(3.0, 1.0, 4.0), kappa_z=(20.0, 5.0, 9.0)), 140,
+          2e-3, [(70, *_Y_HALF), (70, *_FLIP_PI), (139, *_Y_HALF)],
+          {0, 35, 70, 71, 138, 140}, 2))  # two pulses on a sample step
+@example((NoiseModel(kappa_x=(3.0, 1.0, 4.0), kappa_z=(20.0, 5.0, 9.0)), 130,
+          1e-3, [(60, *_FLIP_PI)], {130}, 3))  # the pulse step is no sample
+def test_markovian_stretches_match_stepwise_closed_form(run):
+    # every sample of a stretch is the closed form of the stretch's
+    # starting state; composing the closed form step by step, with the
+    # pulses between steps, gives the same states
+    noise, n, dt, pulse_args, samples, seed = run
+    rho0 = random_density(np.random.default_rng(seed))
+    pulses = [(k, pulse_unitary(Pulse(angle=angle, phase=phase)))
+              for k, angle, phase in pulse_args]
+    steps = sorted(samples) if samples is not None else list(range(n + 1))
+    curve = propagate(rho0, noise, n, dt, [(k * dt, u) for k, u in pulses],
+                      sample_steps=samples)
+    want = _stepped_reference(rho0, noise, n, dt, pulses, steps)
+    assert np.max(np.abs(curve.states - want)) < 1e-12
+
+
 @PROPERTY
 @given(runs())
 def test_noise_free_bath_matches_closed_form(run):
@@ -306,6 +369,21 @@ def test_fit_grid_rejects_an_overflowing_step_count():
     for span, max_dt in ((1e300, 1e-10), (1.7e308, 0.5), (1.0, 5e-324)):
         with pytest.raises(ValueError, match="overflows the step count"):
             fit_grid(span, max_dt)
+
+
+def test_fit_grid_caps_the_step_count(rates, monkeypatch):
+    # the real cap only through fit_grid's arithmetic, which builds no
+    # grid: 1e3 s at 1 ns is 1e12 steps
+    with pytest.raises(ValueError, match="more than the %d" % triq.noise.MAX_STEPS):
+        fit_grid(1e3, 1e-9)
+    # through evolve with the cap lowered, so that a missing check would
+    # build a short grid, not an impossible one
+    monkeypatch.setattr(triq.noise, "MAX_STEPS", 1000)
+    assert fit_grid(1.0, 1e-3)[0] == 1000
+    with pytest.raises(ValueError, match="is 1002 steps, more than the 1000"):
+        fit_grid(1.0, 0.999e-3)
+    with pytest.raises(ValueError, match="more than the 1000"):
+        triq.noise.evolve(prepare_ghz(), rates, 2.0, dt=1e-3)
 
 
 # the acceptance bath with kappa_x 100 times the bundled 1/T1, so that

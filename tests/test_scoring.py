@@ -1,6 +1,8 @@
 """The batched metric kernel behind curve_from_states and the closed forms
 evaluated on arrays of times."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from triq import (PhysicalityError, check_density, curve_from_states, fidelity,
                   ghz_analytic, negativity, purity, tripartite_negativity, w_analytic,
                   wwbar_analytic)
+from triq.measures import _score
 from conftest import random_density, random_local_unitary, random_pure
 
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
@@ -137,3 +140,89 @@ def test_closed_forms_on_time_arrays_equal_the_per_time_calls(family, rates):
                    for k, t in enumerate(ts))
     with pytest.raises(ValueError, match="non-negative"):
         family(np.array([0.0, 0.1, -0.01]), rates)
+
+
+def _placed_spectra(rng, n, low, target):
+    """n Hermitian unit-trace matrices. Each has one eigenvalue within
+    2e-12 of ``low`` and the rest positive: the matrix itself when
+    target is 0, else its partial transpose on qubit ``target``."""
+    out = np.empty((n, 8, 8), dtype=complex)
+    for k in range(n):
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        vecs = np.linalg.qr(g)[0]
+        vals = rng.uniform(0.9, 1.0, 8)
+        vals[0] = 0.0
+        lam = low + rng.uniform(-2e-12, 2e-12)
+        vals = lam + vals * (1.0 - 8.0 * lam) / vals.sum()
+        m = (vecs * vals) @ vecs.conj().T
+        if target:
+            m = np.swapaxes(m.reshape(2, 2, 2, 2, 2, 2), target - 1,
+                            target + 2).reshape(8, 8)
+        out[k] = 0.5 * (m + m.conj().T)
+    return out
+
+
+def _eigenvalue_route(fn, *args):
+    """fn(*args) with every Cholesky certificate failing, so that only
+    the eigenvalues decide; returns the result or the error."""
+    def fail(a):
+        raise np.linalg.LinAlgError("forced")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", fail)
+        try:
+            return fn(*args)
+        except PhysicalityError as err:
+            return err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 5, 64, 65]),
+       st.sampled_from([-1e-6, -0.5e-6, 0.0, 1e-12]),
+       st.integers(0, 3), seeds)
+def test_cholesky_certificates_agree_with_the_eigenvalues(n, low, target, seed):
+    # the smallest eigenvalue of each sample, or of one of its partial
+    # transposes, straddles the check's floor (-1e-6), the certificate's
+    # shift (-0.5e-6), zero, or the PPT margin (1e-12): the verdict, the
+    # sample named, the message and every cut are those of the
+    # eigenvalues alone
+    stack = _placed_spectra(np.random.default_rng(seed), n, low, target)
+    want = _eigenvalue_route(check_density, stack)
+    try:
+        got = check_density(stack)
+    except PhysicalityError as err:
+        got = err
+    assert type(got) is type(want)
+    if isinstance(want, PhysicalityError):
+        assert (got.sample, got.reason, str(got)) == (
+            want.sample, want.reason, str(want))
+    want_cuts = _eigenvalue_route(_score, stack)[0]
+    assert np.array_equal(_score(stack)[0], want_cuts)
+
+
+def test_certificates_spare_the_eigenvalues_of_physical_ppt_blocks():
+    # a 64-sample block of physical PPT states takes no eigenvalue call
+    # in the check or in the negativities
+    stack = np.stack([0.9 * np.eye(8) / 8.0 + 0.1 * rho
+                      for rho in _states(np.random.default_rng(5), 64)])
+
+    def fail(a):
+        raise AssertionError("eigvalsh called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", fail)
+        assert check_density(stack) is stack
+        cuts = _score(stack)[0]
+    assert np.array_equal(cuts, np.zeros((64, 3)))
+
+
+def test_failed_certificate_raises_the_physicality_error():
+    # the certificate's LinAlgError never escapes, even with warnings as
+    # errors: the CLI would report it as another kind of failure
+    stack = np.stack(_states(np.random.default_rng(9), 40))
+    stack[17] = np.diag([0.5, 0.5 + 2e-6, -2e-6, 0, 0, 0, 0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhysicalityError,
+                           match="^sample 17: negative eigenvalue -2.000e-06$"):
+            check_density(stack)
