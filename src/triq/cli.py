@@ -43,7 +43,7 @@ import numpy as np
 from .analytic import ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, NumericalError, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, run_protected, schedule_table
-from .measures import curve_from_states, fidelity, first_crossing
+from .measures import DecayCurve, curve_from_states, fidelity, first_crossing
 from .noise import T1_S, T2_S, NoiseModel, evolve, fit_grid, ou_unit_phases, propagate
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
@@ -262,11 +262,6 @@ def write_curve_csv(path, curve, protection=None):
         f.write(text + "\n")
 
 
-def _write_header_only(path, extra=False):
-    with open(path, "w") as f:
-        f.write(_CSV_HEADER + (",protection_factor" if extra else "") + "\n")
-
-
 #
 # Minimal self-contained SVG line plot; deterministic bytes.
 #
@@ -381,8 +376,9 @@ def cmd_decay(cfg):
     ref_path = _out_path(cfg, "decay_analytic.csv")
     svg_path = _out_path(cfg, "decay.svg")
     if t_final == 0.0:
-        _write_header_only(csv_path)
-        _write_header_only(ref_path)
+        empty = DecayCurve(*[np.empty(0)] * 7)
+        write_curve_csv(csv_path, empty)
+        write_curve_csv(ref_path, empty)
         render_svg(svg_path, "decay: %s" % cfg["state"], "time / s",
                    "tripartite negativity", [])
         _emit(csv_path, ref_path, svg_path)

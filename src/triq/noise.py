@@ -151,7 +151,10 @@ _ZMASK = (_ZDIFF != 0.0).astype(float)
 _ZCOLS, _ZCOL_OF = np.unique(_ZDIFF.reshape(3, 64), axis=1, return_inverse=True)
 
 
-# Longest grid fit_grid cuts. A run holds at least 48 B per grid step:
+# Longest grid a run may have. fit_grid cuts none longer, and
+# _check_steps, which every engine run passes, rejects a longer one,
+# such as a protected run's cycles times its steps per cycle. A run
+# holds at least 48 B per grid step:
 # a correlated run keeps one trajectory's OU track and its normal draws,
 # three float64 each, and a run sampled at every step 2 KiB (its row of
 # the accumulator and its state in the curve, 64 complex each). So a
@@ -216,9 +219,15 @@ def _apply_unitary(states, u):
 
 
 def _check_steps(steps, n, dt):
-    """``steps`` as a list of sample steps on a grid of n steps of dt."""
+    """``steps`` as a list of sample steps on a grid of n steps of dt.
+
+    A grid of more than MAX_STEPS steps raises ValueError.
+    """
     if n < 0 or not 0.0 < dt < math.inf:  # false for a NaN dt too
         raise ValueError("n_steps must be non-negative and dt finite and positive")
+    if n > MAX_STEPS:
+        raise ValueError("a grid of %d steps is more than the %d a grid may have"
+                         % (n, MAX_STEPS))
     steps = list(steps)
     bad = [k for k in steps if not isinstance(k, (int, np.integer))]
     if bad:  # int() would truncate it onto another sample's step

@@ -5,9 +5,11 @@ three-letter label, one letter per qubit in index order: I leaves the
 qubit alone, X rotates it by pi/2 about x, Y by pi/2 about y. The seven
 settings {III, IIY, IYY, YII, XYX, XXY, XXX} together make the detected
 amplitudes informationally complete. A setting is passed by its label.
-Its 24 detected values are linear in rho: the rows that map rho to
-them are built once, at import, and both readout simulation and
-reconstruction use them.
+Its 24 detected values are linear in rho: value m is Re(d_m . vec rho)
+with the row d_m = conj(vec A_m), A_m the observable pulled back through
+the setting pulse. The (24, 64) complex block of rows per setting is
+built once, at import, and both readout simulation and reconstruction
+use it.
 
 Detection is line-resolved transverse magnetization: for each qubit i
 and each z-configuration (bj, bk) of the other two qubits j < k, the
@@ -18,9 +20,10 @@ observable index runs
     index = 8 (i - 1) + 2 (2 bj + bk) + (0 for x, 1 for y).
 
 Reconstruction minimizes the Gaussian cost of the recorded values over
-density matrices by accelerated projected gradient on rho itself, and
-certifies the result: it returns once the convex duality gap, a bound
-on how far the cost is above its minimum, is at most 1e-10.
+density matrices by accelerated projected gradient on the 8x8 rho
+itself, its gradient taken from the 64x64 Gram of the rows formed once
+per fit, and certifies the result: it returns once the convex duality
+gap, a bound on how far the cost is above its minimum, is at most 1e-10.
 """
 
 import math
@@ -49,15 +52,11 @@ _PULSE_PHASE = {"X": 0.0, "Y": math.pi / 2.0}
 
 @dataclass(frozen=True)
 class TomoRecord:
-    """Detected amplitudes for one setting.
-
-    values follows the module's fixed 24-entry observable order;
-    noise_sigma records the Gaussian width used when simulating.
-    """
+    """Detected amplitudes for one setting, in the module's fixed
+    24-entry observable order."""
 
     setting: str
     values: tuple
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         if self.setting not in SETTING_LABELS:
@@ -66,8 +65,6 @@ class TomoRecord:
             raise ValueError("expected 24 values, got %d" % len(self.values))
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("values must be finite")
-        if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be finite and non-negative")
 
 
 def observable_list():
@@ -99,20 +96,14 @@ _OBSERVABLES = np.stack(observable_list())
 
 
 def _design_rows(label):
-    # Tr(U rho U^dag O) = Tr(rho A) with A = U^dag O U; for Hermitian rho
-    # and A that is the dot product of (Re A, Im A) with (Re rho, Im rho)
+    # Tr(U rho U^dag O) = Tr(rho A) with A = U^dag O U, which for Hermitian
+    # rho is Re(conj(vec A) . vec rho): row m is conj(vec A_m)
     u = _setting_unitary(label)
-    a = (u.conj().T @ _OBSERVABLES @ u).reshape(24, 64)
-    return np.hstack([a.real, a.imag])
+    return (u.conj().T @ _OBSERVABLES @ u).reshape(24, 64).conj()
 
 
 # the one forward model: readout simulates it, reconstruction fits it
 _DESIGN_ROWS = {label: _design_rows(label) for label in SETTING_LABELS}
-
-
-def _real_parts(rho):
-    """(Re rho, Im rho), raveled: the vector the design rows act on."""
-    return np.concatenate([rho.real.ravel(), rho.imag.ravel()])
 
 
 # mle_reconstruct stops at this duality gap and gives up after this many
@@ -136,7 +127,7 @@ def simulate_readout(rho, setting, noise_sigma=0.0, seed=0):
         raise ValueError(
             "unknown setting %r; expected one of %s" % (setting, (SETTING_LABELS,))
         )
-    vals = _DESIGN_ROWS[setting] @ _real_parts(rho)
+    vals = (_DESIGN_ROWS[setting] @ rho.ravel()).real
     if noise_sigma > 0.0:
         rng = np.random.default_rng(
             np.random.SeedSequence(
@@ -144,8 +135,7 @@ def simulate_readout(rho, setting, noise_sigma=0.0, seed=0):
             )
         )
         vals = vals + noise_sigma * rng.standard_normal(24)
-    return TomoRecord(setting=setting, values=tuple(float(v) for v in vals),
-                      noise_sigma=float(noise_sigma))
+    return TomoRecord(setting=setting, values=tuple(float(v) for v in vals))
 
 
 def tomograph(rho, noise_sigma=0.0, seed=0):
@@ -154,10 +144,10 @@ def tomograph(rho, noise_sigma=0.0, seed=0):
 
 
 def _design(records):
-    """Real design matrix D and targets y, one row per recorded value.
+    """Design matrix D and targets y, one row per recorded value.
 
-    Row m of D dotted with (Re rho, Im rho), both raveled, is
-    Tr(rho A_m), A_m the pulled-back observable of that value.
+    Row m of D is conj(vec A_m), A_m the pulled-back observable of that
+    value, so Re(D vec rho) holds the values Tr(rho A_m).
     """
     seen = {r.setting for r in records}
     missing = [s for s in SETTING_LABELS if s not in seen]
@@ -185,23 +175,25 @@ def mle_reconstruct(records):
 
     Minimizes the Gaussian cost f(rho) = sum_m (Tr(rho A_m) - y_m)^2
     over density matrices by accelerated projected gradient (FISTA) on
-    rho itself: from I/8, each step moves against the gradient
-    G = 2 sum_m (Tr(rho A_m) - y_m) A_m with step 1/L, L = 2 ||D||_2^2
-    for the real design matrix D, and projects back onto density
-    matrices. The cost is convex, so the duality gap
-    Tr(rho G) - lambda_min(G) bounds f(rho) - min f; the estimate is
-    returned once that gap is at most 1e-10.
+    rho itself. With the design rows d_m = conj(vec A_m) stacked in D,
+    the Gram Q = D^H D and b = D^H y are formed once per fit; the
+    gradient is G = 2 (Q vec rho - b), as an 8x8 Hermitian matrix, and
+    each step from I/8 moves against it by 1/(2 lambda_max(Q)) and
+    projects back onto density matrices. The step is taken per fit,
+    since records may repeat a setting. The cost is convex, so the
+    duality gap Tr(rho G) - lambda_min(G) bounds f(rho) - min f; the
+    estimate is returned once that gap is at most 1e-10.
 
     Raises RuntimeError naming the gap if it is not reached within the
     iteration cap.
     """
     d, y = _design(records)
-    step = 0.5 / np.linalg.eigvalsh(d.T @ d)[-1]  # 1/L, ||D||_2^2 = lambda_max(D^T D)
+    q = d.conj().T @ d
+    b = d.conj().T @ y
+    step = 0.5 / np.linalg.eigvalsh(q)[-1]
 
     def gradient(rho):
-        r = d @ _real_parts(rho) - y
-        g = 2.0 * (d.T @ r)
-        return (g[:64] + 1j * g[64:]).reshape(8, 8)
+        return (2.0 * (q @ rho.ravel() - b)).reshape(8, 8)
 
     rho = z = np.eye(8, dtype=complex) / 8.0
     t = 1.0
@@ -234,8 +226,7 @@ def read_records(path):
 
     Returns one TomoRecord per setting present, in file order of first
     appearance. Each present setting must cover all 24 observable
-    indices exactly once. noise_sigma is not stored in the file and
-    loads as 0.
+    indices exactly once.
     """
     per_setting = {}
     order = []

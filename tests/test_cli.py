@@ -201,6 +201,17 @@ def test_protect_config_errors(tmp_path):
     assert run(tmp_path, no_seed, command="protect", out="o3")[0] == 2
 
 
+def test_protect_rejects_a_grid_past_the_step_cap(tmp_path, monkeypatch, capsys):
+    # three cycles of 800 steps each pass fit_grid under the lowered cap,
+    # but the 2,400-step run is a config error
+    monkeypatch.setattr(triq.noise, "MAX_STEPS", 1000)
+    cfg = PROTECT_CFG.replace("dd.tau_s = 0.001\n", "dd.tau_s = 0.00025\ndd.cycles = 3\n")
+    rc, out = run(tmp_path, cfg, command="protect")
+    assert rc == 2
+    assert "2400 steps is more than the 1000" in capsys.readouterr().err
+    assert not (out / "protected.csv").exists()
+
+
 def test_protect_long_tau_keeps_pulses_on_the_grid(tmp_path):
     # at tau = 20 ms, tau/50 is above min(T2)/2000, and the step must
     # still divide the pulse spacing

@@ -376,14 +376,21 @@ def test_fit_grid_caps_the_step_count(rates, monkeypatch):
     # grid: 1e3 s at 1 ns is 1e12 steps
     with pytest.raises(ValueError, match="more than the %d" % triq.noise.MAX_STEPS):
         fit_grid(1e3, 1e-9)
-    # through evolve with the cap lowered, so that a missing check would
-    # build a short grid, not an impossible one
+    # through the engine with the cap lowered, so that a missing check
+    # would build a short grid, not an impossible one
     monkeypatch.setattr(triq.noise, "MAX_STEPS", 1000)
     assert fit_grid(1.0, 1e-3)[0] == 1000
     with pytest.raises(ValueError, match="is 1002 steps, more than the 1000"):
         fit_grid(1.0, 0.999e-3)
     with pytest.raises(ValueError, match="more than the 1000"):
         triq.noise.evolve(prepare_ghz(), rates, 2.0, dt=1e-3)
+    # one XY-16(s) cycle at tau = 0.25 ms is 800 steps, and fit_grid
+    # passes it; a protected run of three cycles is 2,400 steps
+    schedule = build_xy16s(0.25e-3, cycles=3)
+    assert fit_grid(cycle_duration(schedule),
+                    grid_step(rates, min_interpulse_delay(schedule)))[0] == 800
+    with pytest.raises(ValueError, match="2400 steps is more than the 1000"):
+        run_protected(prepare_ghz(), rates, schedule)
 
 
 # the acceptance bath with kappa_x 100 times the bundled 1/T1, so that
