@@ -29,7 +29,9 @@ __all__ = [
     "P1",
 ]
 
+TRACE_ATOL = 1e-8
 HERM_ATOL = 1e-9
+EIG_FLOOR = -1e-6
 
 #
 # Pauli matrices, reused everywhere
@@ -148,20 +150,20 @@ def eigs_above(stack, floor):
     return True
 
 
-def check_density(rho, trace_atol=1e-8, herm_atol=HERM_ATOL, eig_floor=-1e-6):
+def check_density(rho):
     """Validate a density matrix; raise PhysicalityError on failure.
 
-    Checks that every entry is finite, trace within ``trace_atol`` of
-    1, Hermiticity within ``herm_atol``, and smallest eigenvalue above
-    ``eig_floor``. A single matrix is checked as a stack of one. An
+    Checks that every entry is finite, trace within TRACE_ATOL of 1,
+    Hermiticity within HERM_ATOL, and smallest eigenvalue above
+    EIG_FLOOR. A single matrix is checked as a stack of one. An
     (n, d, d) stack is checked sample by sample, and the error names
     the first failing sample. Returns the matrix unchanged on success.
 
     The eigenvalue floor is first certified for the whole stack by
-    ``eigs_above`` at eig_floor / 2, a margin far above round-off, when
-    eig_floor is negative and every sample passed the other checks.
-    Only a stack the certificate does not cover takes the eigenvalues,
-    which give the verdict and name the failing sample.
+    ``eigs_above`` at EIG_FLOOR / 2, a margin far above round-off, when
+    every sample passed the other checks. Only a stack the certificate
+    does not cover takes the eigenvalues, which give the verdict and
+    name the failing sample.
     """
     rho = np.asarray(rho, dtype=complex)
     stack = rho if rho.ndim == 3 else rho[None]
@@ -173,22 +175,22 @@ def check_density(rho, trace_atol=1e-8, herm_atol=HERM_ATOL, eig_floor=-1e-6):
     with np.errstate(invalid="ignore"):
         asym = np.max(np.abs(stack - adj), axis=(1, 2))
         herm = 0.5 * (stack + adj)
-    bad = ~((np.abs(tr - 1.0) <= trace_atol) & (asym <= herm_atol))
-    if eig_floor < 0.0 and not bad.any() and eigs_above(herm, 0.5 * eig_floor):
+    bad = ~((np.abs(tr - 1.0) <= TRACE_ATOL) & (asym <= HERM_ATOL))
+    if not bad.any() and eigs_above(herm, 0.5 * EIG_FLOOR):
         return rho
     herm[bad] = np.eye(stack.shape[1])  # keep flagged samples away from LAPACK
     low = np.linalg.eigvalsh(herm)[:, 0]
-    bad |= low < eig_floor
+    bad |= low < EIG_FLOOR
     if not bad.any():
         return rho
     k = int(np.argmax(bad))
     if not np.isfinite(tr[k]):
         reason = _NON_FINITE
-    elif abs(tr[k] - 1.0) > trace_atol:
+    elif abs(tr[k] - 1.0) > TRACE_ATOL:
         reason = "trace %r deviates from 1 by %.3e" % (tr[k], abs(tr[k] - 1))
     elif not np.isfinite(asym[k]):
         reason = _NON_FINITE
-    elif asym[k] > herm_atol:
+    elif asym[k] > HERM_ATOL:
         reason = "Hermiticity violated, max asymmetry %.3e" % asym[k]
     else:
         reason = "negative eigenvalue %.3e" % low[k]

@@ -1,10 +1,10 @@
 """Dynamical-decoupling schedules and their execution.
 
-A schedule is one cycle of (delay, pulse) events plus the number of
-cycles to run. Pulses are instantaneous pi rotations applied
-simultaneously on all three qubits; a trailing event may carry no pulse
-so the cycle can end on a half delay. Both bundled sequences compose to
-the identity on a closed system:
+A schedule is one cycle of (delay, phase) events, the number of cycles
+to run and one flip error. A pulse is an instantaneous rotation of all
+three qubits by pi (1 + flip_error) about the axis at its phase; a
+trailing phase may be None so the cycle can end on a half delay. Both
+bundled sequences compose to the identity on a closed system:
 
 XY-16(s): base block x y x y, its time-reversed extension, then the
 axis-swapped copy of those eight; delays are tau/2 at the cycle edges
@@ -32,7 +32,6 @@ import numpy as np
 from . import noise, states
 
 __all__ = [
-    "Pulse",
     "DDSchedule",
     "build_xy16s",
     "build_kddxy",
@@ -46,27 +45,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """One instantaneous rotation of all three qubits.
-
-    flip_error is the fractional over-rotation: the applied angle is
-    angle * (1 + flip_error).
-    """
-
-    angle: float = math.pi
-    phase: float = 0.0
-    flip_error: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.angle <= 2.0 * math.pi:
-            raise ValueError("angle must lie in (0, 2 pi], got %g" % self.angle)
-        for name, value in (("phase", self.phase),
-                            ("flip_error", self.flip_error)):
-            if not math.isfinite(value):
-                raise ValueError("%s must be finite, got %g" % (name, value))
-
-
 def _check_delay(name, value):
     if not 0.0 < value < math.inf:  # false for NaN too
         raise ValueError("%s must be finite and positive, got %g" % (name, value))
@@ -74,10 +52,13 @@ def _check_delay(name, value):
 
 @dataclass(frozen=True)
 class DDSchedule:
-    """One cycle of (delay_s, Pulse-or-None) events, repeated ``cycles`` times."""
+    """One cycle of (delay_s, phase_rad or None) events, repeated
+    ``cycles`` times. A phase is a collective pi pulse after its delay
+    (0.0 is x), None no pulse; every pulse over-rotates by flip_error."""
 
     events: tuple
     cycles: int = 1
+    flip_error: float = 0.0
 
     def __post_init__(self):
         # a float count would fail in range() only once the schedule runs
@@ -88,18 +69,21 @@ class DDSchedule:
             raise ValueError("schedule needs at least one event")
         for delay, _ in self.events:
             _check_delay("delays", delay)
+        for name, value in ([("phase", p) for p in self.pulses]
+                            + [("flip_error", self.flip_error)]):
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, got %g" % (name, value))
 
     @property
     def pulses(self):
-        return [p for _, p in self.events if p is not None]
+        """The phases of one cycle's pulses, in order."""
+        return [phase for _, phase in self.events if phase is not None]
 
 
-def _edge_delayed(phases, tau, flip_error):
-    events = [(tau / 2.0, Pulse(phase=phases[0], flip_error=flip_error))]
-    for ph in phases[1:]:
-        events.append((tau, Pulse(phase=ph, flip_error=flip_error)))
-    events.append((tau / 2.0, None))
-    return tuple(events)
+def _edge_delayed(phases, tau, cycles, flip_error):
+    events = ((tau / 2.0, phases[0]),) + tuple((tau, ph) for ph in phases[1:])
+    return DDSchedule(events=events + ((tau / 2.0, None),), cycles=cycles,
+                      flip_error=flip_error)
 
 
 _XY4 = (0.0, math.pi / 2.0, 0.0, math.pi / 2.0)
@@ -114,7 +98,7 @@ def build_xy16s(tau, cycles=1, flip_error=0.0):
     _check_delay("tau", tau)
     xy8s = _XY4 + tuple(reversed(_XY4))
     phases = xy8s + _swap_xy(xy8s)
-    return DDSchedule(events=_edge_delayed(phases, tau, flip_error), cycles=cycles)
+    return _edge_delayed(phases, tau, cycles, flip_error)
 
 
 def build_kddxy(tau_k, cycles=1, flip_error=0.0):
@@ -126,15 +110,14 @@ def build_kddxy(tau_k, cycles=1, flip_error=0.0):
                 math.pi / 6.0 + phi)
 
     phases = (kdd(0.0) + kdd(math.pi / 2.0)) * 2
-    return DDSchedule(events=_edge_delayed(phases, tau_k, flip_error),
-                      cycles=cycles)
+    return _edge_delayed(phases, tau_k, cycles, flip_error)
 
 
 def build_cpmg(tau, cycles=1, flip_error=0.0):
     """Single-axis control: sixteen y pulses with the XY-16 timing."""
     _check_delay("tau", tau)
     phases = (math.pi / 2.0,) * 16
-    return DDSchedule(events=_edge_delayed(phases, tau, flip_error), cycles=cycles)
+    return _edge_delayed(phases, tau, cycles, flip_error)
 
 
 def cycle_duration(schedule):
@@ -146,9 +129,9 @@ def min_interpulse_delay(schedule):
     """Smallest gap between consecutive pulses, wrapping across cycles."""
     offsets = []
     t = 0.0
-    for delay, pulse in schedule.events:
+    for delay, phase in schedule.events:
         t += delay
-        if pulse is not None:
+        if phase is not None:
             offsets.append(t)
     if not offsets:
         return cycle_duration(schedule)
@@ -158,23 +141,25 @@ def min_interpulse_delay(schedule):
     return min(gaps)
 
 
-def pulse_unitary(pulse):
-    """8x8 unitary of one collective pulse, flip error included."""
-    angle = pulse.angle * (1.0 + pulse.flip_error)
+def pulse_unitary(phase, flip_error=0.0):
+    """8x8 unitary of one collective pi pulse about the axis at
+    ``phase``, turning each qubit by pi (1 + flip_error)."""
     u = np.eye(8, dtype=complex)
     for q in (1, 2, 3):
-        u = states.rotation(q, angle, pulse.phase) @ u
+        u = states.rotation(q, math.pi * (1.0 + flip_error), phase) @ u
     return u
 
 
 def expand_schedule(schedule):
     """Absolute (time_s, unitary) pairs across all cycles.
 
-    One cycle's unitaries are built once and shared by every cycle.
+    One cycle's unitaries, at the schedule's flip error, are built once
+    and shared by every cycle.
     """
     cyc = cycle_duration(schedule)
-    cycle = [(delay, None if pulse is None else pulse_unitary(pulse))
-             for delay, pulse in schedule.events]
+    cycle = [(delay, None if phase is None
+              else pulse_unitary(phase, schedule.flip_error))
+             for delay, phase in schedule.events]
     out = []
     for c in range(schedule.cycles):
         t = c * cyc
@@ -189,16 +174,17 @@ def schedule_table(schedule):
     """Text table of one cycle: event index, time offset, phase, angle.
 
     One row per pulse; trailing pulse-free delays contribute only to
-    the offsets. Stable format for golden-file comparisons.
+    the offsets. The angle column is the nominal pi of every pulse, not
+    pi (1 + flip_error). Stable format for golden-file comparisons.
     """
     lines = ["event,time_offset_s,phase_rad,angle_rad"]
     t = 0.0
     k = 0
-    for delay, pulse in schedule.events:
+    for delay, phase in schedule.events:
         t += delay
-        if pulse is None:
+        if phase is None:
             continue
-        lines.append("%d,%.12g,%.12g,%.12g" % (k, t, pulse.phase, pulse.angle))
+        lines.append("%d,%.12g,%.12g,%.12g" % (k, t, phase, math.pi))
         k += 1
     return "\n".join(lines) + "\n"
 
@@ -207,15 +193,15 @@ def run_protected(rho0, noise_model, schedule, *, dt=None):
     """Run ``schedule.cycles`` DD cycles next to a pulse-free run.
 
     Free evolution follows the noise model's bath mode; pulses are
-    applied as instantaneous collective unitaries with their flip
-    errors. dt is the longest step, by default noise.grid_step of the
-    model at the schedule's shortest pulse spacing, shrunk so that a
-    whole number of steps fills one cycle (noise.fit_grid); every pulse
-    must then fall on a step. Both arms run on that one grid, through
-    one noise.propagate_arms pass, and are sampled at the start and
-    after each cycle, cycles + 1 samples. In the correlated mode they
-    see the same OU tracks, each drawn once for both arms, and each arm
-    equals a lone noise.propagate of its pulses.
+    applied as instantaneous collective unitaries at the schedule's
+    flip error. dt is the longest step, by default noise.grid_step of
+    the model at the schedule's shortest pulse spacing, shrunk so that
+    a whole number of steps fills one cycle (noise.fit_grid); every
+    pulse must then fall on a step. Both arms run on that one grid,
+    through one noise.propagate_arms pass, and are sampled at the start
+    and after each cycle, cycles + 1 samples. In the correlated mode
+    they see the same OU tracks, each drawn once for both arms, and
+    each arm equals a lone noise.propagate of its pulses.
 
     Returns
     -------
@@ -226,6 +212,7 @@ def run_protected(rho0, noise_model, schedule, *, dt=None):
         dt = noise.grid_step(noise_model, min_interpulse_delay(schedule))
     steps_per_cycle, dt = noise.fit_grid(cycle_duration(schedule), dt)
     n = schedule.cycles * steps_per_cycle
+    noise.check_grid(n, dt)  # before the pulse list, which grows with n
     samples = range(0, n + 1, steps_per_cycle)
     return tuple(noise.propagate_arms(
         rho0, noise_model, n, dt, [expand_schedule(schedule), ()], samples))

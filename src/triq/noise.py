@@ -44,6 +44,7 @@ __all__ = [
     "T2_S",
     "MAX_STEPS",
     "NoiseModel",
+    "check_grid",
     "evolve",
     "fit_grid",
     "grid_step",
@@ -152,7 +153,7 @@ _ZCOLS, _ZCOL_OF = np.unique(_ZDIFF.reshape(3, 64), axis=1, return_inverse=True)
 
 
 # Longest grid a run may have. fit_grid cuts none longer, and
-# _check_steps, which every engine run passes, rejects a longer one,
+# check_grid, which every engine run passes, rejects a longer one,
 # such as a protected run's cycles times its steps per cycle. A run
 # holds at least 48 B per grid step:
 # a correlated run keeps one trajectory's OU track and its normal draws,
@@ -218,16 +219,19 @@ def _apply_unitary(states, u):
     return np.matmul(u, np.matmul(rho, u.conj().T)).reshape(-1, 64)
 
 
-def _check_steps(steps, n, dt):
-    """``steps`` as a list of sample steps on a grid of n steps of dt.
-
-    A grid of more than MAX_STEPS steps raises ValueError.
-    """
+def check_grid(n, dt):
+    """Raise ValueError for a grid of n steps of dt that no run may take:
+    n negative or past MAX_STEPS, or dt not finite and positive."""
     if n < 0 or not 0.0 < dt < math.inf:  # false for a NaN dt too
         raise ValueError("n_steps must be non-negative and dt finite and positive")
     if n > MAX_STEPS:
         raise ValueError("a grid of %d steps is more than the %d a grid may have"
                          % (n, MAX_STEPS))
+
+
+def _check_steps(steps, n, dt):
+    """``steps`` as a list of sample steps on a grid of n steps of dt."""
+    check_grid(n, dt)
     steps = list(steps)
     bad = [k for k in steps if not isinstance(k, (int, np.integer))]
     if bad:  # int() would truncate it onto another sample's step

@@ -241,13 +241,19 @@ def read_records(path):
             label, idx_s, val_s = parts
             if label not in SETTING_LABELS:
                 raise ValueError("line %d: unknown setting %r" % (lineno, label))
-            idx = int(idx_s)
+            try:
+                idx, value = int(idx_s), float(val_s)
+            except ValueError:
+                raise ValueError("line %d: expected an integer index and a "
+                                 "number, got %r" % (lineno, line)) from None
             if not 0 <= idx < 24:
                 raise ValueError("line %d: observable index %d out of range" % (lineno, idx))
+            if not math.isfinite(value):
+                raise ValueError("line %d: value %r is not finite" % (lineno, val_s))
             slot = per_setting.setdefault(label, {})
             if idx in slot:
                 raise ValueError("line %d: duplicate %s observable %d" % (lineno, label, idx))
-            slot[idx] = float(val_s)
+            slot[idx] = value
             if label not in order:
                 order.append(label)
     records = []

@@ -56,6 +56,8 @@ def test_load_matrix_rejects_bad_count(tmp_path):
 def test_check_density_accepts_and_returns(rng):
     rho = random_density(rng)
     assert check_density(rho) is rho
+    # an eigenvalue above core.EIG_FLOOR, -1e-6, passes as round-off
+    check_density(np.diag([1.0 + 5e-7, -5e-7, 0, 0, 0, 0, 0, 0]).astype(complex))
 
 
 def test_check_density_rejects_each_defect():
@@ -68,6 +70,9 @@ def test_check_density_rejects_each_defect():
     neg = np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0]).astype(complex)
     with pytest.raises(PhysicalityError, match="eigenvalue"):
         check_density(neg)
+    just_below = np.diag([1.0 + 2e-6, -2e-6, 0, 0, 0, 0, 0, 0]).astype(complex)
+    with pytest.raises(PhysicalityError, match="negative eigenvalue -2"):
+        check_density(just_below)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -87,13 +92,6 @@ def test_numerical_errors_are_not_value_errors():
         assert issubclass(err, NumericalError)
         assert issubclass(err, ArithmeticError)
         assert not issubclass(err, ValueError)
-
-
-def test_check_density_floor_is_configurable():
-    rho = np.diag([1.0 + 1e-7, -1e-7, 0, 0, 0, 0, 0, 0]).astype(complex)
-    check_density(rho, trace_atol=1e-6)
-    with pytest.raises(PhysicalityError):
-        check_density(rho, trace_atol=1e-6, eig_floor=-1e-8)
 
 
 def test_herm_atol_constant():

@@ -7,7 +7,6 @@ import pytest
 from triq import (
     DDSchedule,
     NoiseModel,
-    Pulse,
     build_cpmg,
     build_kddxy,
     build_xy16s,
@@ -33,12 +32,10 @@ QUIET = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
 
 
 def test_pulse_validation():
-    p = Pulse()
-    assert p.angle == math.pi and p.phase == 0.0 and p.flip_error == 0.0
-    with pytest.raises(ValueError, match="angle"):
-        Pulse(angle=0.0)
-    with pytest.raises(ValueError, match="angle"):
-        Pulse(angle=2.1 * math.pi)
+    # a pulse is its phase, and phase 0.0 is an x pulse, not a gap
+    sch = DDSchedule(events=((1e-3, 0.0), (1e-3, None), (1e-3, math.pi)))
+    assert sch.pulses == [0.0, math.pi] and sch.flip_error == 0.0
+    assert len(expand_schedule(sch)) == 2
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -46,12 +43,20 @@ def test_pulse_validation():
 def test_pulse_rejects_non_finite_fields(field, value):
     # a NaN flip error used to run a whole propagation and fail as a
     # numerical error; an infinite one failed with "math domain error"
+    if field == "phase":
+        kwargs = {"events": ((1e-3, 0.0), (1e-3, value))}
+    else:
+        kwargs = {"events": ((1e-3, 0.0),), "flip_error": value}
     with pytest.raises(ValueError, match=field + " must be finite"):
-        Pulse(**{field: value})
+        DDSchedule(**kwargs)
+    # the builders pass the flip error on to the schedule
+    if field == "flip_error":
+        with pytest.raises(ValueError, match="flip_error must be finite"):
+            build_kddxy(TAU, flip_error=value)
 
 
 def test_schedule_validation():
-    ev = ((1e-3, Pulse()),)
+    ev = ((1e-3, 0.0),)
     # a float count, even a whole one, would fail in range() mid-run
     for cycles in (0, 2.5, 2.0):
         with pytest.raises(ValueError, match="cycles"):
@@ -59,7 +64,7 @@ def test_schedule_validation():
     with pytest.raises(ValueError, match="at least one event"):
         DDSchedule(events=())
     with pytest.raises(ValueError, match="positive"):
-        DDSchedule(events=((0.0, Pulse()),))
+        DDSchedule(events=((0.0, 0.0),))
 
 
 def test_xy16s_structure():
@@ -71,7 +76,7 @@ def test_xy16s_structure():
     assert all(d == TAU for d in delays[1:-1])
     assert sch.events[-1][1] is None
     x, y = 0.0, math.pi / 2.0
-    phases = [p.phase for p in sch.pulses]
+    phases = sch.pulses
     assert phases[:8] == [x, y, x, y, y, x, y, x]
     # second half swaps the axes of the first
     assert phases[8:] == [y, x, y, x, x, y, x, y]
@@ -82,7 +87,7 @@ def test_kddxy_structure():
     sch = build_kddxy(TAU)
     assert len(sch.pulses) == 20
     assert cycle_duration(sch) == pytest.approx(20 * TAU, rel=1e-15)
-    phases = [p.phase for p in sch.pulses]
+    phases = sch.pulses
     block = [math.pi / 6.0, 0.0, math.pi / 2.0, 0.0, math.pi / 6.0]
     shifted = [p + math.pi / 2.0 for p in block]
     assert phases == block + shifted + block + shifted
@@ -92,7 +97,7 @@ def test_kddxy_structure():
 def test_cpmg_structure():
     sch = build_cpmg(TAU)
     assert len(sch.pulses) == 16
-    assert all(p.phase == math.pi / 2.0 for p in sch.pulses)
+    assert sch.pulses == [math.pi / 2.0] * 16
     assert [d for d, _ in sch.events] == [d for d, _ in build_xy16s(TAU).events]
 
 
@@ -104,7 +109,7 @@ def test_builders_reject_bad_tau():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("build, field", [
-    (lambda delay: DDSchedule(events=((delay, Pulse()),)), "delays"),
+    (lambda delay: DDSchedule(events=((delay, 0.0),)), "delays"),
     (build_xy16s, "tau"),
     (build_kddxy, "tau_k"),
     (build_cpmg, "tau"),
@@ -117,7 +122,7 @@ def test_delays_must_be_finite_and_positive(build, field, value):
 
 
 def test_pulse_unitary_collective_x():
-    u = pulse_unitary(Pulse(phase=0.0))
+    u = pulse_unitary(0.0)
     xxx = np.kron(np.kron(SX, SX), SX)
     # each pi_x factor is -i X, so the collective pulse is +i XXX
     assert np.allclose(u, 1j * xxx, atol=1e-14)
@@ -125,8 +130,8 @@ def test_pulse_unitary_collective_x():
 
 
 def test_pulse_unitary_flip_error():
-    over = pulse_unitary(Pulse(flip_error=0.01))
-    assert not np.allclose(over, pulse_unitary(Pulse()), atol=1e-4)
+    over = pulse_unitary(0.0, 0.01)
+    assert not np.allclose(over, pulse_unitary(0.0), atol=1e-4)
     assert np.allclose(over @ over.conj().T, np.eye(8), atol=1e-13)
 
 
@@ -143,9 +148,9 @@ def test_expand_schedule_builds_one_cycle_of_unitaries(monkeypatch):
     calls = []
     real = ddseq.pulse_unitary
 
-    def counting(pulse):
-        calls.append(pulse)
-        return real(pulse)
+    def counting(phase, flip_error):
+        calls.append(phase)
+        return real(phase, flip_error)
 
     monkeypatch.setattr(ddseq, "pulse_unitary", counting)
     events = expand_schedule(build_xy16s(TAU, cycles=10))
@@ -157,7 +162,7 @@ def test_expand_schedule_builds_one_cycle_of_unitaries(monkeypatch):
 
 
 def test_min_interpulse_delay_wraps_across_cycles():
-    sch = DDSchedule(events=((0.1, Pulse()), (1.0, Pulse()), (0.05, None)))
+    sch = DDSchedule(events=((0.1, 0.0), (1.0, 0.0), (0.05, None)))
     # gaps: 1.0 inside the cycle, 0.15 wrapping into the next cycle
     assert min_interpulse_delay(sch) == pytest.approx(0.15, rel=1e-12)
     bare = DDSchedule(events=((0.4, None),))
@@ -176,6 +181,10 @@ def test_schedule_table_frozen_rows():
     assert klines[1] == "0,0.000125,0.523598775598,3.14159265359"
     assert klines[3] == "2,0.000625,1.57079632679,3.14159265359"
     assert schedule_table(build_xy16s(TAU)).endswith("\n")
+    # the angle column is the nominal pi, whatever the flip error
+    flipped = schedule_table(build_kddxy(TAU, flip_error=0.02)).splitlines()
+    assert flipped[1] == "0,0.000125,0.523598775598,3.14159265359"
+    assert flipped[1:] == klines[1:]
 
 
 def test_cycles_compose_to_identity_without_noise():
@@ -251,11 +260,8 @@ def test_both_arms_see_the_same_tracks(prepare):
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                     bath_mode="correlated", ou_sigma=13.7117919922,
                     ou_tau_c=0.01, trajectories=16, seed=2026)
-    xy16 = build_xy16s(TAU, cycles=10)
-    events = tuple((d, p and replace(p, angle=2.0 * math.pi))
-                   for d, p in xy16.events)
-    schedule = replace(xy16, events=events)
-    assert np.allclose(pulse_unitary(schedule.pulses[0]), -np.eye(8))
+    schedule = replace(build_xy16s(TAU, cycles=10), flip_error=1.0)
+    assert np.allclose(expand_schedule(schedule)[0][1], -np.eye(8))
     rho0 = prepare()
     prot, free = run_protected(rho0, nm, schedule)
     assert np.array_equal(prot.times, free.times)

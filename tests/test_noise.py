@@ -9,7 +9,6 @@ from triq import (
     DDSchedule,
     NoiseModel,
     PhysicalityError,
-    Pulse,
     build_cpmg,
     build_kddxy,
     build_xy16s,
@@ -416,12 +415,12 @@ def test_evolve_correlated_protection_direction():
 def test_off_grid_pulse_is_rejected(rates):
     # a pulse 0.3 ms in on a 0.25 ms grid used to be moved silently to
     # the nearest step
-    schedule = DDSchedule(events=((0.3e-3, Pulse()), (0.7e-3, None)))
+    schedule = DDSchedule(events=((0.3e-3, 0.0), (0.7e-3, None)))
     with pytest.raises(ValueError, match=r"t = 0.0003 s .*dt = 0.00025 s"):
         run_protected(prepare_ghz(), rates,
                       schedule, dt=0.25e-3)
     # on the grid it runs
-    on_grid = DDSchedule(events=((0.25e-3, Pulse()), (0.75e-3, None)))
+    on_grid = DDSchedule(events=((0.25e-3, 0.0), (0.75e-3, None)))
     curve, _ = run_protected(prepare_ghz(), rates,
                              on_grid, dt=0.25e-3)
     assert len(curve.times) == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import triq.noise
-from triq import (T1_S, NoiseModel, Pulse, build_kddxy, build_xy16s,
+from triq import (T1_S, NoiseModel, build_kddxy, build_xy16s,
                   cycle_duration, expand_schedule, fit_grid, grid_step,
                   min_interpulse_delay, ou_unit_phases, prepare_ghz,
                   prepare_w, propagate, propagate_arms, pulse_unitary,
@@ -38,7 +38,7 @@ def runs(draw):
         ou_tau_c=dt * 10 ** draw(st.floats(-1.0, 4.0)),
         trajectories=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)))
     pulses = [
-        (k * dt, pulse_unitary(Pulse(angle=angle, phase=phase)))
+        (k * dt, pulse_unitary(phase, angle / math.pi - 1.0))
         for k, angle, phase in draw(st.lists(st.tuples(
             st.integers(0, n), st.floats(0.1, 2.0 * math.pi),
             st.floats(0.0, 2.0 * math.pi)), max_size=6))
@@ -189,7 +189,7 @@ def test_markovian_stretches_match_stepwise_closed_form(run):
     # pulses between steps, gives the same states
     noise, n, dt, pulse_args, samples, seed = run
     rho0 = random_density(np.random.default_rng(seed))
-    pulses = [(k, pulse_unitary(Pulse(angle=angle, phase=phase)))
+    pulses = [(k, pulse_unitary(phase, angle / math.pi - 1.0))
               for k, angle, phase in pulse_args]
     steps = sorted(samples) if samples is not None else list(range(n + 1))
     curve = propagate(rho0, noise, n, dt, [(k * dt, u) for k, u in pulses],
@@ -389,8 +389,12 @@ def test_fit_grid_caps_the_step_count(rates, monkeypatch):
     schedule = build_xy16s(0.25e-3, cycles=3)
     assert fit_grid(cycle_duration(schedule),
                     grid_step(rates, min_interpulse_delay(schedule)))[0] == 800
+    # the grid is rejected before the pulse list is built
+    expanded = []
+    monkeypatch.setattr(triq.ddseq, "expand_schedule", expanded.append)
     with pytest.raises(ValueError, match="2400 steps is more than the 1000"):
         run_protected(prepare_ghz(), rates, schedule)
+    assert not expanded
 
 
 # the acceptance bath with kappa_x 100 times the bundled 1/T1, so that
@@ -493,8 +497,7 @@ def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
     # a pulse carries two half flips across it only if it commutes with
     # every qubit's bit-flip channel
     n, dt = 100, 1e-5
-    pulses = [(50 * dt, pulse_unitary(Pulse(phase=phase,
-                                            flip_error=flip_error)))]
+    pulses = [(50 * dt, pulse_unitary(phase, flip_error))]
     calls = []
     real = triq.noise._flips
 

@@ -162,20 +162,23 @@ def duality_gap(rho, records):
     return np.trace(rho @ g).real - np.linalg.eigvalsh(g)[0]
 
 
-@pytest.mark.parametrize("prepare, sigma, seed, repeat_seed", [
-    pytest.param(prepare_w, 0.02, 7, None, id="prepare_w-0.02-7"),
-    pytest.param(prepare_ghz, 0.05, 2026, None, id="prepare_ghz-0.05-2026"),
-    pytest.param(prepare_wwbar, 0.1, 7, None, id="prepare_wwbar-0.1-7"),
-    pytest.param(prepare_w, 0.02, 7, 8, id="prepare_w-0.02-7-XXY_again_at_8"),
+@pytest.mark.parametrize("prepare, sigma, seed, repeat_seeds", [
+    pytest.param(prepare_w, 0.02, 7, (), id="prepare_w-0.02-7"),
+    pytest.param(prepare_ghz, 0.05, 2026, (), id="prepare_ghz-0.05-2026"),
+    pytest.param(prepare_wwbar, 0.1, 7, (), id="prepare_wwbar-0.1-7"),
+    pytest.param(prepare_w, 0.02, 7, (8,), id="prepare_w-0.02-7-XXY_again_at_8"),
+    pytest.param(prepare_w, 0.02, 7, tuple(range(8, 14)),
+                 id="prepare_w-0.02-7-XXY_six_more_at_8_to_13"),
 ])
-def test_mle_certifies_optimum(prepare, sigma, seed, repeat_seed):
+def test_mle_certifies_optimum(prepare, sigma, seed, repeat_seeds):
     # the gap bounds the cost above its minimum; a search that stalls on
     # a rank-deficient state leaves it large. A repeated setting weighs
-    # its rows twice, so the fit's step is not the seven-setting one
+    # its rows more, so the fit's step is not the seven-setting one: six
+    # more XXY readouts double the Gram's largest eigenvalue, 12 to 24,
+    # and the seven-setting step then never reaches the gap
     rho = prepare()
     records = tomograph(rho, noise_sigma=sigma, seed=seed)
-    if repeat_seed is not None:
-        records.append(simulate_readout(rho, "XXY", sigma, repeat_seed))
+    records += [simulate_readout(rho, "XXY", sigma, s) for s in repeat_seeds]
     assert duality_gap(mle_reconstruct(records), records) <= 1e-9
 
 
@@ -215,3 +218,8 @@ def test_read_records_diagnostics(tmp_path):
     check("III,24,1.0\n", "out of range")
     check("III,3,1.0\nIII,3,2.0\n", "duplicate")
     check("III,3,1.0\n", "has 1 of 24")
+    # a bad index or value, or a non-finite one, names its line too
+    check("III,0,0.1\nIII,abc,0.1\n", "line 2: expected an integer index")
+    check("III,0,zz\n", "line 1: expected an integer index and a number")
+    check("III,0,0.1\nIII,1,nan\n", "line 2: value 'nan' is not finite")
+    check("III,0,-inf\n", "line 1: value '-inf' is not finite")
