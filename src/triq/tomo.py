@@ -20,10 +20,11 @@ observable index runs
     index = 8 (i - 1) + 2 (2 bj + bk) + (0 for x, 1 for y).
 
 Reconstruction minimizes the Gaussian cost of the recorded values over
-density matrices by accelerated projected gradient on the 8x8 rho
-itself, its gradient taken from the 64x64 Gram of the rows formed once
-per fit, and certifies the result: it returns once the convex duality
-gap, a bound on how far the cost is above its minimum, is at most 1e-10.
+density matrices by projected gradient on the 8x8 rho itself, its
+gradient taken from the 64x64 Gram of the rows formed once per fit, at
+the step at which the strongly convex cost contracts fastest. It
+certifies the result: it returns once the convex duality gap, a bound on
+how far the cost is above its minimum, is at most 1e-10.
 """
 
 import math
@@ -106,10 +107,9 @@ def _design_rows(label):
 _DESIGN_ROWS = {label: _design_rows(label) for label in SETTING_LABELS}
 
 
-# mle_reconstruct stops at this duality gap and gives up after this many
-# iterations; at readout noise up to 5 it needs at most about 165
+# mle_reconstruct stops at this duality gap; it gives up after the
+# iteration count at which its contraction rate guarantees the gap
 _GAP_TOL = 1e-10
-_MAX_ITERS = 2000
 
 
 def simulate_readout(rho, setting, noise_sigma=0.0, seed=0):
@@ -159,10 +159,14 @@ def _design(records):
 
 
 def _project_density(h):
-    """The density matrix nearest to Hermitian ``h`` in Frobenius norm."""
+    """The density matrix nearest to Hermitian ``h`` in Frobenius norm,
+    which ends each of mle_reconstruct's steps. Its eigenvalues are
+    projected onto the probability simplex, which commutes with a common
+    shift: the largest is moved to zero first, so it is kept however large
+    ``h`` is.
+    """
     vals, vecs = np.linalg.eigh(h)
-    # Euclidean projection of the eigenvalues onto the probability simplex:
-    # shift them all by one theta and clip at zero
+    vals = vals - vals[-1]
     desc = vals[::-1]
     excess = np.cumsum(desc) - 1.0
     kept = np.flatnonzero(desc - excess / np.arange(1, 9) > 0.0)[-1]
@@ -174,41 +178,49 @@ def mle_reconstruct(records):
     """Maximum-likelihood density matrix from seven-setting records.
 
     Minimizes the Gaussian cost f(rho) = sum_m (Tr(rho A_m) - y_m)^2
-    over density matrices by accelerated projected gradient (FISTA) on
-    rho itself. With the design rows d_m = conj(vec A_m) stacked in D,
-    the Gram Q = D^H D and b = D^H y are formed once per fit; the
-    gradient is G = 2 (Q vec rho - b), as an 8x8 Hermitian matrix, and
-    each step from I/8 moves against it by 1/(2 lambda_max(Q)) and
-    projects back onto density matrices. The step is taken per fit,
-    since records may repeat a setting. The cost is convex, so the
-    duality gap Tr(rho G) - lambda_min(G) bounds f(rho) - min f; the
-    estimate is returned once that gap is at most 1e-10.
+    over density matrices by projected gradient on rho itself. With the
+    design rows d_m = conj(vec A_m) stacked in D, the Gram Q = D^H D and
+    b = D^H y are formed once per fit; the gradient is G = 2 (Q vec rho -
+    b), as an 8x8 Hermitian matrix. Every A_m is traceless, so on
+    trace-one matrices f is strongly convex, its Hessian 2Q between
+    2 lambda_1 and 2 lambda_max, the smallest nonzero and the largest
+    eigenvalue of Q. Each step from I/8 moves against G by 1/(lambda_1 +
+    lambda_max) and projects back onto density matrices, which shrinks the
+    distance to the optimum by r = (lambda_max - lambda_1)/(lambda_max +
+    lambda_1), 5/7 for the seven settings. Step and rate are taken per
+    fit, since records may repeat a setting. The duality gap Tr(rho G) -
+    lambda_min(G) bounds f(rho) - min f; the estimate is returned once it
+    is at most 1e-10.
 
-    Raises RuntimeError naming the gap if it is not reached within the
-    iteration cap.
+    After k steps the gap is at most sqrt(7 lambda_max / 2) (|y| +
+    sqrt(2 lambda_max)) r^k, from |y|, the residual at I/8, sqrt(2), the
+    diameter of the density matrices, and sqrt(7/8), their distance from
+    I/8. The least k that brings this to 1e-10 caps the iterations; past
+    it, as rounding forces for huge readouts, RuntimeError names the gap.
     """
     d, y = _design(records)
     q = d.conj().T @ d
     b = d.conj().T @ y
-    step = 0.5 / np.linalg.eigvalsh(q)[-1]
+    lam_1, lam_max = np.linalg.eigvalsh(q)[[1, -1]]
+    step = 1.0 / (lam_1 + lam_max)
+    # log(gap bound at k = 0 / _GAP_TOL), in logs so huge readouts cannot overflow it
+    log_ratio = (math.log(math.hypot(*y) + math.sqrt(2.0 * lam_max))
+                 + math.log(3.5 * lam_max) / 2.0 - math.log(_GAP_TOL))
+    max_iters = math.ceil(log_ratio / -math.log(step * (lam_max - lam_1)))
 
     def gradient(rho):
         return (2.0 * (q @ rho.ravel() - b)).reshape(8, 8)
 
-    rho = z = np.eye(8, dtype=complex) / 8.0
-    t = 1.0
-    for _ in range(_MAX_ITERS):
-        rho_next = _project_density(z - step * gradient(z))
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = rho_next + ((t - 1.0) / t_next) * (rho_next - rho)
-        rho, t = rho_next, t_next
+    rho = np.eye(8, dtype=complex) / 8.0
+    for _ in range(max_iters + 1):
         g = gradient(rho)
         gap = np.vdot(g, rho).real - np.linalg.eigvalsh(g)[0]
         if gap <= _GAP_TOL:
             return check_density(0.5 * (rho + rho.conj().T))
+        rho = _project_density(rho - step * g)
     raise RuntimeError(
         "MLE duality gap %.3e still above %.0e after %d iterations"
-        % (gap, _GAP_TOL, _MAX_ITERS)
+        % (gap, _GAP_TOL, max_iters)
     )
 
 

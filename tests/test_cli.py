@@ -6,8 +6,9 @@ import pytest
 import triq.cli
 import triq.noise
 
-from triq import (NumericalError, PhysicalityError, build_xy16s, load_matrix,
-                  schedule_table)
+from triq import (NumericalError, PhysicalityError, TomoRecord, build_xy16s,
+                  load_matrix, prepare_w, schedule_table, tomograph,
+                  write_records)
 from triq.cli import ConfigError, load_config, main, parse_config
 
 
@@ -391,6 +392,23 @@ def test_tomo_incomplete_records_file(tmp_path):
     bad.write_text("setting,observable_index,value\nIII,0,0.5\n")
     rc, _ = run(tmp_path, "tomo.records = %s\n" % bad, command="tomo")
     assert rc == 2
+
+
+@pytest.mark.parametrize("huge", ["noise_sigma", "records_value"])
+def test_tomo_huge_readout_exits_3(tmp_path, capsys, huge):
+    # eigenvalues of 2**53 and more must not break the projection, and
+    # rounding keeps the gap above its certificate: a numerical failure
+    if huge == "noise_sigma":
+        cfg = "tomo.noise_sigma = 1e200\nseed = 3\n"
+    else:
+        records = tomograph(prepare_w())
+        records[0] = TomoRecord("III", (1e200,) + records[0].values[1:])
+        write_records(records, tmp_path / "huge.txt")
+        cfg = "tomo.records = %s\n" % (tmp_path / "huge.txt")
+    rc, _ = run(tmp_path, cfg, command="tomo")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "MLE duality gap" in err[0]
 
 
 # -- schedule-dump ----------------------------------------------------------

@@ -169,13 +169,23 @@ def duality_gap(rho, records):
     pytest.param(prepare_w, 0.02, 7, (8,), id="prepare_w-0.02-7-XXY_again_at_8"),
     pytest.param(prepare_w, 0.02, 7, tuple(range(8, 14)),
                  id="prepare_w-0.02-7-XXY_six_more_at_8_to_13"),
+    pytest.param(lambda: random_density(np.random.default_rng(5)), 0.05, 5, (),
+                 id="random_density-0.05-5"),
+    pytest.param(prepare_ghz, 1.0, 3, (), id="prepare_ghz-1.0-3"),
+    pytest.param(prepare_wwbar, 5.0, 7, (), id="prepare_wwbar-5.0-7"),
+    pytest.param(prepare_w, 5.0, 7, tuple(range(8, 14)),
+                 id="prepare_w-5.0-7-XXY_six_more_at_8_to_13"),
 ])
 def test_mle_certifies_optimum(prepare, sigma, seed, repeat_seeds):
     # the gap bounds the cost above its minimum; a search that stalls on
     # a rank-deficient state leaves it large. A repeated setting weighs
     # its rows more, so the fit's step is not the seven-setting one: six
     # more XXY readouts double the Gram's largest eigenvalue, 12 to 24,
-    # and the seven-setting step then never reaches the gap
+    # and the seven-setting step then never reaches the gap. The fit
+    # gives up at an iteration cap derived from its contraction rate,
+    # which must hold for a full-rank random state (it takes about 3/4 of
+    # its cap), readout noise up to 5 and repeated records; a slower step
+    # or a momentum term overruns it
     rho = prepare()
     records = tomograph(rho, noise_sigma=sigma, seed=seed)
     records += [simulate_readout(rho, "XXY", sigma, s) for s in repeat_seeds]
@@ -183,7 +193,9 @@ def test_mle_certifies_optimum(prepare, sigma, seed, repeat_seeds):
 
 
 def test_mle_iteration_cap_raises_with_gap(monkeypatch, tmp_path):
-    monkeypatch.setattr(tomo, "_MAX_ITERS", 1)
+    # a search stalled at I/8 never closes the gap, so the cap stops it
+    monkeypatch.setattr(tomo, "_project_density",
+                        lambda h: np.eye(8, dtype=complex) / 8.0)
     with pytest.raises(RuntimeError, match=r"duality gap \d\.\d+e[-+]\d+"):
         mle_reconstruct(tomograph(prepare_w(), noise_sigma=0.02, seed=7))
     assert main(["tomo", "--out", str(tmp_path)]) == 3
