@@ -21,9 +21,11 @@ the same systematic flip error.
 
 A schedule states its own cycle count, and run_protected, the one way
 to run it, runs exactly that many cycles: it returns the protected arm
-and the free arm, propagated on one shared time grid.
+and the free arm, propagated on one shared time grid. expand_schedule
+is the one place a pulse time becomes a step of that grid.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,17 +127,19 @@ def cycle_duration(schedule):
     return float(sum(delay for delay, _ in schedule.events))
 
 
+def _pulse_offsets(schedule):
+    """(offset_s, phase) of each pulse of one cycle, in order."""
+    ends = itertools.accumulate(delay for delay, _ in schedule.events)
+    return [(t, phase) for t, (_, phase) in zip(ends, schedule.events)
+            if phase is not None]
+
+
 def min_interpulse_delay(schedule):
     """Smallest gap between consecutive pulses, wrapping across cycles."""
-    offsets = []
-    t = 0.0
-    for delay, phase in schedule.events:
-        t += delay
-        if phase is not None:
-            offsets.append(t)
-    if not offsets:
-        return cycle_duration(schedule)
+    offsets = [t for t, _ in _pulse_offsets(schedule)]
     cyc = cycle_duration(schedule)
+    if not offsets:
+        return cyc
     gaps = [b - a for a, b in zip(offsets, offsets[1:])]
     gaps.append(cyc - offsets[-1] + offsets[0])
     return min(gaps)
@@ -150,24 +154,30 @@ def pulse_unitary(phase, flip_error=0.0):
     return u
 
 
-def expand_schedule(schedule):
-    """Absolute (time_s, unitary) pairs across all cycles.
+def _whole_steps(t, dt, what):
+    """t seconds as a whole number of steps of dt, else ValueError."""
+    k = noise.fit_grid(t, dt)[0]
+    if not math.isclose(k * dt, t, rel_tol=1e-9):
+        raise ValueError("%s t = %.12g s is off the time grid of dt = %.12g s"
+                         % (what, t, dt))
+    return k
 
-    One cycle's unitaries, at the schedule's flip error, are built once
-    and shared by every cycle.
+
+def expand_schedule(schedule, dt):
+    """(step, unitary) pairs of every pulse of every cycle, on a grid of
+    dt seconds.
+
+    The cycle and each pulse's offset in it must be a whole number of
+    steps, fit_grid's count to a relative 1e-9 (else ValueError). Cycle
+    c's pulses land c cycles of steps later, so no rounding builds up.
+    One cycle's unitaries are built once and shared by every cycle.
     """
-    cyc = cycle_duration(schedule)
-    cycle = [(delay, None if phase is None
-              else pulse_unitary(phase, schedule.flip_error))
-             for delay, phase in schedule.events]
-    out = []
-    for c in range(schedule.cycles):
-        t = c * cyc
-        for delay, u in cycle:
-            t += delay
-            if u is not None:
-                out.append((t, u))
-    return out
+    per_cycle = _whole_steps(cycle_duration(schedule), dt, "cycle ending at")
+    cycle = [(_whole_steps(t, dt, "pulse at"),
+              pulse_unitary(phase, schedule.flip_error))
+             for t, phase in _pulse_offsets(schedule)]
+    return [(c * per_cycle + k, u)
+            for c in range(schedule.cycles) for k, u in cycle]
 
 
 def schedule_table(schedule):
@@ -178,26 +188,20 @@ def schedule_table(schedule):
     pi (1 + flip_error). Stable format for golden-file comparisons.
     """
     lines = ["event,time_offset_s,phase_rad,angle_rad"]
-    t = 0.0
-    k = 0
-    for delay, phase in schedule.events:
-        t += delay
-        if phase is None:
-            continue
-        lines.append("%d,%.12g,%.12g,%.12g" % (k, t, phase, math.pi))
-        k += 1
+    lines += ["%d,%.12g,%.12g,%.12g" % (k, t, phase, math.pi)
+              for k, (t, phase) in enumerate(_pulse_offsets(schedule))]
     return "\n".join(lines) + "\n"
 
 
-def run_protected(rho0, noise_model, schedule, *, dt=None):
+def run_protected(rho0, noise_model, schedule):
     """Run ``schedule.cycles`` DD cycles next to a pulse-free run.
 
     Free evolution follows the noise model's bath mode; pulses are
     applied as instantaneous collective unitaries at the schedule's
-    flip error. dt is the longest step, by default noise.grid_step of
-    the model at the schedule's shortest pulse spacing, shrunk so that
-    a whole number of steps fills one cycle (noise.fit_grid); every
-    pulse must then fall on a step. Both arms run on that one grid,
+    flip error. The grid step is noise.grid_step of the model at the
+    schedule's shortest pulse spacing, shrunk so that a whole number of
+    steps fills one cycle (noise.fit_grid); every pulse must then fall
+    on a step (expand_schedule). Both arms run on that one grid,
     through one noise.propagate_arms pass, and are sampled at the start
     and after each cycle, cycles + 1 samples. In the correlated mode
     they see the same OU tracks, each drawn once for both arms, and
@@ -208,11 +212,10 @@ def run_protected(rho0, noise_model, schedule, *, dt=None):
     (measures.DecayCurve, measures.DecayCurve)
         The protected arm and the free arm.
     """
-    if dt is None:
-        dt = noise.grid_step(noise_model, min_interpulse_delay(schedule))
+    dt = noise.grid_step(noise_model, min_interpulse_delay(schedule))
     steps_per_cycle, dt = noise.fit_grid(cycle_duration(schedule), dt)
     n = schedule.cycles * steps_per_cycle
     noise.check_grid(n, dt)  # before the pulse list, which grows with n
     samples = range(0, n + 1, steps_per_cycle)
     return tuple(noise.propagate_arms(
-        rho0, noise_model, n, dt, [expand_schedule(schedule), ()], samples))
+        rho0, noise_model, n, dt, [expand_schedule(schedule, dt), ()], samples))

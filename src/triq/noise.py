@@ -13,7 +13,8 @@ No system Hamiltonian acts: as in the paper's fits, the register
 evolves under the damping and the bath alone. Every run goes through
 one propagator, ``propagate_arms``, that runs each of several pulse
 trains under the bath the NoiseModel names; ``propagate`` is its
-one-train case and ``evolve`` its one pulse-free front end. Both
+one-train case and ``evolve`` its one pulse-free front end. Pulses and
+samples reach it as integer grid steps, both checked by one rule. Both
 dissipators are Pauli channels, which commute and are applied in
 closed form. A Markovian run is therefore evaluated stretch by
 stretch: between pulse steps every sample is the closed form of the
@@ -229,15 +230,14 @@ def check_grid(n, dt):
                          % (n, MAX_STEPS))
 
 
-def _check_steps(steps, n, dt):
-    """``steps`` as a list of sample steps on a grid of n steps of dt."""
-    check_grid(n, dt)
+def _check_steps(steps, n, kind="sample"):
+    """``steps`` as a non-empty list of integer steps in [0, n]."""
     steps = list(steps)
     bad = [k for k in steps if not isinstance(k, (int, np.integer))]
-    if bad:  # int() would truncate it onto another sample's step
-        raise ValueError("sample steps must be integers, got %r" % (bad[0],))
+    if bad:  # int() would truncate it onto another step
+        raise ValueError("%s steps must be integers, got %r" % (kind, bad[0]))
     if not steps or min(steps) < 0 or max(steps) > n:
-        raise ValueError("sample steps must lie in [0, %d]" % n)
+        raise ValueError("%s steps must lie in [0, %d]" % (kind, n))
     return steps
 
 
@@ -290,26 +290,6 @@ def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
         out[s:] += d ** s * out[:-s]  # the right side is read before the add
         s *= 2
     return out
-
-
-# pulse times may miss the grid by this many steps (rounding of the
-# summed delays) before they count as off the grid
-_GRID_TOL = 1e-6
-
-
-def _expand_pulse_steps(pulses, dt, n):
-    """Map (time, unitary) pulse events to the grid steps they fall on."""
-    by_step = {}
-    for t, u in pulses:
-        k = int(round(t / dt))
-        if k < 0 or k > n:
-            raise ValueError("pulse at t = %g s falls outside the run" % t)
-        if abs(t / dt - k) > _GRID_TOL:
-            raise ValueError(
-                "pulse at t = %.12g s is off the time grid of dt = %.12g s"
-                % (t, dt))
-        by_step.setdefault(k, []).append(u)
-    return by_step
 
 
 # Longest free segment, in OU grid steps, when bit flips and the OU
@@ -366,9 +346,9 @@ def _ou_track(noise, j, dt, n):
 def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
     """Ensemble-mean evolution on a grid of n_steps steps of dt seconds.
 
-    Events are the pulses, (time_s, unitary) pairs that must fall on
-    the grid, and the samples at the step indices ``sample_steps``
-    (default: every step). Between events the bath acts in closed form:
+    Events are the pulses, (step, unitary) pairs, and the samples at
+    ``sample_steps`` (default: every step), all integer steps in
+    [0, n_steps] (else ValueError). Between events the bath acts in closed form:
     bit flips at kappa_x, and either Lindblad dephasing at kappa_z
     (markovian) or, per trajectory, the exact OU phase summed over the
     segment's grid steps (correlated). Trajectory j draws its OU
@@ -406,8 +386,8 @@ def _commutes_with_flips(u):
 def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
     """``propagate`` of several pulse trains under one bath.
 
-    Each train is a sequence of (time_s, unitary) pulses on the grid;
-    every arm starts from rho0 and is sampled at ``sample_steps``.
+    Each train is a sequence of (step, unitary) pulses, applied in train
+    order; every arm starts from rho0 and is sampled at ``sample_steps``.
 
     Without the OU bath an arm is cut at its pulse steps into stretches,
     and every sample of a stretch is the closed form of the stretch's
@@ -437,10 +417,16 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
         One curve per train, metrics of its sampled means against rho0.
     """
     rho0 = check_density(rho0)
+    check_grid(n_steps, dt)
     marks = sorted(set(_check_steps(
-        range(n_steps + 1) if sample_steps is None else sample_steps,
-        n_steps, dt)))
-    pulse_steps = [_expand_pulse_steps(train, dt, n_steps) for train in trains]
+        range(n_steps + 1) if sample_steps is None else sample_steps, n_steps)))
+    # each train's unitaries by step, in train order
+    pulse_steps = [{} for _ in trains]
+    for train, by_step in zip(trains, pulse_steps):
+        for k, u in train:
+            by_step.setdefault(k, []).append(u)
+        if by_step:
+            _check_steps(by_step, n_steps, "pulse")
 
     correlated = noise.bath_mode == "correlated"
     if correlated and noise.ou_sigma != 0.0 and n_steps > 0:
@@ -607,7 +593,8 @@ def ou_unit_phases(noise, n_steps, dt, sample_steps):
     """
     if noise.bath_mode != "correlated":
         raise ValueError("ou_unit_phases requires bath_mode = correlated")
-    steps = _check_steps(sample_steps, n_steps, dt)
+    check_grid(n_steps, dt)
+    steps = _check_steps(sample_steps, n_steps)
     unit = replace(noise, ou_sigma=1.0)
     out = np.empty((noise.trajectories, len(steps), 3))
     cum = np.zeros((n_steps + 1, 3))

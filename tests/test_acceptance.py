@@ -130,7 +130,7 @@ def test_c5_dd_protection(rates, protection_runs):
     quiet = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
     for build in (build_xy16s, build_kddxy):
         sch = build(0.25e-3, cycles=3)
-        curve, _ = run_protected(prepare_ghz(), quiet, sch, dt=0.125e-3)
+        curve, _ = run_protected(prepare_ghz(), quiet, sch)
         assert float(np.min(curve.fidelity)) >= 1.0 - 1e-9
     # purely Markovian noise: decoupling changes nothing within 2%
     sch = build_xy16s(0.25e-3, cycles=12)
@@ -148,7 +148,7 @@ def test_c6_pulse_robustness_ordering():
     for name, build in (("cpmg", build_cpmg), ("xy16s", build_xy16s),
                         ("kddxy", build_kddxy)):
         sch = build(tau, cycles=100, flip_error=0.01)
-        curve, _ = run_protected(prepare_ghz(), quiet, sch, dt=tau / 2.0)
+        curve, _ = run_protected(prepare_ghz(), quiet, sch)
         mins[name] = float(np.min(curve.fidelity))
     assert mins["kddxy"] >= mins["xy16s"] >= mins["cpmg"]
 

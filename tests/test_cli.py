@@ -394,15 +394,18 @@ def test_tomo_incomplete_records_file(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("huge", ["noise_sigma", "records_value"])
+@pytest.mark.parametrize("huge", ["noise_sigma", "records_value",
+                                  "records_value_1e300"])
 def test_tomo_huge_readout_exits_3(tmp_path, capsys, huge):
     # eigenvalues of 2**53 and more must not break the projection, and
-    # rounding keeps the gap above its certificate: a numerical failure
+    # rounding keeps the gap above its certificate: a numerical failure.
+    # At 1e300 the gap rounds to 0, but its rounding error does not
     if huge == "noise_sigma":
         cfg = "tomo.noise_sigma = 1e200\nseed = 3\n"
     else:
+        value = 1e300 if huge == "records_value_1e300" else 1e200
         records = tomograph(prepare_w())
-        records[0] = TomoRecord("III", (1e200,) + records[0].values[1:])
+        records[0] = TomoRecord("III", (value,) + records[0].values[1:])
         write_records(records, tmp_path / "huge.txt")
         cfg = "tomo.records = %s\n" % (tmp_path / "huge.txt")
     rc, _ = run(tmp_path, cfg, command="tomo")

@@ -35,7 +35,7 @@ def test_pulse_validation():
     # a pulse is its phase, and phase 0.0 is an x pulse, not a gap
     sch = DDSchedule(events=((1e-3, 0.0), (1e-3, None), (1e-3, math.pi)))
     assert sch.pulses == [0.0, math.pi] and sch.flip_error == 0.0
-    assert len(expand_schedule(sch)) == 2
+    assert len(expand_schedule(sch, 1e-3)) == 2
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -136,12 +136,12 @@ def test_pulse_unitary_flip_error():
 
 
 def test_expand_schedule_absolute_times():
+    # on steps of TAU / 2 the pulses fall on every odd step of both
+    # 32-step cycles, as Python ints
     sch = build_xy16s(TAU, cycles=2)
-    events = expand_schedule(sch)
-    assert len(events) == 32
-    assert events[0][0] == pytest.approx(TAU / 2.0, rel=1e-15)
-    assert events[16][0] == pytest.approx(16 * TAU + TAU / 2.0, rel=1e-15)
-    assert events[-1][0] == pytest.approx(32 * TAU - TAU / 2.0, rel=1e-15)
+    events = expand_schedule(sch, TAU / 2.0)
+    assert [k for k, _ in events] == list(range(1, 64, 2))
+    assert all(type(k) is int for k, _ in events)
 
 
 def test_expand_schedule_builds_one_cycle_of_unitaries(monkeypatch):
@@ -153,7 +153,7 @@ def test_expand_schedule_builds_one_cycle_of_unitaries(monkeypatch):
         return real(phase, flip_error)
 
     monkeypatch.setattr(ddseq, "pulse_unitary", counting)
-    events = expand_schedule(build_xy16s(TAU, cycles=10))
+    events = expand_schedule(build_xy16s(TAU, cycles=10), TAU / 2.0)
     assert len(events) == 160
     assert len(calls) == 16
     # every cycle applies the same unitaries in the same order
@@ -193,7 +193,7 @@ def test_cycles_compose_to_identity_without_noise():
     rho = prepare_ghz()
     for build in (build_xy16s, build_kddxy, build_cpmg):
         sch = build(TAU, cycles=3)
-        curve, _ = run_protected(rho, QUIET, sch, dt=TAU / 2.0)
+        curve, _ = run_protected(rho, QUIET, sch)
         assert float(np.min(curve.fidelity)) > 1.0 - 1e-9
 
 
@@ -207,7 +207,7 @@ def test_flip_error_robustness_ordering():
     for name, build in (("cpmg", build_cpmg), ("xy16s", build_xy16s),
                         ("kddxy", build_kddxy)):
         sch = build(TAU, cycles=100, flip_error=0.01)
-        curve, _ = run_protected(rho, QUIET, sch, dt=TAU / 2.0)
+        curve, _ = run_protected(rho, QUIET, sch)
         mins[name] = float(np.min(curve.fidelity))
         argmins[name] = int(np.argmin(curve.fidelity))
     assert mins["kddxy"] >= mins["xy16s"] >= mins["cpmg"]
@@ -233,8 +233,7 @@ def test_markovian_noise_is_transparent_to_decoupling(rates):
 
 def test_run_protected_sampling_grid(rates):
     sch = build_xy16s(1e-3, cycles=3)
-    curve, _ = run_protected(prepare_ghz(), rates,
-                             sch, dt=5e-4)
+    curve, _ = run_protected(prepare_ghz(), rates, sch)
     assert np.allclose(curve.times, [0.0, 0.016, 0.032, 0.048], atol=1e-12)
 
 
@@ -247,7 +246,8 @@ def test_run_protected_runs_the_schedule_cycles(rates, cycles):
 
 
 def test_run_protected_step_is_keyword_only(rates):
-    # a total time passed where it used to go is not read as a step
+    # run_protected takes no step: a total time passed after the
+    # schedule is not read as one
     sch = build_xy16s(1e-3, cycles=3)
     with pytest.raises(TypeError):
         run_protected(prepare_ghz(), rates, sch, 0.048)
@@ -261,7 +261,7 @@ def test_both_arms_see_the_same_tracks(prepare):
                     bath_mode="correlated", ou_sigma=13.7117919922,
                     ou_tau_c=0.01, trajectories=16, seed=2026)
     schedule = replace(build_xy16s(TAU, cycles=10), flip_error=1.0)
-    assert np.allclose(expand_schedule(schedule)[0][1], -np.eye(8))
+    assert np.allclose(expand_schedule(schedule, TAU / 2.0)[0][1], -np.eye(8))
     rho0 = prepare()
     prot, free = run_protected(rho0, nm, schedule)
     assert np.array_equal(prot.times, free.times)

@@ -235,12 +235,10 @@ def test_front_ends_reject_bad_sample_every(rates, every):
         NoiseModel.from_times(bath_mode="correlated", ou_sigma=10.0,
                               ou_tau_c=0.01, trajectories=2, seed=1),
         0.01, dt=dt),
-    lambda rates, dt: run_protected(
-        prepare_ghz(), rates, build_xy16s(1e-3), dt=dt),
-], ids=["evolve_markovian", "evolve_correlated", "run_protected"])
+], ids=["evolve_markovian", "evolve_correlated"])
 def test_non_positive_dt_is_rejected(rates, run, dt):
-    # rejected before any runner rounds it to a whole number of steps
-    # of t_final or of one cycle
+    # rejected before the runner rounds it to a whole number of steps
+    # of t_final
     with pytest.raises(ValueError, match="dt must be positive"):
         run(rates, dt)
 
@@ -277,7 +275,7 @@ def test_propagate_labels_unphysical_sample_with_time(rates):
     # the sample by its time
     with pytest.raises(PhysicalityError, match=r"^at t = 0.004 s: trace"):
         propagate(prepare_ghz(), rates, 10, 1e-3,
-                  pulses=[(0.004, 1.5 * np.eye(8, dtype=complex))])
+                  pulses=[(4, 1.5 * np.eye(8, dtype=complex))])
 
 
 # the two entry points that take sample steps, on a grid of n steps of dt
@@ -318,11 +316,17 @@ def test_bad_grid_is_rejected_before_sampling(run, n, dt):
         run(OU_NOISE, [0], n=n, dt=dt)
 
 
-@pytest.mark.parametrize("t", [-1e-3, 0.011])
-def test_pulse_outside_the_run_is_rejected(t):
-    with pytest.raises(ValueError, match="pulse at t = %g s falls outside the run" % t):
+@pytest.mark.parametrize("step, message", [
+    (-1, r"pulse steps must lie in \[0, 10\]"),
+    (11, r"pulse steps must lie in \[0, 10\]"),
+    (2.5, "pulse steps must be integers, got 2.5"),
+], ids=["-1", "11", "2.5"])
+def test_pulse_outside_the_run_is_rejected(step, message):
+    # pulse steps pass the check that sample steps pass
+    with pytest.raises(ValueError, match=message):
         propagate(prepare_ghz(), OU_NOISE, 10, 1e-3,
-                  pulses=[(t, np.eye(8, dtype=complex))])
+                  pulses=[(0, np.eye(8, dtype=complex)),
+                          (step, np.eye(8, dtype=complex))])
 
 
 def test_unit_phases_require_the_correlated_bath(rates):
@@ -412,18 +416,33 @@ def test_evolve_correlated_protection_direction():
         unprot.states[-1])
 
 
-def test_off_grid_pulse_is_rejected(rates):
+def test_off_grid_pulse_is_rejected():
     # a pulse 0.3 ms in on a 0.25 ms grid used to be moved silently to
     # the nearest step
-    schedule = DDSchedule(events=((0.3e-3, 0.0), (0.7e-3, None)))
-    with pytest.raises(ValueError, match=r"t = 0.0003 s .*dt = 0.00025 s"):
-        run_protected(prepare_ghz(), rates,
-                      schedule, dt=0.25e-3)
-    # on the grid it runs
-    on_grid = DDSchedule(events=((0.25e-3, 0.0), (0.75e-3, None)))
-    curve, _ = run_protected(prepare_ghz(), rates,
-                             on_grid, dt=0.25e-3)
-    assert len(curve.times) == 2
+    schedule = DDSchedule(events=((0.3e-3, 0.0), (0.7e-3, None)), cycles=2)
+    with pytest.raises(ValueError,
+                       match=r"^pulse at t = 0.0003 s .*dt = 0.00025 s$"):
+        expand_schedule(schedule, 0.25e-3)
+    # a cycle of 1 ms is no whole number of 0.3 ms steps
+    with pytest.raises(ValueError, match=r"^cycle ending at t = 0.001 s "):
+        expand_schedule(schedule, 0.3e-3)
+    for dt in (0.0, -0.25e-3):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            expand_schedule(schedule, dt)
+    # on the grid each cycle's pulse lands a cycle's four steps later
+    on_grid = DDSchedule(events=((0.25e-3, 0.0), (0.75e-3, None)), cycles=2)
+    assert [k for k, _ in expand_schedule(on_grid, 0.25e-3)] == [1, 5]
+
+
+def test_run_protected_rejects_an_off_grid_pulse_on_its_default_grid(rates):
+    # pulses 0.1, 0.3 and 0.5137 ms into a 1 ms cycle: the shortest
+    # spacing, 0.2 ms, sets a 4 us grid, and the third pulse falls
+    # 128.4 steps in
+    schedule = DDSchedule(events=((0.1e-3, 0.0), (0.2e-3, 0.0),
+                                  (0.2137e-3, 0.0), (0.4863e-3, None)))
+    with pytest.raises(ValueError,
+                       match=r"^pulse at t = 0.0005137 s .*dt = 4e-06 s$"):
+        run_protected(prepare_ghz(), rates, schedule)
 
 
 @pytest.fixture(scope="module")
@@ -443,8 +462,8 @@ def test_grid_step_keeps_pulses_on_the_grid(build, tau):
         dt = grid_step(NoiseModel.from_times(T1, t2_s), min_delay)
         assert dt <= min(t2_s) / 2000.0 or dt == min_delay / 50.0
         assert dt > 0.5 * min(min(t2_s) / 2000.0, min_delay / 50.0)
-        for t, _ in expand_schedule(schedule):
-            assert abs(t / dt - round(t / dt)) < 1e-6
+        # every pulse falls on a step, or this raises
+        assert len(expand_schedule(schedule, dt)) == len(schedule.pulses)
     bundled = NoiseModel.from_times()
     assert grid_step(bundled, 0.25e-3) == 0.25e-3 / 50.0
     assert grid_step(bundled) == 0.52 / 2000.0

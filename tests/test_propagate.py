@@ -38,7 +38,7 @@ def runs(draw):
         ou_tau_c=dt * 10 ** draw(st.floats(-1.0, 4.0)),
         trajectories=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)))
     pulses = [
-        (k * dt, pulse_unitary(phase, angle / math.pi - 1.0))
+        (k, pulse_unitary(phase, angle / math.pi - 1.0))
         for k, angle, phase in draw(st.lists(st.tuples(
             st.integers(0, n), st.floats(0.1, 2.0 * math.pi),
             st.floats(0.0, 2.0 * math.pi)), max_size=6))
@@ -192,8 +192,7 @@ def test_markovian_stretches_match_stepwise_closed_form(run):
     pulses = [(k, pulse_unitary(phase, angle / math.pi - 1.0))
               for k, angle, phase in pulse_args]
     steps = sorted(samples) if samples is not None else list(range(n + 1))
-    curve = propagate(rho0, noise, n, dt, [(k * dt, u) for k, u in pulses],
-                      sample_steps=samples)
+    curve = propagate(rho0, noise, n, dt, pulses, sample_steps=samples)
     want = _stepped_reference(rho0, noise, n, dt, pulses, steps)
     assert np.max(np.abs(curve.states - want)) < 1e-12
 
@@ -391,7 +390,8 @@ def test_fit_grid_caps_the_step_count(rates, monkeypatch):
                     grid_step(rates, min_interpulse_delay(schedule)))[0] == 800
     # the grid is rejected before the pulse list is built
     expanded = []
-    monkeypatch.setattr(triq.ddseq, "expand_schedule", expanded.append)
+    monkeypatch.setattr(triq.ddseq, "expand_schedule",
+                        lambda *args: expanded.append(args))
     with pytest.raises(ValueError, match="2400 steps is more than the 1000"):
         run_protected(prepare_ghz(), rates, schedule)
     assert not expanded
@@ -422,8 +422,8 @@ def _strang_reference(rho0, noise, n, dt, pulses, samples):
     """The plain Strang split, two half flips per segment, on the
     engine's segment edges, one trajectory at a time."""
     by_step = {}
-    for t, u in pulses:
-        by_step.setdefault(round(t / dt), []).append(u)
+    for k, u in pulses:
+        by_step.setdefault(k, []).append(u)
     edges = _segment_edges(sorted(set(samples) | set(by_step) | {0, n}),
                            _MAX_SEGMENT_STEPS)
     xs = [embed1(SX, q) for q in (1, 2, 3)]
@@ -459,7 +459,7 @@ def test_merged_half_flips_match_the_strang_split(name):
     schedule = ARM_SCHEDULES[name]
     n, dt, samples = _arm_grid(schedule)
     rho0 = prepare_w()
-    trains = [expand_schedule(schedule), ()]
+    trains = [expand_schedule(schedule, dt), ()]
     curves = propagate_arms(rho0, FLIPPY, n, dt, trains, samples)
     for train, curve in zip(trains, curves):
         want = _strang_reference(rho0, FLIPPY, n, dt, train, samples)
@@ -475,7 +475,7 @@ def test_propagate_arms_equal_lone_propagate(name):
     schedule = ARM_SCHEDULES[name]
     n, dt, samples = _arm_grid(schedule)
     noise = replace(FLIPPY, trajectories=34)  # a full chunk and a part
-    pulses = expand_schedule(schedule)
+    pulses = expand_schedule(schedule, dt)
     prot, free = propagate_arms(prepare_ghz(), noise, n, dt, [pulses, ()],
                                 samples)
     lone = propagate(prepare_ghz(), noise, n, dt, pulses, samples)
@@ -497,7 +497,7 @@ def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
     # a pulse carries two half flips across it only if it commutes with
     # every qubit's bit-flip channel
     n, dt = 100, 1e-5
-    pulses = [(50 * dt, pulse_unitary(phase, flip_error))]
+    pulses = [(50, pulse_unitary(phase, flip_error))]
     calls = []
     real = triq.noise._flips
 
@@ -512,6 +512,23 @@ def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
     assert len(calls) == (3 if merges else 4)
 
 
+@pytest.mark.parametrize("phase, flip_error", [
+    (0.0, 0.0), (math.pi / 6.0, 0.0), (math.pi / 2.0, 0.02),
+], ids=["x", "pi_6", "y_flip_error"])
+def test_pulse_at_step_zero_acts_before_the_first_sample(phase, flip_error):
+    # the sweep applies a step-0 pulse to the initial states, before the
+    # step-0 sample and the first segment
+    n, dt, samples = 100, 1e-5, [0, 30, 100]
+    u = pulse_unitary(phase, flip_error)
+    pulses = [(0, u), (50, u)]
+    rho0 = prepare_w()
+    curve = propagate(rho0, FLIPPY, n, dt, pulses, samples)
+    want = _strang_reference(rho0, FLIPPY, n, dt, pulses, samples)
+    assert np.max(np.abs(curve.states - want)) < 1e-12
+    assert np.max(np.abs(curve.states[0] - u @ rho0 @ u.conj().T)) < 1e-15
+    assert np.max(np.abs(curve.states[0] - rho0)) > 0.1
+
+
 @pytest.mark.parametrize("schedule", [
     build_xy16s(1e-3),                    # merges its half flips
     build_kddxy(1e-3, flip_error=0.01),   # does not
@@ -521,7 +538,7 @@ def test_batch_width_does_not_change_results(schedule, monkeypatch):
     # every sampled mean adds the same 32-trajectory partial sums
     n, dt, samples = _arm_grid(schedule)
     noise = replace(FLIPPY, trajectories=70)
-    trains = [expand_schedule(schedule), ()]
+    trains = [expand_schedule(schedule, dt), ()]
     wide = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
     monkeypatch.setattr(triq.noise, "_BATCH", 32)
     narrow = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
