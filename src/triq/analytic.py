@@ -55,18 +55,15 @@ def _amplitude_factors(t, noise):
     return g1, g2, g3
 
 
-def ghz_analytic(t, noise, sign=-1):
+def ghz_analytic(t, noise):
     """GHZ-class state after time t under the damping model.
 
     Populations sit on the diagonal; the only coherences are on the
-    anti-diagonal (the triple-quantum sector). ``sign`` picks the corner
-    sign of the initial superposition: -1 (default) matches the state
-    the preparation circuit builds, +1 the opposite convention. All
-    decay metrics are sign-invariant.
+    anti-diagonal (the triple-quantum sector), with the -1 corner sign
+    of the state the preparation circuit builds. Z on any one qubit
+    flips that sign and leaves every decay metric unchanged.
     """
     t, single = _times(t)
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
     g1, g2, g3 = _amplitude_factors(t, noise)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
     ez = np.exp(-sum(noise.kappa_z) * t)
@@ -79,7 +76,7 @@ def ghz_analytic(t, noise, sign=-1):
             + _sign(a, 2, 3) * g23
         )
         rho[:, a, a] = bracket / 8.0
-        rho[:, a, a ^ 7] = sign * ez * bracket / 8.0
+        rho[:, a, a ^ 7] = -ez * bracket / 8.0
     return rho[0] if single else rho
 
 
@@ -156,11 +153,15 @@ def wwbar_analytic(t, noise):
 _FAMILIES = {"ghz": ghz_analytic, "w": w_analytic, "wwbar": wwbar_analytic}
 
 
-def decay_times(noise, resolution=1e-3, t_max=2.0):
+_RESOLUTION = 1e-3
+_T_MAX = 2.0
+
+
+def decay_times(noise):
     """Disentanglement time of each analytic family.
 
-    Bisects the first zero of the tripartite negativity to the given
-    resolution (default 1 ms) under the Markovian ``noise``; a
+    Bisects the first zero of the tripartite negativity to 1 ms under
+    the Markovian ``noise``, searching up to 2 s (else ValueError); a
     correlated model raises ValueError.
 
     Returns
@@ -173,19 +174,18 @@ def decay_times(noise, resolution=1e-3, t_max=2.0):
         def alive(t, family=family):
             return measures.tripartite_negativity(family(t, noise)) > 0.0
 
-        if not alive(0.0):
-            raise ValueError("%s negativity never positive" % name)
+        # at t = 0 every family is its prepared pure state, alive
         lo, hi = 0.0, None
-        t = resolution
-        while t <= t_max:
+        t = _RESOLUTION
+        while t <= _T_MAX:
             if not alive(t):
                 hi = t
                 break
             lo = t
             t *= 2.0
         if hi is None:
-            raise ValueError("%s negativity still positive at %g s" % (name, t_max))
-        while hi - lo > resolution:
+            raise ValueError("%s negativity still positive at %g s" % (name, _T_MAX))
+        while hi - lo > _RESOLUTION:
             mid = 0.5 * (lo + hi)
             if alive(mid):
                 lo = mid

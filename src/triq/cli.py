@@ -11,7 +11,7 @@ protect        Paired protected/unprotected runs under the correlated
 calibrate      Bisect the OU sigma so the unprotected single-qubit
                coherence 1/e time matches the configured T2: on
                unit-sigma phases drawn once and rescaled per step,
-               then one confirming engine run (noise.propagate) at the
+               then one confirming engine run (noise.evolve) at the
                chosen sigma on the same grid, cut by noise.fit_grid.
 tomo           Seven-setting readout simulation (or records-file
                replay) plus maximum-likelihood reconstruction.
@@ -44,7 +44,7 @@ from .analytic import ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, NumericalError, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, run_protected, schedule_table
 from .measures import DecayCurve, curve_from_states, fidelity, first_crossing
-from .noise import T1_S, T2_S, NoiseModel, evolve, fit_grid, ou_unit_phases, propagate
+from .noise import T1_S, T2_S, NoiseModel, evolve, fit_grid, ou_unit_phases
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
@@ -479,8 +479,8 @@ def cmd_calibrate(cfg):
     is |mean_j exp(-i sigma Phi_j)|, with Phi_j trajectory j's phase at
     unit sigma. The phases are drawn once (noise.ou_unit_phases) and
     every bisection step rescales them. The sigma it settles on is then
-    run once through the engine (propagate, on the bisection's own
-    grid), whose 1/e time is reported and judged; it must agree with
+    run once through the engine (evolve, on the bisection's own grid and
+    samples), whose 1/e time is reported and judged; it must agree with
     the closed form's to 1e-9 T2, or the run is a numerical failure.
     """
     if cfg["bath.mode"] != "correlated":
@@ -497,10 +497,11 @@ def cmd_calibrate(cfg):
     if hi <= lo:
         raise ConfigError("calibrate.sigma_hi_rad_s must exceed sigma_lo_rad_s")
     # the coherence grid: 2.5 T2 in steps of at most tau_c/20 and T2/1000,
-    # sampled about 500 times; the engine check below propagates on
-    # this same grid
+    # sampled about 500 times, as evolve cuts and samples it for the
+    # engine check below
     t_final = 2.5 * target
-    n, dt = fit_grid(t_final, min(tau_c / 20.0, target / 1000.0))
+    max_dt = min(tau_c / 20.0, target / 1000.0)
+    n, dt = fit_grid(t_final, max_dt)
     every = max(1, n // 500)
     steps = sorted(set(range(0, n + 1, every)) | {n})
     times = np.array([k * dt for k in steps])
@@ -513,9 +514,9 @@ def cmd_calibrate(cfg):
         np.ascontiguousarray(ou_unit_phases(noise, n, dt, steps)[:, :, 0]),
         times, lo, hi, target)
 
-    curve = propagate(np.kron(_PLUS, np.kron(P0, P0)),
-                      dataclasses.replace(noise, ou_sigma=sigma), n, dt,
-                      sample_steps=steps)
+    curve = evolve(np.kron(_PLUS, np.kron(P0, P0)),
+                   dataclasses.replace(noise, ou_sigma=sigma), t_final,
+                   dt=max_dt, sample_every=every)
     achieved = first_crossing(curve.times, 2.0 * np.abs(curve.states[:, 0, 4]),
                               _ONE_OVER_E)
     if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * target):

@@ -205,7 +205,7 @@ def run_protected(rho0, noise_model, schedule):
     through one noise.propagate_arms pass, and are sampled at the start
     and after each cycle, cycles + 1 samples. In the correlated mode
     they see the same OU tracks, each drawn once for both arms, and
-    each arm equals a lone noise.propagate of its pulses.
+    each arm equals a one-train pass of its pulses.
 
     Returns
     -------

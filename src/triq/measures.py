@@ -219,19 +219,23 @@ def fit_decay_rate(curve):
     return float(coef[1]), rms
 
 
-def disentanglement_time(curve, threshold=0.01):
-    """First time the tripartite negativity crosses below ``threshold``.
+# disentanglement_time's floor on the tripartite negativity
+_DEATH_LEVEL = 0.01
+
+
+def disentanglement_time(curve):
+    """First time the tripartite negativity crosses below 0.01.
 
     Linear interpolation between the bracketing samples. The curve must
-    start above the threshold and must cross it.
+    start above 0.01 and must cross it.
     """
     t = np.asarray(curve.times, dtype=float)
     n = np.asarray(curve.n3_tri, dtype=float)
-    if n[0] <= threshold:
-        raise ValueError("curve starts at %g, already below %g" % (n[0], threshold))
-    crossing = first_crossing(t, n, threshold)
+    if n[0] <= _DEATH_LEVEL:
+        raise ValueError("curve starts at %g, already below %g" % (n[0], _DEATH_LEVEL))
+    crossing = first_crossing(t, n, _DEATH_LEVEL)
     if math.isinf(crossing):
-        raise ValueError("no crossing below %g within the curve" % threshold)
+        raise ValueError("no crossing below %g within the curve" % _DEATH_LEVEL)
     return crossing
 
 

@@ -9,28 +9,27 @@ stays Lindbladian. A NoiseModel alone sets the rates and the default
 time grid (grid_step); NoiseModel.from_times is the one way per-qubit
 T1/T2, by default the bundled T1_S and T2_S, become those rates.
 
-No system Hamiltonian acts: as in the paper's fits, the register
-evolves under the damping and the bath alone. Every run goes through
-one propagator, ``propagate_arms``, that runs each of several pulse
-trains under the bath the NoiseModel names; ``propagate`` is its
-one-train case and ``evolve`` its one pulse-free front end. Pulses and
-samples reach it as integer grid steps, both checked by one rule. Both
-dissipators are Pauli channels, which commute and are applied in
-closed form. A Markovian run is therefore evaluated stretch by
-stretch: between pulse steps every sample is the closed form of the
+No system Hamiltonian acts: as in the paper's fits, the register evolves
+under the damping and the bath alone. Every run goes through one
+propagator, ``propagate_arms``, that runs each of several pulse trains
+under the bath the NoiseModel names; ``evolve`` is its pulse-free front
+end. Pulses and samples reach it as integer grid steps, both checked by
+one rule. Both dissipators are Pauli channels, which commute and are
+applied in closed form. A Markovian run is therefore evaluated stretch
+by stretch: between pulse steps every sample is the closed form of the
 stretch's starting state, exact at any step length. The OU phase does
 not commute with the bit flips, so a correlated run is stepped from
 event to event (a pulse or a sample): a segment is Strang-split around
-the phase, the phase summed over the segment's steps of the OU grid,
-and segments are capped at _MAX_SEGMENT_STEPS grid steps;
-``propagate_arms`` states how the arms share each OU track and where
-adjacent half flips merge, and ``_sweep`` how a batch of trajectories
-is swept on raveled states. The OU recurrence is linear in sigma for
-fixed draws, so a track at sigma is sigma times the track at 1:
-``ou_unit_phases`` draws the unit-sigma tracks once, and a caller that
-varies sigma alone (calibration) rescales their phases instead of
-propagating again. The tests pin the propagator against a generator
-built from explicit Lindblad operator matrices.
+the phase, the phase summed over the segment's steps of the OU grid, and
+segments are capped at _MAX_SEGMENT_STEPS grid steps; ``propagate_arms``
+states how the arms share each OU track and where adjacent half flips
+merge, and ``_sweep`` how a batch of trajectories is swept on raveled
+states. The OU recurrence is linear in sigma for fixed draws, so a track
+at sigma is sigma times the track at 1: ``ou_unit_phases`` draws the
+unit-sigma tracks once, and a caller that varies sigma alone
+(calibration) rescales their phases instead of propagating again. The
+tests pin the propagator against a generator built from explicit
+Lindblad operator matrices.
 """
 import math
 from dataclasses import dataclass, replace
@@ -49,7 +48,6 @@ __all__ = [
     "evolve",
     "fit_grid",
     "grid_step",
-    "propagate",
     "propagate_arms",
     "ou_unit_phases",
 ]
@@ -127,24 +125,17 @@ class NoiseModel:
                    kappa_z=tuple(1.0 / t for t in t2_s), **bath)
 
 
-def _half_spin(a, i):
-    # I_iz eigenvalue of basis state a: +1/2 for bit 0, -1/2 for bit 1
-    return 0.5 if ((a >> (3 - i)) & 1) == 0 else -0.5
-
-
+# right shift of each qubit's bit in a basis index, qubit 1 the most
+# significant, and that bit of each of the 8 basis states, (3, 8)
+_SHIFT = np.array([[2], [1], [0]])
+_BITS = (np.arange(8) >> _SHIFT) & 1
 # index gathers of the bit flip of each qubit, and the same on a
 # density matrix raveled to 64 elements: element (a, b) <- (a^m, b^m)
-_FLIP = [np.arange(8) ^ (1 << (3 - i)) for i in (1, 2, 3)]
+_FLIP = list(np.arange(8) ^ (1 << _SHIFT))
 _FLAT = [(8 * p[:, None] + p[None, :]).ravel() for p in _FLIP]
-# (m_i^a - m_i^b) per qubit, entries in {-1, 0, +1}
-_ZDIFF = np.stack(
-    [
-        np.array(
-            [[_half_spin(a, i) - _half_spin(b, i) for b in range(8)] for a in range(8)]
-        )
-        for i in (1, 2, 3)
-    ]
-)
+# (m_i^a - m_i^b) per qubit, m_i = 1/2 - bit the I_iz eigenvalue:
+# entries in {-1, 0, +1}
+_ZDIFF = (_BITS[:, None, :] - _BITS[:, :, None]).astype(float)
 # 1 where qubit i's bit differs between row and column: the elements
 # that sigma_z dephasing of qubit i damps
 _ZMASK = (_ZDIFF != 0.0).astype(float)
@@ -246,10 +237,10 @@ def evolve(rho0, noise, t_final, dt=None, sample_every=1):
 
     Samples every ``sample_every`` steps (plus t = 0 and t_final). dt
     is the longest step, grid_step(noise) by default, shrunk so that a
-    whole number of steps fills t_final (fit_grid). The work is done by
-    ``propagate``: in markovian mode the damping channels act in closed
-    form, so the samples are exact at any dt; in correlated mode the
-    mean runs over noise.trajectories OU tracks drawn on this grid.
+    whole number of steps fills t_final (fit_grid). ``propagate_arms``
+    runs it as one empty pulse train: in markovian mode the damping
+    channels act in closed form, so the samples are exact at any dt; in
+    correlated mode the mean runs over noise.trajectories OU tracks.
     Every sample is validated as physical; a violation raises
     PhysicalityError naming the first offending time.
 
@@ -263,8 +254,8 @@ def evolve(rho0, noise, t_final, dt=None, sample_every=1):
     if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
         raise ValueError("sample_every must be a positive integer, got %r"
                          % (sample_every,))
-    return propagate(rho0, noise, n, dt,
-                     sample_steps=[*range(0, n + 1, sample_every), n])
+    return propagate_arms(rho0, noise, n, dt, [()],
+                          [*range(0, n + 1, sample_every), n])[0]
 
 
 def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
@@ -343,29 +334,6 @@ def _ou_track(noise, j, dt, n):
     return _ou_paths(rng, noise.ou_tau_c, noise.ou_sigma, dt, n, 3)
 
 
-def propagate(rho0, noise, n_steps, dt, pulses=(), sample_steps=None):
-    """Ensemble-mean evolution on a grid of n_steps steps of dt seconds.
-
-    Events are the pulses, (step, unitary) pairs, and the samples at
-    ``sample_steps`` (default: every step), all integer steps in
-    [0, n_steps] (else ValueError). Between events the bath acts in closed form:
-    bit flips at kappa_x, and either Lindblad dephasing at kappa_z
-    (markovian) or, per trajectory, the exact OU phase summed over the
-    segment's grid steps (correlated). Trajectory j draws its OU
-    track from a stream seeded by (noise.seed, j), so the ensemble mean
-    does not depend on execution order. Pulses at a step act after the
-    free evolution up to it and before its sample; every sampled mean
-    is validated as physical. This is the one-train case of
-    ``propagate_arms``, which states the split and the flip merge.
-
-    Returns
-    -------
-    measures.DecayCurve
-        Metrics of the sampled means against rho0.
-    """
-    return propagate_arms(rho0, noise, n_steps, dt, [pulses], sample_steps)[0]
-
-
 # u X_i u^dagger must equal +-X_i to this for a pulse to commute with
 # qubit i's bit-flip channel
 _COMMUTE_TOL = 1e-12
@@ -384,10 +352,16 @@ def _commutes_with_flips(u):
 
 
 def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
-    """``propagate`` of several pulse trains under one bath.
+    """Ensemble-mean evolution of pulse trains under one bath.
 
-    Each train is a sequence of (step, unitary) pulses, applied in train
-    order; every arm starts from rho0 and is sampled at ``sample_steps``.
+    The grid has n_steps steps of dt seconds. Each train is a sequence
+    of (step, unitary) pulses, applied in train order; every arm starts
+    from rho0 and is sampled at ``sample_steps`` (default: every step),
+    all integer steps in [0, n_steps] (else ValueError). Pulses at a
+    step act before its sample. Trajectory j draws its OU track from a
+    stream seeded by (noise.seed, j), so the mean does not depend on
+    execution order; every sampled mean is validated as physical (else
+    PhysicalityError naming the time).
 
     Without the OU bath an arm is cut at its pulse steps into stretches,
     and every sample of a stretch is the closed form of the stretch's
@@ -397,7 +371,7 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
     of up to 64 trajectories is one pass for all arms, in which
     trajectory j's track is drawn once and reduced at every arm's
     segment edges before the next is drawn, so an arm's curve equals a
-    lone ``propagate`` of its train bit for bit. A sampled mean adds the
+    one-train pass of its train bit for bit. A sampled mean adds the
     same partial sums of 32 trajectories in the same order at any batch
     width, so the batch width does not change any output.
 
@@ -577,7 +551,7 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
 def ou_unit_phases(noise, n_steps, dt, sample_steps):
     """Accumulated OU phases of every trajectory at unit sigma.
 
-    Trajectory j's track is drawn as ``propagate`` draws it, from the
+    Trajectory j's track is drawn as ``propagate_arms`` draws it, from the
     stream seeded by (noise.seed, j) on the grid of n_steps steps of dt
     seconds, but with ou_sigma = 1. The recurrence is linear in sigma
     for fixed draws, so sigma times the result is the phase at sigma

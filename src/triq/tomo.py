@@ -123,13 +123,21 @@ def simulate_readout(rho, setting, noise_sigma=0.0, seed=0):
     Gaussian noise of width noise_sigma. The noise stream is seeded by
     (seed, setting index), so a full seven-setting scan with one seed
     draws independent noise per setting and is reproducible. Raises
-    ValueError for anything but one of the seven labels.
+    ValueError for anything but one of the seven labels, a noise width
+    that is not finite and non-negative, or a seed not an integer >= 0.
     """
     rho = check_density(rho)
     if not isinstance(setting, str) or setting not in _DESIGN_ROWS:
         raise ValueError(
             "unknown setting %r; expected one of %s" % (setting, (SETTING_LABELS,))
         )
+    # NaN fails the comparison; int() in the seeding would run a float
+    # seed as another seed
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be finite and non-negative, got %r"
+                         % (noise_sigma,))
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
     vals = (_DESIGN_ROWS[setting] @ rho.ravel()).real
     if noise_sigma > 0.0:
         rng = np.random.default_rng(
@@ -201,15 +209,26 @@ def mle_reconstruct(records):
     I/8. The least k that brings this to 1e-10 caps the iterations; past
     it, as rounding forces for huge readouts, RuntimeError names the gap.
     A gap counts only if its rounding error (_ROUNDING) is within 1e-10
-    too; for readouts so huge that it is not, RuntimeError names both.
+    too; for readouts so huge that it is not, or that would overflow a
+    gradient, RuntimeError names the gap. As f - min f is at least
+    lambda_1 |rho - rho*|_F^2, the estimate lies within sqrt(1e-10 /
+    lambda_1) = 7.07e-6 (lambda_1 = 2) of the minimizer rho*, which for
+    noise-free records of a state is that state.
     """
     d, y = _design(records)
     q = d.conj().T @ d
     b = d.conj().T @ y
     lam_1, lam_max = np.linalg.eigvalsh(q)[[1, -1]]
+    y_norm = math.hypot(*y)
+    # the iteration cap takes |y|, and every element of every gradient
+    # 2 (Q vec rho - b) is at most 2 (max|b| + lambda_max): summed in
+    # Python floats, which overflow to inf without a warning
+    if not 2.0 * (float(np.max(np.abs(b))) + float(lam_max)) + y_norm < math.inf:
+        raise RuntimeError("MLE duality gap cannot be computed: records of "
+                           "norm %.3g overflow the gradient" % y_norm)
     step = 1.0 / (lam_1 + lam_max)
     # log(gap bound at k = 0 / _GAP_TOL), in logs so huge readouts cannot overflow it
-    log_ratio = (math.log(math.hypot(*y) + math.sqrt(2.0 * lam_max))
+    log_ratio = (math.log(y_norm + math.sqrt(2.0 * lam_max))
                  + math.log(3.5 * lam_max) / 2.0 - math.log(_GAP_TOL))
     max_iters = math.ceil(log_ratio / -math.log(step * (lam_max - lam_1)))
 

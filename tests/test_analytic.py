@@ -6,6 +6,7 @@ import pytest
 from triq import (
     NoiseModel,
     check_density,
+    curve_from_states,
     decay_times,
     evolve,
     ghz_analytic,
@@ -119,14 +120,15 @@ def test_corrected_offdiagonal_placements(rates):
 
 
 def test_ghz_sign_flag(rates):
+    # the closed form carries the circuit's -1 corner; Z on qubit 1 gives
+    # the tabulated +1 corner and leaves every metric as it is
     minus = ghz_analytic(0.2, rates)
-    plus = ghz_analytic(0.2, rates, sign=+1)
+    z1 = np.diag([1.0] * 4 + [-1.0] * 4)
+    plus = z1 @ minus @ z1
     assert minus[0, 7].real < 0 < plus[0, 7].real
     assert np.array_equal(np.diag(minus), np.diag(plus))
     assert tripartite_negativity(minus) == pytest.approx(
         tripartite_negativity(plus), abs=1e-14)
-    with pytest.raises(ValueError, match="sign"):
-        ghz_analytic(0.2, rates, sign=2)
 
 
 def test_long_time_limit_is_maximally_mixed(rates):
@@ -154,16 +156,23 @@ def test_decay_times_frozen_and_inside_quoted_windows(rates):
 
 
 def test_decay_times_resolution(rates):
-    coarse = decay_times(rates)
-    fine = decay_times(rates, resolution=1e-4)
-    for name in FAMILIES:
-        assert abs(coarse[name] - fine[name]) < 1.5e-3
+    # against a 1 us scan of the tripartite negativity over 4 ms around
+    # each time: the bisection returns the middle of a bracket at most
+    # 1 ms wide around the first zero
+    times = decay_times(rates)
+    for name, family in FAMILIES.items():
+        ts = times[name] + np.arange(-2000, 2001) * 1e-6
+        n3_tri = curve_from_states(ts, family(ts, rates), PREPARED[name]()).n3_tri
+        # alive at the scan's start, so its first zero is the first zero
+        assert n3_tri[0] > 0.0 and n3_tri[-1] == 0.0
+        zero = ts[np.argmax(n3_tri <= 0.0)]
+        assert abs(times[name] - zero) <= 0.5e-3 + 1e-6
 
 
 def test_decay_times_raises_when_state_never_dies():
     quiet = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="still positive"):
-        decay_times(quiet, t_max=0.5)
+        decay_times(quiet)
 
 
 def test_closed_forms_reject_correlated_bath():

@@ -395,15 +395,18 @@ def test_tomo_incomplete_records_file(tmp_path):
 
 
 @pytest.mark.parametrize("huge", ["noise_sigma", "records_value",
-                                  "records_value_1e300"])
+                                  "records_value_1e300",
+                                  "records_value_1.7e308"])
 def test_tomo_huge_readout_exits_3(tmp_path, capsys, huge):
     # eigenvalues of 2**53 and more must not break the projection, and
     # rounding keeps the gap above its certificate: a numerical failure.
-    # At 1e300 the gap rounds to 0, but its rounding error does not
+    # At 1e300 the gap rounds to 0, but its rounding error does not; at
+    # 1.7e308 the gradient would overflow
     if huge == "noise_sigma":
         cfg = "tomo.noise_sigma = 1e200\nseed = 3\n"
     else:
-        value = 1e300 if huge == "records_value_1e300" else 1e200
+        value = {"records_value": 1e200, "records_value_1e300": 1e300,
+                 "records_value_1.7e308": 1.7e308}[huge]
         records = tomograph(prepare_w())
         records[0] = TomoRecord("III", (value,) + records[0].values[1:])
         write_records(records, tmp_path / "huge.txt")

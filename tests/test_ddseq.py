@@ -17,7 +17,7 @@ from triq import (
     prepare_ghz,
     prepare_w,
     prepare_wwbar,
-    propagate,
+    propagate_arms,
     pulse_unitary,
     run_protected,
     schedule_table,
@@ -267,10 +267,10 @@ def test_both_arms_see_the_same_tracks(prepare):
     assert np.array_equal(prot.times, free.times)
     assert np.max(np.abs(prot.states - free.states)) < 1e-12
     assert tripartite_negativity(free.states[-1]) < 0.9
-    # the free arm is propagate without pulses, at the default 5 us grid
+    # the free arm is a pulse-free pass, at the default 5 us grid
     steps = 800
-    ref = propagate(rho0, nm, 10 * steps, cycle_duration(schedule) / steps,
-                    sample_steps=range(0, 10 * steps + 1, steps))
+    ref = propagate_arms(rho0, nm, 10 * steps, cycle_duration(schedule) / steps,
+                         [()], range(0, 10 * steps + 1, steps))[0]
     assert np.array_equal(free.times, ref.times)
     assert np.array_equal(free.states, ref.states)
 

@@ -186,9 +186,8 @@ def test_fit_anchor_rates_inside_quoted_windows(analytic_curves):
 
 
 def test_disentanglement_time_interpolates():
-    t = disentanglement_time(_curve([0.0, 1.0, 2.0], [0.5, 0.3, 0.1]),
-                             threshold=0.2)
-    assert t == pytest.approx(1.5, abs=1e-12)
+    t = disentanglement_time(_curve([0.0, 1.0, 2.0], [0.5, 0.03, 0.005]))
+    assert t == pytest.approx(1.8, abs=1e-12)
 
 
 def test_first_crossing():
@@ -207,7 +206,7 @@ def test_disentanglement_time_errors():
 
 
 def test_threshold_crossings_frozen(analytic_curves):
-    t = {name: disentanglement_time(c, threshold=0.01)
+    t = {name: disentanglement_time(c)
          for name, c in analytic_curves.items()}
     assert t["ghz"] == pytest.approx(0.489818, abs=2e-6)
     assert t["w"] == pytest.approx(0.579427, abs=2e-6)

@@ -21,7 +21,7 @@ from triq import (
     min_interpulse_delay,
     ou_unit_phases,
     prepare_ghz,
-    propagate,
+    propagate_arms,
     run_protected,
     tripartite_negativity,
 )
@@ -274,14 +274,14 @@ def test_propagate_labels_unphysical_sample_with_time(rates):
     # a non-unitary "pulse" breaks the trace at 4 ms; the error names
     # the sample by its time
     with pytest.raises(PhysicalityError, match=r"^at t = 0.004 s: trace"):
-        propagate(prepare_ghz(), rates, 10, 1e-3,
-                  pulses=[(4, 1.5 * np.eye(8, dtype=complex))])
+        propagate_arms(prepare_ghz(), rates, 10, 1e-3,
+                       [[(4, 1.5 * np.eye(8, dtype=complex))]])
 
 
 # the two entry points that take sample steps, on a grid of n steps of dt
 SAMPLED_RUNS = pytest.mark.parametrize("run", [
-    lambda noise, steps, n=10, dt=1e-3: propagate(prepare_ghz(), noise, n, dt,
-                                                  sample_steps=steps),
+    lambda noise, steps, n=10, dt=1e-3: propagate_arms(prepare_ghz(), noise, n,
+                                                       dt, [()], steps),
     lambda noise, steps, n=10, dt=1e-3: ou_unit_phases(noise, n, dt, steps),
 ], ids=["propagate", "ou_unit_phases"])
 OU_NOISE = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
@@ -324,9 +324,9 @@ def test_bad_grid_is_rejected_before_sampling(run, n, dt):
 def test_pulse_outside_the_run_is_rejected(step, message):
     # pulse steps pass the check that sample steps pass
     with pytest.raises(ValueError, match=message):
-        propagate(prepare_ghz(), OU_NOISE, 10, 1e-3,
-                  pulses=[(0, np.eye(8, dtype=complex)),
-                          (step, np.eye(8, dtype=complex))])
+        propagate_arms(prepare_ghz(), OU_NOISE, 10, 1e-3,
+                       [[(0, np.eye(8, dtype=complex)),
+                         (step, np.eye(8, dtype=complex))]])
 
 
 def test_unit_phases_require_the_correlated_bath(rates):
@@ -498,7 +498,7 @@ def test_default_grid_follows_the_model_rates():
 
 
 def test_evolve_markovian_ghz_decay_curve(ghz_markovian_curve):
-    t = disentanglement_time(ghz_markovian_curve, threshold=0.01)
+    t = disentanglement_time(ghz_markovian_curve)
     assert t == pytest.approx(0.4898, abs=0.002)
 
 
@@ -506,5 +506,5 @@ def test_evolve_markovian_ghz_decay_curve(ghz_markovian_curve):
                    "zero (0.5014 s); the floor convention lands at 0.4898 s",
                    strict=True)
 def test_ghz_threshold_time_within_quoted_window(ghz_markovian_curve):
-    t = disentanglement_time(ghz_markovian_curve, threshold=0.01)
+    t = disentanglement_time(ghz_markovian_curve)
     assert 0.50 <= t <= 0.56

@@ -12,7 +12,7 @@ import triq.noise
 from triq import (T1_S, NoiseModel, build_kddxy, build_xy16s,
                   cycle_duration, expand_schedule, fit_grid, grid_step,
                   min_interpulse_delay, ou_unit_phases, prepare_ghz,
-                  prepare_w, propagate, propagate_arms, pulse_unitary,
+                  prepare_w, propagate_arms, pulse_unitary,
                   run_protected)
 from triq.core import ID2, SX, SZ, embed1, kron
 from triq.noise import (_FLIP, _MAX_SEGMENT_STEPS, _ZDIFF, _flips, _ou_paths,
@@ -61,7 +61,7 @@ def _basis_state(a, b, kind):
 @given(runs())
 def test_engine_is_cptp(run):
     noise, n, dt, pulses, rho0 = run
-    for rho in propagate(rho0, noise, n, dt, pulses).states:
+    for rho in propagate_arms(rho0, noise, n, dt, [pulses])[0].states:
         assert abs(np.trace(rho) - 1.0) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho)[0] > -1e-12
@@ -70,7 +70,7 @@ def test_engine_is_cptp(run):
     # map is linear, so its action on |a><b| follows from three
     # density-matrix inputs per pair.
     def final(rho):
-        return propagate(rho, noise, n, dt, pulses, [n]).states[-1]
+        return propagate_arms(rho, noise, n, dt, [pulses], [n])[0].states[-1]
 
     diag = [final(_basis_state(a, a, 0)) for a in range(8)]
     choi = np.zeros((64, 64), dtype=complex)
@@ -93,9 +93,9 @@ def test_engine_is_cptp(run):
 @given(runs(), st.sets(st.integers(0, 60), max_size=10))
 def test_extra_samples_move_states_within_split_bound(run, extra):
     noise, n, dt, pulses, rho0 = run
-    coarse = propagate(rho0, noise, n, dt, pulses, [0, n])
-    fine = propagate(rho0, noise, n, dt, pulses,
-                     [0, n] + [k for k in extra if k <= n])
+    coarse = propagate_arms(rho0, noise, n, dt, [pulses], [0, n])[0]
+    fine = propagate_arms(rho0, noise, n, dt, [pulses],
+                          [0, n] + [k for k in extra if k <= n])[0]
     diff = np.max(np.abs(coarse.states[-1] - fine.states[-1]))
     # Without the OU phase every factor of a segment commutes and extra
     # events change nothing. With it, a segment of length D mis-times the
@@ -117,9 +117,9 @@ def test_markovian_propagator_is_a_semigroup(kx, kz, n1, n2, dt, seed):
     # n1 + n2 steps in one run equal n1 steps, then n2 from the mid state
     noise = NoiseModel(kappa_x=kx, kappa_z=kz)
     rho0 = random_density(np.random.default_rng(seed))
-    whole = propagate(rho0, noise, n1 + n2, dt, sample_steps=[n1 + n2])
-    mid = propagate(rho0, noise, n1, dt, sample_steps=[n1]).states[-1]
-    halves = propagate(mid, noise, n2, dt, sample_steps=[n2])
+    whole = propagate_arms(rho0, noise, n1 + n2, dt, [()], [n1 + n2])[0]
+    mid = propagate_arms(rho0, noise, n1, dt, [()], [n1])[0].states[-1]
+    halves = propagate_arms(mid, noise, n2, dt, [()], [n2])[0]
     assert np.max(np.abs(whole.states[-1] - halves.states[-1])) < 1e-14
 
 
@@ -192,7 +192,7 @@ def test_markovian_stretches_match_stepwise_closed_form(run):
     pulses = [(k, pulse_unitary(phase, angle / math.pi - 1.0))
               for k, angle, phase in pulse_args]
     steps = sorted(samples) if samples is not None else list(range(n + 1))
-    curve = propagate(rho0, noise, n, dt, pulses, sample_steps=samples)
+    curve = propagate_arms(rho0, noise, n, dt, [pulses], samples)[0]
     want = _stepped_reference(rho0, noise, n, dt, pulses, steps)
     assert np.max(np.abs(curve.states - want)) < 1e-12
 
@@ -208,7 +208,7 @@ def test_noise_free_bath_matches_closed_form(run):
         kz = (0.0, 0.0, 0.0)  # the OU bath replaces the dephasing
     else:
         kz = noise.kappa_z
-    curve = propagate(rho0, noise, n, dt)
+    curve = propagate_arms(rho0, noise, n, dt, [()])[0]
     for t, rho in zip(curve.times, curve.states):
         assert np.max(np.abs(rho - _closed_form(rho0, noise.kappa_x, kz, t))) < 1e-12
 
@@ -226,7 +226,7 @@ def test_pure_ou_dephasing_is_the_exact_track_phase(rng):
         stream = np.random.default_rng(np.random.SeedSequence(entropy=(31, j)))
         phi = dt * _ou_paths(stream, 1e-3, 40.0, dt, n, 3).sum(axis=0)
         want += np.exp(-1j * np.einsum("i,iab->ab", phi, _ZDIFF)) * rho0 / 2.0
-    got = propagate(rho0, noise, n, dt, sample_steps=[0, 7, n]).states[-1]
+    got = propagate_arms(rho0, noise, n, dt, [()], [0, 7, n])[0].states[-1]
     assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -299,7 +299,7 @@ def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
                        ou_tau_c=dt / 10.0 ** log_ratio,
                        trajectories=trajectories, seed=seed)
     plus = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
-    states = np.array(propagate(np.outer(plus, plus), noise, n, dt).states)
+    states = propagate_arms(np.outer(plus, plus), noise, n, dt, [()])[0].states
     phases = sigma * ou_unit_phases(noise, n, dt, range(n + 1))
     for i, b in enumerate((4, 2, 1)):
         want = np.exp(-1j * phases[:, :, i]).mean(axis=0)
@@ -478,10 +478,10 @@ def test_propagate_arms_equal_lone_propagate(name):
     pulses = expand_schedule(schedule, dt)
     prot, free = propagate_arms(prepare_ghz(), noise, n, dt, [pulses, ()],
                                 samples)
-    lone = propagate(prepare_ghz(), noise, n, dt, pulses, samples)
+    lone = propagate_arms(prepare_ghz(), noise, n, dt, [pulses], samples)[0]
     assert np.array_equal(prot.states, lone.states)
     assert np.array_equal(prot.times, lone.times)
-    lone = propagate(prepare_ghz(), noise, n, dt, sample_steps=samples)
+    lone = propagate_arms(prepare_ghz(), noise, n, dt, [()], samples)[0]
     assert np.array_equal(free.states, lone.states)
 
 
@@ -507,7 +507,7 @@ def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(triq.noise, "_flips", counting)
-        propagate(prepare_ghz(), FLIPPY, n, dt, pulses, [0, n])
+        propagate_arms(prepare_ghz(), FLIPPY, n, dt, [pulses], [0, n])
     # segments [0, 50] and [50, 100]: four half flips, or three merged
     assert len(calls) == (3 if merges else 4)
 
@@ -522,7 +522,7 @@ def test_pulse_at_step_zero_acts_before_the_first_sample(phase, flip_error):
     u = pulse_unitary(phase, flip_error)
     pulses = [(0, u), (50, u)]
     rho0 = prepare_w()
-    curve = propagate(rho0, FLIPPY, n, dt, pulses, samples)
+    curve = propagate_arms(rho0, FLIPPY, n, dt, [pulses], samples)[0]
     want = _strang_reference(rho0, FLIPPY, n, dt, pulses, samples)
     assert np.max(np.abs(curve.states - want)) < 1e-12
     assert np.max(np.abs(curve.states[0] - u @ rho0 @ u.conj().T)) < 1e-15

@@ -49,6 +49,22 @@ def test_simulate_readout_rejects_unknown_setting():
             simulate_readout(rho, bad)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"noise_sigma": math.nan}, "noise_sigma must be finite"),
+    ({"noise_sigma": math.inf}, "noise_sigma must be finite"),
+    ({"noise_sigma": -0.1}, "noise_sigma must be finite"),
+    ({"noise_sigma": 0.1, "seed": 1.7}, "seed must be an integer"),
+    ({"noise_sigma": 0.1, "seed": -1}, "seed must be an integer"),
+], ids=["nan_sigma", "inf_sigma", "negative_sigma", "float_seed", "negative_seed"])
+def test_simulate_readout_rejects_bad_noise_and_seed(kwargs, message):
+    # unchecked, NaN or a negative width would add no noise, and the
+    # seeding's int() would run seed 1.7 as seed 1
+    with pytest.raises(ValueError, match=message):
+        simulate_readout(prepare_ghz(), "XXX", **kwargs)
+    with pytest.raises(ValueError, match=message):
+        tomograph(prepare_ghz(), **kwargs)
+
+
 def test_simulate_readout_matches_rotated_observables(rng):
     rho = random_density(rng)
     for label in SETTING_LABELS:
@@ -124,12 +140,14 @@ def test_tomo_record_validation():
 
 
 def test_mle_round_trip_noise_free(rng):
-    for rho in (prepare_ghz(), prepare_w(), prepare_wwbar()):
+    # a duality gap of at most 1e-10 puts the estimate within
+    # sqrt(1e-10 / lambda_1) of the minimizer, here the state itself;
+    # lambda_1 = 2 is the smallest nonzero eigenvalue of the Gram
+    bound = math.sqrt(1e-10 / 2.0)
+    for rho in (prepare_ghz(), prepare_w(), prepare_wwbar(), random_density(rng)):
         est = mle_reconstruct(tomograph(rho))
         assert fidelity(rho, est) > 0.99999
-    rho = random_density(rng)
-    est = mle_reconstruct(tomograph(rho))
-    assert fidelity(rho, est) > 0.99999
+        assert np.linalg.norm(est - rho) <= bound
 
 
 def test_mle_output_is_physical():
