@@ -190,7 +190,7 @@ def load_config(path=None, environ=None, seed=None, out_dir=None):
         cfg = _defaults()
     _apply_env(cfg, environ if environ is not None else os.environ)
     if seed is not None:
-        cfg["seed"] = _parse_seed(str(seed))
+        _set_key(cfg, "seed", str(seed), "--seed")
     if out_dir is not None:
         cfg["out.dir"] = out_dir
     return cfg

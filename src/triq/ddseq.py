@@ -1,19 +1,19 @@
 """Dynamical-decoupling schedules and their execution.
 
-A schedule is one cycle of (delay, phase) events, the number of cycles
-to run and one flip error. A pulse is an instantaneous rotation of all
-three qubits by pi (1 + flip_error) about the axis at its phase; a
-trailing phase may be None so the cycle can end on a half delay. Both
-bundled sequences compose to the identity on a closed system:
+A schedule is the phases of one cycle's pulses, their spacing tau, the
+number of cycles to run and one flip error. Pulse k of a cycle sits at
+(k + 1/2) tau, so a cycle of N pulses spans N tau with tau/2 at each
+edge. A pulse is an instantaneous rotation of all three qubits by
+pi (1 + flip_error) about the axis at its phase. Both bundled sequences
+compose to the identity on a closed system:
 
 XY-16(s): base block x y x y, its time-reversed extension, then the
-axis-swapped copy of those eight; delays are tau/2 at the cycle edges
-and tau between pulses, so reversing the delay list reproduces it and
-reversing the phase list equals swapping x and y.
+axis-swapped copy of those eight; with the uniform spacing, reversing
+the phase list equals swapping x and y.
 
 KDD_xy: the five-pulse composite block at phases (pi/6 + phi, phi,
 pi/2 + phi, phi, pi/6 + phi), alternated between phi = 0 and
-phi = pi/2 and repeated twice, twenty pulses at uniform spacing.
+phi = pi/2 and repeated twice, twenty pulses.
 
 A single-axis CPMG-style control with the XY-16 timing is included as
 the robustness baseline: it cancels nothing when every pulse carries
@@ -21,11 +21,12 @@ the same systematic flip error.
 
 A schedule states its own cycle count, and run_protected, the one way
 to run it, runs exactly that many cycles: it returns the protected arm
-and the free arm, propagated on one shared time grid. expand_schedule
-is the one place a pulse time becomes a step of that grid.
+and the free arm, propagated on one shared time grid of a whole, even
+number of steps per tau. expand_schedule is the one place a pulse
+becomes a step of that grid, by integer arithmetic, so no pulse can
+fall between steps.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,6 @@ __all__ = [
     "build_kddxy",
     "build_cpmg",
     "cycle_duration",
-    "min_interpulse_delay",
     "pulse_unitary",
     "expand_schedule",
     "schedule_table",
@@ -54,11 +54,13 @@ def _check_delay(name, value):
 
 @dataclass(frozen=True)
 class DDSchedule:
-    """One cycle of (delay_s, phase_rad or None) events, repeated
-    ``cycles`` times. A phase is a collective pi pulse after its delay
-    (0.0 is x), None no pulse; every pulse over-rotates by flip_error."""
+    """One cycle of pulses spaced tau seconds apart, repeated ``cycles``
+    times. ``pulses`` holds each pulse's phase in order (0.0 is x);
+    pulse k sits at (k + 1/2) tau into its cycle, and every pulse
+    over-rotates by flip_error."""
 
-    events: tuple
+    pulses: tuple
+    tau: float
     cycles: int = 1
     flip_error: float = 0.0
 
@@ -67,25 +69,13 @@ class DDSchedule:
         if not isinstance(self.cycles, (int, np.integer)) or self.cycles < 1:
             raise ValueError("cycles must be an integer >= 1, got %r"
                              % (self.cycles,))
-        if not self.events:
-            raise ValueError("schedule needs at least one event")
-        for delay, _ in self.events:
-            _check_delay("delays", delay)
+        if not self.pulses:
+            raise ValueError("schedule needs at least one pulse")
+        _check_delay("tau", self.tau)
         for name, value in ([("phase", p) for p in self.pulses]
                             + [("flip_error", self.flip_error)]):
             if not math.isfinite(value):
                 raise ValueError("%s must be finite, got %g" % (name, value))
-
-    @property
-    def pulses(self):
-        """The phases of one cycle's pulses, in order."""
-        return [phase for _, phase in self.events if phase is not None]
-
-
-def _edge_delayed(phases, tau, cycles, flip_error):
-    events = ((tau / 2.0, phases[0]),) + tuple((tau, ph) for ph in phases[1:])
-    return DDSchedule(events=events + ((tau / 2.0, None),), cycles=cycles,
-                      flip_error=flip_error)
 
 
 _XY4 = (0.0, math.pi / 2.0, 0.0, math.pi / 2.0)
@@ -97,10 +87,8 @@ def _swap_xy(phases):
 
 def build_xy16s(tau, cycles=1, flip_error=0.0):
     """Symmetric XY-16 cycle: sixteen pi pulses over a 16 tau cycle."""
-    _check_delay("tau", tau)
     xy8s = _XY4 + tuple(reversed(_XY4))
-    phases = xy8s + _swap_xy(xy8s)
-    return _edge_delayed(phases, tau, cycles, flip_error)
+    return DDSchedule(xy8s + _swap_xy(xy8s), tau, cycles, flip_error)
 
 
 def build_kddxy(tau_k, cycles=1, flip_error=0.0):
@@ -111,38 +99,24 @@ def build_kddxy(tau_k, cycles=1, flip_error=0.0):
         return (math.pi / 6.0 + phi, phi, math.pi / 2.0 + phi, phi,
                 math.pi / 6.0 + phi)
 
-    phases = (kdd(0.0) + kdd(math.pi / 2.0)) * 2
-    return _edge_delayed(phases, tau_k, cycles, flip_error)
+    return DDSchedule((kdd(0.0) + kdd(math.pi / 2.0)) * 2, tau_k, cycles,
+                      flip_error)
 
 
 def build_cpmg(tau, cycles=1, flip_error=0.0):
     """Single-axis control: sixteen y pulses with the XY-16 timing."""
-    _check_delay("tau", tau)
-    phases = (math.pi / 2.0,) * 16
-    return _edge_delayed(phases, tau, cycles, flip_error)
+    return DDSchedule((math.pi / 2.0,) * 16, tau, cycles, flip_error)
 
 
 def cycle_duration(schedule):
-    """Duration of one cycle in seconds (pulses take zero time)."""
-    return float(sum(delay for delay, _ in schedule.events))
+    """Duration of one cycle in seconds (pulses take zero time).
 
-
-def _pulse_offsets(schedule):
-    """(offset_s, phase) of each pulse of one cycle, in order."""
-    ends = itertools.accumulate(delay for delay, _ in schedule.events)
-    return [(t, phase) for t, (_, phase) in zip(ends, schedule.events)
-            if phase is not None]
-
-
-def min_interpulse_delay(schedule):
-    """Smallest gap between consecutive pulses, wrapping across cycles."""
-    offsets = [t for t, _ in _pulse_offsets(schedule)]
-    cyc = cycle_duration(schedule)
-    if not offsets:
-        return cyc
-    gaps = [b - a for a, b in zip(offsets, offsets[1:])]
-    gaps.append(cyc - offsets[-1] + offsets[0])
-    return min(gaps)
+    Summed left to right from its gaps, tau/2, N - 1 of tau, tau/2,
+    which N tau may miss in the last bit; run_protected's step is this
+    sum over the cycle's steps.
+    """
+    tau = schedule.tau
+    return float(sum([tau / 2.0, *[tau] * (len(schedule.pulses) - 1), tau / 2.0]))
 
 
 def pulse_unitary(phase, flip_error=0.0):
@@ -154,28 +128,22 @@ def pulse_unitary(phase, flip_error=0.0):
     return u
 
 
-def _whole_steps(t, dt, what):
-    """t seconds as a whole number of steps of dt, else ValueError."""
-    k = noise.fit_grid(t, dt)[0]
-    if not math.isclose(k * dt, t, rel_tol=1e-9):
-        raise ValueError("%s t = %.12g s is off the time grid of dt = %.12g s"
-                         % (what, t, dt))
-    return k
-
-
-def expand_schedule(schedule, dt):
+def expand_schedule(schedule, steps_per_tau):
     """(step, unitary) pairs of every pulse of every cycle, on a grid of
-    dt seconds.
+    ``steps_per_tau`` steps per pulse spacing.
 
-    The cycle and each pulse's offset in it must be a whole number of
-    steps, fit_grid's count to a relative 1e-9 (else ValueError). Cycle
-    c's pulses land c cycles of steps later, so no rounding builds up.
-    One cycle's unitaries are built once and shared by every cycle.
+    steps_per_tau must be a positive even integer (else ValueError), so
+    that pulse k of cycle c lands exactly on step c N M + (2k + 1) M / 2,
+    for N pulses per cycle and M = steps_per_tau. One cycle's unitaries
+    are built once and shared by every cycle.
     """
-    per_cycle = _whole_steps(cycle_duration(schedule), dt, "cycle ending at")
-    cycle = [(_whole_steps(t, dt, "pulse at"),
-              pulse_unitary(phase, schedule.flip_error))
-             for t, phase in _pulse_offsets(schedule)]
+    m = steps_per_tau
+    if not isinstance(m, (int, np.integer)) or m < 1 or m % 2:
+        raise ValueError("steps_per_tau must be a positive even integer, "
+                         "got %r" % (m,))
+    per_cycle = len(schedule.pulses) * m
+    cycle = [((2 * k + 1) * m // 2, pulse_unitary(phase, schedule.flip_error))
+             for k, phase in enumerate(schedule.pulses)]
     return [(c * per_cycle + k, u)
             for c in range(schedule.cycles) for k, u in cycle]
 
@@ -183,13 +151,14 @@ def expand_schedule(schedule, dt):
 def schedule_table(schedule):
     """Text table of one cycle: event index, time offset, phase, angle.
 
-    One row per pulse; trailing pulse-free delays contribute only to
-    the offsets. The angle column is the nominal pi of every pulse, not
-    pi (1 + flip_error). Stable format for golden-file comparisons.
+    One row per pulse, at its offset (2k + 1) tau / 2. The angle column
+    is the nominal pi of every pulse, not pi (1 + flip_error). Stable
+    format for golden-file comparisons.
     """
     lines = ["event,time_offset_s,phase_rad,angle_rad"]
-    lines += ["%d,%.12g,%.12g,%.12g" % (k, t, phase, math.pi)
-              for k, (t, phase) in enumerate(_pulse_offsets(schedule))]
+    lines += ["%d,%.12g,%.12g,%.12g"
+              % (k, (2 * k + 1) * schedule.tau / 2.0, phase, math.pi)
+              for k, phase in enumerate(schedule.pulses)]
     return "\n".join(lines) + "\n"
 
 
@@ -198,10 +167,11 @@ def run_protected(rho0, noise_model, schedule):
 
     Free evolution follows the noise model's bath mode; pulses are
     applied as instantaneous collective unitaries at the schedule's
-    flip error. The grid step is noise.grid_step of the model at the
-    schedule's shortest pulse spacing, shrunk so that a whole number of
-    steps fills one cycle (noise.fit_grid); every pulse must then fall
-    on a step (expand_schedule). Both arms run on that one grid,
+    flip error. The grid has 50 steps per tau, or, when the model
+    dephases, 50 times the fewest whole steps per tau/50 no longer than
+    noise.grid_step's bound (noise.fit_grid): always an even count, so
+    every pulse falls on a step (expand_schedule). The step is the
+    cycle's duration over its steps. Both arms run on that one grid,
     through one noise.propagate_arms pass, and are sampled at the start
     and after each cycle, cycles + 1 samples. In the correlated mode
     they see the same OU tracks, each drawn once for both arms, and
@@ -212,10 +182,15 @@ def run_protected(rho0, noise_model, schedule):
     (measures.DecayCurve, measures.DecayCurve)
         The protected arm and the free arm.
     """
-    dt = noise.grid_step(noise_model, min_interpulse_delay(schedule))
-    steps_per_cycle, dt = noise.fit_grid(cycle_duration(schedule), dt)
+    steps_per_tau = 50
+    if max(noise_model.kappa_z):
+        steps_per_tau *= noise.fit_grid(schedule.tau / 50.0,
+                                        noise.grid_step(noise_model))[0]
+    steps_per_cycle = len(schedule.pulses) * steps_per_tau
+    dt = cycle_duration(schedule) / steps_per_cycle
     n = schedule.cycles * steps_per_cycle
     noise.check_grid(n, dt)  # before the pulse list, which grows with n
     samples = range(0, n + 1, steps_per_cycle)
     return tuple(noise.propagate_arms(
-        rho0, noise_model, n, dt, [expand_schedule(schedule, dt), ()], samples))
+        rho0, noise_model, n, dt, [expand_schedule(schedule, steps_per_tau), ()],
+        samples))

@@ -186,23 +186,18 @@ def fit_grid(span, max_dt):
     return n, span / n
 
 
-def grid_step(noise, min_delay=None):
-    """Default longest step of the time grid, in seconds.
-
-    T2/2000 without pulses, with T2 = 1/max(kappa_z) the model's
-    shortest dephasing time. When pulses are min_delay apart it is
-    min_delay/50 cut into the fewest whole parts no longer than that
-    bound (fit_grid), so the pulses stay on the grid; a model with no
-    kappa_z takes min_delay/50 as it is, and without pulses has no
-    default grid (ValueError). In correlated mode this is also the step
-    of the OU tracks, so changing it changes every random draw.
+def grid_step(noise):
+    """Default longest step of the time grid, in seconds: T2/2000, with
+    T2 = 1/max(kappa_z) the model's shortest dephasing time. A model
+    with no kappa_z has no default grid (ValueError). In correlated mode
+    the grid step is also the step of the OU tracks, so changing it
+    changes every random draw.
     """
     kappa_z = max(noise.kappa_z)
-    if not kappa_z and min_delay is None:
+    if not kappa_z:
         raise ValueError("a noise model without kappa_z has no default time "
                          "grid: pass dt")
-    dt = 1.0 / kappa_z / 2000.0 if kappa_z else min_delay / 50.0
-    return dt if min_delay is None else fit_grid(min_delay / 50.0, dt)[1]
+    return 1.0 / kappa_z / 2000.0
 
 
 def _apply_unitary(states, u):
@@ -351,17 +346,17 @@ def _commutes_with_flips(u):
     return True
 
 
-def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
+def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     """Ensemble-mean evolution of pulse trains under one bath.
 
     The grid has n_steps steps of dt seconds. Each train is a sequence
     of (step, unitary) pulses, applied in train order; every arm starts
-    from rho0 and is sampled at ``sample_steps`` (default: every step),
-    all integer steps in [0, n_steps] (else ValueError). Pulses at a
-    step act before its sample. Trajectory j draws its OU track from a
-    stream seeded by (noise.seed, j), so the mean does not depend on
-    execution order; every sampled mean is validated as physical (else
-    PhysicalityError naming the time).
+    from rho0 and is sampled at ``sample_steps``, all integer steps in
+    [0, n_steps] (else ValueError). Pulses at a step act before its
+    sample. Trajectory j draws its OU track from a stream seeded by
+    (noise.seed, j), so the mean does not depend on execution order;
+    every sampled mean is validated as physical (else PhysicalityError
+    naming the time).
 
     Without the OU bath an arm is cut at its pulse steps into stretches,
     and every sample of a stretch is the closed form of the stretch's
@@ -392,8 +387,7 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps=None):
     """
     rho0 = check_density(rho0)
     check_grid(n_steps, dt)
-    marks = sorted(set(_check_steps(
-        range(n_steps + 1) if sample_steps is None else sample_steps, n_steps)))
+    marks = sorted(set(_check_steps(sample_steps, n_steps)))
     # each train's unitaries by step, in train order
     pulse_steps = [{} for _ in trains]
     for train, by_step in zip(trains, pulse_steps):

@@ -90,6 +90,14 @@ def test_missing_config_file():
         load_config("/no/such/file.cfg", environ={})
 
 
+@pytest.mark.parametrize("seed", ["abc", "18446744073709551616"])
+def test_seed_flag_errors_name_the_flag(tmp_path, capsys, seed):
+    # as an error in TRIQ_SEED names the variable
+    rc, _ = run(tmp_path, DECAY_CFG, seed=seed)
+    assert rc == 2
+    assert "config error: --seed: seed: " in capsys.readouterr().err
+
+
 # -- decay ------------------------------------------------------------------
 
 DECAY_CFG = "state = ghz\ngrid.t_final_s = 0.02\ngrid.step_s = 0.01\n"
@@ -203,8 +211,8 @@ def test_protect_config_errors(tmp_path):
 
 
 def test_protect_rejects_a_grid_past_the_step_cap(tmp_path, monkeypatch, capsys):
-    # three cycles of 800 steps each pass fit_grid under the lowered cap,
-    # but the 2,400-step run is a config error
+    # a cycle of 800 steps is under the lowered cap, but the 2,400-step
+    # run of three cycles is a config error
     monkeypatch.setattr(triq.noise, "MAX_STEPS", 1000)
     cfg = PROTECT_CFG.replace("dd.tau_s = 0.001\n", "dd.tau_s = 0.00025\ndd.cycles = 3\n")
     rc, out = run(tmp_path, cfg, command="protect")

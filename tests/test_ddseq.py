@@ -13,7 +13,6 @@ from triq import (
     cycle_duration,
     evolve,
     expand_schedule,
-    min_interpulse_delay,
     prepare_ghz,
     prepare_w,
     prepare_wwbar,
@@ -33,9 +32,9 @@ QUIET = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0))
 
 def test_pulse_validation():
     # a pulse is its phase, and phase 0.0 is an x pulse, not a gap
-    sch = DDSchedule(events=((1e-3, 0.0), (1e-3, None), (1e-3, math.pi)))
-    assert sch.pulses == [0.0, math.pi] and sch.flip_error == 0.0
-    assert len(expand_schedule(sch, 1e-3)) == 2
+    sch = DDSchedule((0.0, math.pi), 1e-3)
+    assert sch.pulses == (0.0, math.pi) and sch.flip_error == 0.0
+    assert len(expand_schedule(sch, 2)) == 2
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -44,11 +43,11 @@ def test_pulse_rejects_non_finite_fields(field, value):
     # a NaN flip error used to run a whole propagation and fail as a
     # numerical error; an infinite one failed with "math domain error"
     if field == "phase":
-        kwargs = {"events": ((1e-3, 0.0), (1e-3, value))}
+        kwargs = {"pulses": (0.0, value)}
     else:
-        kwargs = {"events": ((1e-3, 0.0),), "flip_error": value}
+        kwargs = {"pulses": (0.0,), "flip_error": value}
     with pytest.raises(ValueError, match=field + " must be finite"):
-        DDSchedule(**kwargs)
+        DDSchedule(tau=1e-3, **kwargs)
     # the builders pass the flip error on to the schedule
     if field == "flip_error":
         with pytest.raises(ValueError, match="flip_error must be finite"):
@@ -56,49 +55,44 @@ def test_pulse_rejects_non_finite_fields(field, value):
 
 
 def test_schedule_validation():
-    ev = ((1e-3, 0.0),)
     # a float count, even a whole one, would fail in range() mid-run
     for cycles in (0, 2.5, 2.0):
         with pytest.raises(ValueError, match="cycles"):
-            DDSchedule(events=ev, cycles=cycles)
-    with pytest.raises(ValueError, match="at least one event"):
-        DDSchedule(events=())
+            DDSchedule((0.0,), 1e-3, cycles=cycles)
+    with pytest.raises(ValueError, match="at least one pulse"):
+        DDSchedule((), 1e-3)
     with pytest.raises(ValueError, match="positive"):
-        DDSchedule(events=((0.0, 0.0),))
+        DDSchedule((0.0,), 0.0)
 
 
 def test_xy16s_structure():
     sch = build_xy16s(TAU)
     assert len(sch.pulses) == 16
     assert cycle_duration(sch) == pytest.approx(16 * TAU, rel=1e-15)
-    delays = [d for d, _ in sch.events]
-    assert delays[0] == delays[-1] == TAU / 2.0
-    assert all(d == TAU for d in delays[1:-1])
-    assert sch.events[-1][1] is None
+    assert sch.tau == TAU
     x, y = 0.0, math.pi / 2.0
-    phases = sch.pulses
+    phases = list(sch.pulses)
     assert phases[:8] == [x, y, x, y, y, x, y, x]
     # second half swaps the axes of the first
     assert phases[8:] == [y, x, y, x, x, y, x, y]
-    assert min_interpulse_delay(sch) == pytest.approx(TAU, rel=1e-15)
 
 
 def test_kddxy_structure():
     sch = build_kddxy(TAU)
     assert len(sch.pulses) == 20
     assert cycle_duration(sch) == pytest.approx(20 * TAU, rel=1e-15)
-    phases = sch.pulses
+    assert sch.tau == TAU
+    phases = list(sch.pulses)
     block = [math.pi / 6.0, 0.0, math.pi / 2.0, 0.0, math.pi / 6.0]
     shifted = [p + math.pi / 2.0 for p in block]
     assert phases == block + shifted + block + shifted
-    assert min_interpulse_delay(sch) == pytest.approx(TAU, rel=1e-15)
 
 
 def test_cpmg_structure():
     sch = build_cpmg(TAU)
     assert len(sch.pulses) == 16
-    assert sch.pulses == [math.pi / 2.0] * 16
-    assert [d for d, _ in sch.events] == [d for d, _ in build_xy16s(TAU).events]
+    assert sch.pulses == (math.pi / 2.0,) * 16
+    assert cycle_duration(sch) == cycle_duration(build_xy16s(TAU))
 
 
 def test_builders_reject_bad_tau():
@@ -109,7 +103,7 @@ def test_builders_reject_bad_tau():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("build, field", [
-    (lambda delay: DDSchedule(events=((delay, 0.0),)), "delays"),
+    (lambda tau: DDSchedule((0.0,), tau), "tau"),
     (build_xy16s, "tau"),
     (build_kddxy, "tau_k"),
     (build_cpmg, "tau"),
@@ -136,12 +130,23 @@ def test_pulse_unitary_flip_error():
 
 
 def test_expand_schedule_absolute_times():
-    # on steps of TAU / 2 the pulses fall on every odd step of both
+    # on two steps per tau the pulses fall on every odd step of both
     # 32-step cycles, as Python ints
     sch = build_xy16s(TAU, cycles=2)
-    events = expand_schedule(sch, TAU / 2.0)
+    events = expand_schedule(sch, 2)
     assert [k for k, _ in events] == list(range(1, 64, 2))
     assert all(type(k) is int for k, _ in events)
+    # on 50 steps per tau, pulse k of cycle c at c 800 + 25 (2k + 1)
+    steps = [k for k, _ in expand_schedule(sch, 50)]
+    assert steps[:2] == [25, 75] and steps[15:17] == [775, 825]
+
+
+@pytest.mark.parametrize("steps_per_tau", [0, 3, 2.5, 2.0])
+def test_expand_schedule_rejects_a_step_count_off_the_pulses(steps_per_tau):
+    # an odd count would put every pulse half a step off the grid; a
+    # float, even a whole one, is no step count
+    with pytest.raises(ValueError, match="positive even integer"):
+        expand_schedule(build_xy16s(TAU), steps_per_tau)
 
 
 def test_expand_schedule_builds_one_cycle_of_unitaries(monkeypatch):
@@ -153,20 +158,12 @@ def test_expand_schedule_builds_one_cycle_of_unitaries(monkeypatch):
         return real(phase, flip_error)
 
     monkeypatch.setattr(ddseq, "pulse_unitary", counting)
-    events = expand_schedule(build_xy16s(TAU, cycles=10), TAU / 2.0)
+    events = expand_schedule(build_xy16s(TAU, cycles=10), 2)
     assert len(events) == 160
     assert len(calls) == 16
     # every cycle applies the same unitaries in the same order
     for c in range(1, 10):
         assert all(a is b for (_, a), (_, b) in zip(events[:16], events[16 * c:16 * (c + 1)]))
-
-
-def test_min_interpulse_delay_wraps_across_cycles():
-    sch = DDSchedule(events=((0.1, 0.0), (1.0, 0.0), (0.05, None)))
-    # gaps: 1.0 inside the cycle, 0.15 wrapping into the next cycle
-    assert min_interpulse_delay(sch) == pytest.approx(0.15, rel=1e-12)
-    bare = DDSchedule(events=((0.4, None),))
-    assert min_interpulse_delay(bare) == pytest.approx(0.4)
 
 
 def test_schedule_table_frozen_rows():
@@ -261,7 +258,7 @@ def test_both_arms_see_the_same_tracks(prepare):
                     bath_mode="correlated", ou_sigma=13.7117919922,
                     ou_tau_c=0.01, trajectories=16, seed=2026)
     schedule = replace(build_xy16s(TAU, cycles=10), flip_error=1.0)
-    assert np.allclose(expand_schedule(schedule, TAU / 2.0)[0][1], -np.eye(8))
+    assert np.allclose(expand_schedule(schedule, 2)[0][1], -np.eye(8))
     rho0 = prepare()
     prot, free = run_protected(rho0, nm, schedule)
     assert np.array_equal(prot.times, free.times)

@@ -6,7 +6,6 @@ import pytest
 from triq import (
     T1_S,
     T2_S,
-    DDSchedule,
     NoiseModel,
     PhysicalityError,
     build_cpmg,
@@ -14,17 +13,16 @@ from triq import (
     build_xy16s,
     disentanglement_time,
     evolve,
-    expand_schedule,
     ghz_analytic,
     grid_step,
     kron,
-    min_interpulse_delay,
     ou_unit_phases,
     prepare_ghz,
     propagate_arms,
     run_protected,
     tripartite_negativity,
 )
+import triq.noise
 from triq.core import ID2, SX, SZ, embed1
 from triq.noise import _ou_paths
 from conftest import T1, T2, random_density
@@ -275,7 +273,7 @@ def test_propagate_labels_unphysical_sample_with_time(rates):
     # the sample by its time
     with pytest.raises(PhysicalityError, match=r"^at t = 0.004 s: trace"):
         propagate_arms(prepare_ghz(), rates, 10, 1e-3,
-                       [[(4, 1.5 * np.eye(8, dtype=complex))]])
+                       [[(4, 1.5 * np.eye(8, dtype=complex))]], range(11))
 
 
 # the two entry points that take sample steps, on a grid of n steps of dt
@@ -326,7 +324,7 @@ def test_pulse_outside_the_run_is_rejected(step, message):
     with pytest.raises(ValueError, match=message):
         propagate_arms(prepare_ghz(), OU_NOISE, 10, 1e-3,
                        [[(0, np.eye(8, dtype=complex)),
-                         (step, np.eye(8, dtype=complex))]])
+                         (step, np.eye(8, dtype=complex))]], [0, 10])
 
 
 def test_unit_phases_require_the_correlated_bath(rates):
@@ -416,68 +414,60 @@ def test_evolve_correlated_protection_direction():
         unprot.states[-1])
 
 
-def test_off_grid_pulse_is_rejected():
-    # a pulse 0.3 ms in on a 0.25 ms grid used to be moved silently to
-    # the nearest step
-    schedule = DDSchedule(events=((0.3e-3, 0.0), (0.7e-3, None)), cycles=2)
-    with pytest.raises(ValueError,
-                       match=r"^pulse at t = 0.0003 s .*dt = 0.00025 s$"):
-        expand_schedule(schedule, 0.25e-3)
-    # a cycle of 1 ms is no whole number of 0.3 ms steps
-    with pytest.raises(ValueError, match=r"^cycle ending at t = 0.001 s "):
-        expand_schedule(schedule, 0.3e-3)
-    for dt in (0.0, -0.25e-3):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            expand_schedule(schedule, dt)
-    # on the grid each cycle's pulse lands a cycle's four steps later
-    on_grid = DDSchedule(events=((0.25e-3, 0.0), (0.75e-3, None)), cycles=2)
-    assert [k for k, _ in expand_schedule(on_grid, 0.25e-3)] == [1, 5]
-
-
-def test_run_protected_rejects_an_off_grid_pulse_on_its_default_grid(rates):
-    # pulses 0.1, 0.3 and 0.5137 ms into a 1 ms cycle: the shortest
-    # spacing, 0.2 ms, sets a 4 us grid, and the third pulse falls
-    # 128.4 steps in
-    schedule = DDSchedule(events=((0.1e-3, 0.0), (0.2e-3, 0.0),
-                                  (0.2137e-3, 0.0), (0.4863e-3, None)))
-    with pytest.raises(ValueError,
-                       match=r"^pulse at t = 0.0005137 s .*dt = 4e-06 s$"):
-        run_protected(prepare_ghz(), rates, schedule)
-
-
 @pytest.fixture(scope="module")
 def ghz_markovian_curve():
     return evolve(prepare_ghz(), NoiseModel.from_times(), 0.7,
                   dt=5e-4, sample_every=10)
 
 
+def _protected_grid(noise, schedule):
+    """The step and the pulse train run_protected hands the engine,
+    without the run."""
+    grids = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triq.noise, "propagate_arms",
+                   lambda rho0, nm, n, dt, trains, samples:
+                   grids.append((dt, trains[0])) or [None, None])
+        run_protected(prepare_ghz(), noise, schedule)
+    return grids.pop()
+
+
+def _assert_pulses_on_time(schedule, dt, pulses):
+    # pulse j of cycle c at (2j + 1) tau/2 + c N tau, for N pulses a cycle
+    per_cycle = len(schedule.pulses)
+    assert len(pulses) == schedule.cycles * per_cycle
+    for i, (k, _) in enumerate(pulses):
+        c, j = divmod(i, per_cycle)
+        want = (2 * j + 1) * schedule.tau / 2.0 + c * per_cycle * schedule.tau
+        assert math.isclose(k * dt, want, rel_tol=1e-9)
+
+
 @pytest.mark.parametrize("build", [build_xy16s, build_kddxy, build_cpmg])
-@pytest.mark.parametrize("tau", [0.25e-3, 13e-3, 0.02, 0.1])
+@pytest.mark.parametrize("tau", [0.2e-3, 0.25e-3, 13e-3, 0.02, 0.1])
 def test_grid_step_keeps_pulses_on_the_grid(build, tau):
     # above tau = 13 ms the T2 bound is the smaller one; the step then
-    # divides the pulse spacing instead of taking the bound as it is
+    # divides tau/50 into whole steps instead of taking the bound as it is
+    schedule = build(tau, cycles=3)
     for t2_s in (T2, (0.05, 0.05, 0.05)):
-        schedule = build(tau)
-        min_delay = min_interpulse_delay(schedule)
-        dt = grid_step(NoiseModel.from_times(T1, t2_s), min_delay)
-        assert dt <= min(t2_s) / 2000.0 or dt == min_delay / 50.0
-        assert dt > 0.5 * min(min(t2_s) / 2000.0, min_delay / 50.0)
-        # every pulse falls on a step, or this raises
-        assert len(expand_schedule(schedule, dt)) == len(schedule.pulses)
-    bundled = NoiseModel.from_times()
-    assert grid_step(bundled, 0.25e-3) == 0.25e-3 / 50.0
-    assert grid_step(bundled) == 0.52 / 2000.0
+        dt, pulses = _protected_grid(NoiseModel.from_times(T1, t2_s), schedule)
+        _assert_pulses_on_time(schedule, dt, pulses)
+        # fit_grid's guard lets a step pass its bound by 1e-9 of itself
+        assert (dt <= min(t2_s) / 2000.0 * (1.0 + 1e-9)
+                or math.isclose(dt, tau / 50.0, rel_tol=1e-12))
+        assert dt > 0.5 * min(min(t2_s) / 2000.0, tau / 50.0)
+    assert grid_step(NoiseModel.from_times()) == 0.52 / 2000.0
 
 
 @pytest.mark.parametrize("tau", [0.25e-3, 13e-3, 0.1])
 def test_grid_step_without_dephasing_rates(tau):
-    # with every kappa_z zero (OU-only or quiet models) the pulse spacing
-    # alone sets the grid; without pulses there is no default grid
-    schedule = build_xy16s(tau)
-    min_delay = min_interpulse_delay(schedule)
+    # with every kappa_z zero (OU-only or quiet models) tau alone sets a
+    # pulsed run's grid; without pulses there is no default grid
+    schedule = build_xy16s(tau, cycles=3)
     for bath in ({}, dict(bath_mode="correlated", ou_sigma=10.0, ou_tau_c=0.01)):
         nm = NoiseModel(kappa_x=(0.2, 0.2, 0.2), kappa_z=(0.0, 0.0, 0.0), **bath)
-        assert grid_step(nm, min_delay) == min_delay / 50.0
+        dt, pulses = _protected_grid(nm, schedule)
+        _assert_pulses_on_time(schedule, dt, pulses)
+        assert math.isclose(dt, tau / 50.0, rel_tol=1e-12)
         with pytest.raises(ValueError, match="pass dt"):
             grid_step(nm)
         with pytest.raises(ValueError, match="pass dt"):
@@ -493,8 +483,9 @@ def test_default_grid_follows_the_model_rates():
     curve = evolve(prepare_ghz(), nm, 1e-3)
     assert len(curve.times) == 41
     assert np.diff(curve.times).max() <= 25e-6 * (1.0 + 1e-12)
-    # a pulsed run cuts its spacing/50 to fit under the same bound
-    assert grid_step(nm, 0.02) == 0.02 / 50.0 / 16
+    # a pulsed run cuts its tau/50 to fit under the same bound
+    dt, _ = _protected_grid(nm, build_xy16s(0.02))
+    assert math.isclose(dt, 0.02 / 50.0 / 16, rel_tol=1e-12)
 
 
 def test_evolve_markovian_ghz_decay_curve(ghz_markovian_curve):

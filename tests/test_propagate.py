@@ -10,10 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import triq.noise
 from triq import (T1_S, NoiseModel, build_kddxy, build_xy16s,
-                  cycle_duration, expand_schedule, fit_grid, grid_step,
-                  min_interpulse_delay, ou_unit_phases, prepare_ghz,
-                  prepare_w, propagate_arms, pulse_unitary,
-                  run_protected)
+                  cycle_duration, expand_schedule, fit_grid,
+                  ou_unit_phases, prepare_ghz, prepare_w, propagate_arms,
+                  pulse_unitary, run_protected)
 from triq.core import ID2, SX, SZ, embed1, kron
 from triq.noise import (_FLIP, _MAX_SEGMENT_STEPS, _ZDIFF, _flips, _ou_paths,
                         _ou_track, _phase_factors, _segment_edges)
@@ -61,7 +60,8 @@ def _basis_state(a, b, kind):
 @given(runs())
 def test_engine_is_cptp(run):
     noise, n, dt, pulses, rho0 = run
-    for rho in propagate_arms(rho0, noise, n, dt, [pulses])[0].states:
+    for rho in propagate_arms(rho0, noise, n, dt, [pulses],
+                              range(n + 1))[0].states:
         assert abs(np.trace(rho) - 1.0) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho)[0] > -1e-12
@@ -192,7 +192,7 @@ def test_markovian_stretches_match_stepwise_closed_form(run):
     pulses = [(k, pulse_unitary(phase, angle / math.pi - 1.0))
               for k, angle, phase in pulse_args]
     steps = sorted(samples) if samples is not None else list(range(n + 1))
-    curve = propagate_arms(rho0, noise, n, dt, [pulses], samples)[0]
+    curve = propagate_arms(rho0, noise, n, dt, [pulses], steps)[0]
     want = _stepped_reference(rho0, noise, n, dt, pulses, steps)
     assert np.max(np.abs(curve.states - want)) < 1e-12
 
@@ -208,7 +208,7 @@ def test_noise_free_bath_matches_closed_form(run):
         kz = (0.0, 0.0, 0.0)  # the OU bath replaces the dephasing
     else:
         kz = noise.kappa_z
-    curve = propagate_arms(rho0, noise, n, dt, [()])[0]
+    curve = propagate_arms(rho0, noise, n, dt, [()], range(n + 1))[0]
     for t, rho in zip(curve.times, curve.states):
         assert np.max(np.abs(rho - _closed_form(rho0, noise.kappa_x, kz, t))) < 1e-12
 
@@ -299,7 +299,8 @@ def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
                        ou_tau_c=dt / 10.0 ** log_ratio,
                        trajectories=trajectories, seed=seed)
     plus = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
-    states = propagate_arms(np.outer(plus, plus), noise, n, dt, [()])[0].states
+    states = propagate_arms(np.outer(plus, plus), noise, n, dt, [()],
+                            range(n + 1))[0].states
     phases = sigma * ou_unit_phases(noise, n, dt, range(n + 1))
     for i, b in enumerate((4, 2, 1)):
         want = np.exp(-1j * phases[:, :, i]).mean(axis=0)
@@ -344,11 +345,9 @@ def test_fit_grid_takes_the_fewest_steps_no_longer_than_max_dt(span, max_dt):
 
 
 def test_fit_grid_pinned_cases():
-    # KDD at tau = 0.2 ms: the summed delays leave cyc / dt a few ulps
-    # above 1000, which a plain ceil would make 1001 steps
-    kdd = build_kddxy(2e-4)
-    cyc = cycle_duration(kdd)
-    dt = grid_step(NoiseModel.from_times(), min_interpulse_delay(kdd))
+    # KDD at tau = 0.2 ms: the summed delays leave the cycle a few ulps
+    # above 1000 steps of tau/50, which a plain ceil would make 1001
+    cyc, dt = cycle_duration(build_kddxy(2e-4)), 2e-4 / 50.0
     assert cyc / dt > 1000.0
     assert fit_grid(cyc, dt)[0] == 1000
     assert fit_grid(0.0, 1e-3)[0] == 0
@@ -383,11 +382,9 @@ def test_fit_grid_caps_the_step_count(rates, monkeypatch):
         fit_grid(1.0, 0.999e-3)
     with pytest.raises(ValueError, match="more than the 1000"):
         triq.noise.evolve(prepare_ghz(), rates, 2.0, dt=1e-3)
-    # one XY-16(s) cycle at tau = 0.25 ms is 800 steps, and fit_grid
-    # passes it; a protected run of three cycles is 2,400 steps
+    # one XY-16(s) cycle at tau = 0.25 ms is 16 x 50 = 800 steps, under
+    # the cap; a protected run of three cycles is 2,400 steps
     schedule = build_xy16s(0.25e-3, cycles=3)
-    assert fit_grid(cycle_duration(schedule),
-                    grid_step(rates, min_interpulse_delay(schedule)))[0] == 800
     # the grid is rejected before the pulse list is built
     expanded = []
     monkeypatch.setattr(triq.ddseq, "expand_schedule",
@@ -411,11 +408,17 @@ ARM_SCHEDULES = {
 }
 
 
+# steps per tau of ARM_SCHEDULES' grid: 5 us steps
+PER_TAU = 200
+
+
 def _arm_grid(schedule):
-    """Grid of 5 us steps, sampled after each cycle and once inside a gap."""
-    per_cycle, dt = fit_grid(cycle_duration(schedule), 5e-6)
+    """Grid of PER_TAU steps per tau, sampled after each cycle and once
+    inside a gap."""
+    per_cycle = PER_TAU * len(schedule.pulses)
     n = schedule.cycles * per_cycle
-    return n, dt, sorted({*range(0, n + 1, per_cycle), 130})
+    return (n, cycle_duration(schedule) / per_cycle,
+            sorted({*range(0, n + 1, per_cycle), 130}))
 
 
 def _strang_reference(rho0, noise, n, dt, pulses, samples):
@@ -459,7 +462,7 @@ def test_merged_half_flips_match_the_strang_split(name):
     schedule = ARM_SCHEDULES[name]
     n, dt, samples = _arm_grid(schedule)
     rho0 = prepare_w()
-    trains = [expand_schedule(schedule, dt), ()]
+    trains = [expand_schedule(schedule, PER_TAU), ()]
     curves = propagate_arms(rho0, FLIPPY, n, dt, trains, samples)
     for train, curve in zip(trains, curves):
         want = _strang_reference(rho0, FLIPPY, n, dt, train, samples)
@@ -475,7 +478,7 @@ def test_propagate_arms_equal_lone_propagate(name):
     schedule = ARM_SCHEDULES[name]
     n, dt, samples = _arm_grid(schedule)
     noise = replace(FLIPPY, trajectories=34)  # a full chunk and a part
-    pulses = expand_schedule(schedule, dt)
+    pulses = expand_schedule(schedule, PER_TAU)
     prot, free = propagate_arms(prepare_ghz(), noise, n, dt, [pulses, ()],
                                 samples)
     lone = propagate_arms(prepare_ghz(), noise, n, dt, [pulses], samples)[0]
@@ -538,7 +541,7 @@ def test_batch_width_does_not_change_results(schedule, monkeypatch):
     # every sampled mean adds the same 32-trajectory partial sums
     n, dt, samples = _arm_grid(schedule)
     noise = replace(FLIPPY, trajectories=70)
-    trains = [expand_schedule(schedule, dt), ()]
+    trains = [expand_schedule(schedule, PER_TAU), ()]
     wide = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
     monkeypatch.setattr(triq.noise, "_BATCH", 32)
     narrow = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)

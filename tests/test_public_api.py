@@ -62,14 +62,20 @@ def test_import_hygiene():
 def test_benchmark_tracer_binds_every_public_function():
     # perfbench/tracer.py wraps each name in a module's __all__ and raises
     # TraceError if a reference escapes it; run it as the benchmark does
+    # it. A traced protected run must still reach expand_schedule, whose
+    # result the benchmark counts as its pulses
     root = pathlib.Path(__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, 'perfbench'); import tracer, triq.cli; "
-            "tracer.Tracer().install(); "
+            "t = tracer.Tracer(); t.install(); "
             "print(hasattr(triq.cli.write_curve_csv, '__wrapped__'), "
-            "hasattr(triq.cli.render_svg, '__wrapped__'))")
+            "hasattr(triq.cli.render_svg, '__wrapped__')); "
+            "t.active = True; "
+            "triq.run_protected(triq.prepare_ghz(), triq.NoiseModel.from_times(), "
+            "triq.build_xy16s(0.25e-3)); "
+            "st = t.stats['ddseq.expand_schedule']; print(st.calls, st.work)")
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(root / "src")))
     assert proc.returncode == 0, proc.stderr
     assert "TraceError" not in proc.stderr
-    assert proc.stdout.split() == ["True", "True"]
+    assert proc.stdout.split() == ["True", "True", "1", "16.0"]
