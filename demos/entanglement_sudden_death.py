@@ -49,8 +49,7 @@ def main():
     for name, prepare, oracle in STATES:
         curve = evolve(prepare(), noise, T_FINAL, dt=DT, sample_every=SAMPLE_EVERY)
         gamma, _rms = fit_decay_rate(curve)
-        dev = max(np.max(np.abs(rho - oracle(t, noise)))
-                  for t, rho in zip(curve.times, curve.states))
+        dev = np.max(np.abs(curve.states - oracle(curve.times, noise)))
         print("%-6s   %9.6f   %6.4f s     %5.3f /s     %.1e"
               % (name, curve.n3_tri[0], deaths[name], gamma, dev))
     print()

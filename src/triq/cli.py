@@ -268,6 +268,9 @@ def write_curve_csv(path, curve, protection=None):
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 _PLOT = (64.0, 18.0, 700.0, 398.0)  # x0, y0, x1, y1 of the data box
+# every plot is a curve's tripartite negativity against time
+_XLABEL = "time / s"
+_YLABEL = "tripartite negativity"
 
 
 def _ticks(lo, hi):
@@ -289,8 +292,9 @@ def _ticks(lo, hi):
     return out
 
 
-def render_svg(path, title, xlabel, ylabel, series):
-    """Plot each (label, xs, ys) of series, xs and ys float arrays, as SVG."""
+def render_svg(path, title, series):
+    """Plot each (label, xs, ys) of series, xs and ys float arrays, as SVG,
+    with time on the x axis and tripartite negativity on the y axis."""
     xs_all = np.concatenate([np.empty(0), *(xs for _, xs, _ in series)])
     ys_all = np.concatenate([np.empty(0), *(ys for _, _, ys in series)])
     x_lo, x_hi = (xs_all.min(), xs_all.max()) if xs_all.size else (0.0, 1.0)
@@ -328,10 +332,10 @@ def render_svg(path, title, xlabel, ylabel, series):
     parts.append('<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" '
                  'fill="none" stroke="#333333"/>' % (px0, py0, px1 - px0, py1 - py0))
     parts.append('<text x="%.6g" y="434" text-anchor="middle">%s</text>'
-                 % ((px0 + px1) / 2.0, xlabel))
+                 % ((px0 + px1) / 2.0, _XLABEL))
     parts.append('<text x="14" y="%.6g" text-anchor="middle" '
                  'transform="rotate(-90 14 %.6g)">%s</text>'
-                 % ((py0 + py1) / 2.0, (py0 + py1) / 2.0, ylabel))
+                 % ((py0 + py1) / 2.0, (py0 + py1) / 2.0, _YLABEL))
     for i, (label, xs, ys) in enumerate(series):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         if len(xs):
@@ -379,8 +383,7 @@ def cmd_decay(cfg):
         empty = DecayCurve(*[np.empty(0)] * 7)
         write_curve_csv(csv_path, empty)
         write_curve_csv(ref_path, empty)
-        render_svg(svg_path, "decay: %s" % cfg["state"], "time / s",
-                   "tripartite negativity", [])
+        render_svg(svg_path, "decay: %s" % cfg["state"], [])
         _emit(csv_path, ref_path, svg_path)
         return 0
     # the damping acts in closed form, so one step per sample is exact
@@ -389,8 +392,7 @@ def cmd_decay(cfg):
     oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
     write_curve_csv(csv_path, curve)
     write_curve_csv(ref_path, oracle)
-    render_svg(svg_path, "decay: %s" % cfg["state"], "time / s",
-               "tripartite negativity",
+    render_svg(svg_path, "decay: %s" % cfg["state"],
                [("numeric", curve.times, curve.n3_tri),
                 ("closed form", curve.times, oracle.n3_tri)])
     _emit(csv_path, ref_path, svg_path)
@@ -417,7 +419,6 @@ def cmd_protect(cfg):
     write_curve_csv(prot_path, protected, protection=ratio)
     write_curve_csv(unprot_path, unprotected)
     render_svg(svg_path, "%s under %s" % (cfg["state"], cfg["dd.sequence"]),
-               "time / s", "tripartite negativity",
                [("protected", protected.times, protected.n3_tri),
                 ("unprotected", unprotected.times, unprotected.n3_tri)])
     _emit(prot_path, unprot_path, svg_path)

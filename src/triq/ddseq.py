@@ -22,9 +22,9 @@ the same systematic flip error.
 A schedule states its own cycle count, and run_protected, the one way
 to run it, runs exactly that many cycles: it returns the protected arm
 and the free arm, propagated on one shared time grid of a whole, even
-number of steps per tau. expand_schedule is the one place a pulse
-becomes a step of that grid, by integer arithmetic, so no pulse can
-fall between steps.
+number M of steps per tau, each tau / M long. expand_schedule is the
+one place a pulse becomes a step of that grid, by integer arithmetic,
+so no pulse can fall between steps.
 """
 
 import math
@@ -109,14 +109,9 @@ def build_cpmg(tau, cycles=1, flip_error=0.0):
 
 
 def cycle_duration(schedule):
-    """Duration of one cycle in seconds (pulses take zero time).
-
-    Summed left to right from its gaps, tau/2, N - 1 of tau, tau/2,
-    which N tau may miss in the last bit; run_protected's step is this
-    sum over the cycle's steps.
-    """
-    tau = schedule.tau
-    return float(sum([tau / 2.0, *[tau] * (len(schedule.pulses) - 1), tau / 2.0]))
+    """Duration of one cycle in seconds, N tau for N pulses (pulses take
+    zero time)."""
+    return len(schedule.pulses) * schedule.tau
 
 
 def pulse_unitary(phase, flip_error=0.0):
@@ -129,13 +124,14 @@ def pulse_unitary(phase, flip_error=0.0):
 
 
 def expand_schedule(schedule, steps_per_tau):
-    """(step, unitary) pairs of every pulse of every cycle, on a grid of
+    """The pulse train of every cycle, {step: unitary}, on a grid of
     ``steps_per_tau`` steps per pulse spacing.
 
     steps_per_tau must be a positive even integer (else ValueError), so
     that pulse k of cycle c lands exactly on step c N M + (2k + 1) M / 2,
-    for N pulses per cycle and M = steps_per_tau. One cycle's unitaries
-    are built once and shared by every cycle.
+    for N pulses per cycle and M = steps_per_tau; one pulse per step, so
+    the train's length is the pulse count. One cycle's unitaries are
+    built once and shared by every cycle.
     """
     m = steps_per_tau
     if not isinstance(m, (int, np.integer)) or m < 1 or m % 2:
@@ -144,8 +140,8 @@ def expand_schedule(schedule, steps_per_tau):
     per_cycle = len(schedule.pulses) * m
     cycle = [((2 * k + 1) * m // 2, pulse_unitary(phase, schedule.flip_error))
              for k, phase in enumerate(schedule.pulses)]
-    return [(c * per_cycle + k, u)
-            for c in range(schedule.cycles) for k, u in cycle]
+    return {c * per_cycle + k: u
+            for c in range(schedule.cycles) for k, u in cycle}
 
 
 def schedule_table(schedule):
@@ -167,13 +163,13 @@ def run_protected(rho0, noise_model, schedule):
 
     Free evolution follows the noise model's bath mode; pulses are
     applied as instantaneous collective unitaries at the schedule's
-    flip error. The grid has 50 steps per tau, or, when the model
+    flip error. The grid has M = 50 steps per tau, or, when the model
     dephases, 50 times the fewest whole steps per tau/50 no longer than
     noise.grid_step's bound (noise.fit_grid): always an even count, so
-    every pulse falls on a step (expand_schedule). The step is the
-    cycle's duration over its steps. Both arms run on that one grid,
-    through one noise.propagate_arms pass, and are sampled at the start
-    and after each cycle, cycles + 1 samples. In the correlated mode
+    every pulse falls on a step (expand_schedule). The step is tau / M.
+    Both arms, the pulse train and {}, run on that one grid through one
+    noise.propagate_arms pass, and are sampled at the start and after
+    each cycle, cycles + 1 samples. In the correlated mode
     they see the same OU tracks, each drawn once for both arms, and
     each arm equals a one-train pass of its pulses.
 
@@ -186,11 +182,11 @@ def run_protected(rho0, noise_model, schedule):
     if max(noise_model.kappa_z):
         steps_per_tau *= noise.fit_grid(schedule.tau / 50.0,
                                         noise.grid_step(noise_model))[0]
+    dt = schedule.tau / steps_per_tau
     steps_per_cycle = len(schedule.pulses) * steps_per_tau
-    dt = cycle_duration(schedule) / steps_per_cycle
     n = schedule.cycles * steps_per_cycle
-    noise.check_grid(n, dt)  # before the pulse list, which grows with n
+    noise.check_grid(n, dt)  # before the pulse train, which grows with n
     samples = range(0, n + 1, steps_per_cycle)
     return tuple(noise.propagate_arms(
-        rho0, noise_model, n, dt, [expand_schedule(schedule, steps_per_tau), ()],
+        rho0, noise_model, n, dt, [expand_schedule(schedule, steps_per_tau), {}],
         samples))

@@ -13,8 +13,9 @@ No system Hamiltonian acts: as in the paper's fits, the register evolves
 under the damping and the bath alone. Every run goes through one
 propagator, ``propagate_arms``, that runs each of several pulse trains
 under the bath the NoiseModel names; ``evolve`` is its pulse-free front
-end. Pulses and samples reach it as integer grid steps, both checked by
-one rule. Both dissipators are Pauli channels, which commute and are
+end. A pulse train reaches it as a map from grid step to the one
+unitary applied there, and samples as grid steps, all checked by one
+rule. Both dissipators are Pauli channels, which commute and are
 applied in closed form. A Markovian run is therefore evaluated stretch
 by stretch: between pulse steps every sample is the closed form of the
 stretch's starting state, exact at any step length. The OU phase does
@@ -162,8 +163,10 @@ def fit_grid(span, max_dt):
     """Cut span into the fewest whole steps no longer than max_dt.
 
     Returns (n, span / n), or (0, max_dt) for a zero span. n is rounded
-    up with a relative 1e-9 guard, since a span summed from delays may
-    sit a few ulps above a whole number of steps. Every grid is cut so.
+    up with a relative 1e-9 guard, since a span meant as a whole number
+    of steps may sit a few ulps above it: calibrate's 2.5 T2 at
+    T2 = 0.53 s is 1.3250000000000002 s, 2650.0000000000005 steps of
+    0.5 ms. Every grid is cut so.
     A span or step out of range, or a step count past MAX_STEPS, raises
     ValueError.
     """
@@ -249,7 +252,7 @@ def evolve(rho0, noise, t_final, dt=None, sample_every=1):
     if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
         raise ValueError("sample_every must be a positive integer, got %r"
                          % (sample_every,))
-    return propagate_arms(rho0, noise, n, dt, [()],
+    return propagate_arms(rho0, noise, n, dt, [{}],
                           [*range(0, n + 1, sample_every), n])[0]
 
 
@@ -349,14 +352,15 @@ def _commutes_with_flips(u):
 def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     """Ensemble-mean evolution of pulse trains under one bath.
 
-    The grid has n_steps steps of dt seconds. Each train is a sequence
-    of (step, unitary) pulses, applied in train order; every arm starts
-    from rho0 and is sampled at ``sample_steps``, all integer steps in
-    [0, n_steps] (else ValueError). Pulses at a step act before its
-    sample. Trajectory j draws its OU track from a stream seeded by
-    (noise.seed, j), so the mean does not depend on execution order;
-    every sampled mean is validated as physical (else PhysicalityError
-    naming the time).
+    The grid has n_steps steps of dt seconds. Each train maps a grid
+    step to the one unitary applied there, and a pulse-free arm is {};
+    every arm starts from rho0 and is sampled at ``sample_steps``. Pulse
+    and sample steps are integers in [0, n_steps] (else ValueError, so a
+    list of (step, unitary) pairs is rejected too). A pulse acts before
+    its step's sample. Trajectory j draws its OU track from a stream
+    seeded by (noise.seed, j), so the mean does not depend on execution
+    order; every sampled mean is validated as physical (else
+    PhysicalityError naming the time).
 
     Without the OU bath an arm is cut at its pulse steps into stretches,
     and every sample of a stretch is the closed form of the stretch's
@@ -374,9 +378,10 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     F(Delta/2), the phase, F(Delta/2), with F the flips. Since
     F(a) F(b) = F(a + b), a segment's trailing half flip merges with
     the next segment's leading one when the edge between them holds no
-    sample, is not the last step, and every pulse on it commutes with
-    each qubit's flip channel (u X_i u^dagger = +-X_i to 1e-12, checked
-    once per distinct unitary). Ideal XY-16 and CPMG pulses merge;
+    sample and holds no pulse, or one that commutes with each qubit's
+    flip channel (u X_i u^dagger = +-X_i to 1e-12, checked once per
+    distinct unitary). A half flip carried past the last step would be
+    lost, but no sample follows it. Ideal XY-16 and CPMG pulses merge;
     KDD's pi/6 phases and y pulses with a flip error keep the plain
     split.
 
@@ -388,18 +393,14 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     rho0 = check_density(rho0)
     check_grid(n_steps, dt)
     marks = sorted(set(_check_steps(sample_steps, n_steps)))
-    # each train's unitaries by step, in train order
-    pulse_steps = [{} for _ in trains]
-    for train, by_step in zip(trains, pulse_steps):
-        for k, u in train:
-            by_step.setdefault(k, []).append(u)
-        if by_step:
-            _check_steps(by_step, n_steps, "pulse")
+    for train in trains:
+        if train:
+            _check_steps(train, n_steps, "pulse")
 
     correlated = noise.bath_mode == "correlated"
     if correlated and noise.ou_sigma != 0.0 and n_steps > 0:
         n_traj = noise.trajectories
-        accs = _ou_arms(rho0, noise, n_steps, dt, pulse_steps, marks)
+        accs = _ou_arms(rho0, noise, n_steps, dt, trains, marks)
     else:
         n_traj = 1
         # elementwise generator of the Lindblad dephasing; a correlated
@@ -407,8 +408,8 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
         gen = np.zeros(64)
         if not correlated:
             gen = -np.tensordot(noise.kappa_z, _ZMASK, 1).ravel()
-        accs = [_stretches(rho0, by_step, marks, n_steps, dt, gen,
-                           noise.kappa_x) for by_step in pulse_steps]
+        accs = [_stretches(rho0, train, marks, n_steps, dt, gen,
+                           noise.kappa_x) for train in trains]
 
     times = [k * dt for k in marks]
     curves = []
@@ -423,7 +424,7 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     return curves
 
 
-def _stretches(rho0, by_step, marks, n_steps, dt, gen, kappa_x):
+def _stretches(rho0, train, marks, n_steps, dt, gen, kappa_x):
     """The states of one pulse train at the sample steps ``marks``, as
     rows (samples, 64), without the OU bath.
 
@@ -433,7 +434,7 @@ def _stretches(rho0, by_step, marks, n_steps, dt, gen, kappa_x):
     rho_e is F(tau)(exp(tau gen) o rho_e), F the bit flips and o the
     elementwise product: one factor and three index gathers per qubit
     of flips on a stack of samples, evaluated _BLOCK samples at a time.
-    Pulses at a step act before its sample, and the state after them
+    A pulse acts before its step's sample, and the state after it
     starts the next stretch.
     """
     acc = np.zeros((len(marks), 64), dtype=complex)
@@ -447,15 +448,15 @@ def _stretches(rho0, by_step, marks, n_steps, dt, gen, kappa_x):
     start = 0
     # rows [first, last) hold the samples strictly inside a stretch
     first = 0
-    for stop in sorted({0, *by_step, n_steps}):
+    for stop in sorted({0, *train, n_steps}):
         last = np.searchsorted(marks, stop)
         if stop > start:
             for lo in range(first, last, _BLOCK):
                 hi = min(last, lo + _BLOCK)
                 acc[lo:hi] += at(state, dt * (marks[lo:hi] - start))
             state = at(state, np.array([dt * (stop - start)]))[0]
-        for u in by_step.get(stop, []):
-            state = _apply_unitary(state, u)[0]
+        if stop in train:
+            state = _apply_unitary(state, train[stop])[0]
         first = last
         if last < len(marks) and marks[last] == stop:
             acc[last] += state
@@ -464,7 +465,7 @@ def _stretches(rho0, by_step, marks, n_steps, dt, gen, kappa_x):
     return acc
 
 
-def _ou_arms(rho0, noise, n_steps, dt, pulse_steps, marks):
+def _ou_arms(rho0, noise, n_steps, dt, trains, marks):
     """The trajectory sums of every arm's states at the sample steps
     ``marks`` under the OU bath, as rows (samples, 64) per arm."""
     row = {k: r for r, k in enumerate(marks)}
@@ -472,23 +473,19 @@ def _ou_arms(rho0, noise, n_steps, dt, pulse_steps, marks):
     # are Strang-split around the phase and kept short
     split = any(noise.kappa_x)
     cap = _MAX_SEGMENT_STEPS if split else n_steps
-    # by id: every train's unitaries stay referenced until the return
-    commutes = {}
+    # one verdict per distinct unitary, by id: every train's unitaries
+    # stay referenced until the return
+    distinct = {id(train[k]): train[k] for train in trains for k in train}
+    commutes = {i: _commutes_with_flips(u) for i, u in distinct.items()}
 
-    def plan(by_step):
-        edges = _segment_edges(sorted(set(marks) | set(by_step)
-                                      | {0, n_steps}), cap)
-        merge = []
-        for k in edges[1:]:
-            us = by_step.get(k, [])
-            for u in us:
-                if id(u) not in commutes:
-                    commutes[id(u)] = _commutes_with_flips(u)
-            merge.append(split and k not in row and k != n_steps
-                         and all(commutes[id(u)] for u in us))
-        return by_step, edges, dt * np.diff(edges), merge
+    def plan(train):
+        edges = _segment_edges(sorted({*marks, *train, 0, n_steps}), cap)
+        merge = [split and k not in row
+                 and (k not in train or commutes[id(train[k])])
+                 for k in edges[1:]]
+        return train, edges, dt * np.diff(edges), merge
 
-    arms = [plan(by_step) for by_step in pulse_steps]
+    arms = [plan(train) for train in trains]
     accs = [np.zeros((len(marks), 64), dtype=complex) for _ in arms]
     for start in range(0, noise.trajectories, _BATCH):
         width = min(_BATCH, noise.trajectories - start)
@@ -518,10 +515,10 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
     add the sampled states into the rows of acc (samples, 64). The
     states stay raveled, (width, 64). phi holds the batch's per-segment
     OU phases, (width, segments, 3)."""
-    by_step, edges, deltas, merge = arm
+    train, edges, deltas, merge = arm
     states = np.broadcast_to(rho0.reshape(64), (width, 64)).astype(complex)
-    for u in by_step.get(0, []):
-        states = _apply_unitary(states, u)
+    if 0 in train:
+        states = _apply_unitary(states, train[0])
     if 0 in row:
         _accumulate(acc[row[0]], states)
     carried = 0.0  # half flip left over from a merged edge, in seconds
@@ -536,8 +533,8 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
         else:
             states = _flips(states, kappa_x, 0.5 * delta)
             carried = 0.0
-        for u in by_step.get(k, []):
-            states = _apply_unitary(states, u)
+        if k in train:
+            states = _apply_unitary(states, train[k])
         if k in row:
             _accumulate(acc[row[k]], states)
 

@@ -211,7 +211,8 @@ def test_paper_claim_dd_protects_wwbar_significantly(dd_runs):
 
 @pytest.mark.xfail(reason="W gains as much fidelity as GHZ and WWbar in the "
                    "OU bath: free -> protected GHZ 0.590 -> 0.932, W 0.567 "
-                   "-> 0.933, WWbar 0.540 -> 0.962", strict=True)
+                   "-> 0.933, WWbar 0.540 -> 0.962",
+                   raises=AssertionError, strict=True)
 def test_paper_claim_dd_gain_marginal_for_w(dd_runs):
     gain = {name: prot.fidelity[-1] - free.fidelity[-1]
             for name, (prot, free) in dd_runs.items()}

@@ -88,6 +88,15 @@ def test_kddxy_structure():
     assert phases == block + shifted + block + shifted
 
 
+@pytest.mark.parametrize("build, pulses", [
+    (build_xy16s, 16), (build_kddxy, 20), (build_cpmg, 16),
+], ids=["xy16s", "kddxy", "cpmg"])
+def test_cycle_duration_is_n_tau(build, pulses):
+    # exactly N tau, as run_protected's N M steps of tau / M span it; a
+    # left-to-right sum of the gaps misses N tau in the last bits
+    assert cycle_duration(build(TAU)) == pulses * TAU
+
+
 def test_cpmg_structure():
     sch = build_cpmg(TAU)
     assert len(sch.pulses) == 16
@@ -133,11 +142,11 @@ def test_expand_schedule_absolute_times():
     # on two steps per tau the pulses fall on every odd step of both
     # 32-step cycles, as Python ints
     sch = build_xy16s(TAU, cycles=2)
-    events = expand_schedule(sch, 2)
-    assert [k for k, _ in events] == list(range(1, 64, 2))
-    assert all(type(k) is int for k, _ in events)
+    train = expand_schedule(sch, 2)
+    assert list(train) == list(range(1, 64, 2))
+    assert all(type(k) is int for k in train)
     # on 50 steps per tau, pulse k of cycle c at c 800 + 25 (2k + 1)
-    steps = [k for k, _ in expand_schedule(sch, 50)]
+    steps = list(expand_schedule(sch, 50))
     assert steps[:2] == [25, 75] and steps[15:17] == [775, 825]
 
 
@@ -158,12 +167,13 @@ def test_expand_schedule_builds_one_cycle_of_unitaries(monkeypatch):
         return real(phase, flip_error)
 
     monkeypatch.setattr(ddseq, "pulse_unitary", counting)
-    events = expand_schedule(build_xy16s(TAU, cycles=10), 2)
-    assert len(events) == 160
+    unitaries = list(expand_schedule(build_xy16s(TAU, cycles=10), 2).values())
+    assert len(unitaries) == 160
     assert len(calls) == 16
     # every cycle applies the same unitaries in the same order
     for c in range(1, 10):
-        assert all(a is b for (_, a), (_, b) in zip(events[:16], events[16 * c:16 * (c + 1)]))
+        assert all(a is b for a, b in zip(unitaries[:16],
+                                          unitaries[16 * c:16 * (c + 1)]))
 
 
 def test_schedule_table_frozen_rows():
@@ -258,16 +268,16 @@ def test_both_arms_see_the_same_tracks(prepare):
                     bath_mode="correlated", ou_sigma=13.7117919922,
                     ou_tau_c=0.01, trajectories=16, seed=2026)
     schedule = replace(build_xy16s(TAU, cycles=10), flip_error=1.0)
-    assert np.allclose(expand_schedule(schedule, 2)[0][1], -np.eye(8))
+    assert np.allclose(expand_schedule(schedule, 2)[1], -np.eye(8))
     rho0 = prepare()
     prot, free = run_protected(rho0, nm, schedule)
     assert np.array_equal(prot.times, free.times)
     assert np.max(np.abs(prot.states - free.states)) < 1e-12
     assert tripartite_negativity(free.states[-1]) < 0.9
-    # the free arm is a pulse-free pass, at the default 5 us grid
+    # the free arm is a pulse-free pass on the engine's grid of tau/50
     steps = 800
-    ref = propagate_arms(rho0, nm, 10 * steps, cycle_duration(schedule) / steps,
-                         [()], range(0, 10 * steps + 1, steps))[0]
+    ref = propagate_arms(rho0, nm, 10 * steps, TAU / 50, [{}],
+                         range(0, 10 * steps + 1, steps))[0]
     assert np.array_equal(free.times, ref.times)
     assert np.array_equal(free.states, ref.states)
 

@@ -219,21 +219,21 @@ def test_threshold_crossings_frozen(analytic_curves):
 # zero, does land inside; see test_analytic.py.
 
 @pytest.mark.xfail(reason="floor crossing at 0.4898 s precedes the window",
-                   strict=True)
+                   raises=AssertionError, strict=True)
 def test_ghz_floor_crossing_inside_quoted_window(analytic_curves):
-    assert 0.50 <= disentanglement_time(analytic_curves["ghz"], 0.01) <= 0.56
+    assert 0.50 <= disentanglement_time(analytic_curves["ghz"]) <= 0.56
 
 
 @pytest.mark.xfail(reason="floor crossing at 0.5794 s precedes the window",
-                   strict=True)
+                   raises=AssertionError, strict=True)
 def test_w_floor_crossing_inside_quoted_window(analytic_curves):
-    assert 0.59 <= disentanglement_time(analytic_curves["w"], 0.01) <= 0.65
+    assert 0.59 <= disentanglement_time(analytic_curves["w"]) <= 0.65
 
 
 @pytest.mark.xfail(reason="floor crossing at 0.4538 s precedes the window",
-                   strict=True)
+                   raises=AssertionError, strict=True)
 def test_wwbar_floor_crossing_inside_quoted_window(analytic_curves):
-    assert 0.47 <= disentanglement_time(analytic_curves["wwbar"], 0.01) <= 0.53
+    assert 0.47 <= disentanglement_time(analytic_curves["wwbar"]) <= 0.53
 
 
 def test_curve_from_states_scores_each_sample(rates):

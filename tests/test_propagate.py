@@ -23,9 +23,19 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 rates = st.tuples(*[st.floats(0.0, 50.0)] * 3)
 
 
+def _train(pulses):
+    """The {step: unitary} train of (step, unitary) pulses, the pulses
+    drawn on one step composed into one unitary in list order."""
+    train = {}
+    for k, u in pulses:
+        train[k] = u @ train[k] if k in train else u
+    return train
+
+
 @st.composite
 def runs(draw):
-    """A noise model, a grid, pulses on the grid and an initial state."""
+    """A noise model, a grid, a pulse train on the grid and an initial
+    state."""
     dt = draw(st.floats(1e-6, 1e-3))
     n = draw(st.integers(1, 60))
     correlated = draw(st.booleans())
@@ -36,12 +46,12 @@ def runs(draw):
         ou_sigma=sigma if correlated else 0.0,
         ou_tau_c=dt * 10 ** draw(st.floats(-1.0, 4.0)),
         trajectories=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)))
-    pulses = [
+    pulses = _train(
         (k, pulse_unitary(phase, angle / math.pi - 1.0))
         for k, angle, phase in draw(st.lists(st.tuples(
             st.integers(0, n), st.floats(0.1, 2.0 * math.pi),
             st.floats(0.0, 2.0 * math.pi)), max_size=6))
-    ]
+    )
     rho0 = random_density(np.random.default_rng(draw(st.integers(0, 2**32))))
     return noise, n, dt, pulses, rho0
 
@@ -117,9 +127,9 @@ def test_markovian_propagator_is_a_semigroup(kx, kz, n1, n2, dt, seed):
     # n1 + n2 steps in one run equal n1 steps, then n2 from the mid state
     noise = NoiseModel(kappa_x=kx, kappa_z=kz)
     rho0 = random_density(np.random.default_rng(seed))
-    whole = propagate_arms(rho0, noise, n1 + n2, dt, [()], [n1 + n2])[0]
-    mid = propagate_arms(rho0, noise, n1, dt, [()], [n1])[0].states[-1]
-    halves = propagate_arms(mid, noise, n2, dt, [()], [n2])[0]
+    whole = propagate_arms(rho0, noise, n1 + n2, dt, [{}], [n1 + n2])[0]
+    mid = propagate_arms(rho0, noise, n1, dt, [{}], [n1])[0].states[-1]
+    halves = propagate_arms(mid, noise, n2, dt, [{}], [n2])[0]
     assert np.max(np.abs(whole.states[-1] - halves.states[-1])) < 1e-14
 
 
@@ -138,7 +148,8 @@ def _closed_form(rho, kx, kz, t):
 @st.composite
 def markovian_pulsed_runs(draw):
     """A Markovian model, a grid of up to 200 steps, pulses on the grid
-    (several may share a step) and sample steps (None: every step)."""
+    (several drawn on one step are composed into one) and sample steps
+    (None: every step)."""
     dt = draw(st.floats(1e-5, 1e-2))
     n = draw(st.integers(1, 200))
     noise = NoiseModel(kappa_x=draw(rates), kappa_z=draw(rates))
@@ -150,22 +161,21 @@ def markovian_pulsed_runs(draw):
     return noise, n, dt, pulses, samples, seed
 
 
-def _stepped_reference(rho0, noise, n, dt, pulses, samples):
+def _kick(rho, train, k):
+    """rho after the pulse of ``train`` at step k, if it has one."""
+    if k in train:
+        rho = train[k] @ rho @ train[k].conj().T
+    return rho
+
+
+def _stepped_reference(rho0, noise, n, dt, train, samples):
     """The closed form composed one grid step at a time, each step's
-    pulses applied in train order before its sample."""
-    by_step = {}
-    for k, u in pulses:
-        by_step.setdefault(k, []).append(u)
-
-    def kick(rho, k):
-        for u in by_step.get(k, []):
-            rho = u @ rho @ u.conj().T
-        return rho
-
-    rho = kick(rho0, 0)
+    pulse applied before its sample."""
+    rho = _kick(rho0, train, 0)
     out = {0: rho}
     for k in range(1, n + 1):
-        rho = kick(_closed_form(rho, noise.kappa_x, noise.kappa_z, dt), k)
+        rho = _kick(_closed_form(rho, noise.kappa_x, noise.kappa_z, dt),
+                    train, k)
         out[k] = rho
     return np.stack([out[k] for k in samples])
 
@@ -180,7 +190,7 @@ _Y_HALF = (math.pi / 2.0, math.pi / 2.0)
           1e-3, [(0, *_FLIP_PI), (150, *_Y_HALF)], None, 1))  # stretch of 150
 @example((NoiseModel(kappa_x=(3.0, 1.0, 4.0), kappa_z=(20.0, 5.0, 9.0)), 140,
           2e-3, [(70, *_Y_HALF), (70, *_FLIP_PI), (139, *_Y_HALF)],
-          {0, 35, 70, 71, 138, 140}, 2))  # two pulses on a sample step
+          {0, 35, 70, 71, 138, 140}, 2))  # two composed on a sample step
 @example((NoiseModel(kappa_x=(3.0, 1.0, 4.0), kappa_z=(20.0, 5.0, 9.0)), 130,
           1e-3, [(60, *_FLIP_PI)], {130}, 3))  # the pulse step is no sample
 def test_markovian_stretches_match_stepwise_closed_form(run):
@@ -189,8 +199,8 @@ def test_markovian_stretches_match_stepwise_closed_form(run):
     # pulses between steps, gives the same states
     noise, n, dt, pulse_args, samples, seed = run
     rho0 = random_density(np.random.default_rng(seed))
-    pulses = [(k, pulse_unitary(phase, angle / math.pi - 1.0))
-              for k, angle, phase in pulse_args]
+    pulses = _train((k, pulse_unitary(phase, angle / math.pi - 1.0))
+                    for k, angle, phase in pulse_args)
     steps = sorted(samples) if samples is not None else list(range(n + 1))
     curve = propagate_arms(rho0, noise, n, dt, [pulses], steps)[0]
     want = _stepped_reference(rho0, noise, n, dt, pulses, steps)
@@ -208,7 +218,7 @@ def test_noise_free_bath_matches_closed_form(run):
         kz = (0.0, 0.0, 0.0)  # the OU bath replaces the dephasing
     else:
         kz = noise.kappa_z
-    curve = propagate_arms(rho0, noise, n, dt, [()], range(n + 1))[0]
+    curve = propagate_arms(rho0, noise, n, dt, [{}], range(n + 1))[0]
     for t, rho in zip(curve.times, curve.states):
         assert np.max(np.abs(rho - _closed_form(rho0, noise.kappa_x, kz, t))) < 1e-12
 
@@ -226,7 +236,7 @@ def test_pure_ou_dephasing_is_the_exact_track_phase(rng):
         stream = np.random.default_rng(np.random.SeedSequence(entropy=(31, j)))
         phi = dt * _ou_paths(stream, 1e-3, 40.0, dt, n, 3).sum(axis=0)
         want += np.exp(-1j * np.einsum("i,iab->ab", phi, _ZDIFF)) * rho0 / 2.0
-    got = propagate_arms(rho0, noise, n, dt, [()], [0, 7, n])[0].states[-1]
+    got = propagate_arms(rho0, noise, n, dt, [{}], [0, 7, n])[0].states[-1]
     assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -299,7 +309,7 @@ def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
                        ou_tau_c=dt / 10.0 ** log_ratio,
                        trajectories=trajectories, seed=seed)
     plus = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
-    states = propagate_arms(np.outer(plus, plus), noise, n, dt, [()],
+    states = propagate_arms(np.outer(plus, plus), noise, n, dt, [{}],
                             range(n + 1))[0].states
     phases = sigma * ou_unit_phases(noise, n, dt, range(n + 1))
     for i, b in enumerate((4, 2, 1)):
@@ -345,11 +355,16 @@ def test_fit_grid_takes_the_fewest_steps_no_longer_than_max_dt(span, max_dt):
 
 
 def test_fit_grid_pinned_cases():
-    # KDD at tau = 0.2 ms: the summed delays leave the cycle a few ulps
-    # above 1000 steps of tau/50, which a plain ceil would make 1001
+    # KDD at tau = 0.2 ms: 20 tau over tau/50 reads a few ulps above
+    # 1000 steps, which a plain ceil would make 1001
     cyc, dt = cycle_duration(build_kddxy(2e-4)), 2e-4 / 50.0
     assert cyc / dt > 1000.0
     assert fit_grid(cyc, dt)[0] == 1000
+    # calibrate's 2.5 T2 at T2 = 0.53 s is 1.3250000000000002 s, a few
+    # ulps above 2650 steps of 0.5 ms
+    span = 2.5 * 0.53
+    assert span / 5e-4 > 2650.0
+    assert fit_grid(span, 5e-4)[0] == 2650
     assert fit_grid(0.0, 1e-3)[0] == 0
     # an infinite span must not reach ceil(), whose OverflowError the CLI
     # would report as a numerical failure
@@ -417,17 +432,14 @@ def _arm_grid(schedule):
     inside a gap."""
     per_cycle = PER_TAU * len(schedule.pulses)
     n = schedule.cycles * per_cycle
-    return (n, cycle_duration(schedule) / per_cycle,
+    return (n, schedule.tau / PER_TAU,
             sorted({*range(0, n + 1, per_cycle), 130}))
 
 
-def _strang_reference(rho0, noise, n, dt, pulses, samples):
+def _strang_reference(rho0, noise, n, dt, train, samples):
     """The plain Strang split, two half flips per segment, on the
     engine's segment edges, one trajectory at a time."""
-    by_step = {}
-    for k, u in pulses:
-        by_step.setdefault(k, []).append(u)
-    edges = _segment_edges(sorted(set(samples) | set(by_step) | {0, n}),
+    edges = _segment_edges(sorted({*samples, *train, 0, n}),
                            _MAX_SEGMENT_STEPS)
     xs = [embed1(SX, q) for q in (1, 2, 3)]
 
@@ -437,21 +449,16 @@ def _strang_reference(rho0, noise, n, dt, pulses, samples):
             rho = (1.0 - p) * rho + p * (x @ rho @ x)
         return rho
 
-    def kick(rho, k):
-        for u in by_step.get(k, []):
-            rho = u @ rho @ u.conj().T
-        return rho
-
     out = np.zeros((len(samples), 8, 8), dtype=complex)
     for j in range(noise.trajectories):
         b = _ou_track(noise, j, dt, n)
-        rho = kick(rho0.astype(complex), 0)
+        rho = _kick(rho0.astype(complex), train, 0)
         got = {0: rho}
         for a, k in zip(edges, edges[1:]):
             phase = dt * b[a:k].sum(axis=0)
             rho = half_flips(rho, 0.5 * (k - a) * dt)
             rho = np.exp(-1j * np.einsum("i,iab->ab", phase, _ZDIFF)) * rho
-            rho = kick(half_flips(rho, 0.5 * (k - a) * dt), k)
+            rho = _kick(half_flips(rho, 0.5 * (k - a) * dt), train, k)
             got[k] = rho
         out += np.stack([got[k] for k in samples])
     return out / noise.trajectories
@@ -462,7 +469,7 @@ def test_merged_half_flips_match_the_strang_split(name):
     schedule = ARM_SCHEDULES[name]
     n, dt, samples = _arm_grid(schedule)
     rho0 = prepare_w()
-    trains = [expand_schedule(schedule, PER_TAU), ()]
+    trains = [expand_schedule(schedule, PER_TAU), {}]
     curves = propagate_arms(rho0, FLIPPY, n, dt, trains, samples)
     for train, curve in zip(trains, curves):
         want = _strang_reference(rho0, FLIPPY, n, dt, train, samples)
@@ -479,12 +486,12 @@ def test_propagate_arms_equal_lone_propagate(name):
     n, dt, samples = _arm_grid(schedule)
     noise = replace(FLIPPY, trajectories=34)  # a full chunk and a part
     pulses = expand_schedule(schedule, PER_TAU)
-    prot, free = propagate_arms(prepare_ghz(), noise, n, dt, [pulses, ()],
+    prot, free = propagate_arms(prepare_ghz(), noise, n, dt, [pulses, {}],
                                 samples)
     lone = propagate_arms(prepare_ghz(), noise, n, dt, [pulses], samples)[0]
     assert np.array_equal(prot.states, lone.states)
     assert np.array_equal(prot.times, lone.times)
-    lone = propagate_arms(prepare_ghz(), noise, n, dt, [()], samples)[0]
+    lone = propagate_arms(prepare_ghz(), noise, n, dt, [{}], samples)[0]
     assert np.array_equal(free.states, lone.states)
 
 
@@ -500,7 +507,7 @@ def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
     # a pulse carries two half flips across it only if it commutes with
     # every qubit's bit-flip channel
     n, dt = 100, 1e-5
-    pulses = [(50, pulse_unitary(phase, flip_error))]
+    pulses = {50: pulse_unitary(phase, flip_error)}
     calls = []
     real = triq.noise._flips
 
@@ -523,7 +530,7 @@ def test_pulse_at_step_zero_acts_before_the_first_sample(phase, flip_error):
     # step-0 sample and the first segment
     n, dt, samples = 100, 1e-5, [0, 30, 100]
     u = pulse_unitary(phase, flip_error)
-    pulses = [(0, u), (50, u)]
+    pulses = {0: u, 50: u}
     rho0 = prepare_w()
     curve = propagate_arms(rho0, FLIPPY, n, dt, [pulses], samples)[0]
     want = _strang_reference(rho0, FLIPPY, n, dt, pulses, samples)
@@ -541,7 +548,7 @@ def test_batch_width_does_not_change_results(schedule, monkeypatch):
     # every sampled mean adds the same 32-trajectory partial sums
     n, dt, samples = _arm_grid(schedule)
     noise = replace(FLIPPY, trajectories=70)
-    trains = [expand_schedule(schedule, PER_TAU), ()]
+    trains = [expand_schedule(schedule, PER_TAU), {}]
     wide = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
     monkeypatch.setattr(triq.noise, "_BATCH", 32)
     narrow = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
