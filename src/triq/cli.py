@@ -44,7 +44,7 @@ from .analytic import ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, NumericalError, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, run_protected, schedule_table
 from .measures import DecayCurve, curve_from_states, fidelity, first_crossing
-from .noise import T1_S, T2_S, NoiseModel, evolve, fit_grid, ou_unit_phases
+from .noise import T1_S, T2_S, NoiseModel, evolve, fit_grid, grid_step, ou_unit_phases
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
@@ -497,18 +497,17 @@ def cmd_calibrate(cfg):
     hi = cfg["calibrate.sigma_hi_rad_s"]
     if hi <= lo:
         raise ConfigError("calibrate.sigma_hi_rad_s must exceed sigma_lo_rad_s")
-    # the coherence grid: 2.5 T2 in steps of at most tau_c/20 and T2/1000,
-    # sampled about 500 times, as evolve cuts and samples it for the
-    # engine check below
+    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                       bath_mode="correlated", ou_sigma=1.0, ou_tau_c=tau_c,
+                       trajectories=traj, seed=seed)
+    # the coherence grid: 2.5 T2 in steps of at most grid_step and T2/1000,
+    # sampled about 500 times, as evolve cuts and samples it below
     t_final = 2.5 * target
-    max_dt = min(tau_c / 20.0, target / 1000.0)
+    max_dt = min(grid_step(noise), target / 1000.0)
     n, dt = fit_grid(t_final, max_dt)
     every = max(1, n // 500)
     steps = sorted(set(range(0, n + 1, every)) | {n})
     times = np.array([k * dt for k in steps])
-    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
-                       bath_mode="correlated", ou_sigma=1.0, ou_tau_c=tau_c,
-                       trajectories=traj, seed=seed)
     # qubit 1's unit-sigma phases, copied out of all three qubits' so
     # that they alone live, and only as long as the bisection
     sigma, predicted, iterations, (lo, t_lo, hi, t_hi) = _bisect(

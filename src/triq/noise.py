@@ -5,9 +5,9 @@ damping (rate kappa_x = 1/T1) and sigma_z dephasing (kappa_z = 1/T2).
 Correlated mode replaces the dephasing dissipator with per-qubit
 classical Ornstein-Uhlenbeck frequency tracks b_i(t) applied through
 sigma_z/2, averaged over an ensemble of trajectories; amplitude damping
-stays Lindbladian. A NoiseModel alone sets the rates and the default
-time grid (grid_step); NoiseModel.from_times is the one way per-qubit
-T1/T2, by default the bundled T1_S and T2_S, become those rates.
+stays Lindbladian. A NoiseModel alone sets the rates (NoiseModel.from_times
+from per-qubit T1/T2, by default the bundled T1_S and T2_S), and its bath
+alone sets the one step rule, grid_step: tau_c/20 for the OU tracks.
 
 No system Hamiltonian acts: as in the paper's fits, the register evolves
 under the damping and the bath alone. Every run goes through one
@@ -22,7 +22,7 @@ stretch's starting state, exact at any step length. The OU phase does
 not commute with the bit flips, so a correlated run is stepped from
 event to event (a pulse or a sample): a segment is Strang-split around
 the phase, the phase summed over the segment's steps of the OU grid, and
-segments are capped at _MAX_SEGMENT_STEPS grid steps; ``propagate_arms``
+segments are capped at _MAX_SEGMENT_S seconds; ``propagate_arms``
 states how the arms share each OU track and where adjacent half flips
 merge, and ``_sweep`` how a batch of trajectories is swept on raveled
 states. The OU recurrence is linear in sigma for fixed draws, so a track
@@ -190,17 +190,13 @@ def fit_grid(span, max_dt):
 
 
 def grid_step(noise):
-    """Default longest step of the time grid, in seconds: T2/2000, with
-    T2 = 1/max(kappa_z) the model's shortest dephasing time. A model
-    with no kappa_z has no default grid (ValueError). In correlated mode
-    the grid step is also the step of the OU tracks, so changing it
-    changes every random draw.
-    """
-    kappa_z = max(noise.kappa_z)
-    if not kappa_z:
-        raise ValueError("a noise model without kappa_z has no default time "
-                         "grid: pass dt")
-    return 1.0 / kappa_z / 2000.0
+    """Longest step, in seconds, of a correlated bath's OU tracks: tau_c/20.
+    The rectangle-rule phase's variance then exceeds the continuous OU's
+    by (x/2) coth(x/2) - 1 = 2.1e-4, x = dt/tau_c. A Markovian model is
+    exact at any step and has no such bound (ValueError)."""
+    if noise.bath_mode != "correlated":
+        raise ValueError("a Markovian model is exact at any step: it has no grid step")
+    return noise.ou_tau_c / 20.0
 
 
 def _apply_unitary(states, u):
@@ -230,15 +226,15 @@ def _check_steps(steps, n, kind="sample"):
     return steps
 
 
-def evolve(rho0, noise, t_final, dt=None, sample_every=1):
+def evolve(rho0, noise, t_final, dt, sample_every=1):
     """Free evolution under the bath ``noise`` names, sampled on a fixed grid.
 
     Samples every ``sample_every`` steps (plus t = 0 and t_final). dt
-    is the longest step, grid_step(noise) by default, shrunk so that a
-    whole number of steps fills t_final (fit_grid). ``propagate_arms``
-    runs it as one empty pulse train: in markovian mode the damping
-    channels act in closed form, so the samples are exact at any dt; in
-    correlated mode the mean runs over noise.trajectories OU tracks.
+    is the longest step, shrunk so that a whole number of steps fills
+    t_final (fit_grid). ``propagate_arms`` runs it as one empty pulse
+    train: in markovian mode the damping channels act in closed form, so
+    the samples are exact at any dt; in correlated mode the mean runs
+    over noise.trajectories OU tracks, whose step grid_step bounds.
     Every sample is validated as physical; a violation raises
     PhysicalityError naming the first offending time.
 
@@ -248,7 +244,7 @@ def evolve(rho0, noise, t_final, dt=None, sample_every=1):
         Metrics against rho0 as the fidelity reference, with the
         sampled density matrices attached.
     """
-    n, dt = fit_grid(t_final, grid_step(noise) if dt is None else dt)
+    n, dt = fit_grid(t_final, dt)
     if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
         raise ValueError("sample_every must be a positive integer, got %r"
                          % (sample_every,))
@@ -281,12 +277,12 @@ def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
     return out
 
 
-# Longest free segment, in OU grid steps, when bit flips and the OU
-# phase are both on. The Strang splitting error grows as
-# kappa_x b^2 Delta^2: on the 240 ms acceptance run (5 us steps) a cap
-# of 50 leaves 5.2e-8 against fine-step RK4, inside its 1e-7 budget; a
-# cap of 25 leaves 1.4e-8 but costs a third more run time.
-_MAX_SEGMENT_STEPS = 50
+# Longest free segment when bit flips and the OU phase are both on: a
+# Strang-split segment of D seconds errs by about kappa_x sigma D (sigma D
+# + sqrt(D / tau_c)) per second. At tau = 0.25 ms the pulse gaps are 250 us
+# already, so it splits only the free arm: over the 240 ms acceptance run
+# it keeps that arm within 1.0e-8 of one-step segments (2.9e-6 uncapped).
+_MAX_SEGMENT_S = 250e-6
 
 
 def _segment_edges(events, cap):
@@ -472,7 +468,9 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks):
     # the OU phase does not commute with the bit flips: such segments
     # are Strang-split around the phase and kept short
     split = any(noise.kappa_x)
-    cap = _MAX_SEGMENT_STEPS if split else n_steps
+    # the cap in whole steps, at least one; the 1e-9 guard keeps a step
+    # that divides it, such as 5 us, from losing one to rounding
+    cap = max(1, math.floor(_MAX_SEGMENT_S / dt * (1.0 + 1e-9))) if split else n_steps
     # one verdict per distinct unitary, by id: every train's unitaries
     # stay referenced until the return
     distinct = {id(train[k]): train[k] for train in trains for k in train}

@@ -222,9 +222,10 @@ def test_protect_rejects_a_grid_past_the_step_cap(tmp_path, monkeypatch, capsys)
 
 
 def test_protect_long_tau_keeps_pulses_on_the_grid(tmp_path):
-    # at tau = 20 ms, tau/50 is above min(T2)/2000, and the step must
-    # still divide the pulse spacing
-    cfg = PROTECT_CFG.replace("dd.tau_s = 0.001\n", "dd.tau_s = 0.02\n")
+    # at tau = 20 ms, tau/50 is above tau_c/20 = 0.25 ms, and the step
+    # must still divide the pulse spacing
+    cfg = PROTECT_CFG.replace("dd.tau_s = 0.001\n",
+                              "dd.tau_s = 0.02\nbath.tau_c_s = 0.005\n")
     cfg = cfg.replace("bath.trajectories = 4\n", "bath.trajectories = 2\n")
     rc, out = run(tmp_path, cfg, command="protect")
     assert rc == 0

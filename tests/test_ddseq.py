@@ -302,7 +302,7 @@ def test_run_protected_draws_each_track_once(monkeypatch):
 def test_run_protected_merges_half_flips_at_ideal_pulses(monkeypatch):
     # XY-16(s) at tau = 0.25 ms on 5 us steps, 2 cycles, one chunk: the
     # protected arm has 2 x 17 segments and the free arm 2 x 16 (capped
-    # at 50 steps). Every half flip merges into the next segment's
+    # at 250 us, 50 steps). Every half flip merges into the next segment's
     # except at the two samples, so each arm takes segments + 2 flip
     # calls: 36 + 34, where the plain split takes 2 per segment, 132
     calls = []

@@ -180,7 +180,7 @@ def test_evolve_markovian_finite_difference_consistency(rates, rng):
 
 def test_evolve_markovian_zero_duration(rates):
     rho = prepare_ghz()
-    curve = evolve(rho, rates, 0.0)
+    curve = evolve(rho, rates, 0.0, dt=1e-3)
     assert list(curve.times) == [0.0]
     assert np.array_equal(curve.states[0], rho)
 
@@ -190,7 +190,7 @@ def test_evolve_markovian_single_qubit_closed_forms(rates):
     # the (000|rho|100) element carries qubit-1 dephasing at 1/T2_1 plus a
     # spectator-population factor (1 + exp(-t/T1_i))/2 per idle qubit; the
     # qubit-1 flip channel leaves the real part of the coherence alone
-    curve = evolve(plus_ground_ground(), rates, t, sample_every=10**9)
+    curve = evolve(plus_ground_ground(), rates, t, dt=1e-3, sample_every=10**9)
     rho_t = curve.states[-1]
     expected = math.exp(-t / T2[0])
     for i in (1, 2):
@@ -198,7 +198,7 @@ def test_evolve_markovian_single_qubit_closed_forms(rates):
     assert 2.0 * abs(rho_t[0, 4]) == pytest.approx(expected, rel=1e-9)
     # qubit-1 polarization decays as exp(-t/T1_1)
     z0 = kron(kron(GROUND, ID2 / 2.0), ID2 / 2.0)
-    curve = evolve(z0, rates, t, sample_every=10**9)
+    curve = evolve(z0, rates, t, dt=1e-3, sample_every=10**9)
     pop = np.sum(np.diag(curve.states[-1]).real[:4])  # P(qubit1 = 0)
     assert 2.0 * pop - 1.0 == pytest.approx(math.exp(-t / T1[0]), rel=1e-9)
 
@@ -451,50 +451,73 @@ def _assert_pulses_on_time(schedule, dt, pulses):
         assert math.isclose(k * dt, want, rel_tol=1e-9)
 
 
+def _correlated(tau_c, **rates):
+    return NoiseModel.from_times(bath_mode="correlated", ou_sigma=10.0,
+                                 ou_tau_c=tau_c, **rates)
+
+
 @pytest.mark.parametrize("build", [build_xy16s, build_kddxy, build_cpmg])
 @pytest.mark.parametrize("tau", [0.2e-3, 0.25e-3, 13e-3, 0.02, 0.1])
 def test_grid_step_keeps_pulses_on_the_grid(build, tau):
-    # above tau = 13 ms the T2 bound is the smaller one; the step then
-    # divides tau/50 into whole steps instead of taking the bound as it is
+    # where the tau_c/20 bound is below tau/50, the step divides tau/50
+    # into whole steps instead of taking the bound as it is
     schedule = build(tau, cycles=3)
-    for t2_s in (T2, (0.05, 0.05, 0.05)):
-        dt, pulses = _protected_grid(NoiseModel.from_times(T1, t2_s), schedule)
+    for tau_c in (0.01, 1e-4):
+        dt, pulses = _protected_grid(_correlated(tau_c), schedule)
         _assert_pulses_on_time(schedule, dt, pulses)
         # fit_grid's guard lets a step pass its bound by 1e-9 of itself
-        assert (dt <= min(t2_s) / 2000.0 * (1.0 + 1e-9)
+        assert (dt <= tau_c / 20.0 * (1.0 + 1e-9)
                 or math.isclose(dt, tau / 50.0, rel_tol=1e-12))
-        assert dt > 0.5 * min(min(t2_s) / 2000.0, tau / 50.0)
-    assert grid_step(NoiseModel.from_times()) == 0.52 / 2000.0
+        assert dt > 0.5 * min(tau_c / 20.0, tau / 50.0)
+    assert grid_step(_correlated(0.01)) == 0.01 / 20.0
 
 
 @pytest.mark.parametrize("tau", [0.25e-3, 13e-3, 0.1])
 def test_grid_step_without_dephasing_rates(tau):
-    # with every kappa_z zero (OU-only or quiet models) tau alone sets a
-    # pulsed run's grid; without pulses there is no default grid
+    # the Lindblad rates play no part in the step rule: with every
+    # kappa_z zero a Markovian model still has none, so tau alone sets a
+    # pulsed run's grid, and an OU-only model still takes tau_c/20
     schedule = build_xy16s(tau, cycles=3)
-    for bath in ({}, dict(bath_mode="correlated", ou_sigma=10.0, ou_tau_c=0.01)):
-        nm = NoiseModel(kappa_x=(0.2, 0.2, 0.2), kappa_z=(0.0, 0.0, 0.0), **bath)
-        dt, pulses = _protected_grid(nm, schedule)
-        _assert_pulses_on_time(schedule, dt, pulses)
-        assert dt == tau / 50.0
-        with pytest.raises(ValueError, match="pass dt"):
-            grid_step(nm)
-        with pytest.raises(ValueError, match="pass dt"):
-            evolve(prepare_ghz(), nm, 0.01)
-        assert len(evolve(prepare_ghz(), nm, 0.01, dt=1e-3).times) == 11
+    quiet = dict(kappa_x=(0.2, 0.2, 0.2), kappa_z=(0.0, 0.0, 0.0))
+    nm = NoiseModel(**quiet)
+    dt, pulses = _protected_grid(nm, schedule)
+    _assert_pulses_on_time(schedule, dt, pulses)
+    assert dt == tau / 50.0
+    with pytest.raises(ValueError, match="exact at any step"):
+        grid_step(nm)
+    assert len(evolve(prepare_ghz(), nm, 0.01, dt=1e-3).times) == 11
+    nm = NoiseModel(**quiet, bath_mode="correlated", ou_sigma=10.0,
+                    ou_tau_c=0.01)
+    assert grid_step(nm) == 0.01 / 20.0
+    dt, pulses = _protected_grid(nm, schedule)
+    _assert_pulses_on_time(schedule, dt, pulses)
+    assert dt <= 0.01 / 20.0 * (1.0 + 1e-9) and dt <= tau / 50.0
 
 
-def test_default_grid_follows_the_model_rates():
-    # the bundled T1 with kappa_z = 20/s on qubit 2 (T2 = 50 ms, not the
-    # bundled 0.55 s): the default grid is 50 ms / 2000 = 25 us
+def test_markovian_grid_ignores_the_rates():
+    # a Markovian run is exact at any step, so at tau = 20 ms it keeps
+    # M = 50 steps per tau even with T2 = 50 ms on qubit 2
     nm = NoiseModel(kappa_x=tuple(1.0 / t for t in T1), kappa_z=(1.0, 20.0, 2.0))
-    assert grid_step(nm) == 25e-6
-    curve = evolve(prepare_ghz(), nm, 1e-3)
-    assert len(curve.times) == 41
-    assert np.diff(curve.times).max() <= 25e-6 * (1.0 + 1e-12)
-    # a pulsed run cuts its tau/50 to fit under the same bound
     dt, _ = _protected_grid(nm, build_xy16s(0.02))
-    assert math.isclose(dt, 0.02 / 50.0 / 16, rel_tol=1e-12)
+    assert dt == 0.02 / 50.0
+    with pytest.raises(ValueError, match="exact at any step"):
+        grid_step(nm)
+
+
+def test_correlated_grid_resolves_a_short_tau_c():
+    # tau_c = 1 us at tau = 0.25 ms: tau/50 = 5 us is five tau_c, so the
+    # grid takes 100 steps per tau/50, M = 5,000, and dt = tau_c/20
+    dt, pulses = _protected_grid(_correlated(1e-6), build_xy16s(0.25e-3))
+    assert dt <= 1e-6 / 20.0 * (1.0 + 1e-9)
+    assert min(pulses) == 2500 and len(pulses) == 16
+
+
+def test_quasi_static_bath_keeps_fifty_steps_per_tau():
+    # tau_c = inf bounds no step: min(tau/50, inf) keeps M = 50
+    nm = _correlated(math.inf)
+    assert grid_step(nm) == math.inf
+    dt, pulses = _protected_grid(nm, build_xy16s(0.02))
+    assert dt == 0.02 / 50.0 and min(pulses) == 25
 
 
 def test_evolve_markovian_ghz_decay_curve(ghz_markovian_curve):

@@ -14,7 +14,7 @@ from triq import (T1_S, NoiseModel, build_kddxy, build_xy16s,
                   ou_unit_phases, prepare_ghz, prepare_w, propagate_arms,
                   pulse_unitary, run_protected)
 from triq.core import ID2, SX, SZ, embed1, kron
-from triq.noise import (_FLIP, _MAX_SEGMENT_STEPS, _ZDIFF, _flips, _ou_paths,
+from triq.noise import (_FLIP, _MAX_SEGMENT_S, _ZDIFF, _flips, _ou_paths,
                         _ou_track, _phase_factors, _segment_edges)
 from conftest import random_density
 
@@ -113,7 +113,7 @@ def test_extra_samples_move_states_within_split_bound(run, extra):
     # sqrt(D / tau_c) across the segment, at rate kappa_x for time T.
     bound = 1e-12
     if noise.bath_mode == "correlated":
-        d = min(n, _MAX_SEGMENT_STEPS) * dt
+        d = min(n * dt, max(dt, _MAX_SEGMENT_S))  # the cap, or one step
         sd = noise.ou_sigma * d
         bound += max(noise.kappa_x) * n * dt * sd * (
             sd + math.sqrt(d / noise.ou_tau_c))
@@ -255,7 +255,8 @@ def test_segment_cap_keeps_protected_run_near_one_step_split(monkeypatch):
                 run_protected(prepare_ghz(), noise, schedule)]
 
     capped = both_arms()
-    monkeypatch.setattr(triq.noise, "_MAX_SEGMENT_STEPS", 1)
+    # a cap of one 5 us step
+    monkeypatch.setattr(triq.noise, "_MAX_SEGMENT_S", schedule.tau / 50.0)
     fine = both_arms()
     for a, b in zip(capped, fine):
         assert np.max(np.abs(a - b)) < 1e-7 * 10 / 60
@@ -439,8 +440,8 @@ def _arm_grid(schedule):
 def _strang_reference(rho0, noise, n, dt, train, samples):
     """The plain Strang split, two half flips per segment, on the
     engine's segment edges, one trajectory at a time."""
-    edges = _segment_edges(sorted({*samples, *train, 0, n}),
-                           _MAX_SEGMENT_STEPS)
+    cap = max(1, math.floor(_MAX_SEGMENT_S / dt * (1.0 + 1e-9)))
+    edges = _segment_edges(sorted({*samples, *train, 0, n}), cap)
     xs = [embed1(SX, q) for q in (1, 2, 3)]
 
     def half_flips(rho, t):
@@ -505,8 +506,9 @@ def test_propagate_arms_equal_lone_propagate(name):
 ])
 def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
     # a pulse carries two half flips across it only if it commutes with
-    # every qubit's bit-flip channel
-    n, dt = 100, 1e-5
+    # every qubit's bit-flip channel; 5 us steps, so that the 250 us
+    # segment cap is 50 steps
+    n, dt = 100, 5e-6
     pulses = {50: pulse_unitary(phase, flip_error)}
     calls = []
     real = triq.noise._flips
@@ -520,6 +522,26 @@ def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
         propagate_arms(prepare_ghz(), FLIPPY, n, dt, [pulses], [0, n])
     # segments [0, 50] and [50, 100]: four half flips, or three merged
     assert len(calls) == (3 if merges else 4)
+
+
+@pytest.mark.parametrize("dt, n, steps", [(2e-5, 60, 12), (1e-3, 3, 1)])
+def test_segment_cap_is_stated_in_seconds(dt, n, steps):
+    # the 250 us cap is 12 steps of 20 us, and one step of 1 ms: n
+    # pulse-free steps are cut into segments of that many steps, whose
+    # half flips merge at the inner edges, so the flips span half a
+    # segment at each end and a whole segment in between
+    calls = []
+    real = triq.noise._flips
+
+    def counting(states, kappa_x, t):
+        calls.append(t)
+        return real(states, kappa_x, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triq.noise, "_flips", counting)
+        propagate_arms(prepare_ghz(), FLIPPY, n, dt, [{}], [0, n])
+    want = [steps / 2] + [steps] * (n // steps - 1) + [steps / 2]
+    assert np.allclose(calls, np.array(want) * dt, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("phase, flip_error", [
