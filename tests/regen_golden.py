@@ -1,18 +1,20 @@
-"""The golden outputs under tests/golden/: the CLI runs whose outputs are
-committed there, and the comparison that test_golden.py makes.
+"""The golden outputs under tests/golden/: the CLI runs and the demo
+scripts whose outputs are committed there, and the comparison that
+test_golden.py and test_demos.py make.
 
 A case is one ``triq`` command on one config. Its directory holds every
 file the command writes except the SVG plot, plus ``stdout.txt``, the
 command's standard output with its output directory written as
 ``<out>``. The plots are left out: they draw the CSV columns at six
 significant digits, where a round-off change can flip a last digit,
-and the CSVs hold the same numbers at twelve.
+and the CSVs hold the same numbers at twelve. Each demo's standard
+output is committed as ``demos/<script name>.txt``.
 
 Two outputs agree when they have the same lines, every line has the
 same text between its numbers, and every number is within 1e-10 of the
 committed one. Raw bytes may differ between BLAS builds at that size.
 
-Run this file to rerun every case on the tree at hand, overwrite the
+Run this file to rerun every case and demo on the tree at hand, overwrite the
 committed files and print the SHA-256 digest of each file:
 
     PYTHONPATH=src python tests/regen_golden.py
@@ -27,12 +29,14 @@ import hashlib
 import io
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
 from triq.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 ATOL = 1e-10
 
 # the bath of the acceptance tests, calibrated at seed 11
@@ -58,6 +62,31 @@ CASES = {
     "schedule_xy16s": ("schedule-dump", "dd.sequence = xy16s\ndd.tau_s = 0.0002\n"),
     "schedule_kddxy": ("schedule-dump", "dd.sequence = kddxy\ndd.tau_s = 0.00025\n"),
 }
+
+
+# the demo scripts under demos/, each compared by its standard output
+DEMOS = ("entanglement_sudden_death.py", "dd_protection.py",
+         "tomography_roundtrip.py")
+
+
+def run_python(args):
+    """Run a fresh interpreter on ``args`` from the repository root, with
+    its ``src`` first on the import path; returns the finished process."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable] + args, env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+
+
+def run_demo(script):
+    """Run demos/``script``; returns the finished process."""
+    return run_python([os.path.join(ROOT, "demos", script)])
+
+
+def demo_path(script):
+    """Path of the committed standard output of demos/``script``."""
+    return os.path.join(GOLDEN, "demos", os.path.splitext(script)[0] + ".txt")
 
 
 def run_case(case, work):
@@ -111,9 +140,16 @@ def differences(want, got):
     return out
 
 
+def _write(path, text):
+    with open(path, "w", newline="") as f:
+        f.write(text)
+    print("%s  %s" % (hashlib.sha256(text.encode()).hexdigest(),
+                      os.path.relpath(path, GOLDEN)))
+
+
 def regenerate():
-    """Rerun every case, overwrite its committed files and print their
-    digests; exit 1 if a case does not exit 0."""
+    """Rerun every case and demo, overwrite its committed files and print
+    their digests; exit 1 if one does not exit 0."""
     for case in CASES:
         with tempfile.TemporaryDirectory() as work:
             rc, files = run_case(case, work)
@@ -124,10 +160,14 @@ def regenerate():
         for name in os.listdir(folder):
             os.remove(os.path.join(folder, name))
         for name, text in files.items():
-            with open(os.path.join(folder, name), "w", newline="") as f:
-                f.write(text)
-            print("%s  %s/%s" % (hashlib.sha256(text.encode()).hexdigest(),
-                                 case, name))
+            _write(os.path.join(folder, name), text)
+    os.makedirs(os.path.join(GOLDEN, "demos"), exist_ok=True)
+    for script in DEMOS:
+        done = run_demo(script)
+        if done.returncode != 0:
+            sys.exit("demo %s exited %d:\n%s"
+                     % (script, done.returncode, done.stderr))
+        _write(demo_path(script), done.stdout)
 
 
 if __name__ == "__main__":

@@ -1,30 +1,22 @@
-"""Smoke tests: each demo script, and the README's library tour, runs to
-completion."""
+"""Each demo script reproduces its committed standard output under
+tests/golden/demos/ (compared as test_golden.py compares the CLI's), and
+the README's library tour runs to completion."""
 
 import os
 import re
-import subprocess
-import sys
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from regen_golden import DEMOS, ROOT, demo_path, differences, run_demo, run_python
 
 
-def _run_python(args):
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable] + args, env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
-
-
-@pytest.mark.parametrize("script", ["entanglement_sudden_death.py",
-                                    "dd_protection.py",
-                                    "tomography_roundtrip.py"])
+@pytest.mark.parametrize("script", DEMOS)
 def test_demo_runs(script):
-    done = _run_python([os.path.join(ROOT, "demos", script)])
+    done = run_demo(script)
     assert done.returncode == 0, done.stderr
+    with open(demo_path(script), newline="") as f:
+        want = f.read()
+    assert differences(want, done.stdout) == []
 
 
 def test_readme_library_tour_runs():
@@ -34,5 +26,5 @@ def test_readme_library_tour_runs():
     tour = re.search(r"^## Library tour\n.*?^```python\n(.*?)^```$", readme,
                      re.MULTILINE | re.DOTALL)
     assert tour, "no python block under '## Library tour' in README.md"
-    done = _run_python(["-c", tour.group(1)])
+    done = run_python(["-c", tour.group(1)])
     assert done.returncode == 0, done.stderr
