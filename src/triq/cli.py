@@ -11,8 +11,8 @@ protect        Paired protected/unprotected runs under the correlated
 calibrate      Bisect the OU sigma so the unprotected single-qubit
                coherence 1/e time matches the configured T2: on
                unit-sigma phases drawn once and rescaled per step,
-               then one confirming engine run (noise.evolve) at the
-               chosen sigma on the same grid, cut by noise.fit_grid.
+               then one confirming engine run (noise.propagate_arms)
+               at the chosen sigma on the same grid and samples.
 tomo           Seven-setting readout simulation (or records-file
                replay) plus maximum-likelihood reconstruction.
 schedule-dump  Pulse table of the configured DD sequence.
@@ -44,7 +44,8 @@ from .analytic import ghz_analytic, w_analytic, wwbar_analytic
 from .core import P0, NumericalError, save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, run_protected, schedule_table
 from .measures import DecayCurve, curve_from_states, fidelity, first_crossing
-from .noise import T1_S, T2_S, NoiseModel, evolve, fit_grid, grid_step, ou_unit_phases
+from .noise import (T1_S, T2_S, NoiseModel, evolve, fit_grid, ou_unit_phases,
+                    propagate_arms, steps_per)
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
@@ -387,7 +388,7 @@ def cmd_decay(cfg):
         _emit(csv_path, ref_path, svg_path)
         return 0
     # the damping acts in closed form, so one step per sample is exact
-    curve = evolve(rho0, noise, t_final, dt=step)
+    curve = evolve(rho0, noise, t_final, step)
     family = _ANALYTIC[cfg["state"]]
     oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
     write_curve_csv(csv_path, curve)
@@ -480,9 +481,10 @@ def cmd_calibrate(cfg):
     is |mean_j exp(-i sigma Phi_j)|, with Phi_j trajectory j's phase at
     unit sigma. The phases are drawn once (noise.ou_unit_phases) and
     every bisection step rescales them. The sigma it settles on is then
-    run once through the engine (evolve, on the bisection's own grid and
-    samples), whose 1/e time is reported and judged; it must agree with
-    the closed form's to 1e-9 T2, or the run is a numerical failure.
+    run once through the engine (noise.propagate_arms, on the
+    bisection's own grid and samples), whose 1/e time is reported and
+    judged; it must agree with the closed form's to 1e-9 T2, or the run
+    is a numerical failure.
     """
     if cfg["bath.mode"] != "correlated":
         raise ConfigError("calibrate requires bath.mode = correlated")
@@ -500,11 +502,11 @@ def cmd_calibrate(cfg):
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                        bath_mode="correlated", ou_sigma=1.0, ou_tau_c=tau_c,
                        trajectories=traj, seed=seed)
-    # the coherence grid: 2.5 T2 in steps of at most grid_step and T2/1000,
-    # sampled about 500 times, as evolve cuts and samples it below
+    # the coherence grid of both passes: 2.5 T2 in the steps the bath
+    # allows and no longer than T2/1000, sampled about 500 times
     t_final = 2.5 * target
-    max_dt = min(grid_step(noise), target / 1000.0)
-    n, dt = fit_grid(t_final, max_dt)
+    n = max(steps_per(noise, t_final), fit_grid(t_final, target / 1000.0)[0])
+    dt = t_final / n
     every = max(1, n // 500)
     steps = sorted(set(range(0, n + 1, every)) | {n})
     times = np.array([k * dt for k in steps])
@@ -514,9 +516,9 @@ def cmd_calibrate(cfg):
         np.ascontiguousarray(ou_unit_phases(noise, n, dt, steps)[:, :, 0]),
         times, lo, hi, target)
 
-    curve = evolve(np.kron(_PLUS, np.kron(P0, P0)),
-                   dataclasses.replace(noise, ou_sigma=sigma), t_final,
-                   dt=max_dt, sample_every=every)
+    curve = propagate_arms(np.kron(_PLUS, np.kron(P0, P0)),
+                           dataclasses.replace(noise, ou_sigma=sigma), n, dt,
+                           [{}], steps)[0]
     achieved = first_crossing(curve.times, 2.0 * np.abs(curve.states[:, 0, 4]),
                               _ONE_OVER_E)
     if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * target):

@@ -22,9 +22,9 @@ the same systematic flip error.
 A schedule states its own cycle count, and run_protected, the one way
 to run it, runs exactly that many cycles: it returns the protected arm
 and the free arm, propagated on one shared time grid of a whole, even
-number M of steps per tau, each tau / M long: 50, or more where a
-correlated bath needs steps of tau_c/20 (noise.grid_step). expand_schedule
-places each pulse on a step of that grid by integer arithmetic.
+number M of steps per tau, each tau / M long: 50 times the steps the
+bath allows in tau/50 (noise.steps_per). expand_schedule places each
+pulse on a step of that grid by integer arithmetic.
 """
 
 import math
@@ -163,10 +163,10 @@ def run_protected(rho0, noise_model, schedule):
 
     Free evolution follows the noise model's bath mode; pulses are
     applied as instantaneous collective unitaries at the schedule's
-    flip error. The grid has M = 50 steps per tau; a correlated bath
-    takes 50 times the fewest whole steps per tau/50 no longer than
-    noise.grid_step (noise.fit_grid). M is even, so every pulse falls on
-    a step (expand_schedule), and the step is tau / M.
+    flip error. The grid has M = 50 times noise.steps_per(noise_model,
+    tau/50) steps per tau: 50 for a Markovian model, more where a
+    correlated bath needs steps of tau_c/20. M is even, so every pulse falls on a
+    step (expand_schedule), and the step is tau / M.
     Both arms, the pulse train and {}, run on that one grid through one
     noise.propagate_arms pass, and are sampled at the start and after
     each cycle, cycles + 1 samples. In the correlated mode
@@ -178,10 +178,7 @@ def run_protected(rho0, noise_model, schedule):
     (measures.DecayCurve, measures.DecayCurve)
         The protected arm and the free arm.
     """
-    steps_per_tau = 50
-    if noise_model.bath_mode == "correlated":
-        span = schedule.tau / 50.0  # min(): a quasi-static bath bounds nothing
-        steps_per_tau *= noise.fit_grid(span, min(span, noise.grid_step(noise_model)))[0]
+    steps_per_tau = 50 * noise.steps_per(noise_model, schedule.tau / 50.0)
     dt = schedule.tau / steps_per_tau
     steps_per_cycle = len(schedule.pulses) * steps_per_tau
     n = schedule.cycles * steps_per_cycle

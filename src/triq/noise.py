@@ -7,7 +7,8 @@ classical Ornstein-Uhlenbeck frequency tracks b_i(t) applied through
 sigma_z/2, averaged over an ensemble of trajectories; amplitude damping
 stays Lindbladian. A NoiseModel alone sets the rates (NoiseModel.from_times
 from per-qubit T1/T2, by default the bundled T1_S and T2_S), and its bath
-alone sets the one step rule, grid_step: tau_c/20 for the OU tracks.
+alone sets the one step rule that every runner cuts its grid by,
+steps_per: steps of at most tau_c/20 for the OU tracks.
 
 No system Hamiltonian acts: as in the paper's fits, the register evolves
 under the damping and the bath alone. Every run goes through one
@@ -48,8 +49,8 @@ __all__ = [
     "check_grid",
     "evolve",
     "fit_grid",
-    "grid_step",
     "propagate_arms",
+    "steps_per",
     "ou_unit_phases",
 ]
 
@@ -147,16 +148,15 @@ _ZCOLS, _ZCOL_OF = np.unique(_ZDIFF.reshape(3, 64), axis=1, return_inverse=True)
 
 # Longest grid a run may have. fit_grid cuts none longer, and
 # check_grid, which every engine run passes, rejects a longer one,
-# such as a protected run's cycles times its steps per cycle. A run
-# holds at least 48 B per grid step:
-# a correlated run keeps one trajectory's OU track and its normal draws,
-# three float64 each, and a run sampled at every step 2 KiB (its row of
-# the accumulator and its state in the curve, 64 complex each). So a
-# grid of 2**30 steps needs 48 GiB at the least, and a longer one is a
-# config error rather than a MemoryError deep in a run. The longest
-# grid that a test, demo or benchmark workload runs has 48,000 steps;
-# fit_grid's property test cuts up to 1e9, which it only counts.
-MAX_STEPS = 2**30
+# such as a protected run's cycles times its steps per cycle. A
+# correlated run holds one trajectory's OU track and its normal draws,
+# three float64 each, 48 B per grid step: 768 MiB at 2**24 steps, so a
+# longer grid is a config error rather than a MemoryError deep in a
+# run. A run sampled at every step holds 2 KiB per sample (its row of
+# the accumulator and its state in the curve, 64 complex each), which
+# the cap bounds only at 32 GiB. The longest grids that a test, demo or
+# benchmark workload runs have 100,000 steps, 48,000 under the OU bath.
+MAX_STEPS = 2**24
 
 
 def fit_grid(span, max_dt):
@@ -189,14 +189,15 @@ def fit_grid(span, max_dt):
     return n, span / n
 
 
-def grid_step(noise):
-    """Longest step, in seconds, of a correlated bath's OU tracks: tau_c/20.
-    The rectangle-rule phase's variance then exceeds the continuous OU's
-    by (x/2) coth(x/2) - 1 = 2.1e-4, x = dt/tau_c. A Markovian model is
-    exact at any step and has no such bound (ValueError)."""
+def steps_per(noise, span):
+    """Fewest whole steps the bath ``noise`` names allows in span seconds:
+    1 for a Markovian model, exact at any step; else steps of at most
+    tau_c/20 (fit_grid), where the rectangle-rule phase's variance exceeds
+    the continuous OU's by (x/2) coth(x/2) - 1 = 2.1e-4, x = dt/tau_c, and
+    so 1 for a quasi-static bath (tau_c = inf)."""
     if noise.bath_mode != "correlated":
-        raise ValueError("a Markovian model is exact at any step: it has no grid step")
-    return noise.ou_tau_c / 20.0
+        return 1
+    return fit_grid(span, min(span, noise.ou_tau_c / 20.0))[0]
 
 
 def _apply_unitary(states, u):
@@ -226,15 +227,15 @@ def _check_steps(steps, n, kind="sample"):
     return steps
 
 
-def evolve(rho0, noise, t_final, dt, sample_every=1):
+def evolve(rho0, noise, t_final, sample_dt):
     """Free evolution under the bath ``noise`` names, sampled on a fixed grid.
 
-    Samples every ``sample_every`` steps (plus t = 0 and t_final). dt
-    is the longest step, shrunk so that a whole number of steps fills
-    t_final (fit_grid). ``propagate_arms`` runs it as one empty pulse
-    train: in markovian mode the damping channels act in closed form, so
-    the samples are exact at any dt; in correlated mode the mean runs
-    over noise.trajectories OU tracks, whose step grid_step bounds.
+    Samples at t = 0 and then every sample_dt, shrunk so that whole
+    intervals fill t_final (fit_grid), each cut into the steps_per steps
+    the bath allows. ``propagate_arms`` runs it as one empty pulse train:
+    in markovian mode the damping channels act in closed form, so the
+    samples are exact at any sample_dt; in correlated mode the mean runs
+    over noise.trajectories OU tracks.
     Every sample is validated as physical; a violation raises
     PhysicalityError naming the first offending time.
 
@@ -244,12 +245,10 @@ def evolve(rho0, noise, t_final, dt, sample_every=1):
         Metrics against rho0 as the fidelity reference, with the
         sampled density matrices attached.
     """
-    n, dt = fit_grid(t_final, dt)
-    if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
-        raise ValueError("sample_every must be a positive integer, got %r"
-                         % (sample_every,))
-    return propagate_arms(rho0, noise, n, dt, [{}],
-                          [*range(0, n + 1, sample_every), n])[0]
+    n, dt = fit_grid(t_final, sample_dt)
+    k = steps_per(noise, dt)
+    return propagate_arms(rho0, noise, n * k, dt / k, [{}],
+                          range(0, n * k + 1, k))[0]
 
 
 def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):

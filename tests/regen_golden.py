@@ -14,8 +14,8 @@ Two outputs agree when they have the same lines, every line has the
 same text between its numbers, and every number is within 1e-10 of the
 committed one. Raw bytes may differ between BLAS builds at that size.
 
-Run this file to rerun every case and demo on the tree at hand, overwrite the
-committed files and print the SHA-256 digest of each file:
+Run this file to rerun every case and demo on the tree at hand,
+overwrite the committed files and print the SHA-256 digest of each file:
 
     PYTHONPATH=src python tests/regen_golden.py
 

@@ -24,6 +24,7 @@ from triq import (
     prepare_ghz,
     prepare_w,
     prepare_wwbar,
+    propagate_arms,
     run_protected,
     tomograph,
     tripartite_negativity,
@@ -53,11 +54,10 @@ def rates():
 
 @pytest.fixture(scope="module")
 def markovian_curves(rates):
-    # 50 evenly spaced samples on [0, 1 s]; dt divides the grid spacing
-    dt = (1.0 / 49.0) / 40.0
+    # 50 evenly spaced samples on [0, 1 s]
     out = {}
     for name, (prep, _) in FAMILIES.items():
-        out[name] = evolve(prep(), rates, 1.0, dt=dt, sample_every=40)
+        out[name] = evolve(prep(), rates, 1.0, 1.0 / 49.0)
     return out
 
 
@@ -136,7 +136,7 @@ def test_c5_dd_protection(rates, protection_runs):
     sch = build_xy16s(0.25e-3, cycles=12)
     total = 12 * cycle_duration(sch)
     protected, _ = run_protected(prepare_ghz(), rates, sch)
-    unprotected = evolve(prepare_ghz(), rates, total, dt=2.4e-5, sample_every=10**9)
+    unprotected = evolve(prepare_ghz(), rates, total, total)
     assert protected.n3_tri[-1] == pytest.approx(unprotected.n3_tri[-1],
                                                  rel=0.02)
 
@@ -170,8 +170,9 @@ def test_c8_physicality_and_integrator_order(rates, markovian_curves, protection
         assert abs(np.trace(rho).real - 1.0) <= 1e-8
         assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-9
         assert float(np.linalg.eigvalsh(rho).min()) >= -1e-6
-    a = evolve(prepare_ghz(), rates, 0.5, dt=5e-4, sample_every=10**9)
-    b = evolve(prepare_ghz(), rates, 0.5, dt=2.5e-4, sample_every=10**9)
+    # the Markovian engine is exact at any step: 1,000 and 2,000 steps
+    a, b = (propagate_arms(prepare_ghz(), rates, n, 0.5 / n, [{}], [n])[0]
+            for n in (1000, 2000))
     assert float(np.max(np.abs(a.states[-1] - b.states[-1]))) < 1e-8
 
 

@@ -84,8 +84,7 @@ def test_oracle_matches_integrator_random_rates(rng):
         noise = NoiseModel(kappa_x=tuple(rng.uniform(0.1, 2.5, 3)),
                            kappa_z=tuple(rng.uniform(0.1, 2.5, 3)))
         for name, family in FAMILIES.items():
-            curve = evolve(PREPARED[name](), noise, 0.4,
-                           dt=1e-4, sample_every=400)
+            curve = evolve(PREPARED[name](), noise, 0.4, 0.04)
             worst = max(
                 np.max(np.abs(family(float(t), noise) - s))
                 for t, s in zip(curve.times, curve.states)
@@ -97,7 +96,7 @@ def test_engine_equals_the_closed_forms_on_the_decay_grid(rates):
     # the decay command's grid: without pulses every sample is the closed
     # form of the initial state, not the product of 2,000 steps
     for name, family in FAMILIES.items():
-        curve = evolve(PREPARED[name](), rates, 1.0, dt=5e-4)
+        curve = evolve(PREPARED[name](), rates, 1.0, 5e-4)
         assert len(curve.times) == 2001
         worst = np.max(np.abs(curve.states - family(curve.times, rates)))
         assert worst <= 1e-15, (name, worst)

@@ -221,6 +221,25 @@ def test_protect_rejects_a_grid_past_the_step_cap(tmp_path, monkeypatch, capsys)
     assert not (out / "protected.csv").exists()
 
 
+def test_protect_rejects_a_correlated_grid_too_large_to_hold(tmp_path, monkeypatch,
+                                                            capsys):
+    # tau_c = 1 ns at tau = 0.25 ms takes steps of 50 ps, 8e7 to a cycle:
+    # 3.8 GB of one trajectory's OU track and draws. That is a config
+    # error at the real cap; the stub stands in for the track, so that a
+    # missing check fails here rather than allocating
+    def no_track(*args):
+        raise AssertionError("an OU track was drawn for a grid past the cap")
+
+    monkeypatch.setattr(triq.noise, "_ou_track", no_track)
+    cfg = PROTECT_CFG.replace("dd.tau_s = 0.001\n",
+                              "dd.tau_s = 0.00025\nbath.tau_c_s = 1e-9\n")
+    rc, out = run(tmp_path, cfg, command="protect")
+    assert rc == 2
+    assert ("80000000 steps is more than the %d" % triq.noise.MAX_STEPS
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_protect_long_tau_keeps_pulses_on_the_grid(tmp_path):
     # at tau = 20 ms, tau/50 is above tau_c/20 = 0.25 ms, and the step
     # must still divide the pulse spacing

@@ -14,12 +14,12 @@ from triq import (
     disentanglement_time,
     evolve,
     ghz_analytic,
-    grid_step,
     kron,
     ou_unit_phases,
     prepare_ghz,
     propagate_arms,
     run_protected,
+    steps_per,
     tripartite_negativity,
 )
 import triq.noise
@@ -173,14 +173,14 @@ def test_lindblad_rhs_rejects_wrong_shape(rates):
 def test_evolve_markovian_finite_difference_consistency(rates, rng):
     rho = random_density(rng)
     h = 1e-6
-    curve = evolve(rho, rates, h, dt=h)
+    curve = evolve(rho, rates, h, h)
     fd = (curve.states[-1] - rho) / h
     assert np.allclose(fd, lindblad_rhs(rho, rates), atol=1e-5)
 
 
 def test_evolve_markovian_zero_duration(rates):
     rho = prepare_ghz()
-    curve = evolve(rho, rates, 0.0, dt=1e-3)
+    curve = evolve(rho, rates, 0.0, 1e-3)
     assert list(curve.times) == [0.0]
     assert np.array_equal(curve.states[0], rho)
 
@@ -190,7 +190,7 @@ def test_evolve_markovian_single_qubit_closed_forms(rates):
     # the (000|rho|100) element carries qubit-1 dephasing at 1/T2_1 plus a
     # spectator-population factor (1 + exp(-t/T1_i))/2 per idle qubit; the
     # qubit-1 flip channel leaves the real part of the coherence alone
-    curve = evolve(plus_ground_ground(), rates, t, dt=1e-3, sample_every=10**9)
+    curve = evolve(plus_ground_ground(), rates, t, t)
     rho_t = curve.states[-1]
     expected = math.exp(-t / T2[0])
     for i in (1, 2):
@@ -198,41 +198,70 @@ def test_evolve_markovian_single_qubit_closed_forms(rates):
     assert 2.0 * abs(rho_t[0, 4]) == pytest.approx(expected, rel=1e-9)
     # qubit-1 polarization decays as exp(-t/T1_1)
     z0 = kron(kron(GROUND, ID2 / 2.0), ID2 / 2.0)
-    curve = evolve(z0, rates, t, dt=1e-3, sample_every=10**9)
+    curve = evolve(z0, rates, t, t)
     pop = np.sum(np.diag(curve.states[-1]).real[:4])  # P(qubit1 = 0)
     assert 2.0 * pop - 1.0 == pytest.approx(math.exp(-t / T1[0]), rel=1e-9)
 
 
 def test_evolve_markovian_sampling_grid(rates):
-    curve = evolve(prepare_ghz(), rates, 0.01, dt=0.001, sample_every=3)
-    assert np.allclose(curve.times, [0.0, 0.003, 0.006, 0.009, 0.01])
+    # 10 ms is not a whole number of 3 ms samples: four even intervals
+    # of 2.5 ms fill it
+    curve = evolve(prepare_ghz(), rates, 0.01, 0.003)
+    assert np.allclose(curve.times, [0.0, 0.0025, 0.005, 0.0075, 0.01],
+                       rtol=0.0, atol=1e-15)
 
 
 def test_evolve_markovian_dt_halving(rates):
+    # the Markovian engine is exact at any step: 1,000 and 2,000 steps
     rho = prepare_ghz()
-    a = evolve(rho, rates, 0.5, dt=5e-4, sample_every=10**9)
-    b = evolve(rho, rates, 0.5, dt=2.5e-4, sample_every=10**9)
+    a, b = (propagate_arms(rho, rates, n, 0.5 / n, [{}], [n])[0]
+            for n in (1000, 2000))
     assert np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-8
 
 
-@pytest.mark.parametrize("every", [0, -3, 2.5])
-def test_front_ends_reject_bad_sample_every(rates, every):
-    # a stride below 1 would silently drop samples from range(), or fail
-    # inside it at 0
-    with pytest.raises(ValueError, match="sample_every must be a positive integer"):
-        evolve(prepare_ghz(), rates, 0.01,
-               dt=1e-3, sample_every=every)
+def _handed_grid(noise, t_final, sample_dt):
+    """The (n_steps, dt, sample steps) evolve hands propagate_arms."""
+    grids = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triq.noise, "propagate_arms",
+                   lambda rho0, nm, n, dt, trains, samples:
+                   grids.append((n, dt, list(samples))) or [None])
+        evolve(prepare_ghz(), noise, t_final, sample_dt)
+    return grids.pop()
+
+
+def test_evolve_cuts_correlated_samples_by_the_bath():
+    # 10 ms samples under a 10 ms tau_c bath: the bath, not the sample
+    # spacing, sets the step, tau_c/20 = 0.5 ms, 20 steps a sample
+    nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=10.0,
+                               ou_tau_c=0.01, trajectories=2, seed=1)
+    n, dt, samples = _handed_grid(nm, 0.05, 0.01)
+    assert dt <= 0.01 / 20.0 * (1.0 + 1e-9)
+    assert n == 100 and samples == list(range(0, 101, 20))
+    assert math.isclose(n * dt, 0.05, rel_tol=1e-15)
+    # a Markovian model takes one step a sample
+    assert _handed_grid(NoiseModel.from_times(), 0.05, 0.01)[:2] == (5, 0.01)
+
+
+@pytest.mark.parametrize("noise, span, want", [
+    (NoiseModel.from_times(), 1.0, 1),
+    (NoiseModel.from_times(bath_mode="correlated", ou_tau_c=0.01), 1e-3, 2),
+    (NoiseModel.from_times(bath_mode="correlated", ou_tau_c=math.inf), 1e-3, 1),
+    (NoiseModel.from_times(bath_mode="correlated", ou_tau_c=1e-6), 5e-6, 100),
+], ids=["markovian", "tau_c_10ms", "quasi_static", "tau_c_1us"])
+def test_steps_per_table(noise, span, want):
+    assert steps_per(noise, span) == want
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3])
 @pytest.mark.parametrize("run", [
     lambda rates, dt: evolve(
-        prepare_ghz(), rates, 0.01, dt=dt),
+        prepare_ghz(), rates, 0.01, dt),
     lambda rates, dt: evolve(
         prepare_ghz(),
         NoiseModel.from_times(bath_mode="correlated", ou_sigma=10.0,
                               ou_tau_c=0.01, trajectories=2, seed=1),
-        0.01, dt=dt),
+        0.01, dt),
 ], ids=["evolve_markovian", "evolve_correlated"])
 def test_non_positive_dt_is_rejected(rates, run, dt):
     # rejected before the runner rounds it to a whole number of steps
@@ -242,19 +271,19 @@ def test_non_positive_dt_is_rejected(rates, run, dt):
 
 
 def test_evolve_correlated_takes_no_step_longer_than_dt():
-    # 1.4 ms is not a whole number of 1 ms steps: the grid takes two
-    # 0.7 ms steps rather than one 1.4 ms step, so the OU tracks are
-    # drawn no coarser than asked
+    # 1.4 ms is not a whole number of 1 ms samples: the grid samples
+    # every 0.7 ms rather than once at 1.4 ms, so no sample spacing is
+    # coarser than asked
     nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=10.0,
                                ou_tau_c=0.01, trajectories=2, seed=1)
-    curve = evolve(prepare_ghz(), nm, 0.0014, dt=1e-3)
+    curve = evolve(prepare_ghz(), nm, 0.0014, 1e-3)
     assert np.diff(curve.times).max() <= 1e-3
 
 
 def test_evolve_markovian_pure_dephasing_keeps_diagonal():
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=tuple(1.0 / t for t in T2))
     rho = prepare_ghz()
-    curve = evolve(rho, noise, 0.2, dt=1e-3, sample_every=50)
+    curve = evolve(rho, noise, 0.2, 0.05)
     for s in curve.states:
         assert np.array_equal(np.diag(s), np.diag(rho))
 
@@ -262,7 +291,7 @@ def test_evolve_markovian_pure_dephasing_keeps_diagonal():
 def test_evolve_markovian_exact_at_long_steps(rates):
     # the damping channels are applied in closed form, so a step of
     # 2 s (almost four times T2) is as exact as a fine one
-    curve = evolve(prepare_ghz(), rates, 40.0, dt=2.0)
+    curve = evolve(prepare_ghz(), rates, 40.0, 2.0)
     assert len(curve.times) == 21
     for t, rho in zip(curve.times, curve.states):
         assert np.max(np.abs(rho - ghz_analytic(float(t), rates))) < 1e-12
@@ -365,8 +394,8 @@ def test_evolve_correlated_noise_off_matches_markovian():
     ref_noise = NoiseModel(kappa_x=tuple(1.0 / t for t in T1),
                            kappa_z=(0.0, 0.0, 0.0))
     rho = prepare_ghz()
-    a = evolve(rho, nm, 0.05, dt=1e-4, sample_every=100)
-    b = evolve(rho, ref_noise, 0.05, dt=1e-4, sample_every=100)
+    a = evolve(rho, nm, 0.05, 0.01)
+    b = evolve(rho, ref_noise, 0.05, 0.01)
     assert np.allclose(a.times, b.times)
     for sa, sb in zip(a.states, b.states):
         assert np.allclose(sa, sb, atol=1e-12)
@@ -376,8 +405,8 @@ def test_evolve_correlated_is_deterministic():
     nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=14.0,
                                ou_tau_c=0.01, trajectories=33, seed=17)
     rho = prepare_ghz()
-    a = evolve(rho, nm, 0.02, dt=1e-4, sample_every=50)
-    b = evolve(rho, nm, 0.02, dt=1e-4, sample_every=50)
+    a = evolve(rho, nm, 0.02, 0.005)
+    b = evolve(rho, nm, 0.02, 0.005)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa, sb)
 
@@ -388,7 +417,7 @@ def test_evolve_correlated_coherence_matches_gaussian_form():
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                     bath_mode="correlated", ou_sigma=sigma, ou_tau_c=tau_c,
                     trajectories=1024, seed=9)
-    curve = evolve(plus_ground_ground(), nm, 0.4, dt=5e-4, sample_every=80)
+    curve = evolve(plus_ground_ground(), nm, 0.4, 0.04)
     worst = 0.0
     for t, s in zip(curve.times, curve.states):
         chi = sigma**2 * tau_c**2 * (t / tau_c - 1.0 + math.exp(-t / tau_c))
@@ -398,16 +427,19 @@ def test_evolve_correlated_coherence_matches_gaussian_form():
 
 def test_evolve_correlated_markovian_limit():
     # tau_c squeezed to 2 dt with sigma^2 tau_c = kappa_z reproduces the
-    # memoryless coherence decay within the statistical tolerance
-    dt = 2.5e-4
+    # memoryless coherence decay within the statistical tolerance; the
+    # step is coarser than steps_per's tau_c/20 on purpose, so the run
+    # takes its own grid of 2,400 steps, sampled every 240
+    n, dt = 2400, 0.6 / 2400
     tau_c = 2.0 * dt
     kz = 1.0 / T2[0]
     nm = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                     bath_mode="correlated", ou_sigma=math.sqrt(kz / tau_c),
                     ou_tau_c=tau_c, trajectories=256, seed=9)
-    got = evolve(plus_ground_ground(), nm, 0.6, dt=dt, sample_every=240)
     ref_noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(kz, 0.0, 0.0))
-    ref = evolve(plus_ground_ground(), ref_noise, 0.6, dt=dt, sample_every=240)
+    got, ref = (propagate_arms(plus_ground_ground(), noise, n, dt, [{}],
+                               range(0, n + 1, 240))[0]
+                for noise in (nm, ref_noise))
     for sg, sr in zip(got.states, ref.states):
         a, b = 2.0 * abs(sg[0, 4]), 2.0 * abs(sr[0, 4])
         assert abs(a - b) / max(b, 1e-3) < 0.10
@@ -425,8 +457,7 @@ def test_evolve_correlated_protection_direction():
 
 @pytest.fixture(scope="module")
 def ghz_markovian_curve():
-    return evolve(prepare_ghz(), NoiseModel.from_times(), 0.7,
-                  dt=5e-4, sample_every=10)
+    return evolve(prepare_ghz(), NoiseModel.from_times(), 0.7, 5e-3)
 
 
 def _protected_grid(noise, schedule):
@@ -469,26 +500,25 @@ def test_grid_step_keeps_pulses_on_the_grid(build, tau):
         assert (dt <= tau_c / 20.0 * (1.0 + 1e-9)
                 or math.isclose(dt, tau / 50.0, rel_tol=1e-12))
         assert dt > 0.5 * min(tau_c / 20.0, tau / 50.0)
-    assert grid_step(_correlated(0.01)) == 0.01 / 20.0
+    assert steps_per(_correlated(0.01), 0.01) == 20
 
 
 @pytest.mark.parametrize("tau", [0.25e-3, 13e-3, 0.1])
 def test_grid_step_without_dephasing_rates(tau):
     # the Lindblad rates play no part in the step rule: with every
-    # kappa_z zero a Markovian model still has none, so tau alone sets a
-    # pulsed run's grid, and an OU-only model still takes tau_c/20
+    # kappa_z zero a Markovian model still takes one step, so tau alone
+    # sets a pulsed run's grid, and an OU-only model still takes tau_c/20
     schedule = build_xy16s(tau, cycles=3)
     quiet = dict(kappa_x=(0.2, 0.2, 0.2), kappa_z=(0.0, 0.0, 0.0))
     nm = NoiseModel(**quiet)
     dt, pulses = _protected_grid(nm, schedule)
     _assert_pulses_on_time(schedule, dt, pulses)
     assert dt == tau / 50.0
-    with pytest.raises(ValueError, match="exact at any step"):
-        grid_step(nm)
-    assert len(evolve(prepare_ghz(), nm, 0.01, dt=1e-3).times) == 11
+    assert steps_per(nm, tau) == 1
+    assert len(evolve(prepare_ghz(), nm, 0.01, 1e-3).times) == 11
     nm = NoiseModel(**quiet, bath_mode="correlated", ou_sigma=10.0,
                     ou_tau_c=0.01)
-    assert grid_step(nm) == 0.01 / 20.0
+    assert steps_per(nm, 0.01) == 20
     dt, pulses = _protected_grid(nm, schedule)
     _assert_pulses_on_time(schedule, dt, pulses)
     assert dt <= 0.01 / 20.0 * (1.0 + 1e-9) and dt <= tau / 50.0
@@ -500,8 +530,7 @@ def test_markovian_grid_ignores_the_rates():
     nm = NoiseModel(kappa_x=tuple(1.0 / t for t in T1), kappa_z=(1.0, 20.0, 2.0))
     dt, _ = _protected_grid(nm, build_xy16s(0.02))
     assert dt == 0.02 / 50.0
-    with pytest.raises(ValueError, match="exact at any step"):
-        grid_step(nm)
+    assert steps_per(nm, 0.02) == 1
 
 
 def test_correlated_grid_resolves_a_short_tau_c():
@@ -513,9 +542,9 @@ def test_correlated_grid_resolves_a_short_tau_c():
 
 
 def test_quasi_static_bath_keeps_fifty_steps_per_tau():
-    # tau_c = inf bounds no step: min(tau/50, inf) keeps M = 50
+    # tau_c = inf bounds no step: one step per tau/50 keeps M = 50
     nm = _correlated(math.inf)
-    assert grid_step(nm) == math.inf
+    assert steps_per(nm, 0.02 / 50.0) == 1
     dt, pulses = _protected_grid(nm, build_xy16s(0.02))
     assert dt == 0.02 / 50.0 and min(pulses) == 25
 

@@ -347,6 +347,11 @@ def test_ou_scan_is_exact_on_the_protect_grid(seed):
 @PROPERTY
 @given(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3))
 def test_fit_grid_takes_the_fewest_steps_no_longer_than_max_dt(span, max_dt):
+    # up to 1e9 steps: a count that rounds up past the cap is rejected
+    if math.ceil(span / max_dt * (1.0 - 1e-9)) > triq.noise.MAX_STEPS:
+        with pytest.raises(ValueError, match="more than the %d" % triq.noise.MAX_STEPS):
+            fit_grid(span, max_dt)
+        return
     n, dt = fit_grid(span, max_dt)
     assert math.isclose(n * dt, span, rel_tol=1e-15)
     # the relative guard lets a step exceed max_dt by 1e-9 of itself; the
@@ -397,7 +402,7 @@ def test_fit_grid_caps_the_step_count(rates, monkeypatch):
     with pytest.raises(ValueError, match="is 1002 steps, more than the 1000"):
         fit_grid(1.0, 0.999e-3)
     with pytest.raises(ValueError, match="more than the 1000"):
-        triq.noise.evolve(prepare_ghz(), rates, 2.0, dt=1e-3)
+        triq.noise.evolve(prepare_ghz(), rates, 2.0, 1e-3)
     # one XY-16(s) cycle at tau = 0.25 ms is 16 x 50 = 800 steps, under
     # the cap; a protected run of three cycles is 2,400 steps
     schedule = build_xy16s(0.25e-3, cycles=3)
