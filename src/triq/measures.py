@@ -256,13 +256,18 @@ def first_crossing(times, values, level):
 def curve_from_states(times, states, reference):
     """Assemble a DecayCurve by scoring each sampled state.
 
-    Fidelity column is against ``reference``. Every sample must pass
-    density-matrix checks; a failure names the first failing sample by
-    its index in ``states``. Used by the evolution routines; kept here
-    so the metric definitions live in one module.
+    Fidelity column is against ``reference``. ``times`` and ``states``
+    must have the same length (else ValueError). Every sample must pass
+    density-matrix checks; a failure raises PhysicalityError naming the
+    first failing sample by its index in ``states`` and its time,
+    "sample k: at t = ... s: reason". Every evolution routine scores its
+    samples here, so this is the one place a failing sample is named;
+    kept here so the metric definitions live in one module.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
+    if len(times) != len(states):
+        raise ValueError("%d times for %d states" % (len(times), len(states)))
     ref = _reference(reference)
     n = len(states)
     cuts = np.empty((3, n))
@@ -276,7 +281,9 @@ def curve_from_states(times, states, reference):
             check_density(block)
         except PhysicalityError as err:
             # number the sample as the caller does, not within the block
-            raise PhysicalityError(err.reason, sample=start + err.sample) from None
+            k = start + err.sample
+            raise PhysicalityError("at t = %.9g s: %s" % (times[k], err.reason),
+                                   sample=k) from None
         c, ntri[start:stop], fid[start:stop], pur[start:stop] = _score(block, ref)
         cuts[:, start:stop] = c.T
     return DecayCurve(

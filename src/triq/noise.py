@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PhysicalityError, check_density
+from .core import check_density
 from . import measures
 
 __all__ = [
@@ -152,11 +152,17 @@ _ZCOLS, _ZCOL_OF = np.unique(_ZDIFF.reshape(3, 64), axis=1, return_inverse=True)
 # correlated run holds one trajectory's OU track and its normal draws,
 # three float64 each, 48 B per grid step: 768 MiB at 2**24 steps, so a
 # longer grid is a config error rather than a MemoryError deep in a
-# run. A run sampled at every step holds 2 KiB per sample (its row of
-# the accumulator and its state in the curve, 64 complex each), which
-# the cap bounds only at 32 GiB. The longest grids that a test, demo or
-# benchmark workload runs have 100,000 steps, 48,000 under the OU bath.
+# run. The longest grids that a test, demo or benchmark workload runs
+# have 100,000 steps, 48,000 under the OU bath.
 MAX_STEPS = 2**24
+# Most sampled states, samples times arms, that a run may hold. Each
+# arm's accumulator holds a sample's state in 64 complex, 1 KiB, and
+# its rows become the curve's states; decay's closed-form overlay holds
+# as much again. At 2 KiB a sample the same 768 MiB as one OU track at
+# MAX_STEPS holds 393,216, where MAX_STEPS alone would allow 32 GiB.
+# The most a test, demo or benchmark workload asks is 2,001 samples of
+# one arm.
+_MAX_SAMPLES = MAX_STEPS * 48 // 2048
 
 
 def fit_grid(span, max_dt):
@@ -217,13 +223,20 @@ def check_grid(n, dt):
 
 
 def _check_steps(steps, n, kind="sample"):
-    """``steps`` as a non-empty list of integer steps in [0, n]."""
+    """``steps`` as a non-empty list of integer steps in [0, n]; sample
+    steps must strictly increase, while a pulse train is a map, whose
+    keys need no order."""
     steps = list(steps)
     bad = [k for k in steps if not isinstance(k, (int, np.integer))]
     if bad:  # int() would truncate it onto another step
         raise ValueError("%s steps must be integers, got %r" % (kind, bad[0]))
     if not steps or min(steps) < 0 or max(steps) > n:
         raise ValueError("%s steps must lie in [0, %d]" % (kind, n))
+    if kind == "sample":
+        for a, b in zip(steps, steps[1:]):
+            if b <= a:
+                raise ValueError("sample steps must strictly increase, got "
+                                 "%d after %d" % (b, a))
     return steps
 
 
@@ -237,7 +250,8 @@ def evolve(rho0, noise, t_final, sample_dt):
     samples are exact at any sample_dt; in correlated mode the mean runs
     over noise.trajectories OU tracks.
     Every sample is validated as physical; a violation raises
-    PhysicalityError naming the first offending time.
+    PhysicalityError naming the first offending sample by its index and
+    time (measures.curve_from_states).
 
     Returns
     -------
@@ -351,11 +365,14 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     step to the one unitary applied there, and a pulse-free arm is {};
     every arm starts from rho0 and is sampled at ``sample_steps``. Pulse
     and sample steps are integers in [0, n_steps] (else ValueError, so a
-    list of (step, unitary) pairs is rejected too). A pulse acts before
-    its step's sample. Trajectory j draws its OU track from a stream
-    seeded by (noise.seed, j), so the mean does not depend on execution
-    order; every sampled mean is validated as physical (else
-    PhysicalityError naming the time).
+    list of (step, unitary) pairs is rejected too), and sample steps
+    strictly increase (else ValueError). More than 393,216 samples
+    times arms is a ValueError too, raised before any state is held. A
+    pulse acts before its step's sample. Trajectory j draws its OU track
+    from a stream seeded by (noise.seed, j), so the mean does not depend
+    on execution order; every sampled mean is validated as physical
+    (else PhysicalityError naming the sample by its index and time, from
+    measures.curve_from_states).
 
     Without the OU bath an arm is cut at its pulse steps into stretches,
     and every sample of a stretch is the closed form of the stretch's
@@ -387,36 +404,29 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     """
     rho0 = check_density(rho0)
     check_grid(n_steps, dt)
-    marks = sorted(set(_check_steps(sample_steps, n_steps)))
+    marks = _check_steps(sample_steps, n_steps)
+    if len(marks) * len(trains) > _MAX_SAMPLES:
+        raise ValueError("%d samples per arm, %d states in all, are more than "
+                         "the %d sampled states a run may hold"
+                         % (len(marks), len(marks) * len(trains), _MAX_SAMPLES))
     for train in trains:
         if train:
             _check_steps(train, n_steps, "pulse")
 
     correlated = noise.bath_mode == "correlated"
     if correlated and noise.ou_sigma != 0.0 and n_steps > 0:
-        n_traj = noise.trajectories
-        accs = _ou_arms(rho0, noise, n_steps, dt, trains, marks)
+        means = _ou_arms(rho0, noise, n_steps, dt, trains, marks)
     else:
-        n_traj = 1
         # elementwise generator of the Lindblad dephasing; a correlated
         # bath at zero sigma has none
         gen = np.zeros(64)
         if not correlated:
             gen = -np.tensordot(noise.kappa_z, _ZMASK, 1).ravel()
-        accs = [_stretches(rho0, train, marks, n_steps, dt, gen,
-                           noise.kappa_x) for train in trains]
-
+        means = [_stretches(rho0, train, marks, n_steps, dt, gen,
+                            noise.kappa_x) for train in trains]
     times = [k * dt for k in marks]
-    curves = []
-    for acc in accs:
-        acc /= n_traj
-        try:
-            curves.append(measures.curve_from_states(
-                times, acc.reshape(-1, 8, 8), rho0))
-        except PhysicalityError as err:
-            raise PhysicalityError(
-                "at t = %.9g s: %s" % (times[err.sample], err.reason)) from err
-    return curves
+    return [measures.curve_from_states(times, m.reshape(-1, 8, 8), rho0)
+            for m in means]
 
 
 def _stretches(rho0, train, marks, n_steps, dt, gen, kappa_x):
@@ -461,7 +471,7 @@ def _stretches(rho0, train, marks, n_steps, dt, gen, kappa_x):
 
 
 def _ou_arms(rho0, noise, n_steps, dt, trains, marks):
-    """The trajectory sums of every arm's states at the sample steps
+    """The trajectory means of every arm's states at the sample steps
     ``marks`` under the OU bath, as rows (samples, 64) per arm."""
     row = {k: r for r, k in enumerate(marks)}
     # the OU phase does not commute with the bit flips: such segments
@@ -496,6 +506,8 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks):
         for arm, out, acc in zip(arms, sums, accs):
             _sweep(rho0, width, arm, dt * np.stack(out), noise.kappa_x,
                    row, acc)
+    for acc in accs:
+        acc /= noise.trajectories
     return accs
 
 
@@ -550,7 +562,8 @@ def ou_unit_phases(noise, n_steps, dt, sample_steps):
     Returns
     -------
     numpy.ndarray
-        dt * sum_{m < k} b_i(m) for each k in sample_steps, shape
+        dt * sum_{m < k} b_i(m) for each k in sample_steps, strictly
+        increasing steps in [0, n_steps] (else ValueError), shape
         (trajectories, len(sample_steps), 3).
     """
     if noise.bath_mode != "correlated":

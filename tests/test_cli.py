@@ -169,6 +169,41 @@ def test_decay_rejects_a_grid_past_the_step_cap(tmp_path, monkeypatch, capsys):
     assert not (out / "decay.csv").exists()
 
 
+def test_decay_rejects_more_samples_than_a_run_may_hold(tmp_path, monkeypatch,
+                                                        capsys):
+    # 500,001 samples at 1 us would hold 0.5 GB of states in the engine's
+    # accumulator and as much again in the overlay: a config error. The
+    # stub stands in for the accumulator, so that a missing check fails
+    # here rather than allocating
+    def no_stretches(*args):
+        raise AssertionError("the samples of a run past the cap were allocated")
+
+    monkeypatch.setattr(triq.noise, "_stretches", no_stretches)
+    rc, out = run(tmp_path, "grid.t_final_s = 0.5\ngrid.step_s = 1e-6\n")
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(
+        "500001 samples per arm, 500001 states in all, are more than the "
+        "393216 sampled states a run may hold\n")
+    assert not (out / "decay.csv").exists()
+
+
+def test_decay_overlay_names_a_failing_sample_by_index_and_time(
+        tmp_path, monkeypatch, capsys):
+    # a closed form that breaks the trace at its fourth sample, 3 ms
+    def broken(ts, noise):
+        states = triq.cli.ghz_analytic(ts, noise)
+        states[3] *= 1.5
+        return states
+
+    monkeypatch.setitem(triq.cli._ANALYTIC, "ghz", broken)
+    rc, out = run(tmp_path, "state = ghz\ngrid.t_final_s = 0.01\n"
+                  "grid.step_s = 0.001\n")
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: sample 3: at t = 0.003 s: trace")
+    assert not (out / "decay.csv").exists()
+
+
 def test_decay_rejects_correlated_mode(tmp_path):
     rc, _ = run(tmp_path, "bath.mode = correlated\nseed = 1\n")
     assert rc == 2

@@ -247,6 +247,15 @@ def test_curve_from_states_scores_each_sample(rates):
         assert curve.purity[k] == purity(rho)
 
 
+def test_curve_from_states_rejects_unequal_lengths(rates):
+    # two times for three states would score three samples and label two
+    states = [prepare_w(), w_analytic(0.2, rates), MIXED]
+    with pytest.raises(ValueError, match="2 times for 3 states"):
+        curve_from_states([0.0, 0.2], states, states[0])
+    with pytest.raises(ValueError, match="3 times for 2 states"):
+        curve_from_states([0.0, 0.2, 0.4], states[:2], states[0])
+
+
 def test_decay_curve_rejects_non_increasing_times():
     with pytest.raises(ValueError, match="strictly increasing"):
         _curve([0.0, 0.1, 0.1], [0.5, 0.4, 0.3])

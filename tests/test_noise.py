@@ -299,8 +299,8 @@ def test_evolve_markovian_exact_at_long_steps(rates):
 
 def test_propagate_labels_unphysical_sample_with_time(rates):
     # a non-unitary "pulse" breaks the trace at 4 ms; the error names
-    # the sample by its time
-    with pytest.raises(PhysicalityError, match=r"^at t = 0.004 s: trace"):
+    # the sample by its index and its time
+    with pytest.raises(PhysicalityError, match=r"^sample 4: at t = 0.004 s: trace"):
         propagate_arms(prepare_ghz(), rates, 10, 1e-3,
                        [{4: 1.5 * np.eye(8, dtype=complex)}], range(11))
 
@@ -331,6 +331,37 @@ def test_fractional_sample_steps_are_rejected(run):
 def test_sample_steps_off_the_grid_are_rejected(run, steps):
     with pytest.raises(ValueError, match=r"sample steps must lie in \[0, 10\]"):
         run(OU_NOISE, steps)
+
+
+@SAMPLED_RUNS
+@pytest.mark.parametrize("steps, message", [
+    ([5, 3], "got 3 after 5"),
+    ([3, 3], "got 3 after 3"),
+], ids=["decreasing", "repeated"])
+def test_sample_steps_out_of_order_are_rejected(run, steps, message):
+    # neither sorted nor merged: a curve's samples follow the steps given
+    with pytest.raises(ValueError, match="sample steps must strictly increase, "
+                       + message):
+        run(OU_NOISE, steps)
+
+
+def test_pulse_steps_need_no_order():
+    # a train is a map from step to unitary, so its keys may come in any
+    # order
+    u = 1j * np.eye(8, dtype=complex)
+    a, b = (propagate_arms(prepare_ghz(), OU_NOISE, 10, 1e-3, [train], [0, 10])[0]
+            for train in ({2: u, 7: u}, {7: u, 2: u}))
+    assert np.array_equal(a.states, b.states)
+
+
+def test_too_many_sampled_states_are_rejected(monkeypatch):
+    # samples times arms past the cap is a config error, raised before
+    # the accumulator is allocated
+    monkeypatch.setattr(triq.noise, "_MAX_SAMPLES", 21)
+    propagate_arms(prepare_ghz(), OU_NOISE, 10, 1e-3, [{}], range(11))
+    with pytest.raises(ValueError, match="11 samples per arm, 22 states in all, are "
+                       "more than the 21 sampled states a run may hold"):
+        propagate_arms(prepare_ghz(), OU_NOISE, 10, 1e-3, [{}, {}], range(11))
 
 
 @SAMPLED_RUNS

@@ -105,7 +105,7 @@ def test_extra_samples_move_states_within_split_bound(run, extra):
     noise, n, dt, pulses, rho0 = run
     coarse = propagate_arms(rho0, noise, n, dt, [pulses], [0, n])[0]
     fine = propagate_arms(rho0, noise, n, dt, [pulses],
-                          [0, n] + [k for k in extra if k <= n])[0]
+                          sorted({0, n, *(k for k in extra if k <= n)}))[0]
     diff = np.max(np.abs(coarse.states[-1] - fine.states[-1]))
     # Without the OU phase every factor of a segment commutes and extra
     # events change nothing. With it, a segment of length D mis-times the

@@ -100,12 +100,17 @@ def test_unphysical_sample_in_a_block_is_named(kind, k):
     bad = _unphysical()[kind]
     states = _states(np.random.default_rng(k), 130)
     states[k] = bad
+    times = 1e-3 * np.arange(130)
     with pytest.raises(PhysicalityError) as single:
         check_density(bad)
-    with pytest.raises(PhysicalityError, match="^sample %d: %s" % (k, kind)) as err:
-        curve_from_states(np.arange(130, dtype=float), states, states[0])
+    # the error names the sample by its index in the curve, not in its
+    # block of 64, and by its time
+    with pytest.raises(PhysicalityError, match="^sample %d: at t = %g s: %s"
+                       % (k, k / 1000, kind)) as err:
+        curve_from_states(times, states, states[0])
     assert err.value.sample == k
-    assert str(err.value) == "sample %d: %s" % (k, single.value)
+    assert str(err.value) == "sample %d: at t = %.9g s: %s" % (
+        k, times[k], single.value)
 
 
 def test_stack_check_reports_the_first_failing_sample():
