@@ -9,10 +9,8 @@ decay          Markovian decay sweep of one state; CSV + SVG + the
 protect        Paired protected/unprotected runs under the correlated
                bath; protected CSV carries a protection_factor column.
 calibrate      Bisect the OU sigma so the unprotected single-qubit
-               coherence 1/e time matches the configured T2: on
-               unit-sigma phases drawn once and rescaled per step,
-               then one confirming engine run (noise.propagate_arms)
-               at the chosen sigma on the same grid and samples.
+               coherence 1/e time matches the configured T2
+               (noise.calibrate_sigma); write it as a config fragment.
 tomo           Seven-setting readout simulation (or records-file
                replay) plus maximum-likelihood reconstruction.
 schedule-dump  Pulse table of the configured DD sequence.
@@ -28,7 +26,8 @@ config error.
 
 CSV schema: ``time_s,N1,N2,N3,N3_tri,fidelity,purity`` plus a final
 ``protection_factor`` column on protected curves, 12 significant
-digits. Exit codes: 0 ok, 2 config error, 3 numerical failure.
+digits. Exit codes: 0 ok, 2 config error (an unwritable output path
+too), 3 numerical failure.
 """
 
 import argparse
@@ -41,11 +40,10 @@ import sys
 import numpy as np
 
 from .analytic import ghz_analytic, w_analytic, wwbar_analytic
-from .core import P0, NumericalError, save_matrix
+from .core import save_matrix
 from .ddseq import build_kddxy, build_xy16s, cycle_duration, run_protected, schedule_table
-from .measures import DecayCurve, curve_from_states, fidelity, first_crossing
-from .noise import (T1_S, T2_S, NoiseModel, evolve, fit_grid, ou_unit_phases,
-                    propagate_arms, steps_per)
+from .measures import DecayCurve, curve_from_states, fidelity
+from .noise import T1_S, T2_S, NoiseModel, calibrate_sigma, evolve, fit_grid
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
@@ -427,65 +425,10 @@ def cmd_protect(cfg):
     return 0
 
 
-_PLUS = np.full((2, 2), 0.5, dtype=complex)
-_ONE_OVER_E = math.exp(-1.0)
-
-
-def _closed_form_time(sigma, phases, times):
-    """1/e time of |mean_j exp(-i sigma Phi_j)| from unit-sigma phases
-    of shape (trajectories, samples)."""
-    x = sigma * phases
-    re = np.cos(x).mean(axis=0)
-    # sin in place: two (trajectories, samples) arrays live at a time
-    return first_crossing(times, np.hypot(re, np.sin(x, out=x).mean(axis=0)),
-                          _ONE_OVER_E)
-
-
-def _bisect(phases, times, lo, hi, target):
-    """Bisect sigma on the closed-form 1/e time.
-
-    Stops when the time is within 0.5% of target, or when the bracket
-    is 1e-3 wide. Returns (sigma, its 1/e time, iterations, final
-    bracket (lo, T(lo), hi, T(hi))).
-    """
-    t_lo = _closed_form_time(lo, phases, times)
-    t_hi = _closed_form_time(hi, phases, times)
-    # more noise decays faster: t(lo) must sit above the target, t(hi) below
-    if not (t_lo > target > t_hi):
-        raise RuntimeError(
-            "no bracket: 1/e times [%.4g, %.4g] s do not straddle %.4g s"
-            % (t_hi, t_lo, target))
-    sigma, achieved, iterations = lo, t_lo, 0
-    for _ in range(60):
-        iterations += 1
-        sigma = 0.5 * (lo + hi)
-        achieved = _closed_form_time(sigma, phases, times)
-        if abs(achieved - target) <= 0.005 * target:
-            break
-        if achieved > target:
-            lo, t_lo = sigma, achieved
-        else:
-            hi, t_hi = sigma, achieved
-        # T(sigma) falls with sigma but need not be continuous: the mean
-        # coherence can dip, recover and cross 1/e again later, so the
-        # first crossing may jump across the target inside any bracket
-        if hi - lo <= 1e-3 * hi:
-            break
-    return sigma, achieved, iterations, (lo, t_lo, hi, t_hi)
-
-
 def cmd_calibrate(cfg):
     """Bisect ou_sigma to the configured qubit-1 T2.
 
-    The qubit-1 coherence 2|rho_04| of |+>|00> under the OU bath alone
-    is |mean_j exp(-i sigma Phi_j)|, with Phi_j trajectory j's phase at
-    unit sigma. The phases are drawn once (noise.ou_unit_phases) and
-    every bisection step rescales them. The sigma it settles on is then
-    run once through the engine (noise.propagate_arms, on the
-    bisection's own grid and samples), whose 1/e time is reported and
-    judged; it must agree with the closed form's to 1e-9 T2, or the run
-    is a numerical failure.
-    """
+    Writes the sigma of noise.calibrate_sigma as a config fragment."""
     if cfg["bath.mode"] != "correlated":
         raise ConfigError("calibrate requires bath.mode = correlated")
     seed = _require_seed(cfg, "the correlated bath")
@@ -499,39 +442,7 @@ def cmd_calibrate(cfg):
     hi = cfg["calibrate.sigma_hi_rad_s"]
     if hi <= lo:
         raise ConfigError("calibrate.sigma_hi_rad_s must exceed sigma_lo_rad_s")
-    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
-                       bath_mode="correlated", ou_sigma=1.0, ou_tau_c=tau_c,
-                       trajectories=traj, seed=seed)
-    # the coherence grid of both passes: 2.5 T2 in the steps the bath
-    # allows and no longer than T2/1000, sampled about 500 times
-    t_final = 2.5 * target
-    n = max(steps_per(noise, t_final), fit_grid(t_final, target / 1000.0)[0])
-    dt = t_final / n
-    every = max(1, n // 500)
-    steps = sorted(set(range(0, n + 1, every)) | {n})
-    times = np.array([k * dt for k in steps])
-    # qubit 1's unit-sigma phases, copied out of all three qubits' so
-    # that they alone live, and only as long as the bisection
-    sigma, predicted, iterations, (lo, t_lo, hi, t_hi) = _bisect(
-        np.ascontiguousarray(ou_unit_phases(noise, n, dt, steps)[:, :, 0]),
-        times, lo, hi, target)
-
-    curve = propagate_arms(np.kron(_PLUS, np.kron(P0, P0)),
-                           dataclasses.replace(noise, ou_sigma=sigma), n, dt,
-                           [{}], steps)[0]
-    achieved = first_crossing(curve.times, 2.0 * np.abs(curve.states[:, 0, 4]),
-                              _ONE_OVER_E)
-    if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * target):
-        raise NumericalError(
-            "at sigma = %.12g rad/s the engine's 1/e time %.12g s differs "
-            "from the closed form's %.12g s" % (sigma, achieved, predicted))
-    if abs(achieved - target) > 0.02 * target:
-        raise RuntimeError(
-            "calibration stalled %.2f%% from the target 1/e time %.4g s: the "
-            "first 1/e crossing jumps across it, from %.4g s at sigma = %.10g "
-            "rad/s to %.4g s at sigma = %.10g rad/s"
-            % (100.0 * abs(achieved - target) / target, target,
-               t_lo, lo, t_hi, hi))
+    sigma, achieved, iterations = calibrate_sigma(target, tau_c, traj, seed, lo, hi)
     path = _out_path(cfg, "calibration.txt")
     with open(path, "w") as f:
         f.write("# calibrated correlated-bath fragment; paste into a config\n")
@@ -633,6 +544,11 @@ def main(argv=None):
     except ValueError as err:
         # a ConfigError, or a library routine rejecting a config value
         print("config error: %s" % err, file=sys.stderr)
+        return 2
+    except OSError as err:
+        # reads are ConfigErrors already: only out.dir or an output
+        # file that cannot be made is left; err names its path
+        print("config error: cannot write output: %s" % err, file=sys.stderr)
         return 2
 
 

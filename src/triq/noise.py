@@ -27,9 +27,9 @@ segments are capped at _MAX_SEGMENT_S seconds; ``propagate_arms``
 states how the arms share each OU track and where adjacent half flips
 merge, and ``_sweep`` how a batch of trajectories is swept on raveled
 states. The OU recurrence is linear in sigma for fixed draws, so a track
-at sigma is sigma times the track at 1: ``ou_unit_phases`` draws the
-unit-sigma tracks once, and a caller that varies sigma alone
-(calibration) rescales their phases instead of propagating again. The
+at sigma is sigma times the track at 1: ``calibrate_sigma``, which fits
+sigma to a qubit-1 T2, draws the unit-sigma tracks once and rescales
+their phases at every bisection step instead of propagating again. The
 tests pin the propagator against a generator built from explicit
 Lindblad operator matrices.
 """
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import check_density
+from .core import P0, NumericalError, check_density
 from . import measures
 
 __all__ = [
@@ -46,12 +46,12 @@ __all__ = [
     "T2_S",
     "MAX_STEPS",
     "NoiseModel",
+    "calibrate_sigma",
     "check_grid",
     "evolve",
     "fit_grid",
     "propagate_arms",
     "steps_per",
-    "ou_unit_phases",
 ]
 
 # trajectories per partial sum of a sampled mean: fixed, so that the
@@ -548,32 +548,109 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
             _accumulate(acc[row[k]], states)
 
 
-def ou_unit_phases(noise, n_steps, dt, sample_steps):
-    """Accumulated OU phases of every trajectory at unit sigma.
+def _ou_unit_phases(noise, n_steps, dt, sample_steps):
+    """Phases dt * sum_{m < k} b_i(m) of every trajectory at unit sigma,
+    (trajectories, len(sample_steps), 3), for each k in sample_steps.
 
-    Trajectory j's track is drawn as ``propagate_arms`` draws it, from the
-    stream seeded by (noise.seed, j) on the grid of n_steps steps of dt
-    seconds, but with ou_sigma = 1. The recurrence is linear in sigma
-    for fixed draws, so sigma times the result is the phase at sigma
-    (the Gaussian-phase picture of Cywinski et al., PRB 77, 174509
-    (2008)): without bit flips the coherence of qubit i's off-diagonal
-    elements is the trajectory mean of exp(-i sigma Phi_i).
-
-    Returns
-    -------
-    numpy.ndarray
-        dt * sum_{m < k} b_i(m) for each k in sample_steps, strictly
-        increasing steps in [0, n_steps] (else ValueError), shape
-        (trajectories, len(sample_steps), 3).
+    Trajectory j's track is drawn as ``propagate_arms`` draws it, from
+    the stream seeded by (noise.seed, j), but at ou_sigma = 1. The
+    recurrence is linear in sigma for fixed draws, so sigma times the
+    result is the phase at sigma (Cywinski et al., PRB 77, 174509 (2008)).
     """
-    if noise.bath_mode != "correlated":
-        raise ValueError("ou_unit_phases requires bath_mode = correlated")
-    check_grid(n_steps, dt)
-    steps = _check_steps(sample_steps, n_steps)
     unit = replace(noise, ou_sigma=1.0)
-    out = np.empty((noise.trajectories, len(steps), 3))
+    out = np.empty((noise.trajectories, len(sample_steps), 3))
     cum = np.zeros((n_steps + 1, 3))
     for j in range(noise.trajectories):
         np.cumsum(_ou_track(unit, j, dt, n_steps), axis=0, out=cum[1:])
-        out[j] = dt * cum[steps]
+        out[j] = dt * cum[sample_steps]
     return out
+
+
+_PLUS = np.full((2, 2), 0.5, dtype=complex)
+_ONE_OVER_E = math.exp(-1.0)
+
+
+def _closed_form_time(sigma, phases, times):
+    """1/e time of |mean_j exp(-i sigma Phi_j)| from unit-sigma phases
+    of shape (trajectories, samples)."""
+    x = sigma * phases
+    re = np.cos(x).mean(axis=0)
+    # sin in place: two (trajectories, samples) arrays live at a time
+    return measures.first_crossing(
+        times, np.hypot(re, np.sin(x, out=x).mean(axis=0)), _ONE_OVER_E)
+
+
+def _bisect(phases, times, lo, hi, target):
+    """Bisect sigma on the closed-form 1/e time until it is within 0.5% of
+    target or the bracket is 1e-3 wide. Returns (sigma, its 1/e time,
+    iterations, final bracket (lo, T(lo), hi, T(hi)))."""
+    t_lo = _closed_form_time(lo, phases, times)
+    t_hi = _closed_form_time(hi, phases, times)
+    # more noise decays faster: t(lo) must sit above the target, t(hi) below
+    if not (t_lo > target > t_hi):
+        raise RuntimeError(
+            "no bracket: 1/e times [%.4g, %.4g] s do not straddle %.4g s"
+            % (t_hi, t_lo, target))
+    sigma, achieved, iterations = lo, t_lo, 0
+    for _ in range(60):
+        iterations += 1
+        sigma = 0.5 * (lo + hi)
+        achieved = _closed_form_time(sigma, phases, times)
+        if abs(achieved - target) <= 0.005 * target:
+            break
+        if achieved > target:
+            lo, t_lo = sigma, achieved
+        else:
+            hi, t_hi = sigma, achieved
+        # T(sigma) falls with sigma but need not be continuous: the mean
+        # coherence can dip, recover and cross 1/e again later, so the
+        # first crossing may jump across the target inside any bracket
+        if hi - lo <= 1e-3 * hi:
+            break
+    return sigma, achieved, iterations, (lo, t_lo, hi, t_hi)
+
+
+def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
+    """OU sigma at which qubit 1's coherence falls to 1/e at t2 seconds.
+
+    Under the OU bath alone (tau_c > 0 s, ``trajectories`` tracks seeded
+    from ``seed``) the qubit-1 coherence 2|rho_04| of |+>|00> is
+    |mean_j exp(-i sigma Phi_j)|, Phi_j trajectory j's unit-sigma phase.
+    The phases are drawn once and every step of a bisection over
+    [sigma_lo, sigma_hi] rescales them. The sigma it settles on is run
+    once through ``propagate_arms`` on the same grid and samples.
+    Returns (sigma, that run's 1/e time, iterations). RuntimeError if
+    the bracket does not straddle t2 or the time ends over 2% off;
+    NumericalError if it is over 1e-9 t2 from the closed form's.
+    """
+    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                       bath_mode="correlated", ou_sigma=1.0, ou_tau_c=tau_c,
+                       trajectories=trajectories, seed=seed)
+    # the coherence grid of both passes: 2.5 T2 in the steps the bath
+    # allows and no longer than T2/1000, sampled about 500 times
+    t_final = 2.5 * t2
+    n = max(steps_per(noise, t_final), fit_grid(t_final, t2 / 1000.0)[0])
+    dt = t_final / n
+    every = max(1, n // 500)
+    steps = sorted(set(range(0, n + 1, every)) | {n})
+    times = np.array([k * dt for k in steps])
+    # qubit 1's unit-sigma phases, copied out of all three qubits' so
+    # that they alone live, and only as long as the bisection
+    sigma, predicted, iterations, (lo, t_lo, hi, t_hi) = _bisect(
+        np.ascontiguousarray(_ou_unit_phases(noise, n, dt, steps)[:, :, 0]),
+        times, sigma_lo, sigma_hi, t2)
+    curve = propagate_arms(np.kron(_PLUS, np.kron(P0, P0)),
+                           replace(noise, ou_sigma=sigma), n, dt, [{}], steps)[0]
+    achieved = measures.first_crossing(
+        curve.times, 2.0 * np.abs(curve.states[:, 0, 4]), _ONE_OVER_E)
+    if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * t2):
+        raise NumericalError(
+            "at sigma = %.12g rad/s the engine's 1/e time %.12g s differs "
+            "from the closed form's %.12g s" % (sigma, achieved, predicted))
+    if abs(achieved - t2) > 0.02 * t2:
+        raise RuntimeError(
+            "calibration stalled %.2f%% from the target 1/e time %.4g s: the "
+            "first 1/e crossing jumps across it, from %.4g s at sigma = %.10g "
+            "rad/s to %.4g s at sigma = %.10g rad/s"
+            % (100.0 * abs(achieved - t2) / t2, t2, t_lo, lo, t_hi, hi))
+    return sigma, achieved, iterations

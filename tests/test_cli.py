@@ -1,4 +1,8 @@
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import triq.noise
 from triq import (NumericalError, PhysicalityError, TomoRecord, build_xy16s,
                   load_matrix, prepare_w, schedule_table, tomograph,
                   write_records)
-from triq.cli import ConfigError, load_config, main, parse_config
+from triq.cli import ConfigError, load_config, main, parse_config, render_svg
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -128,6 +132,15 @@ def test_decay_byte_determinism(tmp_path):
     assert rc1 == rc2 == 0
     for name in ("decay.csv", "decay_analytic.csv", "decay.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_svg_of_one_sample_draws_one_point(tmp_path):
+    # a single time spans no x range, so the axis is widened to [t, t + 1]
+    path = tmp_path / "one.svg"
+    render_svg(path, "one", [("a", np.array([0.0]), np.array([0.5]))])
+    text = path.read_text()
+    assert 'points="64,208"' in text
+    assert "nan" not in text and "inf" not in text
 
 
 def test_decay_zero_duration_writes_headers_only(tmp_path):
@@ -303,7 +316,7 @@ def test_protect_kddxy_short_tau_keeps_pulses_on_the_grid(tmp_path, tau):
 
 # -- calibrate --------------------------------------------------------------
 
-def test_calibrate_no_bracket_is_numerical_failure(tmp_path):
+def test_calibrate_no_bracket_is_numerical_failure(tmp_path, capsys):
     cfg = (
         "bath.mode = correlated\n"
         "bath.trajectories = 8\n"
@@ -313,6 +326,8 @@ def test_calibrate_no_bracket_is_numerical_failure(tmp_path):
     )
     rc, _ = run(tmp_path, cfg, command="calibrate")
     assert rc == 3
+    # the benchmark's calibrate probe matches this phrase
+    assert "numerical failure: no bracket" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -382,8 +397,8 @@ def test_calibrate_stall_names_the_jump(tmp_path, capsys, seed):
 def test_calibrate_engine_cross_checks_closed_form(tmp_path, monkeypatch, capsys):
     # phases 1% off make the bisection settle where the engine's 1/e time
     # disagrees with the closed form's
-    unit_phases = triq.cli.ou_unit_phases
-    monkeypatch.setattr(triq.cli, "ou_unit_phases",
+    unit_phases = triq.noise._ou_unit_phases
+    monkeypatch.setattr(triq.noise, "_ou_unit_phases",
                         lambda *args: 1.01 * unit_phases(*args))
     rc, _ = run(tmp_path, CALIBRATE_128, command="calibrate", seed=2)
     assert rc == 3
@@ -575,3 +590,18 @@ def test_exit_code_per_failure_kind(tmp_path, monkeypatch, exc, code):
 
     monkeypatch.setitem(triq.cli._COMMANDS, "decay", fail)
     assert run(tmp_path, DECAY_CFG)[0] == code
+
+
+def test_unwritable_output_path_exits_2(tmp_path):
+    # out.dir names an existing file: run as a script, the command exits 2
+    # with a config error naming the path, not with a traceback
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    src = pathlib.Path(triq.cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "triq.cli", "decay", "--out",
+                           str(blocker)], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "config error: cannot write output:" in proc.stderr
+    assert str(blocker) in proc.stderr

@@ -11,11 +11,11 @@ from triq import (
     build_cpmg,
     build_kddxy,
     build_xy16s,
+    calibrate_sigma,
     disentanglement_time,
     evolve,
     ghz_analytic,
     kron,
-    ou_unit_phases,
     prepare_ghz,
     propagate_arms,
     run_protected,
@@ -305,12 +305,11 @@ def test_propagate_labels_unphysical_sample_with_time(rates):
                        [{4: 1.5 * np.eye(8, dtype=complex)}], range(11))
 
 
-# the two entry points that take sample steps, on a grid of n steps of dt
+# the one entry point that takes sample steps, on a grid of n steps of dt
 SAMPLED_RUNS = pytest.mark.parametrize("run", [
     lambda noise, steps, n=10, dt=1e-3: propagate_arms(prepare_ghz(), noise, n,
                                                        dt, [{}], steps),
-    lambda noise, steps, n=10, dt=1e-3: ou_unit_phases(noise, n, dt, steps),
-], ids=["propagate", "ou_unit_phases"])
+], ids=["propagate"])
 OU_NOISE = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                       bath_mode="correlated", ou_sigma=10.0, ou_tau_c=0.01,
                       trajectories=2, seed=1)
@@ -394,11 +393,6 @@ def test_a_list_of_pulse_pairs_is_rejected():
     with pytest.raises(ValueError, match="pulse steps must be integers"):
         propagate_arms(prepare_ghz(), OU_NOISE, 10, 1e-3, [[(5, eye)]],
                        [0, 10])
-
-
-def test_unit_phases_require_the_correlated_bath(rates):
-    with pytest.raises(ValueError, match="ou_unit_phases requires bath_mode = correlated"):
-        ou_unit_phases(rates, 10, 1e-3, [0, 10])
 
 
 def test_sample_ou_path_basics():
@@ -553,6 +547,33 @@ def test_grid_step_without_dephasing_rates(tau):
     dt, pulses = _protected_grid(nm, schedule)
     _assert_pulses_on_time(schedule, dt, pulses)
     assert dt <= 0.01 / 20.0 * (1.0 + 1e-9) and dt <= tau / 50.0
+
+
+class _Stop(Exception):
+    """Raised by a spy to end a run once it has seen its arguments."""
+
+
+@pytest.mark.parametrize("tau_c, n, dt, samples", [(0.01, 2650, 0.5e-3, 531),
+                                                   (0.05, 2500, 0.53e-3, 501)],
+                         ids=["tau_c_over_20", "t2_over_1000"])
+def test_calibration_grid(monkeypatch, tau_c, n, dt, samples):
+    # calibrate_sigma cuts 2.5 T2 into steps of at most tau_c/20 and at
+    # most T2/1000, whichever is finer, and samples every n // 500 steps
+    # plus the last; its engine run takes that grid and those samples
+    seen = []
+
+    def spy(rho0, noise, n_steps, step, trains, sample_steps):
+        seen.append((n_steps, step, list(sample_steps)))
+        raise _Stop
+
+    monkeypatch.setattr(triq.noise, "propagate_arms", spy)
+    with pytest.raises(_Stop):
+        calibrate_sigma(0.53, tau_c, 64, 3, 1.0, 60.0)
+    [(n_steps, step, steps)] = seen
+    assert n_steps == n
+    assert step == pytest.approx(dt, rel=1e-12)
+    assert steps == list(range(0, n + 1, 5))
+    assert len(steps) == samples
 
 
 def test_markovian_grid_ignores_the_rates():

@@ -11,11 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 import triq.noise
 from triq import (T1_S, NoiseModel, build_kddxy, build_xy16s,
                   cycle_duration, expand_schedule, fit_grid,
-                  ou_unit_phases, prepare_ghz, prepare_w, propagate_arms,
-                  pulse_unitary, run_protected)
+                  prepare_ghz, prepare_w, propagate_arms, pulse_unitary,
+                  run_protected)
 from triq.core import ID2, SX, SZ, embed1, kron
 from triq.noise import (_FLIP, _MAX_SEGMENT_S, _ZDIFF, _flips, _ou_paths,
-                        _ou_track, _phase_factors, _segment_edges)
+                        _ou_track, _ou_unit_phases, _phase_factors,
+                        _segment_edges)
 from conftest import random_density
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -312,7 +313,7 @@ def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
     plus = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
     states = propagate_arms(np.outer(plus, plus), noise, n, dt, [{}],
                             range(n + 1))[0].states
-    phases = sigma * ou_unit_phases(noise, n, dt, range(n + 1))
+    phases = sigma * _ou_unit_phases(noise, n, dt, range(n + 1))
     for i, b in enumerate((4, 2, 1)):
         want = np.exp(-1j * phases[:, :, i]).mean(axis=0)
         assert np.max(np.abs(8.0 * states[:, 0, b] - want)) < 1e-12
