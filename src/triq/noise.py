@@ -16,22 +16,23 @@ propagator, ``propagate_arms``, that runs each of several pulse trains
 under the bath the NoiseModel names; ``evolve`` is its pulse-free front
 end. A pulse train reaches it as a map from grid step to the one
 unitary applied there, and samples as grid steps, all checked by one
-rule. Both dissipators are Pauli channels, which commute and are
-applied in closed form. A Markovian run is therefore evaluated stretch
-by stretch: between pulse steps every sample is the closed form of the
-stretch's starting state, exact at any step length. The OU phase does
-not commute with the bit flips, so a correlated run is stepped from
-event to event (a pulse or a sample): a segment is Strang-split around
-the phase, the phase summed over the segment's steps of the OU grid, and
-segments are capped at _MAX_SEGMENT_S seconds; ``propagate_arms``
-states how the arms share each OU track and where adjacent half flips
-merge, and ``_sweep`` how a batch of trajectories is swept on raveled
-states. The OU recurrence is linear in sigma for fixed draws, so a track
-at sigma is sigma times the track at 1: ``calibrate_sigma``, which fits
-sigma to a qubit-1 T2, draws the unit-sigma tracks once and rescales
-their phases at every bisection step instead of propagating again. The
-tests pin the propagator against a generator built from explicit
-Lindblad operator matrices.
+rule. The bath alone picks the engine. Both dissipators are Pauli
+channels, which commute and are applied in closed form, so a run under
+the Markovian bath is evaluated stretch by stretch: between pulse steps
+every sample is the closed form of the stretch's starting state, exact
+at any step length. A correlated bath runs the OU sweep at any sigma.
+The OU phase does not commute with the bit flips, so a correlated run
+is stepped from event to event (a pulse or a sample): a segment is
+Strang-split around the phase, the phase summed over the segment's
+steps of the OU grid, and segments are capped at _MAX_SEGMENT_S
+seconds; ``propagate_arms`` states how the arms share each OU track
+and where adjacent half flips merge, and ``_sweep`` how a batch of
+trajectories is swept on raveled states. The OU recurrence is linear
+in sigma for fixed draws, so a track at sigma is sigma times the track
+at 1: ``calibrate_sigma``, which fits sigma to a qubit-1 T2, draws the
+unit-sigma tracks once and rescales their phases at every bisection
+step instead of propagating again. The tests pin the propagator
+against a generator built from explicit Lindblad operator matrices.
 """
 import math
 from dataclasses import dataclass, replace
@@ -363,22 +364,24 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
 
     The grid has n_steps steps of dt seconds. Each train maps a grid
     step to the one unitary applied there, and a pulse-free arm is {};
-    every arm starts from rho0 and is sampled at ``sample_steps``. Pulse
-    and sample steps are integers in [0, n_steps] (else ValueError, so a
-    list of (step, unitary) pairs is rejected too), and sample steps
-    strictly increase (else ValueError). More than 393,216 samples
-    times arms is a ValueError too, raised before any state is held. A
-    pulse acts before its step's sample. Trajectory j draws its OU track
+    every arm starts from rho0 and is sampled at ``sample_steps``, a
+    sequence (list, range or array). Pulse and sample steps are integers
+    in [0, n_steps] (else ValueError, so a list of (step, unitary) pairs
+    is rejected too), and sample steps strictly increase (else
+    ValueError). More than 393,216 samples times arms is a ValueError
+    too, raised before any sample step is read. A pulse acts before its
+    step's sample. Trajectory j draws its OU track
     from a stream seeded by (noise.seed, j), so the mean does not depend
     on execution order; every sampled mean is validated as physical
     (else PhysicalityError naming the sample by its index and time, from
     measures.curve_from_states).
 
-    Without the OU bath an arm is cut at its pulse steps into stretches,
-    and every sample of a stretch is the closed form of the stretch's
-    starting state (``_stretches``).
+    Under the Markovian bath an arm is cut at its pulse steps into
+    stretches, and every sample of a stretch is the closed form of the
+    stretch's starting state (``_stretches``).
 
-    In the correlated bath all arms see the same OU tracks: each batch
+    A correlated bath runs the OU sweep at any sigma and grid, sigma = 0
+    and zero steps included. All arms see the same OU tracks: each batch
     of up to 64 trajectories is one pass for all arms, in which
     trajectory j's track is drawn once and reduced at every arm's
     segment edges before the next is drawn, so an arm's curve equals a
@@ -404,69 +407,62 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     """
     rho0 = check_density(rho0)
     check_grid(n_steps, dt)
-    marks = _check_steps(sample_steps, n_steps)
-    if len(marks) * len(trains) > _MAX_SAMPLES:
+    n_samples = len(sample_steps)
+    if n_samples * len(trains) > _MAX_SAMPLES:
         raise ValueError("%d samples per arm, %d states in all, are more than "
                          "the %d sampled states a run may hold"
-                         % (len(marks), len(marks) * len(trains), _MAX_SAMPLES))
+                         % (n_samples, n_samples * len(trains), _MAX_SAMPLES))
+    marks = _check_steps(sample_steps, n_steps)
     for train in trains:
         if train:
             _check_steps(train, n_steps, "pulse")
 
-    correlated = noise.bath_mode == "correlated"
-    if correlated and noise.ou_sigma != 0.0 and n_steps > 0:
+    if noise.bath_mode == "correlated":
         means = _ou_arms(rho0, noise, n_steps, dt, trains, marks)
     else:
-        # elementwise generator of the Lindblad dephasing; a correlated
-        # bath at zero sigma has none
-        gen = np.zeros(64)
-        if not correlated:
-            gen = -np.tensordot(noise.kappa_z, _ZMASK, 1).ravel()
-        means = [_stretches(rho0, train, marks, n_steps, dt, gen,
-                            noise.kappa_x) for train in trains]
+        # elementwise generator of the Lindblad dephasing
+        gen = -np.tensordot(noise.kappa_z, _ZMASK, 1).ravel()
+        means = [_stretches(rho0, train, marks, dt, gen, noise.kappa_x)
+                 for train in trains]
     times = [k * dt for k in marks]
     return [measures.curve_from_states(times, m.reshape(-1, 8, 8), rho0)
             for m in means]
 
 
-def _stretches(rho0, train, marks, n_steps, dt, gen, kappa_x):
+def _stretches(rho0, train, marks, dt, gen, kappa_x):
     """The states of one pulse train at the sample steps ``marks``, as
-    rows (samples, 64), without the OU bath.
+    rows (samples, 64), under the Markovian bath.
 
     A stretch runs from the start, or from a pulse step, to the next
-    pulse step or to n_steps. Both dissipators are commuting Pauli
-    channels, so the state tau seconds into a stretch that starts in
-    rho_e is F(tau)(exp(tau gen) o rho_e), F the bit flips and o the
-    elementwise product: one factor and three index gathers per qubit
-    of flips on a stack of samples, evaluated _BLOCK samples at a time.
-    A pulse acts before its step's sample, and the state after it
-    starts the next stretch.
+    pulse step. Both dissipators are commuting Pauli channels, so the
+    state tau seconds into a stretch that starts in rho_e is
+    F(tau)(exp(tau gen) o rho_e), F the bit flips and o the elementwise
+    product: one factor and three index gathers per qubit of flips. A
+    first pass walks the pulses to each stretch's starting state, the
+    state after its pulse; a second evaluates every sample, _BLOCK at a
+    time, from the start of its stretch. A pulse acts before its step's
+    sample, which is the state after the pulse.
     """
-    acc = np.zeros((len(marks), 64), dtype=complex)
-    marks = np.asarray(marks)
-
     def at(rho, taus):
         return _flips(np.exp(np.multiply.outer(taus, gen)) * rho,
                       kappa_x, taus[:, None])
 
+    starts = sorted({0, *train})
+    states = np.empty((len(starts), 64), dtype=complex)
     state = rho0.reshape(64).astype(complex)
-    start = 0
-    # rows [first, last) hold the samples strictly inside a stretch
-    first = 0
-    for stop in sorted({0, *train, n_steps}):
-        last = np.searchsorted(marks, stop)
-        if stop > start:
-            for lo in range(first, last, _BLOCK):
-                hi = min(last, lo + _BLOCK)
-                acc[lo:hi] += at(state, dt * (marks[lo:hi] - start))
-            state = at(state, np.array([dt * (stop - start)]))[0]
-        if stop in train:
-            state = _apply_unitary(state, train[stop])[0]
-        first = last
-        if last < len(marks) and marks[last] == stop:
-            acc[last] += state
-            first += 1
-        start = stop
+    for s, k in enumerate(starts):
+        if k > 0:
+            state = at(state, np.array([dt * (k - starts[s - 1])]))[0]
+        if k in train:
+            state = _apply_unitary(state, train[k])[0]
+        states[s] = state
+    # the stretch of each sample: the last that starts at or before it
+    stretch = np.searchsorted(starts, marks, side="right") - 1
+    taus = dt * (np.asarray(marks) - np.asarray(starts)[stretch])
+    acc = np.zeros((len(marks), 64), dtype=complex)
+    for lo in range(0, len(marks), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        acc[rows] += at(states[stretch[rows]], taus[rows])
     return acc
 
 
@@ -549,8 +545,8 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
 
 
 def _ou_unit_phases(noise, n_steps, dt, sample_steps):
-    """Phases dt * sum_{m < k} b_i(m) of every trajectory at unit sigma,
-    (trajectories, len(sample_steps), 3), for each k in sample_steps.
+    """Qubit 1's phases dt * sum_{m < k} b_1(m) of every trajectory at unit
+    sigma, (trajectories, len(sample_steps)), for each k in sample_steps.
 
     Trajectory j's track is drawn as ``propagate_arms`` draws it, from
     the stream seeded by (noise.seed, j), but at ou_sigma = 1. The
@@ -558,13 +554,18 @@ def _ou_unit_phases(noise, n_steps, dt, sample_steps):
     result is the phase at sigma (Cywinski et al., PRB 77, 174509 (2008)).
     """
     unit = replace(noise, ou_sigma=1.0)
-    out = np.empty((noise.trajectories, len(sample_steps), 3))
-    cum = np.zeros((n_steps + 1, 3))
+    out = np.empty((noise.trajectories, len(sample_steps)))
+    cum = np.zeros(n_steps + 1)
     for j in range(noise.trajectories):
-        np.cumsum(_ou_track(unit, j, dt, n_steps), axis=0, out=cum[1:])
+        np.cumsum(_ou_track(unit, j, dt, n_steps)[:, 0], out=cum[1:])
         out[j] = dt * cum[sample_steps]
     return out
 
+
+# Most unit-sigma phases calibration holds, trajectories times samples:
+# at 8 B each, the same 768 MiB as one OU track at MAX_STEPS, 189,573
+# trajectories at calibrate's 531 samples.
+_MAX_PHASES = MAX_STEPS * 6
 
 _PLUS = np.full((2, 2), 0.5, dtype=complex)
 _ONE_OVER_E = math.exp(-1.0)
@@ -619,9 +620,12 @@ def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
     The phases are drawn once and every step of a bisection over
     [sigma_lo, sigma_hi] rescales them. The sigma it settles on is run
     once through ``propagate_arms`` on the same grid and samples.
-    Returns (sigma, that run's 1/e time, iterations). RuntimeError if
-    the bracket does not straddle t2 or the time ends over 2% off;
-    NumericalError if it is over 1e-9 t2 from the closed form's.
+    Returns (sigma, that run's 1/e time, iterations). ValueError, before
+    any track is drawn, if trajectories times samples exceeds the
+    100,663,296 phases (768 MiB) a calibration table may hold;
+    RuntimeError if the bracket does not straddle t2 or the time ends
+    over 2% off; NumericalError if it is over 1e-9 t2 from the closed
+    form's.
     """
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                        bath_mode="correlated", ou_sigma=1.0, ou_tau_c=tau_c,
@@ -634,11 +638,13 @@ def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
     every = max(1, n // 500)
     steps = sorted(set(range(0, n + 1, every)) | {n})
     times = np.array([k * dt for k in steps])
-    # qubit 1's unit-sigma phases, copied out of all three qubits' so
-    # that they alone live, and only as long as the bisection
+    if trajectories * len(steps) > _MAX_PHASES:
+        raise ValueError("%d trajectories of %d samples are %d phases, more "
+                         "than the %d a calibration table may hold"
+                         % (trajectories, len(steps), trajectories * len(steps),
+                            _MAX_PHASES))
     sigma, predicted, iterations, (lo, t_lo, hi, t_hi) = _bisect(
-        np.ascontiguousarray(_ou_unit_phases(noise, n, dt, steps)[:, :, 0]),
-        times, sigma_lo, sigma_hi, t2)
+        _ou_unit_phases(noise, n, dt, steps), times, sigma_lo, sigma_hi, t2)
     curve = propagate_arms(np.kron(_PLUS, np.kron(P0, P0)),
                            replace(noise, ou_sigma=sigma), n, dt, [{}], steps)[0]
     achieved = measures.first_crossing(

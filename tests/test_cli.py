@@ -186,18 +186,22 @@ def test_decay_rejects_more_samples_than_a_run_may_hold(tmp_path, monkeypatch,
                                                         capsys):
     # 500,001 samples at 1 us would hold 0.5 GB of states in the engine's
     # accumulator and as much again in the overlay: a config error. The
-    # stub stands in for the accumulator, so that a missing check fails
-    # here rather than allocating
-    def no_stretches(*args):
-        raise AssertionError("the samples of a run past the cap were allocated")
+    # stubs stand in for the accumulator and for the list of sample
+    # steps, so that a missing or late check fails here rather than
+    # allocating; 16,000,001 samples fit under MAX_STEPS but not the cap
+    def unreachable(*args):
+        raise AssertionError("the samples of a run past the cap were read")
 
-    monkeypatch.setattr(triq.noise, "_stretches", no_stretches)
-    rc, out = run(tmp_path, "grid.t_final_s = 0.5\ngrid.step_s = 1e-6\n")
-    assert rc == 2
-    assert capsys.readouterr().err.endswith(
-        "500001 samples per arm, 500001 states in all, are more than the "
-        "393216 sampled states a run may hold\n")
-    assert not (out / "decay.csv").exists()
+    monkeypatch.setattr(triq.noise, "_stretches", unreachable)
+    monkeypatch.setattr(triq.noise, "_check_steps", unreachable)
+    for t_final, samples in ((0.5, 500001), (16.0, 16000001)):
+        rc, out = run(tmp_path, "grid.t_final_s = %g\ngrid.step_s = 1e-6\n"
+                      % t_final, out="out%d" % samples)
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(
+            "%d samples per arm, %d states in all, are more than the "
+            "393216 sampled states a run may hold\n" % (samples, samples))
+        assert not (out / "decay.csv").exists()
 
 
 def test_decay_overlay_names_a_failing_sample_by_index_and_time(
@@ -342,6 +346,24 @@ def test_calibrate_config_errors(tmp_path, capsys, cfg, message):
                   command="calibrate")
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not (out / "calibration.txt").exists()
+
+
+def test_calibrate_rejects_a_table_too_large_to_hold(tmp_path, monkeypatch,
+                                                    capsys):
+    # 10^8 trajectories of 531 samples would be a 400 GiB phase table: a
+    # config error before any track is drawn, which the stub stands in for
+    def no_track(*args):
+        raise AssertionError("a track was drawn for a table past the cap")
+
+    monkeypatch.setattr(triq.noise, "_ou_track", no_track)
+    rc, out = run(tmp_path, "bath.mode = correlated\n"
+                  "bath.trajectories = 100000000\nseed = 2\n",
+                  command="calibrate")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 100000000 trajectories of 531 samples")
+    assert "Traceback" not in err
     assert not (out / "calibration.txt").exists()
 
 

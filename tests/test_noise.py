@@ -424,6 +424,16 @@ def test_evolve_correlated_noise_off_matches_markovian():
     assert np.allclose(a.times, b.times)
     for sa, sb in zip(a.states, b.states):
         assert np.allclose(sa, sb, atol=1e-12)
+    # pulsed arms too: at sigma = 0 the OU sweep runs on zero tracks, its
+    # split flips and pulses against the closed form's stretches
+    nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=0.0,
+                               ou_tau_c=0.01, trajectories=2, seed=0)
+    for schedule in (build_xy16s(0.25e-3, cycles=3),
+                     build_kddxy(0.25e-3, flip_error=0.01)):
+        for a, b in zip(run_protected(rho, nm, schedule),
+                        run_protected(rho, ref_noise, schedule)):
+            assert np.array_equal(a.times, b.times)
+            assert np.max(np.abs(a.states - b.states)) < 1e-12
 
 
 def test_evolve_correlated_is_deterministic():
@@ -514,7 +524,7 @@ def _correlated(tau_c, **rates):
 
 @pytest.mark.parametrize("build", [build_xy16s, build_kddxy, build_cpmg])
 @pytest.mark.parametrize("tau", [0.2e-3, 0.25e-3, 13e-3, 0.02, 0.1])
-def test_grid_step_keeps_pulses_on_the_grid(build, tau):
+def test_steps_per_keeps_pulses_on_the_grid(build, tau):
     # where the tau_c/20 bound is below tau/50, the step divides tau/50
     # into whole steps instead of taking the bound as it is
     schedule = build(tau, cycles=3)
@@ -529,7 +539,7 @@ def test_grid_step_keeps_pulses_on_the_grid(build, tau):
 
 
 @pytest.mark.parametrize("tau", [0.25e-3, 13e-3, 0.1])
-def test_grid_step_without_dephasing_rates(tau):
+def test_steps_per_without_dephasing_rates(tau):
     # the Lindblad rates play no part in the step rule: with every
     # kappa_z zero a Markovian model still takes one step, so tau alone
     # sets a pulsed run's grid, and an OU-only model still takes tau_c/20

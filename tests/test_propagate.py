@@ -303,9 +303,9 @@ log_step_ratios = st.floats(-3.0, 3.0)
 @example(50.0, 8, -3.0, 1e-3, 300, 0)    # a slow track
 def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
                                            n, seed):
-    # without bit flips, element (0, b) of |+++><+++| with only qubit i's
-    # bit set in b is the trajectory mean of exp(-i sigma Phi_i) / 8, Phi_i
-    # the unit-sigma phase: calibration's closed form for 2|rho_04|
+    # without bit flips, element (0, 4) of |+++><+++|, only qubit 1's bit
+    # set, is the trajectory mean of exp(-i sigma Phi_1) / 8, Phi_1 qubit
+    # 1's unit-sigma phase: calibration's closed form for 2|rho_04|
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                        bath_mode="correlated", ou_sigma=sigma,
                        ou_tau_c=dt / 10.0 ** log_ratio,
@@ -314,9 +314,8 @@ def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
     states = propagate_arms(np.outer(plus, plus), noise, n, dt, [{}],
                             range(n + 1))[0].states
     phases = sigma * _ou_unit_phases(noise, n, dt, range(n + 1))
-    for i, b in enumerate((4, 2, 1)):
-        want = np.exp(-1j * phases[:, :, i]).mean(axis=0)
-        assert np.max(np.abs(8.0 * states[:, 0, b] - want)) < 1e-12
+    want = np.exp(-1j * phases).mean(axis=0)
+    assert np.max(np.abs(8.0 * states[:, 0, 4] - want)) < 1e-12
 
 
 @PROPERTY
@@ -555,16 +554,17 @@ def test_segment_cap_is_stated_in_seconds(dt, n, steps):
 ], ids=["x", "pi_6", "y_flip_error"])
 def test_pulse_at_step_zero_acts_before_the_first_sample(phase, flip_error):
     # the sweep applies a step-0 pulse to the initial states, before the
-    # step-0 sample and the first segment
-    n, dt, samples = 100, 1e-5, [0, 30, 100]
+    # step-0 sample and the first segment; on a grid of no steps that
+    # sample is all there is
     u = pulse_unitary(phase, flip_error)
-    pulses = {0: u, 50: u}
     rho0 = prepare_w()
-    curve = propagate_arms(rho0, FLIPPY, n, dt, [pulses], samples)[0]
-    want = _strang_reference(rho0, FLIPPY, n, dt, pulses, samples)
-    assert np.max(np.abs(curve.states - want)) < 1e-12
-    assert np.max(np.abs(curve.states[0] - u @ rho0 @ u.conj().T)) < 1e-15
-    assert np.max(np.abs(curve.states[0] - rho0)) > 0.1
+    for n, dt, pulses, samples in ((100, 1e-5, {0: u, 50: u}, [0, 30, 100]),
+                                   (0, 1e-5, {0: u}, [0])):
+        curve = propagate_arms(rho0, FLIPPY, n, dt, [pulses], samples)[0]
+        want = _strang_reference(rho0, FLIPPY, n, dt, pulses, samples)
+        assert np.max(np.abs(curve.states - want)) < 1e-12
+        assert np.max(np.abs(curve.states[0] - u @ rho0 @ u.conj().T)) < 1e-15
+        assert np.max(np.abs(curve.states[0] - rho0)) > 0.1
 
 
 @pytest.mark.parametrize("schedule", [
