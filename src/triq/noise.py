@@ -58,7 +58,11 @@ __all__ = [
 # trajectories per partial sum of a sampled mean: fixed, so that the
 # sums, and every output, do not depend on the batch width
 _CHUNK = 32
-_BATCH = 64  # trajectories swept at once; a multiple of _CHUNK
+# trajectories swept at once, a multiple of _CHUNK: each segment of a
+# sweep is a few numpy calls on the whole batch, so a wider batch takes
+# fewer Python steps, while each arm's per-segment phase table holds
+# 24 B per segment per trajectory, 3 KiB per segment at this width
+_BATCH = 128
 # samples of a Markovian stretch evaluated at once; one stack of a
 # whole 2,001-sample stretch raised peak memory by 14%
 _BLOCK = 64
@@ -142,9 +146,9 @@ _ZDIFF = (_BITS[:, None, :] - _BITS[:, :, None]).astype(float)
 # 1 where qubit i's bit differs between row and column: the elements
 # that sigma_z dephasing of qubit i damps
 _ZMASK = (_ZDIFF != 0.0).astype(float)
-# the 27 distinct columns (3,) of _ZDIFF raveled to (3, 64), and the
-# column of each of the 64 elements
-_ZCOLS, _ZCOL_OF = np.unique(_ZDIFF.reshape(3, 64), axis=1, return_inverse=True)
+# per qubit i, the column 3 i + ZDIFF_i + 1 of each of the 64 raveled
+# elements in a row [conj e_1, 1, e_1, conj e_2, 1, e_2, conj e_3, 1, e_3]
+_ZCOL = 3 * np.arange(3)[:, None] + _ZDIFF.reshape(3, 64).astype(np.intp) + 1
 
 
 # Longest grid a run may have. fit_grid cuts none longer, and
@@ -325,14 +329,26 @@ def _flips(states, kappa_x, t):
 
 def _phase_factors(phi):
     """exp(-i sum_i phi_i ZDIFF_i), raveled to (len(phi), 64), for each
-    row of the OU phases phi (len(phi), 3): one exp per distinct column
-    of _ZDIFF, gathered to the 64 elements."""
-    # summed from zero in qubit order, as einsum over _ZDIFF sums it,
-    # so that every factor is bit for bit the same
-    phase = np.zeros((len(phi), _ZCOLS.shape[1]))
-    for i in range(3):
-        phase += phi[:, i, None] * _ZCOLS[i]
-    return np.exp(-1j * phase)[:, _ZCOL_OF]
+    row of the OU phases phi (len(phi), 3).
+
+    The factor is the product over qubits of e_i = exp(-i phi_i) raised
+    to ZDIFF_i in {-1, 0, +1}: three exps a row, each gathered from the
+    table [conj e_i, 1, e_i] to the 64 elements and multiplied in qubit
+    order. A qubit whose bit agrees contributes exactly 1, so the
+    diagonal is exactly 1 and an element where one qubit differs is
+    that qubit's exp; any other element is within a few ulps of the
+    exp of its whole phase.
+    """
+    e = np.exp(-1j * phi)
+    table = np.empty((len(phi), 3, 3), dtype=complex)
+    np.conjugate(e, out=table[:, :, 0])
+    table[:, :, 1] = 1.0
+    table[:, :, 2] = e
+    table = table.reshape(len(phi), 9)
+    out = table[:, _ZCOL[0]]
+    for col in _ZCOL[1:]:
+        out *= table[:, col]
+    return out
 
 
 def _ou_track(noise, j, dt, n):
@@ -382,7 +398,7 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
 
     A correlated bath runs the OU sweep at any sigma and grid, sigma = 0
     and zero steps included. All arms see the same OU tracks: each batch
-    of up to 64 trajectories is one pass for all arms, in which
+    of up to 128 trajectories (_BATCH) is one pass for all arms, in which
     trajectory j's track is drawn once and reduced at every arm's
     segment edges before the next is drawn, so an arm's curve equals a
     one-train pass of its train bit for bit. A sampled mean adds the
@@ -489,19 +505,25 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks):
         return train, edges, dt * np.diff(edges), merge
 
     arms = [plan(train) for train in trains]
+    # each segment's first grid step, intp so that a grid of no steps,
+    # whose only arm has no segment, still indexes
+    starts = [np.array(edges[:-1], dtype=np.intp) for _, edges, *_ in arms]
+    # per-segment OU phases of a batch, (batch, segments, 3) per arm,
+    # allocated once and refilled by every batch
+    tables = [np.empty((min(_BATCH, noise.trajectories), len(s), 3))
+              for s in starts]
     accs = [np.zeros((len(marks), 64), dtype=complex) for _ in arms]
     for start in range(0, noise.trajectories, _BATCH):
         width = min(_BATCH, noise.trajectories - start)
-        # per-segment OU phases of every arm, (width, segs, 3): each
-        # track is drawn once, reduced at all arms' edges, dropped
-        sums = [[] for _ in arms]
-        for j in range(start, start + width):
-            track = _ou_track(noise, j, dt, n_steps)
-            for (_, edges, *_), out in zip(arms, sums):
-                out.append(np.add.reduceat(track, edges[:-1]))
-        for arm, out, acc in zip(arms, sums, accs):
-            _sweep(rho0, width, arm, dt * np.stack(out), noise.kappa_x,
-                   row, acc)
+        # each track is drawn once, reduced at all arms' edges, dropped
+        for j in range(width):
+            track = _ou_track(noise, start + j, dt, n_steps)
+            for s, table in zip(starts, tables):
+                np.add.reduceat(track, s, axis=0, out=table[j])
+        for arm, table, acc in zip(arms, tables, accs):
+            phi = table[:width]
+            phi *= dt
+            _sweep(rho0, width, arm, phi, noise.kappa_x, row, acc)
     for acc in accs:
         acc /= noise.trajectories
     return accs
@@ -519,7 +541,8 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
     """Run one arm's segments for a batch of ``width`` trajectories and
     add the sampled states into the rows of acc (samples, 64). The
     states stay raveled, (width, 64). phi holds the batch's per-segment
-    OU phases, (width, segments, 3)."""
+    OU phases, (width, segments, 3); a segment's phase factor takes
+    three exps per trajectory, one per qubit (_phase_factors)."""
     train, edges, deltas, merge = arm
     states = np.broadcast_to(rho0.reshape(64), (width, 64)).astype(complex)
     if 0 in train:
@@ -556,9 +579,10 @@ def _ou_unit_phases(noise, n_steps, dt, sample_steps):
     unit = replace(noise, ou_sigma=1.0)
     out = np.empty((noise.trajectories, len(sample_steps)))
     cum = np.zeros(n_steps + 1)
+    index = np.array(sample_steps, dtype=np.intp)
     for j in range(noise.trajectories):
         np.cumsum(_ou_track(unit, j, dt, n_steps)[:, 0], out=cum[1:])
-        out[j] = dt * cum[sample_steps]
+        out[j] = dt * cum[index]
     return out
 
 
@@ -574,9 +598,11 @@ _ONE_OVER_E = math.exp(-1.0)
 def _closed_form_time(sigma, phases, times):
     """1/e time of |mean_j exp(-i sigma Phi_j)| from unit-sigma phases
     of shape (trajectories, samples)."""
-    x = sigma * phases
-    re = np.cos(x).mean(axis=0)
-    # sin in place: two (trajectories, samples) arrays live at a time
+    # one scratch table beside the phases: sigma Phi, its cos in place,
+    # then sigma Phi again and its sin in place
+    x = np.multiply(phases, sigma)
+    re = np.cos(x, out=x).mean(axis=0)
+    np.multiply(phases, sigma, out=x)
     return measures.first_crossing(
         times, np.hypot(re, np.sin(x, out=x).mean(axis=0)), _ONE_OVER_E)
 

@@ -572,16 +572,33 @@ def test_pulse_at_step_zero_acts_before_the_first_sample(phase, flip_error):
     build_kddxy(1e-3, flip_error=0.01),   # does not
 ], ids=["xy16s", "kddxy_flip_error"])
 def test_batch_width_does_not_change_results(schedule, monkeypatch):
-    # 70 trajectories in batches of 64 or, as the sweep once ran, of 32:
-    # every sampled mean adds the same 32-trajectory partial sums
+    # 262 trajectories, two full batches and a part, at the sweep's own
+    # width or in batches of 32: every sampled mean adds the same
+    # 32-trajectory partial sums
     n, dt, samples = _arm_grid(schedule)
-    noise = replace(FLIPPY, trajectories=70)
+    noise = replace(FLIPPY, trajectories=2 * triq.noise._BATCH + 6)
     trains = [expand_schedule(schedule, PER_TAU), {}]
     wide = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
     monkeypatch.setattr(triq.noise, "_BATCH", 32)
     narrow = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
     for a, b in zip(wide, narrow):
         assert np.array_equal(a.states, b.states)
+
+
+def test_pure_ou_bath_keeps_every_population_exactly():
+    # with no flips and no pulses every trajectory's phase factor is
+    # exactly 1 on the diagonal, and |+++><+++| has every element 1/8,
+    # so the mean of any number of copies is 1/8 bit for bit: the
+    # sampled populations equal rho0's, across batch edges too
+    rho0 = np.full((8, 8), 0.125)
+    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                       bath_mode="correlated", ou_sigma=50.0, ou_tau_c=0.01,
+                       trajectories=triq.noise._BATCH + 2, seed=7)
+    curve = propagate_arms(rho0, noise, 400, 1e-4, [{}], [0, 1, 150, 400])[0]
+    pops = np.diagonal(curve.states, axis1=1, axis2=2)
+    assert np.array_equal(pops, np.full(pops.shape, 0.125 + 0j))
+    # the coherences did decay, so the bath acted
+    assert np.max(np.abs(curve.states[-1] - rho0)) > 0.01
 
 
 phase_rows = st.lists(st.tuples(*[st.floats(-1e4, 1e4)] * 3),
@@ -591,13 +608,26 @@ phase_rows = st.lists(st.tuples(*[st.floats(-1e4, 1e4)] * 3),
 @PROPERTY
 @given(phi=phase_rows)
 def test_phase_factors_equal_the_full_exponential(phi):
-    # one exp per distinct column of _ZDIFF, gathered to the 64 elements,
-    # is bit for bit the exp of every element
+    # the product of three per-qubit exps: exactly 1 where no qubit
+    # differs, exactly that qubit's exp where one does, and elsewhere
+    # within rounding of the exp of the whole phase. Each exp is within
+    # 1 ulp per component, so 2u in modulus (u = eps/2), and each of the
+    # two complex products adds sqrt(5) u: 6u + 2 sqrt(5) u < 10.5u for
+    # the product. The reference rounds the sum of three phases, by at
+    # most 2u sum|phi_i|, before its own exp (2u). So every element is
+    # within eps (6.25 + sum|phi_i|) <= 7 eps (1 + sum|phi_i|).
     phi = np.array(phi)
-    want = np.exp(-1j * np.einsum("ci,iab->cab", phi, _ZDIFF))
     got = _phase_factors(phi)
     assert got.shape == (len(phi), 64)
-    assert got.tobytes() == want.reshape(len(phi), 64).tobytes()
+    zdiff = _ZDIFF.reshape(3, 64)
+    differ = np.count_nonzero(zdiff, axis=0)
+    assert np.all(got[:, differ == 0] == 1.0)
+    for c in np.flatnonzero(differ == 1):
+        i = np.flatnonzero(zdiff[:, c])[0]
+        assert np.array_equal(got[:, c], np.exp(-1j * zdiff[i, c] * phi[:, i]))
+    want = np.exp(-1j * np.einsum("ci,iab->cab", phi, _ZDIFF)).reshape(len(phi), 64)
+    bound = 7 * np.finfo(float).eps * (1.0 + np.abs(phi).sum(axis=1))
+    assert np.all(np.abs(got - want) <= bound[:, None])
 
 
 @PROPERTY
