@@ -19,7 +19,8 @@ Every function takes the rates as a Markovian noise.NoiseModel
 (kx_i = kappa_x[i], kz_i = kappa_z[i]) and rejects a correlated one,
 whose OU dephasing has no closed form here. Each takes one time,
 returning an 8x8 matrix, or an array of n times, returning an
-(n, 8, 8) stack whose entries equal the one-time results bit for bit.
+(n, 8, 8) stack whose entries equal the one-time results bit for bit;
+a negative, infinite or NaN time is a ValueError.
 """
 
 import numpy as np
@@ -41,8 +42,8 @@ def _sign(a, *qubits):
 def _times(t):
     """Times as a 1-d array, and whether a single time was given."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be non-negative")
+    if not np.all((t >= 0) & (t < np.inf)):  # false for NaN too
+        raise ValueError("t must be non-negative and finite")
     return np.atleast_1d(t), t.ndim == 0
 
 

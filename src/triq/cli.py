@@ -182,7 +182,7 @@ def load_config(path=None, environ=None, seed=None, out_dir=None):
         try:
             with open(path) as f:
                 text = f.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError("cannot read config %s: %s" % (path, err))
         cfg = parse_config(text, name=path)
     else:
@@ -469,7 +469,7 @@ def cmd_tomo(cfg):
     if records_path:
         try:
             records = read_records(records_path)
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError("cannot read records %s: %s" % (records_path, err))
     else:
         sigma = cfg["tomo.noise_sigma"]

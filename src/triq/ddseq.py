@@ -57,7 +57,8 @@ class DDSchedule:
     """One cycle of pulses spaced tau seconds apart, repeated ``cycles``
     times. ``pulses`` holds each pulse's phase in order (0.0 is x);
     pulse k sits at (k + 1/2) tau into its cycle, and every pulse
-    over-rotates by flip_error."""
+    over-rotates by flip_error. tau and the cycle's span N tau must be
+    finite and positive (else ValueError)."""
 
     pulses: tuple
     tau: float
@@ -72,6 +73,7 @@ class DDSchedule:
         if not self.pulses:
             raise ValueError("schedule needs at least one pulse")
         _check_delay("tau", self.tau)
+        _check_delay("the cycle span N tau", len(self.pulses) * self.tau)
         for name, value in ([("phase", p) for p in self.pulses]
                             + [("flip_error", self.flip_error)]):
             if not math.isfinite(value):

@@ -64,11 +64,11 @@ _PURE_TOL = 1e-14
 class DecayCurve:
     """Sampled evolution of one state under one noise model.
 
-    times are seconds, strictly increasing. n1, n2, n3 are the per-cut
-    negativities, n3_tri their geometric mean, fidelity is against the
-    curve's reference state (the initial state unless stated otherwise),
-    purity is Tr(rho^2). states is the (n, 8, 8) stack of the sampled
-    density matrices in the same order.
+    times are seconds, finite and strictly increasing (else ValueError).
+    n1, n2, n3 are the per-cut negativities, n3_tri their geometric mean,
+    fidelity is against the curve's reference state (the initial state
+    unless stated otherwise), purity is Tr(rho^2). states is the
+    (n, 8, 8) stack of the sampled density matrices in the same order.
     """
 
     times: np.ndarray
@@ -82,6 +82,8 @@ class DecayCurve:
         default_factory=lambda: np.empty((0, 8, 8), dtype=complex), repr=False)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("times must be finite")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 

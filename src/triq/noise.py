@@ -151,23 +151,25 @@ _ZMASK = (_ZDIFF != 0.0).astype(float)
 _ZCOL = 3 * np.arange(3)[:, None] + _ZDIFF.reshape(3, 64).astype(np.intp) + 1
 
 
-# Longest grid a run may have. fit_grid cuts none longer, and
-# check_grid, which every engine run passes, rejects a longer one,
-# such as a protected run's cycles times its steps per cycle. A
-# correlated run holds one trajectory's OU track and its normal draws,
-# three float64 each, 48 B per grid step: 768 MiB at 2**24 steps, so a
-# longer grid is a config error rather than a MemoryError deep in a
-# run. The longest grids that a test, demo or benchmark workload runs
-# have 100,000 steps, 48,000 under the OU bath.
-MAX_STEPS = 2**24
-# Most sampled states, samples times arms, that a run may hold. Each
-# arm's accumulator holds a sample's state in 64 complex, 1 KiB, and
-# its rows become the curve's states; decay's closed-form overlay holds
-# as much again. At 2 KiB a sample the same 768 MiB as one OU track at
-# MAX_STEPS holds 393,216, where MAX_STEPS alone would allow 32 GiB.
-# The most a test, demo or benchmark workload asks is 2,001 samples of
-# one arm.
-_MAX_SAMPLES = MAX_STEPS * 48 // 2048
+# Most bytes a run may hold in each array that grows with its config,
+# so that a run too large is a config error before it allocates, not a
+# MemoryError deep in a run: _check_holds bounds the sampled states, the
+# OU phase tables and calibration's phases, and MAX_STEPS the OU track.
+_MAX_BYTES = 768 * 2**20
+# Longest grid a run may have, cut by fit_grid and checked by check_grid
+# on every engine run: a correlated run holds one trajectory's OU track
+# and its normal draws, three float64 each, 48 B per grid step. The
+# longest grids that a test, demo or benchmark workload runs have
+# 100,000 steps, 48,000 under the OU bath.
+MAX_STEPS = _MAX_BYTES // 48
+
+
+def _check_holds(count, size, what):
+    """Raise ValueError if ``count`` items of ``size`` bytes each are
+    more than the _MAX_BYTES a run may hold."""
+    if count * size > _MAX_BYTES:
+        raise ValueError("%d %s of %d B each are more than the %g MiB a run "
+                         "may hold" % (count, what, size, _MAX_BYTES / 2**20))
 
 
 def fit_grid(span, max_dt):
@@ -384,13 +386,14 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     sequence (list, range or array). Pulse and sample steps are integers
     in [0, n_steps] (else ValueError, so a list of (step, unitary) pairs
     is rejected too), and sample steps strictly increase (else
-    ValueError). More than 393,216 samples times arms is a ValueError
-    too, raised before any sample step is read. A pulse acts before its
-    step's sample. Trajectory j draws its OU track
-    from a stream seeded by (noise.seed, j), so the mean does not depend
-    on execution order; every sampled mean is validated as physical
-    (else PhysicalityError naming the sample by its index and time, from
-    measures.curve_from_states).
+    ValueError). Past the 768 MiB a run may hold, samples times arms at
+    2 KiB (393,216 states) are a ValueError before any sample step is
+    read, and a batch's OU phases at 24 B per segment per trajectory one
+    before any track is drawn. A pulse acts before its step's sample.
+    Trajectory j draws its OU track from a stream seeded by (noise.seed,
+    j), so the mean does not depend on execution order; every sampled
+    mean is validated as physical (else PhysicalityError naming the
+    sample by its index and time, from measures.curve_from_states).
 
     Under the Markovian bath an arm is cut at its pulse steps into
     stretches, and every sample of a stretch is the closed form of the
@@ -423,11 +426,8 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     """
     rho0 = check_density(rho0)
     check_grid(n_steps, dt)
-    n_samples = len(sample_steps)
-    if n_samples * len(trains) > _MAX_SAMPLES:
-        raise ValueError("%d samples per arm, %d states in all, are more than "
-                         "the %d sampled states a run may hold"
-                         % (n_samples, n_samples * len(trains), _MAX_SAMPLES))
+    # 2 KiB a state: 64 complex in an arm's accumulator, and in decay's overlay
+    _check_holds(len(sample_steps) * len(trains), 2048, "sampled states")
     marks = _check_steps(sample_steps, n_steps)
     for train in trains:
         if train:
@@ -505,6 +505,10 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks):
         return train, edges, dt * np.diff(edges), merge
 
     arms = [plan(train) for train in trains]
+    # a batch's phases, three float64 per segment per trajectory
+    _check_holds(min(_BATCH, noise.trajectories)
+                 * sum(len(deltas) for _, _, deltas, _ in arms),
+                 24, "OU segment phases")
     # each segment's first grid step, intp so that a grid of no steps,
     # whose only arm has no segment, still indexes
     starts = [np.array(edges[:-1], dtype=np.intp) for _, edges, *_ in arms]
@@ -586,11 +590,6 @@ def _ou_unit_phases(noise, n_steps, dt, sample_steps):
     return out
 
 
-# Most unit-sigma phases calibration holds, trajectories times samples:
-# at 8 B each, the same 768 MiB as one OU track at MAX_STEPS, 189,573
-# trajectories at calibrate's 531 samples.
-_MAX_PHASES = MAX_STEPS * 6
-
 _PLUS = np.full((2, 2), 0.5, dtype=complex)
 _ONE_OVER_E = math.exp(-1.0)
 
@@ -647,8 +646,8 @@ def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
     [sigma_lo, sigma_hi] rescales them. The sigma it settles on is run
     once through ``propagate_arms`` on the same grid and samples.
     Returns (sigma, that run's 1/e time, iterations). ValueError, before
-    any track is drawn, if trajectories times samples exceeds the
-    100,663,296 phases (768 MiB) a calibration table may hold;
+    any track is drawn, if the trajectories times samples phases, 8 B
+    each, are past the 768 MiB a run may hold (100,663,296 phases);
     RuntimeError if the bracket does not straddle t2 or the time ends
     over 2% off; NumericalError if it is over 1e-9 t2 from the closed
     form's.
@@ -664,11 +663,7 @@ def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
     every = max(1, n // 500)
     steps = sorted(set(range(0, n + 1, every)) | {n})
     times = np.array([k * dt for k in steps])
-    if trajectories * len(steps) > _MAX_PHASES:
-        raise ValueError("%d trajectories of %d samples are %d phases, more "
-                         "than the %d a calibration table may hold"
-                         % (trajectories, len(steps), trajectories * len(steps),
-                            _MAX_PHASES))
+    _check_holds(trajectories * len(steps), 8, "unit-sigma phases")
     sigma, predicted, iterations, (lo, t_lo, hi, t_hi) = _bisect(
         _ou_unit_phases(noise, n, dt, steps), times, sigma_lo, sigma_hi, t2)
     curve = propagate_arms(np.kron(_PLUS, np.kron(P0, P0)),

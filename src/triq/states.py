@@ -38,6 +38,9 @@ def _axis(phase):
 
 
 def _rot2(angle, phase):
+    for name, value in (("angle", angle), ("phase", phase)):
+        if not math.isfinite(value):
+            raise ValueError("rotation %s must be finite, got %g" % (name, value))
     ax = _axis(phase)
     return math.cos(angle / 2.0) * ID2 - 1j * math.sin(angle / 2.0) * ax
 

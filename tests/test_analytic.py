@@ -45,6 +45,15 @@ def test_families_reject_negative_time(rates):
             family(-0.01, rates)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, [0.0, math.nan]],
+                         ids=["nan", "inf", "nan_in_array"])
+def test_families_reject_a_non_finite_time(rates, t):
+    # a NaN or infinite time used to return a NaN matrix
+    for family in FAMILIES.values():
+        with pytest.raises(ValueError, match="t must be non-negative and finite"):
+            family(t, rates)
+
+
 def test_trace_and_hermiticity_random_rates(rng):
     for _ in range(20):
         r = NoiseModel(kappa_x=tuple(rng.uniform(0.05, 3.0, 3)),

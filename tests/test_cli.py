@@ -94,6 +94,18 @@ def test_missing_config_file():
         load_config("/no/such/file.cfg", environ={})
 
 
+def test_a_config_that_is_not_utf8_is_named(tmp_path, capsys):
+    # the decode error named no file
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"state = \xb5\n")
+    rc = main(["decay", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config %s: 'utf-8' codec "
+                          "can't decode byte 0xb5" % path)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seed", ["abc", "18446744073709551616"])
 def test_seed_flag_errors_name_the_flag(tmp_path, capsys, seed):
     # as an error in TRIQ_SEED names the variable
@@ -198,9 +210,9 @@ def test_decay_rejects_more_samples_than_a_run_may_hold(tmp_path, monkeypatch,
         rc, out = run(tmp_path, "grid.t_final_s = %g\ngrid.step_s = 1e-6\n"
                       % t_final, out="out%d" % samples)
         assert rc == 2
-        assert capsys.readouterr().err.endswith(
-            "%d samples per arm, %d states in all, are more than the "
-            "393216 sampled states a run may hold\n" % (samples, samples))
+        assert capsys.readouterr().err == (
+            "config error: %d sampled states of 2048 B each are more than "
+            "the 768 MiB a run may hold\n" % samples)
         assert not (out / "decay.csv").exists()
 
 
@@ -292,6 +304,27 @@ def test_protect_rejects_a_correlated_grid_too_large_to_hold(tmp_path, monkeypat
     assert not out.exists()
 
 
+def test_protect_rejects_phase_tables_too_large_to_hold(tmp_path, monkeypatch,
+                                                       capsys):
+    # 20,971 XY-16 cycles at tau = 0.25 ms pass the step cap (16,776,800
+    # steps) and the sample cap (41,944 states), but a batch of 128
+    # trajectories would hold 33 segments a cycle over both arms, 2.0 GiB
+    # of per-segment OU phases: a config error before any track is drawn,
+    # which the stub stands in for
+    def no_track(*args):
+        raise AssertionError("an OU track was drawn for tables past the cap")
+
+    monkeypatch.setattr(triq.noise, "_ou_track", no_track)
+    cfg = PROTECT_CFG.replace("bath.trajectories = 4\n", "bath.trajectories = 128\n")
+    cfg = cfg.replace("dd.tau_s = 0.001\n", "dd.tau_s = 0.00025\ndd.cycles = 20971\n")
+    rc, out = run(tmp_path, cfg, command="protect")
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: 88581504 OU segment phases of 24 B each are more than "
+        "the 768 MiB a run may hold\n")
+    assert not out.exists()
+
+
 def test_protect_long_tau_keeps_pulses_on_the_grid(tmp_path):
     # at tau = 20 ms, tau/50 is above tau_c/20 = 0.25 ms, and the step
     # must still divide the pulse spacing
@@ -361,9 +394,9 @@ def test_calibrate_rejects_a_table_too_large_to_hold(tmp_path, monkeypatch,
                   "bath.trajectories = 100000000\nseed = 2\n",
                   command="calibrate")
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: 100000000 trajectories of 531 samples")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == (
+        "config error: 53100000000 unit-sigma phases of 8 B each are more "
+        "than the 768 MiB a run may hold\n")
     assert not (out / "calibration.txt").exists()
 
 
@@ -487,6 +520,18 @@ def test_tomo_missing_records_file(tmp_path):
     assert rc == 2
 
 
+def test_tomo_records_that_are_not_utf8_are_named(tmp_path, capsys):
+    # the decode error named no file
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"setting,observable_index,value\nIII,0,\xb5\n")
+    rc, out = run(tmp_path, "tomo.records = %s\n" % bad, command="tomo")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot read records %s: 'utf-8' codec can't decode "
+        "byte 0xb5" % bad)
+    assert not out.exists()
+
+
 def test_tomo_incomplete_records_file(tmp_path):
     bad = tmp_path / "partial.txt"
     bad.write_text("setting,observable_index,value\nIII,0,0.5\n")
@@ -525,6 +570,18 @@ def test_schedule_dump_matches_library_table(tmp_path):
     assert rc == 0
     assert (out / "schedule.csv").read_text() == \
         schedule_table(build_xy16s(0.25e-3))
+
+
+def test_schedule_dump_rejects_a_cycle_span_that_overflows(tmp_path, capsys):
+    # tau = 1e308 s is finite, but its 16 tau cycle is not: the dump
+    # wrote inf offsets and exited 0
+    cfg = "dd.sequence = xy16s\ndd.tau_s = 1e308\n"
+    rc, out = run(tmp_path, cfg, command="schedule-dump")
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: the cycle span N tau must be finite and positive, "
+        "got inf\n")
+    assert not (out / "schedule.csv").exists()
 
 
 def test_schedule_dump_requires_sequence(tmp_path):

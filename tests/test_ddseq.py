@@ -124,6 +124,24 @@ def test_delays_must_be_finite_and_positive(build, field, value):
         build(value)
 
 
+@pytest.mark.parametrize("build", [lambda tau: DDSchedule((0.0,) * 2, tau),
+                                   build_xy16s, build_kddxy, build_cpmg],
+                         ids=["DDSchedule", "build_xy16s", "build_kddxy",
+                              "build_cpmg"])
+def test_a_cycle_span_that_overflows_is_rejected(build):
+    # tau = 1e308 is finite, but N tau is not: schedule-dump wrote inf
+    # offsets
+    with pytest.raises(ValueError, match="cycle span N tau must be finite"):
+        build(1e308)
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf])
+def test_pulse_unitary_rejects_a_non_finite_phase(phase):
+    # a NaN phase gave a NaN unitary
+    with pytest.raises(ValueError, match="rotation phase must be finite"):
+        pulse_unitary(phase)
+
+
 def test_pulse_unitary_collective_x():
     u = pulse_unitary(0.0)
     xxx = np.kron(np.kron(SX, SX), SX)

@@ -259,3 +259,12 @@ def test_curve_from_states_rejects_unequal_lengths(rates):
 def test_decay_curve_rejects_non_increasing_times():
     with pytest.raises(ValueError, match="strictly increasing"):
         _curve([0.0, 0.1, 0.1], [0.5, 0.4, 0.3])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_curve_rejects_a_non_finite_time(bad):
+    # NaN fails `diff <= 0`, so [0, nan] passed as increasing and a CSV
+    # then wrote a nan time row
+    states = [prepare_w()] * 2
+    with pytest.raises(ValueError, match="times must be finite"):
+        curve_from_states([0.0, bad], states, states[0])

@@ -354,13 +354,13 @@ def test_pulse_steps_need_no_order():
 
 
 def test_too_many_sampled_states_are_rejected(monkeypatch):
-    # samples times arms past the cap is a config error, raised before
-    # the accumulator is allocated
-    monkeypatch.setattr(triq.noise, "_MAX_SAMPLES", 21)
-    propagate_arms(prepare_ghz(), OU_NOISE, 10, 1e-3, [{}], range(11))
-    with pytest.raises(ValueError, match="11 samples per arm, 22 states in all, are "
-                       "more than the 21 sampled states a run may hold"):
-        propagate_arms(prepare_ghz(), OU_NOISE, 10, 1e-3, [{}, {}], range(11))
+    # samples times arms past the budget, at 2 KiB a state, is a config
+    # error, raised before the accumulator is allocated: 1 MiB holds 512
+    monkeypatch.setattr(triq.noise, "_MAX_BYTES", 2**20)
+    propagate_arms(prepare_ghz(), OU_NOISE, 300, 1e-5, [{}], range(257))
+    with pytest.raises(ValueError, match="514 sampled states of 2048 B each are "
+                       "more than the 1 MiB a run may hold"):
+        propagate_arms(prepare_ghz(), OU_NOISE, 300, 1e-5, [{}, {}], range(257))
 
 
 @SAMPLED_RUNS
@@ -584,6 +584,58 @@ def test_calibration_grid(monkeypatch, tau_c, n, dt, samples):
     assert step == pytest.approx(dt, rel=1e-12)
     assert steps == list(range(0, n + 1, 5))
     assert len(steps) == samples
+
+
+def _stop(*args):
+    raise _Stop
+
+
+# Each limit below is checked before the run allocates: a stub that
+# raises _Stop stands in for the first step past the check, so a run
+# that fits stops there and a missing check fails loudly.
+
+@pytest.mark.parametrize("budget, fits", [(33792, True), (33791, False)])
+def test_ou_phase_tables_past_the_budget_are_rejected(monkeypatch, budget, fits):
+    # a batch holds 24 B per segment per trajectory of every arm: 128 of
+    # 300 trajectories, and 10 segments of a train pulsed at every step
+    # plus 1 of the free arm, 33,792 B; 4 states take 8 KiB
+    train = {k: 1j * np.eye(8, dtype=complex) for k in range(1, 10)}
+    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                       bath_mode="correlated", ou_sigma=10.0, ou_tau_c=0.01,
+                       trajectories=300, seed=1)
+    monkeypatch.setattr(triq.noise, "_MAX_BYTES", budget)
+    monkeypatch.setattr(triq.noise, "_ou_track", _stop)
+    with pytest.raises(_Stop if fits else ValueError,
+                       match=None if fits else
+                       "1408 OU segment phases of 24 B each are more than"):
+        propagate_arms(prepare_ghz(), noise, 10, 1e-3, [train, {}], [0, 10])
+
+
+@pytest.mark.parametrize("arms, samples, fits", [
+    (1, 393216, True), (1, 393217, False), (2, 196608, True), (2, 196609, False),
+])
+def test_sampled_states_fit_up_to_768_mib(monkeypatch, arms, samples, fits):
+    # 768 MiB at 2 KiB a state holds 393,216 states over all arms; a
+    # range lists no step, and the stub stands in for reading them
+    monkeypatch.setattr(triq.noise, "_check_steps", _stop)
+    with pytest.raises(_Stop if fits else ValueError,
+                       match=None if fits else "%d sampled states of 2048 B each "
+                       "are more than the 768 MiB" % (arms * samples)):
+        propagate_arms(prepare_ghz(), OU_NOISE, samples, 1e-6, [{}] * arms,
+                       range(samples))
+
+
+@pytest.mark.parametrize("trajectories, fits", [(196608, True), (196609, False)])
+def test_calibration_phases_fit_up_to_768_mib(monkeypatch, trajectories, fits):
+    # at tau_c = 20 (2.5 T2) / 2554.5 the grid is 2,555 steps sampled every
+    # 5, 512 samples: 196,608 trajectories are the 100,663,296 phases that
+    # 768 MiB holds at 8 B each, and one more trajectory is past it; the
+    # stub stands in for drawing the tracks
+    monkeypatch.setattr(triq.noise, "_ou_unit_phases", _stop)
+    with pytest.raises(_Stop if fits else ValueError,
+                       match=None if fits else "%d unit-sigma phases of 8 B each "
+                       "are more than the 768 MiB" % (512 * trajectories)):
+        calibrate_sigma(0.53, 20 * 2.5 * 0.53 / 2554.5, trajectories, 3, 1.0, 60.0)
 
 
 def test_markovian_grid_ignores_the_rates():

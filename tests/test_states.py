@@ -46,6 +46,18 @@ def test_rotation_rejects_bad_qubit():
         rotation(4, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["angle", "phase"])
+def test_rotations_reject_a_non_finite_angle_or_phase(field, value):
+    # a NaN gave a NaN matrix, and an infinite angle "math domain error"
+    args = {"angle": 1.0, "phase": 0.0, field: value}
+    message = "rotation %s must be finite" % field
+    with pytest.raises(ValueError, match=message):
+        rotation(1, args["angle"], args["phase"])
+    with pytest.raises(ValueError, match=message):
+        controlled_rotation(1, 2, args["angle"], args["phase"])
+
+
 def test_cnot_truth_table():
     u = cnot(1, 3)
     # |100> -> |101>, |101> -> |100>, |000> untouched
