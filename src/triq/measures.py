@@ -243,7 +243,17 @@ def disentanglement_time(curve):
 
 def first_crossing(times, values, level):
     """First time ``values`` falls below ``level``, interpolated linearly
-    from the sample before; times[0] if values[0] is, inf if none is."""
+    from the sample before; times[0] if values[0] is, inf if none is.
+    times and values are read as float arrays; a level that is not
+    finite or a NaN value, which no comparison finds below it, raises
+    ValueError."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not math.isfinite(level):
+        raise ValueError("level must be finite, got %g" % level)
+    nan = np.flatnonzero(np.isnan(values))
+    if len(nan):
+        raise ValueError("value %d is NaN" % nan[0])
     below = np.nonzero(values < level)[0]
     if len(below) == 0:
         return math.inf

@@ -27,12 +27,14 @@ Strang-split around the phase, the phase summed over the segment's
 steps of the OU grid, and segments are capped at _MAX_SEGMENT_S
 seconds; ``propagate_arms`` states how the arms share each OU track
 and where adjacent half flips merge, and ``_sweep`` how a batch of
-trajectories is swept on raveled states. The OU recurrence is linear
-in sigma for fixed draws, so a track at sigma is sigma times the track
-at 1: ``calibrate_sigma``, which fits sigma to a qubit-1 T2, draws the
-unit-sigma tracks once and rescales their phases at every bisection
-step instead of propagating again. The tests pin the propagator
-against a generator built from explicit Lindblad operator matrices.
+trajectories is swept on raveled states. Every OU track is drawn at
+unit sigma, and sigma scales each segment's phase once, which is the
+phase of the track at sigma since the recurrence is linear in its
+draws. So ``calibrate_sigma``, which fits sigma to a qubit-1 T2, draws
+the engine's own unit tracks once and rescales their phases at every
+bisection step instead of propagating again. The tests pin the
+propagator against a generator built from explicit Lindblad operator
+matrices.
 """
 import math
 from dataclasses import dataclass, replace
@@ -272,24 +274,24 @@ def evolve(rho0, noise, t_final, sample_dt):
                           range(0, n * k + 1, k))[0]
 
 
-def _ou_paths(rng, tau_c, sigma, dt, n_steps, width):
-    """Stationary OU tracks, one column per qubit: (n_steps, width).
+def _ou_paths(rng, tau_c, dt, n_steps, width):
+    """Stationary unit-sigma OU tracks, one column per qubit: (n_steps,
+    width).
 
-    Exact discrete update x' = d x + sigma sqrt(1 - d^2) xi, with
-    d = e^{-dt/tau_c} and a stationary N(0, sigma^2) start, evaluated by
-    a doubling scan (Hillis & Steele, CACM 29, 1170 (1986)): after the
+    Exact discrete update x' = d x + sqrt(1 - d^2) xi, with
+    d = e^{-dt/tau_c} and a stationary N(0, 1) start, evaluated by a
+    doubling scan (Hillis & Steele, CACM 29, 1170 (1986)): after the
     pass at stride s, x_k holds the sum of its last 2s innovations, each
     weighted by d to its age. Only non-negative powers of d appear, so
     one path covers every dt/tau_c, from a frozen track (d = 1) to white
     noise (d = 0), and the track stays within a few ulps of the plain
-    recurrence.
+    recurrence. The recurrence is linear in its draws, so sigma times
+    the track is the track at sigma.
     """
-    if sigma == 0.0 or n_steps == 0:
-        return np.zeros((n_steps, width))
     eps = rng.standard_normal((n_steps, width))
     d = math.exp(-dt / tau_c)
-    out = sigma * math.sqrt(1.0 - d * d) * eps
-    out[0] = sigma * eps[0]
+    out = math.sqrt(1.0 - d * d) * eps
+    out[:1] = eps[:1]
     s = 1
     while s < n_steps:
         out[s:] += d ** s * out[:-s]  # the right side is read before the add
@@ -354,10 +356,11 @@ def _phase_factors(phi):
 
 
 def _ou_track(noise, j, dt, n):
-    """OU frequencies (n, 3) of trajectory j, from its own seed stream."""
+    """Unit-sigma OU frequencies (n, 3) of trajectory j, from its own seed
+    stream: the one track that the engine and calibration both draw."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(int(noise.seed), int(j))))
-    return _ou_paths(rng, noise.ou_tau_c, noise.ou_sigma, dt, n, 3)
+    return _ou_paths(rng, noise.ou_tau_c, dt, n, 3)
 
 
 # u X_i u^dagger must equal +-X_i to this for a pulse to commute with
@@ -402,11 +405,12 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     A correlated bath runs the OU sweep at any sigma and grid, sigma = 0
     and zero steps included. All arms see the same OU tracks: each batch
     of up to 128 trajectories (_BATCH) is one pass for all arms, in which
-    trajectory j's track is drawn once and reduced at every arm's
-    segment edges before the next is drawn, so an arm's curve equals a
-    one-train pass of its train bit for bit. A sampled mean adds the
-    same partial sums of 32 trajectories in the same order at any batch
-    width, so the batch width does not change any output.
+    trajectory j's unit-sigma track is drawn once and reduced at every
+    arm's segment edges before the next is drawn, and each arm's table
+    of per-segment phases is then scaled by sigma dt once, so an arm's
+    curve equals a one-train pass of its train bit for bit. A sampled
+    mean adds the same partial sums of 32 trajectories in the same order
+    at any batch width, so the batch width does not change any output.
 
     With the OU phase and bit flips both on, a segment is Strang-split:
     F(Delta/2), the phase, F(Delta/2), with F the flips. Since
@@ -526,7 +530,7 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks):
                 np.add.reduceat(track, s, axis=0, out=table[j])
         for arm, table, acc in zip(arms, tables, accs):
             phi = table[:width]
-            phi *= dt
+            phi *= noise.ou_sigma * dt
             _sweep(rho0, width, arm, phi, noise.kappa_x, row, acc)
     for acc in accs:
         acc /= noise.trajectories
@@ -575,17 +579,16 @@ def _ou_unit_phases(noise, n_steps, dt, sample_steps):
     """Qubit 1's phases dt * sum_{m < k} b_1(m) of every trajectory at unit
     sigma, (trajectories, len(sample_steps)), for each k in sample_steps.
 
-    Trajectory j's track is drawn as ``propagate_arms`` draws it, from
-    the stream seeded by (noise.seed, j), but at ou_sigma = 1. The
-    recurrence is linear in sigma for fixed draws, so sigma times the
-    result is the phase at sigma (Cywinski et al., PRB 77, 174509 (2008)).
+    Trajectory j's unit track is the one ``propagate_arms`` draws, from
+    the stream seeded by (noise.seed, j), so sigma times the result is
+    the phase the engine scales to at sigma (Cywinski et al., PRB 77,
+    174509 (2008)); noise.ou_sigma is not read.
     """
-    unit = replace(noise, ou_sigma=1.0)
     out = np.empty((noise.trajectories, len(sample_steps)))
     cum = np.zeros(n_steps + 1)
     index = np.array(sample_steps, dtype=np.intp)
     for j in range(noise.trajectories):
-        np.cumsum(_ou_track(unit, j, dt, n_steps)[:, 0], out=cum[1:])
+        np.cumsum(_ou_track(noise, j, dt, n_steps)[:, 0], out=cum[1:])
         out[j] = dt * cum[index]
     return out
 
@@ -653,7 +656,7 @@ def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
     form's.
     """
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
-                       bath_mode="correlated", ou_sigma=1.0, ou_tau_c=tau_c,
+                       bath_mode="correlated", ou_tau_c=tau_c,
                        trajectories=trajectories, seed=seed)
     # the coherence grid of both passes: 2.5 T2 in the steps the bath
     # allows and no longer than T2/1000, sampled about 500 times

@@ -434,6 +434,10 @@ CALIBRATE_128 = (
 )
 
 
+# how far from T2 the engine's 1/e time stalls at each seed
+STALLED_PERCENT = {11: "7.27", 2026: "11.86"}
+
+
 @pytest.mark.parametrize("seed", [11, 2026])
 def test_calibrate_stall_names_the_jump(tmp_path, capsys, seed):
     # at these seeds the first 1/e crossing jumps across T2 between two
@@ -441,7 +445,8 @@ def test_calibrate_stall_names_the_jump(tmp_path, capsys, seed):
     rc, _ = run(tmp_path, CALIBRATE_128, command="calibrate", seed=seed)
     assert rc == 3
     err = capsys.readouterr().err
-    assert "numerical failure: calibration stalled" in err
+    assert ("numerical failure: calibration stalled %s%% from the target"
+            % STALLED_PERCENT[seed]) in err
     t_lo, s_lo, t_hi, s_hi = map(float, re.search(
         r"from (\S+) s at sigma = (\S+) rad/s to (\S+) s at sigma = (\S+) rad/s",
         err).groups())

@@ -99,6 +99,7 @@ def test_cycle_duration_is_n_tau(build, pulses):
 
 def test_cpmg_structure():
     sch = build_cpmg(TAU)
+    assert sch.cycles == 1
     assert len(sch.pulses) == 16
     assert sch.pulses == (math.pi / 2.0,) * 16
     assert cycle_duration(sch) == cycle_duration(build_xy16s(TAU))

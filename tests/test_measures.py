@@ -158,6 +158,27 @@ def test_fit_decay_rate_needs_enough_live_samples():
     ts = np.linspace(0.0, 0.5, 60)
     with pytest.raises(ValueError, match="at least 10"):
         fit_decay_rate(_curve(ts, np.full_like(ts, 0.001)))
+    # exactly 10 live samples fit; 9 are too few
+    n = 0.9 * np.exp(-3.7 * ts)
+    live = np.where(np.arange(60) < 10, n, 0.001)
+    assert fit_decay_rate(_curve(ts, live))[0] == pytest.approx(3.7, rel=1e-9)
+    with pytest.raises(ValueError, match="at least 10"):
+        fit_decay_rate(_curve(ts, np.where(np.arange(60) < 9, n, 0.001)))
+
+
+def test_fit_decay_rate_keeps_ten_samples_above_the_cut():
+    # 10 samples above N3_tri(0)/6 are enough, so the samples between the
+    # floor and the cut, and one exactly at the cut, stay out of the fit;
+    # the curvature makes any of them move the rate
+    ts = np.linspace(0.0, 1.0, 15)
+    n = 0.9 * np.exp(-2.0 * ts - 1.0 * ts**2)
+    cut = FIT_KEEP_FRACTION * n[0]
+    assert np.sum(n > cut) == 10 and n[10] < cut
+    n[10] = cut
+    gamma, _ = fit_decay_rate(_curve(ts, n))
+    assert gamma == pytest.approx(-np.polyfit(ts[:10], np.log(n[:10]), 1)[0],
+                                  rel=1e-9)
+    assert abs(gamma + np.polyfit(ts[:11], np.log(n[:11]), 1)[0]) > 1e-3
 
 
 def test_fit_decay_rate_falls_back_to_the_floor_window():
@@ -196,11 +217,32 @@ def test_first_crossing():
         pytest.approx(1.5, abs=1e-12)
     assert first_crossing(times, np.array([0.5, 0.4, 0.3]), 0.2) == math.inf
     assert first_crossing(times, np.array([0.1, 0.4, 0.3]), 0.2) == 0.0
+    # a value equal to the level is not below it
+    assert first_crossing(times, np.array([0.3, 0.3, 0.1]), 0.3) == 1.0
+    # plain lists are read as arrays
+    assert first_crossing([0, 1, 2], [0.5, 0.3, 0.1], 0.2) == \
+        pytest.approx(1.5, abs=1e-12)
+
+
+def test_first_crossing_rejects_nan():
+    # NaN is never below the level: as a level it would report no
+    # crossing, and as a value before the crossing it would turn the
+    # interpolation into NaN
+    times = np.array([0.0, 1.0, 2.0])
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="level must be finite"):
+            first_crossing(times, np.array([0.5, 0.3, 0.1]), level)
+    for values in ([0.5, math.nan, 0.1], [0.5, 0.3, math.nan]):
+        with pytest.raises(ValueError, match="is NaN"):
+            first_crossing(times, np.array(values), 0.2)
 
 
 def test_disentanglement_time_errors():
     with pytest.raises(ValueError, match="already below"):
         disentanglement_time(_curve([0.0, 1.0], [0.005, 0.001]))
+    # the first sample decides, whatever follows it
+    with pytest.raises(ValueError, match="already below"):
+        disentanglement_time(_curve([0.0, 1.0, 2.0], [0.01, 0.5, 0.001]))
     with pytest.raises(ValueError, match="no crossing"):
         disentanglement_time(_curve([0.0, 1.0], [0.5, 0.4]))
 

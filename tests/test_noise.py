@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from triq import (
     T1_S,
     T2_S,
     NoiseModel,
+    NumericalError,
     PhysicalityError,
     build_cpmg,
     build_kddxy,
@@ -58,9 +60,10 @@ def lindblad_rhs(rho, noise):
 
 
 def ou_path(tau_c, sigma, dt, n_steps, seed):
-    """One stationary OU track of length n_steps, deterministic per seed."""
+    """One stationary OU track of length n_steps, deterministic per seed:
+    sigma times the unit-sigma track."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    return _ou_paths(rng, tau_c, sigma, dt, n_steps, 1)[:, 0]
+    return sigma * _ou_paths(rng, tau_c, dt, n_steps, 1)[:, 0]
 
 
 def test_bundled_times():
@@ -75,6 +78,9 @@ def test_from_times_validation():
         NoiseModel.from_times(t1_s=(0.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="three"):
         NoiseModel.from_times(t2_s=(0.5, 0.5))
+    # T2 = 2 T1, pure damping with no dephasing of its own, is allowed
+    assert NoiseModel.from_times(t1_s=(1.0, 1.0, 1.0),
+                                 t2_s=(2.0, 2.0, 2.0)).kappa_z == (0.5, 0.5, 0.5)
 
 
 def test_from_times_rejects_an_overflowing_rate():
@@ -636,6 +642,25 @@ def test_calibration_phases_fit_up_to_768_mib(monkeypatch, trajectories, fits):
                        match=None if fits else "%d unit-sigma phases of 8 B each "
                        "are more than the 768 MiB" % (512 * trajectories)):
         calibrate_sigma(0.53, 20 * 2.5 * 0.53 / 2554.5, trajectories, 3, 1.0, 60.0)
+
+
+@pytest.mark.parametrize("shift_s, agrees", [(2.5e-10, True), (1e-9, False)])
+def test_calibration_cross_check_holds_the_engine_to_1e_9_t2(
+        monkeypatch, shift_s, agrees):
+    # the confirming engine run's 1/e time must be within 1e-9 T2 = 5.3e-10 s
+    # of the closed form's: a run whose times are late by 2.5e-10 s passes,
+    # one late by 1e-9 s fails
+    engine = triq.noise.propagate_arms
+
+    def late(*args):
+        return [replace(c, times=c.times + shift_s) for c in engine(*args)]
+
+    monkeypatch.setattr(triq.noise, "propagate_arms", late)
+    if agrees:
+        assert calibrate_sigma(0.53, 0.01, 128, 2, 12.0, 16.0)[0] == 13.5
+    else:
+        with pytest.raises(NumericalError, match="differs from the closed form"):
+            calibrate_sigma(0.53, 0.01, 128, 2, 12.0, 16.0)
 
 
 def test_markovian_grid_ignores_the_rates():

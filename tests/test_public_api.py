@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -79,3 +80,41 @@ def test_benchmark_tracer_binds_every_public_function():
     assert proc.returncode == 0, proc.stderr
     assert "TraceError" not in proc.stderr
     assert proc.stdout.split() == ["True", "True", "1", "16.0"]
+
+
+def test_benchmark_tracer_sees_every_workload_layer(tmp_path):
+    # one toy pass of each benchmark workload through triq.cli.main with
+    # the tracer on, as a traced benchmark run makes it: no TraceError,
+    # no op that the workload's own check calls wrong, and a call recorded
+    # in every layer the workload names, which the benchmark requires
+    # before it reads span coverage (coverage is timing and is not
+    # checked here)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = """
+import json, os, sys
+sys.path.insert(0, 'perfbench')
+import client, tracer, workloads
+triq = client.import_triq()
+t = tracer.Tracer()
+t.install()
+report = {}
+for name, workload in workloads.WORKLOADS.items():
+    t.stats = {}
+    work_dir = os.path.join(sys.argv[1], name)
+    os.makedirs(work_dir)
+    runner = client.Client(workload, workloads.DEFAULT_SEED, True, work_dir, triq.cli)
+    records = runner.run_ops(workload.make_pass(workloads.DEFAULT_SEED, True), 0, t)
+    called = {n.split('.')[0] for n, st in t.stats.items() if st.calls}
+    report[name] = {'wrong': [r['message'] for r in records if r['status'] == 'wrong'],
+                    'unseen': sorted(set(workload.layers) - called)}
+print(json.dumps(report))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=root,
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert "TraceError" not in proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(report) == ["calibrate_ou", "decay_fine", "protect_xy16", "tomo_mle"]
+    for name, seen in report.items():
+        assert seen == {"wrong": [], "unseen": []}, name

@@ -211,10 +211,13 @@ def test_mle_certifies_optimum(prepare, sigma, seed, repeat_seeds):
 
 
 def test_mle_iteration_cap_raises_with_gap(monkeypatch, tmp_path):
-    # a search stalled at I/8 never closes the gap, so the cap stops it
+    # a search stalled at I/8 never closes the gap, so the cap stops it:
+    # for these records the derived cap is 80, the least k at which
+    # sqrt(7 * 12 / 2) (|y| + sqrt(24)) (5/7)^k reaches 1e-10
     monkeypatch.setattr(tomo, "_project_density",
                         lambda h: np.eye(8, dtype=complex) / 8.0)
-    with pytest.raises(RuntimeError, match=r"duality gap \d\.\d+e[-+]\d+"):
+    with pytest.raises(RuntimeError, match=r"duality gap \d\.\d+e[-+]\d+ "
+                       r"still above 1e-10 after 80 iterations"):
         mle_reconstruct(tomograph(prepare_w(), noise_sigma=0.02, seed=7))
     assert main(["tomo", "--out", str(tmp_path)]) == 3
 
