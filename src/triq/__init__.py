@@ -2,8 +2,9 @@
 
 Conventions used throughout: qubit 1 is the leftmost tensor factor
 (most significant bit of the computational index), angles are radians,
-times are seconds, rates are rad/s. Density matrices are 8x8 complex
-numpy arrays with unit trace.
+times are seconds, rates are rad/s. Density matrices are 8x8 numpy
+arrays with unit trace, complex in general and float64 where a state
+is kept exactly real.
 """
 
 from . import analytic, core, ddseq, measures, noise, states, tomo

@@ -20,7 +20,9 @@ Every function takes the rates as a Markovian noise.NoiseModel
 whose OU dephasing has no closed form here. Each takes one time,
 returning an 8x8 matrix, or an array of n times, returning an
 (n, 8, 8) stack whose entries equal the one-time results bit for bit;
-a negative, infinite or NaN time is a ValueError.
+a negative, infinite or NaN time is a ValueError. The three states are
+real and both channels keep them real, so the results are float64,
+which measures scores in real arithmetic.
 """
 
 import numpy as np
@@ -68,7 +70,7 @@ def ghz_analytic(t, noise):
     g1, g2, g3 = _amplitude_factors(t, noise)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
     ez = np.exp(-sum(noise.kappa_z) * t)
-    rho = np.zeros((len(t), 8, 8), dtype=complex)
+    rho = np.zeros((len(t), 8, 8))
     for a in range(8):
         bracket = (
             1.0
@@ -88,7 +90,7 @@ def w_analytic(t, noise):
     g1, g2, g3 = _amplitude_factors(t, noise)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
     g123 = g12 * g3
-    rho = np.zeros((len(t), 8, 8), dtype=complex)
+    rho = np.zeros((len(t), 8, 8))
     for a in range(8):
         rho[:, a, a] = (
             0.125
@@ -127,7 +129,7 @@ def wwbar_analytic(t, noise):
     z1, z2, z3 = noise.kappa_z
     g1, g2, g3 = _amplitude_factors(t, noise)
     g12, g13, g23 = g1 * g2, g1 * g3, g2 * g3
-    rho = np.zeros((len(t), 8, 8), dtype=complex)
+    rho = np.zeros((len(t), 8, 8))
     for a in range(8):
         bracket = (
             0.125

@@ -351,10 +351,13 @@ def render_svg(path, title, series):
         f.write("\n".join(parts) + "\n")
 
 
-def _out_path(cfg, name):
+def _out_paths(cfg, *names):
+    """The paths of ``names`` in out.dir, which is made here: a command
+    calls this once, right before its first write, so that a run that
+    fails before writing leaves no directory behind."""
     out = cfg["out.dir"]
     os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+    return [os.path.join(out, name) for name in names]
 
 
 def _emit(*paths):
@@ -375,25 +378,21 @@ def cmd_decay(cfg):
         raise ConfigError(
             "grid.t_final_s = %.12g s is not a whole number of grid.step_s = %.12g s"
             % (t_final, step))
-    csv_path = _out_path(cfg, "decay.csv")
-    ref_path = _out_path(cfg, "decay_analytic.csv")
-    svg_path = _out_path(cfg, "decay.svg")
     if t_final == 0.0:
-        empty = DecayCurve(*[np.empty(0)] * 7)
-        write_curve_csv(csv_path, empty)
-        write_curve_csv(ref_path, empty)
-        render_svg(svg_path, "decay: %s" % cfg["state"], [])
-        _emit(csv_path, ref_path, svg_path)
-        return 0
-    # the damping acts in closed form, so one step per sample is exact
-    curve = evolve(rho0, noise, t_final, step)
-    family = _ANALYTIC[cfg["state"]]
-    oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
+        curve = oracle = DecayCurve(*[np.empty(0)] * 7)
+        series = []
+    else:
+        # the damping acts in closed form, so one step per sample is exact
+        curve = evolve(rho0, noise, t_final, step)
+        family = _ANALYTIC[cfg["state"]]
+        oracle = curve_from_states(curve.times, family(curve.times, noise), rho0)
+        series = [("numeric", curve.times, curve.n3_tri),
+                  ("closed form", curve.times, oracle.n3_tri)]
+    csv_path, ref_path, svg_path = _out_paths(
+        cfg, "decay.csv", "decay_analytic.csv", "decay.svg")
     write_curve_csv(csv_path, curve)
     write_curve_csv(ref_path, oracle)
-    render_svg(svg_path, "decay: %s" % cfg["state"],
-               [("numeric", curve.times, curve.n3_tri),
-                ("closed form", curve.times, oracle.n3_tri)])
+    render_svg(svg_path, "decay: %s" % cfg["state"], series)
     _emit(csv_path, ref_path, svg_path)
     return 0
 
@@ -412,9 +411,8 @@ def cmd_protect(cfg):
     # p/0 is inf and 0/0 nan: no entanglement left to protect
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(protected.n3_tri, unprotected.n3_tri)
-    prot_path = _out_path(cfg, "protected.csv")
-    unprot_path = _out_path(cfg, "unprotected.csv")
-    svg_path = _out_path(cfg, "protect.svg")
+    prot_path, unprot_path, svg_path = _out_paths(
+        cfg, "protected.csv", "unprotected.csv", "protect.svg")
     write_curve_csv(prot_path, protected, protection=ratio)
     write_curve_csv(unprot_path, unprotected)
     render_svg(svg_path, "%s under %s" % (cfg["state"], cfg["dd.sequence"]),
@@ -443,7 +441,7 @@ def cmd_calibrate(cfg):
     if hi <= lo:
         raise ConfigError("calibrate.sigma_hi_rad_s must exceed sigma_lo_rad_s")
     sigma, achieved, iterations = calibrate_sigma(target, tau_c, traj, seed, lo, hi)
-    path = _out_path(cfg, "calibration.txt")
+    path, = _out_paths(cfg, "calibration.txt")
     with open(path, "w") as f:
         f.write("# calibrated correlated-bath fragment; paste into a config\n")
         f.write("bath.mode = correlated\n")
@@ -466,6 +464,7 @@ def cmd_tomo(cfg):
     """Readout simulation or replay, reconstruction, fidelity report."""
     rho_ref = _PREPARE[cfg["state"]]()
     records_path = cfg["tomo.records"]
+    names = ("tomo_true.json", "tomo_reconstructed.json", "tomo_report.txt")
     if records_path:
         try:
             records = read_records(records_path)
@@ -475,14 +474,14 @@ def cmd_tomo(cfg):
         sigma = cfg["tomo.noise_sigma"]
         seed = _require_seed(cfg, "readout noise") if sigma > 0 else cfg.get("seed", 0)
         records = tomograph(rho_ref, noise_sigma=sigma, seed=seed)
-        rec_out = _out_path(cfg, "tomo_records.txt")
+        # written before the fit, which may still fail
+        rec_out, *paths = _out_paths(cfg, "tomo_records.txt", *names)
         write_records(records, rec_out)
         _emit(rec_out)
     est = mle_reconstruct(records)
     fid = fidelity(rho_ref, est)  # the pure prepared state is the reference
-    true_path = _out_path(cfg, "tomo_true.json")
-    est_path = _out_path(cfg, "tomo_reconstructed.json")
-    report_path = _out_path(cfg, "tomo_report.txt")
+    true_path, est_path, report_path = (
+        _out_paths(cfg, *names) if records_path else paths)
     save_matrix(true_path, rho_ref)
     save_matrix(est_path, est)
     with open(report_path, "w") as f:
@@ -497,7 +496,7 @@ def cmd_tomo(cfg):
 def cmd_schedule_dump(cfg):
     """Write the pulse table of the configured sequence."""
     schedule = _schedule(cfg)
-    path = _out_path(cfg, "schedule.csv")
+    path, = _out_paths(cfg, "schedule.csv")
     with open(path, "w") as f:
         f.write(schedule_table(schedule))
     _emit(path)

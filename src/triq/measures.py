@@ -12,7 +12,10 @@ matrices against one reference: the three partial transposes of each
 sample share one batched eigenvalue call, and what fidelity needs of
 the reference (its ket, or its square root) is computed once. A block
 whose partial transposes a Cholesky certificate (core.eigs_above)
-proves positive definite is PPT on every cut and skips that call. The
+proves positive definite is PPT on every cut and skips that call. A
+stack whose imaginary part is exactly zero (core.real_if_exact), as a
+prepared state's Markovian decay is, is scored in real arithmetic, in
+about half the LAPACK time; any other takes the complex path. The
 single-state functions are stacks of one; curve_from_states scores a
 curve in blocks of _BLOCK samples, which keeps memory flat.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PhysicalityError, check_density, eigs_above
+from .core import PhysicalityError, check_density, eigs_above, real_if_exact
 
 __all__ = [
     "DecayCurve",
@@ -68,7 +71,8 @@ class DecayCurve:
     n1, n2, n3 are the per-cut negativities, n3_tri their geometric mean,
     fidelity is against the curve's reference state (the initial state
     unless stated otherwise), purity is Tr(rho^2). states is the
-    (n, 8, 8) stack of the sampled density matrices in the same order.
+    (n, 8, 8) stack of the sampled density matrices in the same order,
+    float64 where they are exactly real, else complex.
     """
 
     times: np.ndarray
@@ -91,7 +95,7 @@ class DecayCurve:
 def _reference(reference):
     """What fidelity needs of a checked reference: (ket, None) for a pure
     one, (None, sqrt(reference)) for a mixed one."""
-    vals, vecs = np.linalg.eigh(check_density(reference))
+    vals, vecs = np.linalg.eigh(real_if_exact(check_density(reference)))
     if vals[-2] <= _PURE_TOL:
         return vecs[:, -1], None
     return None, (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
@@ -103,8 +107,9 @@ def _score(stack, ref=None):
     Returns (cuts, n3_tri, fidelity, purity): the (n, 3) one-vs-rest
     negativities, their geometric mean, the fidelity against the
     reference that ``_reference`` prepared (None without one) and
-    Tr(rho^2).
+    Tr(rho^2). An exactly real stack is scored in real arithmetic.
     """
+    stack = real_if_exact(stack)
     r = stack.reshape(-1, 2, 2, 2, 2, 2, 2)
     # axes (n, a1, a2, a3, b1, b2, b3): the partial transpose on qubit q
     # swaps its row and column index
@@ -274,10 +279,13 @@ def curve_from_states(times, states, reference):
     first failing sample by its index in ``states`` and its time,
     "sample k: at t = ... s: reason". Every evolution routine scores its
     samples here, so this is the one place a failing sample is named;
-    kept here so the metric definitions live in one module.
+    kept here so the metric definitions live in one module. The curve
+    holds ``states`` as float64 when they are exactly real
+    (core.real_if_exact), as complex128 otherwise: no reader of a
+    curve's states needs a real stack widened to complex.
     """
     times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=complex)
+    states = real_if_exact(states)
     if len(times) != len(states):
         raise ValueError("%d times for %d states" % (len(times), len(states)))
     ref = _reference(reference)

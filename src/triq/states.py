@@ -33,7 +33,18 @@ THETA_W = 2.0 * math.acos(math.sqrt(2.0 / 3.0))
 THETA_WWBAR = 2.0 * math.acos(1.0 / math.sqrt(3.0))
 
 
+# the axis of each whole number of quarter turns, exactly: in floating
+# point cos(pi/2) is 6.1e-17, not 0, which would leave imaginary dust in
+# every state and pulse that a y axis turns
+_QUARTER_AXES = (SX, SY, -SX, -SY)
+
+
 def _axis(phase):
+    """cos(phase) SX + sin(phase) SY, exactly +-SX or +-SY at a phase that
+    is a whole number of quarter turns."""
+    turns = phase / (math.pi / 2.0)
+    if turns == round(turns):
+        return _QUARTER_AXES[int(turns) % 4]
     return math.cos(phase) * SX + math.sin(phase) * SY
 
 

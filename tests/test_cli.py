@@ -616,6 +616,28 @@ def test_out_dir_nested_creation(tmp_path):
     assert (out / "decay.csv").exists()
 
 
+@pytest.mark.parametrize("command, cfg, files", [
+    ("decay", DECAY_CFG, 3),
+    ("decay", "state = w\ngrid.t_final_s = 0\n", 3),
+    ("tomo", TOMO_CFG, 4),
+    ("schedule-dump", "dd.sequence = xy16s\n", 1),
+], ids=["decay", "decay_zero", "tomo", "schedule_dump"])
+def test_each_command_makes_its_out_dir_once(tmp_path, monkeypatch, command,
+                                             cfg, files):
+    # os.makedirs ran once per output file, four times per tomo run
+    calls, real = [], os.makedirs
+
+    def makedirs(path, *args, **kwargs):
+        calls.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", makedirs)
+    rc, out = run(tmp_path, cfg, command=command)
+    assert rc == 0
+    assert calls == [str(out)]
+    assert len(os.listdir(out)) == files
+
+
 # -- exit codes -------------------------------------------------------------
 
 def test_library_value_error_is_config_error(tmp_path, capsys):
@@ -654,9 +676,11 @@ def test_unphysical_state_is_numerical_failure(tmp_path, monkeypatch, capsys):
         return rho
 
     monkeypatch.setitem(triq.cli._PREPARE, "ghz", nan_state)
-    rc, _ = run(tmp_path, DECAY_CFG)
+    rc, out = run(tmp_path, DECAY_CFG)
     assert rc == 3
     assert "numerical failure: non-finite" in capsys.readouterr().err
+    # the run failed before its first write, so it made no directory
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exc, code", [

@@ -12,6 +12,10 @@ from triq import (
     check_density,
     kron,
     load_matrix,
+    prepare_ghz,
+    prepare_w,
+    prepare_wwbar,
+    real_if_exact,
     save_matrix,
 )
 from conftest import random_density
@@ -96,3 +100,53 @@ def test_numerical_errors_are_not_value_errors():
 
 def test_herm_atol_constant():
     assert HERM_ATOL == 1e-9
+
+
+def test_real_if_exact_is_an_exact_test():
+    rho = np.eye(8, dtype=complex) / 8.0
+    real = real_if_exact(rho)
+    assert real.dtype == np.float64 and np.array_equal(real, rho.real)
+    assert real_if_exact(real) is real
+    rho[1, 2], rho[2, 1] = 1e-300j, -1e-300j
+    assert real_if_exact(rho) is rho
+    rho[1, 2] = complex(0.0, np.nan)
+    assert real_if_exact(rho) is rho
+
+
+def _defective_stacks(defect):
+    """The same stack of twelve states with ``defect`` at samples 4 and
+    9, as float64 and as complex with a 1e-300 imaginary pair in every
+    sample, which keeps it and each of its samples on the complex path."""
+    states = [np.eye(8) / 8.0, prepare_ghz().real, prepare_w().real,
+              prepare_wwbar().real]
+    stack = np.stack(states * 3)
+    for k in (9, 4):
+        stack[k] = defect(stack[k])
+    wide = stack.astype(complex)
+    wide[:, 0, 7] += 1e-300j
+    wide[:, 7, 0] -= 1e-300j
+    return stack, wide
+
+
+def _with_nan(rho):
+    rho = rho.copy()
+    rho[2, 5] = np.nan
+    return rho
+
+
+@pytest.mark.parametrize("defect, reason", [
+    (_with_nan, "non-finite"),
+    (lambda rho: 1.1 * rho, "trace"),
+    (lambda rho: rho + np.diag([0.2, -0.2, 0, 0, 0, 0, 0, 0]),
+     "negative eigenvalue")], ids=["nan", "trace", "negative"])
+def test_check_density_names_the_same_failure_on_the_real_path(defect, reason):
+    stack, wide = _defective_stacks(defect)
+    errors = []
+    for s in (stack, wide, stack[4], wide[4]):
+        with pytest.raises(PhysicalityError) as err:
+            check_density(s)
+        errors.append(err.value)
+    real, cplx, real_one, cplx_one = errors
+    assert real.sample == cplx.sample == 4
+    assert str(real) == str(cplx) and real.reason.startswith(reason)
+    assert str(real_one) == str(cplx_one) == real.reason

@@ -631,3 +631,34 @@ def test_raveled_flips_equal_the_matrix_gathers(kappa_x, t, width, seed):
             want = (1.0 - p) * want + p * want[..., flip[:, None], flip[None, :]]
     got = _flips(states.reshape(width, 64), kappa_x, t)
     assert got.tobytes() == want.reshape(width, 64).tobytes()
+
+
+@pytest.mark.parametrize("phase, real", [(None, True), (math.pi / 2.0, True),
+                                         (0.0, False)], ids=["free", "y", "x"])
+def test_markovian_real_stretches_run_in_float64_bit_for_bit(phase, real,
+                                                             monkeypatch):
+    # a free arm from a prepared state, and y pulses, keep every stretch
+    # exactly real, and the float64 pass gives the real parts of the
+    # complex pass bit for bit; an x pulse leaves cos(pi/2) i [rho, X]
+    # in the imaginary part, so its arm stays complex
+    train = {} if phase is None else {k: pulse_unitary(phase) for k in (40, 90)}
+
+    def run():
+        return propagate_arms(prepare_w(), NoiseModel.from_times(), 200, 1e-3,
+                              [train], range(0, 201, 5))[0].states
+
+    got = run()
+    assert got.dtype == (np.float64 if real else np.complex128)
+    seen = []
+
+    def complex_pass(states):
+        seen.append(states.dtype)
+        return states
+
+    monkeypatch.setattr(triq.noise, "real_if_exact", complex_pass)
+    wide = run()
+    assert seen == [np.complex128]
+    # curve_from_states holds a stack as float64 only if its imaginary
+    # part is exactly zero
+    assert wide.dtype == got.dtype
+    assert np.ascontiguousarray(wide).tobytes() == got.tobytes()

@@ -8,9 +8,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from triq import (PhysicalityError, check_density, curve_from_states, fidelity,
-                  ghz_analytic, negativity, purity, tripartite_negativity, w_analytic,
-                  wwbar_analytic)
+from triq import (NoiseModel, PhysicalityError, check_density, curve_from_states,
+                  fidelity, ghz_analytic, negativity, prepare_w, purity,
+                  real_if_exact, tripartite_negativity, w_analytic, wwbar_analytic)
 from triq.measures import _score
 from conftest import random_density, random_local_unitary, random_pure
 
@@ -227,3 +227,66 @@ def test_failed_certificate_raises_the_physicality_error():
         with pytest.raises(PhysicalityError,
                            match="^sample 17: negative eigenvalue -2.000e-06$"):
             check_density(stack)
+
+
+# -- the real path: an exactly real stack is scored in real arithmetic ------
+
+def _real_stack():
+    # every closed-form family over its first second, entangled and not
+    times = np.linspace(0.0, 1.0, 40)
+    rates = NoiseModel.from_times()
+    return np.concatenate([family(times, rates) for family in FAMILIES])
+
+
+def _complex_reference(stack, ket):
+    """_score's columns by complex eigvalsh on complex copies, the route
+    every stack took before the real path."""
+    stack = stack.astype(complex)
+    r = stack.reshape(-1, 2, 2, 2, 2, 2, 2)
+    pts = np.stack([np.swapaxes(r, q, q + 3) for q in (1, 2, 3)],
+                   axis=1).reshape(-1, 3, 8, 8)
+    cuts = 2.0 * np.maximum(0.0, -np.linalg.eigvalsh(pts)[..., 0])
+    fid = np.einsum("a,nab,b->n", ket.conj(), stack, ket.astype(complex)).real
+    return cuts, fid, np.einsum("nab,nba->n", stack, stack).real
+
+
+def test_real_path_agrees_with_complex_eigvalsh():
+    stack = _real_stack()
+    assert stack.dtype == np.float64
+    ket = np.linalg.eigh(prepare_w())[1][:, -1]
+    cuts, n3_tri, fid, pur = _score(stack, (ket, None))
+    want_cuts, want_fid, want_pur = _complex_reference(stack, ket)
+    assert np.max(np.abs(cuts - want_cuts)) <= 1e-14
+    assert np.max(np.abs(fid - want_fid)) <= 1e-14
+    assert np.max(np.abs(pur - want_pur)) <= 1e-14
+    assert np.count_nonzero(n3_tri) > 0  # the entangled samples took eigvalsh
+
+
+def _lapack_dtypes(monkeypatch):
+    seen = []
+    for name in ("cholesky", "eigvalsh"):
+        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            seen.append(a.dtype)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+def test_exactly_real_complex_stack_takes_the_real_path(monkeypatch):
+    stack = _real_stack().astype(complex)
+    seen = _lapack_dtypes(monkeypatch)
+    check_density(stack)
+    _score(stack)
+    assert seen and set(seen) == {np.dtype(np.float64)}
+
+
+def test_one_imaginary_entry_keeps_the_complex_path(monkeypatch):
+    stack = _real_stack().astype(complex)
+    # a Hermitian pair far below every tolerance still counts
+    stack[17, 2, 5] += 1e-300j
+    stack[17, 5, 2] -= 1e-300j
+    assert real_if_exact(stack) is stack
+    seen = _lapack_dtypes(monkeypatch)
+    check_density(stack)
+    _score(stack)
+    assert seen and set(seen) == {np.dtype(np.complex128)}

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from triq import (
+    SX,
+    SY,
     THETA_W,
     THETA_WWBAR,
+    build_kddxy,
     cnot,
     controlled_rotation,
     prepare_ghz,
@@ -13,6 +16,7 @@ from triq import (
     prepare_wwbar,
     rotation,
 )
+from triq.states import _axis
 
 
 def ket_density(amplitudes):
@@ -36,9 +40,34 @@ def test_rotation_is_unitary_and_correct():
 
 
 def test_rotation_phase_picks_the_axis():
-    # phase pi/2 is the y axis: exp(-i theta Y/2) is real
+    # phase pi/2 is the y axis: exp(-i theta Y/2) is real, exactly
     u = rotation(1, 1.1, math.pi / 2.0)
-    assert np.max(np.abs(u.imag)) < 1e-14
+    assert not u.imag.any()
+
+
+@pytest.mark.parametrize("phase, axis", [
+    (0.0, SX), (math.pi / 2.0, SY), (-math.pi / 2.0, -SY), (math.pi, -SX),
+    (3.0 * math.pi / 2.0, -SY), (5.0 * math.pi / 2.0, SY)])
+def test_axis_is_exact_at_whole_quarter_turns(phase, axis):
+    # cos(pi/2) is 6.1e-17 in floating point: the sum form left that
+    # much of the other axis in every y pulse
+    assert np.array_equal(_axis(phase), axis)
+
+
+def test_axis_keeps_the_kdd_sixth_turn_phases():
+    # KDD_xy's pi/6 and 2 pi/3 keep the sum form bit for bit; its 0,
+    # pi/2 and pi are whole quarter turns
+    sixths = [p for p in build_kddxy(1e-3).pulses if p % (math.pi / 2.0)]
+    assert sorted(set(sixths)) == [math.pi / 6.0, 2.0 * math.pi / 3.0]
+    for phase in sixths:
+        assert np.array_equal(
+            _axis(phase), math.cos(phase) * SX + math.sin(phase) * SY)
+
+
+@pytest.mark.parametrize("prepare", [prepare_ghz, prepare_w, prepare_wwbar])
+def test_prepared_states_are_exactly_real(prepare):
+    # so their Markovian decay is scored in real arithmetic
+    assert not prepare().imag.any()
 
 
 def test_rotation_rejects_bad_qubit():
