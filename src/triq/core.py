@@ -209,8 +209,8 @@ def check_density(rho):
     if not np.isfinite(tr[k]):
         reason = _NON_FINITE
     elif abs(tr[k] - 1.0) > TRACE_ATOL:
-        # named as a complex trace on either path, as it always was
-        reason = "trace %r deviates from 1 by %.3e" % (np.complex128(tr[k]),
+        # named as a Python complex on either path, with no numpy repr
+        reason = "trace %r deviates from 1 by %.3e" % (complex(tr[k]),
                                                        abs(tr[k] - 1))
     elif not np.isfinite(asym[k]):
         reason = _NON_FINITE

@@ -29,11 +29,13 @@ steps of the OU grid, and segments are capped at _MAX_SEGMENT_S
 seconds; ``propagate_arms`` states how the arms share each OU track
 and where adjacent half flips merge, and ``_sweep`` how a batch of
 trajectories is swept on raveled states. Every OU track is drawn at
-unit sigma, and sigma scales each segment's phase once, which is the
-phase of the track at sigma since the recurrence is linear in its
-draws. So ``calibrate_sigma``, which fits sigma to a qubit-1 T2, draws
-the engine's own unit tracks once and rescales their phases at every
-bisection step instead of propagating again. The tests pin the
+unit sigma, reduced into a per-segment unit table (``_fill_tables``),
+and sigma scales each segment's phase once, which is the phase of the
+track at sigma since the recurrence is linear in its draws. So
+``calibrate_sigma``, which fits sigma to a qubit-1 T2, draws each of
+the engine's unit tracks once: its bisection rescales qubit 1's running
+sum of the table at every step instead of propagating, and the engine
+run at the sigma it settles on sweeps the same table. The tests pin the
 propagator against a generator built from explicit Lindblad operator
 matrices.
 """
@@ -156,8 +158,8 @@ _ZCOL = 3 * np.arange(3)[:, None] + _ZDIFF.reshape(3, 64).astype(np.intp) + 1
 
 # Most bytes a run may hold in each array that grows with its config,
 # so that a run too large is a config error before it allocates, not a
-# MemoryError deep in a run: _check_holds bounds the sampled states, the
-# OU phase tables and calibration's phases, and MAX_STEPS the OU track.
+# MemoryError deep in a run: _check_holds bounds the sampled states and
+# the OU phase tables, calibration's included, and MAX_STEPS the OU track.
 _MAX_BYTES = 768 * 2**20
 # Longest grid a run may have, cut by fit_grid and checked by check_grid
 # on every engine run: a correlated run holds one trajectory's OU track
@@ -358,10 +360,22 @@ def _phase_factors(phi):
 
 def _ou_track(noise, j, dt, n):
     """Unit-sigma OU frequencies (n, 3) of trajectory j, from its own seed
-    stream: the one track that the engine and calibration both draw."""
+    stream: the one track that the engine and calibration both read."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(int(noise.seed), int(j))))
     return _ou_paths(rng, noise.ou_tau_c, dt, n, 3)
+
+
+def _fill_tables(noise, trajectories, dt, n, starts, tables):
+    """Fill each arm's unit table, (len(trajectories), segments, 3): row r
+    holds the sums of trajectory trajectories[r]'s unit-sigma track on
+    the grid of n steps of dt over each segment, which starts at the
+    arm's ``starts``. Each track is drawn once, reduced at every arm's
+    starts, and dropped before the next is drawn."""
+    for r, j in enumerate(trajectories):
+        track = _ou_track(noise, j, dt, n)
+        for s, table in zip(starts, tables):
+            np.add.reduceat(track, s, axis=0, out=table[r])
 
 
 # u X_i u^dagger must equal +-X_i to this for a pulse to commute with
@@ -429,6 +443,14 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     list of measures.DecayCurve
         One curve per train, metrics of its sampled means against rho0.
     """
+    return _propagate(rho0, noise, n_steps, dt, trains, sample_steps, None)
+
+
+def _propagate(rho0, noise, n_steps, dt, trains, sample_steps, held):
+    """propagate_arms, with its checks; under the OU bath, ``held``, when
+    not None, is every arm's unit table for all trajectories, filled
+    already (calibrate_sigma's), which the sweep reads instead of drawing
+    (``_ou_arms``)."""
     rho0 = check_density(rho0)
     check_grid(n_steps, dt)
     # 2 KiB a state: 64 complex in an arm's accumulator, and in decay's
@@ -440,7 +462,7 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
             _check_steps(train, n_steps, "pulse")
 
     if noise.bath_mode == "correlated":
-        means = _ou_arms(rho0, noise, n_steps, dt, trains, marks)
+        means = _ou_arms(rho0, noise, n_steps, dt, trains, marks, held)
     else:
         # elementwise generator of the Lindblad dephasing
         gen = -np.tensordot(noise.kappa_z, _ZMASK, 1).ravel()
@@ -495,9 +517,17 @@ def _stretches(rho0, train, marks, dt, gen, kappa_x):
     return acc
 
 
-def _ou_arms(rho0, noise, n_steps, dt, trains, marks):
+def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
     """The trajectory means of every arm's states at the sample steps
-    ``marks`` under the OU bath, as rows (samples, 64) per arm."""
+    ``marks`` under the OU bath, as rows (samples, 64) per arm.
+
+    Each batch of up to _BATCH trajectories fills its rows of every arm's
+    per-segment unit table (``_fill_tables``), scales them by sigma dt in
+    place, and sweeps them (``_sweep``). ``held``, when not None, is
+    every arm's unit table for all trajectories, filled already on the
+    segments this plan cuts: each batch then scales and sweeps its rows
+    of it, and no track is drawn.
+    """
     row = {k: r for r, k in enumerate(marks)}
     # the OU phase does not commute with the bit flips: such segments
     # are Strang-split around the phase and kept short
@@ -518,29 +548,28 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks):
         return train, edges, dt * np.diff(edges), merge
 
     arms = [plan(train) for train in trains]
-    # a batch's phases, three float64 per segment per trajectory
-    _check_holds(min(_BATCH, noise.trajectories)
-                 * sum(len(deltas) for _, _, deltas, _ in arms),
-                 24, "OU segment phases")
     # each segment's first grid step, intp so that a grid of no steps,
     # whose only arm has no segment, still indexes
     starts = [np.array(edges[:-1], dtype=np.intp) for _, edges, *_ in arms]
-    # per-segment OU phases of a batch, (batch, segments, 3) per arm,
-    # allocated once and refilled by every batch
-    tables = [np.empty((min(_BATCH, noise.trajectories), len(s), 3))
-              for s in starts]
+    if held is None:
+        # a batch's phases, three float64 per segment per trajectory,
+        # (batch, segments, 3) per arm, allocated once and refilled by
+        # every batch
+        _check_holds(min(_BATCH, noise.trajectories)
+                     * sum(len(s) for s in starts), 24, "OU segment phases")
+        tables = [np.empty((min(_BATCH, noise.trajectories), len(s), 3))
+                  for s in starts]
     accs = [np.zeros((len(marks), 64), dtype=complex) for _ in arms]
     for start in range(0, noise.trajectories, _BATCH):
-        width = min(_BATCH, noise.trajectories - start)
-        # each track is drawn once, reduced at all arms' edges, dropped
-        for j in range(width):
-            track = _ou_track(noise, start + j, dt, n_steps)
-            for s, table in zip(starts, tables):
-                np.add.reduceat(track, s, axis=0, out=table[j])
-        for arm, table, acc in zip(arms, tables, accs):
-            phi = table[:width]
+        batch = range(start, min(start + _BATCH, noise.trajectories))
+        if held is None:
+            phis = [table[:len(batch)] for table in tables]
+            _fill_tables(noise, batch, dt, n_steps, starts, phis)
+        else:
+            phis = [table[start:batch.stop] for table in held]
+        for arm, phi, acc in zip(arms, phis, accs):
             phi *= noise.ou_sigma * dt
-            _sweep(rho0, width, arm, phi, noise.kappa_x, row, acc)
+            _sweep(rho0, len(batch), arm, phi, noise.kappa_x, row, acc)
     for acc in accs:
         acc /= noise.trajectories
     return accs
@@ -584,26 +613,19 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
             _accumulate(acc[row[k]], states)
 
 
-def _ou_unit_phases(noise, n_steps, dt, sample_steps):
-    """Qubit 1's phases dt * sum_{m < k} b_1(m) of every trajectory at unit
-    sigma, (trajectories, len(sample_steps)), for each k in sample_steps.
-
-    Trajectory j's unit track is the one ``propagate_arms`` draws, from
-    the stream seeded by (noise.seed, j), so sigma times the result is
-    the phase the engine scales to at sigma (Cywinski et al., PRB 77,
-    174509 (2008)); noise.ou_sigma is not read.
-    """
-    out = np.empty((noise.trajectories, len(sample_steps)))
-    cum = np.zeros(n_steps + 1)
-    index = np.array(sample_steps, dtype=np.intp)
-    for j in range(noise.trajectories):
-        np.cumsum(_ou_track(noise, j, dt, n_steps)[:, 0], out=cum[1:])
-        out[j] = dt * cum[index]
-    return out
-
-
 _PLUS = np.full((2, 2), 0.5, dtype=complex)
 _ONE_OVER_E = math.exp(-1.0)
+
+
+def _unit_phases(table, dt):
+    """Qubit 1's unit-sigma phases, (trajectories, segments + 1), from a
+    unit table (trajectories, segments, 3) whose segments run from sample
+    to sample: dt times the running sum of its qubit-1 column, 0 at the
+    first sample."""
+    phases = np.zeros((len(table), table.shape[1] + 1))
+    np.cumsum(table[:, :, 0], axis=1, out=phases[:, 1:])
+    phases *= dt
+    return phases
 
 
 def _closed_form_time(sigma, phases, times):
@@ -654,12 +676,19 @@ def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
     Under the OU bath alone (tau_c > 0 s, ``trajectories`` tracks seeded
     from ``seed``) the qubit-1 coherence 2|rho_04| of |+>|00> is
     |mean_j exp(-i sigma Phi_j)|, Phi_j trajectory j's unit-sigma phase.
-    The phases are drawn once and every step of a bisection over
-    [sigma_lo, sigma_hi] rescales them. The sigma it settles on is run
-    once through ``propagate_arms`` on the same grid and samples.
+    Each track is drawn once, into the engine's per-segment unit table of
+    the one pulse-free arm, held for all trajectories (``_fill_tables``).
+    With no bit flips and no pulses the segments run from sample to
+    sample, so Phi_j at each sample is dt times the running sum of the
+    table's qubit-1 column, and every step of a bisection over
+    [sigma_lo, sigma_hi] rescales those phases. They are released when it
+    ends, and the sigma it settles on is run once through the engine,
+    with every check of ``propagate_arms``, on the same grid and samples:
+    that run scales the held table by sigma dt in place and sweeps it.
     Returns (sigma, that run's 1/e time, iterations). ValueError, before
-    any track is drawn, if the trajectories times samples phases, 8 B
-    each, are past the 768 MiB a run may hold (100,663,296 phases);
+    any track is drawn, if the table, 24 B per segment per trajectory,
+    is past the 768 MiB a run may hold (33,554,432 segment phases; the
+    phases and a bisection step's scratch hold 8 B per sample each);
     RuntimeError if the bracket does not straddle t2 or the time ends
     over 2% off; NumericalError if it is over 1e-9 t2 from the closed
     form's.
@@ -675,11 +704,16 @@ def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
     every = max(1, n // 500)
     steps = sorted(set(range(0, n + 1, every)) | {n})
     times = np.array([k * dt for k in steps])
-    _check_holds(trajectories * len(steps), 8, "unit-sigma phases")
+    # the segments the engine cuts for this arm: one per sample interval
+    starts = np.array(steps[:-1], dtype=np.intp)
+    _check_holds(trajectories * len(starts), 24, "OU segment phases")
+    table = np.empty((trajectories, len(starts), 3))
+    _fill_tables(noise, range(trajectories), dt, n, [starts], [table])
     sigma, predicted, iterations, (lo, t_lo, hi, t_hi) = _bisect(
-        _ou_unit_phases(noise, n, dt, steps), times, sigma_lo, sigma_hi, t2)
-    curve = propagate_arms(np.kron(_PLUS, np.kron(P0, P0)),
-                           replace(noise, ou_sigma=sigma), n, dt, [{}], steps)[0]
+        _unit_phases(table, dt), times, sigma_lo, sigma_hi, t2)
+    curve = _propagate(np.kron(_PLUS, np.kron(P0, P0)),
+                       replace(noise, ou_sigma=sigma), n, dt, [{}], steps,
+                       [table])[0]
     achieved = measures.first_crossing(
         curve.times, 2.0 * np.abs(curve.states[:, 0, 4]), _ONE_OVER_E)
     if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * t2):

@@ -384,7 +384,7 @@ def test_calibrate_config_errors(tmp_path, capsys, cfg, message):
 
 def test_calibrate_rejects_a_table_too_large_to_hold(tmp_path, monkeypatch,
                                                     capsys):
-    # 10^8 trajectories of 531 samples would be a 400 GiB phase table: a
+    # 10^8 trajectories of 530 segments would be a 1.2 TiB unit table: a
     # config error before any track is drawn, which the stub stands in for
     def no_track(*args):
         raise AssertionError("a track was drawn for a table past the cap")
@@ -395,7 +395,7 @@ def test_calibrate_rejects_a_table_too_large_to_hold(tmp_path, monkeypatch,
                   command="calibrate")
     assert rc == 2
     assert capsys.readouterr().err == (
-        "config error: 53100000000 unit-sigma phases of 8 B each are more "
+        "config error: 53000000000 OU segment phases of 24 B each are more "
         "than the 768 MiB a run may hold\n")
     assert not (out / "calibration.txt").exists()
 
@@ -457,9 +457,9 @@ def test_calibrate_stall_names_the_jump(tmp_path, capsys, seed):
 def test_calibrate_engine_cross_checks_closed_form(tmp_path, monkeypatch, capsys):
     # phases 1% off make the bisection settle where the engine's 1/e time
     # disagrees with the closed form's
-    unit_phases = triq.noise._ou_unit_phases
-    monkeypatch.setattr(triq.noise, "_ou_unit_phases",
-                        lambda *args: 1.01 * unit_phases(*args))
+    bisect = triq.noise._bisect
+    monkeypatch.setattr(triq.noise, "_bisect",
+                        lambda phases, *args: bisect(1.01 * phases, *args))
     rc, _ = run(tmp_path, CALIBRATE_128, command="calibrate", seed=2)
     assert rc == 3
     err = capsys.readouterr().err

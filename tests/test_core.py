@@ -150,3 +150,29 @@ def test_check_density_names_the_same_failure_on_the_real_path(defect, reason):
     assert real.sample == cplx.sample == 4
     assert str(real) == str(cplx) and real.reason.startswith(reason)
     assert str(real_one) == str(cplx_one) == real.reason
+
+
+def _asymmetric(rho):
+    rho = rho.copy()
+    rho[0, 1] += 1e-3
+    return rho
+
+
+@pytest.mark.parametrize("defect", [
+    _with_nan, lambda rho: 1.1 * rho, _asymmetric,
+    lambda rho: rho + np.diag([0.2, -0.2, 0, 0, 0, 0, 0, 0])],
+    ids=["nan", "trace", "hermiticity", "negative"])
+def test_check_density_reasons_name_no_numpy_type(defect):
+    # a reason is user-facing text (the exit-3 message): a numpy scalar's
+    # repr, such as np.complex128(1.1+0j) under numpy 2, must not leak in
+    for s in _defective_stacks(defect):
+        with pytest.raises(PhysicalityError) as err:
+            check_density(s)
+        assert "np." not in err.value.reason and "numpy" not in err.value.reason
+
+
+def test_check_density_names_a_bad_trace_as_a_python_complex():
+    for s in _defective_stacks(lambda rho: 1.1 * rho):
+        with pytest.raises(PhysicalityError) as err:
+            check_density(s[4])
+        assert err.value.reason == "trace (1.1+0j) deviates from 1 by 1.000e-01"

@@ -575,21 +575,40 @@ class _Stop(Exception):
 def test_calibration_grid(monkeypatch, tau_c, n, dt, samples):
     # calibrate_sigma cuts 2.5 T2 into steps of at most tau_c/20 and at
     # most T2/1000, whichever is finer, and samples every n // 500 steps
-    # plus the last; its engine run takes that grid and those samples
+    # plus the last; its engine run takes that grid and those samples,
+    # and the unit table held for all 64 trajectories, one segment per
+    # sample interval
     seen = []
 
-    def spy(rho0, noise, n_steps, step, trains, sample_steps):
-        seen.append((n_steps, step, list(sample_steps)))
+    def spy(rho0, noise, n_steps, step, trains, sample_steps, held):
+        seen.append((n_steps, step, list(sample_steps), trains,
+                     [table.shape for table in held]))
         raise _Stop
 
-    monkeypatch.setattr(triq.noise, "propagate_arms", spy)
+    monkeypatch.setattr(triq.noise, "_propagate", spy)
     with pytest.raises(_Stop):
         calibrate_sigma(0.53, tau_c, 64, 3, 1.0, 60.0)
-    [(n_steps, step, steps)] = seen
+    [(n_steps, step, steps, trains, shapes)] = seen
     assert n_steps == n
     assert step == pytest.approx(dt, rel=1e-12)
     assert steps == list(range(0, n + 1, 5))
     assert len(steps) == samples
+    assert trains == [{}] and shapes == [(64, samples - 1, 3)]
+
+
+def test_calibration_draws_each_track_once(monkeypatch):
+    # the bisection and the confirming engine run read one draw of each
+    # trajectory's unit track: 128 draws for 128 trajectories
+    calls = []
+    real = triq.noise._ou_track
+
+    def counting(noise, j, dt, n):
+        calls.append(j)
+        return real(noise, j, dt, n)
+
+    monkeypatch.setattr(triq.noise, "_ou_track", counting)
+    assert calibrate_sigma(0.53, 0.01, 128, 2, 12.0, 16.0)[0] == 13.5
+    assert sorted(calls) == list(range(128))
 
 
 def _stop(*args):
@@ -631,16 +650,17 @@ def test_sampled_states_fit_up_to_768_mib(monkeypatch, arms, samples, fits):
                        range(samples))
 
 
-@pytest.mark.parametrize("trajectories, fits", [(196608, True), (196609, False)])
+@pytest.mark.parametrize("trajectories, fits", [(65664, True), (65665, False)])
 def test_calibration_phases_fit_up_to_768_mib(monkeypatch, trajectories, fits):
     # at tau_c = 20 (2.5 T2) / 2554.5 the grid is 2,555 steps sampled every
-    # 5, 512 samples: 196,608 trajectories are the 100,663,296 phases that
-    # 768 MiB holds at 8 B each, and one more trajectory is past it; the
-    # stub stands in for drawing the tracks
-    monkeypatch.setattr(triq.noise, "_ou_unit_phases", _stop)
+    # 5, 512 samples and 511 segments: 65,664 trajectories are the
+    # 33,554,304 segment phases that 768 MiB holds at 24 B each, and one
+    # more trajectory is past it; the stub stands in for drawing the
+    # tracks, so the table that fits is allocated but never written
+    monkeypatch.setattr(triq.noise, "_fill_tables", _stop)
     with pytest.raises(_Stop if fits else ValueError,
-                       match=None if fits else "%d unit-sigma phases of 8 B each "
-                       "are more than the 768 MiB" % (512 * trajectories)):
+                       match=None if fits else "%d OU segment phases of 24 B each "
+                       "are more than the 768 MiB" % (511 * trajectories)):
         calibrate_sigma(0.53, 20 * 2.5 * 0.53 / 2554.5, trajectories, 3, 1.0, 60.0)
 
 
@@ -650,12 +670,12 @@ def test_calibration_cross_check_holds_the_engine_to_1e_9_t2(
     # the confirming engine run's 1/e time must be within 1e-9 T2 = 5.3e-10 s
     # of the closed form's: a run whose times are late by 2.5e-10 s passes,
     # one late by 1e-9 s fails
-    engine = triq.noise.propagate_arms
+    engine = triq.noise._propagate
 
     def late(*args):
         return [replace(c, times=c.times + shift_s) for c in engine(*args)]
 
-    monkeypatch.setattr(triq.noise, "propagate_arms", late)
+    monkeypatch.setattr(triq.noise, "_propagate", late)
     if agrees:
         assert calibrate_sigma(0.53, 0.01, 128, 2, 12.0, 16.0)[0] == 13.5
     else:

@@ -14,9 +14,9 @@ from triq import (T1_S, NoiseModel, build_kddxy, build_xy16s,
                   prepare_ghz, prepare_w, propagate_arms, pulse_unitary,
                   run_protected)
 from triq.core import ID2, SX, SZ, embed1, kron
-from triq.noise import (_FLIP, _MAX_SEGMENT_S, _ZDIFF, _flips, _ou_paths,
-                        _ou_track, _ou_unit_phases, _phase_factors,
-                        _segment_edges)
+from triq.noise import (_FLIP, _MAX_SEGMENT_S, _ZDIFF, _fill_tables, _flips,
+                        _ou_paths, _ou_track, _phase_factors, _propagate,
+                        _segment_edges, _unit_phases)
 from conftest import random_density
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -305,17 +305,45 @@ def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
                                            n, seed):
     # without bit flips, element (0, 4) of |+++><+++|, only qubit 1's bit
     # set, is the trajectory mean of exp(-i sigma Phi_1) / 8, Phi_1 qubit
-    # 1's unit-sigma phase: calibration's closed form for 2|rho_04|
+    # 1's unit-sigma phase: calibration's closed form for 2|rho_04|, here
+    # on samples every 5 steps and the last, as calibration takes them,
+    # from a unit table of one segment per sample interval
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                        bath_mode="correlated", ou_sigma=sigma,
                        ou_tau_c=dt / 10.0 ** log_ratio,
                        trajectories=trajectories, seed=seed)
+    steps = sorted(set(range(0, n + 1, 5)) | {n})
     plus = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
     states = propagate_arms(np.outer(plus, plus), noise, n, dt, [{}],
-                            range(n + 1))[0].states
-    phases = sigma * _ou_unit_phases(noise, n, dt, range(n + 1))
+                            steps)[0].states
+    table = np.empty((trajectories, len(steps) - 1, 3))
+    _fill_tables(noise, range(trajectories), dt, n,
+                 [np.array(steps[:-1], dtype=np.intp)], [table])
+    phases = sigma * _unit_phases(table, dt)
     want = np.exp(-1j * phases).mean(axis=0)
     assert np.max(np.abs(8.0 * states[:, 0, 4] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("trajectories", [1, 128, 200])
+def test_a_held_table_sweeps_as_the_engine_draws(trajectories):
+    # every trajectory's unit table, filled at once and swept batch by
+    # batch as calibration does, gives each arm's curve bit for bit
+    nm = NoiseModel.from_times(bath_mode="correlated", ou_sigma=13.7,
+                               ou_tau_c=0.01, trajectories=trajectories,
+                               seed=5)
+    train = {20: pulse_unitary(0.0), 40: pulse_unitary(math.pi / 2, 0.02)}
+    trains, steps = [train, {}], [0, 30, 60]
+    want = propagate_arms(prepare_ghz(), nm, 60, 1e-4, trains, steps)
+    # the segment starts the engine cuts: every event, and even splits of
+    # any gap past _MAX_SEGMENT_S, 2 steps of 0.1 ms
+    cap = math.floor(_MAX_SEGMENT_S / 1e-4 * (1.0 + 1e-9))
+    starts = [np.array(_segment_edges(sorted({0, 60, *steps, *t}), cap)[:-1],
+                       dtype=np.intp) for t in trains]
+    held = [np.empty((trajectories, len(s), 3)) for s in starts]
+    _fill_tables(nm, range(trajectories), 1e-4, 60, starts, held)
+    got = _propagate(prepare_ghz(), nm, 60, 1e-4, trains, steps, held)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.states, w.states)
 
 
 @pytest.mark.parametrize("seed", range(10))
