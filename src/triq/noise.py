@@ -28,8 +28,10 @@ Strang-split around the phase, the phase summed over the segment's
 steps of the OU grid, and segments are capped at _MAX_SEGMENT_S
 seconds; ``propagate_arms`` states how the arms share each OU track
 and where adjacent half flips merge, and ``_sweep`` how a batch of
-trajectories is swept on raveled states. Every OU track is drawn at
-unit sigma, reduced into a per-segment unit table (``_fill_tables``),
+trajectories is swept on raveled states, each arm on only the elements
+it can reach from rho0 (``_support``), with the OU phase factors of a
+block of segments made at once (``_phase_factors``). Every OU track is
+drawn at unit sigma, reduced into a per-segment unit table (``_fill_tables``),
 and sigma scales each segment's phase once, which is the phase of the
 track at sigma since the recurrence is linear in its draws. So
 ``calibrate_sigma``, which fits sigma to a qubit-1 T2, draws each of
@@ -71,6 +73,11 @@ _BATCH = 128
 # samples of a Markovian stretch evaluated at once; one stack of a
 # whole 2,001-sample stretch raised peak memory by 14%
 _BLOCK = 64
+# most bytes of OU phase factors made at once: a sweep makes them for a
+# block of segments, width x block x max(9, m) complex numbers (the
+# 9-column table and the m gathered elements), so that a short arm takes
+# few numpy calls a segment and a wide one stays in cache
+_FACTOR_BYTES = 128 * 2**10
 
 # per-qubit relaxation times of the bundled three-spin register, seconds
 T1_S = (5.42, 5.65, 4.36)
@@ -322,39 +329,43 @@ def _segment_edges(events, cap):
     return edges
 
 
-def _flips(states, kappa_x, t):
+def _flips(states, kappa_x, t, flats=_FLAT):
     """Bit-flip channels of all three qubits over t seconds, on raveled
     states (..., 64); t is one time, or an (n, 1) column of times, one
-    per state of an (n, 64) stack."""
+    per state of an (n, 64) stack. ``flats`` is each qubit's gather, by
+    default _FLAT on all 64 elements; a sweep on a support of m elements
+    passes them re-indexed into it, on states (..., m)."""
     exp = np.exp if isinstance(t, np.ndarray) else math.exp
-    for flat, kx in zip(_FLAT, kappa_x):
+    for flat, kx in zip(flats, kappa_x):
         if kx != 0.0:
             p = 0.5 * (1.0 - exp(-kx * t))
             states = (1.0 - p) * states + p * states[..., flat]
     return states
 
 
-def _phase_factors(phi):
-    """exp(-i sum_i phi_i ZDIFF_i), raveled to (len(phi), 64), for each
-    row of the OU phases phi (len(phi), 3).
+def _phase_factors(phi, cols=_ZCOL):
+    """exp(-i sum_i phi_i ZDIFF_i), raveled to (..., 64), for each row of
+    the OU phases phi (..., 3); ``cols`` is _ZCOL gathered at a support
+    of m elements, (3, m), for the factors of those elements alone,
+    (..., m). A sweep passes a whole block of segments at once.
 
     The factor is the product over qubits of e_i = exp(-i phi_i) raised
     to ZDIFF_i in {-1, 0, +1}: three exps a row, each gathered from the
-    table [conj e_i, 1, e_i] to the 64 elements and multiplied in qubit
+    table [conj e_i, 1, e_i] to the elements and multiplied in qubit
     order. A qubit whose bit agrees contributes exactly 1, so the
     diagonal is exactly 1 and an element where one qubit differs is
     that qubit's exp; any other element is within a few ulps of the
     exp of its whole phase.
     """
     e = np.exp(-1j * phi)
-    table = np.empty((len(phi), 3, 3), dtype=complex)
-    np.conjugate(e, out=table[:, :, 0])
-    table[:, :, 1] = 1.0
-    table[:, :, 2] = e
-    table = table.reshape(len(phi), 9)
-    out = table[:, _ZCOL[0]]
-    for col in _ZCOL[1:]:
-        out *= table[:, col]
+    table = np.empty((*phi.shape, 3), dtype=complex)
+    np.conjugate(e, out=table[..., 0])
+    table[..., 1] = 1.0
+    table[..., 2] = e
+    table = table.reshape(*phi.shape[:-1], 9)
+    out = table[..., cols[0]]
+    for col in cols[1:]:
+        out *= table[..., col]
     return out
 
 
@@ -395,6 +406,26 @@ def _commutes_with_flips(u):
     return True
 
 
+def _support(rho0, kappa_x, patterns):
+    """The raveled elements, sorted, that an OU sweep from rho0 can make
+    nonzero: the closure of rho0's nonzero elements under the bit flip
+    of each qubit with kappa_x != 0 (its _FLAT gather) and under each
+    pulse's element ``patterns``, kron(|u| != 0, |u| != 0) (64, 64). The
+    OU phase only scales an element, so every other element of every
+    trajectory's state stays exactly 0."""
+    flats = [flat for flat, kx in zip(_FLAT, kappa_x) if kx != 0.0]
+    reach = rho0.reshape(64) != 0
+    while True:
+        grown = reach.copy()
+        for flat in flats:
+            grown |= reach[flat]
+        for pattern in patterns:
+            grown |= pattern[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
 def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     """Ensemble-mean evolution of pulse trains under one bath.
 
@@ -426,6 +457,13 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     curve equals a one-train pass of its train bit for bit. A sampled
     mean adds the same partial sums of 32 trajectories in the same order
     at any batch width, so the batch width does not change any output.
+    Each arm is swept on its support alone: the closure of rho0's nonzero
+    elements under the bit flip of each qubit with kappa_x != 0 and under
+    each of its pulses' element patterns, kron(|u| != 0, |u| != 0). The
+    OU phase only scales an element, so every other element stays
+    exactly 0, and the support changes no output either. A segment's
+    phase factors are made for a block of segments at once, at most
+    128 KiB of them with their table (_FACTOR_BYTES).
 
     With the OU phase and bit flips both on, a segment is Strang-split:
     F(Delta/2), the phase, F(Delta/2), with F the flips. Since
@@ -521,9 +559,12 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
     """The trajectory means of every arm's states at the sample steps
     ``marks`` under the OU bath, as rows (samples, 64) per arm.
 
-    Each batch of up to _BATCH trajectories fills its rows of every arm's
+    Each arm's plan cuts its segments, marks the edges where half flips
+    merge and finds its support (``_support``), once. Each batch of up to
+    _BATCH trajectories fills its rows of every arm's
     per-segment unit table (``_fill_tables``), scales them by sigma dt in
-    place, and sweeps them (``_sweep``). ``held``, when not None, is
+    place, and sweeps them on the arm's support (``_sweep``); every
+    element outside it is 0 in the means. ``held``, when not None, is
     every arm's unit table for all trajectories, filled already on the
     segments this plan cuts: each batch then scales and sweeps its rows
     of it, and no track is drawn.
@@ -539,13 +580,17 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
     # stay referenced until the return
     distinct = {id(train[k]): train[k] for train in trains for k in train}
     commutes = {i: _commutes_with_flips(u) for i, u in distinct.items()}
+    masks = {i: np.abs(u) != 0 for i, u in distinct.items()}
+    patterns = {i: np.kron(mask, mask) for i, mask in masks.items()}
 
     def plan(train):
         edges = _segment_edges(sorted({*marks, *train, 0, n_steps}), cap)
         merge = [split and k not in row
                  and (k not in train or commutes[id(train[k])])
                  for k in edges[1:]]
-        return train, edges, dt * np.diff(edges), merge
+        support = _support(rho0, noise.kappa_x,
+                           [patterns[i] for i in {id(u) for u in train.values()}])
+        return train, edges, dt * np.diff(edges), merge, support
 
     arms = [plan(train) for train in trains]
     # each segment's first grid step, intp so that a grid of no steps,
@@ -559,7 +604,9 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
                      * sum(len(s) for s in starts), 24, "OU segment phases")
         tables = [np.empty((min(_BATCH, noise.trajectories), len(s), 3))
                   for s in starts]
-    accs = [np.zeros((len(marks), 64), dtype=complex) for _ in arms]
+    supports = [support for *_, support in arms]
+    # each arm's sampled sums on its support
+    accs = [np.zeros((len(marks), len(s)), dtype=complex) for s in supports]
     for start in range(0, noise.trajectories, _BATCH):
         batch = range(start, min(start + _BATCH, noise.trajectories))
         if held is None:
@@ -570,9 +617,10 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
         for arm, phi, acc in zip(arms, phis, accs):
             phi *= noise.ou_sigma * dt
             _sweep(rho0, len(batch), arm, phi, noise.kappa_x, row, acc)
-    for acc in accs:
-        acc /= noise.trajectories
-    return accs
+    means = [np.zeros((len(marks), 64), dtype=complex) for _ in arms]
+    for mean, support, acc in zip(means, supports, accs):
+        mean[:, support] = acc / noise.trajectories
+    return means
 
 
 def _accumulate(acc, states):
@@ -585,30 +633,55 @@ def _accumulate(acc, states):
 
 def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
     """Run one arm's segments for a batch of ``width`` trajectories and
-    add the sampled states into the rows of acc (samples, 64). The
-    states stay raveled, (width, 64). phi holds the batch's per-segment
-    OU phases, (width, segments, 3); a segment's phase factor takes
-    three exps per trajectory, one per qubit (_phase_factors)."""
-    train, edges, deltas, merge = arm
-    states = np.broadcast_to(rho0.reshape(64), (width, 64)).astype(complex)
+    add the sampled states into the rows of acc (samples, m).
+
+    The states stay raveled and hold only the arm's support, the m
+    elements it can reach (``_support``), as rows (width, m); every other
+    element stays exactly 0, so the flips gather within the support, and
+    a pulse scatters the rows to 64 elements, applies its unitary and
+    gathers them back, which a full support skips. phi holds the batch's
+    per-segment OU phases, (width, segments, 3); a segment's phase factor
+    takes three exps per trajectory, one per qubit, made for a block of
+    segments at a time, of at most _FACTOR_BYTES (_phase_factors)."""
+    train, edges, deltas, merge, support = arm
+    m = len(support)
+    full = m == 64
+    # each flip's gather, re-indexed into the support; a qubit whose
+    # kappa_x is 0 flips nothing, and its gather is never read
+    at = np.zeros(64, dtype=np.intp)
+    at[support] = np.arange(m)
+    flats = [at[flat[support]] for flat in _FLAT]
+    cols = _ZCOL[:, support]
+    block = max(1, _FACTOR_BYTES // (width * max(9, m) * 16))
+
+    def pulse(states, u):
+        if full:
+            return _apply_unitary(states, u)
+        spread = np.zeros((width, 64), dtype=complex)
+        spread[:, support] = states
+        return _apply_unitary(spread, u)[:, support]
+
+    states = np.broadcast_to(rho0.reshape(64)[support], (width, m)).astype(complex)
     if 0 in train:
-        states = _apply_unitary(states, train[0])
+        states = pulse(states, train[0])
     if 0 in row:
         _accumulate(acc[row[0]], states)
     carried = 0.0  # half flip left over from a merged edge, in seconds
     for s, k in enumerate(edges[1:]):
+        if s % block == 0:
+            factors = _phase_factors(phi[:, s:s + block].transpose(1, 0, 2), cols)
         delta = deltas[s]
         # the OU bath replaces the Lindblad dephasing, so the phase
         # factor is the segment's whole elementwise factor
-        states = (_phase_factors(phi[:, s])
-                  * _flips(states, kappa_x, carried + 0.5 * delta))
+        states = (factors[s % block]
+                  * _flips(states, kappa_x, carried + 0.5 * delta, flats))
         if merge[s]:
             carried = 0.5 * delta
         else:
-            states = _flips(states, kappa_x, 0.5 * delta)
+            states = _flips(states, kappa_x, 0.5 * delta, flats)
             carried = 0.0
         if k in train:
-            states = _apply_unitary(states, train[k])
+            states = pulse(states, train[k])
         if k in row:
             _accumulate(acc[row[k]], states)
 

@@ -327,9 +327,9 @@ def test_run_protected_merges_half_flips_at_ideal_pulses(monkeypatch):
     calls = []
     real = triq.noise._flips
 
-    def counting(states, kappa_x, t):
+    def counting(states, kappa_x, t, *flats):
         calls.append(t)
-        return real(states, kappa_x, t)
+        return real(states, kappa_x, t, *flats)
 
     monkeypatch.setattr(triq.noise, "_flips", counting)
     nm = NoiseModel.from_times(bath_mode="correlated",

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import triq.noise
 from triq import (T1_S, NoiseModel, build_kddxy, build_xy16s,
-                  cycle_duration, expand_schedule, fit_grid,
-                  prepare_ghz, prepare_w, propagate_arms, pulse_unitary,
-                  run_protected)
+                  calibrate_sigma, cycle_duration, expand_schedule, fit_grid,
+                  prepare_ghz, prepare_w, prepare_wwbar, propagate_arms,
+                  pulse_unitary, run_protected)
 from triq.core import ID2, SX, SZ, embed1, kron
 from triq.noise import (_FLIP, _MAX_SEGMENT_S, _ZDIFF, _fill_tables, _flips,
                         _ou_paths, _ou_track, _phase_factors, _propagate,
@@ -531,9 +531,9 @@ def test_flip_merge_rule_per_pulse(phase, flip_error, merges):
     calls = []
     real = triq.noise._flips
 
-    def counting(states, kappa_x, t):
+    def counting(states, kappa_x, t, *flats):
         calls.append(t)
-        return real(states, kappa_x, t)
+        return real(states, kappa_x, t, *flats)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(triq.noise, "_flips", counting)
@@ -551,9 +551,9 @@ def test_segment_cap_is_stated_in_seconds(dt, n, steps):
     calls = []
     real = triq.noise._flips
 
-    def counting(states, kappa_x, t):
+    def counting(states, kappa_x, t, *flats):
         calls.append(t)
-        return real(states, kappa_x, t)
+        return real(states, kappa_x, t, *flats)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(triq.noise, "_flips", counting)
@@ -596,6 +596,90 @@ def test_batch_width_does_not_change_results(schedule, monkeypatch):
     narrow = propagate_arms(prepare_ghz(), noise, n, dt, trains, samples)
     for a, b in zip(wide, narrow):
         assert np.array_equal(a.states, b.states)
+
+
+def _supports(monkeypatch):
+    """Record every support the sweep is planned on."""
+    supports = []
+    real = triq.noise._support
+
+    def recording(*args):
+        supports.append(real(*args))
+        return supports[-1]
+
+    monkeypatch.setattr(triq.noise, "_support", recording)
+    return supports
+
+
+def test_calibration_sweeps_four_elements(monkeypatch):
+    # |+>|00> has 4 nonzero elements, and with no flips and no pulses
+    # the OU phase only scales them
+    supports = _supports(monkeypatch)
+    calibrate_sigma(0.53, 0.01, 128, 2, 12.0, 16.0)
+    assert [list(s) for s in supports] == [[0, 4, 32, 36]]
+
+
+@pytest.mark.parametrize("phase, flip_error", [
+    (0.0, 0.0), (math.pi / 2.0, 0.0), (math.pi / 6.0, 0.0), (0.0, 0.02),
+], ids=["x", "y", "pi_6", "x_flip_error"])
+def test_a_pulsed_arm_sweeps_every_element(phase, flip_error, monkeypatch):
+    # cos(pi/2) in a pulse_unitary is 6.1e-17, not 0, so a pulse reaches
+    # every element, from GHZ and without flips too
+    supports = _supports(monkeypatch)
+    quiet = replace(FLIPPY, kappa_x=(0.0, 0.0, 0.0))
+    propagate_arms(prepare_ghz(), quiet, 100, 5e-6,
+                   [{50: pulse_unitary(phase, flip_error)}, {}], [0, 100])
+    assert [len(s) for s in supports] == [64, 4]
+
+
+SUPPORT_SCHEDULES = {
+    "xy16s": build_xy16s(1e-3, cycles=2),
+    "kddxy_flip_error": build_kddxy(1e-3, cycles=2, flip_error=0.02),
+    # exact permutations, whose zeros keep a pulsed arm from GHZ on 8
+    # elements, or 16 with flips, so that its pulses scatter and gather
+    "exact": build_xy16s(1e-3, cycles=2),
+}
+
+
+def _support_train(name):
+    train = expand_schedule(SUPPORT_SCHEDULES[name], PER_TAU)
+    if name == "exact":
+        us = (embed1(SX, 1), kron(SX, kron(SX, SX)))
+        train = {k: us[i % 2] for i, k in enumerate(sorted(train))}
+    return train
+
+
+@pytest.mark.parametrize("flips", [True, False], ids=["flippy", "no_flips"])
+@pytest.mark.parametrize("name", sorted(SUPPORT_SCHEDULES))
+@pytest.mark.parametrize("prepare", [prepare_ghz, prepare_w, prepare_wwbar],
+                         ids=["ghz", "w", "wwbar"])
+def test_support_sweep_equals_the_full_sweep(prepare, name, flips, monkeypatch):
+    # a pulsed arm and the free arm, each swept on its support, equal a
+    # sweep of all 64 elements bit for bit, and that sweep leaves every
+    # element outside the support exactly 0
+    noise = FLIPPY if flips else replace(FLIPPY, kappa_x=(0.0, 0.0, 0.0))
+    schedule = SUPPORT_SCHEDULES[name]
+    n, dt, samples = _arm_grid(schedule)
+    trains = [_support_train(name), {}]
+    supports = _supports(monkeypatch)
+    got = propagate_arms(prepare(), noise, n, dt, trains, samples)
+    monkeypatch.setattr(triq.noise, "_support", lambda *args: np.arange(64))
+    want = propagate_arms(prepare(), noise, n, dt, trains, samples)
+    for support, g, w in zip(supports, got, want):
+        assert np.array_equal(g.states, w.states)
+        outside = np.ones(64, dtype=bool)
+        outside[support] = False
+        assert np.all(w.states.reshape(-1, 64)[:, outside] == 0.0)
+    # GHZ's 4 elements |a><b|, a, b in {000, 111}, and the flips carry
+    # them to every |x><x| and |x><x^111|; a prepared W holds 36 nonzero
+    # elements, down to 6e-34 from the inexact half turns of its
+    # circuit, and WWbar all 64
+    free = {prepare_ghz: 16 if flips else 4, prepare_w: 64 if flips else 36,
+            prepare_wwbar: 64}[prepare]
+    pulsed = 64
+    if name == "exact" and prepare is prepare_ghz:
+        pulsed = 16 if flips else 8
+    assert [len(s) for s in supports] == [pulsed, free]
 
 
 def test_pure_ou_bath_keeps_every_population_exactly():
