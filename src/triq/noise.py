@@ -28,11 +28,11 @@ Strang-split around the phase, the phase summed over the segment's
 steps of the OU grid, and segments are capped at _MAX_SEGMENT_S
 seconds; ``propagate_arms`` states how the arms share each OU track
 and where adjacent half flips merge, and ``_sweep`` how a batch of
-trajectories is swept on raveled states, each arm on only the elements
-it can reach from rho0 (``_support``), with the OU phase factors of a
-block of segments made at once (``_phase_factors``). Every OU track is
-drawn at unit sigma, reduced into a per-segment unit table (``_fill_tables``),
-and sigma scales each segment's phase once, which is the phase of the
+trajectories is swept on raveled states, a pulse-free arm on only the
+elements it can reach from rho0 (``_support``), with the OU phase
+factors of a block of segments made at once (``_phase_factors``).
+Every OU track is drawn at unit sigma, reduced into a per-segment unit
+table (``_fill_tables``), and sigma scales each segment's phase once, which is the phase of the
 track at sigma since the recurrence is linear in its draws. So
 ``calibrate_sigma``, which fits sigma to a qubit-1 T2, draws each of
 the engine's unit tracks once: its bisection rescales qubit 1's running
@@ -75,8 +75,10 @@ _BATCH = 128
 _BLOCK = 64
 # most bytes of OU phase factors made at once: a sweep makes them for a
 # block of segments, width x block x max(9, m) complex numbers (the
-# 9-column table and the m gathered elements), so that a short arm takes
-# few numpy calls a segment and a wide one stays in cache
+# 9-column table and the m gathered elements). On a 2-vCPU VM the sweeps
+# of an OU calibration and of an XY-16(s) protect run took 21-23% and
+# 7-9% less time at 128 KiB than one segment at a time, and 5-10% and
+# 16-18% less than at 1 MiB; 256 KiB was within 5% (BENCH_49.json)
 _FACTOR_BYTES = 128 * 2**10
 
 # per-qubit relaxation times of the bundled three-spin register, seconds
@@ -406,24 +408,22 @@ def _commutes_with_flips(u):
     return True
 
 
-def _support(rho0, kappa_x, patterns):
-    """The raveled elements, sorted, that an OU sweep from rho0 can make
-    nonzero: the closure of rho0's nonzero elements under the bit flip
-    of each qubit with kappa_x != 0 (its _FLAT gather) and under each
-    pulse's element ``patterns``, kron(|u| != 0, |u| != 0) (64, 64). The
-    OU phase only scales an element, so every other element of every
-    trajectory's state stays exactly 0."""
-    flats = [flat for flat, kx in zip(_FLAT, kappa_x) if kx != 0.0]
+def _support(rho0, kappa_x, train):
+    """The raveled elements, sorted, that an OU sweep of ``train`` from
+    rho0 runs on. An arm with a pulse runs on all 64: a pulse_unitary
+    reaches every element, as its cos(pi/2) is 6.1e-17, not 0. A
+    pulse-free arm runs on the closure of rho0's nonzero elements under
+    the bit flip of each qubit with kappa_x != 0 (its _FLAT gather); the
+    flips commute and each undoes itself, so one gather per qubit closes
+    it. The OU phase only scales an element, so every other element of
+    every trajectory's state stays exactly 0."""
+    if train:
+        return np.arange(64)
     reach = rho0.reshape(64) != 0
-    while True:
-        grown = reach.copy()
-        for flat in flats:
-            grown |= reach[flat]
-        for pattern in patterns:
-            grown |= pattern[:, reach].any(axis=1)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
+    for flat, kx in zip(_FLAT, kappa_x):
+        if kx != 0.0:
+            reach = reach | reach[flat]
+    return np.flatnonzero(reach)
 
 
 def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
@@ -457,9 +457,9 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     curve equals a one-train pass of its train bit for bit. A sampled
     mean adds the same partial sums of 32 trajectories in the same order
     at any batch width, so the batch width does not change any output.
-    Each arm is swept on its support alone: the closure of rho0's nonzero
-    elements under the bit flip of each qubit with kappa_x != 0 and under
-    each of its pulses' element patterns, kron(|u| != 0, |u| != 0). The
+    A pulse-free arm is swept on its support alone: the closure of
+    rho0's nonzero elements under the bit flip of each qubit with
+    kappa_x != 0; an arm with a pulse is swept on all 64 elements. The
     OU phase only scales an element, so every other element stays
     exactly 0, and the support changes no output either. A segment's
     phase factors are made for a block of segments at once, at most
@@ -580,16 +580,13 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
     # stay referenced until the return
     distinct = {id(train[k]): train[k] for train in trains for k in train}
     commutes = {i: _commutes_with_flips(u) for i, u in distinct.items()}
-    masks = {i: np.abs(u) != 0 for i, u in distinct.items()}
-    patterns = {i: np.kron(mask, mask) for i, mask in masks.items()}
 
     def plan(train):
         edges = _segment_edges(sorted({*marks, *train, 0, n_steps}), cap)
         merge = [split and k not in row
                  and (k not in train or commutes[id(train[k])])
                  for k in edges[1:]]
-        support = _support(rho0, noise.kappa_x,
-                           [patterns[i] for i in {id(u) for u in train.values()}])
+        support = _support(rho0, noise.kappa_x, train)
         return train, edges, dt * np.diff(edges), merge, support
 
     arms = [plan(train) for train in trains]
@@ -637,15 +634,14 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
 
     The states stay raveled and hold only the arm's support, the m
     elements it can reach (``_support``), as rows (width, m); every other
-    element stays exactly 0, so the flips gather within the support, and
-    a pulse scatters the rows to 64 elements, applies its unitary and
-    gathers them back, which a full support skips. phi holds the batch's
-    per-segment OU phases, (width, segments, 3); a segment's phase factor
-    takes three exps per trajectory, one per qubit, made for a block of
+    element stays exactly 0, so the flips gather within the support. An
+    arm with a pulse runs on all 64 elements, so a pulse applies its
+    unitary to the rows as they are. phi holds the batch's per-segment
+    OU phases, (width, segments, 3); a segment's phase factor takes
+    three exps per trajectory, one per qubit, made for a block of
     segments at a time, of at most _FACTOR_BYTES (_phase_factors)."""
     train, edges, deltas, merge, support = arm
     m = len(support)
-    full = m == 64
     # each flip's gather, re-indexed into the support; a qubit whose
     # kappa_x is 0 flips nothing, and its gather is never read
     at = np.zeros(64, dtype=np.intp)
@@ -653,17 +649,9 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
     flats = [at[flat[support]] for flat in _FLAT]
     cols = _ZCOL[:, support]
     block = max(1, _FACTOR_BYTES // (width * max(9, m) * 16))
-
-    def pulse(states, u):
-        if full:
-            return _apply_unitary(states, u)
-        spread = np.zeros((width, 64), dtype=complex)
-        spread[:, support] = states
-        return _apply_unitary(spread, u)[:, support]
-
     states = np.broadcast_to(rho0.reshape(64)[support], (width, m)).astype(complex)
     if 0 in train:
-        states = pulse(states, train[0])
+        states = _apply_unitary(states, train[0])
     if 0 in row:
         _accumulate(acc[row[0]], states)
     carried = 0.0  # half flip left over from a merged edge, in seconds
@@ -681,7 +669,7 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
             states = _flips(states, kappa_x, 0.5 * delta, flats)
             carried = 0.0
         if k in train:
-            states = pulse(states, train[k])
+            states = _apply_unitary(states, train[k])
         if k in row:
             _accumulate(acc[row[k]], states)
 

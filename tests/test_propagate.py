@@ -619,34 +619,25 @@ def test_calibration_sweeps_four_elements(monkeypatch):
     assert [list(s) for s in supports] == [[0, 4, 32, 36]]
 
 
-@pytest.mark.parametrize("phase, flip_error", [
-    (0.0, 0.0), (math.pi / 2.0, 0.0), (math.pi / 6.0, 0.0), (0.0, 0.02),
-], ids=["x", "y", "pi_6", "x_flip_error"])
-def test_a_pulsed_arm_sweeps_every_element(phase, flip_error, monkeypatch):
-    # cos(pi/2) in a pulse_unitary is 6.1e-17, not 0, so a pulse reaches
-    # every element, from GHZ and without flips too
+@pytest.mark.parametrize("u", [
+    pulse_unitary(0.0), pulse_unitary(math.pi / 2.0),
+    pulse_unitary(math.pi / 6.0), pulse_unitary(0.0, 0.02),
+    kron(SX, kron(SX, SX)),
+], ids=["x", "y", "pi_6", "x_flip_error", "exact"])
+def test_a_pulsed_arm_sweeps_every_element(u, monkeypatch):
+    # an arm with a pulse runs on all 64 elements, from GHZ and without
+    # flips too, even where the pulse is an exact permutation; the
+    # pulse-free arm runs on GHZ's 4
     supports = _supports(monkeypatch)
     quiet = replace(FLIPPY, kappa_x=(0.0, 0.0, 0.0))
-    propagate_arms(prepare_ghz(), quiet, 100, 5e-6,
-                   [{50: pulse_unitary(phase, flip_error)}, {}], [0, 100])
+    propagate_arms(prepare_ghz(), quiet, 100, 5e-6, [{50: u}, {}], [0, 100])
     assert [len(s) for s in supports] == [64, 4]
 
 
 SUPPORT_SCHEDULES = {
     "xy16s": build_xy16s(1e-3, cycles=2),
     "kddxy_flip_error": build_kddxy(1e-3, cycles=2, flip_error=0.02),
-    # exact permutations, whose zeros keep a pulsed arm from GHZ on 8
-    # elements, or 16 with flips, so that its pulses scatter and gather
-    "exact": build_xy16s(1e-3, cycles=2),
 }
-
-
-def _support_train(name):
-    train = expand_schedule(SUPPORT_SCHEDULES[name], PER_TAU)
-    if name == "exact":
-        us = (embed1(SX, 1), kron(SX, kron(SX, SX)))
-        train = {k: us[i % 2] for i, k in enumerate(sorted(train))}
-    return train
 
 
 @pytest.mark.parametrize("flips", [True, False], ids=["flippy", "no_flips"])
@@ -660,7 +651,7 @@ def test_support_sweep_equals_the_full_sweep(prepare, name, flips, monkeypatch):
     noise = FLIPPY if flips else replace(FLIPPY, kappa_x=(0.0, 0.0, 0.0))
     schedule = SUPPORT_SCHEDULES[name]
     n, dt, samples = _arm_grid(schedule)
-    trains = [_support_train(name), {}]
+    trains = [expand_schedule(schedule, PER_TAU), {}]
     supports = _supports(monkeypatch)
     got = propagate_arms(prepare(), noise, n, dt, trains, samples)
     monkeypatch.setattr(triq.noise, "_support", lambda *args: np.arange(64))
@@ -676,10 +667,7 @@ def test_support_sweep_equals_the_full_sweep(prepare, name, flips, monkeypatch):
     # circuit, and WWbar all 64
     free = {prepare_ghz: 16 if flips else 4, prepare_w: 64 if flips else 36,
             prepare_wwbar: 64}[prepare]
-    pulsed = 64
-    if name == "exact" and prepare is prepare_ghz:
-        pulsed = 16 if flips else 8
-    assert [len(s) for s in supports] == [pulsed, free]
+    assert [len(s) for s in supports] == [64, free]
 
 
 def test_pure_ou_bath_keeps_every_population_exactly():
