@@ -249,11 +249,18 @@ def disentanglement_time(curve):
 def first_crossing(times, values, level):
     """First time ``values`` falls below ``level``, interpolated linearly
     from the sample before; times[0] if values[0] is, inf if none is.
-    times and values are read as float arrays; a level that is not
-    finite or a NaN value, which no comparison finds below it, raises
-    ValueError."""
+    times and values are read as float arrays, which must be 1-D and of
+    one length, with every time finite (else ValueError); a level that
+    is not finite or a NaN value, which no comparison finds below it,
+    raises ValueError too."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or values.ndim != 1 or len(times) != len(values):
+        raise ValueError("times and values must be 1-D and of one length, "
+                         "got shapes %s and %s" % (times.shape, values.shape))
+    if not np.isfinite(times).all():
+        raise ValueError("time %d is not finite"
+                         % np.flatnonzero(~np.isfinite(times))[0])
     if not math.isfinite(level):
         raise ValueError("level must be finite, got %g" % level)
     nan = np.flatnonzero(np.isnan(values))

@@ -32,14 +32,14 @@ trajectories is swept on raveled states, a pulse-free arm on only the
 elements it can reach from rho0 (``_support``), with the OU phase
 factors of a block of segments made at once (``_phase_factors``).
 Every OU track is drawn at unit sigma, reduced into a per-segment unit
-table (``_fill_tables``), and sigma scales each segment's phase once, which is the phase of the
-track at sigma since the recurrence is linear in its draws. So
-``calibrate_sigma``, which fits sigma to a qubit-1 T2, draws each of
-the engine's unit tracks once: its bisection rescales qubit 1's running
-sum of the table at every step instead of propagating, and the engine
-run at the sigma it settles on sweeps the same table. The tests pin the
-propagator against a generator built from explicit Lindblad operator
-matrices.
+table (``_fill_tables``), and sigma scales each segment's phase once,
+which is the phase of the track at sigma since the recurrence is linear
+in its draws. So ``calibrate_sigma``, which fits sigma to a qubit-1 T2,
+draws each of the engine's unit tracks once: its bisection rescales
+qubit 1's running sum of the table at every step instead of propagating,
+and the engine run at the sigma it settles on sweeps the same table. The
+tests pin the propagator against a generator built from explicit
+Lindblad operator matrices.
 """
 import math
 from dataclasses import dataclass, replace
@@ -62,13 +62,10 @@ __all__ = [
     "steps_per",
 ]
 
-# trajectories per partial sum of a sampled mean: fixed, so that the
-# sums, and every output, do not depend on the batch width
-_CHUNK = 32
-# trajectories swept at once, a multiple of _CHUNK: each segment of a
-# sweep is a few numpy calls on the whole batch, so a wider batch takes
-# fewer Python steps, while each arm's per-segment phase table holds
-# 24 B per segment per trajectory, 3 KiB per segment at this width
+# trajectories swept at once: each segment of a sweep is a few numpy
+# calls on the whole batch, so a wider batch takes fewer Python steps,
+# while each arm's per-segment phase table holds 24 B per segment per
+# trajectory, 3 KiB per segment at this width
 _BATCH = 128
 # samples of a Markovian stretch evaluated at once; one stack of a
 # whole 2,001-sample stretch raised peak memory by 14%
@@ -455,8 +452,8 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     arm's segment edges before the next is drawn, and each arm's table
     of per-segment phases is then scaled by sigma dt once, so an arm's
     curve equals a one-train pass of its train bit for bit. A sampled
-    mean adds the same partial sums of 32 trajectories in the same order
-    at any batch width, so the batch width does not change any output.
+    mean adds each batch's sum once per sample, so the batch width moves
+    only the last bits of a run of more than one batch.
     A pulse-free arm is swept on its support alone: the closure of
     rho0's nonzero elements under the bit flip of each qubit with
     kappa_x != 0; an arm with a pulse is swept on all 64 elements. The
@@ -620,17 +617,10 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
     return means
 
 
-def _accumulate(acc, states):
-    """Add the trajectory sum of ``states`` into acc, _CHUNK
-    trajectories at a time, so that the sum does not depend on how many
-    trajectories a batch holds."""
-    for g in range(0, len(states), _CHUNK):
-        acc += states[g:g + _CHUNK].sum(axis=0)
-
-
 def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
     """Run one arm's segments for a batch of ``width`` trajectories and
-    add the sampled states into the rows of acc (samples, m).
+    add the batch's sum of each sampled state into its row of acc
+    (samples, m).
 
     The states stay raveled and hold only the arm's support, the m
     elements it can reach (``_support``), as rows (width, m); every other
@@ -653,7 +643,7 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
     if 0 in train:
         states = _apply_unitary(states, train[0])
     if 0 in row:
-        _accumulate(acc[row[0]], states)
+        acc[row[0]] += states.sum(axis=0)
     carried = 0.0  # half flip left over from a merged edge, in seconds
     for s, k in enumerate(edges[1:]):
         if s % block == 0:
@@ -671,7 +661,7 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
         if k in train:
             states = _apply_unitary(states, train[k])
         if k in row:
-            _accumulate(acc[row[k]], states)
+            acc[row[k]] += states.sum(axis=0)
 
 
 _PLUS = np.full((2, 2), 0.5, dtype=complex)

@@ -266,8 +266,7 @@ def read_records(path):
     appearance. Each present setting must cover all 24 observable
     indices exactly once.
     """
-    per_setting = {}
-    order = []
+    per_setting = {}  # in order of first appearance
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -292,11 +291,8 @@ def read_records(path):
             if idx in slot:
                 raise ValueError("line %d: duplicate %s observable %d" % (lineno, label, idx))
             slot[idx] = value
-            if label not in order:
-                order.append(label)
     records = []
-    for label in order:
-        slot = per_setting[label]
+    for label, slot in per_setting.items():
         if len(slot) != 24:
             raise ValueError("setting %s has %d of 24 observables" % (label, len(slot)))
         records.append(TomoRecord(setting=label,

@@ -237,6 +237,23 @@ def test_first_crossing_rejects_nan():
             first_crossing(times, np.array(values), 0.2)
 
 
+def test_first_crossing_rejects_ill_formed_times():
+    # a values array longer than times would index past it, and a
+    # shorter one would drop the samples that cross; a time that is not
+    # finite interpolates to NaN or inf
+    for times, values in (([0, 1], [1, 0.5, 0.1]), ([0, 1, 2], [1, 0.5]),
+                          ([[0, 1, 2]], [[1, 0.5, 0.1]]),
+                          ([0, 1, 2], [[1, 0.5, 0.1]])):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            first_crossing(times, values, 0.2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="time 1 is not finite"):
+            first_crossing([0, bad, 2], [1, 0.5, 0.1], 0.2)
+    # no crossing reads no time past the first, and is still refused
+    with pytest.raises(ValueError, match="time 2 is not finite"):
+        first_crossing([0, 1, math.nan], [1, 0.9, 0.8], 0.2)
+
+
 def test_disentanglement_time_errors():
     with pytest.raises(ValueError, match="already below"):
         disentanglement_time(_curve([0.0, 1.0], [0.005, 0.001]))

@@ -60,6 +60,32 @@ def test_import_hygiene():
     assert not private_uses
 
 
+def test_every_private_name_is_used_in_its_module():
+    # a private module-level function, class or constant that its own
+    # module never reads outside its definition is dead code, even when
+    # a test still calls it
+    unused = []
+    for path in sorted(pathlib.Path(triq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loads = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            own = {id(node) for node in ast.walk(stmt)}
+            read = {node.id for node in loads if id(node) not in own}
+            unused += ["%s:%d %s" % (path.name, stmt.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    assert not unused
+
+
 def test_benchmark_tracer_binds_every_public_function():
     # perfbench/tracer.py wraps each name in a module's __all__ and raises
     # TraceError if a reference escapes it; run it as the benchmark does

@@ -238,6 +238,19 @@ def test_records_io_round_trip(tmp_path):
         assert a.values == b.values  # %.17g survives the round trip
 
 
+def test_read_records_interleaved_settings(tmp_path):
+    # two settings' lines alternate, indices in reverse: records come
+    # back in order of first appearance, each with its own values
+    first, second = tomograph(prepare_w(), noise_sigma=0.02, seed=5)[5:3:-1]
+    path = tmp_path / "records.txt"
+    path.write_text("".join(
+        "%s,%d,%.17g\n" % (rec.setting, i, rec.values[i])
+        for i in reversed(range(24)) for rec in (first, second)))
+    back = read_records(path)
+    assert [r.setting for r in back] == ["XXY", "XYX"]
+    assert [r.values for r in back] == [first.values, second.values]
+
+
 def test_read_records_diagnostics(tmp_path):
     path = tmp_path / "bad.txt"
 
