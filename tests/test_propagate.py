@@ -589,8 +589,8 @@ def test_batch_width_does_not_change_results(schedule, monkeypatch):
     # width or in batches of 32: every sampled mean adds each batch's sum
     # once, so the widths add the same states in another order. A mean of
     # N elements of modulus at most 1 summed in any order is within
-    # N eps of the exact one, while a trajectory swept twice or dropped
-    # moves it by about 1/N
+    # N eps / 2 of the exact one, so two orders differ by at most N eps,
+    # while a trajectory swept twice or dropped moves it by about 1/N
     n, dt, samples = _arm_grid(schedule)
     noise = replace(FLIPPY, trajectories=2 * triq.noise._BATCH + 6)
     trains = [expand_schedule(schedule, PER_TAU), {}]
