@@ -28,9 +28,10 @@ Strang-split around the phase, the phase summed over the segment's
 steps of the OU grid, and segments are capped at _MAX_SEGMENT_S
 seconds; ``propagate_arms`` states how the arms share each OU track
 and where adjacent half flips merge, and ``_sweep`` how a batch of
-trajectories is swept on raveled states, a pulse-free arm on only the
-elements it can reach from rho0 (``_support``), with the OU phase
-factors of a block of segments made at once (``_phase_factors``).
+trajectories is swept on raveled states, each arm on only the elements
+it can reach from rho0 (``_support``), an ideal pulse applied as an
+index gather and a phase (``_gather``), with the OU phase factors of a
+block of segments made at once (``_phase_factors``).
 Every OU track is drawn at unit sigma, reduced into a per-segment unit
 table (``_fill_tables``), and sigma scales each segment's phase once,
 which is the phase of the track at sigma since the recurrence is linear
@@ -405,22 +406,50 @@ def _commutes_with_flips(u):
     return True
 
 
-def _support(rho0, kappa_x, train):
-    """The raveled elements, sorted, that an OU sweep of ``train`` from
-    rho0 runs on. An arm with a pulse runs on all 64: a pulse_unitary
-    reaches every element, as its cos(pi/2) is 6.1e-17, not 0. A
-    pulse-free arm runs on the closure of rho0's nonzero elements under
-    the bit flip of each qubit with kappa_x != 0 (its _FLAT gather); the
-    flips commute and each undoes itself, so one gather per qubit closes
-    it. The OU phase only scales an element, so every other element of
-    every trajectory's state stays exactly 0."""
-    if train:
+def _gather(u):
+    """(gather, factor) of u rho u^dagger on raveled states (..., 64), or
+    None when u is not monomial. A monomial u, one nonzero entry u_a,p(a)
+    per row, as every ideal pulse_unitary is, acts on element (a, b) as
+    u_a,p(a) rho_p(a),p(b) conj(u_b,p(b)): the state gathered at
+    8 p(a) + p(b) times that factor."""
+    nonzero = u != 0
+    if not np.all(nonzero.sum(axis=1) == 1):
+        return None
+    p = np.argmax(nonzero, axis=1)
+    phase = u[np.arange(8), p]
+    return ((8 * p[:, None] + p[None, :]).ravel(),
+            np.multiply.outer(phase, phase.conj()).ravel())
+
+
+def _support(rho0, gathers):
+    """The raveled elements, sorted, that an OU sweep from rho0 runs on:
+    the closure of rho0's nonzero elements under each of ``gathers``,
+    the _FLAT gather of each qubit with kappa_x != 0 and the gather of
+    each of the arm's pulses (_gather), taken until it stops growing.
+    The OU phase only scales an element, so every other element of
+    every trajectory's state stays exactly 0. A pulse that is not
+    monomial, such as one with a flip error, has no gather (None), and
+    its arm runs on all 64 elements."""
+    if any(gather is None for gather in gathers):
         return np.arange(64)
     reach = rho0.reshape(64) != 0
-    for flat, kx in zip(_FLAT, kappa_x):
-        if kx != 0.0:
-            reach = reach | reach[flat]
-    return np.flatnonzero(reach)
+    while True:
+        grown = reach.copy()
+        for gather in gathers:
+            grown |= grown[gather]
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
+def _reindex(gather, support):
+    """``gather`` on all 64 elements re-indexed into ``support``, for
+    states that hold only its m elements (..., m): the position in
+    support of the element that each of them reads, all of which must
+    be in support."""
+    at = np.zeros(64, dtype=np.intp)
+    at[support] = np.arange(len(support))
+    return at[gather[support]]
 
 
 def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
@@ -454,11 +483,15 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     curve equals a one-train pass of its train bit for bit. A sampled
     mean adds each batch's sum once per sample, so the batch width moves
     only the last bits of a run of more than one batch.
-    A pulse-free arm is swept on its support alone: the closure of
-    rho0's nonzero elements under the bit flip of each qubit with
-    kappa_x != 0; an arm with a pulse is swept on all 64 elements. The
-    OU phase only scales an element, so every other element stays
-    exactly 0, and the support changes no output either. A segment's
+    Each arm is swept on its support alone: the closure of rho0's
+    nonzero elements under the bit flip of each qubit with kappa_x != 0
+    and under each of its pulses. A pulse whose unitary has one nonzero
+    entry per row, as every ideal pulse has, is an index gather and a
+    phase on the raveled states, made once per distinct unitary; an arm
+    with any other pulse, such as one with a flip error, is swept on all
+    64 elements, and that pulse is applied as u rho u^dagger. The OU
+    phase only scales an element, so every other element stays exactly
+    0, and the support changes no output either. A segment's
     phase factors are made for a block of segments at once, at most
     128 KiB of them with their table (_FACTOR_BYTES).
 
@@ -573,18 +606,29 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
     # the cap in whole steps, at least one; the 1e-9 guard keeps a step
     # that divides it, such as 5 us, from losing one to rounding
     cap = max(1, math.floor(_MAX_SEGMENT_S / dt * (1.0 + 1e-9))) if split else n_steps
-    # one verdict per distinct unitary, by id: every train's unitaries
-    # stay referenced until the return
+    # one verdict and one gather per distinct unitary, by id: every
+    # train's unitaries stay referenced until the return
     distinct = {id(train[k]): train[k] for train in trains for k in train}
     commutes = {i: _commutes_with_flips(u) for i, u in distinct.items()}
+    gathers = {i: _gather(u) for i, u in distinct.items()}
+    flips = [flat for flat, kx in zip(_FLAT, noise.kappa_x) if kx != 0.0]
 
     def plan(train):
         edges = _segment_edges(sorted({*marks, *train, 0, n_steps}), cap)
         merge = [split and k not in row
                  and (k not in train or commutes[id(train[k])])
                  for k in edges[1:]]
-        support = _support(rho0, noise.kappa_x, train)
-        return train, edges, dt * np.diff(edges), merge, support
+        own = {id(u): gathers[id(u)] for u in train.values()}
+        support = _support(rho0, flips + [None if g is None else g[0]
+                                          for g in own.values()])
+        # a qubit whose kappa_x is 0 flips nothing, and its gather is
+        # never read
+        flats = [_reindex(flat, support) for flat in _FLAT]
+        # each monomial pulse as its gather and factor on the support
+        local = {i: (_reindex(g[0], support), g[1][support])
+                 for i, g in own.items() if g is not None}
+        pulses = {k: local.get(id(u), u) for k, u in train.items()}
+        return pulses, edges, dt * np.diff(edges), merge, flats, support
 
     arms = [plan(train) for train in trains]
     # each segment's first grid step, intp so that a grid of no steps,
@@ -624,24 +668,27 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
 
     The states stay raveled and hold only the arm's support, the m
     elements it can reach (``_support``), as rows (width, m); every other
-    element stays exactly 0, so the flips gather within the support. An
-    arm with a pulse runs on all 64 elements, so a pulse applies its
-    unitary to the rows as they are. phi holds the batch's per-segment
-    OU phases, (width, segments, 3); a segment's phase factor takes
-    three exps per trajectory, one per qubit, made for a block of
-    segments at a time, of at most _FACTOR_BYTES (_phase_factors)."""
-    train, edges, deltas, merge, support = arm
+    element stays exactly 0, so the flips and each monomial pulse gather
+    within the support, the pulse times its factor. A pulse that is not
+    monomial keeps its arm on all 64 elements, and applies its unitary
+    to the rows as they are. phi holds the batch's per-segment OU
+    phases, (width, segments, 3); a segment's phase factor takes three
+    exps per trajectory, one per qubit, made for a block of segments at
+    a time, of at most _FACTOR_BYTES (_phase_factors)."""
+    pulses, edges, deltas, merge, flats, support = arm
     m = len(support)
-    # each flip's gather, re-indexed into the support; a qubit whose
-    # kappa_x is 0 flips nothing, and its gather is never read
-    at = np.zeros(64, dtype=np.intp)
-    at[support] = np.arange(m)
-    flats = [at[flat[support]] for flat in _FLAT]
+
+    def pulse(states, k):
+        if isinstance(pulses[k], tuple):
+            gather, factor = pulses[k]
+            return factor * states[:, gather]
+        return _apply_unitary(states, pulses[k])
+
     cols = _ZCOL[:, support]
     block = max(1, _FACTOR_BYTES // (width * max(9, m) * 16))
     states = np.broadcast_to(rho0.reshape(64)[support], (width, m)).astype(complex)
-    if 0 in train:
-        states = _apply_unitary(states, train[0])
+    if 0 in pulses:
+        states = pulse(states, 0)
     if 0 in row:
         acc[row[0]] += states.sum(axis=0)
     carried = 0.0  # half flip left over from a merged edge, in seconds
@@ -658,8 +705,8 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
         else:
             states = _flips(states, kappa_x, 0.5 * delta, flats)
             carried = 0.0
-        if k in train:
-            states = _apply_unitary(states, train[k])
+        if k in pulses:
+            states = pulse(states, k)
         if k in row:
             acc[row[k]] += states.sum(axis=0)
 

@@ -33,10 +33,13 @@ THETA_W = 2.0 * math.acos(math.sqrt(2.0 / 3.0))
 THETA_WWBAR = 2.0 * math.acos(1.0 / math.sqrt(3.0))
 
 
-# the axis of each whole number of quarter turns, exactly: in floating
-# point cos(pi/2) is 6.1e-17, not 0, which would leave imaginary dust in
-# every state and pulse that a y axis turns
+# the axis of each whole number of quarter turns of phase, and the
+# (cos, sin) of half of each whole number of half turns of angle,
+# exactly: in floating point cos(pi/2) is 6.1e-17, not 0, which would
+# leave dust in every state and pulse that a y axis or a pi turn makes,
+# and give an ideal pi pulse no zero entry
 _QUARTER_AXES = (SX, SY, -SX, -SY)
+_HALF_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 
 def _axis(phase):
@@ -52,8 +55,12 @@ def _rot2(angle, phase):
     for name, value in (("angle", angle), ("phase", phase)):
         if not math.isfinite(value):
             raise ValueError("rotation %s must be finite, got %g" % (name, value))
-    ax = _axis(phase)
-    return math.cos(angle / 2.0) * ID2 - 1j * math.sin(angle / 2.0) * ax
+    turns = angle / math.pi
+    if turns == round(turns):
+        c, s = _HALF_TURNS[int(turns) % 4]
+    else:
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return c * ID2 - 1j * s * _axis(phase)
 
 
 def rotation(qubit, angle, phase):

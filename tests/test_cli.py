@@ -173,6 +173,15 @@ def test_decay_rejects_duration_off_the_sample_grid(tmp_path, capsys):
     assert not (out / "decay.csv").exists()
 
 
+def test_an_output_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
+    # out under a regular file: making the directory raises OSError
+    (tmp_path / "file").write_text("")
+    rc, _ = run(tmp_path, "state = ghz\n", out="file/x")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot write output:")
+
+
 def test_decay_rejects_an_overflowing_step_count(tmp_path, capsys):
     # 1e300 s at 0.1 ns is more steps than a float holds: exit 2, not 3
     rc, out = run(tmp_path, "grid.t_final_s = 1e300\ngrid.step_s = 1e-10\n")

@@ -14,9 +14,10 @@ from triq import (T1_S, NoiseModel, build_kddxy, build_xy16s,
                   prepare_ghz, prepare_w, prepare_wwbar, propagate_arms,
                   pulse_unitary, run_protected)
 from triq.core import ID2, SX, SZ, embed1, kron
-from triq.noise import (_FLIP, _MAX_SEGMENT_S, _ZDIFF, _fill_tables, _flips,
-                        _ou_paths, _ou_track, _phase_factors, _propagate,
-                        _segment_edges, _unit_phases)
+from triq.noise import (_FLIP, _MAX_SEGMENT_S, _X, _ZDIFF, _apply_unitary,
+                        _fill_tables, _flips, _gather, _ou_paths, _ou_track,
+                        _phase_factors, _propagate, _reindex, _segment_edges,
+                        _support, _unit_phases)
 from conftest import random_density
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -623,19 +624,33 @@ def test_calibration_sweeps_four_elements(monkeypatch):
     assert [list(s) for s in supports] == [[0, 4, 32, 36]]
 
 
-@pytest.mark.parametrize("u", [
-    pulse_unitary(0.0), pulse_unitary(math.pi / 2.0),
-    pulse_unitary(math.pi / 6.0), pulse_unitary(0.0, 0.02),
-    kron(SX, kron(SX, SX)),
+@pytest.mark.parametrize("u, pulsed", [
+    (pulse_unitary(0.0), 4), (pulse_unitary(math.pi / 2.0), 4),
+    (pulse_unitary(math.pi / 6.0), 4), (pulse_unitary(0.0, 0.02), 64),
+    (kron(SX, kron(SX, SX)), 4),
 ], ids=["x", "y", "pi_6", "x_flip_error", "exact"])
-def test_a_pulsed_arm_sweeps_every_element(u, monkeypatch):
-    # an arm with a pulse runs on all 64 elements, from GHZ and without
-    # flips too, even where the pulse is an exact permutation; the
-    # pulse-free arm runs on GHZ's 4
+def test_a_pulsed_arm_sweeps_every_element(u, pulsed, monkeypatch):
+    # an ideal pulse, at any phase, is monomial and flips all three
+    # qubits, so it maps GHZ's 4 elements onto themselves: without flips
+    # its arm runs on those 4, as the pulse-free arm does. A pulse with a
+    # flip error is not monomial, and its arm runs on every element
     supports = _supports(monkeypatch)
     quiet = replace(FLIPPY, kappa_x=(0.0, 0.0, 0.0))
     propagate_arms(prepare_ghz(), quiet, 100, 5e-6, [{50: u}, {}], [0, 100])
-    assert [len(s) for s in supports] == [64, 4]
+    assert [len(s) for s in supports] == [pulsed, 4]
+
+
+def test_the_protect_benchmark_arm_sweeps_sixteen_elements(monkeypatch):
+    # the XY-16(s) arm of the protect benchmark's config (GHZ, bundled
+    # T1 and T2, tau = 250 us) runs on the 16 elements of the free arm:
+    # GHZ's 4 closed under the flips, which its ideal pulses keep. A
+    # pulse applied as its unitary would take all 64
+    supports = _supports(monkeypatch)
+    noise = NoiseModel.from_times(bath_mode="correlated",
+                                  ou_sigma=13.7117919922, ou_tau_c=0.01,
+                                  trajectories=2, seed=2026)
+    run_protected(prepare_ghz(), noise, build_xy16s(250e-6))
+    assert [len(s) for s in supports] == [16, 16]
 
 
 SUPPORT_SCHEDULES = {
@@ -666,12 +681,16 @@ def test_support_sweep_equals_the_full_sweep(prepare, name, flips, monkeypatch):
         outside[support] = False
         assert np.all(w.states.reshape(-1, 64)[:, outside] == 0.0)
     # GHZ's 4 elements |a><b|, a, b in {000, 111}, and the flips carry
-    # them to every |x><x| and |x><x^111|; a prepared W holds 36 nonzero
-    # elements, down to 6e-34 from the inexact half turns of its
-    # circuit, and WWbar all 64
-    free = {prepare_ghz: 16 if flips else 4, prepare_w: 64 if flips else 36,
+    # them to every |x><x| and |x><x^111|; XY-16(s)'s ideal pulses flip
+    # all three qubits, which keeps that set. W's 9 elements |a><b|, a
+    # and b of weight 1, reach the 9 of weight 2 under those pulses, and
+    # the flips carry both to the 32 whose row and column weights have
+    # one parity; a pulse with a flip error is not monomial and takes all
+    # 64, and WWbar holds all 64
+    free = {prepare_ghz: 16 if flips else 4, prepare_w: 32 if flips else 9,
             prepare_wwbar: 64}[prepare]
-    assert [len(s) for s in supports] == [64, free]
+    pulsed = {("xy16s", prepare_ghz): free, ("xy16s", prepare_w): 32 if flips else 18}
+    assert [len(s) for s in supports] == [pulsed.get((name, prepare), 64), free]
 
 
 def test_pure_ou_bath_keeps_every_population_exactly():
@@ -737,14 +756,54 @@ def test_raveled_flips_equal_the_matrix_gathers(kappa_x, t, width, seed):
     assert got.tobytes() == want.reshape(width, 64).tobytes()
 
 
-@pytest.mark.parametrize("phase, real", [(None, True), (math.pi / 2.0, True),
-                                         (0.0, False)], ids=["free", "y", "x"])
+MONOMIAL = [pulse_unitary(k * math.pi / 2.0) for k in range(4)] + [
+    pulse_unitary(math.pi / 6.0), kron(SX, kron(SX, SX))]
+
+
+@PROPERTY
+@given(width=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+def test_a_monomial_pulse_gathers_as_its_matrix_product(width, seed):
+    # on the support that its gather closes from a random set of
+    # elements, a monomial pulse's gather and factor equal u rho
+    # u^dagger within 4 eps of the largest element, and leave every other
+    # element 0. Over 200 draws of (130, 64) states the largest
+    # difference was 1.73 eps of it (1.8e-15 at 4.78), at pi/6; the
+    # quarter-turn pulses and X X X agreed exactly
+    rng = np.random.default_rng(seed)
+    for u in MONOMIAL:
+        gather, factor = _gather(u)
+        rho0 = (rng.random((8, 8)) < 0.1).astype(float)
+        support = _support(rho0, [gather])
+        states = (rng.standard_normal((width, len(support)))
+                  + 1j * rng.standard_normal((width, len(support))))
+        full = np.zeros((width, 64), dtype=complex)
+        full[:, support] = states
+        want = _apply_unitary(full, u)
+        got = factor[support] * states[:, _reindex(gather, support)]
+        bound = 4.0 * np.finfo(float).eps * np.max(np.abs(states), initial=0.0)
+        assert np.max(np.abs(got - want[:, support]), initial=0.0) <= bound
+        outside = np.ones(64, dtype=bool)
+        outside[support] = False
+        assert not want[:, outside].any()
+    assert _gather(pulse_unitary(math.pi / 2.0, 0.02)) is None
+    # the ideal XY-16 pulses turn each qubit's X into +-itself exactly,
+    # so _commutes_with_flips holds on them with no tolerance to spare
+    for u in expand_schedule(build_xy16s(1e-3), 2).values():
+        for x in _X:
+            c = u @ x @ u.conj().T
+            assert np.array_equal(c, x) or np.array_equal(c, -x)
+
+
+@pytest.mark.parametrize("phase, real", [
+    (None, True), (math.pi / 2.0, True), (0.0, True), (math.pi / 6.0, False),
+], ids=["free", "y", "x", "pi_6"])
 def test_markovian_real_stretches_run_in_float64_bit_for_bit(phase, real,
                                                              monkeypatch):
-    # a free arm from a prepared state, and y pulses, keep every stretch
-    # exactly real, and the float64 pass gives the real parts of the
-    # complex pass bit for bit; an x pulse leaves cos(pi/2) i [rho, X]
-    # in the imaginary part, so its arm stays complex
+    # a free arm from a prepared state, and y and x pulses, keep every
+    # stretch exactly real, and the float64 pass gives the real parts of
+    # the complex pass bit for bit: an ideal x pulse is i^3 X X X, exactly,
+    # and its phases cancel in u rho u^dagger. A pi/6 pulse turns the
+    # real W into a complex state, so its arm stays complex
     train = {} if phase is None else {k: pulse_unitary(phase) for k in (40, 90)}
 
     def run():

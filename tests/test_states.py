@@ -54,6 +54,25 @@ def test_axis_is_exact_at_whole_quarter_turns(phase, axis):
     assert np.array_equal(_axis(phase), axis)
 
 
+@pytest.mark.parametrize("turns", [-1, 1, 2, 3])
+@pytest.mark.parametrize("phase", [0.0, math.pi / 2.0, math.pi,
+                                   3.0 * math.pi / 2.0])
+def test_rotation_is_exact_at_whole_half_turns(turns, phase):
+    # cos(pi/2) is 6.1e-17 in floating point: the sum form left that
+    # much dust in every pi pulse, so no ideal pulse had a zero entry
+    u = rotation(2, turns * math.pi, phase)
+    assert set(np.unique(u).tolist()) <= {0, 1, -1, 1j, -1j}
+    assert np.all((u != 0).sum(axis=1) == 1)
+
+
+def test_prepared_w_has_exactly_its_nine_elements():
+    # the pi turn of W's circuit left 27 more elements, from 2.9e-17
+    # down to 6.2e-34, before half turns were exact
+    rho = prepare_w()
+    assert np.count_nonzero(rho) == 9
+    assert np.allclose(rho, ket_density({4: 1, 2: 1, 1: 1}), atol=1e-15)
+
+
 def test_axis_keeps_the_kdd_sixth_turn_phases():
     # KDD_xy's pi/6 and 2 pi/3 keep the sum form bit for bit; its 0,
     # pi/2 and pi are whole quarter turns
