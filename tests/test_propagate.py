@@ -787,7 +787,7 @@ def test_a_monomial_pulse_gathers_as_its_matrix_product(width, seed):
         assert not want[:, outside].any()
     assert _gather(pulse_unitary(math.pi / 2.0, 0.02)) is None
     # the ideal XY-16 pulses turn each qubit's X into +-itself exactly,
-    # so _commutes_with_flips holds on them with no tolerance to spare
+    # so _commutes_with_flips needs none of its tolerance on them
     for u in expand_schedule(build_xy16s(1e-3), 2).values():
         for x in _X:
             c = u @ x @ u.conj().T
@@ -801,7 +801,7 @@ def test_markovian_real_stretches_run_in_float64_bit_for_bit(phase, real,
                                                              monkeypatch):
     # a free arm from a prepared state, and y and x pulses, keep every
     # stretch exactly real, and the float64 pass gives the real parts of
-    # the complex pass bit for bit: an ideal x pulse is i^3 X X X, exactly,
+    # the complex pass bit for bit: an ideal x pulse is i X X X, exactly,
     # and its phases cancel in u rho u^dagger. A pi/6 pulse turns the
     # real W into a complex state, so its arm stays complex
     train = {} if phase is None else {k: pulse_unitary(phase) for k in (40, 90)}
