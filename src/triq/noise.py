@@ -32,15 +32,17 @@ trajectories is swept on raveled states, each arm on only the elements
 it can reach from rho0 (``_support``), an ideal pulse applied as an
 index gather and a phase (``_gather``), with the OU phase factors of a
 block of segments made at once (``_phase_factors``).
-Every OU track is drawn at unit sigma, reduced into a per-segment unit
-table (``_fill_tables``), and sigma scales each segment's phase once,
-which is the phase of the track at sigma since the recurrence is linear
-in its draws. So ``calibrate_sigma``, which fits sigma to a qubit-1 T2,
-draws each of the engine's unit tracks once: its bisection rescales
-qubit 1's running sum of the table at every step instead of propagating,
-and the engine run at the sigma it settles on sweeps the same table. The
-tests pin the propagator against a generator built from explicit
-Lindblad operator matrices.
+Every OU track is drawn at unit sigma, kept only on the qubits whose
+phase reaches some element an arm runs on (``_seen``), reduced into a
+per-segment unit table (``_fill_tables``), and sigma scales each
+segment's phase once, which is the phase of the track at sigma since
+the recurrence is linear in its draws. So ``calibrate_sigma``, which
+fits sigma to a qubit-1 T2, draws each of the engine's unit tracks
+once, into a table of qubit 1 alone: its bisection rescales the
+table's running sum at every step instead of propagating, and the
+engine run at the sigma it settles on sweeps the same table. The tests
+pin the propagator against a generator built from explicit Lindblad
+operator matrices.
 """
 import math
 from dataclasses import dataclass, replace
@@ -65,18 +67,19 @@ __all__ = [
 
 # trajectories swept at once: each segment of a sweep is a few numpy
 # calls on the whole batch, so a wider batch takes fewer Python steps,
-# while each arm's per-segment phase table holds 24 B per segment per
-# trajectory, 3 KiB per segment at this width
+# while each arm's per-segment phase table holds 8 B per seen qubit per
+# segment per trajectory, at most 3 KiB per segment at this width
 _BATCH = 128
 # samples of a Markovian stretch evaluated at once; one stack of a
 # whole 2,001-sample stretch raised peak memory by 14%
 _BLOCK = 64
 # most bytes of OU phase factors made at once: a sweep makes them for a
-# block of segments, width x block x max(9, m) complex numbers (the
-# 9-column table and the m gathered elements). On a 2-vCPU VM the sweeps
-# of an OU calibration and of an XY-16(s) protect run took 21-23% and
-# 7-9% less time at 128 KiB than one segment at a time, and 5-10% and
-# 16-18% less than at 1 MiB; 256 KiB was within 5% (BENCH_49.json)
+# block of segments, width x block x max(3 q, m) complex numbers (the
+# table of 3 columns for each of the q seen qubits, and the m gathered
+# elements). On a 2-vCPU VM the sweeps of an OU calibration and of an
+# XY-16(s) protect run took 21-23% and 7-9% less time at 128 KiB than
+# one segment at a time, and 5-10% and 16-18% less than at 1 MiB;
+# 256 KiB was within 5% (BENCH_49.json, at q = 3)
 _FACTOR_BYTES = 128 * 2**10
 
 # per-qubit relaxation times of the bundled three-spin register, seconds
@@ -158,9 +161,19 @@ _ZDIFF = (_BITS[:, None, :] - _BITS[:, :, None]).astype(float)
 # 1 where qubit i's bit differs between row and column: the elements
 # that sigma_z dephasing of qubit i damps
 _ZMASK = (_ZDIFF != 0.0).astype(float)
-# per qubit i, the column 3 i + ZDIFF_i + 1 of each of the 64 raveled
-# elements in a row [conj e_1, 1, e_1, conj e_2, 1, e_2, conj e_3, 1, e_3]
-_ZCOL = 3 * np.arange(3)[:, None] + _ZDIFF.reshape(3, 64).astype(np.intp) + 1
+
+
+def _columns(seen, support):
+    """Each element of ``support``'s column, per qubit of ``seen``, in a
+    row of _phase_factors' table [conj e, 1, e] per seen qubit: 3 p +
+    ZDIFF_i + 1 for the p-th seen qubit i, (len(seen), m)."""
+    zdiff = _ZDIFF.reshape(3, 64)[seen][:, support].astype(np.intp)
+    return 3 * np.arange(len(seen))[:, None] + zdiff + 1
+
+
+# every qubit's column of each of the 64 raveled elements in a row
+# [conj e_1, 1, e_1, conj e_2, 1, e_2, conj e_3, 1, e_3]
+_ZCOL = _columns(np.arange(3), np.arange(64))
 
 
 # Most bytes a run may hold in each array that grows with its config,
@@ -169,10 +182,10 @@ _ZCOL = 3 * np.arange(3)[:, None] + _ZDIFF.reshape(3, 64).astype(np.intp) + 1
 # the OU phase tables, calibration's included, and MAX_STEPS the OU track.
 _MAX_BYTES = 768 * 2**20
 # Longest grid a run may have, cut by fit_grid and checked by check_grid
-# on every engine run: a correlated run holds one trajectory's OU track
-# and its normal draws, three float64 each, 48 B per grid step. The
-# longest grids that a test, demo or benchmark workload runs have
-# 100,000 steps, 48,000 under the OU bath.
+# on every engine run: a correlated run holds one trajectory's normal
+# draws, three float64 a step, and its OU track on the seen qubits, at
+# most 48 B per grid step. The longest grids that a test, demo or
+# benchmark workload runs have 100,000 steps, 48,000 under the OU bath.
 MAX_STEPS = _MAX_BYTES // 48
 
 
@@ -284,9 +297,12 @@ def evolve(rho0, noise, t_final, sample_dt):
                           range(0, n * k + 1, k))[0]
 
 
-def _ou_paths(rng, tau_c, dt, n_steps, width):
+def _ou_paths(rng, tau_c, dt, n_steps, width, cols=None):
     """Stationary unit-sigma OU tracks, one column per qubit: (n_steps,
-    width).
+    width), or only the sorted columns ``cols`` of it, (n_steps,
+    len(cols)), each the same bit for bit, since every operation below is
+    elementwise; all ``width`` columns are drawn either way, and when
+    ``cols`` names them all the track is scanned in place of the draws.
 
     Exact discrete update x' = d x + sqrt(1 - d^2) xi, with
     d = e^{-dt/tau_c} and a stationary N(0, 1) start, evaluated by a
@@ -300,8 +316,8 @@ def _ou_paths(rng, tau_c, dt, n_steps, width):
     """
     eps = rng.standard_normal((n_steps, width))
     d = math.exp(-dt / tau_c)
-    out = math.sqrt(1.0 - d * d) * eps
-    out[:1] = eps[:1]
+    out = eps if cols is None or len(cols) == width else eps[:, cols]
+    out[1:] *= math.sqrt(1.0 - d * d)
     s = 1
     while s < n_steps:
         out[s:] += d ** s * out[:-s]  # the right side is read before the add
@@ -345,46 +361,54 @@ def _flips(states, kappa_x, t, flats=_FLAT):
 
 def _phase_factors(phi, cols=_ZCOL):
     """exp(-i sum_i phi_i ZDIFF_i), raveled to (..., 64), for each row of
-    the OU phases phi (..., 3); ``cols`` is _ZCOL gathered at a support
-    of m elements, (3, m), for the factors of those elements alone,
-    (..., m). A sweep passes a whole block of segments at once.
+    the OU phases phi (..., 3); ``cols`` is _columns(seen, support) for
+    the factors of a support's m elements alone, (..., m), from phases
+    (..., len(seen)) of the seen qubits, those whose ZDIFF is nonzero on
+    some element of it (``_seen``). A sweep passes a whole block of
+    segments at once.
 
-    The factor is the product over qubits of e_i = exp(-i phi_i) raised
-    to ZDIFF_i in {-1, 0, +1}: three exps a row, each gathered from the
-    table [conj e_i, 1, e_i] to the elements and multiplied in qubit
-    order. A qubit whose bit agrees contributes exactly 1, so the
+    The factor is the product over seen qubits of e_i = exp(-i phi_i)
+    raised to ZDIFF_i in {-1, 0, +1}: one exp per seen qubit a row, each
+    gathered from the table [conj e_i, 1, e_i] to the elements and
+    multiplied in qubit order. A qubit whose bit agrees contributes
+    exactly 1, and an unseen one agrees on every element, so the
     diagonal is exactly 1 and an element where one qubit differs is
     that qubit's exp; any other element is within a few ulps of the
-    exp of its whole phase.
+    exp of its whole phase. With no qubit seen every factor is 1.
     """
+    if not len(cols):
+        return np.ones((*phi.shape[:-1], cols.shape[1]), dtype=complex)
     e = np.exp(-1j * phi)
     table = np.empty((*phi.shape, 3), dtype=complex)
     np.conjugate(e, out=table[..., 0])
     table[..., 1] = 1.0
     table[..., 2] = e
-    table = table.reshape(*phi.shape[:-1], 9)
+    table = table.reshape(*phi.shape[:-1], 3 * phi.shape[-1])
     out = table[..., cols[0]]
     for col in cols[1:]:
         out *= table[..., col]
     return out
 
 
-def _ou_track(noise, j, dt, n):
-    """Unit-sigma OU frequencies (n, 3) of trajectory j, from its own seed
-    stream: the one track that the engine and calibration both read."""
+def _ou_track(noise, j, dt, n, seen):
+    """Unit-sigma OU frequencies (n, len(seen)) of trajectory j on the
+    sorted qubits ``seen``, from its own seed stream: the one track that
+    the engine and calibration both read. All three qubits' normals are
+    drawn, so each seen column is the same whichever others are seen."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(int(noise.seed), int(j))))
-    return _ou_paths(rng, noise.ou_tau_c, dt, n, 3)
+    return _ou_paths(rng, noise.ou_tau_c, dt, n, 3, seen)
 
 
-def _fill_tables(noise, trajectories, dt, n, starts, tables):
-    """Fill each arm's unit table, (len(trajectories), segments, 3): row r
-    holds the sums of trajectory trajectories[r]'s unit-sigma track on
-    the grid of n steps of dt over each segment, which starts at the
-    arm's ``starts``. Each track is drawn once, reduced at every arm's
-    starts, and dropped before the next is drawn."""
+def _fill_tables(noise, trajectories, dt, n, seen, starts, tables):
+    """Fill each arm's unit table, (len(trajectories), segments,
+    len(seen)): row r holds the sums of trajectory trajectories[r]'s
+    unit-sigma track on the qubits ``seen``, on the grid of n steps of
+    dt, over each segment, which starts at the arm's ``starts``. Each
+    track is drawn once, reduced at every arm's starts, and dropped
+    before the next is drawn."""
     for r, j in enumerate(trajectories):
-        track = _ou_track(noise, j, dt, n)
+        track = _ou_track(noise, j, dt, n, seen)
         for s, table in zip(starts, tables):
             np.add.reduceat(track, s, axis=0, out=table[r])
 
@@ -442,6 +466,15 @@ def _support(rho0, gathers):
         reach = grown
 
 
+def _seen(support):
+    """The qubits, sorted, whose OU phase reaches some element of
+    ``support``: qubit i where ZDIFF_i is nonzero on one of them. Every
+    other qubit's bit agrees on the whole support, so its phase factor
+    there is exactly 1, and an OU sweep on it reads only the seen
+    qubits' tracks."""
+    return np.flatnonzero(_ZMASK.reshape(3, 64)[:, support].any(axis=1))
+
+
 def _reindex(gather, support):
     """``gather`` on all 64 elements re-indexed into ``support``, for
     states that hold only its m elements (..., m): the position in
@@ -463,8 +496,9 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     is rejected too), and sample steps strictly increase (else
     ValueError). Past the 768 MiB a run may hold, samples times arms at
     2 KiB (393,216 states) are a ValueError before any sample step is
-    read, and a batch's OU phases at 24 B per segment per trajectory one
-    before any track is drawn. A pulse acts before its step's sample.
+    read, and a batch's OU phases at 8 B per seen qubit per segment per
+    trajectory one before any track is drawn. A pulse acts before its
+    step's sample.
     Trajectory j draws its OU track from a stream seeded by (noise.seed,
     j), so the mean does not depend on execution order; every sampled
     mean is validated as physical (else PhysicalityError naming the
@@ -480,7 +514,12 @@ def propagate_arms(rho0, noise, n_steps, dt, trains, sample_steps):
     trajectory j's unit-sigma track is drawn once and reduced at every
     arm's segment edges before the next is drawn, and each arm's table
     of per-segment phases is then scaled by sigma dt once, so an arm's
-    curve equals a one-train pass of its train bit for bit. A sampled
+    curve equals a one-train pass of its train bit for bit. The track
+    and the tables hold only the qubits seen by some arm, those whose
+    I_z differs between the row and the column of some element of its
+    support; all three qubits' normals are still drawn, so a seen
+    qubit's phases are the same bit for bit, and an unseen one's factor
+    on the support is exactly 1 (``_seen``). A sampled
     mean adds each batch's sum once per sample, so the batch width moves
     only the last bits of a run of more than one batch.
     Each arm is swept on its support alone: the closure of rho0's
@@ -590,14 +629,17 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
     ``marks`` under the OU bath, as rows (samples, 64) per arm.
 
     Each arm's plan cuts its segments, marks the edges where half flips
-    merge and finds its support (``_support``), once. Each batch of up to
-    _BATCH trajectories fills its rows of every arm's
-    per-segment unit table (``_fill_tables``), scales them by sigma dt in
-    place, and sweeps them on the arm's support (``_sweep``); every
-    element outside it is 0 in the means. ``held``, when not None, is
-    every arm's unit table for all trajectories, filled already on the
-    segments this plan cuts: each batch then scales and sweeps its rows
-    of it, and no track is drawn.
+    merge and finds its support (``_support``), once, and the qubits that
+    support sees (``_seen``). The arms read the same tracks, so the run
+    carries the qubits that some arm sees, and no other column. Each
+    batch of up to _BATCH trajectories fills its rows of every arm's
+    per-segment unit table on those qubits (``_fill_tables``), scales
+    them by sigma dt in place, and sweeps them on the arm's support
+    (``_sweep``); every element outside it is 0 in the means. ``held``,
+    when not None, is every arm's unit table for all trajectories,
+    filled already on the segments this plan cuts and the qubits it
+    sees: each batch then scales and sweeps its rows of it, and no track
+    is drawn.
     """
     row = {k: r for r, k in enumerate(marks)}
     # the OU phase does not commute with the bit flips: such segments
@@ -631,37 +673,39 @@ def _ou_arms(rho0, noise, n_steps, dt, trains, marks, held):
         return pulses, edges, dt * np.diff(edges), merge, flats, support
 
     arms = [plan(train) for train in trains]
+    supports = [support for *_, support in arms]
+    seen = np.array(sorted({q for s in supports for q in _seen(s)}), dtype=np.intp)
+    cols = [_columns(seen, support) for support in supports]
     # each segment's first grid step, intp so that a grid of no steps,
     # whose only arm has no segment, still indexes
     starts = [np.array(edges[:-1], dtype=np.intp) for _, edges, *_ in arms]
     if held is None:
-        # a batch's phases, three float64 per segment per trajectory,
-        # (batch, segments, 3) per arm, allocated once and refilled by
-        # every batch
-        _check_holds(min(_BATCH, noise.trajectories)
-                     * sum(len(s) for s in starts), 24, "OU segment phases")
-        tables = [np.empty((min(_BATCH, noise.trajectories), len(s), 3))
+        # a batch's phases, one float64 per seen qubit per segment per
+        # trajectory, (batch, segments, seen) per arm, allocated once and
+        # refilled by every batch
+        _check_holds(min(_BATCH, noise.trajectories) * sum(len(s) for s in starts),
+                     8 * len(seen), "OU segment phases")
+        tables = [np.empty((min(_BATCH, noise.trajectories), len(s), len(seen)))
                   for s in starts]
-    supports = [support for *_, support in arms]
     # each arm's sampled sums on its support
     accs = [np.zeros((len(marks), len(s)), dtype=complex) for s in supports]
     for start in range(0, noise.trajectories, _BATCH):
         batch = range(start, min(start + _BATCH, noise.trajectories))
         if held is None:
             phis = [table[:len(batch)] for table in tables]
-            _fill_tables(noise, batch, dt, n_steps, starts, phis)
+            _fill_tables(noise, batch, dt, n_steps, seen, starts, phis)
         else:
             phis = [table[start:batch.stop] for table in held]
-        for arm, phi, acc in zip(arms, phis, accs):
+        for arm, col, phi, acc in zip(arms, cols, phis, accs):
             phi *= noise.ou_sigma * dt
-            _sweep(rho0, len(batch), arm, phi, noise.kappa_x, row, acc)
+            _sweep(rho0, len(batch), arm, col, phi, noise.kappa_x, row, acc)
     means = [np.zeros((len(marks), 64), dtype=complex) for _ in arms]
     for mean, support, acc in zip(means, supports, accs):
         mean[:, support] = acc / noise.trajectories
     return means
 
 
-def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
+def _sweep(rho0, width, arm, cols, phi, kappa_x, row, acc):
     """Run one arm's segments for a batch of ``width`` trajectories and
     add the batch's sum of each sampled state into its row of acc
     (samples, m).
@@ -672,9 +716,10 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
     within the support, the pulse times its factor. A pulse that is not
     monomial keeps its arm on all 64 elements, and applies its unitary
     to the rows as they are. phi holds the batch's per-segment OU
-    phases, (width, segments, 3); a segment's phase factor takes three
-    exps per trajectory, one per qubit, made for a block of segments at
-    a time, of at most _FACTOR_BYTES (_phase_factors)."""
+    phases of the run's seen qubits, (width, segments, seen), and cols
+    their columns at the support (_columns); a segment's phase factor
+    takes one exp per seen qubit per trajectory, made for a block of
+    segments at a time, of at most _FACTOR_BYTES (_phase_factors)."""
     pulses, edges, deltas, merge, flats, support = arm
     m = len(support)
 
@@ -684,8 +729,7 @@ def _sweep(rho0, width, arm, phi, kappa_x, row, acc):
             return factor * states[:, gather]
         return _apply_unitary(states, pulses[k])
 
-    cols = _ZCOL[:, support]
-    block = max(1, _FACTOR_BYTES // (width * max(9, m) * 16))
+    block = max(1, _FACTOR_BYTES // (width * max(3 * phi.shape[-1], m) * 16))
     states = np.broadcast_to(rho0.reshape(64)[support], (width, m)).astype(complex)
     if 0 in pulses:
         states = pulse(states, 0)
@@ -717,9 +761,9 @@ _ONE_OVER_E = math.exp(-1.0)
 
 def _unit_phases(table, dt):
     """Qubit 1's unit-sigma phases, (trajectories, segments + 1), from a
-    unit table (trajectories, segments, 3) whose segments run from sample
-    to sample: dt times the running sum of its qubit-1 column, 0 at the
-    first sample."""
+    unit table (trajectories, segments, seen) whose segments run from
+    sample to sample and whose first column is qubit 1's: dt times the
+    running sum of that column, 0 at the first sample."""
     phases = np.zeros((len(table), table.shape[1] + 1))
     np.cumsum(table[:, :, 0], axis=1, out=phases[:, 1:])
     phases *= dt
@@ -775,17 +819,19 @@ def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
     from ``seed``) the qubit-1 coherence 2|rho_04| of |+>|00> is
     |mean_j exp(-i sigma Phi_j)|, Phi_j trajectory j's unit-sigma phase.
     Each track is drawn once, into the engine's per-segment unit table of
-    the one pulse-free arm, held for all trajectories (``_fill_tables``).
-    With no bit flips and no pulses the segments run from sample to
-    sample, so Phi_j at each sample is dt times the running sum of the
-    table's qubit-1 column, and every step of a bisection over
-    [sigma_lo, sigma_hi] rescales those phases. They are released when it
-    ends, and the sigma it settles on is run once through the engine,
-    with every check of ``propagate_arms``, on the same grid and samples:
-    that run scales the held table by sigma dt in place and sweeps it.
+    the one pulse-free arm, held for all trajectories (``_fill_tables``)
+    on the qubits its support sees (``_seen``): qubit 1 alone, as qubits
+    2 and 3 agree on all four elements of |+><+| (x) |00><00|. With no
+    bit flips and no pulses the segments run from sample to sample, so
+    Phi_j at each sample is dt times the running sum of the table's one
+    column, and every step of a bisection over [sigma_lo, sigma_hi]
+    rescales those phases. They are released when it ends, and the
+    sigma it settles on is run once through the engine, with every check
+    of ``propagate_arms``, on the same grid and samples: that run scales
+    the held table by sigma dt in place and sweeps it.
     Returns (sigma, that run's 1/e time, iterations). ValueError, before
-    any track is drawn, if the table, 24 B per segment per trajectory,
-    is past the 768 MiB a run may hold (33,554,432 segment phases; the
+    any track is drawn, if the table, 8 B per segment per trajectory, is
+    past the 768 MiB a run may hold (100,663,296 segment phases; the
     phases and a bisection step's scratch hold 8 B per sample each);
     RuntimeError if the bracket does not straddle t2 or the time ends
     over 2% off; NumericalError if it is over 1e-9 t2 from the closed
@@ -802,16 +848,18 @@ def calibrate_sigma(t2, tau_c, trajectories, seed, sigma_lo, sigma_hi):
     every = max(1, n // 500)
     steps = sorted(set(range(0, n + 1, every)) | {n})
     times = np.array([k * dt for k in steps])
-    # the segments the engine cuts for this arm: one per sample interval
+    # the segments the engine cuts for this arm, one per sample interval,
+    # and the qubits it sees
     starts = np.array(steps[:-1], dtype=np.intp)
-    _check_holds(trajectories * len(starts), 24, "OU segment phases")
-    table = np.empty((trajectories, len(starts), 3))
-    _fill_tables(noise, range(trajectories), dt, n, [starts], [table])
+    rho0 = np.kron(_PLUS, np.kron(P0, P0))
+    seen = _seen(_support(rho0, []))
+    _check_holds(trajectories * len(starts), 8 * len(seen), "OU segment phases")
+    table = np.empty((trajectories, len(starts), len(seen)))
+    _fill_tables(noise, range(trajectories), dt, n, seen, [starts], [table])
     sigma, predicted, iterations, (lo, t_lo, hi, t_hi) = _bisect(
         _unit_phases(table, dt), times, sigma_lo, sigma_hi, t2)
-    curve = _propagate(np.kron(_PLUS, np.kron(P0, P0)),
-                       replace(noise, ou_sigma=sigma), n, dt, [{}], steps,
-                       [table])[0]
+    curve = _propagate(rho0, replace(noise, ou_sigma=sigma), n, dt, [{}],
+                       steps, [table])[0]
     achieved = measures.first_crossing(
         curve.times, 2.0 * np.abs(curve.states[:, 0, 4]), _ONE_OVER_E)
     if not math.isclose(achieved, predicted, rel_tol=0.0, abs_tol=1e-9 * t2):

@@ -393,8 +393,9 @@ def test_calibrate_config_errors(tmp_path, capsys, cfg, message):
 
 def test_calibrate_rejects_a_table_too_large_to_hold(tmp_path, monkeypatch,
                                                     capsys):
-    # 10^8 trajectories of 530 segments would be a 1.2 TiB unit table: a
-    # config error before any track is drawn, which the stub stands in for
+    # 10^8 trajectories of 530 segments would be a 395 GiB unit table of
+    # qubit 1's phases: a config error before any track is drawn, which
+    # the stub stands in for
     def no_track(*args):
         raise AssertionError("a track was drawn for a table past the cap")
 
@@ -404,7 +405,7 @@ def test_calibrate_rejects_a_table_too_large_to_hold(tmp_path, monkeypatch,
                   command="calibrate")
     assert rc == 2
     assert capsys.readouterr().err == (
-        "config error: 53000000000 OU segment phases of 24 B each are more "
+        "config error: 53000000000 OU segment phases of 8 B each are more "
         "than the 768 MiB a run may hold\n")
     assert not (out / "calibration.txt").exists()
 

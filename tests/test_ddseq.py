@@ -306,9 +306,9 @@ def test_run_protected_draws_each_track_once(monkeypatch):
     calls = []
     real = triq.noise._ou_track
 
-    def counting(noise, j, dt, n):
+    def counting(noise, j, dt, n, seen):
         calls.append(j)
-        return real(noise, j, dt, n)
+        return real(noise, j, dt, n, seen)
 
     monkeypatch.setattr(triq.noise, "_ou_track", counting)
     nm = NoiseModel.from_times(bath_mode="correlated",

@@ -577,7 +577,7 @@ def test_calibration_grid(monkeypatch, tau_c, n, dt, samples):
     # most T2/1000, whichever is finer, and samples every n // 500 steps
     # plus the last; its engine run takes that grid and those samples,
     # and the unit table held for all 64 trajectories, one segment per
-    # sample interval
+    # sample interval and one column, qubit 1's, the one qubit it sees
     seen = []
 
     def spy(rho0, noise, n_steps, step, trains, sample_steps, held):
@@ -593,7 +593,7 @@ def test_calibration_grid(monkeypatch, tau_c, n, dt, samples):
     assert step == pytest.approx(dt, rel=1e-12)
     assert steps == list(range(0, n + 1, 5))
     assert len(steps) == samples
-    assert trains == [{}] and shapes == [(64, samples - 1, 3)]
+    assert trains == [{}] and shapes == [(64, samples - 1, 1)]
 
 
 def test_calibration_draws_each_track_once(monkeypatch):
@@ -602,9 +602,9 @@ def test_calibration_draws_each_track_once(monkeypatch):
     calls = []
     real = triq.noise._ou_track
 
-    def counting(noise, j, dt, n):
+    def counting(noise, j, dt, n, seen):
         calls.append(j)
-        return real(noise, j, dt, n)
+        return real(noise, j, dt, n, seen)
 
     monkeypatch.setattr(triq.noise, "_ou_track", counting)
     assert calibrate_sigma(0.53, 0.01, 128, 2, 12.0, 16.0)[0] == 13.5
@@ -650,16 +650,17 @@ def test_sampled_states_fit_up_to_768_mib(monkeypatch, arms, samples, fits):
                        range(samples))
 
 
-@pytest.mark.parametrize("trajectories, fits", [(65664, True), (65665, False)])
+@pytest.mark.parametrize("trajectories, fits", [(196992, True), (196993, False)])
 def test_calibration_phases_fit_up_to_768_mib(monkeypatch, trajectories, fits):
     # at tau_c = 20 (2.5 T2) / 2554.5 the grid is 2,555 steps sampled every
-    # 5, 512 samples and 511 segments: 65,664 trajectories are the
-    # 33,554,304 segment phases that 768 MiB holds at 24 B each, and one
-    # more trajectory is past it; the stub stands in for drawing the
-    # tracks, so the table that fits is allocated but never written
+    # 5, 512 samples and 511 segments: 196,992 trajectories are the
+    # 100,662,912 segment phases that 768 MiB holds at 8 B each, qubit 1's
+    # alone, and one more trajectory is past it; the stub stands in for
+    # drawing the tracks, so the table that fits is allocated but never
+    # written
     monkeypatch.setattr(triq.noise, "_fill_tables", _stop)
     with pytest.raises(_Stop if fits else ValueError,
-                       match=None if fits else "%d OU segment phases of 24 B each "
+                       match=None if fits else "%d OU segment phases of 8 B each "
                        "are more than the 768 MiB" % (511 * trajectories)):
         calibrate_sigma(0.53, 20 * 2.5 * 0.53 / 2554.5, trajectories, 3, 1.0, 60.0)
 

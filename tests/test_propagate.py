@@ -308,7 +308,8 @@ def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
     # set, is the trajectory mean of exp(-i sigma Phi_1) / 8, Phi_1 qubit
     # 1's unit-sigma phase: calibration's closed form for 2|rho_04|, here
     # on samples every 5 steps and the last, as calibration takes them,
-    # from a unit table of one segment per sample interval
+    # from a unit table of one segment per sample interval and of qubit
+    # 1 alone, as calibration holds it
     noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
                        bath_mode="correlated", ou_sigma=sigma,
                        ou_tau_c=dt / 10.0 ** log_ratio,
@@ -317,8 +318,8 @@ def test_unit_phases_rescale_to_the_engine(sigma, trajectories, log_ratio, dt,
     plus = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
     states = propagate_arms(np.outer(plus, plus), noise, n, dt, [{}],
                             steps)[0].states
-    table = np.empty((trajectories, len(steps) - 1, 3))
-    _fill_tables(noise, range(trajectories), dt, n,
+    table = np.empty((trajectories, len(steps) - 1, 1))
+    _fill_tables(noise, range(trajectories), dt, n, np.array([0]),
                  [np.array(steps[:-1], dtype=np.intp)], [table])
     phases = sigma * _unit_phases(table, dt)
     want = np.exp(-1j * phases).mean(axis=0)
@@ -341,7 +342,7 @@ def test_a_held_table_sweeps_as_the_engine_draws(trajectories):
     starts = [np.array(_segment_edges(sorted({0, 60, *steps, *t}), cap)[:-1],
                        dtype=np.intp) for t in trains]
     held = [np.empty((trajectories, len(s), 3)) for s in starts]
-    _fill_tables(nm, range(trajectories), 1e-4, 60, starts, held)
+    _fill_tables(nm, range(trajectories), 1e-4, 60, np.arange(3), starts, held)
     got = _propagate(prepare_ghz(), nm, 60, 1e-4, trains, steps, held)
     for g, w in zip(got, want):
         assert np.array_equal(g.states, w.states)
@@ -471,7 +472,7 @@ def _strang_reference(rho0, noise, n, dt, train, samples):
 
     out = np.zeros((len(samples), 8, 8), dtype=complex)
     for j in range(noise.trajectories):
-        b = noise.ou_sigma * _ou_track(noise, j, dt, n)
+        b = noise.ou_sigma * _ou_track(noise, j, dt, n, np.arange(3))
         rho = _kick(rho0.astype(complex), train, 0)
         got = {0: rho}
         for a, k in zip(edges, edges[1:]):
@@ -618,10 +619,11 @@ def _supports(monkeypatch):
 
 def test_calibration_sweeps_four_elements(monkeypatch):
     # |+>|00> has 4 nonzero elements, and with no flips and no pulses
-    # the OU phase only scales them
+    # the OU phase only scales them: calibration finds the qubits its
+    # held table keeps on them, and its engine run sweeps them
     supports = _supports(monkeypatch)
     calibrate_sigma(0.53, 0.01, 128, 2, 12.0, 16.0)
-    assert [list(s) for s in supports] == [[0, 4, 32, 36]]
+    assert [list(s) for s in supports] == [[0, 4, 32, 36]] * 2
 
 
 @pytest.mark.parametrize("u, pulsed", [
@@ -707,6 +709,82 @@ def test_pure_ou_bath_keeps_every_population_exactly():
     assert np.array_equal(pops, np.full(pops.shape, 0.125 + 0j))
     # the coherences did decay, so the bath acted
     assert np.max(np.abs(curve.states[-1] - rho0)) > 0.01
+
+
+def _seen_by_tracks(monkeypatch):
+    """Record the qubits that each drawn OU track keeps."""
+    seen = []
+    real = triq.noise._ou_track
+
+    def recording(noise, j, dt, n, qubits):
+        seen.append(list(qubits))
+        return real(noise, j, dt, n, qubits)
+
+    monkeypatch.setattr(triq.noise, "_ou_track", recording)
+    return seen
+
+
+def test_calibration_tracks_keep_qubit_one_alone(monkeypatch):
+    # qubits 2 and 3 agree on all 4 elements of |+><+| (x) |00><00|, so
+    # only qubit 1's OU phase reaches them
+    seen = _seen_by_tracks(monkeypatch)
+    calibrate_sigma(0.53, 0.01, 128, 2, 12.0, 16.0)
+    assert seen == [[0]] * 128
+
+
+@pytest.mark.parametrize("flips", [True, False], ids=["flippy", "no_flips"])
+def test_a_ghz_arm_sees_every_qubit(flips, monkeypatch):
+    # GHZ's coherence |000><111| differs in every qubit, with the bundled
+    # flips (16 elements) or without them (4)
+    noise = NoiseModel.from_times(bath_mode="correlated",
+                                  ou_sigma=13.7117919922, ou_tau_c=0.01,
+                                  trajectories=3, seed=2026)
+    if not flips:
+        noise = replace(noise, kappa_x=(0.0, 0.0, 0.0))
+    seen = _seen_by_tracks(monkeypatch)
+    run_protected(prepare_ghz(), noise, build_xy16s(250e-6))
+    assert seen == [[0, 1, 2]] * 3
+
+
+def test_a_diagonal_state_sees_no_qubit(monkeypatch):
+    # every element of a diagonal state, and every one the flips carry it
+    # to, has its row equal to its column: no qubit's OU phase reaches
+    # them, so the tracks keep no column, and at any sigma the means are
+    # the closed-form flips alone
+    rho0 = np.diag(np.random.default_rng(3).dirichlet(np.ones(8))).astype(complex)
+    noise = replace(FLIPPY, ou_sigma=500.0, trajectories=5)
+    seen = _seen_by_tracks(monkeypatch)
+    curve = propagate_arms(rho0, noise, 400, 5e-6, [{}], range(0, 401, 50))[0]
+    assert seen == [[]] * 5
+    for t, rho in zip(curve.times, curve.states):
+        want = _closed_form(rho0, noise.kappa_x, (0.0, 0.0, 0.0), t)
+        assert np.max(np.abs(rho - want)) < 1e-12
+    # the flips moved the populations
+    assert np.max(np.abs(curve.states[-1] - rho0)) > 1e-3
+
+
+def test_a_partly_seen_state_is_the_exact_track_phase(monkeypatch):
+    # |+>|0>|+> without bit flips sees qubits 1 and 3 alone: a sweep of
+    # their two columns is the exact phase of all three qubits' tracks,
+    # exp(-i dt sum_k b_i[k] ZDIFF_i), in which qubit 2's is 0 on every
+    # nonzero element
+    noise = NoiseModel(kappa_x=(0.0, 0.0, 0.0), kappa_z=(0.0, 0.0, 0.0),
+                       bath_mode="correlated", ou_sigma=40.0, ou_tau_c=1e-3,
+                       trajectories=2, seed=31)
+    n, dt = 300, 1e-5
+    rho0 = np.kron(np.full((2, 2), 0.5), np.kron(np.diag([1.0, 0.0]),
+                                                 np.full((2, 2), 0.5)))
+    want = np.zeros((8, 8), dtype=complex)
+    for j in range(2):
+        stream = np.random.default_rng(np.random.SeedSequence(entropy=(31, j)))
+        phi = 40.0 * dt * _ou_paths(stream, 1e-3, dt, n, 3).sum(axis=0)
+        want += np.exp(-1j * np.einsum("i,iab->ab", phi, _ZDIFF)) * rho0 / 2.0
+    seen = _seen_by_tracks(monkeypatch)
+    got = propagate_arms(rho0, noise, n, dt, [{}], [0, 7, n])[0].states[-1]
+    assert seen == [[0, 2]] * 2
+    assert np.max(np.abs(got - want)) < 1e-13
+    # each seen qubit's phase moved its own coherence far past the bound
+    assert abs(got[0, 1] - 0.25) > 1e-3 and abs(got[0, 4] - 0.25) > 1e-3
 
 
 phase_rows = st.lists(st.tuples(*[st.floats(-1e4, 1e4)] * 3),
