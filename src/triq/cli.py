@@ -47,7 +47,8 @@ from .noise import T1_S, T2_S, NoiseModel, calibrate_sigma, evolve, fit_grid
 from .states import prepare_ghz, prepare_w, prepare_wwbar
 from .tomo import mle_reconstruct, read_records, tomograph, write_records
 
-__all__ = ["ConfigError", "load_config", "main", "write_curve_csv", "render_svg"]
+__all__ = ["ConfigError", "load_config", "main", "write_curve_csv", "render_svg",
+           "write_calibration", "write_tomo_report", "write_schedule"]
 
 
 class ConfigError(ValueError):
@@ -351,6 +352,36 @@ def render_svg(path, title, series):
         f.write("\n".join(parts) + "\n")
 
 
+def write_calibration(path, noise, target, achieved, iterations):
+    """Write the calibrated correlated bath ``noise`` as a config
+    fragment, with its rates, the target T2, the 1/e time achieved and
+    the bisection's iteration count as comments."""
+    text = ("# calibrated correlated-bath fragment; paste into a config\n"
+            "bath.mode = %s\nbath.sigma_rad_s = %.12g\nbath.tau_c_s = %.12g\n"
+            "bath.trajectories = %d\nseed = %d\n# kappa_x = %s\n# kappa_z = %s\n"
+            "# target_t2_s = %.12g\n# achieved_one_over_e_s = %.12g\n"
+            "# bisection_iterations = %d\n"
+            % (noise.bath_mode, noise.ou_sigma, noise.ou_tau_c, noise.trajectories,
+               noise.seed, ",".join("%.12g" % k for k in noise.kappa_x),
+               ",".join("%.12g" % k for k in noise.kappa_z), target, achieved,
+               iterations))
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def write_tomo_report(path, state, settings, fid):
+    """Write the tomography report: the state's name, the number of
+    records fitted and the fidelity of the estimate."""
+    with open(path, "w") as f:
+        f.write("state = %s\nsettings = %d\nfidelity = %.12g\n" % (state, settings, fid))
+
+
+def write_schedule(path, schedule):
+    """Write the pulse table of ``schedule`` (ddseq.schedule_table)."""
+    with open(path, "w") as f:
+        f.write(schedule_table(schedule))
+
+
 def _out_paths(cfg, *names):
     """The paths of ``names`` in out.dir, which is made here: a command
     calls this once, right before its first write, so that a run that
@@ -442,18 +473,9 @@ def cmd_calibrate(cfg):
         raise ConfigError("calibrate.sigma_hi_rad_s must exceed sigma_lo_rad_s")
     sigma, achieved, iterations = calibrate_sigma(target, tau_c, traj, seed, lo, hi)
     path, = _out_paths(cfg, "calibration.txt")
-    with open(path, "w") as f:
-        f.write("# calibrated correlated-bath fragment; paste into a config\n")
-        f.write("bath.mode = correlated\n")
-        f.write("bath.sigma_rad_s = %.12g\n" % sigma)
-        f.write("bath.tau_c_s = %.12g\n" % tau_c)
-        f.write("bath.trajectories = %d\n" % traj)
-        f.write("seed = %d\n" % seed)
-        f.write("# kappa_x = %s\n" % ",".join("%.12g" % k for k in rates.kappa_x))
-        f.write("# kappa_z = %s\n" % ",".join("%.12g" % k for k in rates.kappa_z))
-        f.write("# target_t2_s = %.12g\n" % target)
-        f.write("# achieved_one_over_e_s = %.12g\n" % achieved)
-        f.write("# bisection_iterations = %d\n" % iterations)
+    write_calibration(path, dataclasses.replace(
+        rates, bath_mode="correlated", ou_sigma=sigma, ou_tau_c=tau_c,
+        trajectories=traj, seed=seed), target, achieved, iterations)
     _emit(path)
     print("sigma = %.6g rad/s, 1/e time %.6g s (target %.6g s)"
           % (sigma, achieved, target))
@@ -484,10 +506,7 @@ def cmd_tomo(cfg):
         _out_paths(cfg, *names) if records_path else paths)
     save_matrix(true_path, rho_ref)
     save_matrix(est_path, est)
-    with open(report_path, "w") as f:
-        f.write("state = %s\n" % cfg["state"])
-        f.write("settings = %d\n" % len(records))
-        f.write("fidelity = %.12g\n" % fid)
+    write_tomo_report(report_path, cfg["state"], len(records), fid)
     _emit(true_path, est_path, report_path)
     print("fidelity = %.12g" % fid)
     return 0
@@ -497,8 +516,7 @@ def cmd_schedule_dump(cfg):
     """Write the pulse table of the configured sequence."""
     schedule = _schedule(cfg)
     path, = _out_paths(cfg, "schedule.csv")
-    with open(path, "w") as f:
-        f.write(schedule_table(schedule))
+    write_schedule(path, schedule)
     _emit(path)
     print("cycle duration %.12g s, %d pulses per cycle"
           % (cycle_duration(schedule), len(schedule.pulses)))

@@ -87,8 +87,15 @@ def kron(a, b):
     ndarray
         Matrix of shape (dim(a)*dim(b), dim(a)*dim(b)); ``a`` acts on the
         left (more significant) factor.
+
+    One broadcast product of the two factors, reshaped: the same
+    multiplications as ``np.kron``, so the same bits, without its
+    general-rank set-up.
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    n = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def embed1(op, qubit):
@@ -112,14 +119,11 @@ def save_matrix(path, m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (m.shape,))
-    dim = m.shape[0]
-    rows = []
-    for v in m.reshape(-1):
-        rows.append("[%s, %s]" % (format(v.real, ".17g"), format(v.imag, ".17g")))
-    text = '{\n  "dim": %d,\n  "entries": [\n    %s\n  ]\n}\n' % (
-        dim,
-        ",\n    ".join(rows),
-    )
+    flat = m.reshape(-1)
+    # the whole document in one format call, over Python floats
+    template = ('{\n  "dim": %d,\n  "entries": [\n    '
+                + ",\n    ".join(["[%.17g, %.17g]"] * len(flat)) + "\n  ]\n}\n")
+    text = template % (len(m), *np.stack([flat.real, flat.imag], axis=1).ravel().tolist())
     with open(path, "w") as f:
         f.write(text)
 

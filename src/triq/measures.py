@@ -16,8 +16,10 @@ proves positive definite is PPT on every cut and skips that call. A
 stack whose imaginary part is exactly zero (core.real_if_exact), as a
 prepared state's Markovian decay is, is scored in real arithmetic, in
 about half the LAPACK time; any other takes the complex path. The
-single-state functions are stacks of one; curve_from_states scores a
-curve in blocks of _BLOCK samples, which keeps memory flat.
+single-state functions are stacks of one, and fidelity takes only the
+kernel's fidelity part (_fidelity), with no partial transpose;
+curve_from_states scores a curve in blocks of _BLOCK samples, which
+keeps memory flat.
 """
 
 import math
@@ -123,23 +125,28 @@ def _score(stack, ref=None):
     n3_tri = np.where(np.min(cuts, axis=1) > 0.0,
                       np.prod(cuts, axis=1) ** (1.0 / 3.0), 0.0)
     purity = np.einsum("nab,nba->n", stack, stack).real
-    fid = None
-    if ref is not None:
-        ket, root = ref
-        if ket is not None:
-            fid = np.einsum("a,nab,b->n", ket.conj(), stack, ket).real
-        else:
-            # eigenvalues of sqrt(ref) rho sqrt(ref); round-off negatives
-            # are clamped to zero
-            vals = np.clip(np.linalg.eigvalsh(root @ stack @ root), 0.0, None)
-            fid = np.sum(np.sqrt(vals), axis=1) ** 2
-        fid = np.clip(fid, 0.0, 1.0)
+    fid = None if ref is None else _fidelity(stack, ref)
     return cuts, n3_tri, fid, purity
 
 
-def _score_one(rho, ref=None):
-    cuts, n3_tri, fid, purity = _score(check_density(rho)[None], ref)
-    return cuts[0], n3_tri[0], None if fid is None else fid[0], purity[0]
+def _fidelity(stack, ref):
+    """Fidelity of each matrix of an (n, 8, 8) stack of checked density
+    matrices, as _score takes it, against the reference that
+    ``_reference`` prepared."""
+    ket, root = ref
+    if ket is not None:
+        fid = np.einsum("a,nab,b->n", ket.conj(), stack, ket).real
+    else:
+        # eigenvalues of sqrt(ref) rho sqrt(ref); round-off negatives
+        # are clamped to zero
+        vals = np.clip(np.linalg.eigvalsh(root @ stack @ root), 0.0, None)
+        fid = np.sum(np.sqrt(vals), axis=1) ** 2
+    return np.clip(fid, 0.0, 1.0)
+
+
+def _score_one(rho):
+    cuts, n3_tri, _, purity = _score(check_density(rho)[None])
+    return cuts[0], n3_tri[0], purity[0]
 
 
 def negativity(rho, qubit):
@@ -179,12 +186,12 @@ def fidelity(a, b):
     precision; 1 iff the states coincide.
     """
     ref = _reference(a)
-    return float(_score_one(b, ref)[2])
+    return float(_fidelity(real_if_exact(check_density(b)[None]), ref)[0])
 
 
 def purity(rho):
     """Tr(rho^2); 1 for pure states, 1/8 for the maximally mixed state."""
-    return float(_score_one(rho)[3])
+    return float(_score_one(rho)[2])
 
 
 def fit_decay_rate(curve):

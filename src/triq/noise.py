@@ -730,6 +730,8 @@ def _sweep(rho0, width, arm, cols, phi, kappa_x, row, acc):
         return _apply_unitary(states, pulses[k])
 
     block = max(1, _FACTOR_BYTES // (width * max(3 * phi.shape[-1], m) * 16))
+    # with every kappa_x zero each flip returns its input
+    flipping = any(kappa_x)
     states = np.broadcast_to(rho0.reshape(64)[support], (width, m)).astype(complex)
     if 0 in pulses:
         states = pulse(states, 0)
@@ -740,14 +742,16 @@ def _sweep(rho0, width, arm, cols, phi, kappa_x, row, acc):
         if s % block == 0:
             factors = _phase_factors(phi[:, s:s + block].transpose(1, 0, 2), cols)
         delta = deltas[s]
+        if flipping:
+            states = _flips(states, kappa_x, carried + 0.5 * delta, flats)
         # the OU bath replaces the Lindblad dephasing, so the phase
         # factor is the segment's whole elementwise factor
-        states = (factors[s % block]
-                  * _flips(states, kappa_x, carried + 0.5 * delta, flats))
+        states = factors[s % block] * states
         if merge[s]:
             carried = 0.5 * delta
         else:
-            states = _flips(states, kappa_x, 0.5 * delta, flats)
+            if flipping:
+                states = _flips(states, kappa_x, 0.5 * delta, flats)
             carried = 0.0
         if k in pulses:
             states = pulse(states, k)

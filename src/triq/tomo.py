@@ -21,12 +21,16 @@ observable index runs
 
 Reconstruction minimizes the Gaussian cost of the recorded values over
 density matrices by projected gradient on the 8x8 rho itself, its
-gradient taken from the 64x64 Gram of the rows formed once per fit, at
-the step at which the strongly convex cost contracts fastest. It
-certifies the result: it returns once the convex duality gap, a bound on
-how far the cost is above its minimum, is at most 1e-10.
+gradient taken from the 64x64 Gram of the rows, at the step at which the
+strongly convex cost contracts fastest. It certifies the result: it
+returns once the convex duality gap, a bound on how far the cost is
+above its minimum, is at most 1e-10. The Gram and its two eigenvalues
+depend only on which settings the records hold, in which order, so they
+are formed on the first fit of each order and kept, read-only; a fit
+forms only the product of the rows with its values.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,6 +135,19 @@ def simulate_readout(rho, setting, noise_sigma=0.0, seed=0):
         raise ValueError(
             "unknown setting %r; expected one of %s" % (setting, (SETTING_LABELS,))
         )
+    _check_noise(noise_sigma, seed)
+    return _readout(rho, setting, noise_sigma, seed)
+
+
+def tomograph(rho, noise_sigma=0.0, seed=0):
+    """Records for all seven settings of one state, as simulate_readout
+    makes them, with its checks made once for the whole scan."""
+    rho = check_density(rho)
+    _check_noise(noise_sigma, seed)
+    return [_readout(rho, label, noise_sigma, seed) for label in SETTING_LABELS]
+
+
+def _check_noise(noise_sigma, seed):
     # NaN fails the comparison; int() in the seeding would run a float
     # seed as another seed
     if not 0.0 <= noise_sigma < math.inf:
@@ -138,6 +155,10 @@ def simulate_readout(rho, setting, noise_sigma=0.0, seed=0):
                          % (noise_sigma,))
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
+
+
+def _readout(rho, setting, noise_sigma, seed):
+    """simulate_readout on arguments it has checked."""
     vals = (_DESIGN_ROWS[setting] @ rho.ravel()).real
     if noise_sigma > 0.0:
         rng = np.random.default_rng(
@@ -149,24 +170,23 @@ def simulate_readout(rho, setting, noise_sigma=0.0, seed=0):
     return TomoRecord(setting=setting, values=tuple(float(v) for v in vals))
 
 
-def tomograph(rho, noise_sigma=0.0, seed=0):
-    """Records for all seven settings of one state."""
-    return [simulate_readout(rho, label, noise_sigma, seed) for label in SETTING_LABELS]
-
-
-def _design(records):
-    """Design matrix D and targets y, one row per recorded value.
+@functools.lru_cache(maxsize=8)
+def _gram(settings):
+    """What a fit needs of the design matrix D of records in the setting
+    order ``settings``, one row per recorded value: D^H, the Gram Q =
+    D^H D, and the smallest nonzero and the largest eigenvalue of Q.
 
     Row m of D is conj(vec A_m), A_m the pulled-back observable of that
-    value, so Re(D vec rho) holds the values Tr(rho A_m).
+    value, so Re(D vec rho) holds the values Tr(rho A_m). Kept per order
+    and read-only: each is the same expression a fit would evaluate, so
+    a fit of records in any order is the same bit for bit.
     """
-    seen = {r.setting for r in records}
-    missing = [s for s in SETTING_LABELS if s not in seen]
-    if missing:
-        raise ValueError("records missing settings: %s" % ",".join(missing))
-    d = np.concatenate([_DESIGN_ROWS[rec.setting] for rec in records])
-    y = np.concatenate([rec.values for rec in records])
-    return d, y
+    d = np.concatenate([_DESIGN_ROWS[s] for s in settings])
+    dh = d.conj().T
+    q = dh @ d
+    lam_1, lam_max = np.linalg.eigvalsh(q)[[1, -1]]
+    dh.flags.writeable = q.flags.writeable = False
+    return dh, q, lam_1, lam_max
 
 
 def _project_density(h):
@@ -174,14 +194,18 @@ def _project_density(h):
     which ends each of mle_reconstruct's steps. Its eigenvalues are
     projected onto the probability simplex, which commutes with a common
     shift: the largest is moved to zero first, so it is kept however large
-    ``h`` is.
+    ``h`` is. The threshold is the mean excess over one of the k largest
+    for the largest k whose smallest stays above it, summed from the top
+    in Python floats, in the order of a cumulative sum.
     """
     vals, vecs = np.linalg.eigh(h)
     vals = vals - vals[-1]
-    desc = vals[::-1]
-    excess = np.cumsum(desc) - 1.0
-    kept = np.flatnonzero(desc - excess / np.arange(1, 9) > 0.0)[-1]
-    p = np.maximum(vals - excess[kept] / (kept + 1), 0.0)
+    total = threshold = 0.0
+    for k, v in enumerate(reversed(vals.tolist()), start=1):
+        total += v
+        if v - (total - 1.0) / k > 0.0:
+            threshold = (total - 1.0) / k
+    p = np.maximum(vals - threshold, 0.0)
     return (vecs * p) @ vecs.conj().T
 
 
@@ -190,9 +214,10 @@ def mle_reconstruct(records):
 
     Minimizes the Gaussian cost f(rho) = sum_m (Tr(rho A_m) - y_m)^2
     over density matrices by projected gradient on rho itself. With the
-    design rows d_m = conj(vec A_m) stacked in D, the Gram Q = D^H D and
-    b = D^H y are formed once per fit; the gradient is G = 2 (Q vec rho -
-    b), as an 8x8 Hermitian matrix. Every A_m is traceless, so on
+    design rows d_m = conj(vec A_m) stacked in D, the Gram Q = D^H D is
+    formed on the first fit of records in this setting order and kept,
+    and b = D^H y once per fit; the gradient is G = 2 (Q vec rho - b), as
+    an 8x8 Hermitian matrix. Every A_m is traceless, so on
     trace-one matrices f is strongly convex, its Hessian 2Q between
     2 lambda_1 and 2 lambda_max, the smallest nonzero and the largest
     eigenvalue of Q. Each step from I/8 moves against G by 1/(lambda_1 +
@@ -215,10 +240,13 @@ def mle_reconstruct(records):
     lambda_1) = 7.07e-6 (lambda_1 = 2) of the minimizer rho*, which for
     noise-free records of a state is that state.
     """
-    d, y = _design(records)
-    q = d.conj().T @ d
-    b = d.conj().T @ y
-    lam_1, lam_max = np.linalg.eigvalsh(q)[[1, -1]]
+    seen = {r.setting for r in records}
+    missing = [s for s in SETTING_LABELS if s not in seen]
+    if missing:
+        raise ValueError("records missing settings: %s" % ",".join(missing))
+    dh, q, lam_1, lam_max = _gram(tuple(rec.setting for rec in records))
+    y = np.concatenate([rec.values for rec in records])
+    b = dh @ y
     y_norm = math.hypot(*y)
     # the iteration cap takes |y|, and every element of every gradient
     # 2 (Q vec rho - b) is at most 2 (max|b| + lambda_max): summed in
@@ -252,11 +280,13 @@ def mle_reconstruct(records):
 
 def write_records(records, path):
     """Write records as text lines ``setting,observable_index,value``."""
+    # every line in one format call
+    fields = [x for rec in records for idx, val in enumerate(rec.values)
+              for x in (rec.setting, idx, val)]
+    text = "\n".join(["setting,observable_index,value"]
+                     + ["%s,%d,%.17g"] * (len(fields) // 3)) % tuple(fields)
     with open(path, "w") as f:
-        f.write("setting,observable_index,value\n")
-        for rec in records:
-            for idx, val in enumerate(rec.values):
-                f.write("%s,%d,%.17g\n" % (rec.setting, idx, val))
+        f.write(text + "\n")
 
 
 def read_records(path):

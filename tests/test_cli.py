@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import pathlib
 import re
@@ -575,6 +577,24 @@ def test_tomo_huge_readout_exits_3(tmp_path, capsys, huge):
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "MLE duality gap" in err[0]
+
+
+def test_no_command_opens_a_file_itself():
+    # every output file is written by a named writer in cli.__all__, a
+    # span of its own when the benchmark traces a run, so no cmd_* body
+    # opens one
+    tree = ast.parse(inspect.getsource(triq.cli))
+    commands = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert sorted(fn.name for fn in commands) == [
+        "cmd_calibrate", "cmd_decay", "cmd_protect", "cmd_schedule_dump", "cmd_tomo"]
+    opens = ["%s:%d" % (fn.name, node.lineno) for fn in commands
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and "open" in (getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))]
+    assert not opens
+    assert {"write_curve_csv", "render_svg", "write_calibration",
+            "write_tomo_report", "write_schedule"} <= set(triq.cli.__all__)
 
 
 # -- schedule-dump ----------------------------------------------------------

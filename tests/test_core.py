@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triq import (
     HERM_ATOL,
@@ -34,6 +35,29 @@ def test_kron_ordering():
     assert np.allclose(np.diag(z1), [1, 1, 1, 1, -1, -1, -1, -1])
     z3 = kron(kron(ID2, ID2), SZ)
     assert np.allclose(np.diag(z3), [1, -1, 1, -1, 1, -1, 1, -1])
+
+
+def _matrices(n, real):
+    entry = st.floats(-1e3, 1e3, allow_subnormal=True)
+    if not real:
+        entry = st.builds(complex, entry, entry)
+    return st.lists(entry, min_size=n * n, max_size=n * n).map(
+        lambda xs: np.array(xs).reshape(n, n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), real=st.booleans(), n=st.sampled_from([2, 4]))
+def test_kron_is_numpy_kron_bit_for_bit(data, real, n):
+    # the broadcast product does the multiplications np.kron does on the
+    # complex factors, so every bit agrees, signed zeros included
+    a = data.draw(_matrices(n, real))
+    b = data.draw(_matrices(2, real))
+    assert a.dtype == b.dtype == (float if real else complex)
+    got = kron(a, b)
+    want = np.kron(a.astype(complex), b.astype(complex))
+    assert got.shape == want.shape == (2 * n, 2 * n)
+    assert got.dtype == want.dtype == complex
+    assert got.tobytes() == want.tobytes()
 
 
 def test_save_load_round_trip_is_exact(tmp_path, rng):

@@ -564,6 +564,26 @@ def test_segment_cap_is_stated_in_seconds(dt, n, steps):
     assert np.allclose(calls, np.array(want) * dt, rtol=1e-12, atol=0.0)
 
 
+def test_a_flip_free_bath_makes_no_flip_call(monkeypatch):
+    # with every kappa_x zero each flip would return its input, so the
+    # sweep makes no call; the states are still the Strang split's
+    calls = []
+    real = triq.noise._flips
+
+    def counting(states, kappa_x, t, *flats):
+        calls.append(t)
+        return real(states, kappa_x, t, *flats)
+
+    monkeypatch.setattr(triq.noise, "_flips", counting)
+    quiet = replace(FLIPPY, kappa_x=(0.0, 0.0, 0.0))
+    n, dt, samples = 100, 5e-6, [0, 30, 100]
+    for train in ({50: pulse_unitary(0.0, 0.0)}, {}):
+        curve = propagate_arms(prepare_w(), quiet, n, dt, [train], samples)[0]
+        want = _strang_reference(prepare_w(), quiet, n, dt, train, samples)
+        assert np.max(np.abs(curve.states - want)) < 1e-12
+    assert calls == []
+
+
 @pytest.mark.parametrize("phase, flip_error", [
     (0.0, 0.0), (math.pi / 6.0, 0.0), (math.pi / 2.0, 0.02),
 ], ids=["x", "pi_6", "y_flip_error"])

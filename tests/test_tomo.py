@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from triq import (
     SETTING_LABELS,
@@ -63,6 +64,24 @@ def test_simulate_readout_rejects_bad_noise_and_seed(kwargs, message):
         simulate_readout(prepare_ghz(), "XXX", **kwargs)
     with pytest.raises(ValueError, match=message):
         tomograph(prepare_ghz(), **kwargs)
+
+
+@pytest.mark.parametrize("rho, kwargs", [
+    (2.0 * prepare_ghz(), {}),
+    (prepare_ghz(), {"noise_sigma": math.nan}),
+    (prepare_ghz(), {"noise_sigma": 0.1, "seed": -1}),
+    (2.0 * prepare_ghz(), {"noise_sigma": math.nan, "seed": -1}),
+], ids=["not_a_density", "nan_sigma", "negative_seed", "every_defect"])
+def test_tomograph_rejects_as_simulate_readout_does(rho, kwargs):
+    # the scan checks its arguments once, in simulate_readout's order and
+    # with its messages
+    with pytest.raises(Exception) as scan:
+        tomograph(rho, **kwargs)
+    with pytest.raises(Exception) as one:
+        simulate_readout(rho, "III", **kwargs)
+    assert type(scan.value) is type(one.value)
+    assert isinstance(scan.value, (ValueError, ArithmeticError))
+    assert str(scan.value) == str(one.value)
 
 
 def test_simulate_readout_matches_rotated_observables(rng):
@@ -208,6 +227,60 @@ def test_mle_certifies_optimum(prepare, sigma, seed, repeat_seeds):
     records = tomograph(rho, noise_sigma=sigma, seed=seed)
     records += [simulate_readout(rho, "XXY", sigma, s) for s in repeat_seeds]
     assert duality_gap(mle_reconstruct(records), records) <= 1e-9
+
+
+def test_a_permuted_fit_equals_the_fit_that_forms_its_gram_inline(monkeypatch):
+    # the Gram and its eigenvalues are kept per setting order, read-only,
+    # and are the expressions a fit would form, so a fit of records in
+    # any order, repeats included, is the same bit for bit
+    rho = prepare_w()
+    scan = tomograph(rho, noise_sigma=0.05, seed=3)
+    records = [scan[k] for k in (4, 0, 6, 2, 5, 1, 3)]
+    records.append(simulate_readout(rho, "XXY", 0.05, 8))
+    order = tuple(rec.setting for rec in records)
+    first = mle_reconstruct(records)
+    hits = tomo._gram.cache_info().hits
+    again = mle_reconstruct(records)
+    assert tomo._gram.cache_info().hits == hits + 1
+    dh, q, lam_1, lam_max = tomo._gram(order)
+    with pytest.raises(ValueError, match="read-only"):
+        q[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        dh[0, 0] = 0.0
+
+    def inline(settings):
+        d = np.concatenate([tomo._DESIGN_ROWS[s] for s in settings])
+        gram = d.conj().T @ d
+        return (d.conj().T, gram, *np.linalg.eigvalsh(gram)[[1, -1]])
+
+    assert q.tobytes() == inline(order)[1].tobytes()
+    monkeypatch.setattr(tomo, "_gram", inline)
+    formed = mle_reconstruct(records)
+    assert first.tobytes() == again.tobytes() == formed.tobytes()
+    # and the rows held are the records' own, in their order
+    assert duality_gap(first, records) <= 1e-9
+
+
+def _vectorized_projection(h):
+    # the threshold as a cumulative sum over the descending eigenvalues
+    vals, vecs = np.linalg.eigh(h)
+    vals = vals - vals[-1]
+    desc = vals[::-1]
+    excess = np.cumsum(desc) - 1.0
+    kept = np.flatnonzero(desc - excess / np.arange(1, 9) > 0.0)[-1]
+    p = np.maximum(vals - excess[kept] / (kept + 1), 0.0)
+    return (vecs * p) @ vecs.conj().T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(entries=st.lists(st.floats(-1.0, 1.0), min_size=128, max_size=128),
+       scale=st.sampled_from([1e-9, 1e-2, 0.125, 1.0, 10.0, 1e6]))
+@example(entries=[0.0] * 128, scale=1.0)
+@example(entries=([1.0] + [0.0] * 8) * 7 + [1.0] + [0.0] * 64, scale=0.125)
+def test_python_float_threshold_equals_the_vectorized_one(entries, scale):
+    a = scale * (np.array(entries[:64]) + 1j * np.array(entries[64:])).reshape(8, 8)
+    h = 0.5 * (a + a.conj().T)
+    assert tomo._project_density(h).tobytes() == _vectorized_projection(h).tobytes()
 
 
 def test_mle_iteration_cap_raises_with_gap(monkeypatch, tmp_path):
